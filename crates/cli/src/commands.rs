@@ -14,7 +14,7 @@ use ugs_datasets::prelude::*;
 use ugs_metrics::cuts::CutSamplingConfig;
 use ugs_metrics::degree::MetricDiscrepancy;
 use ugs_queries::prelude::*;
-use ugs_service::{BatchPolicy, QueryPlan, QueryResult, QueryService, QuerySpec};
+use ugs_service::{QueryPlan, QueryResult, QuerySpec};
 
 /// Errors surfaced to the user by the CLI.
 #[derive(Debug)]
@@ -138,17 +138,6 @@ const PLAN_OPTIONS: &[&str] = &[
     "max-worlds",
 ];
 const PARTITION_OPTIONS: &[&str] = &["shards", "strategy", "compact"];
-const SESSION_OPTIONS: &[&str] = &[
-    "rounds",
-    "worlds",
-    "workers",
-    "batch-max",
-    "batch-wait-ms",
-    "seed",
-    "mode",
-    "top",
-    "source",
-];
 const SERVE_OPTIONS: &[&str] = &[
     "addr",
     "executors",
@@ -243,8 +232,8 @@ const COMMANDS: &[CommandHelp] = &[
                degree-hist|edge-freq|knn) and print the results as JSON.
                Sampling and world materialisation are paid once for the whole
                query mix instead of once per query.  --shards N evaluates over
-               a graph partition with cut-aware observers (count queries only;
-               results are bit-identical to the monolithic run).  With
+               a contiguous graph partition of at most one shard per vertex
+               (results are bit-identical to the monolithic run).  With
                --epsilon the shared budget is adaptive (sequential stopping;
                the report gains worlds_used/half_width).  A thin wrapper
                over the query-plan path (`ugs plan`).",
@@ -259,7 +248,7 @@ const COMMANDS: &[CommandHelp] = &[
                count (overridable with --shards), the sampling mode, the seed
                and a list of query specs such as
                {\"type\": \"knn\", \"source\": 0, \"k\": 5}; all queries share
-               one set of sampled worlds, sharded across the workers.  An
+               one set of sampled worlds, split across the workers.  An
                optional \"precision\" block in the plan — or --epsilon and
                friends, which override it — makes the budget adaptive.",
     },
@@ -273,18 +262,6 @@ const COMMANDS: &[CommandHelp] = &[
                chunked DFS walks out of the maximum spanning forest, keeping
                high-probability edges inside shards; `contiguous` splits the
                vertex range naively.",
-    },
-    CommandHelp {
-        name: "session",
-        usage: "session    <graph.txt> [--rounds N] [--worlds N] [--workers N]
-               [--batch-max N] [--batch-wait-ms MS] [--seed N]
-               [--mode auto|skip|per-edge] [--top K] [--source V]
-               Demo of the streaming query service: submit `rounds`
-               interleaved rounds of a four-query mix (PageRank,
-               connectivity, degree histogram, k-NN) to a long-lived
-               QueryService, which micro-batches them by arrival window and
-               shards each batch's world budget across `workers` persistent
-               engine workers (--workers 0 = all cores).",
     },
     CommandHelp {
         name: "serve",
@@ -316,7 +293,8 @@ const COMMANDS: &[CommandHelp] = &[
                (each an `ugs serve --shard K --shards W` process, one per
                listed address, in order) and print the full report as
                JSON — bit-identical to running the plan in-process.
-               Count queries only (connectivity|degree-hist|edge-freq).
+               Every query but sp (pair queries) runs distributed; sp is
+               refused with a typed policy error.
                A worker that stops responding is retried (reconnect +
                deterministic resubmit, --backoff-ms between attempts);
                when its retries run out the shard fails over to the first
@@ -700,8 +678,8 @@ pub fn query(args: &ParsedArgs) -> Result<String, CliError> {
 /// feeding every query named in `--queries`, reported as a JSON document.
 ///
 /// A thin wrapper over the query-plan path: the query names become
-/// [`QuerySpec`]s, run as one [`QueryPlan`] micro-batch through the
-/// streaming service, and the typed [`QueryResult`]s are rendered in the
+/// [`QuerySpec`]s, run as one [`QueryPlan`] (a single shared-world
+/// `QueryBatch` pass), and the typed [`QueryResult`]s are rendered in the
 /// classic `batch` report shape.
 pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     use minijson::{ObjBuilder, Value};
@@ -783,7 +761,7 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         queries: entries.iter().map(|(_, spec)| spec.clone()).collect(),
     };
     let detailed = plan.execute_detailed(graph);
-    // All queries share the micro-batch, so the adaptive effort is one
+    // All queries share the plan's batch, so the adaptive effort is one
     // number for the whole report.
     let effort = detailed
         .iter()
@@ -880,8 +858,8 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     })
 }
 
-/// `ugs plan`: execute a JSON query-plan file end-to-end through the
-/// streaming query service and print the full report as JSON.
+/// `ugs plan`: execute a JSON query-plan file end-to-end as one shared-world
+/// batch and print the full report as JSON.
 pub fn plan(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_options(PLAN_OPTIONS)?;
     let plan_path = args.positional(0, "plan.json")?;
@@ -999,140 +977,6 @@ pub fn partition(args: &ParsedArgs) -> Result<String, CliError> {
     } else {
         document.pretty()
     })
-}
-
-/// `ugs session`: demo of the long-lived streaming [`QueryService`] —
-/// interleaved rounds of a four-query mix are submitted over the service
-/// channel, micro-batched by arrival window and sharded across persistent
-/// engine workers; the tickets then resolve in submission order.
-pub fn session(args: &ParsedArgs) -> Result<String, CliError> {
-    use std::time::{Duration, Instant};
-
-    args.expect_options(SESSION_OPTIONS)?;
-    let path = args.positional(0, "graph.txt")?;
-    let graph = load(path)?;
-    let n = graph.num_vertices();
-    let rounds = args.usize_or("rounds", 2)?;
-    let worlds = args.usize_or("worlds", 200)?;
-    let workers = match args.usize_or("workers", 1)? {
-        0 => ugs_queries::mc::available_threads(),
-        w => w,
-    };
-    let seed = args.u64_or("seed", 42)?;
-    let top = args.usize_or("top", 5)?;
-    let source = args.usize_or("source", 0)?;
-    if source >= n {
-        return Err(CliError::Message(format!(
-            "--source {source} out of range (graph has {n} vertices)"
-        )));
-    }
-    let mode = ugs_service::parse_mode(&args.option_or("mode", "auto")).ok_or_else(|| {
-        CliError::Message(format!(
-            "unknown sampling mode {:?}; expected auto|skip|per-edge",
-            args.option_or("mode", "auto")
-        ))
-    })?;
-    let mix = vec![
-        QuerySpec::pagerank(),
-        QuerySpec::Connectivity,
-        QuerySpec::DegreeHistogram,
-        QuerySpec::Knn { source, k: top },
-    ];
-    let batch_max = args.usize_or("batch-max", mix.len())?;
-    let wait_ms = args.usize_or("batch-wait-ms", 50)?;
-    let policy = BatchPolicy {
-        max_wait: Duration::from_millis(wait_ms as u64),
-        max_queries: batch_max,
-        num_worlds: worlds,
-        threads: workers,
-        mode,
-        shards: 1,
-        precision: None,
-    };
-
-    let started = Instant::now();
-    let service = QueryService::start(graph, policy, seed);
-    let mut tickets = Vec::with_capacity(rounds * mix.len());
-    for round in 0..rounds {
-        for spec in &mix {
-            tickets.push((round, spec.kind(), service.submit(spec.clone())));
-        }
-    }
-    let mut out = format!(
-        "session over {path}: {} interleaved submissions ({rounds} rounds x {} queries), \
-         {worlds} worlds per micro-batch, {workers} worker(s)\n",
-        rounds * mix.len(),
-        mix.len(),
-    );
-    for (round, kind, ticket) in tickets {
-        match ticket.wait() {
-            Ok(result) => out.push_str(&format!(
-                "  [round {round}] {kind:<16} -> {}\n",
-                summarize_result(&result)
-            )),
-            Err(error) => {
-                out.push_str(&format!("  [round {round}] {kind:<16} -> error: {error}\n"))
-            }
-        }
-    }
-    let stats = service.shutdown();
-    out.push_str(&format!(
-        "micro-batches: {}   queries answered: {}   worlds sampled: {}   elapsed: {:.2?}\n",
-        stats.micro_batches,
-        stats.queries,
-        stats.worlds_sampled,
-        started.elapsed(),
-    ));
-    Ok(out)
-}
-
-/// One-line summary of a [`QueryResult`] for the `session` report.
-fn summarize_result(result: &QueryResult) -> String {
-    match result {
-        QueryResult::PageRank(scores) => match ranked_vertices(scores, 1).first() {
-            Some(&v) => format!("top vertex {v} (PR {:.4})", scores[v]),
-            None => "empty graph".to_string(),
-        },
-        QueryResult::Clustering(scores) => match ranked_vertices(scores, 1).first() {
-            Some(&v) => format!("top vertex {v} (CC {:.4})", scores[v]),
-            None => "empty graph".to_string(),
-        },
-        QueryResult::PairQueries(result) => {
-            let mean_rl =
-                result.reliability.iter().sum::<f64>() / result.reliability.len().max(1) as f64;
-            format!(
-                "{} pairs, mean reliability {mean_rl:.3}",
-                result.pairs.len()
-            )
-        }
-        QueryResult::Connectivity(estimate) => format!(
-            "P(connected) {:.3}, E[#components] {:.2}",
-            estimate.probability_connected, estimate.expected_components
-        ),
-        QueryResult::DegreeHistogram(histogram) => {
-            let vertices: f64 = histogram.iter().sum();
-            let mean: f64 = histogram
-                .iter()
-                .enumerate()
-                .map(|(d, h)| d as f64 * h)
-                .sum::<f64>()
-                / vertices.max(1.0);
-            format!("{} degree bins, E[degree] {mean:.3}", histogram.len())
-        }
-        QueryResult::Knn(neighbors) => match neighbors.first() {
-            Some(nearest) => format!(
-                "{} neighbours, nearest {} (E[d] {:.2})",
-                neighbors.len(),
-                nearest.vertex,
-                nearest.expected_distance
-            ),
-            None => "no reachable neighbours".to_string(),
-        },
-        QueryResult::EdgeFrequency(frequencies) => {
-            let mean = frequencies.iter().sum::<f64>() / frequencies.len().max(1) as f64;
-            format!("{} edges, mean frequency {mean:.3}", frequencies.len())
-        }
-    }
 }
 
 /// The top `top` vertex ids by descending score, ties broken by ascending
@@ -1496,7 +1340,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "batch" => batch(args),
         "plan" => plan(args),
         "partition" => partition(args),
-        "session" => session(args),
         "serve" => serve(args),
         "coordinate" => coordinate(args),
         "supervise" => supervise(args),
@@ -2029,7 +1872,6 @@ mod tests {
             "batch",
             "plan",
             "partition",
-            "session",
         ] {
             assert!(full.contains(command), "{command} missing from help");
             let single = run(&ParsedArgs::parse(["help", command]).unwrap()).unwrap();
@@ -2108,39 +1950,6 @@ mod tests {
         std::fs::write(&bad_path, r#"{"queries": [{"type": "connectivity"}]}"#).unwrap();
         assert!(run(&ParsedArgs::parse(["plan", bad_path.as_str()]).unwrap()).is_err());
         std::fs::remove_file(&bad_path).ok();
-    }
-
-    #[test]
-    fn session_drives_the_streaming_service() {
-        let input = write_toy_graph("session.txt");
-        // A large arrival window so batching is driven purely by the count
-        // threshold (the default --batch-max of 4 = the mix size): the
-        // micro-batch and world tallies below stay deterministic even when
-        // a loaded CI box preempts the test between submissions.
-        let args = ParsedArgs::parse([
-            "session",
-            &input,
-            "--rounds",
-            "2",
-            "--worlds",
-            "40",
-            "--workers",
-            "2",
-            "--seed",
-            "3",
-            "--batch-wait-ms",
-            "60000",
-        ])
-        .unwrap();
-        let report = run(&args).unwrap();
-        assert!(report.contains("8 interleaved submissions"), "{report}");
-        assert!(report.contains("[round 0] pagerank"), "{report}");
-        assert!(report.contains("[round 1] knn"), "{report}");
-        assert!(report.contains("micro-batches: 2"), "{report}");
-        assert!(report.contains("worlds sampled: 80"), "{report}");
-        let bad = ParsedArgs::parse(["session", &input, "--source", "999"]).unwrap();
-        assert!(run(&bad).is_err());
-        std::fs::remove_file(&input).ok();
     }
 
     #[test]

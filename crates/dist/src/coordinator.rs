@@ -20,9 +20,7 @@ use ugs_queries::variance::{Precision, StoppingRule};
 use ugs_queries::{ClusteringObserver, KnnObserver, PageRankObserver};
 use ugs_server::protocol::DEFAULT_BOUNDARY_PAGE;
 use ugs_server::LineClient;
-use ugs_service::{
-    mode_name, QueryAnswer, QueryPlan, QueryResult, QuerySpec, ResultTicket, ServiceError,
-};
+use ugs_service::{mode_name, QueryAnswer, QueryPlan, QueryResult, QuerySpec, ServiceError};
 use uncertain_graph::{GraphPartition, HaloPlan, UncertainGraph};
 
 use crate::fault::{FaultClock, FaultKind, FaultPlan};
@@ -462,8 +460,8 @@ impl DistCoordinator {
     /// path and resolves with a typed [`ServiceError::Policy`].
     pub fn execute(&mut self, plan: &QueryPlan) -> Vec<Result<QueryAnswer, ServiceError>> {
         let shards = self.workers.len();
-        // Per-query validation, mirroring the in-process scheduler's flush:
-        // invalid queries resolve individually, the valid remainder runs.
+        // Per-query validation, mirroring the in-process plan run: invalid
+        // queries resolve individually, the valid remainder runs.
         let mut slots: Vec<Slot> = Vec::new();
         let mut halos: Vec<HaloSlot> = Vec::new();
         let worlds = plan.worlds;
@@ -544,21 +542,6 @@ impl DistCoordinator {
             .collect()
     }
 
-    /// Like [`DistCoordinator::execute`], but hands back one
-    /// [`ResultTicket`] per query through the external-executor seam
-    /// ([`ResultTicket::pending`]) — the surface a service embeds when it
-    /// offloads plans to a fleet.
-    pub fn execute_ticketed(&mut self, plan: &QueryPlan) -> Vec<ResultTicket> {
-        self.execute(plan)
-            .into_iter()
-            .map(|outcome| {
-                let (reply, ticket) = ResultTicket::pending();
-                let _ = reply.send(outcome);
-                ticket
-            })
-            .collect()
-    }
-
     /// Executes the plan and renders the same report envelope
     /// [`QueryPlan::run_report`] prints for an in-process run, with the
     /// graph labelled by fingerprint (byte-identical answers yield
@@ -589,11 +572,11 @@ impl DistCoordinator {
         let worlds = plan.worlds;
         if worlds == 0 {
             // Pristine finalize: no batch seed is drawn, no job started —
-            // mirrors the in-process scheduler's zero-world short-circuit.
+            // mirrors the in-process batch's zero-world short-circuit.
             return Ok((0, None));
         }
-        // The in-process plan runs as one micro-batch of a fresh service
-        // stream: the batch seed is the stream's first draw.
+        // The in-process plan runs as one batch whose seed is the first
+        // draw of `SmallRng::seed_from_u64(plan.seed)`.
         let seed = SmallRng::seed_from_u64(plan.seed).gen::<u64>();
         let mode = mode_name(plan.mode);
         match &plan.precision {

@@ -21,7 +21,7 @@
 //!
 //! 1. **Replay sampling.**  Worker `k` samples world `i` by replaying the
 //!    full-graph edge stream from the shared batch seed (derived exactly
-//!    like the in-process service derives it: the first `u64` drawn from
+//!    like the in-process plan derives it: the first `u64` drawn from
 //!    `SmallRng::seed_from_u64(plan.seed)`), so every shard — and the
 //!    monolithic engine — sees the same coin for every edge of every
 //!    world.

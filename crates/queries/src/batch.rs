@@ -71,12 +71,6 @@
 //!   of which query it submitted (`ugs-service` keeps that knowledge in its
 //!   `QuerySpec`).
 //!
-//! Sharded drivers that run their own worker pool (again `ugs-service`)
-//! use [`BoxedObserver::observe`] / [`BoxedObserver::merge`] directly on
-//! per-worker clones and assemble a [`BatchResults`] from the merged
-//! observers with [`BatchResults::from_merged`], so redemption goes through
-//! the same fallible [`BatchResults::try_take_boxed`] path as a local batch.
-//!
 //! ## Fallible redemption
 //!
 //! [`BatchResults::take`] panics on a foreign or already-redeemed handle —
@@ -118,7 +112,7 @@
 use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -295,10 +289,8 @@ impl<O: WorldObserver> DynObserver for O {
 }
 
 /// An owned, type-erased observer — the unit a heterogeneous registry
-/// stores.  Create with [`BoxedObserver::new`], feed worlds with
-/// [`BoxedObserver::observe`], combine per-worker clones with
-/// [`BoxedObserver::merge`] and redeem through
-/// [`QueryBatch::register_boxed`] / [`BatchResults::from_merged`].
+/// stores.  Create with [`BoxedObserver::new`] and register it with
+/// [`QueryBatch::try_register_boxed`].
 pub struct BoxedObserver(Box<dyn DynObserver>);
 
 impl BoxedObserver {
@@ -307,67 +299,16 @@ impl BoxedObserver {
         BoxedObserver(Box::new(observer))
     }
 
-    /// Observes one sampled world (see [`WorldObserver::observe`]).
-    pub fn observe(&mut self, world: &WorldScratch) {
-        self.0.observe_dyn(world);
-    }
-
     /// Which world views the erased observer can consume (see
     /// [`WorldObserver::shard_support`]).
     pub fn shard_support(&self) -> ShardSupport {
         self.0.shard_support_dyn()
     }
 
-    /// Observes one sampled world in any representation: dispatches to
-    /// [`WorldObserver::observe`] or [`WorldObserver::observe_sharded`]
-    /// according to the view.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded view when the observer is
-    /// [`ShardSupport::MonolithicOnly`]; external drivers check
-    /// [`BoxedObserver::shard_support`] (or validate their specs) first.
-    pub fn observe_view(&mut self, view: &WorldView<'_>) {
-        match view {
-            WorldView::Monolithic(world) => self.0.observe_dyn(world),
-            WorldView::Sharded(world) => self.0.observe_sharded_dyn(world),
-        }
-    }
-
-    /// The range of the erased observer's tracked statistic (see
-    /// [`WorldObserver::tracked_range`]).
-    pub fn tracked_range(&self) -> Option<(f64, f64)> {
-        self.0.tracked_range_dyn()
-    }
-
-    /// The erased observer's tracked scalar for the most recently observed
-    /// world (see [`WorldObserver::tracked_statistic`]).
-    pub fn tracked_statistic(&self) -> f64 {
-        self.0.tracked_statistic_dyn()
-    }
-
-    /// Folds another partial observer into `self` (see
-    /// [`WorldObserver::merge`]).  Merge partials in worker (= world block)
-    /// order to keep floating-point association deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` erases a different concrete observer type.
-    pub fn merge(&mut self, other: BoxedObserver) {
-        self.0.merge_dyn(other.0);
-    }
-
     /// Finalises to the boxed [`WorldObserver::Output`]; the caller
     /// downcasts with its knowledge of the registered query.
     pub fn finalize(self, num_worlds: usize) -> Box<dyn Any + Send> {
         self.0.finalize_dyn(num_worlds)
-    }
-}
-
-impl Clone for BoxedObserver {
-    /// Clones the pristine observer behind the erasure (per-worker copies).
-    fn clone(&self) -> Self {
-        BoxedObserver(self.0.clone_dyn())
     }
 }
 
@@ -402,9 +343,8 @@ impl<O> std::fmt::Debug for ObserverHandle<O> {
     }
 }
 
-/// Untyped handle returned by [`QueryBatch::register_boxed`] (and
-/// [`BatchResults::from_merged`]); redeem it with
-/// [`BatchResults::try_take_boxed`].
+/// Untyped handle returned by [`QueryBatch::register_boxed`]; redeem it
+/// with [`BatchResults::try_take_boxed`].
 #[derive(Debug, Clone, Copy)]
 pub struct DynHandle {
     batch: u64,
@@ -476,6 +416,7 @@ pub struct QueryBatch<'g> {
     id: u64,
     observers: Vec<Box<dyn DynObserver>>,
     precision: Option<Precision>,
+    cancel: Option<Arc<AtomicBool>>,
 }
 
 /// Where a batch's worlds come from: the monolithic engine (owned, as
@@ -512,8 +453,8 @@ impl<'g> QueryBatch<'g> {
     /// ([`ShardSupport::CutAware`]) or the ghost-halo exchange
     /// ([`ShardSupport::Halo`], see [`crate::halo`]) — can register;
     /// [`QueryBatch::register`] / [`QueryBatch::register_boxed`] panic on
-    /// any other (validate specs up front, as `ugs-service` does, to get a
-    /// typed error instead).
+    /// any other (register through [`QueryBatch::try_register_boxed`], as
+    /// `ugs-service` does, to get a typed error instead).
     ///
     /// The replay-partitioned world stream is the same as a monolithic
     /// batch's at equal seeds, so both mechanisms produce bit-identical
@@ -534,6 +475,7 @@ impl<'g> QueryBatch<'g> {
             id: BATCH_IDS.fetch_add(1, Ordering::Relaxed),
             observers: Vec::new(),
             precision: None,
+            cancel: None,
         }
     }
 
@@ -545,6 +487,18 @@ impl<'g> QueryBatch<'g> {
     /// RNG discipline is unchanged: still exactly one `u64` draw.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = Some(precision);
+        self
+    }
+
+    /// Attaches a caller-owned cooperative cancellation flag.  While the
+    /// flag is raised, an **adaptive** run stops at its next epoch
+    /// checkpoint, after convergence, budget and deadline are consulted, so
+    /// cancellation can only shorten a run, never change a converged
+    /// answer.  The observers still reflect every world consumed before the
+    /// stop and [`AdaptiveReport::stopped`] reads
+    /// [`StopReason::Cancelled`].  Fixed-budget runs ignore the flag.
+    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
+        self.cancel = Some(cancel);
         self
     }
 
@@ -661,6 +615,7 @@ impl<'g> QueryBatch<'g> {
             id,
             observers,
             precision,
+            cancel,
         } = self;
         if num_worlds == 0 || observers.is_empty() {
             return BatchResults {
@@ -690,12 +645,13 @@ impl<'g> QueryBatch<'g> {
             }
             Some(precision) => {
                 let cap = precision.cap(num_worlds);
+                let cancel = cancel.as_deref();
                 let (merged, report) = match &source {
                     BatchSource::Monolithic(engine) => {
-                        drive_adaptive(engine, cap, threads, observers, seed, &precision, None)
+                        drive_adaptive(engine, cap, threads, observers, seed, &precision, cancel)
                     }
                     BatchSource::Sharded(engine) => {
-                        drive_adaptive(*engine, cap, threads, observers, seed, &precision, None)
+                        drive_adaptive(*engine, cap, threads, observers, seed, &precision, cancel)
                     }
                 };
                 BatchResults {
@@ -734,13 +690,12 @@ fn drive<S: WorldSource>(
     let base = num_worlds / threads;
     let extra = num_worlds % threads;
     let mut partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
-        let observers = &observers;
-        let handles: Vec<_> = (0..threads)
-            .map(|idx| {
+        let handles: Vec<_> = worker_registries(observers, threads)
+            .into_iter()
+            .enumerate()
+            .map(|(idx, mut workers)| {
                 let count = base + usize::from(idx < extra);
                 let skip = base * idx + idx.min(extra);
-                let mut workers: Vec<Box<dyn DynObserver>> =
-                    observers.iter().map(|o| o.clone_dyn()).collect();
                 scope.spawn(move || {
                     let mut worker_rng = SmallRng::seed_from_u64(seed);
                     let mut scratch = source.make_scratch();
@@ -760,7 +715,6 @@ fn drive<S: WorldSource>(
             .map(|handle| handle.join().expect("worker thread panicked"))
             .collect()
     });
-    drop(observers);
     // Merge the partial observers in worker (= world block) order.
     let mut merged = partials.remove(0);
     for partial in partials {
@@ -769,6 +723,20 @@ fn drive<S: WorldSource>(
         }
     }
     merged
+}
+
+/// One observer registry per worker: the earlier workers get pristine clones
+/// and the last takes `observers` itself, so a parallel run holds `threads`
+/// registries, not `threads + 1`.
+fn worker_registries(
+    observers: Vec<Box<dyn DynObserver>>,
+    threads: usize,
+) -> Vec<Vec<Box<dyn DynObserver>>> {
+    let mut registries: Vec<Vec<Box<dyn DynObserver>>> = (1..threads)
+        .map(|_| observers.iter().map(|o| o.clone_dyn()).collect())
+        .collect();
+    registries.push(observers);
+    registries
 }
 
 /// Summary of an adaptive ([`Precision`]-driven) batch run, attached to its
@@ -901,16 +869,15 @@ fn drive_adaptive<S: WorldSource>(
     // worker after the second wait — never concurrently).
     let decision = AtomicUsize::new(0);
     let mut partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
-        let observers = &observers;
         let tracked = &tracked;
         let barrier = &barrier;
         let rule_mx = &rule_mx;
         let stat_slots = &stat_slots;
         let decision = &decision;
-        let handles: Vec<_> = (0..threads)
-            .map(|idx| {
-                let mut workers: Vec<Box<dyn DynObserver>> =
-                    observers.iter().map(|o| o.clone_dyn()).collect();
+        let handles: Vec<_> = worker_registries(observers, threads)
+            .into_iter()
+            .enumerate()
+            .map(|(idx, mut workers)| {
                 scope.spawn(move || {
                     let mut worker_rng = SmallRng::seed_from_u64(seed);
                     let mut scratch = source.make_scratch();
@@ -997,7 +964,6 @@ fn drive_adaptive<S: WorldSource>(
             .map(|handle| handle.join().expect("worker thread panicked"))
             .collect()
     });
-    drop(observers);
     let mut merged = partials.remove(0);
     for partial in partials {
         for (into, other) in merged.iter_mut().zip(partial) {
@@ -1021,47 +987,6 @@ fn drive_adaptive<S: WorldSource>(
         stopped,
     };
     (merged, report)
-}
-
-/// Runs the adaptive epoch loop over a type-erased observer registry for an
-/// **external driver** (the streaming service), which draws the batch seed
-/// from its own stream: the merged observers come back in worker order,
-/// ready for [`BatchResults::from_merged`] with
-/// [`AdaptiveReport::worlds_used`] as the world count.
-pub fn run_adaptive_merged<S: WorldSource>(
-    source: &S,
-    observers: Vec<BoxedObserver>,
-    num_worlds: usize,
-    threads: usize,
-    seed: u64,
-    precision: &Precision,
-) -> (Vec<BoxedObserver>, AdaptiveReport) {
-    run_adaptive_cancellable(
-        source, observers, num_worlds, threads, seed, precision, None,
-    )
-}
-
-/// [`run_adaptive_merged`] with a cooperative cancellation flag: when
-/// `cancel` is raised the run aborts at the **next epoch checkpoint**
-/// (after convergence, budget and deadline are consulted — cancellation can
-/// only shorten a run, never change a converged answer) and the report
-/// comes back with [`StopReason::Cancelled`].  The observers still reflect
-/// every world consumed before the abort, so partial results remain
-/// well-defined.  `cancel == None` never cancels.
-pub fn run_adaptive_cancellable<S: WorldSource>(
-    source: &S,
-    observers: Vec<BoxedObserver>,
-    num_worlds: usize,
-    threads: usize,
-    seed: u64,
-    precision: &Precision,
-    cancel: Option<&AtomicBool>,
-) -> (Vec<BoxedObserver>, AdaptiveReport) {
-    let cap = precision.cap(num_worlds);
-    let dyns: Vec<Box<dyn DynObserver>> = observers.into_iter().map(|o| o.0).collect();
-    let (merged, report) =
-        drive_adaptive(source, cap, threads.max(1), dyns, seed, precision, cancel);
-    (merged.into_iter().map(BoxedObserver).collect(), report)
 }
 
 /// Dispatches one world view to every observer (the view kind is fixed per
@@ -1101,34 +1026,6 @@ pub struct BatchResults {
 }
 
 impl BatchResults {
-    /// Assembles results from observers that were sharded and merged by an
-    /// external driver (a service running its own persistent worker pool):
-    /// the observers must already be fully merged in worker order, and
-    /// `num_worlds` is the total sampled across all workers.  Returns the
-    /// results plus one [`DynHandle`] per observer, index-aligned with
-    /// `observers`, so redemption goes through the same fallible
-    /// [`BatchResults::try_take_boxed`] path as a locally-run batch.
-    pub fn from_merged(observers: Vec<BoxedObserver>, num_worlds: usize) -> (Self, Vec<DynHandle>) {
-        let id = BATCH_IDS.fetch_add(1, Ordering::Relaxed);
-        let handles = (0..observers.len())
-            .map(|index| DynHandle { batch: id, index })
-            .collect();
-        let results = BatchResults {
-            id,
-            num_worlds,
-            slots: observers.into_iter().map(|o| Some(o.0)).collect(),
-            adaptive: None,
-        };
-        (results, handles)
-    }
-
-    /// Attaches the [`AdaptiveReport`] of an externally-driven adaptive run
-    /// (pairs with [`run_adaptive_merged`] + [`BatchResults::from_merged`]).
-    pub fn with_adaptive(mut self, report: AdaptiveReport) -> Self {
-        self.adaptive = Some(report);
-        self
-    }
-
     /// The adaptive run's outcome, when the batch had a [`Precision`]
     /// target; `None` for fixed-budget runs.
     pub fn adaptive(&self) -> Option<&AdaptiveReport> {
@@ -1463,55 +1360,5 @@ mod tests {
             results.try_take_boxed(h_dyn),
             Err(BatchError::AlreadyTaken { .. })
         ));
-    }
-
-    #[test]
-    fn from_merged_matches_the_batch_driver() {
-        // Drive the observe/merge lifecycle by hand through BoxedObserver
-        // (two "workers" over the replayed world stream, exactly like a
-        // sharded service) and redeem through from_merged: the result must
-        // equal the 2-thread QueryBatch run bit for bit.
-        let g = toy();
-        let worlds = 101;
-        let mc = MonteCarlo::worlds(worlds).with_threads(2);
-        let mut rng = SmallRng::seed_from_u64(33);
-        let mut batch = QueryBatch::new(&g, &mc);
-        let handle = batch.register(EdgeFrequencyObserver::new(&g));
-        let expected = batch.run(&mut rng).take(handle);
-        let seed = {
-            // Recover the batch seed the driver drew from the caller RNG.
-            let mut replay = SmallRng::seed_from_u64(33);
-            replay.gen::<u64>()
-        };
-
-        let engine = WorldEngine::new(&g);
-        let template = BoxedObserver::new(EdgeFrequencyObserver::new(&g));
-        let (base, extra) = (worlds / 2, worlds % 2);
-        let mut partials = Vec::new();
-        for worker in 0..2 {
-            let count = base + usize::from(worker < extra);
-            let skip = base * worker + worker.min(extra);
-            let mut observer = template.clone();
-            let mut worker_rng = SmallRng::seed_from_u64(seed);
-            let mut scratch = engine.make_scratch();
-            for _ in 0..skip {
-                engine.advance_world(&mut worker_rng, &mut scratch);
-            }
-            for _ in 0..count {
-                engine.sample_world(&mut worker_rng, &mut scratch);
-                observer.observe(&scratch);
-            }
-            partials.push(observer);
-        }
-        let mut merged = partials.remove(0);
-        merged.merge(partials.remove(0));
-        let (mut results, handles) = BatchResults::from_merged(vec![merged], worlds);
-        assert_eq!(results.num_worlds(), worlds);
-        let freq = *results
-            .try_take_boxed(handles[0])
-            .unwrap()
-            .downcast::<Vec<f64>>()
-            .unwrap();
-        assert_eq!(freq, expected);
     }
 }

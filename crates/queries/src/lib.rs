@@ -104,48 +104,22 @@ pub mod sharded;
 pub mod source;
 pub mod variance;
 
-pub use boundary::{
-    accumulate_shard_aggregates, extract_shard_record, glue_records, GluedWorld, ShardWorldRecord,
-};
+pub use prelude::*;
 
-pub use batch::{
-    run_adaptive_cancellable, run_adaptive_merged, AdaptiveReport, BatchError, BatchResults,
-    BoxedObserver, DynHandle, DynObserver, EdgeFrequencyObserver, ObserverHandle, QueryBatch,
-    WorldObserver,
-};
-pub use components::{
-    connectivity_query, expected_degree_histogram, ConnectivityEstimate, ConnectivityObserver,
-    DegreeHistogramObserver,
-};
-pub use cv::{ControlVariate, CvConfig, CvError, CvEstimate};
-pub use engine::{SampleMethod, WorldEngine, WorldScratch};
-pub use halo::{HaloClustering, HaloPageRank, ShardBfs, ShardPageRank, WorldPresence};
-pub use knn::{k_nearest_neighbors, knn_overlap, KnnObserver, Neighbor};
-pub use mc::MonteCarlo;
-pub use node_queries::{
-    expected_clustering_coefficients, expected_pagerank, ClusteringObserver, PageRankObserver,
-};
-pub use pair_queries::{pair_queries, PairQueriesObserver, PairQueryResult};
-pub use pairs::random_pairs;
-pub use sharded::{ShardScratch, ShardedScratch, ShardedWorld, ShardedWorldEngine};
-pub use source::{ShardSupport, WorldSource, WorldView};
-pub use variance::{
-    estimator_variance, AccumulatorStats, Precision, StopReason, StoppingRule, VarianceEstimate,
-    Welford,
-};
-
-/// Commonly used items, suitable for a glob import.
+/// Commonly used items, suitable for a glob import.  This is the crate's one
+/// export list: the crate root re-exports all of it.
 pub mod prelude {
     pub use crate::batch::{
-        run_adaptive_cancellable, run_adaptive_merged, AdaptiveReport, BatchError, BatchResults,
-        BoxedObserver, DynHandle, EdgeFrequencyObserver, ObserverHandle, QueryBatch, WorldObserver,
+        AdaptiveReport, BatchError, BatchResults, BoxedObserver, DynHandle, DynObserver,
+        EdgeFrequencyObserver, ObserverHandle, QueryBatch, WorldObserver,
     };
     pub use crate::boundary::{
         accumulate_shard_aggregates, extract_shard_record, glue_records, GluedWorld,
         ShardWorldRecord,
     };
     pub use crate::components::{
-        connectivity_query, ConnectivityEstimate, ConnectivityObserver, DegreeHistogramObserver,
+        connectivity_query, expected_degree_histogram, ConnectivityEstimate, ConnectivityObserver,
+        DegreeHistogramObserver,
     };
     pub use crate::cv::{ControlVariate, CvConfig, CvError, CvEstimate};
     pub use crate::engine::{SampleMethod, WorldEngine, WorldScratch};

@@ -220,46 +220,32 @@ fn a_raised_cancel_flag_aborts_at_the_first_epoch_checkpoint() {
     // still pays exactly one epoch — deterministically, on every thread
     // count — and the observers reflect that epoch's worlds.
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     let g = fixture();
-    let engine = WorldEngine::new(&g);
-    let precision = Precision::new(1e-9).with_epoch(64);
+    let run = |threads: usize, epsilon: f64, cancel: Option<&Arc<AtomicBool>>| {
+        let mut batch = QueryBatch::new(&g, &adaptive_mc(SampleMethod::Skip, threads, epsilon));
+        if let Some(cancel) = cancel {
+            batch = batch.with_cancel(Arc::clone(cancel));
+        }
+        let handle = batch.register(ConnectivityObserver::new(&g));
+        let mut results = batch.run(&mut SmallRng::seed_from_u64(7));
+        (*results.adaptive().unwrap(), results.take(handle))
+    };
     for threads in [1, 4] {
-        let cancel = AtomicBool::new(true);
-        let (observers, report) = run_adaptive_cancellable(
-            &engine,
-            vec![BoxedObserver::new(ConnectivityObserver::new(&g))],
-            100_000,
-            threads,
-            7,
-            &precision,
-            Some(&cancel),
-        );
+        let cancel = Arc::new(AtomicBool::new(true));
+        let (report, estimate) = run(threads, 1e-9, Some(&cancel));
         assert_eq!(report.stopped, StopReason::Cancelled, "threads {threads}");
         assert_eq!(report.worlds_used, 64, "threads {threads}");
         assert_eq!(report.epochs, 1);
-        assert_eq!(observers.len(), 1);
+        assert_eq!(estimate.num_worlds, 64);
         assert!(cancel.load(Ordering::SeqCst), "flag is caller-owned");
     }
-    // An unraised flag changes nothing: bit-identical to the plain driver.
-    let cancel = AtomicBool::new(false);
-    let (_, cancellable) = run_adaptive_cancellable(
-        &engine,
-        vec![BoxedObserver::new(ConnectivityObserver::new(&g))],
-        100_000,
-        1,
-        7,
-        &Precision::new(0.05).with_epoch(64),
-        Some(&cancel),
-    );
-    let (_, plain) = run_adaptive_merged(
-        &engine,
-        vec![BoxedObserver::new(ConnectivityObserver::new(&g))],
-        100_000,
-        1,
-        7,
-        &Precision::new(0.05).with_epoch(64),
-    );
+    // An unraised flag changes nothing: bit-identical to a batch without one.
+    let cancel = Arc::new(AtomicBool::new(false));
+    let (cancellable, with_flag) = run(1, 0.05, Some(&cancel));
+    let (plain, without_flag) = run(1, 0.05, None);
     assert_eq!(cancellable, plain);
+    assert_eq!(with_flag, without_flag);
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //!
 //! ## Cache-key definition
 //!
-//! Replay determinism (one seed draw per micro-batch, thread-count-invariant
-//! world streams) means a query's [`QueryAnswer`] is a pure function of:
+//! Replay determinism (one seed draw per plan, thread-count-invariant world
+//! streams) means a query's [`QueryAnswer`] is a pure function of:
 //!
 //! * the **graph fingerprint**
 //!   ([`UncertainGraph::fingerprint`](uncertain_graph::UncertainGraph::fingerprint)): vertex
@@ -16,7 +16,7 @@
 //! * the canonical rendering of the **`QuerySpec`** itself;
 //! * for **adaptive** plans only: a hash of the whole query mix.  The
 //!   stopping rule pools the tracked statistics of *every* query in the
-//!   micro-batch, so `worlds_used` — and with it every answer — depends on
+//!   plan's batch, so `worlds_used` — and with it every answer — depends on
 //!   the mix; a fixed-budget answer depends only on its own spec, which is
 //!   what makes cross-plan reuse sound there.
 //!

@@ -10,10 +10,12 @@
 //!   parks on a ticket, so a slow job cannot wedge its client's other
 //!   requests;
 //! * a fixed pool of **executor** threads draining one bounded submission
-//!   queue; each job runs its plan through an isolated
-//!   [`QueryService`](ugs_service::QueryService) (the deterministic-replay
-//!   path), inserts the answers into the shared cache and hands them back
-//!   over a per-job channel.
+//!   queue; each job runs its plan as one
+//!   [`QueryBatch`](ugs_queries::QueryBatch) pass
+//!   ([`QueryPlan::execute_detailed_with_cancel`], the deterministic-replay
+//!   path) under `catch_unwind`, so a kernel panic answers `internal`
+//!   instead of killing the executor, then inserts the answers into the
+//!   shared cache and hands them back over a per-job channel.
 //!
 //! ## Admission control
 //!
@@ -37,6 +39,7 @@
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -73,7 +76,7 @@ pub struct ServerConfig {
     /// Byte budget of the deterministic result cache; `0` disables it.
     pub cache_bytes: usize,
     /// Hard cap on a plan's `threads` field (a client must not be able to
-    /// spawn an arbitrary number of service workers).  Clamping happens
+    /// spawn an arbitrary number of sampling workers).  Clamping happens
     /// *before* cache-key computation, so the key always reflects the
     /// thread count that actually ran.
     pub max_plan_threads: usize,
@@ -387,10 +390,12 @@ fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<ExecJob>>, slot: 
         // The cancel flag reaches the adaptive driver's epoch checkpoints:
         // cancelling a running adaptive plan aborts it between epochs
         // instead of burning the full world budget.
-        let answers = job.plan.execute_detailed_with_cancel(
-            Arc::clone(&shared.graph),
-            Some(Arc::clone(&job.cancelled)),
-        );
+        let answers = run_isolated(&job.plan, || {
+            job.plan.execute_detailed_with_cancel(
+                Arc::clone(&shared.graph),
+                Some(Arc::clone(&job.cancelled)),
+            )
+        });
         shared.executor_busy[slot].store(false, Ordering::SeqCst);
         if !job.cancelled.load(Ordering::SeqCst) {
             // A cancelled adaptive run stopped early: its answers reflect a
@@ -404,6 +409,19 @@ fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<ExecJob>>, slot: 
         }
         let _ = job.done_tx.send(answers);
     }
+}
+
+/// Runs one plan execution with its panics contained: a kernel that panics
+/// answers every query of the plan with a typed internal error, and the
+/// executor thread lives on to serve the next job.
+fn run_isolated(
+    plan: &QueryPlan,
+    execute: impl FnOnce() -> Vec<Result<QueryAnswer, ServiceError>>,
+) -> Vec<Result<QueryAnswer, ServiceError>> {
+    catch_unwind(AssertUnwindSafe(execute)).unwrap_or_else(|_| {
+        let error = ServiceError::Internal("the query kernel panicked".to_string());
+        plan.queries.iter().map(|_| Err(error.clone())).collect()
+    })
 }
 
 /// One client connection: read a line, answer a line, forever; every
@@ -935,4 +953,29 @@ fn deliver(id: u64, report: Value, shared: &Arc<Shared>) -> String {
             .field("done", true)
             .field("report", report),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_plan_run_answers_internal_for_every_query() {
+        let plan = QueryPlan::parse_str(
+            r#"{"worlds": 20, "queries": [{"type": "connectivity"}, {"type": "pagerank"}]}"#,
+        )
+        .unwrap();
+        let answers = run_isolated(&plan, || panic!("kernel bug"));
+        assert_eq!(answers.len(), 2);
+        for answer in answers {
+            assert!(
+                matches!(answer, Err(ServiceError::Internal(_))),
+                "{answer:?}"
+            );
+        }
+        // A run that returns is passed through untouched.
+        let graph = UncertainGraph::from_edges(2, [(0, 1, 0.5)]).unwrap();
+        let answers = run_isolated(&plan, || plan.execute_detailed(graph.clone()));
+        assert_eq!(answers, plan.execute_detailed(graph));
+    }
 }

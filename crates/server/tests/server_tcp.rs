@@ -5,7 +5,7 @@
 //! backpressure (`over_budget`, `overloaded`) and graceful shutdown that
 //! never leaves a client blocked.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use minijson::Value;
 use ugs_server::{serve, FaultEvent, FaultKind, FaultPlan, LineClient, ServerConfig, ServerHandle};
@@ -172,6 +172,43 @@ fn plans_that_fail_inside_the_service_report_typed_per_query_errors() {
     let report = c.wait_for_report(job).unwrap();
     let results = report.get("results").unwrap().as_array().unwrap();
     assert_eq!(results[0].get_str("status"), Some("ok"));
+    server.shutdown();
+}
+
+#[test]
+fn absurd_shard_counts_are_refused_typed_and_the_connection_survives() {
+    let server = start(ServerConfig::default());
+    let mut c = client(&server);
+    // A graph partition costs O(shards) before it looks at the graph, so a
+    // plan asking a 6-vertex graph for 10^12 shards must be refused before
+    // any partition is built: promptly, typed, per query.
+    let asked = Instant::now();
+    let (job, _) = submit_job(
+        &mut c,
+        r#"{"worlds": 40, "seed": 2, "shards": 1000000000000, "queries": [{"type": "connectivity"}, {"type": "pagerank"}]}"#,
+    );
+    let report = c.wait_for_report(job).unwrap();
+    assert!(
+        asked.elapsed() < Duration::from_secs(10),
+        "the refusal took {:?}",
+        asked.elapsed()
+    );
+    let results = report.get("results").unwrap().as_array().unwrap();
+    assert_eq!(results.len(), 2);
+    for entry in results {
+        assert_eq!(entry.get_str("status"), Some("error"));
+        let error = entry.get_str("error").unwrap();
+        assert!(error.contains("1000000000000 shards"), "{error}");
+    }
+    // The same connection then answers a normal plan, sharded to the limit.
+    let (job, _) = submit_job(
+        &mut c,
+        r#"{"worlds": 40, "seed": 2, "shards": 6, "queries": [{"type": "connectivity"}]}"#,
+    );
+    let report = c.wait_for_report(job).unwrap();
+    let results = report.get("results").unwrap().as_array().unwrap();
+    assert_eq!(results[0].get_str("status"), Some("ok"));
+    assert_eq!(results[0].get_usize("worlds_used"), Some(40));
     server.shutdown();
 }
 

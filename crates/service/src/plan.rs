@@ -1,6 +1,6 @@
 //! JSON query plans: a [`QueryPlan`] bundles a list of [`QuerySpec`]s with
 //! the Monte-Carlo configuration they share, parses from a plan document and
-//! executes end-to-end through a [`QueryService`].
+//! executes end-to-end as **one [`QueryBatch`] run**.
 //!
 //! The plan document is the file format of the CLI's `ugs plan` subcommand:
 //!
@@ -20,10 +20,27 @@
 //! ```
 //!
 //! Every field except `queries` is optional (`graph` may instead be given by
-//! the caller, and `worlds`/`threads`/`mode`/`seed` take the defaults
-//! below).  Execution runs the whole plan as **one** micro-batch — all
-//! queries share one set of sampled worlds, exactly like a single
-//! [`ugs_queries::QueryBatch`] — sharded across `threads` service workers.
+//! the caller, and `worlds`/`threads`/`shards`/`mode`/`seed` take the
+//! defaults below).
+//!
+//! ## Execution
+//!
+//! Each valid query registers its observer with one [`QueryBatch`], so all
+//! queries share one set of sampled worlds.  The batch seed is the first
+//! `u64` drawn from `SmallRng::seed_from_u64(seed)`, and the world budget
+//! is split across `threads` workers by the batch's replay partitioning
+//! (every worker re-derives the shared world stream and observes its own
+//! contiguous block; partials merge in worker order).  Answers are
+//! therefore a pure function of the plan and the graph: count-valued
+//! answers are invariant to `threads`, and a one-query plan with seed `s`
+//! is bit-identical to the legacy free function run on a fresh
+//! `SmallRng::seed_from_u64(s)` (`tests/plan_parity.rs`).
+//!
+//! With `shards > 1` the batch samples from a [`ShardedWorldEngine`] over
+//! the contiguous `shards`-way partition; it replays the monolithic edge
+//! stream, so every answer is bit-identical to the monolithic run.  A shard
+//! count above the vertex count is refused with [`ServiceError::Policy`]
+//! before any partition is built.
 //!
 //! An optional `"precision": {"epsilon": 0.01, "delta": 0.05, "deadline_ms":
 //! 2000, "max_worlds": 50000}` block makes the batch **adaptive**: `worlds`
@@ -31,19 +48,87 @@
 //! empirical-Bernstein half-width reaches `epsilon`; report entries then
 //! carry `worlds_used` and the achieved `half_width`.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
 
 use minijson::{ObjBuilder, Value};
-use uncertain_graph::UncertainGraph;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use uncertain_graph::{GraphPartition, UncertainGraph};
 
-use ugs_queries::engine::SampleMethod;
+use ugs_queries::batch::{DynHandle, QueryBatch};
+use ugs_queries::engine::{SampleMethod, WorldEngine};
+use ugs_queries::sharded::ShardedWorldEngine;
 use ugs_queries::variance::Precision;
 
-use crate::service::{BatchPolicy, QueryAnswer, QueryService, ServiceError};
 use crate::spec::{
     optional_usize, parse_precision, precision_to_json, QueryResult, QuerySpec, SpecError,
 };
+
+/// Why a plan query has no answer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ServiceError {
+    /// The spec did not validate against the plan's graph.
+    Spec(SpecError),
+    /// The plan's configuration does not fit its graph (e.g. more shards
+    /// than vertices); every query of such a plan resolves with this error.
+    Policy(String),
+    /// A distributed worker process was lost (connection died, timed out,
+    /// or exhausted its bounded retries) and the plan could not complete.
+    /// The coordinator degrades to this typed error instead of hanging.
+    WorkerLost(String),
+    /// An internal driver invariant broke (a kernel panic, a redemption
+    /// error).
+    Internal(String),
+}
+
+impl ServiceError {
+    /// Whether re-running the same plan may succeed.
+    ///
+    /// [`ServiceError::WorkerLost`] names a **transient fleet condition**:
+    /// the worker may be respawned by a supervisor or its shard failed over
+    /// to a standby, so a caller (or an outer retry loop) may usefully
+    /// resubmit.  Every other variant is deterministic — the same spec,
+    /// plan or invariant would fail identically again — and must surface
+    /// to the caller as fatal.
+    pub fn retryable(&self) -> bool {
+        matches!(self, ServiceError::WorkerLost(_))
+    }
+}
+
+impl std::fmt::Display for ServiceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServiceError::Spec(e) => write!(f, "{e}"),
+            ServiceError::Policy(m) => write!(f, "batch policy rejected: {m}"),
+            ServiceError::WorkerLost(m) => write!(f, "worker_lost: {m}"),
+            ServiceError::Internal(m) => write!(f, "internal query service error: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for ServiceError {}
+
+impl From<SpecError> for ServiceError {
+    fn from(e: SpecError) -> Self {
+        ServiceError::Spec(e)
+    }
+}
+
+/// One answered plan query: the typed result plus the sampling effort the
+/// plan's batch actually spent.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryAnswer {
+    /// The typed query result.
+    pub result: QueryResult,
+    /// Worlds the batch sampled — equal to [`QueryPlan::worlds`] for
+    /// fixed-budget plans, possibly fewer under a
+    /// [`QueryPlan::precision`] target.
+    pub worlds_used: usize,
+    /// Achieved pooled half-width at the stopping checkpoint; `None` for
+    /// fixed-budget plans (no stopping rule ran).
+    pub half_width: Option<f64>,
+}
 
 /// A parsed query-plan document; see the [module docs](self) for the JSON
 /// shape.
@@ -54,20 +139,21 @@ pub struct QueryPlan {
     pub graph: Option<String>,
     /// Shared world budget (default 500).
     pub worlds: usize,
-    /// Service workers the world budget is sharded across (default 1).
+    /// Workers the world budget is split across (default 1).
     pub threads: usize,
-    /// Graph-shard count (default 1 = monolithic).  With more shards every
-    /// query must have a shard-aware path; see
-    /// [`crate::spec::QuerySpec::validate_sharded`].
+    /// Graph-shard count (default 1 = monolithic; at most the vertex
+    /// count).  With more shards every query must have a shard-aware path;
+    /// see [`crate::spec::QuerySpec::validate_sharded`].
     pub shards: usize,
     /// World-sampling method (default [`SampleMethod::Auto`]).
     pub mode: SampleMethod,
-    /// Service seed (default 42).
+    /// Plan seed (default 42); the batch seed is its RNG's first draw.
     pub seed: u64,
     /// Optional adaptive-precision target (`"precision": {"epsilon": …}`):
     /// turns [`QueryPlan::worlds`] into a cap and stops sampling at the
     /// first epoch whose pooled confidence half-width reaches the target.
-    /// See [`crate::service::BatchPolicy::precision`].
+    /// The worlds consumed are a deterministic function of the seed and the
+    /// target, invariant over [`QueryPlan::threads`].
     pub precision: Option<Precision>,
     /// The queries, answered in order.
     pub queries: Vec<QuerySpec>,
@@ -206,10 +292,9 @@ impl QueryPlan {
             .build()
     }
 
-    /// Executes the plan against `graph` through a [`QueryService`]: one
-    /// micro-batch containing every query (shared sampled worlds), sharded
-    /// across [`QueryPlan::threads`] workers.  Results come back in plan
-    /// order.
+    /// Executes the plan against `graph` as one [`QueryBatch`] run (shared
+    /// sampled worlds, split across [`QueryPlan::threads`] workers).
+    /// Results come back in plan order.
     pub fn execute(
         &self,
         graph: impl Into<Arc<UncertainGraph>>,
@@ -231,49 +316,97 @@ impl QueryPlan {
     }
 
     /// Like [`QueryPlan::execute_detailed`], with a caller-owned cooperative
-    /// cancellation flag.  Raising the flag aborts an **adaptive** plan at
-    /// its next epoch checkpoint: the answers still arrive (reflecting the
-    /// worlds consumed up to the abort) instead of running to the full
-    /// budget.  Fixed-budget plans ignore the flag.
+    /// cancellation flag (see [`QueryBatch::with_cancel`]).  Raising the
+    /// flag aborts an **adaptive** plan at its next epoch checkpoint: the
+    /// answers still arrive (reflecting the worlds consumed up to the
+    /// abort) instead of running to the full budget.  Fixed-budget plans
+    /// ignore the flag.
     pub fn execute_detailed_with_cancel(
         &self,
         graph: impl Into<Arc<UncertainGraph>>,
-        cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
+        cancel: Option<Arc<AtomicBool>>,
     ) -> Vec<Result<QueryAnswer, ServiceError>> {
         let graph = graph.into();
-        let policy = self.policy();
-        // Refuse a policy the scheduler could not run *before* starting the
-        // service: every query resolves with the same typed error.
-        if let Err(error) = policy.validate_for(&graph) {
-            return self.queries.iter().map(|_| Err(error.clone())).collect();
+        if self.shards <= 1 {
+            let engine = WorldEngine::new(&graph).with_method(self.mode);
+            let batch = QueryBatch::from_engine(engine, self.worlds, self.threads);
+            return self.run_batch(&graph, batch, cancel);
         }
-        let service = QueryService::start_with_cancel(graph, policy, self.seed, cancel);
-        let tickets: Vec<_> = self
-            .queries
-            .iter()
-            .map(|spec| service.submit(spec.clone()))
-            .collect();
-        let results = tickets
-            .into_iter()
-            .map(|ticket| ticket.wait_detailed())
-            .collect();
-        service.shutdown();
-        results
+        // Refuse a shard count the graph cannot fill before building
+        // anything: a partition costs O(shards) before it looks at the graph.
+        let vertices = graph.num_vertices();
+        if self.shards > vertices.max(1) {
+            return self.refuse(ServiceError::Policy(format!(
+                "{} shards exceed the graph's {vertices} vertices",
+                self.shards
+            )));
+        }
+        let partition = match GraphPartition::contiguous(&graph, self.shards) {
+            Ok(partition) => partition,
+            Err(error) => return self.refuse(ServiceError::Policy(error.to_string())),
+        };
+        let engine = ShardedWorldEngine::new(&graph, &partition).with_method(self.mode);
+        let batch = QueryBatch::from_sharded(&engine, self.worlds, self.threads);
+        self.run_batch(&graph, batch, cancel)
     }
 
-    /// The [`BatchPolicy`] the plan executes under: the whole plan is one
-    /// arrival window — flush on the exact query count, with a timer that
-    /// cannot fire first.
-    pub fn policy(&self) -> BatchPolicy {
-        BatchPolicy {
-            max_wait: Duration::from_secs(3600),
-            max_queries: self.queries.len(),
-            num_worlds: self.worlds,
-            threads: self.threads,
-            mode: self.mode,
-            shards: self.shards,
-            precision: self.precision,
+    /// Answers every query with the same plan-level error.
+    fn refuse(&self, error: ServiceError) -> Vec<Result<QueryAnswer, ServiceError>> {
+        self.queries.iter().map(|_| Err(error.clone())).collect()
+    }
+
+    /// Registers every valid query with `batch`, runs it once and redeems
+    /// the answers in plan order; an invalid query answers its own typed
+    /// error without stopping the others.
+    fn run_batch(
+        &self,
+        graph: &UncertainGraph,
+        mut batch: QueryBatch<'_>,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> Vec<Result<QueryAnswer, ServiceError>> {
+        if let Some(precision) = self.precision {
+            batch = batch.with_precision(precision);
         }
+        if let Some(cancel) = cancel {
+            batch = batch.with_cancel(cancel);
+        }
+        let handles: Vec<Result<DynHandle, ServiceError>> = self
+            .queries
+            .iter()
+            .map(|spec| {
+                spec.validate_sharded(graph, self.shards)?;
+                let observer = spec.make_observer(graph)?;
+                // Belt and braces against drift between the spec-level
+                // capability and the observer's actual one: a sharded batch
+                // refuses an observer without a sharded path.
+                batch.try_register_boxed(observer).map_err(|_| {
+                    ServiceError::Spec(SpecError::Unsupported {
+                        query: spec.kind().to_string(),
+                        shards: self.shards,
+                    })
+                })
+            })
+            .collect();
+        let mut results = batch.run(&mut SmallRng::seed_from_u64(self.seed));
+        let worlds_used = results.num_worlds();
+        let half_width = results.adaptive().map(|report| report.half_width);
+        self.queries
+            .iter()
+            .zip(handles)
+            .map(|(spec, handle)| {
+                let output = results
+                    .try_take_boxed(handle?)
+                    .map_err(|error| ServiceError::Internal(error.to_string()))?;
+                let result = spec.result_of(output).ok_or_else(|| {
+                    ServiceError::Internal("observer output did not match its spec".to_string())
+                })?;
+                Ok(QueryAnswer {
+                    result,
+                    worlds_used,
+                    half_width,
+                })
+            })
+            .collect()
     }
 
     /// Executes the plan and renders the full JSON report the CLI prints:
@@ -337,6 +470,11 @@ impl QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+
+    fn toy() -> UncertainGraph {
+        UncertainGraph::from_edges(4, [(0, 1, 0.9), (1, 2, 0.5), (2, 3, 0.7)]).unwrap()
+    }
 
     #[test]
     fn plans_parse_with_defaults_and_round_trip() {
@@ -464,5 +602,127 @@ mod tests {
             .get_str("error")
             .unwrap()
             .contains("out of range"));
+    }
+
+    #[test]
+    fn queries_resolve_to_their_typed_results() {
+        let plan = QueryPlan::parse_str(
+            r#"{"worlds": 300, "threads": 2, "seed": 7,
+                "queries": [{"type": "connectivity"}, {"type": "edge_frequency"}]}"#,
+        )
+        .unwrap();
+        let results = plan.execute(toy());
+        match &results[0] {
+            Ok(QueryResult::Connectivity(estimate)) => {
+                assert!(estimate.probability_connected <= 1.0);
+                assert_eq!(estimate.num_worlds, 300);
+            }
+            other => panic!("unexpected result {other:?}"),
+        }
+        match &results[1] {
+            Ok(QueryResult::EdgeFrequency(freq)) => {
+                assert_eq!(freq.len(), 3);
+                assert!((freq[0] - 0.9).abs() < 0.1);
+            }
+            other => panic!("unexpected result {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_specs_are_rejected_without_stopping_the_plan() {
+        let plan = QueryPlan::parse_str(
+            r#"{"worlds": 50, "seed": 1,
+                "queries": [{"type": "knn", "source": 99, "k": 3}, {"type": "connectivity"}]}"#,
+        )
+        .unwrap();
+        let results = plan.execute(toy());
+        assert!(matches!(results[0], Err(ServiceError::Spec(_))));
+        assert!(results[1].is_ok());
+    }
+
+    #[test]
+    fn adaptive_plans_stop_early_and_report_their_effort() {
+        let plan = QueryPlan {
+            precision: Some(Precision::new(0.05)),
+            ..QueryPlan::parse_str(
+                r#"{"worlds": 100000, "threads": 2, "seed": 21,
+                    "queries": [{"type": "connectivity"}]}"#,
+            )
+            .unwrap()
+        };
+        let answer = plan.execute_detailed(toy()).remove(0).unwrap();
+        assert!(answer.worlds_used < 100_000, "stopped early");
+        assert!(answer.half_width.unwrap() <= 0.05, "target met");
+        match answer.result {
+            QueryResult::Connectivity(estimate) => {
+                assert_eq!(estimate.num_worlds, answer.worlds_used);
+            }
+            other => panic!("unexpected result {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_stops_an_adaptive_plan_at_its_first_checkpoint() {
+        let fixed = QueryPlan::parse_str(
+            r#"{"worlds": 100000, "threads": 2, "seed": 3,
+                "queries": [{"type": "connectivity"}]}"#,
+        )
+        .unwrap();
+        let adaptive = QueryPlan {
+            precision: Some(Precision::new(1e-9).with_epoch(64)),
+            ..fixed.clone()
+        };
+        let cancel = Arc::new(AtomicBool::new(true));
+        let answer = adaptive
+            .execute_detailed_with_cancel(toy(), Some(Arc::clone(&cancel)))
+            .remove(0)
+            .unwrap();
+        assert_eq!(answer.worlds_used, 64, "one epoch, then the checkpoint");
+        assert!(cancel.load(Ordering::SeqCst), "the flag stays caller-owned");
+        // Fixed-budget plans ignore the flag.
+        let answer = fixed
+            .execute_detailed_with_cancel(toy(), Some(cancel))
+            .remove(0)
+            .unwrap();
+        assert_eq!(answer.worlds_used, 100_000);
+    }
+
+    #[test]
+    fn shard_counts_beyond_the_vertex_count_are_refused_before_partitioning() {
+        let g = toy();
+        let with_shards = |shards: usize| {
+            let mut plan = QueryPlan::parse_str(
+                r#"{"worlds": 30, "seed": 9,
+                    "queries": [{"type": "connectivity"}, {"type": "pagerank"}]}"#,
+            )
+            .unwrap();
+            plan.shards = shards;
+            plan.execute_detailed(g.clone())
+        };
+        // 10^12 shards of a 4-vertex graph: a partition would cost O(shards)
+        // before looking at the graph; the plan answers at once instead.
+        for shards in [1_000_000_000_000, g.num_vertices() + 1] {
+            for outcome in with_shards(shards) {
+                match outcome {
+                    Err(ServiceError::Policy(message)) => {
+                        assert!(message.contains(&format!("{shards} shards")), "{message}")
+                    }
+                    other => panic!("{shards} shards: expected a policy error, got {other:?}"),
+                }
+            }
+        }
+        // One shard per vertex is the largest accepted count, and it answers
+        // like the monolithic run.
+        assert_eq!(with_shards(g.num_vertices()), with_shards(1));
+        // An empty graph takes at most one shard.
+        let empty = UncertainGraph::from_edges(0, []).unwrap();
+        let plan = QueryPlan::parse_str(
+            r#"{"worlds": 10, "shards": 2, "queries": [{"type": "edge_frequency"}]}"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            plan.execute_detailed(empty)[0],
+            Err(ServiceError::Policy(_))
+        ));
     }
 }

@@ -6,11 +6,11 @@
 //! every spec knows how to
 //!
 //! * serialise itself ([`QuerySpec::to_json`] / [`QuerySpec::parse`] — the
-//!   wire format of query plans and service submissions),
+//!   wire format of query plans),
 //! * validate itself against a concrete graph ([`QuerySpec::validate`]),
 //! * build its type-erased observer ([`QuerySpec::make_observer`] →
-//!   [`BoxedObserver`], the registry entry a heterogeneous
-//!   `QueryBatch`/`QueryService` run drives), and
+//!   [`BoxedObserver`], the registry entry a heterogeneous `QueryBatch`
+//!   run drives), and
 //! * recover its typed answer from the erased output
 //!   ([`QuerySpec::result_of`]).
 //!

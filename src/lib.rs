@@ -22,7 +22,7 @@
 //! | [`sparsify`] | `ugs-core` | backbone initialisation, `GDB`, `EMD`, LP assignment, `SparsifierSpec` |
 //! | [`baselines`] | `ugs-baselines` | the `NI` and `SS` baselines adapted from deterministic sparsification |
 //! | [`queries`] | `ugs-queries` | zero-allocation Monte-Carlo world engine, queries, estimator variance |
-//! | [`service`] | `ugs-service` | `QuerySpec`/`QueryResult` data API, JSON query plans, sharded streaming `QueryService` |
+//! | [`service`] | `ugs-service` | `QuerySpec`/`QueryResult` data API, JSON query plans run as one shared-world batch |
 //! | [`server`] | `ugs-server` | line-delimited JSON TCP front-end: deterministic result cache, admission control, graceful shutdown |
 //! | [`dist`] | `ugs-dist` | multi-process shard workers with a boundary-exchange coordinator, bit-identical to in-process runs |
 //! | [`metrics`] | `ugs-metrics` | degree/cut discrepancy MAE, relative entropy, earth mover's distance |
@@ -102,8 +102,6 @@ pub mod prelude {
     pub use ugs_datasets::prelude::*;
     pub use ugs_metrics::prelude::*;
     pub use ugs_queries::prelude::*;
-    pub use ugs_service::{
-        BatchPolicy, QueryPlan, QueryResult, QueryService, QuerySpec, ResultTicket,
-    };
+    pub use ugs_service::{QueryAnswer, QueryPlan, QueryResult, QuerySpec, ServiceError};
     pub use uncertain_graph::prelude::*;
 }

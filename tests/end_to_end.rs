@@ -275,7 +275,7 @@ fn cli_batch_command_emits_a_deterministic_json_snapshot() {
 fn cli_plan_command_executes_a_mixed_plan_with_a_snapshot_report() {
     // The acceptance path of the query-plan redesign: a JSON plan file with
     // a mixed 4-query workload runs end-to-end through `ugs plan` (QuerySpec
-    // parsing → QueryService micro-batch → JSON report) and the report is a
+    // parsing → one shared-world QueryBatch → JSON report) and the report is a
     // snapshot: byte-identical across runs, closed-form values recovered.
     use ugs_cli::args::ParsedArgs;
     use ugs_cli::commands;
