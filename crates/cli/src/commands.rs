@@ -275,10 +275,11 @@ const COMMANDS: &[CommandHelp] = &[
                bound address is printed to stderr and, with --announce,
                written to FILE).  Runs until a client sends
                {\"op\": \"shutdown\"}.  With --shard K --shards W the server
-               additionally acts as shard K of a W-shard worker fleet:
-               it holds only that shard's state and answers the
-               shard_submit / boundary / shard_result ops that
-               `ugs coordinate` drives.  --max-line-bytes caps the accepted
+               declares itself slot K of a W-worker fleet for
+               `ugs coordinate`, which checks the slot when it connects.
+               Every server holds the full graph and answers the
+               world_block op: it runs its slot's share of a plan's world
+               blocks and pages out the exact partials.  --max-line-bytes caps the accepted
                request-line length (oversized lines get a typed bad_request
                and the connection survives).  --fault-plan SPEC (requires
                UGS_FAULTS=1; see `ugs help coordinate`) arms seeded wire
@@ -289,16 +290,18 @@ const COMMANDS: &[CommandHelp] = &[
         usage: "coordinate <graph.txt> <plan.json> --workers HOST:PORT,HOST:PORT,...
                [--standbys HOST:PORT,...] [--timeout-ms MS] [--retries N]
                [--backoff-ms MS] [--compact]
-               Execute a JSON query plan over a fleet of shard workers
-               (each an `ugs serve --shard K --shards W` process, one per
-               listed address, in order) and print the full report as
-               JSON — bit-identical to running the plan in-process.
-               Every query but sp (pair queries) runs distributed; sp is
-               refused with a typed policy error.
-               A worker that stops responding is retried (reconnect +
-               deterministic resubmit, --backoff-ms between attempts);
-               when its retries run out the shard fails over to the first
-               --standbys address that validates, still bit-identically.
+               Execute a JSON query plan over a fleet of workers (each an
+               `ugs serve --shard K --shards W` process, one per listed
+               address, in order) and print the full report as JSON —
+               bit-identical to running the plan in-process, for every
+               query kind.  The plan's worlds split into `threads` world
+               blocks exactly as in-process; block b runs on worker
+               b mod W, so a plan with fewer threads than workers leaves
+               the rest idle.  A worker that stops responding is retried
+               (reconnect + deterministic resubmit, --backoff-ms between
+               attempts); when its retries run out its slot fails over to
+               the first --standbys address that validates and re-runs its
+               blocks, still bit-identically.
                Only an exhausted standby pool degrades the plan to a typed
                worker_lost error.  --fault-plan SPEC (requires UGS_FAULTS=1)
                arms seeded coordinator-side fault injection; SPEC is
@@ -312,8 +315,8 @@ const COMMANDS: &[CommandHelp] = &[
                [--host H] [--announce FILE] [--max-respawns N] [--backoff-ms MS]
                [--max-backoff-ms MS] [--crash-loop N] [--ping-ms MS] [--compact]
                Launch one `ugs serve --shard K --shards W` worker per listed
-               port (shards B.., W defaulting to B + the port count — so on a
-               single host just list the ports; across hosts give each
+               port (fleet slots B.., W defaulting to B + the port count — so
+               on a single host just list the ports; across hosts give each
                supervisor its --shard-base slice of the fleet-wide --shards W)
                and babysit the fleet: liveness is
                watched via process exits and periodic pings (--ping-ms 0
@@ -1122,8 +1125,8 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(format!("server on {addr} stopped"))
 }
 
-/// `ugs coordinate`: execute a query plan over a fleet of shard workers
-/// and print the report — bit-identical to the in-process run.
+/// `ugs coordinate`: execute a query plan over a fleet of world-block
+/// workers and print the report — bit-identical to the in-process run.
 pub fn coordinate(args: &ParsedArgs) -> Result<String, CliError> {
     use std::time::Duration;
 

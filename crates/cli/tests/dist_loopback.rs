@@ -1,10 +1,9 @@
 //! Distributed loopback, over real process boundaries: two `ugs serve
 //! --shard K --shards 2` worker processes are driven by `ugs coordinate`,
 //! and the distributed report must carry exactly the results the
-//! in-process `ugs plan` run produces — for the boundary-exchange count
-//! queries *and* the ghost-halo neighbourhood queries (`pagerank`,
-//! `clustering`, `knn`) in one mixed plan.  A dead fleet must fail with
-//! the typed `worker_lost` error — quickly, never a hang.
+//! in-process `ugs plan` run produces — for one plan holding every query
+//! kind, pair queries included.  A dead fleet must fail with the typed
+//! `worker_lost` error — quickly, never a hang.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
@@ -89,7 +88,8 @@ fn coordinator_over_two_worker_processes_matches_the_in_process_run() {
                         {"type": "edge_frequency"},
                         {"type": "pagerank", "tolerance": 0.01},
                         {"type": "clustering"},
-                        {"type": "knn", "source": 4, "k": 6}]}"#,
+                        {"type": "knn", "source": 4, "k": 6},
+                        {"type": "pair_queries", "pairs": [[0, 1], [4, 15]]}]}"#,
     )
     .unwrap();
     let plan = plan_path.to_string_lossy().to_string();

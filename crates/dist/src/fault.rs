@@ -4,7 +4,7 @@
 //! re-exported here and wired into the coordinator's request path.
 //!
 //! A plan named by [`CoordinatorConfig::faults`](crate::CoordinatorConfig)
-//! ticks one clock op per **worker exchange** (any shard's request counts
+//! ticks one clock op per **worker exchange** (any worker's request counts
 //! on the one shared, seeded schedule).  A faulted exchange misbehaves
 //! before or instead of the real request:
 //!

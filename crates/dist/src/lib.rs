@@ -1,103 +1,100 @@
-//! Multi-process distributed query execution: shard workers plus a
-//! boundary-exchange coordinator.
+//! Multi-process distributed query execution: fleet workers run a plan's
+//! **world blocks**, a coordinator folds their partials.
 //!
-//! A **worker** is an `ugs-server` started with
+//! The paper answers every query as a Monte-Carlo average over
+//! independently sampled possible worlds, so worlds — not vertices — are
+//! what this crate spreads across machines.  A **worker** is an
+//! `ugs-server` holding the full graph; started with
 //! [`ServerConfig::shard`](ugs_server::ServerConfig::shard)` = Some((k, w))`
-//! (the CLI spelling is `ugs serve --shard k --shards w`): it builds the
-//! contiguous `w`-shard partition of its graph and holds only shard `k`'s
-//! CSR and scratch state, plus the O(|E|) replay probability table that
-//! keeps the sampled world stream identical across every worker and the
-//! monolithic engine.  The **coordinator** ([`DistCoordinator`]) connects
-//! to one worker per shard, fans a [`QueryPlan`](ugs_service::QueryPlan)
-//! out over the line-delimited JSON protocol (`shard_submit` / `boundary`
-//! / `shard_result`), glues each world's per-shard boundary messages into
-//! the global component structure with a disjoint-set union, and resolves
-//! the plan **bit-identically** to an in-process
-//! `plan.execute_detailed(graph)` run of the same plan.
+//! (the CLI spelling is `ugs serve --shard k --shards w`) it declares itself
+//! slot `k` of a `w`-worker fleet.  The **coordinator**
+//! ([`DistCoordinator`]) connects to one worker per slot and runs a
+//! [`QueryPlan`](ugs_service::QueryPlan) in three steps:
+//!
+//! 1. it splits the plan's worlds into exactly the world blocks the
+//!    in-process [`QueryBatch`](ugs_queries::QueryBatch) uses for
+//!    `plan.threads` threads ([`ugs_queries::BlockPlan`]: one epoch for a
+//!    fixed budget, `epoch`-sized epochs for an adaptive plan);
+//! 2. block `b` runs on worker `b mod w`: one `world_block` job per worker
+//!    replays the shared stream to each of its blocks and runs the plan's
+//!    observers over them on its own full graph
+//!    ([`ugs_queries::SlotRun`], the same block body the in-process threads
+//!    run);
+//! 3. it folds the returned observer partials in block order.
+//!
+//! Every answer, `worlds_used` and `half_width` included, is then
+//! **bit-identical** to `plan.execute_detailed(graph)` — for all seven
+//! query kinds.  A plan with fewer `threads` than workers leaves the extra
+//! workers idle by design: `threads` sets the block count, and the block
+//! count is part of the answer's bits.
 //!
 //! # Why the answers are bit-identical
 //!
-//! Three invariants compose, none of them approximate:
+//! Three facts compose, none of them approximate:
 //!
-//! 1. **Replay sampling.**  Worker `k` samples world `i` by replaying the
-//!    full-graph edge stream from the shared batch seed (derived exactly
-//!    like the in-process plan derives it: the first `u64` drawn from
-//!    `SmallRng::seed_from_u64(plan.seed)`), so every shard — and the
-//!    monolithic engine — sees the same coin for every edge of every
-//!    world.
-//! 2. **Exact glue.**  A world's global component structure decomposes
-//!    into per-shard structures joined across present cut edges; the
-//!    boundary message carries exactly the labels the union-find needs, so
-//!    component counts, largest-component sizes and isolated-vertex counts
-//!    come out equal to the in-process sharded observer's, not close to.
-//! 3. **Order-faithful accumulation.**  Integer-valued totals (degree
-//!    bins, edge presence counts) are order-insensitive and travel as
-//!    worker-side cross-world aggregates; the one float-ordered total (the
-//!    connectivity observer's isolated fraction) is accumulated per
-//!    worker-thread world block and folded in block order — the identical
-//!    `f64` addition sequence the in-process driver performs for the
-//!    plan's `threads` setting.  Adaptive plans re-run the in-process
-//!    stopping rule verbatim (same crate, same code) with the per-world
-//!    statistics recorded in world order, so `worlds_used` and
-//!    `half_width` match bitwise too.
+//! 1. **Same worlds, same blocks.**  The batch seed is derived exactly as
+//!    the in-process plan derives it (the first `u64` drawn from
+//!    `SmallRng::seed_from_u64(plan.seed)`) and travels as a decimal
+//!    string, never through an `f64`.  Every worker replays the full-graph
+//!    edge stream from it, so block `b` sees the very worlds in-process
+//!    thread `b` sees, and feeds them to the same observers in the same
+//!    order: each block's accumulated state is bitwise the in-process
+//!    thread's.
+//! 2. **Exact partials.**  Every built-in observer accumulates one
+//!    `Vec<f64>` that merges by element-wise `+=`
+//!    ([`WorldObserver::partial`](ugs_queries::WorldObserver::partial)).
+//!    The vector crosses the wire in [`ugs_queries::partial`]'s exact text
+//!    codec — decimal integers for counts, IEEE-754 bits for everything
+//!    else, `-0.0`, NaN and subnormals included — and is written straight
+//!    into a pristine copy of the coordinator's own observer, whose length
+//!    it must match.
+//! 3. **Same fold.**  Block 0's partial becomes the result; blocks 1, 2, …
+//!    merge into it in block order through the observer's own `merge` —
+//!    the fold the in-process driver performs after its threads join.
+//!    Adaptive plans keep each block job's registry across epochs (summing
+//!    per-epoch float partials afterwards would not be bit-identical); at
+//!    every epoch checkpoint the jobs pause and return their worlds'
+//!    tracked statistics, which the coordinator records in block order
+//!    into the same [`StoppingRule`](ugs_queries::StoppingRule), with the
+//!    same verdict order, as the in-process barrier leader — so the run
+//!    stops after the same epoch with the same half-width.
 //!
-//! Distributed execution covers the cut-aware *count* queries —
-//! `connectivity`, `degree_histogram`, `edge_frequency` — through the
-//! boundary exchange above, and the neighbourhood queries — `pagerank`,
-//! `clustering`, `knn` — through the **ghost-halo exchange** (the
-//! server's `halo` op): after the aggregate job finishes, the coordinator
-//! walks the same world stream again, driving each world as Pregel-style
-//! supersteps over per-worker halo sessions.  PageRank feeds every shard
-//! the ghost ranks it reads, threads the L1 convergence accumulator
-//! through the shards in ascending order, and stops at the monolithic
-//! kernel's exact break; k-NN routes BFS settlements level by level;
-//! clustering is a one-shot halo collect.  All values cross the wire as
-//! IEEE-754 bit patterns and land in per-thread-block observer clones
-//! merged in block order, so the halo answers replicate the in-process
-//! `f64` fold bitwise — the same argument as invariant 3, extended to
-//! per-vertex state (see [`ugs_queries::halo`] for the iteration-
-//! equivalence argument).  Only `pair_queries` has no distributed path
-//! and resolves with a typed
-//! [`ServiceError::Policy`](ugs_service::ServiceError::Policy): its
-//! cut-corrected observer needs the full per-world edge stream, which
-//! neither boundary records nor the halo exchange carry.
+//! A plan's `shards` field is an in-process sampling layout whose answers
+//! equal the monolithic ones; the fleet answers it (and refuses a shard
+//! count the graph cannot fill) exactly as the in-process run does.
 //!
 //! # Failure model
 //!
 //! Configured by [`CoordinatorConfig`]; the invariant is **bounded wait,
 //! typed degradation, never a hang**:
 //!
-//! * every worker socket carries read *and* write timeouts;
-//! * a failed exchange burns one of the worker's bounded retries and
-//!   reconnects, re-validates (fingerprint + shard role) and resubmits —
-//!   the fresh job deterministically resamples the identical stream, so a
-//!   retried worker cannot skew the answer;
-//! * a worker whose sampling position stops advancing while records are
-//!   owed is declared stale and retried the same way;
-//! * a halo superstep is **stateful**, so a failed halo exchange is never
-//!   retried verbatim: the failure burns the same bounded retry budget,
-//!   and the coordinator restarts the affected query's *current world*
-//!   from step 0 — surviving workers restart their kernel without
-//!   resampling, while a reconnected (or freshly promoted) worker rebuilds
-//!   its session from the line's full identity and replays the shared
-//!   stream up to the world, either way bit-identical to an undisturbed
-//!   run;
-//! * every plan is preceded by a **pre-submit probe** (`ping` per worker
-//!   through the same retry path), so a dead-at-connect worker surfaces —
-//!   and fails over — before any shard work starts;
-//! * when a worker's retries run out the shard **fails over**: the first
-//!   [`CoordinatorConfig::standbys`] address that validates (fingerprint +
-//!   shard role) is promoted and the job resubmitted to it — recovery is
-//!   bit-identical because a fresh job deterministically resamples the
-//!   identical stream while the pager keeps its glue cursor (see
-//!   [`recovery`]);
+//! * every worker socket carries read *and* write timeouts; the
+//!   coordinator sends every outstanding request (one per worker) before
+//!   it reads any response, and polls running jobs instead of blocking on
+//!   them, so a block that runs longer than the timeout is never cut off
+//!   while its worker reports progress;
+//! * a failed exchange burns one of the worker's bounded retries; the
+//!   coordinator reconnects, re-validates (fingerprint + fleet slot) and
+//!   resubmits the slot's job, which deterministically replays the
+//!   identical stream — an adaptive job replays from world 0 through
+//!   every epoch already decided — so a retried worker cannot skew the
+//!   answer;
+//! * a running job whose stream position stops advancing for
+//!   [`CoordinatorConfig::stale_after`] is treated the same way;
+//! * when a worker's retries run out the slot **fails over**: the first
+//!   [`CoordinatorConfig::standbys`] address that validates is promoted
+//!   and re-runs the slot's blocks (see [`recovery`]);
 //! * only when no standby validates does the plan degrade to
 //!   [`ServiceError::WorkerLost`](ugs_service::ServiceError::WorkerLost)
 //!   ([`retryable`](ugs_service::ServiceError::retryable), because a
 //!   supervisor may since have respawned the fleet) for every pending
-//!   query;
+//!   query; a worker that refuses a well-formed job as over its bounds
+//!   (more blocks than its `max_plan_threads`, or an adaptive epoch over
+//!   [`MAX_PAUSE_WORLDS`](ugs_server::protocol::MAX_PAUSE_WORLDS) worlds)
+//!   answers a typed
+//!   [`ServiceError::Policy`](ugs_service::ServiceError::Policy) instead;
 //! * shutting down (or dropping) the coordinator closes every worker
-//!   connection, which stops and joins the workers' sampler threads.
+//!   connection, which cancels its jobs on the workers.
 //!
 //! Chaos-testing all of the above is deterministic: a seeded [`FaultPlan`]
 //! ([`CoordinatorConfig::faults`] coordinator-side,
@@ -119,7 +116,7 @@
 //!
 //! let graph = UncertainGraph::from_edges(4, [(0, 1, 0.9), (1, 2, 0.5), (2, 3, 0.7)]).unwrap();
 //!
-//! // Two shard workers (in-process here; separate processes in production).
+//! // Two fleet workers (in-process here; separate processes in production).
 //! let workers: Vec<_> = (0..2)
 //!     .map(|k| {
 //!         let config = ServerConfig { shard: Some((k, 2)), ..ServerConfig::default() };
@@ -131,14 +128,13 @@
 //! let mut coordinator =
 //!     DistCoordinator::connect(graph.clone(), &addrs, CoordinatorConfig::default()).unwrap();
 //! let plan = QueryPlan::parse_str(
-//!     r#"{"worlds": 40, "seed": 7, "queries": [{"type": "connectivity"}]}"#,
+//!     r#"{"worlds": 40, "threads": 2, "seed": 7,
+//!         "queries": [{"type": "connectivity"}, {"type": "pair_queries", "pairs": [[0, 3]]}]}"#,
 //! )
 //! .unwrap();
 //!
-//! // Bit-identical to the in-process run of the same plan.
-//! let distributed = coordinator.execute(&plan);
-//! let monolithic = plan.execute_detailed(graph);
-//! assert_eq!(distributed[0].as_ref().unwrap(), monolithic[0].as_ref().unwrap());
+//! // Bit-identical to the in-process run of the same plan, every query.
+//! assert_eq!(coordinator.execute(&plan), plan.execute_detailed(graph));
 //!
 //! coordinator.shutdown();
 //! for worker in workers {
@@ -151,7 +147,6 @@
 
 pub mod coordinator;
 pub mod fault;
-mod merge;
 pub mod recovery;
 pub mod supervisor;
 

@@ -1,29 +1,30 @@
 //! Failover bookkeeping: the standby address pool a coordinator promotes
-//! from when a shard's retry budget runs dry, and the report of what
+//! from when a slot's retry budget runs dry, and the report of what
 //! recovery work a coordinator has done.
 //!
 //! ## Why promotion preserves bit-identity
 //!
-//! Workers are stateless per plan beyond the O(|E|) replay table: the
-//! `shard_submit` request carries the batch seed, and a shard job replays
-//! the **identical world stream from world 0** regardless of which process
-//! runs it.  The coordinator's pager keeps a `received` cursor per shard;
-//! a promoted standby is validated (graph fingerprint + shard role),
-//! resubmitted the same job line, and paged **from that cursor** — the
-//! records below it were already glued, and the standby's records at and
-//! above it are bitwise the records the lost worker would have produced.
-//! Adaptive plans need nothing extra: the stopping rule lives coordinator-
-//! side and consumes the glued record stream, which failover leaves
-//! unchanged.
+//! Workers hold nothing per plan beyond their running `world_block` job,
+//! and that job is a pure function of its request: the batch seed, the
+//! block geometry and the slot.  A promoted standby is validated (graph
+//! fingerprint + fleet slot) and sent the same job, which replays the
+//! **identical world stream from world 0** and reproduces every block of
+//! the slot bit for bit.  The coordinator keeps what it already has — the
+//! blocks it folded and the statistics it recorded — and takes from the
+//! standby only what is still missing, at the same offsets.  An adaptive
+//! job is resubmitted with the epoch target the plan has reached, so the
+//! standby replays every epoch already decided and pauses at the current
+//! checkpoint; the stopping rule, which lives coordinator-side, never sees
+//! a difference.
 
-/// One completed shard failover.
+/// One completed failover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Failover {
-    /// The shard whose worker was replaced.
+    /// The fleet slot whose worker was replaced.
     pub shard: usize,
     /// Address of the worker that was lost.
     pub from: String,
-    /// Standby address that took the shard over.
+    /// Standby address that took the slot over.
     pub to: String,
 }
 
@@ -47,10 +48,10 @@ impl RecoveryReport {
 
 /// The pool of standby worker addresses a coordinator may promote.  Any
 /// standby must serve the **same graph** (checked by fingerprint at
-/// promotion) and be started with the shard role it is meant to cover —
-/// promotion validates the role for the lost shard, so a pool can mix
-/// standbys pre-armed for different shards and each loss consumes the
-/// first candidate that validates.
+/// promotion) and be started with the fleet slot it is meant to cover —
+/// promotion validates the slot, so a pool can mix standbys pre-armed for
+/// different slots and each loss consumes the first candidate that
+/// validates.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StandbyPool {
     addrs: Vec<String>,
@@ -72,7 +73,7 @@ impl StandbyPool {
     }
 
     /// Consumes a promoted (or invalidated) address: a standby serves at
-    /// most one shard, and one that failed validation is not offered again.
+    /// most one slot, and one that failed validation is not offered again.
     pub(crate) fn remove(&mut self, addr: &str) {
         self.addrs.retain(|candidate| candidate != addr);
     }

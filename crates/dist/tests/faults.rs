@@ -61,8 +61,9 @@ fn killing_a_worker_mid_plan_degrades_to_worker_lost_not_a_hang() {
     // Kill worker 1 while a large plan runs: the executing thread must come
     // back with the typed error for every query, within the bounded window
     // (timeout + retries + stale detector), never hang.
+    // Two blocks, so both workers hold one.
     let big = QueryPlan::parse_str(
-        r#"{"worlds": 4000000, "seed": 3,
+        r#"{"worlds": 4000000, "threads": 2, "seed": 3,
             "queries": [{"type": "connectivity"}, {"type": "edge_frequency"}]}"#,
     )
     .unwrap();
@@ -72,7 +73,7 @@ fn killing_a_worker_mid_plan_degrades_to_worker_lost_not_a_hang() {
         let execution = scope.spawn(move || {
             let outcomes = coordinator.execute(&big);
             // Dropping the coordinator here closes the surviving worker's
-            // connection, which stops its (huge) sampling job.
+            // connection, which cancels its (huge) world-block job.
             drop(coordinator);
             outcomes
         });
@@ -224,9 +225,10 @@ fn a_listener_that_accepts_but_never_responds_fails_typed_and_bounded() {
 #[test]
 fn a_worker_that_goes_silent_mid_plan_degrades_through_the_read_timeout_loop() {
     let graph = test_graph();
-    // Worker 1 wedges into Drop early: from that operation on it keeps
-    // accepting requests (and reconnections) but never answers again —
-    // the accepts-but-never-responds shape, hit *mid-plan*.
+    // Worker 1 wedges into Drop at its first poll (ops: stats, submit,
+    // poll): from then on it keeps accepting requests (and
+    // reconnections) but never answers again — the
+    // accepts-but-never-responds shape, hit *mid-plan*.
     let worker0 = serve(
         graph.clone(),
         ServerConfig {
@@ -239,7 +241,7 @@ fn a_worker_that_goes_silent_mid_plan_degrades_through_the_read_timeout_loop() {
         graph.clone(),
         ServerConfig {
             shard: Some((1, 2)),
-            fault_plan: Some(FaultPlan::wedge_after(3, FaultKind::Drop)),
+            fault_plan: Some(FaultPlan::wedge_after(2, FaultKind::Drop)),
             ..ServerConfig::default()
         },
     )
@@ -247,7 +249,7 @@ fn a_worker_that_goes_silent_mid_plan_degrades_through_the_read_timeout_loop() {
     let addrs = [worker0.addr().to_string(), worker1.addr().to_string()];
     let mut coordinator = DistCoordinator::connect(graph, &addrs, fast_failure()).unwrap();
     let plan = QueryPlan::parse_str(
-        r#"{"worlds": 200, "seed": 5, "queries": [{"type": "connectivity"}]}"#,
+        r#"{"worlds": 200, "threads": 2, "seed": 5, "queries": [{"type": "connectivity"}]}"#,
     )
     .unwrap();
     let started = Instant::now();
@@ -279,19 +281,20 @@ fn a_standby_with_the_wrong_fingerprint_is_rejected_typed_and_bounded() {
         },
     )
     .unwrap();
-    // Worker 1 wedges into Disconnect mid-plan, exhausting its retries.
+    // Worker 1 wedges into Disconnect at its first poll, exhausting its
+    // retries mid-plan.
     let worker1 = serve(
         graph.clone(),
         ServerConfig {
             shard: Some((1, 2)),
-            fault_plan: Some(FaultPlan::wedge_after(3, FaultKind::Disconnect)),
+            fault_plan: Some(FaultPlan::wedge_after(2, FaultKind::Disconnect)),
             ..ServerConfig::default()
         },
     )
     .unwrap();
     // The only standby serves a *different* graph under the right role: it
     // must fail fingerprint validation at promotion — the coordinator must
-    // degrade typed rather than glue mismatched records.
+    // degrade typed rather than fold a foreign graph's partials.
     let other_graph = {
         let mut rng = SmallRng::seed_from_u64(0xFB);
         let edges: Vec<_> = (0..40)
@@ -312,7 +315,7 @@ fn a_standby_with_the_wrong_fingerprint_is_rejected_typed_and_bounded() {
     let addrs = [worker0.addr().to_string(), worker1.addr().to_string()];
     let mut coordinator = DistCoordinator::connect(graph, &addrs, config).unwrap();
     let plan = QueryPlan::parse_str(
-        r#"{"worlds": 200, "seed": 5, "queries": [{"type": "connectivity"}]}"#,
+        r#"{"worlds": 200, "threads": 2, "seed": 5, "queries": [{"type": "connectivity"}]}"#,
     )
     .unwrap();
     let started = Instant::now();
@@ -341,4 +344,85 @@ fn a_standby_with_the_wrong_fingerprint_is_rejected_typed_and_bounded() {
     worker0.shutdown();
     worker1.shutdown();
     imposter.shutdown();
+}
+
+#[test]
+fn a_block_that_outlasts_the_socket_timeout_is_not_cut_off_while_it_progresses() {
+    let graph = test_graph();
+    let (workers, addrs) = spawn_workers(&graph, 2);
+    // A 200 ms socket timeout and a 2 s stale window against blocks that
+    // take well over a second: polls answer at once with a rising stream
+    // position, so neither bound fires and no retry is burned.
+    let config = CoordinatorConfig {
+        timeout: Duration::from_millis(200),
+        stale_after: Duration::from_secs(2),
+        ..fast_failure()
+    };
+    let mut coordinator = DistCoordinator::connect(graph.clone(), &addrs, config).unwrap();
+    let long = QueryPlan::parse_str(
+        r#"{"worlds": 600000, "threads": 2, "seed": 8,
+            "queries": [{"type": "connectivity"}, {"type": "edge_frequency"}]}"#,
+    )
+    .unwrap();
+    let started = Instant::now();
+    let outcomes = coordinator.execute(&long);
+    let took = started.elapsed();
+    assert_eq!(outcomes, long.execute_detailed(graph.clone()));
+    assert!(
+        took > Duration::from_millis(200),
+        "the blocks must outlast the socket timeout to test it, took {took:?}"
+    );
+    assert!(coordinator.recovery_report().is_clean(), "no retry burned");
+    coordinator.shutdown();
+    for worker in workers {
+        worker.shutdown();
+    }
+}
+
+#[test]
+fn an_adaptive_plan_losing_a_worker_without_a_standby_degrades_to_worker_lost() {
+    let graph = test_graph();
+    // Worker 1 dies for good at its seventh operation — after the first
+    // epoch checkpoint — and there is no standby to take its slot.
+    let workers: Vec<ServerHandle> = (0..2)
+        .map(|k| {
+            let fault_plan = (k == 1).then(|| FaultPlan::wedge_after(6, FaultKind::Disconnect));
+            serve(
+                graph.clone(),
+                ServerConfig {
+                    shard: Some((k, 2)),
+                    fault_plan,
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+    let mut coordinator = DistCoordinator::connect(graph, &addrs, fast_failure()).unwrap();
+    let plan = QueryPlan::parse_str(
+        r#"{"worlds": 400000, "threads": 2, "seed": 5,
+            "precision": {"epsilon": 0.0001},
+            "queries": [{"type": "connectivity"}, {"type": "edge_frequency"}]}"#,
+    )
+    .unwrap();
+    let started = Instant::now();
+    let outcomes = coordinator.execute(&plan);
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "adaptive degradation must be bounded, took {:?}",
+        started.elapsed()
+    );
+    for outcome in outcomes {
+        match outcome {
+            Err(ServiceError::WorkerLost(why)) => {
+                assert!(why.contains("shard 1"), "names the lost worker: {why}")
+            }
+            other => panic!("expected WorkerLost, got {other:?}"),
+        }
+    }
+    coordinator.shutdown();
+    for worker in workers {
+        worker.shutdown();
+    }
 }

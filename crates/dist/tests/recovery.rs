@@ -2,9 +2,10 @@
 //! whether to a seeded worker-side wedge, a coordinator-side fault plan,
 //! or a plain dead process — completes **bit-identically** to the
 //! fault-free run after failing over to a standby, for fixed and adaptive
-//! plans alike.  Deterministic replay (the shard job resamples the
-//! identical world stream from the batch seed) plus the pager's `received`
-//! cursor make this an invariant, not a best effort; these tests pin it.
+//! plans alike.  Deterministic replay (a resubmitted world-block job
+//! replays the identical world stream from the batch seed, through every
+//! epoch already run) makes this an invariant, not a best effort; these
+//! tests pin it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -79,10 +80,13 @@ fn recovery_config(standbys: Vec<String>) -> CoordinatorConfig {
     }
 }
 
-/// 1200 worlds spans at least three 512-record boundary pages per worker,
-/// so operation 4 of the victim's server-global fault clock (stats, ping,
-/// submit, then paging) is always reached mid-glue — the wedge below
-/// cannot race a plan that finishes in one page.
+/// The victim's server-global fault clock counts `stats` (validation at
+/// connect), the `world_block` submit, then polls: wedging at operation 2
+/// kills the first poll — always after the job was accepted and before a
+/// single partial was delivered.
+const FIRST_POLL: usize = 2;
+
+/// A fixed plan over two world blocks (so a two-worker fleet uses both).
 fn fixed_plan(mode: &str, seed: u64) -> QueryPlan {
     QueryPlan::parse_str(&format!(
         r#"{{"worlds": 1200, "threads": 2, "mode": "{mode}", "seed": {seed},
@@ -114,7 +118,7 @@ fn fixed_plans_recover_bit_identically_after_mid_plan_worker_death() {
     for workers in [2usize, 4] {
         for seed in [1u64, 2, 3] {
             let mode = if seed % 2 == 1 { "skip" } else { "per-edge" };
-            let (handles, addrs) = doomed_fleet(&graph, workers, 1, 4);
+            let (handles, addrs) = doomed_fleet(&graph, workers, 1, FIRST_POLL);
             let standby = shard_server(&graph, 1, workers);
             let config = recovery_config(vec![standby.addr().to_string()]);
             let mut coordinator = DistCoordinator::connect(graph.clone(), &addrs, config).unwrap();
@@ -146,10 +150,13 @@ fn fixed_plans_recover_bit_identically_after_mid_plan_worker_death() {
 fn adaptive_plans_recover_bit_identically_after_mid_plan_worker_death() {
     let graph = test_graph();
     for workers in [2usize, 4] {
-        for (mode, seed, threads) in [("skip", 1u64, 1), ("per-edge", 2, 3), ("skip", 3, 3)] {
-            // The victim's op 4 is the first boundary page of the first
-            // adaptive epoch (stats, ping, submit, raise): always mid-plan.
-            let (handles, addrs) = doomed_fleet(&graph, workers, 1, 4);
+        for (mode, seed, threads) in [("skip", 1u64, 2), ("per-edge", 2, 3), ("skip", 3, 5)] {
+            // The victim's ops: stats, submit, then per epoch at least one
+            // poll and one advance, then the partials.  Every plan here
+            // runs at least two epochs, so op 6 always falls after the
+            // first checkpoint: the standby must replay the job from world
+            // 0 through the epochs already decided.
+            let (handles, addrs) = doomed_fleet(&graph, workers, 1, 6);
             let standby = shard_server(&graph, 1, workers);
             let config = recovery_config(vec![standby.addr().to_string()]);
             let mut coordinator = DistCoordinator::connect(graph.clone(), &addrs, config).unwrap();
@@ -182,41 +189,42 @@ fn adaptive_plans_recover_bit_identically_after_mid_plan_worker_death() {
 }
 
 #[test]
-fn halo_plans_recover_bit_identically_after_a_mid_superstep_worker_death() {
-    // The victim's fault clock ticks: stats (connect validation), ping
-    // (pre-plan probe), then halo exchanges — wedging at operation 6 lands
-    // the terminal disconnect inside world 0's PageRank superstep loop.
-    // The coordinator must burn the retry, promote the standby, restart
-    // the *current world* from step 0 (surviving workers restart their
-    // kernels without resampling; the standby rebuilds the session from
-    // the line identity and replays the stream), and still answer
-    // bit-identically for every halo kernel.
+fn every_query_kind_recovers_bit_identically_after_a_mid_block_worker_death() {
+    // The plan every kernel runs in — PageRank, clustering, pair queries,
+    // k-NN next to the count queries — loses worker 1 at its first poll,
+    // while its blocks run: the standby re-runs the blocks and the
+    // answers stay bit-identical.
     let graph = test_graph();
     for workers in [2usize, 4] {
         for seed in [1u64, 2] {
             let mode = if seed % 2 == 1 { "skip" } else { "per-edge" };
-            let (handles, addrs) = doomed_fleet(&graph, workers, 1, 6);
+            let (handles, addrs) = doomed_fleet(&graph, workers, 1, FIRST_POLL);
             let standby = shard_server(&graph, 1, workers);
             let config = recovery_config(vec![standby.addr().to_string()]);
             let mut coordinator = DistCoordinator::connect(graph.clone(), &addrs, config).unwrap();
 
             let plan = QueryPlan::parse_str(&format!(
-                r#"{{"worlds": 10, "threads": 2, "mode": "{mode}", "seed": {seed},
+                r#"{{"worlds": 40, "threads": 3, "mode": "{mode}", "seed": {seed},
                     "queries": [{{"type": "pagerank", "tolerance": 0.01}},
                                 {{"type": "clustering"}},
+                                {{"type": "pair_queries", "pairs": [[0, 1], [5, 5]]}},
+                                {{"type": "connectivity"}},
                                 {{"type": "knn", "source": 3, "k": 5}}]}}"#
             ))
             .unwrap();
-            let recovered = answers(coordinator.execute(&plan));
-            let monolithic = answers(plan.execute_detailed(graph.clone()));
+            let recovered = coordinator.execute(&plan);
+            let fault_free = plan.execute_detailed(graph.clone());
+            // Rendered comparison: a never-connected pair's NaN distance
+            // would defeat `==` while the bits agree.
             assert_eq!(
-                recovered, monolithic,
-                "halo recovered({workers} workers) vs fault-free, mode {mode}, seed {seed}"
+                plan.report_for("g", &recovered).render(),
+                plan.report_for("g", &fault_free).render(),
+                "mid-block recovery({workers} workers), mode {mode}, seed {seed}"
             );
 
             let report = coordinator.recovery_report();
             assert_eq!(report.failovers.len(), 1, "exactly one promotion");
-            assert_eq!(report.failovers[0].shard, 1, "the wedged shard failed over");
+            assert_eq!(report.failovers[0].shard, 1, "the wedged slot failed over");
             assert_eq!(report.failovers[0].to, standby.addr().to_string());
 
             coordinator.shutdown();
@@ -247,13 +255,16 @@ fn coordinator_side_seeded_faults_leave_answers_bit_identical() {
             };
             let mut coordinator = DistCoordinator::connect(graph.clone(), &addrs, config).unwrap();
 
-            let plan = fixed_plan("skip", seed);
-            let faulted = answers(coordinator.execute(&plan));
-            let monolithic = answers(plan.execute_detailed(graph.clone()));
-            assert_eq!(
-                faulted, monolithic,
-                "seeded coordinator faults({workers} workers) vs fault-free, seed {seed}"
-            );
+            // Fixed and adaptive: faults land in submits, polls, pages and
+            // (adaptive) advances at whatever epoch the schedule reaches.
+            for plan in [fixed_plan("skip", seed), adaptive_plan("per-edge", seed, 3)] {
+                let faulted = answers(coordinator.execute(&plan));
+                let monolithic = answers(plan.execute_detailed(graph.clone()));
+                assert_eq!(
+                    faulted, monolithic,
+                    "seeded coordinator faults({workers} workers) vs fault-free, seed {seed}"
+                );
+            }
             assert!(
                 coordinator.recovery_report().failovers.is_empty(),
                 "retries absorb coordinator-side faults without promotion"
@@ -263,6 +274,57 @@ fn coordinator_side_seeded_faults_leave_answers_bit_identical() {
             for handle in handles {
                 handle.shutdown();
             }
+        }
+    }
+}
+
+#[test]
+fn worker_side_seeded_faults_leave_answers_bit_identical() {
+    // Every worker misbehaves on its own seeded one-shot schedule (drops,
+    // delays, disconnects and garbled answers among its first operations
+    // after the connect handshake, op 0): retries absorb them all and the
+    // answers stay bit-identical.
+    let graph = test_graph();
+    for seed in [1u64, 2, 3] {
+        let workers: Vec<ServerHandle> = (0..2)
+            .map(|k| {
+                let mut fault_plan = FaultPlan::seeded(seed * 10 + k as u64, 6, 24);
+                for event in &mut fault_plan.events {
+                    event.at_op += 1;
+                }
+                fault_plan.delay = std::time::Duration::from_millis(2);
+                serve(
+                    graph.clone(),
+                    ServerConfig {
+                        shard: Some((k, 2)),
+                        fault_plan: Some(fault_plan),
+                        ..ServerConfig::default()
+                    },
+                )
+                .unwrap()
+            })
+            .collect();
+        let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
+        let config = CoordinatorConfig {
+            timeout: std::time::Duration::from_millis(500),
+            retries: 12,
+            reconnect_backoff: std::time::Duration::from_millis(1),
+            ..recovery_config(Vec::new())
+        };
+        let mut coordinator = DistCoordinator::connect(graph.clone(), &addrs, config).unwrap();
+        for plan in [fixed_plan("skip", seed), adaptive_plan("per-edge", seed, 3)] {
+            assert_eq!(
+                answers(coordinator.execute(&plan)),
+                answers(plan.execute_detailed(graph.clone())),
+                "seeded worker faults, seed {seed}"
+            );
+        }
+        let report = coordinator.recovery_report();
+        assert!(report.retries_burned > 0, "the schedule fired, seed {seed}");
+        assert!(report.failovers.is_empty());
+        coordinator.shutdown();
+        for worker in workers {
+            worker.shutdown();
         }
     }
 }
@@ -293,7 +355,7 @@ fn a_dead_at_connect_worker_fails_over_during_validation() {
 }
 
 #[test]
-fn the_pre_submit_probe_promotes_a_worker_lost_between_plans() {
+fn a_worker_lost_between_plans_fails_over_at_its_next_job() {
     let graph = test_graph();
     let worker0 = shard_server(&graph, 0, 2);
     let worker1 = shard_server(&graph, 1, 2);
@@ -310,9 +372,9 @@ fn the_pre_submit_probe_promotes_a_worker_lost_between_plans() {
     );
     assert!(coordinator.recovery_report().is_clean());
 
-    // Worker 1 dies between plans: the pre-submit probe must catch it and
-    // promote the standby before any shard work fans out, and the next
-    // plan still answers bit-identically.
+    // Worker 1 dies between plans: its next world-block submit fails,
+    // the retries find nobody home, the standby is promoted and re-runs
+    // the slot's blocks — the next plan still answers bit-identically.
     worker1.shutdown();
     let plan = fixed_plan("per-edge", 5);
     assert_eq!(

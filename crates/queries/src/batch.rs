@@ -50,6 +50,23 @@
 //! PageRank, components) dominate sampling, and sampling itself is cheap in
 //! the paper's sparsified regime (`O(Σ pₑ)` skip-sampling).
 //!
+//! ## World blocks
+//!
+//! The split itself is a [`BlockPlan`]: epochs of worlds (one epoch for a
+//! fixed budget), each cut into `threads` contiguous **world blocks**, and
+//! block `b` of every epoch belongs to worker `b`.  A worker's body is a
+//! [`SlotRun`]: one replay cursor that advances to each of its blocks in
+//! turn and observes it into that block's registry.  Every driver runs
+//! this one body — an in-process thread is a slot with one block, and a
+//! fleet worker (the `world_block` op of `ugs-server`) is a slot holding
+//! blocks `w, w + workers, …` of the same plan.  Because every built-in
+//! observer accumulates one `Vec<f64>` that merges by element-wise `+=`
+//! ([`WorldObserver::partial`]), a block's state crosses a process
+//! boundary as that vector ([`crate::partial`] is its exact text codec),
+//! and folding the blocks in block order — block 0's partial *is* the
+//! result, later blocks merge into it — reproduces the in-process answer
+//! bit for bit, for every thread count and every fleet size.
+//!
 //! ## The `DynObserver` layer
 //!
 //! [`WorldObserver`] is a statically-typed trait: [`QueryBatch::register`]
@@ -111,6 +128,7 @@
 
 use std::any::Any;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
@@ -202,6 +220,24 @@ pub trait WorldObserver: Send + Clone + 'static {
         f64::NAN
     }
 
+    /// The accumulated state as one flat vector — the **partial** a fleet
+    /// worker ships back for a world block (see
+    /// [world blocks](self#world-blocks)).  An observer returning `Some`
+    /// promises that its [`WorldObserver::merge`] is element-wise `+=` over
+    /// exactly this vector and that the vector is all it finalises from,
+    /// so overwriting a pristine observer's vector with another observer's
+    /// reproduces that observer bit for bit.  `None` (the default) marks
+    /// an observer that cannot cross a process boundary.
+    fn partial(&self) -> Option<&[f64]> {
+        None
+    }
+
+    /// Mutable access to the vector behind [`WorldObserver::partial`], so a
+    /// decoded partial can be written straight into a pristine observer.
+    fn partial_mut(&mut self) -> Option<&mut [f64]> {
+        None
+    }
+
     /// Folds another partial observer (from a parallel worker) into `self`.
     fn merge(&mut self, other: Self);
 
@@ -229,6 +265,10 @@ pub trait DynObserver: Send {
     fn tracked_range_dyn(&self) -> Option<(f64, f64)>;
     /// Type-erased [`WorldObserver::tracked_statistic`].
     fn tracked_statistic_dyn(&self) -> f64;
+    /// Type-erased [`WorldObserver::partial`] (partial export).
+    fn partial_dyn(&self) -> Option<&[f64]>;
+    /// Type-erased [`WorldObserver::partial_mut`] (partial import).
+    fn partial_mut_dyn(&mut self) -> Option<&mut [f64]>;
     /// Type-erased [`WorldObserver::merge`].
     ///
     /// # Panics
@@ -265,6 +305,14 @@ impl<O: WorldObserver> DynObserver for O {
 
     fn tracked_statistic_dyn(&self) -> f64 {
         self.tracked_statistic()
+    }
+
+    fn partial_dyn(&self) -> Option<&[f64]> {
+        self.partial()
+    }
+
+    fn partial_mut_dyn(&mut self) -> Option<&mut [f64]> {
+        self.partial_mut()
     }
 
     fn merge_dyn(&mut self, other: Box<dyn DynObserver>) {
@@ -305,10 +353,43 @@ impl BoxedObserver {
         self.0.shard_support_dyn()
     }
 
+    /// The range of the statistic the observer feeds an adaptive stopping
+    /// rule (see [`WorldObserver::tracked_range`]).
+    pub fn tracked_range(&self) -> Option<(f64, f64)> {
+        self.0.tracked_range_dyn()
+    }
+
+    /// The exported partial (see [`WorldObserver::partial`]).
+    pub fn partial(&self) -> Option<&[f64]> {
+        self.0.partial_dyn()
+    }
+
+    /// The partial's vector, for importing a decoded partial (see
+    /// [`WorldObserver::partial_mut`]).
+    pub fn partial_mut(&mut self) -> Option<&mut [f64]> {
+        self.0.partial_mut_dyn()
+    }
+
+    /// Folds another observer of the same concrete type into this one
+    /// through its own [`WorldObserver::merge`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` erases a different concrete observer type.
+    pub fn merge(&mut self, other: BoxedObserver) {
+        self.0.merge_dyn(other.0);
+    }
+
     /// Finalises to the boxed [`WorldObserver::Output`]; the caller
     /// downcasts with its knowledge of the registered query.
     pub fn finalize(self, num_worlds: usize) -> Box<dyn Any + Send> {
         self.0.finalize_dyn(num_worlds)
+    }
+}
+
+impl Clone for BoxedObserver {
+    fn clone(&self) -> Self {
+        BoxedObserver(self.0.clone_dyn())
     }
 }
 
@@ -628,13 +709,10 @@ impl<'g> QueryBatch<'g> {
         let seed = rng.gen::<u64>();
         match precision {
             None => {
+                let plan = BlockPlan::fixed(num_worlds, threads);
                 let merged = match &source {
-                    BatchSource::Monolithic(engine) => {
-                        drive(engine, num_worlds, threads, observers, seed)
-                    }
-                    BatchSource::Sharded(engine) => {
-                        drive(*engine, num_worlds, threads, observers, seed)
-                    }
+                    BatchSource::Monolithic(engine) => drive(engine, plan, observers, seed),
+                    BatchSource::Sharded(engine) => drive(*engine, plan, observers, seed),
                 };
                 BatchResults {
                     id,
@@ -665,48 +743,291 @@ impl<'g> QueryBatch<'g> {
     }
 }
 
-/// The replay-partitioned world loop over any [`WorldSource`]: worker `w`
-/// re-derives the shared stream from `seed`, advances past the worlds before
-/// its contiguous block and observes its own block; partials merge in worker
-/// (= world block) order.  The sampled world sequence is independent of the
-/// thread count.
+/// How a batch's worlds split into **world blocks**: epochs of `epoch`
+/// worlds up to the world cap, each split into `blocks` contiguous blocks
+/// (the first `len % blocks` blocks one world longer).  A fixed-budget
+/// batch is one epoch holding every world.  Block `b` of every epoch
+/// belongs to worker `b`, so a worker's blocks ascend through the stream;
+/// see the [module docs](self#world-blocks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockPlan {
+    cap: usize,
+    epoch: usize,
+    blocks: usize,
+}
+
+impl BlockPlan {
+    /// The blocks of a fixed-budget batch of `worlds` worlds run on
+    /// `threads` workers: one epoch, `threads.clamp(1, worlds)` blocks.
+    pub fn fixed(worlds: usize, threads: usize) -> Self {
+        Self::adaptive(worlds, worlds, threads)
+    }
+
+    /// The blocks of an adaptive batch: epochs of `epoch` worlds (at least
+    /// one) up to `cap`, each split `threads.clamp(1, cap)` ways.
+    pub fn adaptive(cap: usize, epoch: usize, threads: usize) -> Self {
+        BlockPlan {
+            cap,
+            epoch: epoch.max(1),
+            blocks: threads.clamp(1, cap.max(1)),
+        }
+    }
+
+    /// The world cap (a fixed batch's budget).
+    pub fn cap(&self) -> usize {
+        self.cap
+    }
+
+    /// Worlds per epoch.
+    pub fn epoch(&self) -> usize {
+        self.epoch
+    }
+
+    /// Blocks per epoch (= workers).
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// Epochs until the cap.
+    pub fn num_epochs(&self) -> usize {
+        self.cap.div_ceil(self.epoch)
+    }
+
+    /// Worlds consumed by the first `epochs` epochs.
+    pub fn worlds_through(&self, epochs: usize) -> usize {
+        epochs.saturating_mul(self.epoch).min(self.cap)
+    }
+
+    /// The worlds of block `block` in epoch `epoch`: the base/extra split
+    /// of the epoch over [`BlockPlan::blocks`] (empty past the cap).
+    pub fn block_range(&self, epoch: usize, block: usize) -> Range<usize> {
+        let start = self.worlds_through(epoch);
+        let len = self.worlds_through(epoch.saturating_add(1)) - start;
+        let (base, extra) = (len / self.blocks, len % self.blocks);
+        let first = start + base * block + block.min(extra);
+        first..first + base + usize::from(block < extra)
+    }
+
+    /// How many blocks `slot` of a `slots`-worker fleet runs: blocks
+    /// `slot, slot + slots, …` below [`BlockPlan::blocks`].
+    pub fn slot_blocks(&self, slot: usize, slots: usize) -> usize {
+        if slot >= self.blocks || slots == 0 {
+            0
+        } else {
+            (self.blocks - slot - 1) / slots + 1
+        }
+    }
+}
+
+/// The outside view of a running [`SlotRun`]: its stream position, for
+/// liveness probes, and a cooperative cancel flag — both touched after
+/// every world, so a long block stays observable and abandonable.
+#[derive(Debug, Default)]
+pub struct BlockWatch {
+    position: AtomicUsize,
+    cancelled: AtomicBool,
+}
+
+impl BlockWatch {
+    /// Worlds sampled or replayed past so far.
+    pub fn position(&self) -> usize {
+        self.position.load(Ordering::Relaxed)
+    }
+
+    /// Asks the run to stop after its current world.
+    pub fn cancel(&self) {
+        self.cancelled.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether [`BlockWatch::cancel`] was called.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancelled.load(Ordering::Relaxed)
+    }
+
+    /// Publishes `position`; `false` once the run should stop.
+    fn tick(watch: Option<&BlockWatch>, position: usize) -> bool {
+        watch.is_none_or(|watch| {
+            watch.position.store(position, Ordering::Relaxed);
+            !watch.is_cancelled()
+        })
+    }
+}
+
+/// One worker's share of a batch — **the block body every driver runs**:
+/// blocks `slot, slot + slots, …` of a [`BlockPlan`], each with its own
+/// observer registry, observed in order on the calling thread by one
+/// replay cursor over the shared world stream.
+///
+/// The in-process drivers run one `SlotRun` per thread (`slots` = thread
+/// count, one block each); a fleet worker's `world_block` job runs one per
+/// fleet slot.  Either way each registry sees exactly its block's worlds
+/// in stream order, so block partials merged in block order reproduce the
+/// in-process fold bit for bit.
+pub struct SlotRun<'s, S: WorldSource> {
+    source: &'s S,
+    plan: BlockPlan,
+    slot: usize,
+    slots: usize,
+    rng: SmallRng,
+    scratch: S::Scratch,
+    /// Position of `rng` in the shared stream.
+    pos: usize,
+    /// One registry per block of the slot, in block order.
+    registries: Vec<Vec<Box<dyn DynObserver>>>,
+    /// Indices of the observers that feed an adaptive stopping rule.
+    tracked: Vec<usize>,
+    epochs: usize,
+}
+
+impl<'s, S: WorldSource> SlotRun<'s, S> {
+    /// Slot `slot` of `slots` over `plan`, replaying the stream of batch
+    /// seed `seed`; every block starts from a pristine copy of `observers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is zero.
+    pub fn new(
+        source: &'s S,
+        seed: u64,
+        plan: BlockPlan,
+        slot: usize,
+        slots: usize,
+        observers: Vec<BoxedObserver>,
+    ) -> Self {
+        let registry = observers.into_iter().map(|o| o.0).collect();
+        Self::from_registry(source, seed, plan, slot, slots, registry)
+    }
+
+    fn from_registry(
+        source: &'s S,
+        seed: u64,
+        plan: BlockPlan,
+        slot: usize,
+        slots: usize,
+        observers: Vec<Box<dyn DynObserver>>,
+    ) -> Self {
+        assert!(slots > 0, "a slot run needs at least one slot");
+        let tracked = observers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| o.tracked_range_dyn().map(|_| i))
+            .collect();
+        let blocks = plan.slot_blocks(slot, slots);
+        // Clones are taken before any observation, so every block starts
+        // pristine.
+        let mut registries: Vec<Vec<Box<dyn DynObserver>>> = (1..blocks)
+            .map(|_| observers.iter().map(|o| o.clone_dyn()).collect())
+            .collect();
+        if blocks > 0 {
+            registries.insert(0, observers);
+        }
+        SlotRun {
+            source,
+            plan,
+            slot,
+            slots,
+            rng: SmallRng::seed_from_u64(seed),
+            scratch: source.make_scratch(),
+            pos: 0,
+            registries,
+            tracked,
+            epochs: 0,
+        }
+    }
+
+    /// Epochs completed so far.
+    pub fn epochs_run(&self) -> usize {
+        self.epochs
+    }
+
+    /// Runs the next epoch: for each block of the slot, replays the stream
+    /// up to the block's start and observes its worlds.  With `stats`,
+    /// appends every observed world's tracked statistics — block order,
+    /// then world order, then tracked observer order (the layout
+    /// [`StoppingRule::record_worlds`] consumes).  Returns `false`, leaving
+    /// the run mid-epoch, when `watch` was cancelled.
+    pub fn run_epoch(
+        &mut self,
+        mut stats: Option<&mut Vec<f64>>,
+        watch: Option<&BlockWatch>,
+    ) -> bool {
+        let epoch = self.epochs;
+        for (i, registry) in self.registries.iter_mut().enumerate() {
+            let range = self.plan.block_range(epoch, self.slot + i * self.slots);
+            while self.pos < range.start {
+                self.source.advance_world(&mut self.rng, &mut self.scratch);
+                self.pos += 1;
+                if !BlockWatch::tick(watch, self.pos) {
+                    return false;
+                }
+            }
+            for _ in range {
+                let view = self.source.sample_world(&mut self.rng, &mut self.scratch);
+                observe_all(registry, &view);
+                if let Some(stats) = stats.as_deref_mut() {
+                    stats.extend(
+                        self.tracked
+                            .iter()
+                            .map(|&t| registry[t].tracked_statistic_dyn()),
+                    );
+                }
+                self.pos += 1;
+                if !BlockWatch::tick(watch, self.pos) {
+                    return false;
+                }
+            }
+        }
+        self.epochs += 1;
+        true
+    }
+
+    /// Appends every block's partials to `out` — block order, then
+    /// observer order ([`WorldObserver::partial`]).  Returns `false` if an
+    /// observer has no partial.
+    pub fn export_partials(&self, out: &mut Vec<f64>) -> bool {
+        for observer in self.registries.iter().flatten() {
+            match observer.partial_dyn() {
+                Some(partial) => out.extend_from_slice(partial),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// The registry of a one-block slot (the in-process drivers' case).
+    fn into_registry(mut self) -> Vec<Box<dyn DynObserver>> {
+        debug_assert_eq!(self.registries.len(), 1, "one block per thread");
+        self.registries
+            .pop()
+            .expect("a thread slot holds one block")
+    }
+}
+
+/// The fixed-budget driver: one [`SlotRun`] per thread, thread `w` holding
+/// block `w`; partials merge in block order.  The sampled world sequence is
+/// independent of the thread count.
 fn drive<S: WorldSource>(
     source: &S,
-    num_worlds: usize,
-    threads: usize,
-    mut observers: Vec<Box<dyn DynObserver>>,
+    plan: BlockPlan,
+    observers: Vec<Box<dyn DynObserver>>,
     seed: u64,
 ) -> Vec<Box<dyn DynObserver>> {
-    let threads = threads.clamp(1, num_worlds);
+    let threads = plan.blocks();
     if threads == 1 {
-        let mut worker_rng = SmallRng::seed_from_u64(seed);
-        let mut scratch = source.make_scratch();
-        for _ in 0..num_worlds {
-            let view = source.sample_world(&mut worker_rng, &mut scratch);
-            observe_all(&mut observers, &view);
-        }
-        return observers;
+        let mut run = SlotRun::from_registry(source, seed, plan, 0, 1, observers);
+        run.run_epoch(None, None);
+        return run.into_registry();
     }
-    let base = num_worlds / threads;
-    let extra = num_worlds % threads;
-    let mut partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
+    let partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = worker_registries(observers, threads)
             .into_iter()
             .enumerate()
-            .map(|(idx, mut workers)| {
-                let count = base + usize::from(idx < extra);
-                let skip = base * idx + idx.min(extra);
+            .map(|(slot, registry)| {
                 scope.spawn(move || {
-                    let mut worker_rng = SmallRng::seed_from_u64(seed);
-                    let mut scratch = source.make_scratch();
-                    for _ in 0..skip {
-                        source.advance_world(&mut worker_rng, &mut scratch);
-                    }
-                    for _ in 0..count {
-                        let view = source.sample_world(&mut worker_rng, &mut scratch);
-                        observe_all(&mut workers, &view);
-                    }
-                    workers
+                    let mut run =
+                        SlotRun::from_registry(source, seed, plan, slot, threads, registry);
+                    run.run_epoch(None, None);
+                    run.into_registry()
                 })
             })
             .collect();
@@ -715,8 +1036,15 @@ fn drive<S: WorldSource>(
             .map(|handle| handle.join().expect("worker thread panicked"))
             .collect()
     });
-    // Merge the partial observers in worker (= world block) order.
-    let mut merged = partials.remove(0);
+    merge_in_block_order(partials)
+}
+
+/// Folds block partials in block order: block 0's registry becomes the
+/// result, every later block merges into it through the observers' own
+/// [`WorldObserver::merge`].
+fn merge_in_block_order(partials: Vec<Vec<Box<dyn DynObserver>>>) -> Vec<Box<dyn DynObserver>> {
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().expect("at least one block");
     for partial in partials {
         for (into, other) in merged.iter_mut().zip(partial) {
             into.merge_dyn(other);
@@ -767,223 +1095,129 @@ pub struct AdaptiveReport {
 /// order (worker blocks are contiguous, so worker 0's block followed by
 /// worker 1's *is* the sequential order).  Every thread count therefore
 /// executes the identical sequence of `record`/`check` calls and consumes
-/// the same number of worlds.  The wall-clock deadline and the cooperative
-/// `cancel` flag are consulted last at each checkpoint, so they can only
-/// shorten a run, never change a converged answer.
+/// the same number of worlds.
 fn drive_adaptive<S: WorldSource>(
     source: &S,
     cap: usize,
     threads: usize,
-    mut observers: Vec<Box<dyn DynObserver>>,
+    observers: Vec<Box<dyn DynObserver>>,
     seed: u64,
     precision: &Precision,
     cancel: Option<&AtomicBool>,
 ) -> (Vec<Box<dyn DynObserver>>, AdaptiveReport) {
-    let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::SeqCst));
-    let tracked: Vec<usize> = observers
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.tracked_range_dyn().map(|_| i))
-        .collect();
     let mut rule = StoppingRule::new(*precision);
-    for &i in &tracked {
-        let (lo, hi) = observers[i]
-            .tracked_range_dyn()
-            .expect("tracked observer lost its range");
+    for (lo, hi) in observers.iter().filter_map(|o| o.tracked_range_dyn()) {
         rule.register(lo, hi);
     }
-    if cap == 0 {
-        let report = AdaptiveReport {
-            worlds_used: 0,
-            epochs: 0,
-            half_width: f64::INFINITY,
-            tracked: tracked.len(),
-            stopped: StopReason::BudgetExhausted,
-        };
-        return (observers, report);
-    }
-    let epoch = precision.epoch.max(1);
-    let threads = threads.clamp(1, cap);
+    let tracked = rule.num_tracked();
     let started = Instant::now();
-    // An already-expired deadline (e.g. `deadline_ms = 0`) stops the run
-    // before the first epoch is paid for: `worlds_used` is deterministically
-    // zero and the observers come back pristine, instead of charging a full
-    // epoch just to notice at the first checkpoint.
-    if rule.deadline_expired(started) {
+    // A zero cap, or an already-expired deadline (e.g. `deadline_ms = 0`),
+    // stops the run before the first epoch is paid for: `worlds_used` is
+    // deterministically zero and the observers come back pristine.
+    let early = if cap == 0 {
+        Some(StopReason::BudgetExhausted)
+    } else if rule.deadline_expired(started) {
+        Some(StopReason::DeadlineExpired)
+    } else {
+        None
+    };
+    if let Some(stopped) = early {
         let report = AdaptiveReport {
             worlds_used: 0,
             epochs: 0,
             half_width: f64::INFINITY,
-            tracked: tracked.len(),
-            stopped: StopReason::DeadlineExpired,
-        };
-        return (observers, report);
-    }
-
-    if threads == 1 {
-        let mut worker_rng = SmallRng::seed_from_u64(seed);
-        let mut scratch = source.make_scratch();
-        let mut consumed = 0usize;
-        let stopped = loop {
-            let block = epoch.min(cap - consumed);
-            for _ in 0..block {
-                let view = source.sample_world(&mut worker_rng, &mut scratch);
-                observe_all(&mut observers, &view);
-                for (slot, &i) in tracked.iter().enumerate() {
-                    rule.record(slot, observers[i].tracked_statistic_dyn());
-                }
-            }
-            consumed += block;
-            if rule.check() {
-                break StopReason::Converged;
-            }
-            if consumed >= cap {
-                break StopReason::BudgetExhausted;
-            }
-            if rule.deadline_expired(started) {
-                break StopReason::DeadlineExpired;
-            }
-            if cancelled() {
-                break StopReason::Cancelled;
-            }
-        };
-        let report = AdaptiveReport {
-            worlds_used: consumed,
-            epochs: rule.checks() as usize,
-            half_width: rule.half_width(),
-            tracked: tracked.len(),
+            tracked,
             stopped,
         };
         return (observers, report);
     }
+    let plan = BlockPlan::adaptive(cap, precision.epoch, threads);
+    let threads = plan.blocks();
 
-    let barrier = Barrier::new(threads);
-    let rule_mx = Mutex::new(rule);
-    // One buffer set per worker: this epoch's raw per-world statistics, in
-    // the worker's block order.  Swapped (not copied) across the barrier.
-    let stat_slots: Vec<Mutex<Vec<Vec<f64>>>> = (0..threads)
-        .map(|_| Mutex::new(vec![Vec::new(); tracked.len()]))
-        .collect();
-    // 0 = keep sampling; otherwise a StopReason discriminant (set by the
-    // barrier leader between the two waits of each epoch, read by every
-    // worker after the second wait — never concurrently).
-    let decision = AtomicUsize::new(0);
-    let mut partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
-        let tracked = &tracked;
-        let barrier = &barrier;
-        let rule_mx = &rule_mx;
-        let stat_slots = &stat_slots;
-        let decision = &decision;
-        let handles: Vec<_> = worker_registries(observers, threads)
-            .into_iter()
-            .enumerate()
-            .map(|(idx, mut workers)| {
-                scope.spawn(move || {
-                    let mut worker_rng = SmallRng::seed_from_u64(seed);
-                    let mut scratch = source.make_scratch();
-                    // Position of this worker's RNG in the shared stream.
-                    let mut pos = 0usize;
-                    // Worlds consumed globally before the current epoch
-                    // (every worker tracks the same value).
-                    let mut consumed = 0usize;
-                    let mut my_stats: Vec<Vec<f64>> = vec![Vec::new(); tracked.len()];
-                    loop {
-                        let block = epoch.min(cap - consumed);
-                        let base = block / threads;
-                        let extra = block % threads;
-                        let count = base + usize::from(idx < extra);
-                        let start = consumed + base * idx + idx.min(extra);
-                        for s in my_stats.iter_mut() {
-                            s.clear();
-                        }
-                        for _ in 0..(start - pos) {
-                            source.advance_world(&mut worker_rng, &mut scratch);
-                        }
-                        for _ in 0..count {
-                            let view = source.sample_world(&mut worker_rng, &mut scratch);
-                            observe_all(&mut workers, &view);
-                            for (slot, &i) in tracked.iter().enumerate() {
-                                my_stats[slot].push(workers[i].tracked_statistic_dyn());
+    let (merged, stopped) = if threads == 1 {
+        let mut run = SlotRun::from_registry(source, seed, plan, 0, 1, observers);
+        let mut stats = Vec::new();
+        let stopped = loop {
+            stats.clear();
+            run.run_epoch(Some(&mut stats), None);
+            rule.record_worlds(&stats);
+            let worlds = plan.worlds_through(run.epochs_run());
+            if let Some(stopped) = rule.checkpoint(worlds, cap, started, cancel) {
+                break stopped;
+            }
+        };
+        (run.into_registry(), stopped)
+    } else {
+        let barrier = Barrier::new(threads);
+        let rule_mx = Mutex::new(&mut rule);
+        // One buffer per worker: this epoch's raw per-world statistics, in
+        // the worker's block order.  Swapped (not copied) across the barrier.
+        let stat_slots: Vec<Mutex<Vec<f64>>> =
+            (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+        // Set by the barrier leader between the two waits of each epoch,
+        // read by every worker after the second wait — never concurrently.
+        let decision: Mutex<Option<StopReason>> = Mutex::new(None);
+        let partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
+            let (barrier, rule_mx, stat_slots, decision) =
+                (&barrier, &rule_mx, &stat_slots, &decision);
+            let handles: Vec<_> = worker_registries(observers, threads)
+                .into_iter()
+                .enumerate()
+                .map(|(slot, registry)| {
+                    scope.spawn(move || {
+                        let mut run =
+                            SlotRun::from_registry(source, seed, plan, slot, threads, registry);
+                        let mut my_stats = Vec::new();
+                        loop {
+                            my_stats.clear();
+                            run.run_epoch(Some(&mut my_stats), None);
+                            {
+                                let mut slot = stat_slots[slot].lock().expect("stat slot poisoned");
+                                std::mem::swap(&mut *slot, &mut my_stats);
                             }
-                        }
-                        pos = start + count;
-                        {
-                            let mut slot = stat_slots[idx].lock().expect("stat slot poisoned");
-                            std::mem::swap(&mut *slot, &mut my_stats);
-                        }
-                        if barrier.wait().is_leader() {
-                            let mut rule = rule_mx.lock().expect("stopping rule poisoned");
-                            let guards: Vec<_> = stat_slots
-                                .iter()
-                                .map(|s| s.lock().expect("stat slot poisoned"))
-                                .collect();
-                            // Replay in world order: contiguous worker
-                            // blocks, so worker-by-worker IS the sequential
-                            // order — the accumulators evolve bit-identically
-                            // for every thread count.
-                            for (w, guard) in guards.iter().enumerate() {
-                                let count_w = base + usize::from(w < extra);
-                                for i in 0..count_w {
-                                    for slot in 0..tracked.len() {
-                                        rule.record(slot, guard[slot][i]);
-                                    }
+                            if barrier.wait().is_leader() {
+                                let mut rule = rule_mx.lock().expect("stopping rule poisoned");
+                                // Replay in world order: contiguous worker
+                                // blocks, so worker-by-worker IS the
+                                // sequential order.
+                                for stats in stat_slots {
+                                    rule.record_worlds(&stats.lock().expect("stat slot poisoned"));
                                 }
+                                let worlds = plan.worlds_through(run.epochs_run());
+                                *decision.lock().expect("decision poisoned") =
+                                    rule.checkpoint(worlds, cap, started, cancel);
                             }
-                            drop(guards);
-                            let total = consumed + block;
-                            let verdict = if rule.check() {
-                                1
-                            } else if total >= cap {
-                                2
-                            } else if rule.deadline_expired(started) {
-                                3
-                            } else if cancelled() {
-                                4
-                            } else {
-                                0
-                            };
-                            decision.store(verdict, Ordering::SeqCst);
+                            barrier.wait();
+                            {
+                                // Reclaim the still-allocated buffer.
+                                let mut slot = stat_slots[slot].lock().expect("stat slot poisoned");
+                                std::mem::swap(&mut *slot, &mut my_stats);
+                            }
+                            if decision.lock().expect("decision poisoned").is_some() {
+                                break;
+                            }
                         }
-                        barrier.wait();
-                        {
-                            // Reclaim the still-allocated buffers.
-                            let mut slot = stat_slots[idx].lock().expect("stat slot poisoned");
-                            std::mem::swap(&mut *slot, &mut my_stats);
-                        }
-                        consumed += block;
-                        if decision.load(Ordering::SeqCst) != 0 {
-                            break;
-                        }
-                    }
-                    workers
+                        run.into_registry()
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let mut merged = partials.remove(0);
-    for partial in partials {
-        for (into, other) in merged.iter_mut().zip(partial) {
-            into.merge_dyn(other);
-        }
-    }
-    let rule = rule_mx.into_inner().expect("stopping rule poisoned");
-    let epochs = rule.checks() as usize;
-    let stopped = match decision.load(Ordering::SeqCst) {
-        1 => StopReason::Converged,
-        2 => StopReason::BudgetExhausted,
-        3 => StopReason::DeadlineExpired,
-        4 => StopReason::Cancelled,
-        other => unreachable!("adaptive run finished without a verdict ({other})"),
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("worker thread panicked"))
+                .collect()
+        });
+        let stopped = decision
+            .into_inner()
+            .expect("decision poisoned")
+            .expect("adaptive run finished without a verdict");
+        (merge_in_block_order(partials), stopped)
     };
+    let epochs = rule.checks() as usize;
     let report = AdaptiveReport {
-        worlds_used: (epochs * epoch).min(cap),
+        worlds_used: plan.worlds_through(epochs),
         epochs,
         half_width: rule.half_width(),
-        tracked: tracked.len(),
+        tracked,
         stopped,
     };
     (merged, report)
@@ -1162,6 +1396,14 @@ impl WorldObserver for EdgeFrequencyObserver {
 
     fn tracked_statistic(&self) -> f64 {
         self.last_fraction
+    }
+
+    fn partial(&self) -> Option<&[f64]> {
+        Some(&self.counts)
+    }
+
+    fn partial_mut(&mut self) -> Option<&mut [f64]> {
+        Some(&mut self.counts)
     }
 
     fn merge(&mut self, other: Self) {

@@ -134,6 +134,14 @@ impl WorldObserver for ConnectivityObserver {
         self.last_connected
     }
 
+    fn partial(&self) -> Option<&[f64]> {
+        Some(&self.totals)
+    }
+
+    fn partial_mut(&mut self) -> Option<&mut [f64]> {
+        Some(&mut self.totals)
+    }
+
     fn merge(&mut self, other: Self) {
         for (t, o) in self.totals.iter_mut().zip(other.totals) {
             *t += o;
@@ -209,6 +217,14 @@ impl WorldObserver for DegreeHistogramObserver {
                 self.totals[degree] += 1.0;
             }
         }
+    }
+
+    fn partial(&self) -> Option<&[f64]> {
+        Some(&self.totals)
+    }
+
+    fn partial_mut(&mut self) -> Option<&mut [f64]> {
+        Some(&mut self.totals)
     }
 
     fn merge(&mut self, other: Self) {

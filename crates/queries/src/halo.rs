@@ -13,6 +13,11 @@
 //! Pregel-style iteration for PageRank, one-shot halo materialisation for
 //! clustering, frontier exchange for BFS/k-NN.
 //!
+//! The exchange is in-process only.  Across processes a fleet splits
+//! *worlds*, not vertices: every worker holds the whole graph and ships
+//! back observer partials ([world blocks](crate::batch#world-blocks)), so
+//! no halo value ever crosses a wire and this module carries no codec.
+//!
 //! # PageRank iteration equivalence
 //!
 //! The sharded PageRank is not merely "close" to the monolithic kernel
@@ -35,15 +40,10 @@
 //!   exchange needed.  The driver tracks `r_d` as `1/n` initially and the
 //!   previous iteration's `base` thereafter.
 //! * **Ascending delta fold.**  The kernel's delta is a left fold of
-//!   `|rank[v] − next[v]|` over `v = 0..n` ascending.  In process, each
-//!   shard writes its owned diffs into a global buffer that is folded once
-//!   in ascending global order ([`ShardPageRank::write_diffs`]) — exact for
-//!   *any* labelling.  Across processes, the coordinator threads an
-//!   accumulator through the shards in ascending shard order
-//!   ([`ShardPageRank::fold_delta`]); for contiguous partitions (the only
-//!   kind the distributed fleet deploys) shard-order traversal of owned
-//!   vertices *is* ascending global order, so the chained fold reproduces
-//!   the kernel's fold exactly.
+//!   `|rank[v] − next[v]|` over `v = 0..n` ascending.  Each shard writes
+//!   its owned diffs into a global buffer that is folded once in
+//!   ascending global order ([`ShardPageRank::write_diffs`]) — exact for
+//!   *any* labelling.
 //!
 //! Identical per-iteration ranks and an identical delta give an identical
 //! stop decision (`delta < tolerance`), hence the same iteration count and
@@ -206,19 +206,6 @@ impl ShardPageRank {
         self.rank[self.owned + ghost] = rank;
     }
 
-    /// Installs a rank by halo-local id (used by the wire path, which
-    /// addresses ghosts through [`ShardHalo::halo_index`]).
-    #[inline]
-    pub fn set_halo_rank(&mut self, halo_local: usize, rank: f64) {
-        self.rank[halo_local] = rank;
-    }
-
-    /// Current rank of a halo-local vertex.
-    #[inline]
-    pub fn halo_rank(&self, halo_local: usize) -> f64 {
-        self.rank[halo_local]
-    }
-
     /// One push superstep: refills the owned `next` buffer with `base` and
     /// folds the present push contributions in `(global source, edge)`
     /// order — the monolithic per-target order (see the [module
@@ -249,17 +236,6 @@ impl ShardPageRank {
         for (local, &global) in owned_globals.iter().enumerate() {
             diffs[global] = (self.rank[local] - self.next[local]).abs();
         }
-    }
-
-    /// Chains the owned `|rank − next|` terms onto `acc` in ascending
-    /// owned-local order — for contiguous partitions, threading the
-    /// accumulator through shards `0, 1, …` reproduces the monolithic
-    /// ascending-vertex fold exactly.
-    pub fn fold_delta(&self, mut acc: f64) -> f64 {
-        for local in 0..self.owned {
-            acc += (self.rank[local] - self.next[local]).abs();
-        }
-        acc
     }
 
     /// Commits the superstep: owned ranks take the `next` values.
@@ -417,7 +393,7 @@ impl HaloClustering {
 /// Per-shard state of a level-synchronous halo BFS (the distributed k-NN /
 /// shortest-path superstep): the shard expands its owned frontier over the
 /// present halo adjacency, reports every newly settled halo vertex, and
-/// absorbs the settlements the coordinator routes back.
+/// absorbs the settlements the driver routes back.
 #[derive(Debug, Clone, Default)]
 pub struct ShardBfs {
     owned: usize,
@@ -491,61 +467,6 @@ impl ShardBfs {
         }
         self.next_frontier.clear();
     }
-
-    /// The settled level of a halo-local vertex (`u32::MAX` when unvisited).
-    #[inline]
-    pub fn level(&self, halo_local: u32) -> u32 {
-        self.dist[halo_local as usize]
-    }
-}
-
-/// Encodes an `f64` for the wire with full bitwise fidelity (16 hex digits
-/// of its IEEE-754 representation).
-pub fn f64_to_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-/// Decodes [`f64_to_hex`] output.
-pub fn f64_from_hex(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("malformed f64 hex value {s:?}"))
-}
-
-/// Encodes one `id:value` pair for the `halo` wire op (`value` in
-/// [`f64_to_hex`] form).
-pub fn encode_rank(id: u32, value: f64) -> String {
-    format!("{id}:{}", f64_to_hex(value))
-}
-
-/// Decodes [`encode_rank`] output.
-pub fn decode_rank(s: &str) -> Result<(u32, f64), String> {
-    let (id, hex) = s
-        .split_once(':')
-        .ok_or_else(|| format!("malformed rank entry {s:?}"))?;
-    let id: u32 = id
-        .parse()
-        .map_err(|_| format!("malformed rank entry {s:?}"))?;
-    Ok((id, f64_from_hex(hex)?))
-}
-
-/// Encodes one `id:level` BFS settlement for the `halo` wire op.
-pub fn encode_level(id: u32, level: u32) -> String {
-    format!("{id}:{level}")
-}
-
-/// Decodes [`encode_level`] output.
-pub fn decode_level(s: &str) -> Result<(u32, u32), String> {
-    let (id, level) = s
-        .split_once(':')
-        .ok_or_else(|| format!("malformed level entry {s:?}"))?;
-    let id: u32 = id
-        .parse()
-        .map_err(|_| format!("malformed level entry {s:?}"))?;
-    let level: u32 = level
-        .parse()
-        .map_err(|_| format!("malformed level entry {s:?}"))?;
-    Ok((id, level))
 }
 
 #[cfg(test)]
@@ -662,8 +583,8 @@ mod tests {
 
     #[test]
     fn shard_bfs_supersteps_reproduce_monolithic_distances() {
-        // Drive the per-shard BFS states exactly like the distributed
-        // coordinator would: route settlements to owner shards, expand
+        // Drive the per-shard BFS states exactly like the sharded driver
+        // does: route settlements to owner shards, expand
         // level-synchronously, stop on a quiet superstep.
         let g = toy();
         let partition = GraphPartition::from_labels(&g, &[0, 1, 2, 0, 1, 2, 0, 1, 2], 3).unwrap();
@@ -735,21 +656,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wire_codecs_round_trip() {
-        for x in [0.0, -0.0, 1.0, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300] {
-            let hex = f64_to_hex(x);
-            assert_eq!(f64_from_hex(&hex).unwrap().to_bits(), x.to_bits());
-        }
-        let entry = encode_rank(42, 0.125);
-        assert_eq!(decode_rank(&entry).unwrap(), (42, 0.125));
-        assert!(decode_rank("nope").is_err());
-        assert!(decode_rank("3:zz").is_err());
-        let lvl = encode_level(7, 3);
-        assert_eq!(decode_level(&lvl).unwrap(), (7, 3));
-        assert!(decode_level("7").is_err());
-        assert!(decode_level("a:b").is_err());
     }
 }

@@ -60,6 +60,15 @@
 //! of [`halo`].  [`source::ShardSupport`] names the mechanism each observer
 //! uses; an observer with neither is rejected up front.
 //!
+//! ## World blocks across processes
+//!
+//! The same replay partitioning spreads a batch over machines: a
+//! [`batch::BlockPlan`] cuts the worlds into blocks, a [`batch::SlotRun`]
+//! runs a worker's blocks on one thread, and each observer's accumulator
+//! crosses the wire as an exact [`partial`] — see
+//! [world blocks](batch#world-blocks).  `ugs-server`'s `world_block` op
+//! and `ugs-dist`'s coordinator are built on these three pieces.
+//!
 //! ## Queries
 //!
 //! All queries follow the same pattern: sample `N` worlds through the
@@ -90,7 +99,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod boundary;
 pub mod components;
 pub mod cv;
 pub mod engine;
@@ -100,6 +108,7 @@ pub mod mc;
 pub mod node_queries;
 pub mod pair_queries;
 pub mod pairs;
+pub mod partial;
 pub mod sharded;
 pub mod source;
 pub mod variance;
@@ -110,12 +119,8 @@ pub use prelude::*;
 /// export list: the crate root re-exports all of it.
 pub mod prelude {
     pub use crate::batch::{
-        AdaptiveReport, BatchError, BatchResults, BoxedObserver, DynHandle, DynObserver,
-        EdgeFrequencyObserver, ObserverHandle, QueryBatch, WorldObserver,
-    };
-    pub use crate::boundary::{
-        accumulate_shard_aggregates, extract_shard_record, glue_records, GluedWorld,
-        ShardWorldRecord,
+        AdaptiveReport, BatchError, BatchResults, BlockPlan, BlockWatch, BoxedObserver, DynHandle,
+        DynObserver, EdgeFrequencyObserver, ObserverHandle, QueryBatch, SlotRun, WorldObserver,
     };
     pub use crate::components::{
         connectivity_query, expected_degree_histogram, ConnectivityEstimate, ConnectivityObserver,

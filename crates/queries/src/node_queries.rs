@@ -90,6 +90,14 @@ impl WorldObserver for PageRankObserver {
         add_scores(&mut self.totals, pr);
     }
 
+    fn partial(&self) -> Option<&[f64]> {
+        Some(&self.totals)
+    }
+
+    fn partial_mut(&mut self) -> Option<&mut [f64]> {
+        Some(&mut self.totals)
+    }
+
     fn merge(&mut self, other: Self) {
         for (t, o) in self.totals.iter_mut().zip(other.totals) {
             *t += o;
@@ -169,6 +177,14 @@ impl WorldObserver for ClusteringObserver {
                 *t += c;
             }
         }
+    }
+
+    fn partial(&self) -> Option<&[f64]> {
+        Some(&self.totals)
+    }
+
+    fn partial_mut(&mut self) -> Option<&mut [f64]> {
+        Some(&mut self.totals)
     }
 
     fn merge(&mut self, other: Self) {

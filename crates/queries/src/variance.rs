@@ -22,6 +22,7 @@
 //! checkpoints only, so the decision is a deterministic function of
 //! `(seed, ε, δ, epoch size)` — whether a Monte-Carlo run may stop early.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Variance of a repeated vector-valued estimator.
@@ -459,6 +460,22 @@ impl StoppingRule {
         self.stats[slot].record(value);
     }
 
+    /// Records a run of worlds laid out world-major: for each world, one
+    /// value per tracked slot in slot order (the layout a world block
+    /// reports its statistics in).  Equivalent to calling
+    /// [`StoppingRule::record`] world by world, slot by slot.
+    pub fn record_worlds(&mut self, stats: &[f64]) {
+        let tracked = self.stats.len();
+        if tracked == 0 {
+            return;
+        }
+        for world in stats.chunks(tracked) {
+            for (slot, &value) in world.iter().enumerate() {
+                self.stats[slot].record(value);
+            }
+        }
+    }
+
     /// Runs checkpoint `k` (incrementing the internal counter): recomputes
     /// the pooled half-width — the maximum over tracked statistics at the
     /// split confidence `δ_k / num_tracked` — and returns whether it meets
@@ -489,6 +506,32 @@ impl StoppingRule {
     /// [`f64::INFINITY`] before the first checkpoint.
     pub fn half_width(&self) -> f64 {
         self.half_width
+    }
+
+    /// The epoch checkpoint after `worlds` of `cap` worlds: convergence
+    /// ([`StoppingRule::check`]), then the budget, then the deadline, then
+    /// the cooperative `cancel` flag — the one verdict order every adaptive
+    /// driver (in process or across a fleet) uses, so a deadline or a
+    /// cancel can only shorten a run, never change a converged answer.
+    /// `None` means sample another epoch.
+    pub fn checkpoint(
+        &mut self,
+        worlds: usize,
+        cap: usize,
+        started: Instant,
+        cancel: Option<&AtomicBool>,
+    ) -> Option<StopReason> {
+        if self.check() {
+            Some(StopReason::Converged)
+        } else if worlds >= cap {
+            Some(StopReason::BudgetExhausted)
+        } else if self.deadline_expired(started) {
+            Some(StopReason::DeadlineExpired)
+        } else if cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
+            Some(StopReason::Cancelled)
+        } else {
+            None
+        }
     }
 
     /// Whether the rule's optional wall-clock deadline has expired relative

@@ -142,12 +142,26 @@ impl ResultCache {
         }
     }
 
+    /// The bytes an entry is charged: key, rendered answer and a fixed
+    /// per-entry overhead.  Rendering a large answer takes milliseconds,
+    /// so callers that share the cache behind a lock size entries with
+    /// this *before* locking and insert with [`ResultCache::insert_sized`].
+    pub fn entry_bytes(key: &str, answer: &QueryAnswer) -> usize {
+        key.len() + answer.result.to_json().render().len() + 64
+    }
+
     /// Inserts an answer, evicting least-recently-used entries until the
     /// byte budget holds.  An answer larger than the whole budget is
     /// silently skipped (typed stats still count the insertion attempt as
     /// an eviction of itself, keeping `bytes <= capacity` an invariant).
     pub fn insert(&mut self, key: String, answer: QueryAnswer) {
-        let bytes = key.len() + answer.result.to_json().render().len() + 64;
+        let bytes = Self::entry_bytes(&key, &answer);
+        self.insert_sized(key, answer, bytes);
+    }
+
+    /// [`ResultCache::insert`] with the entry's size already computed by
+    /// [`ResultCache::entry_bytes`].
+    pub fn insert_sized(&mut self, key: String, answer: QueryAnswer, bytes: usize) {
         if bytes > self.capacity {
             self.evictions += 1;
             return;
@@ -233,6 +247,27 @@ mod tests {
         assert!(cache.lookup("a").is_some(), "recently used survives");
         assert_eq!(cache.lookup("b"), None, "LRU entry evicted");
         assert!(cache.stats().evictions >= 1);
+    }
+
+    #[test]
+    fn entries_are_charged_key_plus_rendered_answer_plus_overhead() {
+        let entry = answer(0.25);
+        let rendered = entry.result.to_json().render();
+        assert_eq!(
+            ResultCache::entry_bytes("key", &entry),
+            3 + rendered.len() + 64
+        );
+        // `insert` and a pre-sized `insert_sized` charge the same bytes.
+        let mut cache = ResultCache::new(4096);
+        cache.insert("key".to_string(), entry.clone());
+        let mut sized = ResultCache::new(4096);
+        sized.insert_sized(
+            "key".to_string(),
+            entry.clone(),
+            ResultCache::entry_bytes("key", &entry),
+        );
+        assert_eq!(cache.stats(), sized.stats());
+        assert_eq!(cache.stats().bytes, 3 + rendered.len() + 64);
     }
 
     #[test]

@@ -80,16 +80,30 @@ impl LineClient {
     /// connection (EOF) — distinct from an error, because graceful shutdown
     /// is *supposed* to close sockets.
     pub fn request_raw(&mut self, line: &str) -> io::Result<Option<String>> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.send(line)?;
         self.read_line()
     }
 
     /// Sends one request and parses the response line into a
     /// [`Value`]; EOF and unparseable responses surface as `io::Error`.
     pub fn request(&mut self, line: &str) -> io::Result<Value> {
-        let response = self.request_raw(line)?.ok_or_else(|| {
+        self.send(line)?;
+        self.receive()
+    }
+
+    /// Sends one request line without waiting for its response, so a
+    /// caller can put requests in flight on several connections before it
+    /// reads any of them back with [`LineClient::receive`].
+    pub fn send(&mut self, line: &str) -> io::Result<()> {
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()
+    }
+
+    /// Reads and parses the next response line; EOF and unparseable
+    /// responses surface as `io::Error`.
+    pub fn receive(&mut self) -> io::Result<Value> {
+        let response = self.read_line()?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
         Value::parse(&response)

@@ -19,16 +19,12 @@
 //! | `{"op": "submit", "plan": {…}}` | `{"status": "ok", "job": N, "cached": bool}` |
 //! | `{"op": "poll", "job": N}` | `{"status": "ok", "job": N, "done": false}` or `{"status": "ok", "job": N, "done": true, "report": {…}}` |
 //! | `{"op": "cancel", "job": N}` | `{"status": "ok", "job": N, "cancelled": true}` |
-//! | `{"op": "stats"}` | `{"status": "ok", "graph": …, "jobs": {…}, "cache": {…}, "queue": {…}, "executors": […], "connections": N}` (plus `"shard": {…}` on a worker) |
+//! | `{"op": "stats"}` | `{"status": "ok", "graph": …, "jobs": {…}, "cache": {…}, "queue": {…}, "executors": […], "connections": N}` (plus `"shard": {"shard": K, "shards": W}` on a fleet worker) |
 //! | `{"op": "ping"}` | `{"status": "ok", "pong": true}` |
 //! | `{"op": "shutdown"}` | `{"status": "ok", "stopping": true}`, then sockets close |
-//! | `{"op": "shard_submit", "job": "t", "shard": K, "shards": W, "worlds": N, "seed": "S", "mode": "skip"}` | `{"status": "ok", "job": "t", "accepted": true, "pos": P, "target": N}` (worker mode only) |
-//! | `{"op": "boundary", "job": "t", "from": F, "max": M}` | `{"status": "ok", "job": "t", "from": F, "records": ["…", …], "pos": P, "target": N}` |
-//! | `{"op": "shard_result", "job": "t"}` | `{"status": "ok", "job": "t", "done": false, "pos": P, "target": N}` or `{"status": "ok", "job": "t", "done": true, "worlds": N, "hist": […], "intra": […]}` |
-//! | `{"op": "halo", "job": "t", "shard": K, "shards": W, "seed": "S", "mode": "skip", "kernel": {…}, "world": N, "phase": "feed", "values": ["gid:hex", …]}` | `{"status": "ok", "job": "t", "world": N, "fed": F}` (worker mode only) |
-//! | `{"op": "halo", …, "phase": "step", "step": T, "acc": "hex", "values": […]}` | `{"status": "ok", "job": "t", "world": N, "step": T, ("acc": "hex",) "from": 0, "total": C, "values": […]}` |
-//! | `{"op": "halo", …, "phase": "page", "from": F, "max": M}` | `{"status": "ok", "job": "t", "world": N, "from": F, "total": C, "values": […]}` |
-//! | `{"op": "halo", …, "phase": "collect", "from": F, "max": M}` | `{"status": "ok", "job": "t", "world": N, "from": F, "total": C, "values": […]}` |
+//! | `{"op": "world_block", "queries": […], "mode": "skip", "seed": "S", "worlds": C, "epoch": E, "blocks": T, "slot": K, "slots": W, "epochs": N, "finish": F}` | `{"status": "ok", "job": J}` |
+//! | `{"op": "poll", "job": J, "from": I, "max": M}` on a world-block job | `{"status": "ok", "job": J, "done": false, "pos": P}` or `{"status": "ok", "job": J, "done": true, "epochs": N, "partials": F, "total": L, "from": I, "values": "…"}` |
+//! | `{"op": "world_block", "job": J, "epochs": N, "finish": F}` | `{"status": "ok", "job": J, "epochs": N}` |
 //!
 //! The `plan` document is a [`ugs_service::QueryPlan`] **without** a
 //! `graph` field (the server owns its graph): `worlds`, `threads`,
@@ -37,63 +33,47 @@
 //! to what `QueryPlan::run_report` prints for the same plan against the
 //! same graph, with the graph labelled `fingerprint:<hex>`.
 //!
-//! ## Worker mode (`shard_submit` / `boundary` / `shard_result`)
+//! ## World blocks (`world_block`)
 //!
-//! A server started with [`ServerConfig::shard`]` = Some((k, w))` is a
-//! **shard worker**: it builds the contiguous `w`-shard partition of its
-//! graph and holds only shard `k`'s CSR state (plus the O(|E|) replay
-//! table that keeps the sampled world stream identical across workers).
-//! `shard_submit` starts a background sampling job under a client-chosen
-//! string token: the worker replays worlds from the submitted batch
-//! `seed` (a **decimal string** — JSON numbers here are f64 and cannot
-//! carry every u64), recording one boundary message per world (component
-//! count, present-cut labels, boundary component sizes) and folding each
-//! world into its running aggregates.  `boundary` pages the per-world
-//! records without blocking on sampling; `shard_result` reports progress
-//! until the target is reached, then the cross-world aggregates.
-//! Re-submitting the same token with a larger `worlds` raises the target
-//! of a running job (how an adaptive coordinator extends by epochs); any
-//! other parameter change is rejected — the replay identity is immutable.
-//! Shard jobs are scoped to their connection and bounded by the same
-//! [`ServerConfig::max_inflight`] budget; when the connection closes, its
-//! sampler threads are stopped and joined.
+//! A `world_block` job is one fleet slot's share of a plan, the unit the
+//! `ugs-dist` coordinator distributes: the worlds split into
+//! [`ugs_queries::BlockPlan`] blocks — `T` contiguous blocks per epoch of
+//! `E` worlds, up to the cap `C` (a fixed plan is one epoch of `C`
+//! worlds) — and the job runs blocks `K, K + W, …` with the `queries`'
+//! observers on this server's full graph ([`ugs_queries::SlotRun`]),
+//! replaying the stream of batch seed `S` (a **decimal string** — JSON
+//! numbers here are f64 and cannot carry every u64).  After `N` epochs it
+//! either pauses with that epoch's tracked statistics (`finish` false, an
+//! adaptive checkpoint) or exports every block's observer partials
+//! (`finish` true).  Polls page the output as [`ugs_queries::partial`]
+//! entries, at most `M` values and one response line
+//! ([`client::MAX_RESPONSE_BYTES`]) per page; the last page of the
+//! partials delivers the job.  The `world_block` form with a `job` field
+//! resumes a paused job: run on to `N` epochs, then pause again or
+//! export.
 //!
-//! ## Ghost-halo exchange (`halo`)
-//!
-//! Neighbourhood queries (PageRank, clustering coefficients, the BFS core
-//! of k-NN) cannot be answered from boundary records alone; a worker runs
-//! them through connection-local **halo sessions** instead.  Every `halo`
-//! line carries the full session identity — job token, shard role, replay
-//! `seed`/`mode` (decimal-string seed, as above), and a `kernel` object
-//! (`{"type": "pagerank", "damping": "<16 hex digits>"}` with the damping
-//! factor as IEEE-754 bits, `{"type": "clustering"}`, or `{"type": "bfs",
-//! "source": V}`) — so a freshly promoted standby rebuilds the session
-//! from whatever line arrives first, replaying the shared world stream up
-//! to the named `world`.  A world then runs as supersteps: `feed` installs
-//! exchanged ghost ranks (`"gid:hex"` entries), `step T` runs one
-//! superstep (PageRank threads the convergence accumulator `acc` through
-//! shards and reports its boundary ranks; BFS absorbs routed `"gid:level"`
-//! settlements and reports the newly settled vertices), `page` re-reads a
-//! step report window idempotently, and `collect` pages the owned final
-//! values (for clustering, `collect` triggers the one-shot halo
-//! computation).  **`step 0` on the current world restarts its kernel
-//! without resampling** — the coordinator's recovery move after a
-//! mid-superstep worker loss.  All values cross the wire as f64 bit
-//! patterns, so distributed results stay bit-identical to the monolithic
-//! engine.  Sessions are plain connection-local data bounded by the same
-//! [`ServerConfig::max_inflight`] budget and die with their connection.
+//! World-block jobs share the submit path's admission: the
+//! [`ServerConfig::max_inflight`] budget, the bounded queue, the executor
+//! pool and its panic isolation.  One job holds at most
+//! [`ServerConfig::max_plan_threads`] block registries, and a job that may
+//! pause at most [`protocol::MAX_PAUSE_WORLDS`] worlds of statistics; a
+//! request over either bound answers `plan`.  A job lives and
+//! dies with its connection; cancelling it (or closing the connection)
+//! stops it after the current world.  [`ServerConfig::shard`] declares the
+//! server's fleet slot for the coordinator's checks; any server answers
+//! `world_block`.
 //!
 //! ## Coordinator failure model
 //!
 //! A distributed coordinator (the `ugs-dist` crate) arms read *and* write
 //! timeouts on every worker connection, retries a failed exchange a
-//! bounded number of times by reconnecting and resubmitting (the fresh
-//! job deterministically resamples the identical stream), and treats a
-//! worker whose `pos` stops advancing across a deadline as stale.  When
-//! the retries are exhausted the plan degrades to the typed `worker_lost`
-//! error — a query against a degraded fleet **never hangs**.  Shutting
-//! the coordinator down drops every worker connection, which stops the
-//! workers' sampler threads.
+//! bounded number of times by reconnecting and resubmitting the slot's
+//! job (the fresh job deterministically replays the identical stream),
+//! and treats a worker whose job position stops advancing across a
+//! deadline as stale.  When the retries are exhausted the plan degrades
+//! to the typed `worker_lost` error — a query against a degraded fleet
+//! **never hangs**.  Shutting the coordinator down drops every worker
+//! connection, which cancels its jobs.
 //!
 //! ## Error envelope
 //!
@@ -155,14 +135,12 @@
 pub mod cache;
 pub mod client;
 pub mod fault;
-mod halo;
 mod line;
 pub mod protocol;
 pub mod server;
-mod shard;
 
 pub use cache::{query_key, CacheStats, ResultCache};
 pub use client::LineClient;
 pub use fault::{FaultClock, FaultEvent, FaultKind, FaultPlan};
-pub use protocol::{ErrorCode, Request};
+pub use protocol::{BlockRequest, ErrorCode, Request};
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -7,9 +7,8 @@
 //! the connection.
 
 use minijson::{ObjBuilder, Value};
-use ugs_queries::halo::f64_from_hex;
-use ugs_queries::SampleMethod;
-use ugs_service::{parse_mode, QueryPlan};
+use ugs_queries::{BlockPlan, SampleMethod};
+use ugs_service::{parse_mode, QueryPlan, QuerySpec};
 
 /// Hard cap on one request line; longer lines are answered with
 /// [`ErrorCode::BadRequest`] so a runaway client cannot balloon the
@@ -80,8 +79,17 @@ pub enum Request {
     /// `{"op": "submit", "plan": {...}}` — enqueue a plan, get a job id.
     Submit(QueryPlan),
     /// `{"op": "poll", "job": N}` — probe a job; a finished report is
-    /// delivered exactly once and frees the job's in-flight slot.
-    Poll(u64),
+    /// delivered exactly once and frees the job's in-flight slot.  On a
+    /// `world_block` job, `"from": F, "max": M` (defaults 0 and
+    /// unbounded) select the page of its output values to return.
+    Poll {
+        /// Job id from `submit` or `world_block`.
+        job: u64,
+        /// First output value requested (world-block jobs).
+        from: usize,
+        /// Most output values to return (world-block jobs).
+        max: usize,
+    },
     /// `{"op": "cancel", "job": N}` — abandon a job (queued jobs are never
     /// executed; a running job's answer is discarded at delivery).
     Cancel(u64),
@@ -91,159 +99,52 @@ pub enum Request {
     Ping,
     /// `{"op": "shutdown"}` — ask the server to stop gracefully.
     Shutdown,
-    /// `{"op": "shard_submit", "job": "t", "shard": K, "shards": W,
-    /// "worlds": N, "seed": "S", "mode": "skip"}` — start (or extend) a
-    /// shard sampling job on a worker; only accepted by servers running
-    /// with a shard role.
-    ShardSubmit(ShardJobRequest),
-    /// `{"op": "boundary", "job": "t", "from": F, "max": M}` — page the
-    /// per-world boundary records of a shard job, `M` records starting at
-    /// world `F` (idempotent reads; fewer may come back if sampling has not
-    /// reached `F + M` yet).
-    Boundary {
-        /// Job token named by the `shard_submit` that started the job.
-        job: String,
-        /// First world index requested.
-        from: usize,
-        /// Maximum records to return.
-        max: usize,
+    /// `{"op": "world_block", "seed": "S", …}` without a `job` field —
+    /// start a world-block job; see [`BlockRequest`].
+    WorldBlock(BlockRequest),
+    /// `{"op": "world_block", "job": N, "epochs": K, "finish": F}` —
+    /// resume a paused adaptive world-block job: run until `K` epochs are
+    /// done, then pause again (`finish` false) or export the partials.
+    Advance {
+        /// The paused job.
+        job: u64,
+        /// Epoch target (at least the epochs already run).
+        epochs: usize,
+        /// Export the partials once the target is reached.
+        finish: bool,
     },
-    /// `{"op": "shard_result", "job": "t"}` — fetch the job's cross-world
-    /// aggregates (degree histogram, per-edge presence counts) once every
-    /// targeted world is sampled.
-    ShardResult {
-        /// Job token named by the `shard_submit` that started the job.
-        job: String,
-    },
-    /// `{"op": "halo", "job": "t", "shard": K, "shards": W, "seed": "S",
-    /// "mode": "skip", "kernel": {...}, "world": N, "phase": "...", ...}` —
-    /// one superstep interaction of the ghost-halo exchange (PageRank /
-    /// clustering / BFS over a sharded world); only accepted by servers
-    /// running with a shard role.  See [`HaloRequest`].
-    Halo(HaloRequest),
 }
 
-/// The parsed body of a `shard_submit` request: which shard job to start or
-/// extend, and the exact replay identity it samples under.
+/// The parsed body of a `world_block` request: one fleet slot's share of a
+/// plan's world blocks ([`ugs_queries::SlotRun`]).
+///
+/// The job replays the stream of batch seed `seed` and runs blocks `slot,
+/// slot + slots, …` of the [`BlockPlan`] (`worlds` cap, `epoch` worlds per
+/// epoch, `blocks` blocks per epoch) for `epochs` epochs.  It then either
+/// pauses with the last epoch's tracked statistics (`finish` false, an
+/// adaptive plan's checkpoint) or exports every block's partials
+/// (`finish` true).  A fixed-budget plan is one epoch of `worlds` worlds.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardJobRequest {
-    /// Client-chosen job token, scoped to the connection.
-    pub job: String,
-    /// Shard index this worker must own.
-    pub shard: usize,
-    /// Total shard count of the partition.
-    pub shards: usize,
-    /// Absolute world target (re-submitting with a larger target extends a
-    /// running job without resampling).
-    pub worlds: usize,
+pub struct BlockRequest {
+    /// The plan's valid queries, in plan order.
+    pub queries: Vec<QuerySpec>,
+    /// Sampling method; `auto` resolves on the worker through the one
+    /// shared rule, so every worker samples the same stream.
+    pub mode: SampleMethod,
     /// Batch seed of the shared replay stream.  Carried as a **decimal
     /// string** on the wire: JSON numbers are f64 here, which cannot hold
     /// every u64 seed bit-exactly.
     pub seed: u64,
-    /// Sampling method; `auto` resolves on the worker through the same
-    /// shared rule as everywhere else, so all workers pick the same path.
-    pub mode: SampleMethod,
-}
-
-/// The superstep kernel a `halo` request drives.  Carried on the wire as a
-/// nested object: `{"type": "pagerank", "damping": "<16-hex f64 bits>"}`,
-/// `{"type": "clustering"}`, or `{"type": "bfs", "source": N}`.  PageRank's
-/// damping factor travels as IEEE-754 bits ([`ugs_queries::halo::f64_to_hex`])
-/// so every worker computes with exactly the coordinator's value; the
-/// iteration cap and tolerance stay coordinator-side (the coordinator owns
-/// the stop decision).
-#[derive(Debug, Clone, PartialEq)]
-pub enum HaloKernel {
-    /// Push-style PageRank; one `step` per iteration.
-    PageRank {
-        /// Damping factor, decoded from its wire hex form.
-        damping: f64,
-    },
-    /// Local clustering coefficients; a pure `collect` kernel (no steps).
-    Clustering,
-    /// Level-synchronous BFS from `source` (the k-NN traversal core).
-    Bfs {
-        /// Global id of the traversal source.
-        source: usize,
-    },
-}
-
-impl HaloKernel {
-    /// The wire spelling of the kernel type.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            HaloKernel::PageRank { .. } => "pagerank",
-            HaloKernel::Clustering => "clustering",
-            HaloKernel::Bfs { .. } => "bfs",
-        }
-    }
-}
-
-/// The phase of one `halo` interaction.  A world runs as: optional `feed`
-/// lines installing exchanged ghost values, `step` lines running supersteps
-/// (paged via `page` when a report overflows one line), and `collect` lines
-/// paging the owned final values.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HaloPhase {
-    /// `{"phase": "feed", "values": ["gid:hex", ...]}` — install exchanged
-    /// ghost ranks (global-id addressed) for the upcoming superstep.
-    Feed {
-        /// `id:value` entries ([`ugs_queries::halo::encode_rank`] form).
-        values: Vec<String>,
-    },
-    /// `{"phase": "step", "step": T, "acc": "hex", "values": [...]}` — run
-    /// superstep `T`.  PageRank threads the convergence accumulator `acc`
-    /// through shards; BFS carries routed settlements in `values`.
-    Step {
-        /// Superstep index (step 0 (re-)initialises the world's kernel).
-        step: usize,
-        /// PageRank delta accumulator chained from lower shards.
-        acc: Option<f64>,
-        /// BFS settlements routed to this shard (`id:level` entries).
-        values: Vec<String>,
-    },
-    /// `{"phase": "page", "from": F, "max": M}` — re-read a page of the
-    /// last step's report (idempotent).
-    Page {
-        /// First entry requested.
-        from: usize,
-        /// Maximum entries to return.
-        max: usize,
-    },
-    /// `{"phase": "collect", "from": F, "max": M}` — page the owned final
-    /// values of the current world (triggers the compute for clustering).
-    Collect {
-        /// First entry requested.
-        from: usize,
-        /// Maximum entries to return.
-        max: usize,
-    },
-}
-
-/// The parsed body of a `halo` request: the session identity (job token,
-/// shard role, replay seed/mode, kernel) plus the world cursor and phase.
-/// Every line carries the full identity so a promoted standby can rebuild
-/// the session from any point of the exchange.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HaloRequest {
-    /// Client-chosen session token, scoped to the connection.
-    pub job: String,
-    /// Shard index this worker must own.
-    pub shard: usize,
-    /// Total shard count of the partition.
-    pub shards: usize,
-    /// Batch seed of the shared replay stream (decimal string on the wire,
-    /// as in [`ShardJobRequest::seed`]).
-    pub seed: u64,
-    /// Sampling method of the replayed stream.
-    pub mode: SampleMethod,
-    /// The superstep kernel to drive.
-    pub kernel: HaloKernel,
-    /// World index the phase applies to (monotone per session; a jump
-    /// forward replays the stream, step 0 on the current world restarts it).
-    pub world: usize,
-    /// What to do in this interaction.
-    pub phase: HaloPhase,
+    /// The block geometry.
+    pub plan: BlockPlan,
+    /// This job's fleet slot.
+    pub slot: usize,
+    /// Fleet size (the stride between this job's blocks).
+    pub slots: usize,
+    /// Epochs to run before answering.
+    pub epochs: usize,
+    /// Export the partials after the last epoch instead of pausing.
+    pub finish: bool,
 }
 
 /// A typed protocol error: the code plus the message the client sees.
@@ -282,24 +183,27 @@ fn check_fields(value: &Value, allowed: &[&str], what: &str) -> Result<(), Reque
     Ok(())
 }
 
-/// Records returned by a `boundary` read when the request names no `max`.
-pub const DEFAULT_BOUNDARY_PAGE: usize = 512;
-
-fn job_token(value: &Value) -> Result<String, RequestError> {
-    match value.get_str("job") {
-        Some(token) if !token.is_empty() => Ok(token.to_string()),
-        _ => Err((
-            ErrorCode::BadRequest,
-            "field \"job\" must be a non-empty string token".to_string(),
-        )),
-    }
-}
-
 fn required_usize(value: &Value, field: &str) -> Result<usize, RequestError> {
     value.get_usize(field).ok_or_else(|| {
         (
             ErrorCode::BadRequest,
             format!("field {field:?} must be a non-negative integer"),
+        )
+    })
+}
+
+fn optional_usize(value: &Value, field: &str, default: usize) -> Result<usize, RequestError> {
+    match value.get(field) {
+        None => Ok(default),
+        Some(_) => required_usize(value, field),
+    }
+}
+
+fn required_bool(value: &Value, field: &str) -> Result<bool, RequestError> {
+    value.get(field).and_then(Value::as_bool).ok_or_else(|| {
+        (
+            ErrorCode::BadRequest,
+            format!("field {field:?} must be a boolean"),
         )
     })
 }
@@ -311,35 +215,6 @@ fn job_id(value: &Value) -> Result<u64, RequestError> {
             "field \"job\" must be a non-negative integer".to_string(),
         )
     })
-}
-
-fn page_window(value: &Value) -> Result<(usize, usize), RequestError> {
-    let from = required_usize(value, "from")?;
-    let max = match value.get("max") {
-        None => DEFAULT_BOUNDARY_PAGE,
-        Some(_) => required_usize(value, "max")?,
-    };
-    Ok((from, max))
-}
-
-fn string_array(value: &Value, field: &str) -> Result<Vec<String>, RequestError> {
-    let Some(entries) = value.get(field) else {
-        return Ok(Vec::new());
-    };
-    entries
-        .as_array()
-        .and_then(|items| {
-            items
-                .iter()
-                .map(|item| item.as_str().map(str::to_string))
-                .collect::<Option<Vec<String>>>()
-        })
-        .ok_or_else(|| {
-            (
-                ErrorCode::BadRequest,
-                format!("field {field:?} must be an array of strings"),
-            )
-        })
 }
 
 fn wire_seed(value: &Value) -> Result<u64, RequestError> {
@@ -364,117 +239,96 @@ fn wire_mode(value: &Value) -> Result<SampleMethod, RequestError> {
     })
 }
 
-fn halo_kernel(value: &Value) -> Result<HaloKernel, RequestError> {
-    let kernel = value.get("kernel").ok_or_else(|| {
-        (
-            ErrorCode::BadRequest,
-            "a halo request requires an object field \"kernel\"".to_string(),
-        )
-    })?;
-    let kind = kernel.get_str("type").ok_or_else(|| {
-        (
-            ErrorCode::BadRequest,
-            "a halo kernel requires a string field \"type\"".to_string(),
-        )
-    })?;
-    match kind {
-        "pagerank" => {
-            check_fields(kernel, &["type", "damping"], "a pagerank halo kernel")?;
-            let damping = kernel
-                .get_str("damping")
-                .ok_or(())
-                .and_then(|hex| f64_from_hex(hex).map_err(|_| ()))
-                .map_err(|()| {
-                    (
-                        ErrorCode::BadRequest,
-                        "field \"damping\" must be 16 hex digits of f64 bits".to_string(),
-                    )
-                })?;
-            Ok(HaloKernel::PageRank { damping })
-        }
-        "clustering" => {
-            check_fields(kernel, &["type"], "a clustering halo kernel")?;
-            Ok(HaloKernel::Clustering)
-        }
-        "bfs" => {
-            check_fields(kernel, &["type", "source"], "a bfs halo kernel")?;
-            Ok(HaloKernel::Bfs {
-                source: required_usize(kernel, "source")?,
-            })
-        }
-        other => Err((
-            ErrorCode::BadRequest,
-            format!("unknown halo kernel {other:?}; expected pagerank|clustering|bfs"),
-        )),
-    }
-}
+/// Longest epoch a world-block job may pause after: a paused job holds the
+/// epoch's tracked statistics until they are paged out, so this bounds that
+/// buffer (2²⁰ worlds × one `f64` per tracked query).
+pub const MAX_PAUSE_WORLDS: usize = 1 << 20;
 
-/// Fields common to every `halo` phase.
-const HALO_FIELDS: &[&str] = &[
-    "op", "job", "shard", "shards", "seed", "mode", "kernel", "world", "phase",
+/// Fields of a `world_block` request that starts a job.
+const BLOCK_FIELDS: &[&str] = &[
+    "op", "queries", "mode", "seed", "worlds", "epoch", "blocks", "slot", "slots", "epochs",
+    "finish",
 ];
 
-fn halo_request(value: &Value) -> Result<Request, RequestError> {
-    let phase_name = value.get_str("phase").ok_or_else(|| {
-        (
-            ErrorCode::BadRequest,
-            "a halo request requires a string field \"phase\"".to_string(),
-        )
-    })?;
-    // Per-phase strict field lists: the phase decides which extras exist.
-    let (extra, what): (&[&str], &str) = match phase_name {
-        "feed" => (&["values"], "a halo feed request"),
-        "step" => (&["step", "acc", "values"], "a halo step request"),
-        "page" => (&["from", "max"], "a halo page request"),
-        "collect" => (&["from", "max"], "a halo collect request"),
-        other => {
-            return Err((
+fn bad_geometry(message: String) -> RequestError {
+    (ErrorCode::BadRequest, message)
+}
+
+fn world_block(value: &Value) -> Result<Request, RequestError> {
+    if value.get("job").is_some() {
+        check_fields(
+            value,
+            &["op", "job", "epochs", "finish"],
+            "a world_block advance",
+        )?;
+        return Ok(Request::Advance {
+            job: job_id(value)?,
+            epochs: required_usize(value, "epochs")?,
+            finish: required_bool(value, "finish")?,
+        });
+    }
+    check_fields(value, BLOCK_FIELDS, "a world_block request")?;
+    let queries = value
+        .get("queries")
+        .and_then(Value::as_array)
+        .filter(|queries| !queries.is_empty())
+        .ok_or_else(|| {
+            (
                 ErrorCode::BadRequest,
-                format!("unknown halo phase {other:?}; expected feed|step|page|collect"),
-            ))
-        }
-    };
-    let allowed: Vec<&str> = HALO_FIELDS.iter().chain(extra.iter()).copied().collect();
-    check_fields(value, &allowed, what)?;
-    let phase = match phase_name {
-        "feed" => HaloPhase::Feed {
-            values: string_array(value, "values")?,
-        },
-        "step" => {
-            let acc = match value.get_str("acc") {
-                None => None,
-                Some(hex) => Some(f64_from_hex(hex).map_err(|_| {
-                    (
-                        ErrorCode::BadRequest,
-                        "field \"acc\" must be 16 hex digits of f64 bits".to_string(),
-                    )
-                })?),
-            };
-            HaloPhase::Step {
-                step: required_usize(value, "step")?,
-                acc,
-                values: string_array(value, "values")?,
-            }
-        }
-        "page" => {
-            let (from, max) = page_window(value)?;
-            HaloPhase::Page { from, max }
-        }
-        "collect" => {
-            let (from, max) = page_window(value)?;
-            HaloPhase::Collect { from, max }
-        }
-        _ => unreachable!("phase name matched above"),
-    };
-    Ok(Request::Halo(HaloRequest {
-        job: job_token(value)?,
-        shard: required_usize(value, "shard")?,
-        shards: required_usize(value, "shards")?,
-        seed: wire_seed(value)?,
+                "a world_block request requires a non-empty array field \"queries\"".to_string(),
+            )
+        })?
+        .iter()
+        .enumerate()
+        .map(|(index, entry)| {
+            QuerySpec::parse(entry)
+                .map_err(|error| (ErrorCode::Plan, format!("queries[{index}]: {error}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let worlds = required_usize(value, "worlds")?;
+    let epoch = required_usize(value, "epoch")?;
+    let blocks = required_usize(value, "blocks")?;
+    let slot = required_usize(value, "slot")?;
+    let slots = required_usize(value, "slots")?;
+    let epochs = required_usize(value, "epochs")?;
+    let finish = required_bool(value, "finish")?;
+    if worlds == 0 || epoch == 0 || blocks == 0 || blocks > worlds {
+        return Err(bad_geometry(format!(
+            "world_block needs 1 <= blocks <= worlds and epoch >= 1 \
+             (worlds {worlds}, epoch {epoch}, blocks {blocks})"
+        )));
+    }
+    if slot >= slots || slot >= blocks {
+        return Err(bad_geometry(format!(
+            "slot {slot} holds no block of {blocks} over {slots} slots"
+        )));
+    }
+    let plan = BlockPlan::adaptive(worlds, epoch, blocks);
+    if epochs == 0 || epochs > plan.num_epochs() {
+        return Err(bad_geometry(format!(
+            "epochs must be in 1..={} for {worlds} worlds in epochs of {epoch}, got {epochs}",
+            plan.num_epochs()
+        )));
+    }
+    if !finish && epoch > MAX_PAUSE_WORLDS {
+        // Well-formed but over this server's bound: a `plan` refusal, which
+        // no retry can change.
+        return Err((
+            ErrorCode::Plan,
+            format!(
+                "a pausing world_block epoch holds at most {MAX_PAUSE_WORLDS} worlds, got {epoch}"
+            ),
+        ));
+    }
+    Ok(Request::WorldBlock(BlockRequest {
+        queries,
         mode: wire_mode(value)?,
-        kernel: halo_kernel(value)?,
-        world: required_usize(value, "world")?,
-        phase,
+        seed: wire_seed(value)?,
+        plan,
+        slot,
+        slots,
+        epochs,
+        finish,
     }))
 }
 
@@ -523,8 +377,19 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             Ok(Request::Submit(plan))
         }
         "poll" => {
-            check_fields(&value, &["op", "job"], "a poll request")?;
-            Ok(Request::Poll(job_id(&value)?))
+            check_fields(&value, &["op", "job", "from", "max"], "a poll request")?;
+            let max = optional_usize(&value, "max", usize::MAX)?;
+            if max == 0 {
+                return Err((
+                    ErrorCode::BadRequest,
+                    "field \"max\" must be at least 1".to_string(),
+                ));
+            }
+            Ok(Request::Poll {
+                job: job_id(&value)?,
+                from: optional_usize(&value, "from", 0)?,
+                max,
+            })
         }
         "cancel" => {
             check_fields(&value, &["op", "job"], "a cancel request")?;
@@ -542,43 +407,12 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             check_fields(&value, &["op"], "a shutdown request")?;
             Ok(Request::Shutdown)
         }
-        "shard_submit" => {
-            check_fields(
-                &value,
-                &["op", "job", "shard", "shards", "worlds", "seed", "mode"],
-                "a shard_submit request",
-            )?;
-            Ok(Request::ShardSubmit(ShardJobRequest {
-                job: job_token(&value)?,
-                shard: required_usize(&value, "shard")?,
-                shards: required_usize(&value, "shards")?,
-                worlds: required_usize(&value, "worlds")?,
-                seed: wire_seed(&value)?,
-                mode: wire_mode(&value)?,
-            }))
-        }
-        "halo" => halo_request(&value),
-        "boundary" => {
-            check_fields(&value, &["op", "job", "from", "max"], "a boundary request")?;
-            let job = job_token(&value)?;
-            let from = required_usize(&value, "from")?;
-            let max = match value.get("max") {
-                None => DEFAULT_BOUNDARY_PAGE,
-                Some(_) => required_usize(&value, "max")?,
-            };
-            Ok(Request::Boundary { job, from, max })
-        }
-        "shard_result" => {
-            check_fields(&value, &["op", "job"], "a shard_result request")?;
-            Ok(Request::ShardResult {
-                job: job_token(&value)?,
-            })
-        }
+        "world_block" => world_block(&value),
         other => Err((
             ErrorCode::UnknownOp,
             format!(
                 "unknown op {other:?}; expected submit|poll|cancel|stats|ping|shutdown|\
-                 shard_submit|boundary|shard_result|halo"
+                 world_block"
             ),
         )),
     }
@@ -627,7 +461,19 @@ mod tests {
         }
         assert_eq!(
             parse_request(r#"{"op": "poll", "job": 3}"#).unwrap(),
-            Request::Poll(3)
+            Request::Poll {
+                job: 3,
+                from: 0,
+                max: usize::MAX,
+            }
+        );
+        assert_eq!(
+            parse_request(r#"{"op": "poll", "job": 3, "from": 10, "max": 5}"#).unwrap(),
+            Request::Poll {
+                job: 3,
+                from: 10,
+                max: 5,
+            }
         );
         assert_eq!(
             parse_request(r#"{"op": "cancel", "job": 0}"#).unwrap(),
@@ -641,219 +487,123 @@ mod tests {
         );
     }
 
+    /// A valid `world_block` line with one field replaced.
+    fn block_line<'a>(field: &'a str, value: &'a str) -> String {
+        let mut fields: Vec<(&str, &str)> = vec![
+            (
+                "queries",
+                r#"[{"type": "connectivity"}, {"type": "pagerank"}]"#,
+            ),
+            ("mode", r#""skip""#),
+            ("seed", r#""18446744073709551615""#),
+            ("worlds", "100"),
+            ("epoch", "32"),
+            ("blocks", "3"),
+            ("slot", "1"),
+            ("slots", "2"),
+            ("epochs", "2"),
+            ("finish", "false"),
+        ];
+        match fields.iter_mut().find(|entry| entry.0 == field) {
+            Some(entry) => entry.1 = value,
+            None if !field.is_empty() => fields.push((field, value)),
+            None => {}
+        }
+        let body: Vec<String> = fields
+            .iter()
+            .filter(|(_, value)| !value.is_empty())
+            .map(|(key, value)| format!(r#""{key}": {value}"#))
+            .collect();
+        format!(r#"{{"op": "world_block", {}}}"#, body.join(", "))
+    }
+
     #[test]
-    fn shard_ops_parse_with_string_seeds_and_defaults() {
-        let submit = parse_request(concat!(
-            r#"{"op": "shard_submit", "job": "t1", "shard": 1, "shards": 4,"#,
-            r#" "worlds": 200, "seed": "18446744073709551615", "mode": "skip"}"#,
-        ))
-        .unwrap();
-        assert_eq!(
-            submit,
-            Request::ShardSubmit(ShardJobRequest {
-                job: "t1".to_string(),
-                shard: 1,
-                shards: 4,
-                worlds: 200,
-                seed: u64::MAX,
-                mode: SampleMethod::Skip,
-            })
-        );
-        // `mode` defaults to auto; `max` defaults to the standard page size.
-        let submit = parse_request(concat!(
-            r#"{"op": "shard_submit", "job": "t2", "shard": 0, "shards": 1,"#,
-            r#" "worlds": 8, "seed": "7"}"#,
-        ))
-        .unwrap();
-        match submit {
-            Request::ShardSubmit(request) => assert_eq!(request.mode, SampleMethod::Auto),
+    fn world_block_requests_parse_with_string_seeds() {
+        match parse_request(&block_line("", "")).unwrap() {
+            Request::WorldBlock(request) => {
+                assert_eq!(request.queries.len(), 2);
+                assert_eq!(request.mode, SampleMethod::Skip);
+                assert_eq!(request.seed, u64::MAX);
+                assert_eq!(request.plan, BlockPlan::adaptive(100, 32, 3));
+                assert_eq!((request.slot, request.slots), (1, 2));
+                assert_eq!((request.epochs, request.finish), (2, false));
+            }
+            other => panic!("unexpected request {other:?}"),
+        }
+        // `mode` defaults to auto.
+        match parse_request(&block_line("mode", "")).unwrap() {
+            Request::WorldBlock(request) => assert_eq!(request.mode, SampleMethod::Auto),
             other => panic!("unexpected request {other:?}"),
         }
         assert_eq!(
-            parse_request(r#"{"op": "boundary", "job": "t1", "from": 64, "max": 32}"#).unwrap(),
-            Request::Boundary {
-                job: "t1".to_string(),
-                from: 64,
-                max: 32,
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op": "boundary", "job": "t1", "from": 0}"#).unwrap(),
-            Request::Boundary {
-                job: "t1".to_string(),
-                from: 0,
-                max: DEFAULT_BOUNDARY_PAGE,
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op": "shard_result", "job": "t1"}"#).unwrap(),
-            Request::ShardResult {
-                job: "t1".to_string(),
+            parse_request(r#"{"op": "world_block", "job": 4, "epochs": 3, "finish": true}"#)
+                .unwrap(),
+            Request::Advance {
+                job: 4,
+                epochs: 3,
+                finish: true,
             }
         );
     }
 
     #[test]
-    fn malformed_shard_ops_are_typed_errors() {
-        let cases: [(&str, ErrorCode); 6] = [
+    fn malformed_world_block_requests_are_typed_errors() {
+        let pause_epoch = (MAX_PAUSE_WORLDS + 1).to_string();
+        let cases: Vec<(String, ErrorCode)> = vec![
             // A numeric seed is rejected: it must travel as a decimal string.
+            (block_line("seed", "7"), ErrorCode::BadRequest),
+            (block_line("seed", r#""-1""#), ErrorCode::BadRequest),
+            (block_line("mode", r#""warp""#), ErrorCode::BadRequest),
+            (block_line("queries", "[]"), ErrorCode::BadRequest),
             (
-                concat!(
-                    r#"{"op": "shard_submit", "job": "t", "shard": 0, "shards": 1,"#,
-                    r#" "worlds": 8, "seed": 7}"#,
-                ),
+                block_line("queries", r#"[{"type": "warp"}]"#),
+                ErrorCode::Plan,
+            ),
+            (block_line("worlds", "0"), ErrorCode::BadRequest),
+            (block_line("epoch", "0"), ErrorCode::BadRequest),
+            (block_line("blocks", "0"), ErrorCode::BadRequest),
+            (block_line("blocks", "101"), ErrorCode::BadRequest),
+            (block_line("slot", "2"), ErrorCode::BadRequest),
+            (block_line("slots", "0"), ErrorCode::BadRequest),
+            (block_line("epochs", "0"), ErrorCode::BadRequest),
+            (block_line("epochs", "5"), ErrorCode::BadRequest),
+            (block_line("finish", "1"), ErrorCode::BadRequest),
+            (block_line("worlds", "1.5"), ErrorCode::BadRequest),
+            (block_line("budget", "5"), ErrorCode::BadRequest),
+            (
+                r#"{"op": "world_block", "job": 4, "epochs": 3}"#.to_string(),
                 ErrorCode::BadRequest,
             ),
             (
-                concat!(
-                    r#"{"op": "shard_submit", "job": "", "shard": 0, "shards": 1,"#,
-                    r#" "worlds": 8, "seed": "7"}"#,
-                ),
+                r#"{"op": "world_block", "job": 4, "epochs": 3, "finish": true, "slot": 0}"#
+                    .to_string(),
                 ErrorCode::BadRequest,
             ),
             (
-                concat!(
-                    r#"{"op": "shard_submit", "job": "t", "shard": 0, "shards": 1,"#,
-                    r#" "worlds": 8, "seed": "7", "mode": "warp"}"#,
-                ),
+                r#"{"op": "poll", "job": 1, "max": 0}"#.to_string(),
                 ErrorCode::BadRequest,
             ),
             (
-                concat!(
-                    r#"{"op": "shard_submit", "job": "t", "shard": 0, "shards": 1,"#,
-                    r#" "worlds": 8, "seed": "7", "budget": 5}"#,
-                ),
+                r#"{"op": "poll", "job": 1, "from": -1}"#.to_string(),
                 ErrorCode::BadRequest,
             ),
-            (r#"{"op": "boundary", "job": "t"}"#, ErrorCode::BadRequest),
-            (r#"{"op": "shard_result"}"#, ErrorCode::BadRequest),
         ];
         for (line, expected) in cases {
-            let (code, message) = parse_request(line).unwrap_err();
+            let (code, message) = parse_request(&line).unwrap_err();
             assert_eq!(code, expected, "{line}: {message}");
         }
-    }
-
-    #[test]
-    fn halo_requests_parse_with_typed_kernels_and_phases() {
-        let step = parse_request(concat!(
-            r#"{"op": "halo", "job": "h0", "shard": 1, "shards": 2, "seed": "9","#,
-            r#" "mode": "skip", "kernel": {"type": "pagerank", "damping": "3feb333333333333"},"#,
-            r#" "world": 4, "phase": "step", "step": 0, "acc": "0000000000000000"}"#,
-        ))
-        .unwrap();
-        match step {
-            Request::Halo(request) => {
-                assert_eq!(request.job, "h0");
-                assert_eq!((request.shard, request.shards, request.world), (1, 2, 4));
-                assert_eq!(request.seed, 9);
-                assert_eq!(request.mode, SampleMethod::Skip);
-                match request.kernel {
-                    HaloKernel::PageRank { damping } => {
-                        assert_eq!(damping.to_bits(), 0.85f64.to_bits());
-                    }
-                    other => panic!("unexpected kernel {other:?}"),
-                }
-                assert_eq!(
-                    request.phase,
-                    HaloPhase::Step {
-                        step: 0,
-                        acc: Some(0.0),
-                        values: Vec::new(),
-                    }
-                );
-            }
-            other => panic!("unexpected request {other:?}"),
-        }
-        let feed = parse_request(concat!(
-            r#"{"op": "halo", "job": "h0", "shard": 0, "shards": 2, "seed": "9","#,
-            r#" "mode": "auto", "kernel": {"type": "bfs", "source": 3}, "world": 0,"#,
-            r#" "phase": "step", "step": 2, "values": ["5:1", "7:2"]}"#,
-        ))
-        .unwrap();
-        match feed {
-            Request::Halo(request) => {
-                assert_eq!(request.kernel, HaloKernel::Bfs { source: 3 });
-                assert_eq!(
-                    request.phase,
-                    HaloPhase::Step {
-                        step: 2,
-                        acc: None,
-                        values: vec!["5:1".to_string(), "7:2".to_string()],
-                    }
-                );
-            }
-            other => panic!("unexpected request {other:?}"),
-        }
-        let collect = parse_request(concat!(
-            r#"{"op": "halo", "job": "cc", "shard": 0, "shards": 2, "seed": "1","#,
-            r#" "mode": "per-edge", "kernel": {"type": "clustering"}, "world": 7,"#,
-            r#" "phase": "collect", "from": 0}"#,
-        ))
-        .unwrap();
-        match collect {
-            Request::Halo(request) => {
-                assert_eq!(request.kernel, HaloKernel::Clustering);
-                assert_eq!(
-                    request.phase,
-                    HaloPhase::Collect {
-                        from: 0,
-                        max: DEFAULT_BOUNDARY_PAGE,
-                    }
-                );
-            }
-            other => panic!("unexpected request {other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_halo_requests_are_typed_errors() {
-        let cases: &[&str] = &[
-            // Phase-inappropriate extras are rejected per phase.
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
-                r#" "kernel": {"type": "clustering"}, "world": 0, "phase": "collect","#,
-                r#" "from": 0, "acc": "0000000000000000"}"#,
-            ),
-            // Unknown phase.
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
-                r#" "kernel": {"type": "clustering"}, "world": 0, "phase": "warp"}"#,
-            ),
-            // Unknown kernel, unknown kernel field, malformed damping.
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
-                r#" "kernel": {"type": "warp"}, "world": 0, "phase": "step", "step": 0}"#,
-            ),
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
-                r#" "kernel": {"type": "clustering", "k": 2}, "world": 0, "phase": "step","#,
-                r#" "step": 0}"#,
-            ),
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
-                r#" "kernel": {"type": "pagerank", "damping": "0.85"}, "world": 0,"#,
-                r#" "phase": "step", "step": 0}"#,
-            ),
-            // A numeric seed, a missing world, a non-string values entry.
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": 1,"#,
-                r#" "kernel": {"type": "clustering"}, "world": 0, "phase": "collect", "from": 0}"#,
-            ),
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
-                r#" "kernel": {"type": "clustering"}, "phase": "collect", "from": 0}"#,
-            ),
-            concat!(
-                r#"{"op": "halo", "job": "h", "shard": 0, "shards": 1, "seed": "1","#,
-                r#" "kernel": {"type": "bfs", "source": 0}, "world": 0, "phase": "step","#,
-                r#" "step": 0, "values": [5]}"#,
-            ),
-        ];
-        for line in cases {
-            let (code, message) = parse_request(line).unwrap_err();
-            assert_eq!(code, ErrorCode::BadRequest, "{line}: {message}");
-        }
+        // An epoch past the pause bound is a `plan` refusal for a pausing
+        // job; a fixed plan's one-epoch job may be arbitrarily long: it
+        // never pauses, so it holds no statistics.
+        let long = |finish: bool| {
+            format!(
+                r#"{{"op": "world_block", "queries": [{{"type": "connectivity"}}], "seed": "1",
+                    "worlds": {pause_epoch}, "epoch": {pause_epoch}, "blocks": 1, "slot": 0,
+                    "slots": 1, "epochs": 1, "finish": {finish}}}"#
+            )
+        };
+        assert_eq!(parse_request(&long(false)).unwrap_err().0, ErrorCode::Plan);
+        assert!(parse_request(&long(true)).is_ok());
     }
 
     #[test]

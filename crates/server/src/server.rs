@@ -15,7 +15,11 @@
 //!   ([`QueryPlan::execute_detailed_with_cancel`], the deterministic-replay
 //!   path) under `catch_unwind`, so a kernel panic answers `internal`
 //!   instead of killing the executor, then inserts the answers into the
-//!   shared cache and hands them back over a per-job channel.
+//!   shared cache — each entry sized before the cache lock is taken — and
+//!   hands them back over a per-job channel.  A `world_block` job runs its
+//!   fleet slot's blocks ([`SlotRun`]) on one executor the same way; an
+//!   adaptive job keeps that executor (and its registries) between epochs,
+//!   parked on its connection's advance channel.
 //!
 //! ## Admission control
 //!
@@ -46,18 +50,25 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use minijson::{ObjBuilder, Value};
+use ugs_queries::batch::BoxedObserver;
+use ugs_queries::partial::encode_value;
+use ugs_queries::{BlockPlan, BlockWatch, SlotRun, WorldEngine};
 use ugs_service::{QueryAnswer, QueryPlan, ServiceError};
-use uncertain_graph::{GraphPartition, UncertainGraph};
+use uncertain_graph::UncertainGraph;
 
 use crate::cache::{query_key, CacheStats, ResultCache};
+use crate::client::MAX_RESPONSE_BYTES;
 use crate::fault::{FaultClock, FaultKind, FaultPlan};
-use crate::halo::{HaloEnv, HaloSession};
 use crate::line::{read_limited_line, LineRead};
 use crate::protocol::{
-    error_line, finish_ok, ok_builder, parse_request, ErrorCode, Request, ShardJobRequest,
+    error_line, finish_ok, ok_builder, parse_request, BlockRequest, ErrorCode, Request,
     MAX_LINE_BYTES,
 };
-use crate::shard::{ShardJob, ShardOutcome};
+
+/// Byte budget of one page of world-block output values: what fits in a
+/// response line a [`crate::LineClient`] accepts, less room for the
+/// envelope.
+const PAGE_BYTES: usize = MAX_RESPONSE_BYTES - 4096;
 
 /// Tunables of one [`serve`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,11 +91,12 @@ pub struct ServerConfig {
     /// *before* cache-key computation, so the key always reflects the
     /// thread count that actually ran.
     pub max_plan_threads: usize,
-    /// `Some((index, total))` runs the server as a **shard worker**: it
-    /// builds the contiguous `total`-shard partition of its graph, holds
-    /// shard `index`'s CSR state, and accepts the `shard_submit` /
-    /// `boundary` / `shard_result` ops.  `None` (the default) serves the
-    /// ordinary plan ops only.
+    /// `Some((slot, slots))` declares the server a **fleet worker**: slot
+    /// `slot` of a `slots`-worker fleet.  `stats` reports the role, so a
+    /// coordinator can check the fleet is wired as intended when it
+    /// connects and when it promotes a standby.  The role builds no state
+    /// of its own — every server holds the full graph and answers
+    /// `world_block` for any slot.  `None` (the default) declares none.
     pub shard: Option<(usize, usize)>,
     /// Byte cap on one request line (excluding the newline).  A longer
     /// line is answered with a typed `bad_request` — without ever being
@@ -111,13 +123,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// The worker identity of a server started with [`ServerConfig::shard`].
-struct ShardRole {
-    index: usize,
-    shards: usize,
-    partition: Arc<GraphPartition>,
-}
-
 /// State shared by every thread of one server.
 struct Shared {
     graph: Arc<UncertainGraph>,
@@ -129,7 +134,6 @@ struct Shared {
     jobs_submitted: AtomicU64,
     jobs_delivered: AtomicU64,
     jobs_cancelled: AtomicU64,
-    shard: Option<ShardRole>,
     /// Jobs accepted by `try_send` and not yet picked up by an executor.
     queue_depth: AtomicUsize,
     /// One flag per executor thread, raised while it runs a plan.
@@ -137,10 +141,6 @@ struct Shared {
     /// Live client connections (the `stats` gauge behind the
     /// shutdown-closes-every-connection guarantee).
     connections: AtomicUsize,
-    /// Live shard sampling jobs across all connections.
-    shard_jobs: AtomicUsize,
-    /// Live ghost-halo exchange sessions across all connections.
-    halo_sessions: AtomicUsize,
     /// Armed fault schedule ([`ServerConfig::fault_plan`]); server-global
     /// so reconnecting clients cannot rewind the op counter.
     faults: Option<FaultClock>,
@@ -163,13 +163,51 @@ impl Shared {
     }
 }
 
-/// One unit of executor work: the (sub-)plan to run, the cache key of each
-/// of its queries, and the reply channel back to the connection.
-struct ExecJob {
+/// One unit of executor work.
+enum Work {
+    /// A submitted (sub-)plan.
+    Plan(PlanJob),
+    /// A world-block job.
+    Blocks(BlockJob),
+}
+
+/// A submitted (sub-)plan: the plan to run, the cache key of each of its
+/// queries, and the reply channel back to the connection.
+struct PlanJob {
     plan: QueryPlan,
     keys: Vec<String>,
     cancelled: Arc<AtomicBool>,
     done_tx: Sender<Vec<Result<QueryAnswer, ServiceError>>>,
+}
+
+/// A world-block job as the executor runs it: the request, its validated
+/// observers, and the channels to its connection.
+struct BlockJob {
+    request: BlockRequest,
+    observers: Vec<BoxedObserver>,
+    watch: Arc<BlockWatch>,
+    out_tx: Sender<Result<BlockOutput, String>>,
+    /// `(epochs, finish)` targets for a paused job.
+    advance_rx: Receiver<(usize, bool)>,
+}
+
+/// What a world-block job hands back after a step: the epochs it has run,
+/// and either the last epoch's tracked statistics (paused) or every
+/// block's partials (finished).
+struct BlockOutput {
+    epochs: usize,
+    partials: bool,
+    values: Vec<f64>,
+}
+
+/// The connection's side of a world-block job.
+struct BlockState {
+    plan: BlockPlan,
+    out_rx: Receiver<Result<BlockOutput, String>>,
+    advance_tx: Sender<(usize, bool)>,
+    watch: Arc<BlockWatch>,
+    /// The step output being paged out, once it arrived.
+    output: Option<BlockOutput>,
 }
 
 /// A connection-local job record.
@@ -186,6 +224,21 @@ enum Job {
         done_rx: Receiver<Vec<Result<QueryAnswer, ServiceError>>>,
         cancelled: Arc<AtomicBool>,
     },
+    /// A world-block job (running, paused or finished).
+    Blocks(BlockState),
+}
+
+impl Job {
+    /// Stops whatever the job still has running: a queued or running
+    /// plan or block job is flagged; a paused block job wakes up to its
+    /// closed advance channel once the job record is dropped.
+    fn abandon(&self) {
+        match self {
+            Job::Ready(_) => {}
+            Job::Running { cancelled, .. } => cancelled.store(true, Ordering::SeqCst),
+            Job::Blocks(state) => state.watch.cancel(),
+        }
+    }
 }
 
 /// A running server; dropping the handle shuts it down gracefully.
@@ -193,7 +246,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     listener: Option<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
-    job_tx: Option<SyncSender<ExecJob>>,
+    job_tx: Option<SyncSender<Work>>,
 }
 
 impl ServerHandle {
@@ -253,28 +306,14 @@ pub fn serve(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let graph = graph.into();
-    let shard = match config.shard {
-        None => None,
-        Some((index, total)) => {
-            if index >= total {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("shard index {index} out of range for {total} shards"),
-                ));
-            }
-            let partition = GraphPartition::contiguous(&graph, total).map_err(|error| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("cannot partition the graph into {total} shards: {error}"),
-                )
-            })?;
-            Some(ShardRole {
-                index,
-                shards: total,
-                partition: Arc::new(partition),
-            })
+    if let Some((slot, slots)) = config.shard {
+        if slot >= slots {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("fleet slot {slot} out of range for {slots} slots"),
+            ));
         }
-    };
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let fingerprint = graph.fingerprint();
@@ -296,12 +335,9 @@ pub fn serve(
         jobs_submitted: AtomicU64::new(0),
         jobs_delivered: AtomicU64::new(0),
         jobs_cancelled: AtomicU64::new(0),
-        shard,
         queue_depth: AtomicUsize::new(0),
         executor_busy,
         connections: AtomicUsize::new(0),
-        shard_jobs: AtomicUsize::new(0),
-        halo_sessions: AtomicUsize::new(0),
         faults,
     });
     let (job_tx, job_rx) = mpsc::sync_channel(shared.config.queue_capacity.max(1));
@@ -328,7 +364,7 @@ pub fn serve(
 
 /// Accepts connections until the stop flag flips, then closes every client
 /// socket and joins the connection threads.
-fn listener_loop(listener: TcpListener, shared: &Arc<Shared>, job_tx: &SyncSender<ExecJob>) {
+fn listener_loop(listener: TcpListener, shared: &Arc<Shared>, job_tx: &SyncSender<Work>) {
     let mut connections: Vec<(Option<TcpStream>, JoinHandle<()>)> = Vec::new();
     for incoming in listener.incoming() {
         if shared.stopping() {
@@ -369,45 +405,120 @@ fn listener_loop(listener: TcpListener, shared: &Arc<Shared>, job_tx: &SyncSende
 }
 
 /// Drains the submission queue; exits when every sender is gone.
-fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<ExecJob>>, slot: usize) {
+fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<Work>>, slot: usize) {
     loop {
         // Holding the lock across `recv` is the queue hand-off: exactly one
         // idle executor waits at a time, and it releases the lock before
         // running the job so the others can pick up the next one.
-        let job = match job_rx.lock() {
+        let work = match job_rx.lock() {
             Ok(guard) => guard.recv(),
             Err(_) => return,
         };
-        let Ok(job) = job else { return };
+        let Ok(work) = work else { return };
         shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        if job.cancelled.load(Ordering::SeqCst) || shared.stopping() {
+        let abandoned = match &work {
+            Work::Plan(job) => job.cancelled.load(Ordering::SeqCst),
+            Work::Blocks(job) => job.watch.is_cancelled(),
+        };
+        if abandoned || shared.stopping() {
             // Cancelled while queued (or the server is draining for
-            // shutdown): never execute.  Dropping `done_tx` disconnects the
-            // job's channel, which polls surface as a typed error.
+            // shutdown): never execute.  Dropping the reply sender
+            // disconnects the job's channel, which polls surface as a
+            // typed error.
             continue;
         }
         shared.executor_busy[slot].store(true, Ordering::SeqCst);
-        // The cancel flag reaches the adaptive driver's epoch checkpoints:
-        // cancelling a running adaptive plan aborts it between epochs
-        // instead of burning the full world budget.
-        let answers = run_isolated(&job.plan, || {
-            job.plan.execute_detailed_with_cancel(
-                Arc::clone(&shared.graph),
-                Some(Arc::clone(&job.cancelled)),
-            )
-        });
-        shared.executor_busy[slot].store(false, Ordering::SeqCst);
-        if !job.cancelled.load(Ordering::SeqCst) {
-            // A cancelled adaptive run stopped early: its answers reflect a
-            // truncated world stream and must not be cached.
-            let mut cache = shared.cache.lock().expect("cache poisoned");
-            for (key, outcome) in job.keys.iter().zip(&answers) {
-                if let Ok(answer) = outcome {
-                    cache.insert(key.clone(), answer.clone());
+        match work {
+            Work::Plan(job) => run_plan(shared, job),
+            Work::Blocks(job) => {
+                let out_tx = job.out_tx.clone();
+                if catch_unwind(AssertUnwindSafe(|| run_blocks(&shared.graph, job))).is_err() {
+                    let _ = out_tx.send(Err("the query kernel panicked".to_string()));
                 }
             }
         }
-        let _ = job.done_tx.send(answers);
+        shared.executor_busy[slot].store(false, Ordering::SeqCst);
+    }
+}
+
+/// Runs one submitted plan, caches its answers and sends them back.
+fn run_plan(shared: &Shared, job: PlanJob) {
+    // The cancel flag reaches the adaptive driver's epoch checkpoints:
+    // cancelling a running adaptive plan aborts it between epochs instead
+    // of burning the full world budget.
+    let answers = run_isolated(&job.plan, || {
+        job.plan.execute_detailed_with_cancel(
+            Arc::clone(&shared.graph),
+            Some(Arc::clone(&job.cancelled)),
+        )
+    });
+    if !job.cancelled.load(Ordering::SeqCst) {
+        // A cancelled adaptive run stopped early: its answers reflect a
+        // truncated world stream and must not be cached.  Entries are
+        // sized (which renders each answer) before the lock is taken, so
+        // lookups on other connections never wait on a render.
+        let sized: Vec<(String, QueryAnswer, usize)> = job
+            .keys
+            .iter()
+            .zip(&answers)
+            .filter_map(|(key, outcome)| {
+                let answer = outcome.as_ref().ok()?;
+                let bytes = ResultCache::entry_bytes(key, answer);
+                Some((key.clone(), answer.clone(), bytes))
+            })
+            .collect();
+        let mut cache = shared.cache.lock().expect("cache poisoned");
+        for (key, answer, bytes) in sized {
+            cache.insert_sized(key, answer, bytes);
+        }
+    }
+    let _ = job.done_tx.send(answers);
+}
+
+/// Runs one world-block job: epochs up to each target, pausing with the
+/// last epoch's tracked statistics until the connection advances it, then
+/// exporting every block's partials.  A cancelled watch or a closed
+/// channel (the connection is gone) ends the job silently.
+fn run_blocks(graph: &UncertainGraph, job: BlockJob) {
+    let request = &job.request;
+    let engine = WorldEngine::new(graph).with_method(request.mode);
+    let mut run = SlotRun::new(
+        &engine,
+        request.seed,
+        request.plan,
+        request.slot,
+        request.slots,
+        job.observers,
+    );
+    let (mut epochs, mut finish) = (request.epochs, request.finish);
+    let mut stats = Vec::new();
+    loop {
+        while run.epochs_run() < epochs {
+            stats.clear();
+            let last = run.epochs_run() + 1 == epochs;
+            let wanted = (last && !finish).then_some(&mut stats);
+            if !run.run_epoch(wanted, Some(&job.watch)) {
+                return;
+            }
+        }
+        let mut values = Vec::new();
+        if finish {
+            run.export_partials(&mut values);
+        } else {
+            std::mem::swap(&mut values, &mut stats);
+        }
+        let output = BlockOutput {
+            epochs,
+            partials: finish,
+            values,
+        };
+        if job.out_tx.send(Ok(output)).is_err() || finish {
+            return;
+        }
+        match job.advance_rx.recv() {
+            Ok(target) => (epochs, finish) = target,
+            Err(_) => return,
+        }
     }
 }
 
@@ -426,7 +537,7 @@ fn run_isolated(
 
 /// One client connection: read a line, answer a line, forever; every
 /// failure is a typed error response and the loop continues.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSender<ExecJob>) {
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSender<Work>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -434,8 +545,6 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSende
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut jobs: HashMap<u64, Job> = HashMap::new();
-    let mut shard_jobs: HashMap<String, ShardJob> = HashMap::new();
-    let mut halo_sessions: HashMap<String, HaloSession<'_>> = HashMap::new();
     let mut next_job: u64 = 1;
     let cap = shared.config.max_line_bytes.max(1);
     loop {
@@ -474,15 +583,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSende
                 Some(FaultKind::Garble) => garble = true,
             }
         }
-        let outcome = handle_request(
-            trimmed,
-            shared,
-            job_tx,
-            &mut jobs,
-            &mut shard_jobs,
-            &mut halo_sessions,
-            &mut next_job,
-        );
+        let outcome = handle_request(trimmed, shared, job_tx, &mut jobs, &mut next_job);
         let (mut response, stop_after) = match outcome {
             Outcome::Reply(response) => (response, false),
             Outcome::Shutdown(response) => (response, true),
@@ -507,25 +608,13 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSende
     // explicitly: a client blocked on a response read sees EOF now, not
     // its read timeout.
     let _ = writer.shutdown(Shutdown::Both);
-    // The client is gone: flag its queued jobs so no executor burns worlds
-    // on answers nobody will collect.
-    for job in jobs.into_values() {
-        if let Job::Running { cancelled, .. } = job {
-            cancelled.store(true, Ordering::SeqCst);
-        }
+    // The client is gone: stop every job it still owns, so no executor
+    // burns worlds on answers nobody will collect (dropping the records
+    // closes paused block jobs' advance channels).
+    for job in jobs.values() {
+        job.abandon();
     }
-    // Shard jobs live and die with their connection: dropping the map stops
-    // and joins every sampler thread.
-    shared
-        .shard_jobs
-        .fetch_sub(shard_jobs.len(), Ordering::SeqCst);
-    drop(shard_jobs);
-    // Halo sessions are plain connection-local data: drop them, settle the
-    // gauge.
-    shared
-        .halo_sessions
-        .fetch_sub(halo_sessions.len(), Ordering::SeqCst);
-    drop(halo_sessions);
+    drop(jobs);
     shared.connections.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -536,13 +625,11 @@ enum Outcome {
     Shutdown(String),
 }
 
-fn handle_request<'g>(
+fn handle_request(
     line: &str,
-    shared: &'g Arc<Shared>,
-    job_tx: &SyncSender<ExecJob>,
+    shared: &Arc<Shared>,
+    job_tx: &SyncSender<Work>,
     jobs: &mut HashMap<u64, Job>,
-    shard_jobs: &mut HashMap<String, ShardJob>,
-    halo_sessions: &mut HashMap<String, HaloSession<'g>>,
     next_job: &mut u64,
 ) -> Outcome {
     let request = match parse_request(line) {
@@ -556,16 +643,11 @@ fn handle_request<'g>(
         }
         Request::Stats => stats(shared),
         Request::Submit(plan) => submit(plan, shared, job_tx, jobs, next_job),
-        Request::Poll(id) => poll(id, shared, jobs),
+        Request::Poll { job, from, max } => poll(job, from, max, shared, jobs),
         Request::Cancel(id) => match jobs.remove(&id) {
-            None => error_line(
-                ErrorCode::UnknownJob,
-                &format!("job {id} is not held by this connection"),
-            ),
+            None => unknown_job(id),
             Some(job) => {
-                if let Job::Running { cancelled, .. } = job {
-                    cancelled.store(true, Ordering::SeqCst);
-                }
+                job.abandon();
                 shared.jobs_cancelled.fetch_add(1, Ordering::SeqCst);
                 finish_ok(
                     ok_builder()
@@ -574,86 +656,25 @@ fn handle_request<'g>(
                 )
             }
         },
-        Request::ShardSubmit(request) => shard_submit(request, shared, shard_jobs),
-        Request::Halo(request) => match &shared.shard {
-            None => error_line(
-                ErrorCode::BadRequest,
-                "this server runs no shard role; halo requires a worker (--shard K/N)",
-            ),
-            Some(role) => crate::halo::handle(
-                request,
-                &HaloEnv {
-                    graph: &shared.graph,
-                    partition: &role.partition,
-                    shard: role.index,
-                    shards: role.shards,
-                    budget: shared.config.max_inflight.max(1),
-                    gauge: &shared.halo_sessions,
-                },
-                halo_sessions,
-            ),
-        },
-        Request::Boundary { job, from, max } => match shard_jobs.get(&job) {
-            None => unknown_shard_job(&job),
-            Some(entry) => {
-                if let ShardOutcome::Failed(message) = entry.outcome() {
-                    return Outcome::Reply(error_line(ErrorCode::Internal, &message));
-                }
-                let (records, pos, target) = entry.page(from, max.max(1));
-                let records = Value::Arr(records.into_iter().map(Value::Str).collect());
-                finish_ok(
-                    ok_builder()
-                        .field("job", job.as_str())
-                        .field("from", from)
-                        .field("records", records)
-                        .field("pos", pos)
-                        .field("target", target),
-                )
-            }
-        },
-        Request::ShardResult { job } => match shard_jobs.get(&job) {
-            None => unknown_shard_job(&job),
-            Some(entry) => match entry.outcome() {
-                ShardOutcome::Failed(message) => error_line(ErrorCode::Internal, &message),
-                ShardOutcome::Pending { pos, target } => finish_ok(
-                    ok_builder()
-                        .field("job", job.as_str())
-                        .field("done", false)
-                        .field("pos", pos)
-                        .field("target", target),
-                ),
-                ShardOutcome::Done {
-                    worlds,
-                    hist,
-                    intra,
-                } => {
-                    let counts = |values: Vec<u64>| {
-                        Value::Arr(values.into_iter().map(|v| Value::Num(v as f64)).collect())
-                    };
-                    finish_ok(
-                        ok_builder()
-                            .field("job", job.as_str())
-                            .field("done", true)
-                            .field("worlds", worlds)
-                            .field("hist", counts(hist))
-                            .field("intra", counts(intra)),
-                    )
-                }
-            },
-        },
+        Request::WorldBlock(request) => world_block(request, shared, job_tx, jobs, next_job),
+        Request::Advance {
+            job,
+            epochs,
+            finish,
+        } => advance(job, epochs, finish, jobs),
     })
 }
 
-fn unknown_shard_job(job: &str) -> String {
+fn unknown_job(id: u64) -> String {
     error_line(
         ErrorCode::UnknownJob,
-        &format!("shard job {job:?} is not held by this connection"),
+        &format!("job {id} is not held by this connection"),
     )
 }
 
 /// Renders the `stats` response: job and cache counters, queue depth,
-/// per-executor busy flags, the live-connection gauge, and the shard role
-/// (when the server runs as a worker).
+/// per-executor busy flags, the live-connection gauge, and the fleet role
+/// (when the server declares one).
 fn stats(shared: &Arc<Shared>) -> String {
     let cache = shared.cache.lock().expect("cache poisoned").stats();
     let jobs_obj = ObjBuilder::new()
@@ -696,12 +717,10 @@ fn stats(shared: &Arc<Shared>) -> String {
         .field("queue", queue_obj)
         .field("executors", executors)
         .field("connections", shared.connections.load(Ordering::SeqCst));
-    if let Some(role) = &shared.shard {
+    if let Some((slot, slots)) = shared.config.shard {
         let shard_obj = ObjBuilder::new()
-            .field("shard", role.index)
-            .field("shards", role.shards)
-            .field("jobs", shared.shard_jobs.load(Ordering::SeqCst))
-            .field("halo", shared.halo_sessions.load(Ordering::SeqCst))
+            .field("shard", slot)
+            .field("shards", slots)
             .build();
         builder = builder.field("shard", shard_obj);
     }
@@ -711,99 +730,56 @@ fn stats(shared: &Arc<Shared>) -> String {
     finish_ok(builder)
 }
 
-/// Starts a shard sampling job (or extends a running one): validates the
-/// request against the worker's role, enforces the per-connection job
-/// budget, and spawns the sampler thread.
-fn shard_submit(
-    request: ShardJobRequest,
-    shared: &Arc<Shared>,
-    shard_jobs: &mut HashMap<String, ShardJob>,
-) -> String {
+/// Admission shared by `submit` and `world_block`: the server is not
+/// stopping and the connection has budget for one more job.
+fn admit(shared: &Shared, jobs: &HashMap<u64, Job>) -> Result<(), String> {
     if shared.stopping() {
-        return error_line(ErrorCode::ShuttingDown, "the server is shutting down");
-    }
-    let Some(role) = &shared.shard else {
-        return error_line(
-            ErrorCode::BadRequest,
-            "this server runs no shard role; start it with a shard index to accept shard jobs",
-        );
-    };
-    if request.shards != role.shards || request.shard != role.index {
-        return error_line(
-            ErrorCode::BadRequest,
-            &format!(
-                "this worker owns shard {}/{}, the request names shard {}/{}",
-                role.index, role.shards, request.shard, request.shards
-            ),
-        );
-    }
-    if let Some(existing) = shard_jobs.get(&request.job) {
-        // Re-submitting the same token is how a coordinator raises the world
-        // target of an adaptive plan; any other parameter change is a
-        // protocol violation (the replay identity must stay fixed).
-        if !existing.matches(&request) {
-            return error_line(
-                ErrorCode::BadRequest,
-                &format!(
-                    "shard job {:?} is already running with different parameters; \
-                     only the world target may change on resubmission",
-                    request.job
-                ),
-            );
-        }
-        existing.raise_target(request.worlds);
-        let (pos, target) = existing.progress();
-        return finish_ok(
-            ok_builder()
-                .field("job", request.job.as_str())
-                .field("accepted", true)
-                .field("pos", pos)
-                .field("target", target),
-        );
+        return Err(error_line(
+            ErrorCode::ShuttingDown,
+            "the server is shutting down",
+        ));
     }
     let budget = shared.config.max_inflight.max(1);
-    if shard_jobs.len() >= budget {
-        return error_line(
+    if jobs.len() >= budget {
+        return Err(error_line(
             ErrorCode::OverBudget,
-            &format!("connection budget of {budget} shard jobs reached"),
-        );
+            &format!("connection budget of {budget} in-flight jobs reached; poll or cancel first"),
+        ));
     }
-    let token = request.job.clone();
-    let target = request.worlds;
-    let job = ShardJob::spawn(
-        Arc::clone(&shared.graph),
-        Arc::clone(&role.partition),
-        request,
-    );
-    shard_jobs.insert(token.clone(), job);
-    shared.shard_jobs.fetch_add(1, Ordering::SeqCst);
-    finish_ok(
-        ok_builder()
-            .field("job", token.as_str())
-            .field("accepted", true)
-            .field("pos", 0usize)
-            .field("target", target),
-    )
+    Ok(())
+}
+
+/// Hands work to the bounded executor queue; a full queue answers
+/// `overloaded` instead of buffering.
+fn enqueue(shared: &Shared, job_tx: &SyncSender<Work>, work: Work) -> Result<(), String> {
+    match job_tx.try_send(work) {
+        Ok(()) => {
+            shared.queue_depth.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+        Err(TrySendError::Full(_)) => Err(error_line(
+            ErrorCode::Overloaded,
+            &format!(
+                "submission queue of {} jobs is full; retry after polling",
+                shared.config.queue_capacity.max(1)
+            ),
+        )),
+        Err(TrySendError::Disconnected(_)) => Err(error_line(
+            ErrorCode::ShuttingDown,
+            "the server is shutting down",
+        )),
+    }
 }
 
 fn submit(
     mut plan: QueryPlan,
     shared: &Arc<Shared>,
-    job_tx: &SyncSender<ExecJob>,
+    job_tx: &SyncSender<Work>,
     jobs: &mut HashMap<u64, Job>,
     next_job: &mut u64,
 ) -> String {
-    if shared.stopping() {
-        return error_line(ErrorCode::ShuttingDown, "the server is shutting down");
-    }
-    if jobs.len() >= shared.config.max_inflight.max(1) {
-        return error_line(
-            ErrorCode::OverBudget,
-            &format!(
-                "connection budget of {} in-flight jobs reached; poll or cancel first",
-                shared.config.max_inflight.max(1)
-            ),
-        );
+    if let Err(refusal) = admit(shared, jobs) {
+        return refusal;
     }
     // Clamp *before* key computation so cache keys always name the thread
     // count that actually runs.
@@ -847,28 +823,14 @@ fn submit(
         let exec_keys: Vec<String> = misses.iter().map(|&index| keys[index].clone()).collect();
         let cancelled = Arc::new(AtomicBool::new(false));
         let (done_tx, done_rx) = mpsc::channel();
-        let exec = ExecJob {
+        let work = Work::Plan(PlanJob {
             plan: exec_plan,
             keys: exec_keys,
             cancelled: Arc::clone(&cancelled),
             done_tx,
-        };
-        match job_tx.try_send(exec) {
-            Ok(()) => {
-                shared.queue_depth.fetch_add(1, Ordering::SeqCst);
-            }
-            Err(TrySendError::Full(_)) => {
-                return error_line(
-                    ErrorCode::Overloaded,
-                    &format!(
-                        "submission queue of {} jobs is full; retry after polling",
-                        shared.config.queue_capacity.max(1)
-                    ),
-                );
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                return error_line(ErrorCode::ShuttingDown, "the server is shutting down");
-            }
+        });
+        if let Err(refusal) = enqueue(shared, job_tx, work) {
+            return refusal;
         }
         jobs.insert(
             id,
@@ -889,17 +851,136 @@ fn submit(
     )
 }
 
-fn poll(id: u64, shared: &Arc<Shared>, jobs: &mut HashMap<u64, Job>) -> String {
+/// Starts a world-block job: admission as for `submit`, then the job's own
+/// bounds — at most `max_plan_threads` block registries, every query valid
+/// on this graph and exportable as a partial — then the executor queue.
+fn world_block(
+    request: BlockRequest,
+    shared: &Arc<Shared>,
+    job_tx: &SyncSender<Work>,
+    jobs: &mut HashMap<u64, Job>,
+    next_job: &mut u64,
+) -> String {
+    if let Err(refusal) = admit(shared, jobs) {
+        return refusal;
+    }
+    let held = request.plan.slot_blocks(request.slot, request.slots);
+    let budget = shared.config.max_plan_threads.max(1);
+    if held > budget {
+        return error_line(
+            ErrorCode::Plan,
+            &format!(
+                "slot {} of {} holds {held} world blocks; this worker runs at most {budget} \
+                 per job (its max_plan_threads)",
+                request.slot, request.slots
+            ),
+        );
+    }
+    let mut observers = Vec::with_capacity(request.queries.len());
+    for (index, spec) in request.queries.iter().enumerate() {
+        match spec.make_observer(&shared.graph) {
+            Ok(observer) if observer.partial().is_some() => observers.push(observer),
+            Ok(_) => {
+                return error_line(
+                    ErrorCode::Plan,
+                    &format!(
+                        "queries[{index}] ({}) has no world-block partial",
+                        spec.kind()
+                    ),
+                )
+            }
+            Err(error) => {
+                return error_line(ErrorCode::Plan, &format!("queries[{index}]: {error}"))
+            }
+        }
+    }
+    let watch = Arc::new(BlockWatch::default());
+    let (out_tx, out_rx) = mpsc::channel();
+    let (advance_tx, advance_rx) = mpsc::channel();
+    let id = *next_job;
+    *next_job += 1;
+    let plan = request.plan;
+    let work = Work::Blocks(BlockJob {
+        request,
+        observers,
+        watch: Arc::clone(&watch),
+        out_tx,
+        advance_rx,
+    });
+    if let Err(refusal) = enqueue(shared, job_tx, work) {
+        return refusal;
+    }
+    jobs.insert(
+        id,
+        Job::Blocks(BlockState {
+            plan,
+            out_rx,
+            advance_tx,
+            watch,
+            output: None,
+        }),
+    );
+    shared.jobs_submitted.fetch_add(1, Ordering::SeqCst);
+    finish_ok(ok_builder().field("job", id as usize))
+}
+
+/// Resumes a paused world-block job towards a new epoch target.
+fn advance(id: u64, epochs: usize, finish: bool, jobs: &mut HashMap<u64, Job>) -> String {
+    let Some(Job::Blocks(state)) = jobs.get_mut(&id) else {
+        return unknown_job(id);
+    };
+    let done = match &state.output {
+        Some(output) if !output.partials => output.epochs,
+        _ => {
+            return error_line(
+                ErrorCode::BadRequest,
+                &format!("world-block job {id} is not paused at an epoch checkpoint"),
+            )
+        }
+    };
+    if epochs < done || (epochs == done && !finish) || epochs > state.plan.num_epochs() {
+        return error_line(
+            ErrorCode::BadRequest,
+            &format!(
+                "job {id} paused after {done} of {} epochs; cannot advance to {epochs} \
+                 (finish {finish})",
+                state.plan.num_epochs()
+            ),
+        );
+    }
+    if state.advance_tx.send((epochs, finish)).is_err() {
+        jobs.remove(&id);
+        return error_line(ErrorCode::Internal, "the job's executor is gone");
+    }
+    state.output = None;
+    finish_ok(
+        ok_builder()
+            .field("job", id as usize)
+            .field("epochs", epochs),
+    )
+}
+
+fn poll(
+    id: u64,
+    from: usize,
+    max: usize,
+    shared: &Arc<Shared>,
+    jobs: &mut HashMap<u64, Job>,
+) -> String {
     match jobs.get_mut(&id) {
-        None => error_line(
-            ErrorCode::UnknownJob,
-            &format!("job {id} is not held by this connection"),
-        ),
+        None => unknown_job(id),
         Some(Job::Ready(_)) => {
             let Some(Job::Ready(report)) = jobs.remove(&id) else {
                 unreachable!("entry checked above");
             };
             deliver(id, report, shared)
+        }
+        Some(Job::Blocks(state)) => {
+            let (response, settled) = poll_blocks(id, from, max, state, shared);
+            if settled {
+                jobs.remove(&id);
+            }
+            response
         }
         Some(Job::Running { done_rx, .. }) => match done_rx.try_recv() {
             Err(TryRecvError::Empty) => {
@@ -907,11 +988,7 @@ fn poll(id: u64, shared: &Arc<Shared>, jobs: &mut HashMap<u64, Job>) -> String {
             }
             Err(TryRecvError::Disconnected) => {
                 jobs.remove(&id);
-                if shared.stopping() {
-                    error_line(ErrorCode::ShuttingDown, "the server is shutting down")
-                } else {
-                    error_line(ErrorCode::Internal, "the job's executor is gone")
-                }
+                executor_gone(shared)
             }
             Ok(sub_answers) => {
                 let Some(Job::Running {
@@ -941,6 +1018,84 @@ fn poll(id: u64, shared: &Arc<Shared>, jobs: &mut HashMap<u64, Job>) -> String {
             }
         },
     }
+}
+
+fn executor_gone(shared: &Shared) -> String {
+    if shared.stopping() {
+        error_line(ErrorCode::ShuttingDown, "the server is shutting down")
+    } else {
+        error_line(ErrorCode::Internal, "the job's executor is gone")
+    }
+}
+
+/// Polls a world-block job: `done: false` with the stream position while
+/// the step runs, then pages of its output.  Returns the response and
+/// whether the job is settled: the last page of a finished job's partials
+/// delivers it (freeing its in-flight slot), and a failed job answers its
+/// error once; a paused job stays until advanced or cancelled.
+fn poll_blocks(
+    id: u64,
+    from: usize,
+    max: usize,
+    state: &mut BlockState,
+    shared: &Arc<Shared>,
+) -> (String, bool) {
+    if state.output.is_none() {
+        match state.out_rx.try_recv() {
+            Err(TryRecvError::Empty) => {
+                let running = ok_builder()
+                    .field("job", id as usize)
+                    .field("done", false)
+                    .field("pos", state.watch.position());
+                return (finish_ok(running), false);
+            }
+            Err(TryRecvError::Disconnected) => return (executor_gone(shared), true),
+            Ok(Err(message)) => return (error_line(ErrorCode::Internal, &message), true),
+            Ok(Ok(output)) => state.output = Some(output),
+        }
+    }
+    let output = state.output.as_ref().expect("output stored above");
+    let total = output.values.len();
+    if from > total {
+        let message = format!("page starts at {from}, past the output's {total} values");
+        return (error_line(ErrorCode::BadRequest, &message), false);
+    }
+    // Written by hand rather than through the JSON builder: the values
+    // string is plain ASCII that needs no escaping, and a page runs to
+    // hundreds of kilobytes.
+    let mut response = format!(
+        "{{\"status\": \"ok\", \"job\": {id}, \"done\": true, \"epochs\": {}, \
+         \"partials\": {}, \"total\": {total}, \"from\": {from}, \"values\": \"",
+        output.epochs, output.partials
+    );
+    let end = render_page(&output.values, from, max, PAGE_BYTES, &mut response);
+    response.push_str("\"}");
+    let delivered = output.partials && end == total;
+    if delivered {
+        shared.jobs_delivered.fetch_add(1, Ordering::SeqCst);
+    }
+    (response, delivered)
+}
+
+/// Appends `values[from..]` to `out` as [`ugs_queries::partial`] entries,
+/// at most `max` of them and — past the first — no more than `budget`
+/// bytes; returns the index after the last value encoded.
+fn render_page(values: &[f64], from: usize, max: usize, budget: usize, out: &mut String) -> usize {
+    let base = out.len();
+    let mut end = from;
+    while end < values.len() && end - from < max {
+        let before = out.len();
+        if end > from {
+            out.push(',');
+        }
+        encode_value(values[end], out);
+        if end > from && out.len() - base > budget {
+            out.truncate(before);
+            break;
+        }
+        end += 1;
+    }
+    end
 }
 
 /// Renders a done-poll response; delivery is exactly-once, freeing the

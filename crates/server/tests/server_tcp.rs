@@ -534,232 +534,3 @@ fn a_seeded_fault_plan_misbehaves_deterministically_over_the_wire() {
     assert_eq!(stats.get_usize("faults"), Some(1));
     server.shutdown();
 }
-
-/// Drives the `halo` wire op exactly like the distributed coordinator
-/// would — over real loopback sockets against two shard workers — and
-/// checks every kernel against the monolithic engine, bit for bit.
-#[test]
-fn halo_sessions_reproduce_monolithic_kernels_over_loopback_workers() {
-    use graph_algos::clustering::local_clustering_coefficients;
-    use graph_algos::pagerank::{pagerank, PageRankConfig};
-    use graph_algos::traversal::bfs_distances;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use ugs_queries::engine::WorldEngine;
-    use ugs_queries::halo::{decode_level, decode_rank, f64_from_hex, f64_to_hex};
-    use ugs_queries::SampleMethod;
-    use uncertain_graph::{GraphPartition, HaloPlan};
-
-    let g = toy_graph();
-    let partition = GraphPartition::contiguous(&g, 2).unwrap();
-    let plan = HaloPlan::new(&g, &partition);
-    let seed = 0xFEEDu64;
-    let config = PageRankConfig::default();
-    let damping_hex = f64_to_hex(config.damping);
-
-    let workers: Vec<ServerHandle> = (0..2)
-        .map(|k| {
-            start(ServerConfig {
-                shard: Some((k, 2)),
-                ..ServerConfig::default()
-            })
-        })
-        .collect();
-    let mut clients: Vec<LineClient> = workers.iter().map(client).collect();
-
-    let halo_line = |shard: usize, kernel: &str, world: usize, tail: &str| {
-        let (token, kernel_obj) = match kernel {
-            "pagerank" => (
-                "pagerank",
-                format!(r#"{{"type": "pagerank", "damping": "{damping_hex}"}}"#),
-            ),
-            "clustering" => ("clustering", r#"{"type": "clustering"}"#.to_string()),
-            bfs => ("bfs", bfs.to_string()),
-        };
-        format!(
-            r#"{{"op": "halo", "job": "t-{token}", "shard": {shard}, "shards": 2, "seed": "{seed}", "mode": "skip", "kernel": {kernel_obj}, "world": {world}, {tail}}}"#,
-        )
-    };
-    let ok = |clients: &mut Vec<LineClient>, shard: usize, line: &str| -> Value {
-        let response = clients[shard].request(line).unwrap();
-        assert_eq!(
-            response.get_str("status"),
-            Some("ok"),
-            "{line} -> {}",
-            response.render()
-        );
-        response
-    };
-    let entries = |response: &Value| -> Vec<String> {
-        let total = response.get_usize("total").unwrap();
-        let values = response.get("values").unwrap().as_array().unwrap();
-        assert_eq!(values.len(), total, "small reports fit one page here");
-        values
-            .iter()
-            .map(|v| v.as_str().unwrap().to_string())
-            .collect()
-    };
-
-    // One coordinator-side pagerank world: supersteps with a chained delta
-    // accumulator, a global rank board fed back as ghost values, then a
-    // paged collect of the owned final ranks.
-    let run_pagerank_world = |clients: &mut Vec<LineClient>, world: usize| -> Vec<f64> {
-        let mut board = [1.0 / 6.0; 6];
-        for step in 0..config.max_iterations {
-            if step > 0 {
-                for shard in 0..2 {
-                    let ghosts: Vec<String> = plan
-                        .shard(shard)
-                        .ghosts()
-                        .iter()
-                        .map(|&gv| format!("{gv}:{}", f64_to_hex(board[gv])))
-                        .collect();
-                    let line = halo_line(
-                        shard,
-                        "pagerank",
-                        world,
-                        &format!(
-                            r#""phase": "feed", "values": [{}]"#,
-                            ghosts
-                                .iter()
-                                .map(|e| format!("{e:?}"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    );
-                    ok(clients, shard, &line);
-                }
-            }
-            let mut acc = 0.0f64;
-            for shard in 0..2 {
-                let line = halo_line(
-                    shard,
-                    "pagerank",
-                    world,
-                    &format!(
-                        r#""phase": "step", "step": {step}, "acc": "{}""#,
-                        f64_to_hex(acc)
-                    ),
-                );
-                let response = ok(clients, shard, &line);
-                acc = f64_from_hex(response.get_str("acc").unwrap()).unwrap();
-                for entry in entries(&response) {
-                    let (gid, rank) = decode_rank(&entry).unwrap();
-                    board[gid as usize] = rank;
-                }
-            }
-            if acc < config.tolerance {
-                break;
-            }
-        }
-        let mut ranks = vec![0.0f64; 6];
-        for shard in 0..2 {
-            let line = halo_line(shard, "pagerank", world, r#""phase": "collect", "from": 0"#);
-            let response = ok(clients, shard, &line);
-            for (local, entry) in entries(&response).into_iter().enumerate() {
-                let global = partition.shard(shard).vertices()[local];
-                ranks[global] = f64_from_hex(&entry).unwrap();
-            }
-        }
-        ranks
-    };
-
-    // Monolithic reference stream: same seed, same mode.
-    let monolithic = WorldEngine::new(&g).with_method(SampleMethod::Skip);
-    let mut scratch = monolithic.make_scratch();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for world in 0..3 {
-        let mono_world = monolithic.sample_world(&mut rng, &mut scratch);
-
-        // PageRank: bit-identical ranks, including after a step-0 restart
-        // (the failover recovery path resets the kernel without resampling).
-        let expected = pagerank(mono_world, &config);
-        let got = run_pagerank_world(&mut clients, world);
-        for (v, (a, b)) in got.iter().zip(expected.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "world {world} vertex {v}");
-        }
-        if world == 1 {
-            let restarted = run_pagerank_world(&mut clients, world);
-            for (a, b) in restarted.iter().zip(expected.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "restarted world {world}");
-            }
-        }
-
-        // Clustering: a pure collect kernel.
-        let expected = local_clustering_coefficients(mono_world);
-        let mut got = [0.0f64; 6];
-        for shard in 0..2 {
-            let line = halo_line(
-                shard,
-                "clustering",
-                world,
-                r#""phase": "collect", "from": 0"#,
-            );
-            let response = ok(&mut clients, shard, &line);
-            for (local, entry) in entries(&response).into_iter().enumerate() {
-                let global = partition.shard(shard).vertices()[local];
-                got[global] = f64_from_hex(&entry).unwrap();
-            }
-        }
-        for (v, (a, b)) in got.iter().zip(expected.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "world {world} vertex {v}");
-        }
-
-        // BFS (the k-NN traversal core): settlements routed to owners,
-        // expanded level-synchronously until a quiet superstep.
-        let source = 2usize;
-        let expected = bfs_distances(mono_world, source);
-        let kernel = format!(r#"{{"type": "bfs", "source": {source}}}"#);
-        let mut dist = [u32::MAX; 6];
-        dist[source] = 0;
-        let mut settlements = vec![(source as u32, 0u32)];
-        for level in 0..6 {
-            let mut next: Vec<(u32, u32)> = Vec::new();
-            for shard in 0..2 {
-                let routed: Vec<String> = settlements
-                    .iter()
-                    .filter(|&&(v, _)| partition.shard_of(v as usize) == shard)
-                    .map(|&(v, l)| format!("\"{v}:{l}\""))
-                    .collect();
-                let line = halo_line(
-                    shard,
-                    &kernel,
-                    world,
-                    &format!(
-                        r#""phase": "step", "step": {level}, "values": [{}]"#,
-                        routed.join(", ")
-                    ),
-                );
-                let response = ok(&mut clients, shard, &line);
-                for entry in entries(&response) {
-                    let (gid, lvl) = decode_level(&entry).unwrap();
-                    if dist[gid as usize] == u32::MAX {
-                        dist[gid as usize] = lvl;
-                        next.push((gid, lvl));
-                    }
-                }
-            }
-            settlements = next;
-            if settlements.is_empty() {
-                break;
-            }
-        }
-        for v in 0..6 {
-            let want = expected[v];
-            if want == usize::MAX {
-                assert_eq!(dist[v], u32::MAX, "world {world} vertex {v}");
-            } else {
-                assert_eq!(dist[v] as usize, want, "world {world} vertex {v}");
-            }
-        }
-    }
-
-    // The stats gauge saw the sessions.
-    let stats = clients[0].request(r#"{"op": "stats"}"#).unwrap();
-    let shard_obj = stats.get("shard").unwrap();
-    assert!(shard_obj.get_usize("halo").unwrap() >= 1);
-
-    for worker in workers {
-        worker.shutdown();
-    }
-}

@@ -48,6 +48,7 @@
 //! empirical-Bernstein half-width reaches `epsilon`; report entries then
 //! carry `worlds_used` and the achieved `half_width`.
 
+use std::any::Any;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -56,7 +57,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use uncertain_graph::{GraphPartition, UncertainGraph};
 
-use ugs_queries::batch::{DynHandle, QueryBatch};
+use ugs_queries::batch::{BoxedObserver, DynHandle, QueryBatch};
 use ugs_queries::engine::{SampleMethod, WorldEngine};
 use ugs_queries::sharded::ShardedWorldEngine;
 use ugs_queries::variance::Precision;
@@ -332,14 +333,8 @@ impl QueryPlan {
             let batch = QueryBatch::from_engine(engine, self.worlds, self.threads);
             return self.run_batch(&graph, batch, cancel);
         }
-        // Refuse a shard count the graph cannot fill before building
-        // anything: a partition costs O(shards) before it looks at the graph.
-        let vertices = graph.num_vertices();
-        if self.shards > vertices.max(1) {
-            return self.refuse(ServiceError::Policy(format!(
-                "{} shards exceed the graph's {vertices} vertices",
-                self.shards
-            )));
+        if let Some(refusal) = self.shard_refusal(&graph) {
+            return self.refuse(refusal);
         }
         let partition = match GraphPartition::contiguous(&graph, self.shards) {
             Ok(partition) => partition,
@@ -350,9 +345,61 @@ impl QueryPlan {
         self.run_batch(&graph, batch, cancel)
     }
 
+    /// The plan-level refusal of a shard count `graph` cannot fill (more
+    /// shards than vertices), decided before any partition is built — a
+    /// partition costs O(shards) before it looks at the graph.  Every
+    /// query of a refused plan answers with this error, in process and on
+    /// a fleet alike.
+    pub fn shard_refusal(&self, graph: &UncertainGraph) -> Option<ServiceError> {
+        let vertices = graph.num_vertices();
+        (self.shards > 1 && self.shards > vertices.max(1)).then(|| {
+            ServiceError::Policy(format!(
+                "{} shards exceed the graph's {vertices} vertices",
+                self.shards
+            ))
+        })
+    }
+
     /// Answers every query with the same plan-level error.
-    fn refuse(&self, error: ServiceError) -> Vec<Result<QueryAnswer, ServiceError>> {
+    pub fn refuse(&self, error: ServiceError) -> Vec<Result<QueryAnswer, ServiceError>> {
         self.queries.iter().map(|_| Err(error.clone())).collect()
+    }
+
+    /// Validates every query against `graph` and the plan's shard count and
+    /// builds its observer, in plan order; an invalid query keeps its typed
+    /// error.  The registry a plan run — in process or on a fleet — fills.
+    pub fn observers(&self, graph: &UncertainGraph) -> Vec<Result<BoxedObserver, ServiceError>> {
+        self.queries
+            .iter()
+            .map(|spec| {
+                spec.validate_sharded(graph, self.shards)?;
+                Ok(spec.make_observer(graph)?)
+            })
+            .collect()
+    }
+
+    /// Redeems finished observer outputs (in plan order) as answers that
+    /// report the batch's effort.
+    pub fn answers(
+        &self,
+        outputs: Vec<Result<Box<dyn Any + Send>, ServiceError>>,
+        worlds_used: usize,
+        half_width: Option<f64>,
+    ) -> Vec<Result<QueryAnswer, ServiceError>> {
+        self.queries
+            .iter()
+            .zip(outputs)
+            .map(|(spec, output)| {
+                let result = spec.result_of(output?).ok_or_else(|| {
+                    ServiceError::Internal("observer output did not match its spec".to_string())
+                })?;
+                Ok(QueryAnswer {
+                    result,
+                    worlds_used,
+                    half_width,
+                })
+            })
+            .collect()
     }
 
     /// Registers every valid query with `batch`, runs it once and redeems
@@ -373,13 +420,12 @@ impl QueryPlan {
         let handles: Vec<Result<DynHandle, ServiceError>> = self
             .queries
             .iter()
-            .map(|spec| {
-                spec.validate_sharded(graph, self.shards)?;
-                let observer = spec.make_observer(graph)?;
+            .zip(self.observers(graph))
+            .map(|(spec, observer)| {
                 // Belt and braces against drift between the spec-level
                 // capability and the observer's actual one: a sharded batch
                 // refuses an observer without a sharded path.
-                batch.try_register_boxed(observer).map_err(|_| {
+                batch.try_register_boxed(observer?).map_err(|_| {
                     ServiceError::Spec(SpecError::Unsupported {
                         query: spec.kind().to_string(),
                         shards: self.shards,
@@ -390,23 +436,15 @@ impl QueryPlan {
         let mut results = batch.run(&mut SmallRng::seed_from_u64(self.seed));
         let worlds_used = results.num_worlds();
         let half_width = results.adaptive().map(|report| report.half_width);
-        self.queries
-            .iter()
-            .zip(handles)
-            .map(|(spec, handle)| {
-                let output = results
+        let outputs = handles
+            .into_iter()
+            .map(|handle| {
+                results
                     .try_take_boxed(handle?)
-                    .map_err(|error| ServiceError::Internal(error.to_string()))?;
-                let result = spec.result_of(output).ok_or_else(|| {
-                    ServiceError::Internal("observer output did not match its spec".to_string())
-                })?;
-                Ok(QueryAnswer {
-                    result,
-                    worlds_used,
-                    half_width,
-                })
+                    .map_err(|error| ServiceError::Internal(error.to_string()))
             })
-            .collect()
+            .collect();
+        self.answers(outputs, worlds_used, half_width)
     }
 
     /// Executes the plan and renders the full JSON report the CLI prints:

@@ -24,7 +24,7 @@
 //! | [`queries`] | `ugs-queries` | zero-allocation Monte-Carlo world engine, queries, estimator variance |
 //! | [`service`] | `ugs-service` | `QuerySpec`/`QueryResult` data API, JSON query plans run as one shared-world batch |
 //! | [`server`] | `ugs-server` | line-delimited JSON TCP front-end: deterministic result cache, admission control, graceful shutdown |
-//! | [`dist`] | `ugs-dist` | multi-process shard workers with a boundary-exchange coordinator, bit-identical to in-process runs |
+//! | [`dist`] | `ugs-dist` | multi-process fleet workers running world blocks, folded bit-identically to in-process runs |
 //! | [`metrics`] | `ugs-metrics` | degree/cut discrepancy MAE, relative entropy, earth mover's distance |
 //! | [`datasets`] | `ugs-datasets` | Flickr/Twitter-shaped generators, density sweep, Forest Fire sampling |
 //!
