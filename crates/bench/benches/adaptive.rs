@@ -309,7 +309,7 @@ fn adaptive_bench(c: &mut Criterion) {
     assert!((cv_estimate.estimate - P_BRIDGE).abs() <= 0.02);
     assert!((plain_estimate - P_BRIDGE).abs() <= 0.02);
 
-    // -- Timings into criterion (measured once above, like shard.rs). --
+    // -- Timings into criterion (each run measured once, above). --
     let mut group = c.benchmark_group("adaptive_precision");
     group
         .sample_size(10)

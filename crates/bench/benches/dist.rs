@@ -14,8 +14,7 @@
 //!   on this host at once;
 //! * **per-worker critical path** — each worker's `world_block` job timed
 //!   alone over the wire (submit, run, page out its partials), the slowest
-//!   one taken: the wall-clock of a fleet with one host per worker, as
-//!   `BENCH_shard.json` measures its shards.
+//!   one taken: the wall-clock of a fleet with one host per worker.
 //!
 //! Answers are asserted bit-identical to the in-process run before any
 //! time is reported; every time is the fastest of three runs.

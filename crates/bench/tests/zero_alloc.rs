@@ -20,9 +20,7 @@ use ugs_queries::batch::{EdgeFrequencyObserver, QueryBatch};
 use ugs_queries::components::DegreeHistogramObserver;
 use ugs_queries::engine::{SampleMethod, WorldEngine};
 use ugs_queries::node_queries::PageRankObserver;
-use ugs_queries::sharded::ShardedWorldEngine;
 use ugs_queries::MonteCarlo;
-use uncertain_graph::GraphPartition;
 
 /// Counts every allocation while delegating to the system allocator.
 struct CountingAllocator;
@@ -179,89 +177,6 @@ fn batch_driver_steady_state_is_zero_allocation_with_three_observers() {
     }
 }
 
-/// Per-shard steady state: a worker that owns **one** shard of a
-/// partitioned graph (replaying the full edge stream, materialising only
-/// its shard plus the incident cut edges) must sample shard-worlds with
-/// zero heap allocations once its scratch is warm — the memory contract the
-/// distributed direction relies on.
-fn sharded_single_shard_steady_state_is_zero_allocation() {
-    for (method, p) in [(SampleMethod::Skip, 0.1), (SampleMethod::PerEdge, 0.5)] {
-        let g = toy_graph(p);
-        let partition = GraphPartition::contiguous(&g, 3).expect("valid partition");
-        let engine = ShardedWorldEngine::new(&g, &partition).with_method(method);
-        for shard in 0..3 {
-            let mut scratch = engine.make_shard_scratch(shard);
-            let mut rng = SmallRng::seed_from_u64(7);
-            // Warm-up: grow every buffer to capacity.
-            for _ in 0..50 {
-                engine.sample_shard_world(&mut rng, &mut scratch);
-            }
-            let mut total_edges = 0usize;
-            let leaked = settles_to_zero(|| {
-                let before = allocations();
-                for _ in 0..2_000 {
-                    total_edges += engine
-                        .sample_shard_world(&mut rng, &mut scratch)
-                        .num_edges();
-                    total_edges += scratch.present_cuts().len();
-                }
-                allocations() - before
-            });
-            assert!(total_edges > 0, "shard {shard} must see edges at p = {p}");
-            assert_eq!(
-                leaked, 0,
-                "{method:?} p={p} shard={shard}: expected zero allocations \
-                 per sampled shard-world"
-            );
-        }
-    }
-}
-
-/// Same long-vs-short argument as the monolithic batch proof, through the
-/// sharded source: an all-shard batch with the two allocation-free count
-/// observers must not allocate per world in steady state (sample, scatter,
-/// boundary pass, per-shard materialisation, observer dispatch).
-fn sharded_batch_allocations(
-    g: &UncertainGraph,
-    partition: &GraphPartition,
-    method: SampleMethod,
-    threads: usize,
-    worlds: usize,
-) -> usize {
-    let engine = ShardedWorldEngine::new(g, partition).with_method(method);
-    let mut batch = QueryBatch::from_sharded(&engine, worlds, threads);
-    let h_hist = batch.register(DegreeHistogramObserver::new(g));
-    let h_freq = batch.register(EdgeFrequencyObserver::new(g));
-    let mut rng = SmallRng::seed_from_u64(7);
-    let before = allocations();
-    let mut results = batch.run(&mut rng);
-    let after = allocations();
-    let histogram = results.take(h_hist);
-    let frequencies = results.take(h_freq);
-    assert!(histogram.iter().sum::<f64>() > 0.0);
-    assert!(frequencies.iter().sum::<f64>() > 0.0);
-    after - before
-}
-
-fn sharded_batch_steady_state_is_zero_allocation() {
-    for (method, p) in [(SampleMethod::Skip, 0.1), (SampleMethod::PerEdge, 0.5)] {
-        let g = toy_graph(p);
-        let partition = GraphPartition::contiguous(&g, 3).expect("valid partition");
-        for threads in [1, 2] {
-            let leaked = settles_to_zero(|| {
-                let short = sharded_batch_allocations(&g, &partition, method, threads, 50);
-                let long = sharded_batch_allocations(&g, &partition, method, threads, 4_050);
-                long.saturating_sub(short)
-            });
-            assert_eq!(
-                leaked, 0,
-                "{method:?} p={p} threads={threads}: expected zero allocations \
-                 per sharded world in steady state"
-            );
-        }
-    }
-}
-
 /// A fixed backbone over a *heterogeneous* ring-plus-chords graph for the
 /// sparsifier phases.  The varied probabilities keep the optimisers from
 /// converging bitwise within the iteration caps (uniform probabilities make
@@ -401,13 +316,11 @@ fn legacy_driver_allocates_every_world() {
 
 #[test]
 fn zero_allocation_contract() {
-    // One test, seven phases, so nothing else allocates during the exact
+    // One test, five phases, so nothing else allocates during the exact
     // counting windows (libtest runs `#[test]` functions concurrently and
     // the counter is process-global).
     engine_steady_state_performs_zero_allocations_per_world();
     batch_driver_steady_state_is_zero_allocation_with_three_observers();
-    sharded_single_shard_steady_state_is_zero_allocation();
-    sharded_batch_steady_state_is_zero_allocation();
     gdb_steady_state_sweeps_are_zero_allocation();
     emd_steady_state_iterations_are_zero_allocation();
     legacy_driver_allocates_every_world();

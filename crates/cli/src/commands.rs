@@ -14,7 +14,7 @@ use ugs_datasets::prelude::*;
 use ugs_metrics::cuts::CutSamplingConfig;
 use ugs_metrics::degree::MetricDiscrepancy;
 use ugs_queries::prelude::*;
-use ugs_service::{QueryPlan, QueryResult, QuerySpec};
+use ugs_service::{QueryPlan, QueryResult, QuerySpec, SEED_LIMIT};
 
 /// Errors surfaced to the user by the CLI.
 #[derive(Debug)]
@@ -122,7 +122,6 @@ const BATCH_OPTIONS: &[&str] = &[
     "sequential",
     "mode",
     "compact",
-    "shards",
     "epsilon",
     "delta",
     "deadline-ms",
@@ -131,13 +130,11 @@ const BATCH_OPTIONS: &[&str] = &[
 const PLAN_OPTIONS: &[&str] = &[
     "graph",
     "compact",
-    "shards",
     "epsilon",
     "delta",
     "deadline-ms",
     "max-worlds",
 ];
-const PARTITION_OPTIONS: &[&str] = &["shards", "strategy", "compact"];
 const SERVE_OPTIONS: &[&str] = &[
     "addr",
     "executors",
@@ -225,43 +222,31 @@ const COMMANDS: &[CommandHelp] = &[
         name: "batch",
         usage: "batch      <graph.txt> --queries q1,q2,... [--worlds N] [--pairs N] [--top K]
                [--source V] [--seed N] [--threads N] [--sequential]
-               [--mode auto|skip|per-edge] [--shards N] [--compact]
+               [--mode auto|skip|per-edge] [--compact]
                [--epsilon E] [--delta D] [--deadline-ms MS] [--max-worlds N]
                Evaluate several Monte-Carlo queries over ONE shared set of
                sampled worlds (queries: pagerank|cc|sp|connectivity|
                degree-hist|edge-freq|knn) and print the results as JSON.
                Sampling and world materialisation are paid once for the whole
-               query mix instead of once per query.  --shards N evaluates over
-               a contiguous graph partition of at most one shard per vertex
-               (results are bit-identical to the monolithic run).  With
-               --epsilon the shared budget is adaptive (sequential stopping;
-               the report gains worlds_used/half_width).  A thin wrapper
-               over the query-plan path (`ugs plan`).",
+               query mix instead of once per query.  --seed must be below
+               2^53, the largest integer the JSON report echoes exactly.
+               With --epsilon the shared budget is adaptive (sequential
+               stopping; the report gains worlds_used/half_width).  A thin
+               wrapper over the query-plan path (`ugs plan`).",
     },
     CommandHelp {
         name: "plan",
-        usage: "plan       <plan.json> [--graph FILE] [--shards N] [--compact]
+        usage: "plan       <plan.json> [--graph FILE] [--compact]
                [--epsilon E] [--delta D] [--deadline-ms MS] [--max-worlds N]
                Execute a JSON query plan end-to-end and print the full report
                as JSON.  The plan names the graph (overridable with --graph),
-               the shared world budget, the worker count, the graph-shard
-               count (overridable with --shards), the sampling mode, the seed
-               and a list of query specs such as
-               {\"type\": \"knn\", \"source\": 0, \"k\": 5}; all queries share
-               one set of sampled worlds, split across the workers.  An
-               optional \"precision\" block in the plan — or --epsilon and
+               the shared world budget, the worker count, the sampling mode,
+               the seed (an integer below 2^53) and a list of query specs
+               such as {\"type\": \"knn\", \"source\": 0, \"k\": 5}; all
+               queries share one set of sampled worlds, split across the
+               workers.  A \"shards\" field is echoed but changes no answer.
+               An optional \"precision\" block in the plan — or --epsilon and
                friends, which override it — makes the budget adaptive.",
-    },
-    CommandHelp {
-        name: "partition",
-        usage: "partition  <graph.txt> [--shards N] [--strategy contiguous|spanning] [--compact]
-               Partition the graph's vertex set into shards and print a JSON
-               report: per-shard vertex/edge counts, the cut-edge count and
-               the cut probability mass (the expected number of boundary
-               edges per sampled world).  `spanning` (the default) carves
-               chunked DFS walks out of the maximum spanning forest, keeping
-               high-probability edges inside shards; `contiguous` splits the
-               vertex range naively.",
     },
     CommandHelp {
         name: "serve",
@@ -692,6 +677,16 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     let graph = load(path)?;
     let n = graph.num_vertices();
     let seed = args.u64_or("seed", 42)?;
+    if seed >= SEED_LIMIT {
+        return Err(ArgsError::InvalidValue {
+            option: "seed".to_string(),
+            value: seed.to_string(),
+            expected: format!(
+                "an integer below 2^53 = {SEED_LIMIT}, the largest the JSON report echoes exactly"
+            ),
+        }
+        .into());
+    }
     let mc = monte_carlo_config(args, 500)?;
     let top = args.usize_or("top", 10)?;
     let list = args.option_or("queries", "pagerank,connectivity");
@@ -740,15 +735,10 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
             "no queries given; try --queries pagerank,connectivity".to_string(),
         ));
     }
-    let shards = args.usize_or("shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::Message("--shards must be at least 1".to_string()));
-    }
     // Validate up front so a bad spec fails the whole command, exactly like
-    // the pre-plan implementation; with --shards this also rejects queries
-    // without a cut-aware path (typed error, before any sampling).
+    // the pre-plan implementation.
     for (_, spec) in &entries {
-        spec.validate_sharded(&graph, shards)
+        spec.validate(&graph)
             .map_err(|e| CliError::Message(e.to_string()))?;
     }
 
@@ -757,7 +747,7 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
         graph: None,
         worlds: mc.num_worlds,
         threads: mc.threads,
-        shards,
+        shards: 1,
         mode: mc.method,
         seed: rng.gen::<u64>(),
         precision,
@@ -870,10 +860,6 @@ pub fn plan(args: &ParsedArgs) -> Result<String, CliError> {
         .map_err(|e| CliError::Message(format!("cannot read plan {plan_path:?}: {e}")))?;
     let mut plan =
         QueryPlan::parse_str(&text).map_err(|e| CliError::Message(format!("{plan_path}: {e}")))?;
-    plan.shards = args.usize_or("shards", plan.shards)?;
-    if plan.shards == 0 {
-        return Err(CliError::Message("--shards must be at least 1".to_string()));
-    }
     // --epsilon and friends override the plan document's precision block.
     if let Some(precision) = precision_from_args(args)? {
         plan.precision = Some(precision);
@@ -890,95 +876,6 @@ pub fn plan(args: &ParsedArgs) -> Result<String, CliError> {
         report.render()
     } else {
         report.pretty()
-    })
-}
-
-/// `ugs partition`: split a graph's vertex set into shards and report the
-/// shard sizes and the cut structure as JSON.
-pub fn partition(args: &ParsedArgs) -> Result<String, CliError> {
-    use minijson::{ObjBuilder, Value};
-    use uncertain_graph::{GraphPartition, HaloPlan};
-
-    args.expect_options(PARTITION_OPTIONS)?;
-    let path = args.positional(0, "graph.txt")?;
-    let graph = load(path)?;
-    let shards = args.usize_or("shards", 2)?;
-    if shards == 0 {
-        return Err(CliError::Message("--shards must be at least 1".to_string()));
-    }
-    let strategy = args.option_or("strategy", "spanning");
-    let partition = match strategy.as_str() {
-        "contiguous" => GraphPartition::contiguous(&graph, shards),
-        "spanning" => {
-            let labels = ugs_core::spanning_partition_labels(&graph, shards);
-            GraphPartition::from_labels(&graph, &labels, shards)
-        }
-        other => {
-            return Err(CliError::Message(format!(
-                "unknown strategy {other:?}; expected contiguous|spanning"
-            )))
-        }
-    }
-    .map_err(|e| CliError::Message(e.to_string()))?;
-
-    // The ghost-halo layout the neighbourhood queries (pagerank,
-    // clustering, knn) would replicate into each shard: operators read the
-    // replication factor and per-shard ghost counts to judge a labelling
-    // before deploying it.
-    let halo_stats = HaloPlan::new(&graph, &partition).stats();
-    let shard_entries: Vec<Value> = partition
-        .shards()
-        .iter()
-        .zip(&halo_stats.shards)
-        .enumerate()
-        .map(|(s, (shard, halo))| {
-            ObjBuilder::new()
-                .field("shard", s)
-                .field("vertices", shard.num_vertices())
-                .field("edges", shard.num_edges())
-                .field("expected_edges", shard.graph().expected_num_edges())
-                .field(
-                    "halo",
-                    ObjBuilder::new()
-                        .field("ghost_vertices", halo.ghost_vertices)
-                        .field("boundary_vertices", halo.boundary_vertices)
-                        .field("halo_edges", halo.halo_edges)
-                        .field("expected_halo_mass", halo.expected_halo_mass)
-                        .build(),
-                )
-                .build()
-        })
-        .collect();
-    let cut_count = partition.cut_edges().len();
-    let document = ObjBuilder::new()
-        .field("graph", path)
-        .field("strategy", strategy.as_str())
-        .field("num_shards", shards)
-        .field("vertices", graph.num_vertices())
-        .field("edges", graph.num_edges())
-        .field("shards", Value::Arr(shard_entries))
-        .field(
-            "cut",
-            ObjBuilder::new()
-                .field("edges", cut_count)
-                .field(
-                    "edge_fraction",
-                    cut_count as f64 / graph.num_edges().max(1) as f64,
-                )
-                .field("probability_mass", partition.cut_probability_mass())
-                .build(),
-        )
-        .field(
-            "halo",
-            ObjBuilder::new()
-                .field("replication_factor", halo_stats.replication_factor)
-                .build(),
-        )
-        .build();
-    Ok(if args.flag("compact") {
-        document.render()
-    } else {
-        document.pretty()
     })
 }
 
@@ -1342,7 +1239,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "compare" => compare(args),
         "batch" => batch(args),
         "plan" => plan(args),
-        "partition" => partition(args),
         "serve" => serve(args),
         "coordinate" => coordinate(args),
         "supervise" => supervise(args),
@@ -1658,106 +1554,46 @@ mod tests {
     }
 
     #[test]
-    fn partition_reports_shards_and_cut_structure() {
-        let input = write_toy_graph("partition.txt");
-        for strategy in ["contiguous", "spanning"] {
-            let args = ParsedArgs::parse([
-                "partition",
+    fn batch_refuses_seeds_its_report_cannot_echo() {
+        let input = write_toy_graph("batch-seed.txt");
+        let batch = |seed: &str| {
+            run(&ParsedArgs::parse([
+                "batch",
                 &input,
-                "--shards",
-                "3",
-                "--strategy",
-                strategy,
+                "--queries",
+                "connectivity",
+                "--worlds",
+                "20",
+                "--seed",
+                seed,
                 "--compact",
             ])
-            .unwrap();
-            let report = run(&args).unwrap();
-            assert_eq!(report, run(&args).unwrap(), "{strategy}: deterministic");
-            let doc = minijson::Value::parse(&report).expect("valid JSON");
-            assert_eq!(doc.get_usize("num_shards"), Some(3));
-            assert_eq!(doc.get_str("strategy"), Some(strategy));
-            let shards = doc.get("shards").unwrap().as_array().unwrap();
-            assert_eq!(shards.len(), 3);
-            let total_vertices: usize = shards
-                .iter()
-                .map(|s| s.get_usize("vertices").unwrap())
-                .sum();
-            assert_eq!(total_vertices, 6);
-            // Shard edges plus cut edges account for every edge exactly once.
-            let shard_edges: usize = shards.iter().map(|s| s.get_usize("edges").unwrap()).sum();
-            let cut = doc.get("cut").unwrap();
-            assert_eq!(shard_edges + cut.get_usize("edges").unwrap(), 10);
-            assert!(cut.get_f64("probability_mass").unwrap() >= 0.0);
-            // Halo statistics: every shard reports its ghost layout, and
-            // the aggregate replication factor accounts for every replica
-            // ((owned + ghosts summed over shards) / |V|, at least 1.0).
-            let mut replicas = 0usize;
-            for shard in shards {
-                let halo = shard.get("halo").unwrap();
-                assert!(halo.get_usize("halo_edges").is_some());
-                assert!(halo.get_f64("expected_halo_mass").unwrap() >= 0.0);
-                assert!(
-                    halo.get_usize("ghost_vertices").unwrap()
-                        >= halo.get_usize("boundary_vertices").unwrap().min(1)
-                );
-                replicas += shard.get_usize("vertices").unwrap()
-                    + halo.get_usize("ghost_vertices").unwrap();
-            }
-            let replication = doc
-                .get("halo")
-                .unwrap()
-                .get_f64("replication_factor")
-                .unwrap();
-            assert!((replication - replicas as f64 / 6.0).abs() < 1e-12);
-            assert!(replication >= 1.0);
+            .unwrap())
+        };
+        // 2^53 - 1 is the largest seed a JSON number holds exactly.
+        let report = batch("9007199254740991").unwrap();
+        assert!(report.contains(r#""seed":9007199254740991"#), "{report}");
+        // 2^53 and 2^53 + 1 would both echo as 2^53 while sampling apart.
+        for seed in ["9007199254740992", "9007199254740993"] {
+            let error = batch(seed).unwrap_err().to_string();
+            assert!(error.contains("--seed"), "{error}");
+            assert!(error.contains("2^53"), "{error}");
         }
-        let bad = ParsedArgs::parse(["partition", &input, "--strategy", "psychic"]).unwrap();
-        assert!(run(&bad).is_err());
-        let zero = ParsedArgs::parse(["partition", &input, "--shards", "0"]).unwrap();
-        assert!(run(&zero).is_err());
         std::fs::remove_file(&input).ok();
     }
 
     #[test]
-    fn batch_with_shards_is_bit_identical_for_count_queries() {
-        let input = write_toy_graph("batch-shards.txt");
-        let report_with = |shards: &str| {
-            let args = ParsedArgs::parse([
-                "batch",
-                &input,
-                "--queries",
-                "connectivity,degree-hist,edge-freq,sp,pagerank,clustering,knn",
-                "--worlds",
-                "80",
-                "--pairs",
-                "4",
-                "--source",
-                "2",
-                "--sequential",
-                "--shards",
-                shards,
-            ])
-            .unwrap();
-            run(&args).unwrap()
-        };
-        // The sharded engine replays the monolithic edge stream — through
-        // the cut correction for the count queries and the ghost-halo
-        // exchange for pagerank/clustering/knn — so the whole JSON report
-        // is byte-identical across shard counts.
-        let monolithic = report_with("1");
-        assert_eq!(monolithic, report_with("2"));
-        assert_eq!(monolithic, report_with("4"));
-        // --shards 0 is rejected, consistently with `ugs partition`.
-        let zero = ParsedArgs::parse([
-            "batch",
-            &input,
-            "--queries",
-            "connectivity",
-            "--shards",
-            "0",
-        ])
-        .unwrap();
-        assert!(run(&zero).is_err());
+    fn shard_options_and_the_partition_command_are_gone() {
+        let input = write_toy_graph("no-shards.txt");
+        let batch = ParsedArgs::parse(["batch", &input, "--shards", "2"]).unwrap();
+        let error = run(&batch).unwrap_err().to_string();
+        assert!(error.contains("unknown option --shards"), "{error}");
+        let plan = ParsedArgs::parse(["plan", "plan.json", "--shards", "2"]).unwrap();
+        let error = run(&plan).unwrap_err().to_string();
+        assert!(error.contains("unknown option --shards"), "{error}");
+        let partition = ParsedArgs::parse(["partition", &input]).unwrap();
+        let error = run(&partition).unwrap_err().to_string();
+        assert!(error.contains("unknown command"), "{error}");
         std::fs::remove_file(&input).ok();
     }
 
@@ -1779,39 +1615,6 @@ mod tests {
         assert!(error.contains(&plan_path), "{error}");
         assert!(error.contains("queries[1] (\"knn\")"), "{error}");
         assert!(error.contains("source"), "{error}");
-        std::fs::remove_file(&plan_path).ok();
-    }
-
-    #[test]
-    fn plan_shards_override_applies_sharded_validation() {
-        let input = write_toy_graph("plan-shards.txt");
-        let plan_path = temp_path("shards-plan.json").to_string_lossy().to_string();
-        std::fs::write(
-            &plan_path,
-            format!(
-                r#"{{"graph": {input:?}, "worlds": 60, "seed": 4,
-                    "queries": [{{"type": "connectivity"}}, {{"type": "pagerank"}}]}}"#
-            ),
-        )
-        .unwrap();
-        // Monolithic: both queries succeed.
-        let report = run(&ParsedArgs::parse(["plan", plan_path.as_str()]).unwrap()).unwrap();
-        let doc = minijson::Value::parse(&report).unwrap();
-        let results = doc.get("results").unwrap().as_array().unwrap();
-        assert!(results.iter().all(|r| r.get_str("status") == Some("ok")));
-        let monolithic: Vec<String> = results.iter().map(|r| r.render()).collect();
-        // --shards 2: connectivity runs through the cut correction,
-        // pagerank through the ghost-halo exchange — both answer, and both
-        // answers render byte-identically to the monolithic run.
-        let report =
-            run(&ParsedArgs::parse(["plan", plan_path.as_str(), "--shards", "2"]).unwrap())
-                .unwrap();
-        let doc = minijson::Value::parse(&report).unwrap();
-        assert_eq!(doc.get_usize("shards"), Some(2));
-        let results = doc.get("results").unwrap().as_array().unwrap();
-        let sharded: Vec<String> = results.iter().map(|r| r.render()).collect();
-        assert_eq!(sharded, monolithic);
-        std::fs::remove_file(&input).ok();
         std::fs::remove_file(&plan_path).ok();
     }
 
@@ -1867,14 +1670,7 @@ mod tests {
     fn help_knows_every_subcommand() {
         let full = run(&ParsedArgs::parse(["help"]).unwrap()).unwrap();
         for command in [
-            "generate",
-            "stats",
-            "sparsify",
-            "query",
-            "compare",
-            "batch",
-            "plan",
-            "partition",
+            "generate", "stats", "sparsify", "query", "compare", "batch", "plan",
         ] {
             assert!(full.contains(command), "{command} missing from help");
             let single = run(&ParsedArgs::parse(["help", command]).unwrap()).unwrap();

@@ -74,7 +74,6 @@ pub mod error;
 pub mod gdb;
 pub mod kcut;
 pub mod lp_assign;
-pub mod partition;
 pub mod representative;
 pub mod scratch;
 pub mod spec;
@@ -88,7 +87,6 @@ pub use error::SparsifyError;
 pub use gdb::{
     gradient_descent_assign, gradient_descent_assign_with, CutRule, Engine, GdbConfig, GdbResult,
 };
-pub use partition::spanning_partition_labels;
 pub use scratch::CoreScratch;
 pub use spec::{Diagnostics, Method, PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput};
 
@@ -99,7 +97,6 @@ pub mod prelude {
     pub use crate::emd::EmdConfig;
     pub use crate::error::SparsifyError;
     pub use crate::gdb::{CutRule, Engine, GdbConfig};
-    pub use crate::partition::spanning_partition_labels;
     pub use crate::scratch::CoreScratch;
     pub use crate::spec::{
         Diagnostics, Method, PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput,

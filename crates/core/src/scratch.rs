@@ -3,9 +3,8 @@
 //! The hot loops of this crate — backbone construction, the `GDB` sweep loop
 //! and the `EMD` E/M-phases — all need graph-sized buffers.  The reference
 //! implementations allocate them per call, which is fine for a one-shot
-//! sparsification but wasteful for parameter sweeps and the per-shard use
-//! envisioned by the ROADMAP's graph-sharded direction.  [`CoreScratch`]
-//! owns every buffer once and is threaded through
+//! sparsification but wasteful for parameter sweeps and other repeated
+//! runs.  [`CoreScratch`] owns every buffer once and is threaded through
 //! [`build_backbone_into`](crate::backbone::build_backbone_into),
 //! [`gradient_descent_assign_with`](crate::gdb::gradient_descent_assign_with),
 //! [`expectation_maximization_sparsify_with`](crate::emd::expectation_maximization_sparsify_with)

@@ -267,7 +267,7 @@ impl SparsifierSpec {
     ///
     /// Allocates a transient [`CoreScratch`]; use
     /// [`SparsifierSpec::sparsify_with`] to amortise the workspace across
-    /// repeated runs (parameter sweeps, per-shard sparsification).
+    /// repeated runs (parameter sweeps, several graphs in a row).
     pub fn sparsify<R: RngCore + ?Sized>(
         &self,
         g: &UncertainGraph,

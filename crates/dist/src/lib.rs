@@ -59,9 +59,9 @@
 //!    same verdict order, as the in-process barrier leader — so the run
 //!    stops after the same epoch with the same half-width.
 //!
-//! A plan's `shards` field is an in-process sampling layout whose answers
-//! equal the monolithic ones; the fleet answers it (and refuses a shard
-//! count the graph cannot fill) exactly as the in-process run does.
+//! A plan's `shards` field never changes an answer: the fleet echoes it
+//! and, like the in-process run, refuses a shard count the graph cannot
+//! fill ([`QueryPlan::shard_refusal`](ugs_service::QueryPlan::shard_refusal)).
 //!
 //! # Failure model
 //!

@@ -177,8 +177,8 @@ fn edge_cases_match_in_process() {
 fn sharded_invalid_and_refused_plans_resolve_like_in_process() {
     let graph = test_graph();
     let mut fleet = Fleet::start(&graph, 2);
-    // A plan's shard count is an in-process sampling layout: the fleet
-    // answers it exactly like the in-process sharded engine does.
+    // A plan's shard count never changes an answer, on the fleet or in
+    // process.
     for shards in [2, 3] {
         let mut plan = mixed_plan(30, 2, "skip", 9);
         plan.shards = shards;

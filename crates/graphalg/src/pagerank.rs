@@ -12,8 +12,8 @@
 //! term plus the uniformly spread mass of the dangling (degree-0) vertices
 //! — adds `damping · rank[u] / deg(u)` once per arc `u → v`, and measures
 //! the L1 change.  The kernel fixes the order of every floating-point
-//! operation, so drivers that split the work (the ghost-halo supersteps in
-//! `ugs-queries`, the distributed coordinator) can reproduce its bits:
+//! operation; that order is what keeps [`pagerank_into`] bit-identical to
+//! the plain reference loop in `tests/pagerank_oracle.rs`:
 //!
 //! * **Per-target ascending-source order.**  Each `next[v]` starts at
 //!   `base` and adds its neighbours' shares in ascending source order, one
@@ -21,8 +21,9 @@
 //!   arc).
 //! * **Dangling mass.**  Dangling vertices receive no shares, so they all
 //!   hold the same rank bits in every iteration: `1/n` first, the previous
-//!   iteration's `base` after that.  The mass is [`dangling_mass`] of that
-//!   shared rank and the dangling count.
+//!   iteration's `base` after that.  The mass adds that shared rank once
+//!   per dangling vertex onto `0.0`, which is bitwise the reference loop's
+//!   ascending sum of the dangling ranks.
 //! * **Ascending delta fold.**  The convergence delta is a left fold of
 //!   `|rank[v] − next[v]|` over `v = 0..n` ascending; the iteration stops
 //!   after the first pass whose delta is `< tolerance`.
@@ -54,7 +55,7 @@ impl Default for PageRankConfig {
 /// rank every dangling vertex holds, onto `0.0` — bitwise the sum of the
 /// dangling ranks in ascending vertex order, because they all carry the
 /// same bits (see the [module docs](self)).
-pub fn dangling_mass(rank_d: f64, count: usize) -> f64 {
+fn dangling_mass(rank_d: f64, count: usize) -> f64 {
     let mut acc = 0.0;
     for _ in 0..count {
         acc += rank_d;

@@ -139,8 +139,6 @@ use uncertain_graph::UncertainGraph;
 
 use crate::engine::{WorldEngine, WorldScratch};
 use crate::mc::MonteCarlo;
-use crate::sharded::{ShardedWorld, ShardedWorldEngine};
-use crate::source::{ShardSupport, WorldSource, WorldView};
 use crate::variance::{Precision, StopReason, StoppingRule};
 
 /// A per-query accumulator fed by the batch driver.
@@ -175,33 +173,6 @@ pub trait WorldObserver: Send + Clone + 'static {
     /// edge ids and the materialised [`graph_algos::DeterministicGraph`]).
     fn observe(&mut self, world: &WorldScratch);
 
-    /// Which world views the observer can consume (see
-    /// [`ShardSupport`]).  The default is [`ShardSupport::MonolithicOnly`];
-    /// observers whose accumulation is exact under a per-shard + cut
-    /// decomposition override this to [`ShardSupport::CutAware`], and
-    /// observers that are exact through the ghost-halo exchange
-    /// ([`crate::halo`]) override it to [`ShardSupport::Halo`]; both
-    /// implement [`WorldObserver::observe_sharded`].
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::MonolithicOnly
-    }
-
-    /// Observes one sampled world decomposed by a graph partition: the
-    /// per-shard contribution plus the boundary (cut-edge) correction.
-    ///
-    /// An implementation must accumulate exactly what [`WorldObserver::observe`]
-    /// would have accumulated for the same world — the sharded engine
-    /// replays the monolithic edge stream, so a correct cut correction
-    /// makes count-style results bit-identical across shard counts.
-    ///
-    /// The default implementation panics; drivers never call it unless
-    /// [`WorldObserver::shard_support`] declared a sharded path
-    /// ([`ShardSupport::CutAware`] or [`ShardSupport::Halo`]).
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        let _ = world;
-        panic!("observer has no cut-aware path (shard_support() is MonolithicOnly)");
-    }
-
     /// The a-priori closed range `[lo, hi]` of the scalar statistic this
     /// observer feeds the adaptive stopping rule, or `None` (the default)
     /// when the observer tracks no bounded per-world scalar.  Observers
@@ -212,10 +183,9 @@ pub trait WorldObserver: Send + Clone + 'static {
     }
 
     /// The tracked scalar of the most recently observed world.  The adaptive
-    /// driver calls this immediately after every [`WorldObserver::observe`] /
-    /// [`WorldObserver::observe_sharded`], and only when
-    /// [`WorldObserver::tracked_range`] returned `Some`; the default (never
-    /// called by the driver) returns NaN.
+    /// driver calls this immediately after every [`WorldObserver::observe`],
+    /// and only when [`WorldObserver::tracked_range`] returned `Some`; the
+    /// default (never called by the driver) returns NaN.
     fn tracked_statistic(&self) -> f64 {
         f64::NAN
     }
@@ -257,10 +227,6 @@ pub trait WorldObserver: Send + Clone + 'static {
 pub trait DynObserver: Send {
     /// Type-erased [`WorldObserver::observe`].
     fn observe_dyn(&mut self, world: &WorldScratch);
-    /// Type-erased [`WorldObserver::shard_support`].
-    fn shard_support_dyn(&self) -> ShardSupport;
-    /// Type-erased [`WorldObserver::observe_sharded`].
-    fn observe_sharded_dyn(&mut self, world: &ShardedWorld<'_>);
     /// Type-erased [`WorldObserver::tracked_range`].
     fn tracked_range_dyn(&self) -> Option<(f64, f64)>;
     /// Type-erased [`WorldObserver::tracked_statistic`].
@@ -289,14 +255,6 @@ pub trait DynObserver: Send {
 impl<O: WorldObserver> DynObserver for O {
     fn observe_dyn(&mut self, world: &WorldScratch) {
         self.observe(world);
-    }
-
-    fn shard_support_dyn(&self) -> ShardSupport {
-        self.shard_support()
-    }
-
-    fn observe_sharded_dyn(&mut self, world: &ShardedWorld<'_>) {
-        self.observe_sharded(world);
     }
 
     fn tracked_range_dyn(&self) -> Option<(f64, f64)> {
@@ -338,19 +296,13 @@ impl<O: WorldObserver> DynObserver for O {
 
 /// An owned, type-erased observer — the unit a heterogeneous registry
 /// stores.  Create with [`BoxedObserver::new`] and register it with
-/// [`QueryBatch::try_register_boxed`].
+/// [`QueryBatch::register_boxed`].
 pub struct BoxedObserver(Box<dyn DynObserver>);
 
 impl BoxedObserver {
     /// Erases a concrete [`WorldObserver`].
     pub fn new<O: WorldObserver>(observer: O) -> Self {
         BoxedObserver(Box::new(observer))
-    }
-
-    /// Which world views the erased observer can consume (see
-    /// [`WorldObserver::shard_support`]).
-    pub fn shard_support(&self) -> ShardSupport {
-        self.0.shard_support_dyn()
     }
 
     /// The range of the statistic the observer feeds an adaptive stopping
@@ -448,14 +400,6 @@ pub enum BatchError {
         /// The handle's slot index.
         index: usize,
     },
-    /// The observer cannot register with this batch: the batch is sharded
-    /// ([`QueryBatch::from_sharded`]) and the observer has no sharded path
-    /// (neither a cut correction nor the ghost-halo exchange). Returned by
-    /// [`QueryBatch::try_register`] / [`QueryBatch::try_register_boxed`].
-    Unsupported {
-        /// The observer's declared [`ShardSupport`].
-        support: ShardSupport,
-    },
 }
 
 impl std::fmt::Display for BatchError {
@@ -469,12 +413,6 @@ impl std::fmt::Display for BatchError {
             BatchError::AlreadyTaken { index } => {
                 write!(f, "observer result already taken (slot {index})")
             }
-            BatchError::Unsupported { support } => write!(
-                f,
-                "observer has no sharded path (cut correction or ghost halo) and cannot \
-                 register with a sharded batch (declared {support:?}; validate the query \
-                 against the shard configuration first)"
-            ),
         }
     }
 }
@@ -491,20 +429,13 @@ static BATCH_IDS: AtomicU64 = AtomicU64::new(0);
 /// thread count, sampling method); see the [module docs](self) for the
 /// determinism contract and a worked example.
 pub struct QueryBatch<'g> {
-    source: BatchSource<'g>,
+    engine: WorldEngine<'g>,
     num_worlds: usize,
     threads: usize,
     id: u64,
     observers: Vec<Box<dyn DynObserver>>,
     precision: Option<Precision>,
     cancel: Option<Arc<AtomicBool>>,
-}
-
-/// Where a batch's worlds come from: the monolithic engine (owned, as
-/// before) or a caller-built shard-aware engine.
-enum BatchSource<'g> {
-    Monolithic(WorldEngine<'g>),
-    Sharded(&'g ShardedWorldEngine<'g>),
 }
 
 impl<'g> QueryBatch<'g> {
@@ -525,32 +456,8 @@ impl<'g> QueryBatch<'g> {
     /// Creates a batch from a pre-built engine (lets callers reuse the
     /// engine's `O(|E| log |E|)` construction across batches).
     pub fn from_engine(engine: WorldEngine<'g>, num_worlds: usize, threads: usize) -> Self {
-        Self::from_source(BatchSource::Monolithic(engine), num_worlds, threads)
-    }
-
-    /// Creates a batch over a **shard-aware** world source: every sampled
-    /// world reaches the observers as a [`ShardedWorld`], so only observers
-    /// with an exact sharded path — a cut correction
-    /// ([`ShardSupport::CutAware`]) or the ghost-halo exchange
-    /// ([`ShardSupport::Halo`], see [`crate::halo`]) — can register;
-    /// [`QueryBatch::register`] / [`QueryBatch::register_boxed`] panic on
-    /// any other (register through [`QueryBatch::try_register_boxed`], as
-    /// `ugs-service` does, to get a typed error instead).
-    ///
-    /// The replay-partitioned world stream is the same as a monolithic
-    /// batch's at equal seeds, so both mechanisms produce bit-identical
-    /// results here and in [`QueryBatch::new`].
-    pub fn from_sharded(
-        engine: &'g ShardedWorldEngine<'g>,
-        num_worlds: usize,
-        threads: usize,
-    ) -> Self {
-        Self::from_source(BatchSource::Sharded(engine), num_worlds, threads)
-    }
-
-    fn from_source(source: BatchSource<'g>, num_worlds: usize, threads: usize) -> Self {
         QueryBatch {
-            source,
+            engine,
             num_worlds,
             threads: threads.max(1),
             id: BATCH_IDS.fetch_add(1, Ordering::Relaxed),
@@ -599,87 +506,29 @@ impl<'g> QueryBatch<'g> {
         self.observers.len()
     }
 
-    /// Whether an observer with the given [`ShardSupport`] can register
-    /// with this batch (always true for monolithic batches).
-    pub fn admits(&self, support: ShardSupport) -> bool {
-        match &self.source {
-            BatchSource::Monolithic(engine) => engine.admits(support),
-            BatchSource::Sharded(engine) => engine.admits(support),
-        }
-    }
-
-    fn check_admits(&self, support: ShardSupport) -> Result<(), BatchError> {
-        if self.admits(support) {
-            Ok(())
-        } else {
-            Err(BatchError::Unsupported { support })
-        }
-    }
-
-    /// Fallibly registers an observer; the returned typed handle redeems
-    /// its result from [`BatchResults::take`] after [`QueryBatch::run`].
-    ///
-    /// Returns [`BatchError::Unsupported`] when the batch is sharded
-    /// ([`QueryBatch::from_sharded`]) and the observer is
-    /// [`ShardSupport::MonolithicOnly`]. This is the path front-ends such
-    /// as `ugs-service` build on; the panicking [`QueryBatch::register`]
-    /// wrapper exists only for callers that validated support up front.
-    pub fn try_register<O: WorldObserver>(
-        &mut self,
-        observer: O,
-    ) -> Result<ObserverHandle<O>, BatchError> {
-        self.check_admits(observer.shard_support())?;
+    /// Registers an observer; the returned typed handle redeems its result
+    /// from [`BatchResults::take`] after [`QueryBatch::run`].
+    pub fn register<O: WorldObserver>(&mut self, observer: O) -> ObserverHandle<O> {
         let index = self.observers.len();
         self.observers.push(Box::new(observer));
-        Ok(ObserverHandle {
+        ObserverHandle {
             batch: self.id,
             index,
             _marker: PhantomData,
-        })
+        }
     }
 
-    /// Registers an observer; thin shim over [`QueryBatch::try_register`]
-    /// kept for callers that validated shard support up front — prefer the
-    /// fallible path in new code.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch is sharded ([`QueryBatch::from_sharded`]) and
-    /// the observer is [`ShardSupport::MonolithicOnly`].
-    pub fn register<O: WorldObserver>(&mut self, observer: O) -> ObserverHandle<O> {
-        self.try_register(observer)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallibly registers a type-erased observer (a dynamic registry entry
-    /// — see the [module docs](self#the-dynobserver-layer)); the returned
-    /// untyped handle redeems the boxed output from
-    /// [`BatchResults::try_take_boxed`] after [`QueryBatch::run`].
-    ///
-    /// Returns [`BatchError::Unsupported`] when the batch is sharded
-    /// ([`QueryBatch::from_sharded`]) and the observer is
-    /// [`ShardSupport::MonolithicOnly`].
-    pub fn try_register_boxed(&mut self, observer: BoxedObserver) -> Result<DynHandle, BatchError> {
-        self.check_admits(observer.shard_support())?;
+    /// Registers a type-erased observer (a dynamic registry entry — see the
+    /// [module docs](self#the-dynobserver-layer)); the returned untyped
+    /// handle redeems the boxed output from [`BatchResults::try_take_boxed`]
+    /// after [`QueryBatch::run`].
+    pub fn register_boxed(&mut self, observer: BoxedObserver) -> DynHandle {
         let index = self.observers.len();
         self.observers.push(observer.0);
-        Ok(DynHandle {
+        DynHandle {
             batch: self.id,
             index,
-        })
-    }
-
-    /// Registers a type-erased observer; thin shim over
-    /// [`QueryBatch::try_register_boxed`] kept for callers that validated
-    /// shard support up front — prefer the fallible path in new code.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch is sharded ([`QueryBatch::from_sharded`]) and
-    /// the observer is [`ShardSupport::MonolithicOnly`].
-    pub fn register_boxed(&mut self, observer: BoxedObserver) -> DynHandle {
-        self.try_register_boxed(observer)
-            .unwrap_or_else(|e| panic!("{e}"))
+        }
     }
 
     /// Samples the worlds (each exactly once per worker stream) and feeds
@@ -690,7 +539,7 @@ impl<'g> QueryBatch<'g> {
     /// [module docs](self) for the full determinism contract.
     pub fn run<R: Rng + ?Sized>(self, rng: &mut R) -> BatchResults {
         let QueryBatch {
-            source,
+            engine,
             num_worlds,
             threads,
             id,
@@ -710,10 +559,7 @@ impl<'g> QueryBatch<'g> {
         match precision {
             None => {
                 let plan = BlockPlan::fixed(num_worlds, threads);
-                let merged = match &source {
-                    BatchSource::Monolithic(engine) => drive(engine, plan, observers, seed),
-                    BatchSource::Sharded(engine) => drive(*engine, plan, observers, seed),
-                };
+                let merged = drive(&engine, plan, observers, seed);
                 BatchResults {
                     id,
                     num_worlds,
@@ -723,15 +569,15 @@ impl<'g> QueryBatch<'g> {
             }
             Some(precision) => {
                 let cap = precision.cap(num_worlds);
-                let cancel = cancel.as_deref();
-                let (merged, report) = match &source {
-                    BatchSource::Monolithic(engine) => {
-                        drive_adaptive(engine, cap, threads, observers, seed, &precision, cancel)
-                    }
-                    BatchSource::Sharded(engine) => {
-                        drive_adaptive(*engine, cap, threads, observers, seed, &precision, cancel)
-                    }
-                };
+                let (merged, report) = drive_adaptive(
+                    &engine,
+                    cap,
+                    threads,
+                    observers,
+                    seed,
+                    &precision,
+                    cancel.as_deref(),
+                );
                 BatchResults {
                     id,
                     num_worlds: report.worlds_used,
@@ -863,13 +709,13 @@ impl BlockWatch {
 /// fleet slot.  Either way each registry sees exactly its block's worlds
 /// in stream order, so block partials merged in block order reproduce the
 /// in-process fold bit for bit.
-pub struct SlotRun<'s, S: WorldSource> {
-    source: &'s S,
+pub struct SlotRun<'s> {
+    engine: &'s WorldEngine<'s>,
     plan: BlockPlan,
     slot: usize,
     slots: usize,
     rng: SmallRng,
-    scratch: S::Scratch,
+    scratch: WorldScratch,
     /// Position of `rng` in the shared stream.
     pos: usize,
     /// One registry per block of the slot, in block order.
@@ -879,7 +725,7 @@ pub struct SlotRun<'s, S: WorldSource> {
     epochs: usize,
 }
 
-impl<'s, S: WorldSource> SlotRun<'s, S> {
+impl<'s> SlotRun<'s> {
     /// Slot `slot` of `slots` over `plan`, replaying the stream of batch
     /// seed `seed`; every block starts from a pristine copy of `observers`.
     ///
@@ -887,7 +733,7 @@ impl<'s, S: WorldSource> SlotRun<'s, S> {
     ///
     /// Panics if `slots` is zero.
     pub fn new(
-        source: &'s S,
+        engine: &'s WorldEngine<'s>,
         seed: u64,
         plan: BlockPlan,
         slot: usize,
@@ -895,11 +741,11 @@ impl<'s, S: WorldSource> SlotRun<'s, S> {
         observers: Vec<BoxedObserver>,
     ) -> Self {
         let registry = observers.into_iter().map(|o| o.0).collect();
-        Self::from_registry(source, seed, plan, slot, slots, registry)
+        Self::from_registry(engine, seed, plan, slot, slots, registry)
     }
 
     fn from_registry(
-        source: &'s S,
+        engine: &'s WorldEngine<'s>,
         seed: u64,
         plan: BlockPlan,
         slot: usize,
@@ -922,12 +768,12 @@ impl<'s, S: WorldSource> SlotRun<'s, S> {
             registries.insert(0, observers);
         }
         SlotRun {
-            source,
+            engine,
             plan,
             slot,
             slots,
             rng: SmallRng::seed_from_u64(seed),
-            scratch: source.make_scratch(),
+            scratch: engine.make_scratch(),
             pos: 0,
             registries,
             tracked,
@@ -955,15 +801,15 @@ impl<'s, S: WorldSource> SlotRun<'s, S> {
         for (i, registry) in self.registries.iter_mut().enumerate() {
             let range = self.plan.block_range(epoch, self.slot + i * self.slots);
             while self.pos < range.start {
-                self.source.advance_world(&mut self.rng, &mut self.scratch);
+                self.engine.advance_world(&mut self.rng, &mut self.scratch);
                 self.pos += 1;
                 if !BlockWatch::tick(watch, self.pos) {
                     return false;
                 }
             }
             for _ in range {
-                let view = self.source.sample_world(&mut self.rng, &mut self.scratch);
-                observe_all(registry, &view);
+                self.engine.sample_world(&mut self.rng, &mut self.scratch);
+                observe_all(registry, &self.scratch);
                 if let Some(stats) = stats.as_deref_mut() {
                     stats.extend(
                         self.tracked
@@ -1006,15 +852,15 @@ impl<'s, S: WorldSource> SlotRun<'s, S> {
 /// The fixed-budget driver: one [`SlotRun`] per thread, thread `w` holding
 /// block `w`; partials merge in block order.  The sampled world sequence is
 /// independent of the thread count.
-fn drive<S: WorldSource>(
-    source: &S,
+fn drive(
+    engine: &WorldEngine<'_>,
     plan: BlockPlan,
     observers: Vec<Box<dyn DynObserver>>,
     seed: u64,
 ) -> Vec<Box<dyn DynObserver>> {
     let threads = plan.blocks();
     if threads == 1 {
-        let mut run = SlotRun::from_registry(source, seed, plan, 0, 1, observers);
+        let mut run = SlotRun::from_registry(engine, seed, plan, 0, 1, observers);
         run.run_epoch(None, None);
         return run.into_registry();
     }
@@ -1025,7 +871,7 @@ fn drive<S: WorldSource>(
             .map(|(slot, registry)| {
                 scope.spawn(move || {
                     let mut run =
-                        SlotRun::from_registry(source, seed, plan, slot, threads, registry);
+                        SlotRun::from_registry(engine, seed, plan, slot, threads, registry);
                     run.run_epoch(None, None);
                     run.into_registry()
                 })
@@ -1096,8 +942,8 @@ pub struct AdaptiveReport {
 /// worker 1's *is* the sequential order).  Every thread count therefore
 /// executes the identical sequence of `record`/`check` calls and consumes
 /// the same number of worlds.
-fn drive_adaptive<S: WorldSource>(
-    source: &S,
+fn drive_adaptive(
+    engine: &WorldEngine<'_>,
     cap: usize,
     threads: usize,
     observers: Vec<Box<dyn DynObserver>>,
@@ -1135,7 +981,7 @@ fn drive_adaptive<S: WorldSource>(
     let threads = plan.blocks();
 
     let (merged, stopped) = if threads == 1 {
-        let mut run = SlotRun::from_registry(source, seed, plan, 0, 1, observers);
+        let mut run = SlotRun::from_registry(engine, seed, plan, 0, 1, observers);
         let mut stats = Vec::new();
         let stopped = loop {
             stats.clear();
@@ -1166,7 +1012,7 @@ fn drive_adaptive<S: WorldSource>(
                 .map(|(slot, registry)| {
                     scope.spawn(move || {
                         let mut run =
-                            SlotRun::from_registry(source, seed, plan, slot, threads, registry);
+                            SlotRun::from_registry(engine, seed, plan, slot, threads, registry);
                         let mut my_stats = Vec::new();
                         loop {
                             my_stats.clear();
@@ -1223,20 +1069,10 @@ fn drive_adaptive<S: WorldSource>(
     (merged, report)
 }
 
-/// Dispatches one world view to every observer (the view kind is fixed per
-/// source, so the match is loop-invariant in practice).
-fn observe_all(observers: &mut [Box<dyn DynObserver>], view: &WorldView<'_>) {
-    match view {
-        WorldView::Monolithic(world) => {
-            for observer in observers.iter_mut() {
-                observer.observe_dyn(world);
-            }
-        }
-        WorldView::Sharded(world) => {
-            for observer in observers.iter_mut() {
-                observer.observe_sharded_dyn(world);
-            }
-        }
+/// Feeds one sampled world to every observer.
+fn observe_all(observers: &mut [Box<dyn DynObserver>], world: &WorldScratch) {
+    for observer in observers.iter_mut() {
+        observer.observe_dyn(world);
     }
 }
 
@@ -1360,31 +1196,6 @@ impl WorldObserver for EdgeFrequencyObserver {
             self.counts[e as usize] += 1.0;
         }
         self.last_fraction = world.present_edges().len() as f64 / self.counts.len() as f64;
-    }
-
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::CutAware
-    }
-
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        // Per-shard partial: every present intra-shard edge counts under its
-        // stable global id.  Cut correction: the boundary pass counts every
-        // present cut edge exactly once.  Integer increments into the same
-        // slots as the monolithic path, so the totals are bit-identical.
-        let partition = world.partition();
-        for (s, shard) in partition.shards().iter().enumerate() {
-            for &e in world.shard_present(s) {
-                self.counts[shard.global_edge(e as usize)] += 1.0;
-            }
-        }
-        for &c in world.present_cuts() {
-            self.counts[partition.cut_edge(c as usize).edge] += 1.0;
-        }
-        let present: usize = (0..partition.shards().len())
-            .map(|s| world.shard_present(s).len())
-            .sum::<usize>()
-            + world.present_cuts().len();
-        self.last_fraction = present as f64 / self.counts.len() as f64;
     }
 
     /// Tracked statistic: the fraction of support edges present in the last
@@ -1519,65 +1330,6 @@ mod tests {
             results_b.try_take(handle_b),
             Err(BatchError::AlreadyTaken { index: 0 })
         );
-    }
-
-    /// A deliberately `MonolithicOnly` observer (default `shard_support`).
-    #[derive(Debug, Clone)]
-    struct MonolithicProbe;
-
-    impl WorldObserver for MonolithicProbe {
-        type Output = ();
-
-        fn observe(&mut self, _world: &WorldScratch) {}
-
-        fn merge(&mut self, _other: Self) {}
-
-        fn finalize(self, _num_worlds: usize) {}
-    }
-
-    #[test]
-    fn try_register_rejects_unsupported_observers_with_a_typed_error() {
-        use crate::sharded::ShardedWorldEngine;
-        use uncertain_graph::GraphPartition;
-
-        let g = toy();
-        let partition = GraphPartition::contiguous(&g, 2).unwrap();
-        let engine = ShardedWorldEngine::new(&g, &partition);
-        let mut batch = QueryBatch::from_sharded(&engine, 10, 1);
-        let err = batch.try_register(MonolithicProbe).unwrap_err();
-        assert_eq!(
-            err,
-            BatchError::Unsupported {
-                support: ShardSupport::MonolithicOnly
-            }
-        );
-        let err = batch
-            .try_register_boxed(BoxedObserver::new(MonolithicProbe))
-            .unwrap_err();
-        assert!(matches!(err, BatchError::Unsupported { .. }));
-        assert_eq!(
-            batch.num_observers(),
-            0,
-            "failed registrations leave no slot"
-        );
-        // Cut-aware observers still register, typed and boxed alike.
-        assert!(batch.try_register(EdgeFrequencyObserver::new(&g)).is_ok());
-        // Monolithic batches admit everything.
-        let mut mono = QueryBatch::new(&g, &MonteCarlo::worlds(5));
-        assert!(mono.try_register(MonolithicProbe).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "no sharded path")]
-    fn register_shim_still_panics_on_unsupported_observers() {
-        use crate::sharded::ShardedWorldEngine;
-        use uncertain_graph::GraphPartition;
-
-        let g = toy();
-        let partition = GraphPartition::contiguous(&g, 2).unwrap();
-        let engine = ShardedWorldEngine::new(&g, &partition);
-        let mut batch = QueryBatch::from_sharded(&engine, 10, 1);
-        let _ = batch.register(MonolithicProbe);
     }
 
     #[test]

@@ -21,8 +21,6 @@ use uncertain_graph::UncertainGraph;
 use crate::batch::{QueryBatch, WorldObserver};
 use crate::engine::WorldScratch;
 use crate::mc::MonteCarlo;
-use crate::sharded::{ShardedComponents, ShardedWorld};
-use crate::source::ShardSupport;
 use graph_algos::traversal::connected_components;
 
 /// Monte-Carlo estimates of the connectivity structure of an uncertain graph.
@@ -84,38 +82,6 @@ impl WorldObserver for ConnectivityObserver {
         let isolated = (0..world.num_vertices())
             .filter(|&u| world.degree(u) == 0)
             .count();
-        self.totals[0] += count as f64;
-        self.totals[1] += largest as f64;
-        self.totals[2] += f64::from(count == 1);
-        self.totals[3] += isolated as f64 / self.n as f64;
-        self.last_connected = f64::from(count == 1);
-    }
-
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::CutAware
-    }
-
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        // Traversal-style cut correction: per-shard component labels glued
-        // with DSU unions across the present cut edges (ghost-vertex
-        // equivalent).  Every per-world scalar — component count, largest
-        // size, connectedness, isolated count — is exactly the monolithic
-        // value, so the accumulated totals stay bit-identical.
-        let partition = world.partition();
-        let mut components = ShardedComponents::compute(world);
-        let count = components.num_components();
-        let largest = components.largest_component();
-        let mut isolated = 0usize;
-        for (s, shard) in partition.shards().iter().enumerate() {
-            let shard_world = world.shard_world(s);
-            for local in 0..shard_world.num_vertices() {
-                if shard_world.degree(local) == 0
-                    && world.cut_degree(shard.global_vertex(local)) == 0
-                {
-                    isolated += 1;
-                }
-            }
-        }
         self.totals[0] += count as f64;
         self.totals[1] += largest as f64;
         self.totals[2] += f64::from(count == 1);
@@ -196,26 +162,6 @@ impl WorldObserver for DegreeHistogramObserver {
         let world = scratch.world();
         for u in 0..world.num_vertices() {
             self.totals[world.degree(u)] += 1.0;
-        }
-    }
-
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::CutAware
-    }
-
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        // A vertex's world degree decomposes exactly into its shard-local
-        // degree plus the number of present cut edges incident to it — the
-        // boundary pass tracks the latter, so the histogram increments are
-        // identical to the monolithic path's.
-        let partition = world.partition();
-        for (s, shard) in partition.shards().iter().enumerate() {
-            let shard_world = world.shard_world(s);
-            for local in 0..shard_world.num_vertices() {
-                let degree =
-                    shard_world.degree(local) + world.cut_degree(shard.global_vertex(local));
-                self.totals[degree] += 1.0;
-            }
         }
     }
 

@@ -59,9 +59,9 @@ impl SampleMethod {
 
     /// Resolves [`SampleMethod::Auto`] against a graph's [`SkipSampler`]
     /// (mean edge probability vs [`SampleMethod::AUTO_SKIP_THRESHOLD`]);
-    /// concrete methods pass through.  **The single resolution rule** —
-    /// shared by the monolithic and the sharded engine, which must agree
-    /// bit-for-bit on the sampling path for the same graph and method.
+    /// concrete methods pass through.  **The single resolution rule**: every
+    /// engine built for the same graph and method takes the same sampling
+    /// path, so plans, server jobs and fleet blocks replay one world stream.
     pub(crate) fn resolve(self, sampler: &SkipSampler) -> SampleMethod {
         match self {
             SampleMethod::Auto => {

@@ -20,8 +20,6 @@ use uncertain_graph::UncertainGraph;
 use crate::batch::{QueryBatch, WorldObserver};
 use crate::engine::WorldScratch;
 use crate::mc::MonteCarlo;
-use crate::sharded::{sharded_bfs_distances, ShardedWorld};
-use crate::source::ShardSupport;
 use graph_algos::traversal::bfs_distances;
 
 /// One k-NN result entry.
@@ -38,10 +36,6 @@ pub struct Neighbor {
 
 /// Observer accumulating reachability and hop distances from a fixed source
 /// vertex; finalises to the `k` nearest neighbours.
-///
-/// Sharded sources are supported through the halo-hopping BFS
-/// ([`sharded_bfs_distances`]): hop counts are integers, so the per-world
-/// observation is exactly the monolithic one.
 #[derive(Debug, Clone)]
 pub struct KnnObserver {
     n: usize,
@@ -49,10 +43,6 @@ pub struct KnnObserver {
     k: usize,
     /// Layout: [0, n) = Σ distance when reachable, [n, 2n) = # reachable.
     totals: Vec<f64>,
-    /// BFS scratch for sharded views (lazily sized; not part of the
-    /// accumulated state).
-    shard_dist: Vec<u32>,
-    shard_queue: Vec<u32>,
 }
 
 impl KnnObserver {
@@ -69,28 +59,12 @@ impl KnnObserver {
             source,
             k,
             totals: vec![0.0; 2 * n],
-            shard_dist: Vec::new(),
-            shard_queue: Vec::new(),
         }
     }
 
     /// The query source vertex.
     pub fn source(&self) -> usize {
         self.source
-    }
-
-    /// Accumulates one world's hop distances (`u32::MAX` = unreachable) —
-    /// the seam shared by the sharded path and the distributed coordinator.
-    /// Bitwise the monolithic accumulation: hop counts are small integers,
-    /// so the `u32 -> f64` cast matches the monolithic `usize -> f64` one.
-    pub fn record_distances(&mut self, dist: &[u32]) {
-        let (distance_acc, reach_acc) = self.totals.split_at_mut(self.n);
-        for (v, &d) in dist.iter().enumerate() {
-            if v != self.source && d != u32::MAX {
-                distance_acc[v] += d as f64;
-                reach_acc[v] += 1.0;
-            }
-        }
     }
 }
 
@@ -107,23 +81,6 @@ impl WorldObserver for KnnObserver {
                 reach_acc[v] += 1.0;
             }
         }
-    }
-
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::Halo
-    }
-
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        let KnnObserver {
-            source,
-            shard_dist,
-            shard_queue,
-            ..
-        } = self;
-        sharded_bfs_distances(world, *source, shard_dist, shard_queue);
-        let dist = std::mem::take(&mut self.shard_dist);
-        self.record_distances(&dist);
-        self.shard_dist = dist;
     }
 
     fn partial(&self) -> Option<&[f64]> {

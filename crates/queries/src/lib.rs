@@ -43,29 +43,13 @@
 //! when there is nothing to sample).  See the [`batch`] module docs for the
 //! determinism contract and a worked multi-query example.
 //!
-//! ## Graph-sharded evaluation
-//!
-//! Where sampled worlds come from is abstracted behind the
-//! [`source::WorldSource`] trait: the monolithic [`engine::WorldEngine`]
-//! yields whole-graph worlds, and [`sharded::ShardedWorldEngine`] yields
-//! worlds decomposed by a [`uncertain_graph::GraphPartition`] — one
-//! materialised CSR per shard plus a dedicated boundary pass over the cut
-//! edges.  The sharded engine *replays* the monolithic edge stream, so
-//! cut-aware count observers ([`EdgeFrequencyObserver`],
-//! [`DegreeHistogramObserver`], [`PairQueriesObserver`],
-//! [`ConnectivityObserver`]) produce results **bit-identical** to a
-//! monolithic run at equal seeds, invariant over shard and thread counts
-//! (`tests/shard_parity.rs`); the neighbourhood observers (PageRank,
-//! clustering, k-NN) are bit-identical too, through the ghost-halo exchange
-//! of [`halo`].  [`source::ShardSupport`] names the mechanism each observer
-//! uses; an observer with neither is rejected up front.
-//!
 //! ## World blocks across processes
 //!
-//! The same replay partitioning spreads a batch over machines: a
-//! [`batch::BlockPlan`] cuts the worlds into blocks, a [`batch::SlotRun`]
-//! runs a worker's blocks on one thread, and each observer's accumulator
-//! crosses the wire as an exact [`partial`] — see
+//! Every batch samples from one [`engine::WorldEngine`], and the replay
+//! partitioning that splits its worlds across threads also spreads a batch
+//! over machines: a [`batch::BlockPlan`] cuts the worlds into blocks, a
+//! [`batch::SlotRun`] runs a worker's blocks on one thread, and each
+//! observer's accumulator crosses the wire as an exact [`partial`] — see
 //! [world blocks](batch#world-blocks).  `ugs-server`'s `world_block` op
 //! and `ugs-dist`'s coordinator are built on these three pieces.
 //!
@@ -102,15 +86,12 @@ pub mod batch;
 pub mod components;
 pub mod cv;
 pub mod engine;
-pub mod halo;
 pub mod knn;
 pub mod mc;
 pub mod node_queries;
 pub mod pair_queries;
 pub mod pairs;
 pub mod partial;
-pub mod sharded;
-pub mod source;
 pub mod variance;
 
 pub use prelude::*;
@@ -128,7 +109,6 @@ pub mod prelude {
     };
     pub use crate::cv::{ControlVariate, CvConfig, CvError, CvEstimate};
     pub use crate::engine::{SampleMethod, WorldEngine, WorldScratch};
-    pub use crate::halo::{HaloClustering, HaloPageRank, ShardBfs, ShardPageRank, WorldPresence};
     pub use crate::knn::{k_nearest_neighbors, knn_overlap, KnnObserver, Neighbor};
     pub use crate::mc::MonteCarlo;
     pub use crate::node_queries::{
@@ -136,8 +116,6 @@ pub mod prelude {
     };
     pub use crate::pair_queries::{pair_queries, PairQueriesObserver, PairQueryResult};
     pub use crate::pairs::random_pairs;
-    pub use crate::sharded::{ShardScratch, ShardedScratch, ShardedWorld, ShardedWorldEngine};
-    pub use crate::source::{ShardSupport, WorldSource, WorldView};
     pub use crate::variance::{
         estimator_variance, AccumulatorStats, Precision, StopReason, StoppingRule,
         VarianceEstimate, Welford,

@@ -14,29 +14,18 @@ use uncertain_graph::UncertainGraph;
 
 use crate::batch::{QueryBatch, WorldObserver};
 use crate::engine::WorldScratch;
-use crate::halo::{HaloClustering, HaloPageRank};
 use crate::mc::MonteCarlo;
-use crate::sharded::ShardedWorld;
-use crate::source::ShardSupport;
 use graph_algos::clustering::local_clustering_coefficients;
 use graph_algos::pagerank::{pagerank_into, PageRankConfig, PageRankScratch};
 
 /// Observer accumulating deterministic PageRank over sampled worlds;
 /// finalises to the per-vertex expected PageRank.
-///
-/// Sharded sources are supported through the ghost-halo exchange
-/// ([`crate::halo`]): per-world ranks are bit-identical to the monolithic
-/// kernel's, so the accumulated expectation is too.
 #[derive(Debug, Clone)]
 pub struct PageRankObserver {
     config: PageRankConfig,
     totals: Vec<f64>,
-    /// Kernel scratch for monolithic and one-shard worlds (lazily sized;
-    /// not part of the accumulated state).
+    /// Kernel scratch (lazily sized; not part of the accumulated state).
     scratch: PageRankScratch,
-    /// Superstep scratch for sharded views (lazily sized; not part of the
-    /// accumulated state).
-    halo: HaloPageRank,
 }
 
 impl PageRankObserver {
@@ -51,14 +40,7 @@ impl PageRankObserver {
             config,
             totals: vec![0.0; g.num_vertices()],
             scratch: PageRankScratch::default(),
-            halo: HaloPageRank::new(),
         }
-    }
-
-    /// Accumulates one world's per-vertex ranks (the seam shared by the
-    /// in-process paths and the distributed coordinator).
-    pub fn record_scores(&mut self, scores: &[f64]) {
-        add_scores(&mut self.totals, scores);
     }
 
     /// The PageRank configuration this observer runs.
@@ -72,21 +54,6 @@ impl WorldObserver for PageRankObserver {
 
     fn observe(&mut self, world: &WorldScratch) {
         let pr = pagerank_into(world.world(), &self.config, &mut self.scratch);
-        add_scores(&mut self.totals, pr);
-    }
-
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::Halo
-    }
-
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        let pr = if world.num_shards() == 1 {
-            // Trivial partitions skip the full-graph scatter (no
-            // `all_present` list); shard 0 *is* the monolithic world.
-            pagerank_into(world.shard_world(0), &self.config, &mut self.scratch)
-        } else {
-            self.halo.run(world, &self.config)
-        };
         add_scores(&mut self.totals, pr);
     }
 
@@ -124,16 +91,9 @@ fn add_scores(totals: &mut [f64], scores: &[f64]) {
 
 /// Observer accumulating local clustering coefficients over sampled worlds;
 /// finalises to the per-vertex expected coefficient.
-///
-/// Sharded sources are supported through a one-shot halo materialisation
-/// per world ([`crate::halo::HaloClustering`]), bit-identical to the
-/// monolithic kernel.
 #[derive(Debug, Clone)]
 pub struct ClusteringObserver {
     totals: Vec<f64>,
-    /// Halo materialisation scratch for sharded views (lazily sized; not
-    /// part of the accumulated state).
-    halo: HaloClustering,
 }
 
 impl ClusteringObserver {
@@ -141,12 +101,10 @@ impl ClusteringObserver {
     pub fn new(g: &UncertainGraph) -> Self {
         ClusteringObserver {
             totals: vec![0.0; g.num_vertices()],
-            halo: HaloClustering::new(),
         }
     }
 
-    /// Accumulates one world's per-vertex coefficients (the seam shared by
-    /// the in-process paths and the distributed coordinator).
+    /// Accumulates one world's per-vertex coefficients.
     pub fn record_coefficients(&mut self, coefficients: &[f64]) {
         for (t, c) in self.totals.iter_mut().zip(coefficients.iter()) {
             *t += c;
@@ -160,23 +118,6 @@ impl WorldObserver for ClusteringObserver {
     fn observe(&mut self, world: &WorldScratch) {
         let cc = local_clustering_coefficients(world.world());
         self.record_coefficients(&cc);
-    }
-
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::Halo
-    }
-
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        if world.num_shards() == 1 {
-            // See `PageRankObserver::observe_sharded`.
-            let cc = local_clustering_coefficients(world.shard_world(0));
-            self.record_coefficients(&cc);
-        } else {
-            let cc = self.halo.run(world);
-            for (t, c) in self.totals.iter_mut().zip(cc.iter()) {
-                *t += c;
-            }
-        }
     }
 
     fn partial(&self) -> Option<&[f64]> {

@@ -23,8 +23,6 @@ use uncertain_graph::UncertainGraph;
 use crate::batch::{QueryBatch, WorldObserver};
 use crate::engine::WorldScratch;
 use crate::mc::MonteCarlo;
-use crate::sharded::{sharded_bfs_distances, ShardedComponents, ShardedWorld};
-use crate::source::ShardSupport;
 use graph_algos::traversal::{bfs_distances, connected_components};
 
 /// Result of the pairwise queries for a fixed pair list.
@@ -67,11 +65,6 @@ pub struct PairQueriesObserver {
     /// Layout: [0, num_pairs) = Σ distances over connected worlds,
     ///         [num_pairs, 2*num_pairs) = # connected worlds.
     totals: Vec<f64>,
-    /// Scratch of the shard-aware BFS (lazily sized; not part of the
-    /// accumulated state).
-    shard_dist: Vec<u32>,
-    /// Scratch queue of the shard-aware BFS.
-    shard_queue: Vec<u32>,
 }
 
 impl PairQueriesObserver {
@@ -91,8 +84,6 @@ impl PairQueriesObserver {
             pairs: pairs.to_vec(),
             sources,
             totals: vec![0.0; 2 * pairs.len()],
-            shard_dist: Vec::new(),
-            shard_queue: Vec::new(),
         }
     }
 }
@@ -121,40 +112,6 @@ impl WorldObserver for PairQueriesObserver {
                 if labels[u] == labels[v] {
                     connected_acc[idx] += 1.0;
                     distance_acc[idx] += dist[v] as f64;
-                }
-            }
-        }
-    }
-
-    fn shard_support(&self) -> ShardSupport {
-        ShardSupport::CutAware
-    }
-
-    fn observe_sharded(&mut self, world: &ShardedWorld<'_>) {
-        // Existence counts come from the exact cross-shard component
-        // structure (DSU over the cut edges); distances from a BFS that
-        // hops across present cut edges.  Both yield the same per-world
-        // integers as the monolithic kernels, so the accumulated sums are
-        // bit-identical.
-        let partition = world.partition();
-        let num_pairs = self.pairs.len();
-        let mut components = ShardedComponents::compute(world);
-        let (distance_acc, connected_acc) = self.totals.split_at_mut(num_pairs);
-        for (source, pair_indices) in &self.sources {
-            let any_connected = pair_indices.iter().any(|&idx| {
-                let (u, v) = self.pairs[idx];
-                components.connected(partition, u, v)
-            });
-            if !any_connected {
-                continue;
-            }
-            sharded_bfs_distances(world, *source, &mut self.shard_dist, &mut self.shard_queue);
-            for &idx in pair_indices {
-                let (u, v) = self.pairs[idx];
-                debug_assert_eq!(u, *source);
-                if components.connected(partition, u, v) {
-                    connected_acc[idx] += 1.0;
-                    distance_acc[idx] += self.shard_dist[v] as f64;
                 }
             }
         }

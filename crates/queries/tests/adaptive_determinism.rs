@@ -261,45 +261,3 @@ fn fixed_budget_batches_ignore_precision_free_rng_discipline() {
     expected.gen::<u64>();
     assert_eq!(rng.gen::<u64>(), expected.gen::<u64>());
 }
-
-#[test]
-fn sharded_adaptive_batches_agree_with_monolithic_ones() {
-    // The adaptive driver is generic over WorldSource: a sharded source
-    // replays the same edge stream, so worlds consumed AND count results
-    // match the monolithic run bit for bit.
-    use uncertain_graph::GraphPartition;
-    let g = fixture();
-    let partition = GraphPartition::contiguous(&g, 2).unwrap();
-    let seed = 31;
-    let run_mono = || {
-        let mc = MonteCarlo::worlds(100_000)
-            .with_method(SampleMethod::Skip)
-            .with_precision(Precision::new(0.05).with_epoch(64));
-        let mut batch = QueryBatch::new(&g, &mc);
-        let handle = batch.register(ConnectivityObserver::new(&g));
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut results = batch.run(&mut rng);
-        let report = *results.adaptive().unwrap();
-        (report.worlds_used, results.take(handle))
-    };
-    let run_sharded = |threads: usize| {
-        let engine = ShardedWorldEngine::new(&g, &partition).with_method(SampleMethod::Skip);
-        let mut batch = QueryBatch::from_sharded(&engine, 100_000, threads)
-            .with_precision(Precision::new(0.05).with_epoch(64));
-        let handle = batch.register(ConnectivityObserver::new(&g));
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut results = batch.run(&mut rng);
-        let report = *results.adaptive().unwrap();
-        (report.worlds_used, results.take(handle))
-    };
-    let (mono_worlds, mono) = run_mono();
-    for threads in [1, 3] {
-        let (sharded_worlds, sharded) = run_sharded(threads);
-        assert_eq!(mono_worlds, sharded_worlds, "threads {threads}");
-        assert_eq!(
-            mono.probability_connected.to_bits(),
-            sharded.probability_connected.to_bits(),
-            "threads {threads}"
-        );
-    }
-}

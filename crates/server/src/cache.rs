@@ -12,7 +12,9 @@
 //! * the plan's **seed**, **worlds**, **threads**, **shards**, **mode** and
 //!   rendered **precision** block (threads and mode are part of the key
 //!   because float-valued observers merge partials in worker order — their
-//!   answers are deterministic *per* thread count, not across counts);
+//!   answers are deterministic *per* thread count, not across counts;
+//!   `shards` never changes an answer and only keeps its slot in the key
+//!   while plans still carry the field);
 //! * the canonical rendering of the **`QuerySpec`** itself;
 //! * for **adaptive** plans only: a hash of the whole query mix.  The
 //!   stopping rule pools the tracked statistics of *every* query in the

@@ -28,8 +28,8 @@
 //!
 //! The `plan` document is a [`ugs_service::QueryPlan`] **without** a
 //! `graph` field (the server owns its graph): `worlds`, `threads`,
-//! `shards`, `mode`, `seed`, an optional adaptive `precision` block, and
-//! the `queries` array.  The `report` of a finished job is byte-identical
+//! `shards` (echoed, never changes an answer), `mode`, `seed` (below
+//! 2^53), an optional adaptive `precision` block, and the `queries` array.  The `report` of a finished job is byte-identical
 //! to what `QueryPlan::run_report` prints for the same plan against the
 //! same graph, with the graph labelled `fingerprint:<hex>`.
 //!

@@ -163,8 +163,8 @@ fn plans_that_fail_inside_the_service_report_typed_per_query_errors() {
     assert_eq!(results[0].get_str("status"), Some("error"));
     assert!(results[0].get_str("error").is_some());
     assert_eq!(results[1].get_str("status"), Some("ok"));
-    // The worker pool survived, and pagerank over shards now runs through
-    // the ghost-halo exchange instead of erroring.
+    // The worker pool survived, and a plan's shard count never makes a
+    // query error.
     let (job, _) = submit_job(
         &mut c,
         r#"{"worlds": 40, "seed": 2, "shards": 2, "queries": [{"type": "pagerank"}]}"#,
@@ -179,9 +179,8 @@ fn plans_that_fail_inside_the_service_report_typed_per_query_errors() {
 fn absurd_shard_counts_are_refused_typed_and_the_connection_survives() {
     let server = start(ServerConfig::default());
     let mut c = client(&server);
-    // A graph partition costs O(shards) before it looks at the graph, so a
-    // plan asking a 6-vertex graph for 10^12 shards must be refused before
-    // any partition is built: promptly, typed, per query.
+    // A plan asking a 6-vertex graph for 10^12 shards is refused before any
+    // world is sampled: promptly, typed, per query.
     let asked = Instant::now();
     let (job, _) = submit_job(
         &mut c,
@@ -200,7 +199,7 @@ fn absurd_shard_counts_are_refused_typed_and_the_connection_survives() {
         let error = entry.get_str("error").unwrap();
         assert!(error.contains("1000000000000 shards"), "{error}");
     }
-    // The same connection then answers a normal plan, sharded to the limit.
+    // The same connection then answers a normal plan, at the shard limit.
     let (job, _) = submit_job(
         &mut c,
         r#"{"worlds": 40, "seed": 2, "shards": 6, "queries": [{"type": "connectivity"}]}"#,

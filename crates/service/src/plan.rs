@@ -36,11 +36,13 @@
 //! is bit-identical to the legacy free function run on a fresh
 //! `SmallRng::seed_from_u64(s)` (`tests/plan_parity.rs`).
 //!
-//! With `shards > 1` the batch samples from a [`ShardedWorldEngine`] over
-//! the contiguous `shards`-way partition; it replays the monolithic edge
-//! stream, so every answer is bit-identical to the monolithic run.  A shard
-//! count above the vertex count is refused with [`ServiceError::Policy`]
-//! before any partition is built.
+//! Every plan samples from one [`WorldEngine`].  The `shards` field is
+//! accepted and echoed in the report but never changes an answer; a plan
+//! whose `shards` exceeds `max(|V|, 1)` is refused: every query answers
+//! [`ServiceError::Policy`] ([`QueryPlan::shard_refusal`]).
+//!
+//! A `seed` must be an integer below 2^53 ([`SEED_LIMIT`]): the JSON codec
+//! stores numbers as `f64`, so a larger seed would be silently rounded.
 //!
 //! An optional `"precision": {"epsilon": 0.01, "delta": 0.05, "deadline_ms":
 //! 2000, "max_worlds": 50000}` block makes the batch **adaptive**: `worlds`
@@ -55,24 +57,27 @@ use std::sync::Arc;
 use minijson::{ObjBuilder, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use uncertain_graph::{GraphPartition, UncertainGraph};
+use uncertain_graph::UncertainGraph;
 
 use ugs_queries::batch::{BoxedObserver, DynHandle, QueryBatch};
 use ugs_queries::engine::{SampleMethod, WorldEngine};
-use ugs_queries::sharded::ShardedWorldEngine;
 use ugs_queries::variance::Precision;
 
 use crate::spec::{
     optional_usize, parse_precision, precision_to_json, QueryResult, QuerySpec, SpecError,
 };
 
+/// The exclusive upper bound of a plan document's `seed`: 2^53, the first
+/// integer an `f64` JSON number cannot tell from its successor.
+pub const SEED_LIMIT: u64 = 1 << 53;
+
 /// Why a plan query has no answer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// The spec did not validate against the plan's graph.
     Spec(SpecError),
-    /// The plan's configuration does not fit its graph (e.g. more shards
-    /// than vertices); every query of such a plan resolves with this error.
+    /// The plan's configuration does not fit its graph (more shards than
+    /// vertices); every query of such a plan resolves with this error.
     Policy(String),
     /// A distributed worker process was lost (connection died, timed out,
     /// or exhausted its bounded retries) and the plan could not complete.
@@ -142,13 +147,15 @@ pub struct QueryPlan {
     pub worlds: usize,
     /// Workers the world budget is split across (default 1).
     pub threads: usize,
-    /// Graph-shard count (default 1 = monolithic; at most the vertex
-    /// count).  With more shards every query must have a shard-aware path;
-    /// see [`crate::spec::QuerySpec::validate_sharded`].
+    /// Shard count (default 1).  Accepted and echoed in the report, but it
+    /// never changes an answer: every plan samples from one [`WorldEngine`].
+    /// A count above `max(|V|, 1)` refuses the plan
+    /// ([`QueryPlan::shard_refusal`]).
     pub shards: usize,
     /// World-sampling method (default [`SampleMethod::Auto`]).
     pub mode: SampleMethod,
-    /// Plan seed (default 42); the batch seed is its RNG's first draw.
+    /// Plan seed (default 42); the batch seed is its RNG's first draw.  A
+    /// plan document's seed must be below [`SEED_LIMIT`].
     pub seed: u64,
     /// Optional adaptive-precision target (`"precision": {"epsilon": …}`):
     /// turns [`QueryPlan::worlds`] into a cap and stops sampling at the
@@ -172,7 +179,6 @@ fn plan_query_error(index: usize, entry: &Value, error: SpecError) -> SpecError 
         SpecError::Invalid(message) => {
             SpecError::Invalid(format!("queries[{index}] (\"{name}\"): {message}"))
         }
-        other => other,
     }
 }
 
@@ -224,9 +230,23 @@ impl QueryPlan {
         };
         let seed = match value.get("seed") {
             None => 42,
-            Some(v) => v.as_usize().ok_or_else(|| {
-                SpecError::Json("field \"seed\" must be a non-negative integer".to_string())
-            })? as u64,
+            Some(v) => {
+                let seed = v
+                    .as_f64()
+                    .filter(|x| *x >= 0.0 && x.fract() == 0.0)
+                    .ok_or_else(|| {
+                        SpecError::Json("field \"seed\" must be a non-negative integer".to_string())
+                    })?;
+                // Exact: an integer text at or above 2^53 parses to an f64 at
+                // or above 2^53.
+                if seed >= SEED_LIMIT as f64 {
+                    return Err(SpecError::Json(format!(
+                        "field \"seed\" must be below 2^53 = {SEED_LIMIT}; \
+                         a JSON number cannot hold a larger integer exactly"
+                    )));
+                }
+                seed as u64
+            }
         };
         let precision = match value.get("precision") {
             None => None,
@@ -328,28 +348,41 @@ impl QueryPlan {
         cancel: Option<Arc<AtomicBool>>,
     ) -> Vec<Result<QueryAnswer, ServiceError>> {
         let graph = graph.into();
-        if self.shards <= 1 {
-            let engine = WorldEngine::new(&graph).with_method(self.mode);
-            let batch = QueryBatch::from_engine(engine, self.worlds, self.threads);
-            return self.run_batch(&graph, batch, cancel);
-        }
         if let Some(refusal) = self.shard_refusal(&graph) {
             return self.refuse(refusal);
         }
-        let partition = match GraphPartition::contiguous(&graph, self.shards) {
-            Ok(partition) => partition,
-            Err(error) => return self.refuse(ServiceError::Policy(error.to_string())),
-        };
-        let engine = ShardedWorldEngine::new(&graph, &partition).with_method(self.mode);
-        let batch = QueryBatch::from_sharded(&engine, self.worlds, self.threads);
-        self.run_batch(&graph, batch, cancel)
+        let engine = WorldEngine::new(&graph).with_method(self.mode);
+        let mut batch = QueryBatch::from_engine(engine, self.worlds, self.threads);
+        if let Some(precision) = self.precision {
+            batch = batch.with_precision(precision);
+        }
+        if let Some(cancel) = cancel {
+            batch = batch.with_cancel(cancel);
+        }
+        // An invalid query answers its own typed error without stopping the
+        // others.
+        let handles: Vec<Result<DynHandle, ServiceError>> = self
+            .observers(&graph)
+            .into_iter()
+            .map(|observer| Ok(batch.register_boxed(observer?)))
+            .collect();
+        let mut results = batch.run(&mut SmallRng::seed_from_u64(self.seed));
+        let worlds_used = results.num_worlds();
+        let half_width = results.adaptive().map(|report| report.half_width);
+        let outputs = handles
+            .into_iter()
+            .map(|handle| {
+                results
+                    .try_take_boxed(handle?)
+                    .map_err(|error| ServiceError::Internal(error.to_string()))
+            })
+            .collect();
+        self.answers(outputs, worlds_used, half_width)
     }
 
     /// The plan-level refusal of a shard count `graph` cannot fill (more
-    /// shards than vertices), decided before any partition is built — a
-    /// partition costs O(shards) before it looks at the graph.  Every
-    /// query of a refused plan answers with this error, in process and on
-    /// a fleet alike.
+    /// shards than `max(|V|, 1)`).  Every query of a refused plan answers
+    /// with this error, in process, on the server and on a fleet alike.
     pub fn shard_refusal(&self, graph: &UncertainGraph) -> Option<ServiceError> {
         let vertices = graph.num_vertices();
         (self.shards > 1 && self.shards > vertices.max(1)).then(|| {
@@ -365,16 +398,13 @@ impl QueryPlan {
         self.queries.iter().map(|_| Err(error.clone())).collect()
     }
 
-    /// Validates every query against `graph` and the plan's shard count and
-    /// builds its observer, in plan order; an invalid query keeps its typed
-    /// error.  The registry a plan run — in process or on a fleet — fills.
+    /// Validates every query against `graph` and builds its observer, in
+    /// plan order; an invalid query keeps its typed error.  The registry a
+    /// plan run — in process or on a fleet — fills.
     pub fn observers(&self, graph: &UncertainGraph) -> Vec<Result<BoxedObserver, ServiceError>> {
         self.queries
             .iter()
-            .map(|spec| {
-                spec.validate_sharded(graph, self.shards)?;
-                Ok(spec.make_observer(graph)?)
-            })
+            .map(|spec| Ok(spec.make_observer(graph)?))
             .collect()
     }
 
@@ -400,51 +430,6 @@ impl QueryPlan {
                 })
             })
             .collect()
-    }
-
-    /// Registers every valid query with `batch`, runs it once and redeems
-    /// the answers in plan order; an invalid query answers its own typed
-    /// error without stopping the others.
-    fn run_batch(
-        &self,
-        graph: &UncertainGraph,
-        mut batch: QueryBatch<'_>,
-        cancel: Option<Arc<AtomicBool>>,
-    ) -> Vec<Result<QueryAnswer, ServiceError>> {
-        if let Some(precision) = self.precision {
-            batch = batch.with_precision(precision);
-        }
-        if let Some(cancel) = cancel {
-            batch = batch.with_cancel(cancel);
-        }
-        let handles: Vec<Result<DynHandle, ServiceError>> = self
-            .queries
-            .iter()
-            .zip(self.observers(graph))
-            .map(|(spec, observer)| {
-                // Belt and braces against drift between the spec-level
-                // capability and the observer's actual one: a sharded batch
-                // refuses an observer without a sharded path.
-                batch.try_register_boxed(observer?).map_err(|_| {
-                    ServiceError::Spec(SpecError::Unsupported {
-                        query: spec.kind().to_string(),
-                        shards: self.shards,
-                    })
-                })
-            })
-            .collect();
-        let mut results = batch.run(&mut SmallRng::seed_from_u64(self.seed));
-        let worlds_used = results.num_worlds();
-        let half_width = results.adaptive().map(|report| report.half_width);
-        let outputs = handles
-            .into_iter()
-            .map(|handle| {
-                results
-                    .try_take_boxed(handle?)
-                    .map_err(|error| ServiceError::Internal(error.to_string()))
-            })
-            .collect();
-        self.answers(outputs, worlds_used, half_width)
     }
 
     /// Executes the plan and renders the full JSON report the CLI prints:
@@ -544,6 +529,37 @@ mod tests {
     }
 
     #[test]
+    fn seeds_below_two_to_the_53_parse_and_round_trip() {
+        let plan = QueryPlan::parse_str(
+            r#"{"seed": 9007199254740991, "queries": [{"type": "connectivity"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(plan.seed, SEED_LIMIT - 1);
+        let back = QueryPlan::parse(&plan.to_json()).unwrap();
+        assert_eq!(back.seed, SEED_LIMIT - 1);
+        assert_eq!(back, plan);
+    }
+
+    #[test]
+    fn seeds_at_or_above_two_to_the_53_are_refused() {
+        // 2^53 + 1 parses to the same f64 as 2^53: without the limit the two
+        // plans would silently run with one seed.
+        for seed in ["9007199254740992", "9007199254740993", "1e300"] {
+            let error = QueryPlan::parse_str(&format!(
+                r#"{{"seed": {seed}, "queries": [{{"type": "connectivity"}}]}}"#
+            ))
+            .unwrap_err();
+            match error {
+                SpecError::Json(message) => {
+                    assert!(message.contains("\"seed\""), "{message}");
+                    assert!(message.contains("2^53"), "{message}");
+                }
+                other => panic!("seed {seed}: expected a JSON error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn query_parse_errors_name_the_failing_entry() {
         // The second entry is broken: the error must carry its index and
         // its declared type, not just the bare spec error.
@@ -593,8 +609,8 @@ mod tests {
 
     #[test]
     fn sharded_plans_answer_halo_queries_too() {
-        // Since the ghost-halo exchange every built-in query runs on a
-        // sharded plan: the former per-entry Unsupported rejection is gone.
+        // A plan's shard count never changes an answer, so every query kind
+        // answers under `shards > 1` as it does monolithically.
         let g = UncertainGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 0.5)]).unwrap();
         let plan = QueryPlan::parse_str(
             r#"{"worlds": 40, "seed": 1, "shards": 2,
@@ -737,8 +753,8 @@ mod tests {
             plan.shards = shards;
             plan.execute_detailed(g.clone())
         };
-        // 10^12 shards of a 4-vertex graph: a partition would cost O(shards)
-        // before looking at the graph; the plan answers at once instead.
+        // 10^12 shards of a 4-vertex graph: refused at once, before any
+        // world is sampled.
         for shards in [1_000_000_000_000, g.num_vertices() + 1] {
             for outcome in with_shards(shards) {
                 match outcome {

@@ -104,16 +104,6 @@ pub enum SpecError {
     /// The spec is structurally fine but does not fit the target graph
     /// (e.g. a vertex id out of range).
     Invalid(String),
-    /// The query has no shard-aware evaluation path, but the execution
-    /// context splits the graph into shards.  Raised at validation time —
-    /// before any sampling — so a plan mixing supported and unsupported
-    /// queries fails fast per query instead of answering wrong.
-    Unsupported {
-        /// The canonical query kind ([`QuerySpec::kind`]).
-        query: String,
-        /// The number of shards the context would evaluate over.
-        shards: usize,
-    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -121,13 +111,6 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::Json(m) => write!(f, "invalid query spec: {m}"),
             SpecError::Invalid(m) => write!(f, "query spec does not fit the graph: {m}"),
-            SpecError::Unsupported { query, shards } => write!(
-                f,
-                "query \"{query}\" does not support graph-sharded evaluation \
-                 ({shards} shards); every supported query declares its exact mechanism: \
-                 pair_queries/connectivity/degree_histogram/edge_frequency run via \
-                 cut-correction, pagerank/clustering/knn run via halo"
-            ),
         }
     }
 }
@@ -303,55 +286,6 @@ impl QuerySpec {
             | QuerySpec::DegreeHistogram
             | QuerySpec::EdgeFrequency => Ok(()),
         }
-    }
-
-    /// Whether this query has an exact shard-aware evaluation path.  Every
-    /// spec now does: count-style queries through the cut correction
-    /// (per-shard partials glued across the sampled cut edges), and the
-    /// traversal-style PageRank / clustering / k-NN through the ghost-halo
-    /// exchange ([`ugs_queries::halo`]).  [`QuerySpec::shard_mechanism`]
-    /// names which of the two a spec uses.
-    pub fn supports_sharded(&self) -> bool {
-        match self {
-            QuerySpec::PairQueries { .. }
-            | QuerySpec::Connectivity
-            | QuerySpec::DegreeHistogram
-            | QuerySpec::EdgeFrequency
-            | QuerySpec::PageRank { .. }
-            | QuerySpec::Clustering
-            | QuerySpec::Knn { .. } => true,
-        }
-    }
-
-    /// The exact mechanism this query's observer uses on sharded sources:
-    /// `"cut-correction"` (per-shard partials plus boundary gluing) or
-    /// `"halo"` (ghost-halo replication with superstep exchange).  Mirrors
-    /// the observer's [`ugs_queries::source::ShardSupport`] declaration —
-    /// the capability test keeps the two from drifting.
-    pub fn shard_mechanism(&self) -> &'static str {
-        match self {
-            QuerySpec::PairQueries { .. }
-            | QuerySpec::Connectivity
-            | QuerySpec::DegreeHistogram
-            | QuerySpec::EdgeFrequency => "cut-correction",
-            QuerySpec::PageRank { .. } | QuerySpec::Clustering | QuerySpec::Knn { .. } => "halo",
-        }
-    }
-
-    /// [`QuerySpec::validate`] plus the shard-awareness check: with
-    /// `num_shards > 1`, a spec without an exact sharded mechanism would be
-    /// rejected with the typed [`SpecError::Unsupported`] — at validation
-    /// time, never as a panic or a silently wrong answer.  (Every built-in
-    /// spec currently has one, so the rejection arm guards future specs.)
-    pub fn validate_sharded(&self, g: &UncertainGraph, num_shards: usize) -> Result<(), SpecError> {
-        self.validate(g)?;
-        if num_shards > 1 && !self.supports_sharded() {
-            return Err(SpecError::Unsupported {
-                query: self.kind().to_string(),
-                shards: num_shards,
-            });
-        }
-        Ok(())
     }
 
     /// Validates the spec against `g` and builds its type-erased observer —
@@ -646,111 +580,6 @@ mod tests {
         .validate(&g)
         .is_err());
         assert!(QuerySpec::pagerank().validate(&g).is_ok());
-    }
-
-    #[test]
-    fn every_spec_passes_sharded_validation() {
-        // Since the ghost-halo exchange, every built-in query has an exact
-        // sharded mechanism — nothing is Unsupported on sharded sources.
-        let g = toy();
-        let specs = [
-            QuerySpec::Connectivity,
-            QuerySpec::DegreeHistogram,
-            QuerySpec::EdgeFrequency,
-            QuerySpec::PairQueries {
-                pairs: vec![(0, 3)],
-            },
-            QuerySpec::pagerank(),
-            QuerySpec::Clustering,
-            QuerySpec::Knn { source: 0, k: 2 },
-        ];
-        for spec in &specs {
-            assert!(spec.supports_sharded(), "{}", spec.kind());
-            assert!(spec.validate_sharded(&g, 1).is_ok(), "{}", spec.kind());
-            assert!(spec.validate_sharded(&g, 4).is_ok(), "{}", spec.kind());
-        }
-        // Ordinary validation errors still surface under sharded contexts.
-        assert!(matches!(
-            QuerySpec::PairQueries {
-                pairs: vec![(0, 99)]
-            }
-            .validate_sharded(&g, 4),
-            Err(SpecError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn unsupported_error_names_the_mechanism_of_every_supported_query() {
-        // Snapshot of the typed Unsupported message (raised only for future
-        // shard-incompatible specs): operators must see which mechanism the
-        // supported queries use, verbatim, on the service/plan error paths.
-        let err = SpecError::Unsupported {
-            query: "some_future_query".to_string(),
-            shards: 4,
-        };
-        assert_eq!(
-            err.to_string(),
-            "query \"some_future_query\" does not support graph-sharded evaluation \
-             (4 shards); every supported query declares its exact mechanism: \
-             pair_queries/connectivity/degree_histogram/edge_frequency run via \
-             cut-correction, pagerank/clustering/knn run via halo"
-        );
-    }
-
-    #[test]
-    fn shard_mechanism_names_cut_correction_or_halo() {
-        let cut = [
-            QuerySpec::PairQueries {
-                pairs: vec![(0, 1)],
-            },
-            QuerySpec::Connectivity,
-            QuerySpec::DegreeHistogram,
-            QuerySpec::EdgeFrequency,
-        ];
-        let halo = [
-            QuerySpec::pagerank(),
-            QuerySpec::Clustering,
-            QuerySpec::Knn { source: 0, k: 2 },
-        ];
-        for spec in &cut {
-            assert_eq!(spec.shard_mechanism(), "cut-correction", "{}", spec.kind());
-        }
-        for spec in &halo {
-            assert_eq!(spec.shard_mechanism(), "halo", "{}", spec.kind());
-        }
-    }
-
-    #[test]
-    fn supports_sharded_matches_the_observer_capability() {
-        // `supports_sharded` is the validation-time answer; the observer's
-        // `shard_support` is what the driver actually dispatches on.  They
-        // must never drift: a mismatch would turn the typed Unsupported
-        // error into a worker panic (spec says yes, observer says no) or
-        // needlessly reject a capable query (the reverse).  The declared
-        // mechanism string must match the capability too.
-        use ugs_queries::source::ShardSupport;
-        let g = toy();
-        let specs = [
-            QuerySpec::pagerank(),
-            QuerySpec::Clustering,
-            QuerySpec::PairQueries {
-                pairs: vec![(0, 1)],
-            },
-            QuerySpec::Connectivity,
-            QuerySpec::DegreeHistogram,
-            QuerySpec::Knn { source: 0, k: 2 },
-            QuerySpec::EdgeFrequency,
-        ];
-        for spec in specs {
-            let observer = spec.make_observer(&g).unwrap();
-            assert!(spec.supports_sharded(), "{}", spec.kind());
-            let expected = match spec.shard_mechanism() {
-                "cut-correction" => ShardSupport::CutAware,
-                "halo" => ShardSupport::Halo,
-                other => panic!("unknown mechanism {other}"),
-            };
-            assert_eq!(observer.shard_support(), expected, "{}", spec.kind());
-        }
     }
 
     #[test]

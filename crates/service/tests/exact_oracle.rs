@@ -1,0 +1,250 @@
+//! Ground truth for the count queries: on graphs of at most 12 edges,
+//! [`enumerate_worlds`] walks all `2^|E|` weighted worlds and gives the
+//! exact expectation of every count answer a plan reports — edge
+//! frequencies, the degree histogram, every [`ConnectivityEstimate`] field
+//! and the pair reliabilities (the paper's `RL` query).
+//!
+//! Each per-world value lies in a known range `[lo, hi]`, so by Hoeffding's
+//! inequality a mean over `N` independent worlds misses its expectation by
+//! more than `(hi − lo) · √(ln(2/δ) / (2N))` with probability at most `δ`.
+//! Every plan runs 20 000 worlds under both sampling modes, one and two
+//! threads and three fixed seeds, and every estimate must land inside that
+//! half-width at `δ = 1e-9`.
+
+use uncertain_graph::worlds::enumerate_worlds;
+use uncertain_graph::UncertainGraph;
+
+use ugs_queries::{ConnectivityEstimate, PairQueryResult, SampleMethod};
+use ugs_service::{QueryPlan, QueryResult, QuerySpec};
+
+const WORLDS: usize = 20_000;
+const DELTA: f64 = 1e-9;
+const SEEDS: [u64; 3] = [1, 0x5eed, 9_007_199_254_740_991];
+const MODES: [SampleMethod; 2] = [SampleMethod::Skip, SampleMethod::PerEdge];
+
+/// The Hoeffding half-width of a mean of `WORLDS` values spanning `range`.
+fn half_width(range: f64) -> f64 {
+    range * ((2.0 / DELTA).ln() / (2.0 * WORLDS as f64)).sqrt()
+}
+
+/// Exact expectations of every count answer, by world enumeration.
+struct Exact {
+    edge_frequency: Vec<f64>,
+    degree_histogram: Vec<f64>,
+    components: f64,
+    largest_component: f64,
+    probability_connected: f64,
+    isolated_fraction: f64,
+    reliability: Vec<f64>,
+}
+
+fn exact(g: &UncertainGraph, pairs: &[(usize, usize)]) -> Exact {
+    let n = g.num_vertices();
+    let max_degree = (0..n).map(|u| g.degree(u)).max().unwrap_or(0);
+    let mut truth = Exact {
+        edge_frequency: vec![0.0; g.num_edges()],
+        degree_histogram: vec![0.0; max_degree + 1],
+        components: 0.0,
+        largest_component: 0.0,
+        probability_connected: 0.0,
+        isolated_fraction: 0.0,
+        reliability: vec![0.0; pairs.len()],
+    };
+    let mut total = 0.0;
+    enumerate_worlds(g, |world, pr| {
+        total += pr;
+        let mut degree = vec![0usize; n];
+        for e in world.present_edges() {
+            truth.edge_frequency[e] += pr;
+            let (u, v) = g.edge_endpoints(e);
+            degree[u] += 1;
+            degree[v] += 1;
+        }
+        for &d in &degree {
+            truth.degree_histogram[d] += pr;
+        }
+        let (labels, count) = world.connected_components(g);
+        let mut sizes = vec![0usize; count];
+        for &label in &labels {
+            sizes[label] += 1;
+        }
+        truth.components += pr * count as f64;
+        truth.largest_component += pr * sizes.iter().copied().max().unwrap_or(0) as f64;
+        truth.probability_connected += pr * f64::from(u8::from(count == 1));
+        let isolated = degree.iter().filter(|&&d| d == 0).count();
+        truth.isolated_fraction += pr * isolated as f64 / n as f64;
+        for (r, &(u, v)) in truth.reliability.iter_mut().zip(pairs) {
+            if labels[u] == labels[v] {
+                *r += pr;
+            }
+        }
+    })
+    .expect("small enough to enumerate");
+    assert!(
+        (total - 1.0).abs() < 1e-12,
+        "world probabilities sum to {total}"
+    );
+    truth
+}
+
+/// Asserts `estimate` lies within the Hoeffding half-width of `exact`.
+fn assert_within(estimate: f64, exact: f64, range: f64, what: &str) {
+    let bound = half_width(range);
+    assert!(
+        (estimate - exact).abs() <= bound,
+        "{what}: estimate {estimate} vs exact {exact} (|error| {} > half-width {bound})",
+        (estimate - exact).abs()
+    );
+}
+
+/// Runs the four count queries over every mode, thread count and seed and
+/// checks each answer against the enumerated truth.
+fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)]) {
+    assert!(g.num_edges() <= 12, "{name}: the oracle graphs stay small");
+    let truth = exact(g, pairs);
+    let n = g.num_vertices() as f64;
+    for mode in MODES {
+        for threads in [1, 2] {
+            for seed in SEEDS {
+                let plan = QueryPlan {
+                    graph: None,
+                    worlds: WORLDS,
+                    threads,
+                    shards: 1,
+                    mode,
+                    seed,
+                    precision: None,
+                    queries: vec![
+                        QuerySpec::EdgeFrequency,
+                        QuerySpec::DegreeHistogram,
+                        QuerySpec::Connectivity,
+                        QuerySpec::PairQueries {
+                            pairs: pairs.to_vec(),
+                        },
+                    ],
+                };
+                let run = format!("{name} {mode:?} threads {threads} seed {seed}");
+                let answers: Vec<QueryResult> = plan
+                    .execute_detailed(g.clone())
+                    .into_iter()
+                    .map(|answer| {
+                        let answer = answer.unwrap_or_else(|e| panic!("{run}: {e}"));
+                        assert_eq!(answer.worlds_used, WORLDS, "{run}");
+                        answer.result
+                    })
+                    .collect();
+                let [QueryResult::EdgeFrequency(frequency), QueryResult::DegreeHistogram(histogram), QueryResult::Connectivity(connectivity), QueryResult::PairQueries(reliability)] =
+                    &answers[..]
+                else {
+                    panic!("{run}: answers out of plan order");
+                };
+                check_frequencies(frequency, &truth, &run);
+                check_histogram(histogram, &truth, n, &run);
+                check_connectivity(connectivity, &truth, n, &run);
+                check_reliability(reliability, &truth, &run);
+            }
+        }
+    }
+}
+
+fn check_frequencies(frequency: &[f64], truth: &Exact, run: &str) {
+    assert_eq!(frequency.len(), truth.edge_frequency.len(), "{run}");
+    for (e, (&f, &p)) in frequency.iter().zip(&truth.edge_frequency).enumerate() {
+        assert_within(f, p, 1.0, &format!("{run}: frequency of edge {e}"));
+    }
+}
+
+fn check_histogram(histogram: &[f64], truth: &Exact, n: f64, run: &str) {
+    // The answer drops trailing zero bins; the missing ones read as zero.
+    assert!(histogram.len() <= truth.degree_histogram.len(), "{run}");
+    for (d, &exact) in truth.degree_histogram.iter().enumerate() {
+        let estimate = histogram.get(d).copied().unwrap_or(0.0);
+        assert_within(
+            estimate,
+            exact,
+            n,
+            &format!("{run}: vertices of degree {d}"),
+        );
+    }
+}
+
+fn check_connectivity(estimate: &ConnectivityEstimate, truth: &Exact, n: f64, run: &str) {
+    assert_eq!(estimate.num_worlds, WORLDS, "{run}");
+    assert_within(
+        estimate.expected_components,
+        truth.components,
+        n - 1.0,
+        &format!("{run}: expected components"),
+    );
+    assert_within(
+        estimate.expected_largest_component,
+        truth.largest_component,
+        n - 1.0,
+        &format!("{run}: expected largest component"),
+    );
+    assert_within(
+        estimate.probability_connected,
+        truth.probability_connected,
+        1.0,
+        &format!("{run}: probability connected"),
+    );
+    assert_within(
+        estimate.expected_isolated_fraction,
+        truth.isolated_fraction,
+        1.0,
+        &format!("{run}: expected isolated fraction"),
+    );
+}
+
+fn check_reliability(result: &PairQueryResult, truth: &Exact, run: &str) {
+    assert_eq!(result.num_worlds, WORLDS, "{run}");
+    for (i, (&r, &exact)) in result
+        .reliability
+        .iter()
+        .zip(&truth.reliability)
+        .enumerate()
+    {
+        let (u, v) = result.pairs[i];
+        assert_within(r, exact, 1.0, &format!("{run}: reliability of ({u}, {v})"));
+    }
+}
+
+#[test]
+fn count_queries_match_the_enumerated_expectations_on_a_mixed_graph() {
+    // Vertex 7 is isolated, edge (2, 3) is certain, the rest spread from
+    // 0.02 to 0.95.
+    let g = UncertainGraph::from_edges(
+        8,
+        [
+            (0, 1, 0.9),
+            (1, 2, 0.5),
+            (2, 3, 1.0),
+            (3, 0, 0.3),
+            (3, 4, 0.6),
+            (4, 5, 0.2),
+            (1, 3, 0.45),
+            (0, 2, 0.02),
+            (4, 1, 0.75),
+            (5, 2, 0.33),
+            (6, 5, 0.95),
+            (6, 0, 0.1),
+        ],
+    )
+    .unwrap();
+    let pairs = [(0, 5), (2, 3), (6, 1), (0, 7), (4, 4), (5, 0)];
+    check("mixed", &g, &pairs);
+}
+
+#[test]
+fn count_queries_match_the_enumerated_expectations_on_figure_1a() {
+    // The paper's Figure 1(a): K4 with every edge at 0.3, connected with
+    // probability ≈ 0.219.
+    let mut edges = Vec::new();
+    for u in 0..4 {
+        for v in u + 1..4 {
+            edges.push((u, v, 0.3));
+        }
+    }
+    let g = UncertainGraph::from_edges(4, edges).unwrap();
+    check("figure 1(a)", &g, &[(0, 1), (0, 3), (2, 1)]);
+}

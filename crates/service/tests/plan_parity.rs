@@ -14,7 +14,7 @@
 //!   there are more threads than worlds;
 //! * adaptive plans consume a thread-count-invariant number of worlds and
 //!   equal a direct adaptive `QueryBatch`;
-//! * sharded plans answer bit-identically to monolithic ones.
+//! * a plan's shard count never changes an answer.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -43,14 +43,6 @@ pub enum GraphError {
         /// Second endpoint.
         v: usize,
     },
-    /// A vertex labelling did not cover the vertex set (one label per
-    /// vertex is required).
-    LabelingSize {
-        /// Number of labels supplied.
-        got: usize,
-        /// Number of vertices in the graph.
-        num_vertices: usize,
-    },
     /// A graph was too large for exact possible-world enumeration.
     TooManyEdgesForEnumeration {
         /// Number of edges in the graph.
@@ -91,10 +83,6 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop { vertex } => write!(f, "self loop on vertex {vertex}"),
             GraphError::DuplicateEdge { u, v } => write!(f, "duplicate edge ({u}, {v})"),
             GraphError::MissingEdge { u, v } => write!(f, "edge ({u}, {v}) does not exist"),
-            GraphError::LabelingSize { got, num_vertices } => write!(
-                f,
-                "vertex labelling has {got} entries for a graph with {num_vertices} vertices"
-            ),
             GraphError::TooManyEdgesForEnumeration {
                 num_edges,
                 max_edges,

@@ -391,10 +391,6 @@ impl UncertainGraph {
     /// [`UncertainGraph::induced_subgraph`] plus the **edge** mapping: the
     /// third component maps every new edge id to the id of the original edge
     /// it was copied from (`new edge id -> old edge id`, in new-id order).
-    ///
-    /// This is the primitive the partition layer ([`crate::partition`]) is
-    /// built on: a shard must translate per-shard observations back into the
-    /// stable edge ids of the parent graph.
     pub fn induced_subgraph_with_edges(
         &self,
         vertices: &[VertexId],
@@ -419,34 +415,6 @@ impl UncertainGraph {
             }
         }
         Ok((builder.build(), vertices.to_vec(), edge_map))
-    }
-
-    /// The ids of all edges whose endpoints carry **different** labels — the
-    /// cut set of the vertex partition described by `labels` (one label per
-    /// vertex), in ascending edge-id order.
-    ///
-    /// Returns [`GraphError::LabelingSize`] when `labels` does not have
-    /// exactly one entry per vertex.
-    pub fn cut_edges(&self, labels: &[usize]) -> Result<Vec<EdgeId>, GraphError> {
-        if labels.len() != self.num_vertices {
-            return Err(GraphError::LabelingSize {
-                got: labels.len(),
-                num_vertices: self.num_vertices,
-            });
-        }
-        Ok(self
-            .edges()
-            .filter(|e| labels[e.u] != labels[e.v])
-            .map(|e| e.id)
-            .collect())
-    }
-
-    /// Sum of the probabilities of the edges crossing the labelling — the
-    /// expected number of cut edges of a sampled world (the quantity a good
-    /// partitioner minimises).
-    pub fn cut_probability_mass(&self, labels: &[usize]) -> Result<f64, GraphError> {
-        let cuts = self.cut_edges(labels)?;
-        Ok(cuts.iter().map(|&e| self.probabilities[e]).sum())
     }
 }
 
@@ -621,29 +589,6 @@ mod tests {
         let mut sorted = emap.clone();
         sorted.sort_unstable();
         assert_eq!(emap, sorted);
-    }
-
-    #[test]
-    fn cut_edges_extracts_the_crossing_set() {
-        let g = figure1a();
-        // {0, 1} vs {2, 3}: crossing edges are (0,2), (0,3), (1,2), (1,3).
-        let labels = [0usize, 0, 1, 1];
-        let cuts = g.cut_edges(&labels).unwrap();
-        assert_eq!(cuts.len(), 4);
-        for &e in &cuts {
-            let (u, v) = g.edge_endpoints(e);
-            assert_ne!(labels[u], labels[v]);
-        }
-        assert!((g.cut_probability_mass(&labels).unwrap() - 4.0 * 0.3).abs() < 1e-12);
-        // One shard: no cuts.  Wrong labelling length: typed error.
-        assert!(g.cut_edges(&[0, 0, 0, 0]).unwrap().is_empty());
-        assert_eq!(
-            g.cut_edges(&[0, 1]),
-            Err(GraphError::LabelingSize {
-                got: 2,
-                num_vertices: 4
-            })
-        );
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //! * [`entropy`] — per-edge and whole-graph entropy `H(G) = Σ_e H(p_e)`,
 //! * [`worlds`] — exact possible-world enumeration (small graphs) and
 //!   Monte-Carlo world sampling (any size),
-//! * [`partition`] — vertex partitions into shards: per-shard induced
-//!   subgraphs plus an explicit cut-edge set with stable id remapping (the
-//!   substrate of graph-sharded evaluation),
 //! * [`io`] — a plain-text edge-list format plus serde support,
 //! * [`stats`] — summary statistics matching Table 1 of the paper.
 //!
@@ -57,17 +54,12 @@ pub mod entropy;
 pub mod error;
 pub mod graph;
 pub mod io;
-pub mod partition;
 pub mod stats;
 pub mod worlds;
 
 pub use builder::UncertainGraphBuilder;
 pub use error::GraphError;
 pub use graph::{EdgeId, EdgeRef, UncertainGraph, VertexId};
-pub use partition::{
-    CutEdge, GraphPartition, HaloPlan, HaloStats, PartitionError, PushEdge, Shard, ShardHalo,
-    ShardHaloStats, NOT_IN_HALO,
-};
 pub use stats::GraphStatistics;
 pub use worlds::{PossibleWorld, SkipSampler, WorldSampler};
 
@@ -77,10 +69,6 @@ pub mod prelude {
     pub use crate::entropy::{edge_entropy, graph_entropy, relative_entropy};
     pub use crate::error::GraphError;
     pub use crate::graph::{EdgeId, EdgeRef, UncertainGraph, VertexId};
-    pub use crate::partition::{
-        CutEdge, GraphPartition, HaloPlan, HaloStats, PartitionError, PushEdge, Shard, ShardHalo,
-        ShardHaloStats, NOT_IN_HALO,
-    };
     pub use crate::stats::GraphStatistics;
     pub use crate::worlds::{PossibleWorld, SkipSampler, WorldSampler};
 }
