@@ -14,222 +14,156 @@
 //! completes in **< 2×** the wall-time of the costliest standalone query
 //! (and far under the 4-query standalone sum).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use minijson::{ObjBuilder, Value};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use uncertain_graph::UncertainGraph;
 
+use ugs_bench::harness::{fastest, write_bench_json};
 use ugs_datasets::{erdos_renyi, ProbabilityModel};
 use ugs_queries::prelude::*;
 
 const WORLDS: usize = 256;
 const MEAN_P: f64 = 0.09;
+/// Timed runs per evaluation; the fastest is kept.
+const RUNS: usize = 10;
 
 fn flickr_regime_graph() -> UncertainGraph {
     let mut rng = SmallRng::seed_from_u64(0xBEEF);
     erdos_renyi(400, 0.05, ProbabilityModel::Fixed(MEAN_P), &mut rng)
 }
 
-/// Mean wall time of one invocation of `run`, measured over repeated runs
-/// for at least 400 ms (after one warm-up invocation).
-fn time_run(mut run: impl FnMut()) -> Duration {
-    run();
-    let started = Instant::now();
-    let mut rounds = 0u32;
-    while started.elapsed() < Duration::from_millis(400) {
-        run();
-        rounds += 1;
-    }
-    started.elapsed() / rounds.max(1)
-}
-
-struct Measurement {
-    standalone: [(&'static str, Duration); 4],
-    standalone_sum: Duration,
-    batch_one: Duration,
-    batch_four: Duration,
-    /// Sampling-bound mix (cheap kernels: clustering, degree histogram,
-    /// edge frequencies, k-NN): standalone sum vs 4-query batch.  This is
-    /// where world sharing approaches the ideal k× saving.
-    cheap_standalone_sum: Duration,
-    cheap_batch_four: Duration,
-}
-
-fn measure(g: &UncertainGraph, mc: &MonteCarlo) -> Measurement {
-    // Standalone: each query samples its own worlds (the classic wrappers
-    // are single-observer batches, i.e. exactly the standalone cost).
-    let pagerank = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        black_box(expected_pagerank(g, mc, &mut rng));
-    });
-    let connectivity = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        black_box(connectivity_query(g, mc, &mut rng));
-    });
-    let histogram = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        black_box(ugs_queries::expected_degree_histogram(g, mc, &mut rng));
-    });
-    let frequencies = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut batch = QueryBatch::new(g, mc);
-        let handle = batch.register(EdgeFrequencyObserver::new(g));
-        black_box(batch.run(&mut rng).take(handle));
-    });
-
-    // Batched: one observer (driver overhead floor) and the full mix of
-    // four sharing one sampling pass.
-    let batch_one = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut batch = QueryBatch::new(g, mc);
-        let handle = batch.register(PageRankObserver::new(g));
-        black_box(batch.run(&mut rng).take(handle));
-    });
-    let batch_four = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut batch = QueryBatch::new(g, mc);
-        let h_pr = batch.register(PageRankObserver::new(g));
-        let h_conn = batch.register(ConnectivityObserver::new(g));
-        let h_hist = batch.register(DegreeHistogramObserver::new(g));
-        let h_freq = batch.register(EdgeFrequencyObserver::new(g));
-        let mut results = batch.run(&mut rng);
-        black_box(results.take(h_pr));
-        black_box(results.take(h_conn));
-        black_box(results.take(h_hist));
-        black_box(results.take(h_freq));
-    });
-
-    // Sampling-bound mix: all four kernels are (near-)linear sweeps, so the
-    // per-world cost is dominated by sampling + materialisation.
-    let clustering = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        black_box(expected_clustering_coefficients(g, mc, &mut rng));
-    });
-    let knn = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        black_box(k_nearest_neighbors(g, 0, 10, mc, &mut rng));
-    });
-    let cheap_batch_four = time_run(|| {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut batch = QueryBatch::new(g, mc);
-        let h_cc = batch.register(ClusteringObserver::new(g));
-        let h_hist = batch.register(DegreeHistogramObserver::new(g));
-        let h_freq = batch.register(EdgeFrequencyObserver::new(g));
-        let h_knn = batch.register(KnnObserver::new(g, 0, 10));
-        let mut results = batch.run(&mut rng);
-        black_box(results.take(h_cc));
-        black_box(results.take(h_hist));
-        black_box(results.take(h_freq));
-        black_box(results.take(h_knn));
-    });
-
-    Measurement {
-        standalone: [
-            ("pagerank", pagerank),
-            ("connectivity", connectivity),
-            ("degree_histogram", histogram),
-            ("edge_frequencies", frequencies),
-        ],
-        standalone_sum: pagerank + connectivity + histogram + frequencies,
-        batch_one,
-        batch_four,
-        cheap_standalone_sum: clustering + histogram + frequencies + knn,
-        cheap_batch_four,
-    }
+/// The fastest of [`RUNS`] evaluations of `run`, each on a fresh seed-1
+/// stream.
+fn fastest_from_seed<T>(mut run: impl FnMut(&mut SmallRng) -> T) -> Duration {
+    fastest(RUNS, || run(&mut SmallRng::seed_from_u64(1)))
 }
 
 fn ratio(num: Duration, den: Duration) -> f64 {
-    num.as_nanos() as f64 / den.as_nanos().max(1) as f64
+    let ratio = num.as_nanos() as f64 / den.as_nanos().max(1) as f64;
+    (ratio * 100.0).round() / 100.0
 }
 
-fn batch_queries(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_queries");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(400))
-        .warm_up_time(Duration::from_millis(100));
+fn ns(d: Duration) -> f64 {
+    d.as_nanos() as f64
+}
 
-    let g = flickr_regime_graph();
-    let mc = MonteCarlo::worlds(WORLDS).with_method(SampleMethod::Skip);
-    let m = measure(&g, &mc);
+fn main() {
+    let g = &flickr_regime_graph();
+    let mc = &MonteCarlo::worlds(WORLDS).with_method(SampleMethod::Skip);
 
-    for (name, duration) in m.standalone.iter().copied().chain([
-        ("batch_1query", m.batch_one),
-        ("batch_4query", m.batch_four),
-    ]) {
-        group.bench_with_input(BenchmarkId::new(name, MEAN_P), &duration, |b, &d| {
-            // Report the externally measured duration through the
-            // criterion-style output (one no-op iteration).
-            b.iter(|| black_box(d));
-        });
-    }
-    group.finish();
+    // Standalone: each query samples its own worlds (the classic wrappers
+    // are single-observer batches, i.e. exactly the standalone cost).
+    let pagerank = fastest_from_seed(|rng| expected_pagerank(g, mc, rng));
+    let connectivity = fastest_from_seed(|rng| connectivity_query(g, mc, rng));
+    let histogram = fastest_from_seed(|rng| expected_degree_histogram(g, mc, rng));
+    let frequencies = fastest_from_seed(|rng| {
+        let mut batch = QueryBatch::new(g, mc);
+        batch.register(EdgeFrequencyObserver::new(g));
+        batch.run(rng)
+    });
+    let standalone = [
+        ("pagerank", pagerank),
+        ("connectivity", connectivity),
+        ("degree_histogram", histogram),
+        ("edge_frequencies", frequencies),
+    ];
+    let standalone_sum = pagerank + connectivity + histogram + frequencies;
+    let costliest = standalone.iter().map(|&(_, d)| d).max().expect("four");
 
-    let costliest = m
-        .standalone
-        .iter()
-        .map(|&(_, d)| d)
-        .max()
-        .expect("four queries");
+    // Batched: one observer (driver overhead floor) and the full mix of
+    // four sharing one sampling pass.
+    let batch_one = fastest_from_seed(|rng| {
+        let mut batch = QueryBatch::new(g, mc);
+        batch.register(PageRankObserver::new(g));
+        batch.run(rng)
+    });
+    let batch_four = fastest_from_seed(|rng| {
+        let mut batch = QueryBatch::new(g, mc);
+        batch.register(PageRankObserver::new(g));
+        batch.register(ConnectivityObserver::new(g));
+        batch.register(DegreeHistogramObserver::new(g));
+        batch.register(EdgeFrequencyObserver::new(g));
+        batch.run(rng)
+    });
+
+    // Sampling-bound mix: all four kernels are (near-)linear sweeps, so the
+    // per-world cost is dominated by sampling + materialisation.  This is
+    // where world sharing approaches the ideal k× saving.
+    let clustering = fastest_from_seed(|rng| expected_clustering_coefficients(g, mc, rng));
+    let knn = fastest_from_seed(|rng| k_nearest_neighbors(g, 0, 10, mc, rng));
+    let cheap_standalone_sum = clustering + histogram + frequencies + knn;
+    let cheap_batch_four = fastest_from_seed(|rng| {
+        let mut batch = QueryBatch::new(g, mc);
+        batch.register(ClusteringObserver::new(g));
+        batch.register(DegreeHistogramObserver::new(g));
+        batch.register(EdgeFrequencyObserver::new(g));
+        batch.register(KnnObserver::new(g, 0, 10));
+        batch.run(rng)
+    });
+
     println!(
-        "p̄ = {MEAN_P}  worlds = {WORLDS}  standalone sum {:.2?}  batch(4) {:.2?}  \
-         amortisation {:.2}x  batch(4)/costliest-standalone {:.2}x  \
-         sampling-bound mix {:.2?} -> {:.2?} ({:.2}x)",
-        m.standalone_sum,
-        m.batch_four,
-        ratio(m.standalone_sum, m.batch_four),
-        ratio(m.batch_four, costliest),
-        m.cheap_standalone_sum,
-        m.cheap_batch_four,
-        ratio(m.cheap_standalone_sum, m.cheap_batch_four),
+        "p̄ = {MEAN_P}  worlds = {WORLDS}  standalone sum {standalone_sum:.2?}  \
+         batch(4) {batch_four:.2?}  amortisation {:.2}x  \
+         batch(4)/costliest-standalone {:.2}x  \
+         sampling-bound mix {cheap_standalone_sum:.2?} -> {cheap_batch_four:.2?} ({:.2}x)",
+        ratio(standalone_sum, batch_four),
+        ratio(batch_four, costliest),
+        ratio(cheap_standalone_sum, cheap_batch_four),
     );
-    write_trajectory(&m);
-}
 
-/// Persists the measured amortisation as `BENCH_batch.json` at the repo root.
-fn write_trajectory(m: &Measurement) {
-    let costliest = m
-        .standalone
-        .iter()
-        .map(|&(_, d)| d)
-        .max()
-        .expect("four queries");
-    let standalone_fields: Vec<String> = m
-        .standalone
-        .iter()
-        .map(|&(name, d)| format!("    \"standalone_{name}_ns\": {}", d.as_nanos()))
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"batch_queries\",\n  \"graph\": \"erdos_renyi(400 vertices, 5% density, p = {MEAN_P})\",\n  \
-         \"worlds\": {WORLDS},\n  \"unit\": \"ns per full {WORLDS}-world query evaluation\",\n  \
-         \"queries\": [\"pagerank\", \"connectivity\", \"degree_histogram\", \"edge_frequencies\"],\n  \
-         \"notes\": \"4-query batch vs standalone runs at the paper's Flickr regime (p ~ 0.09); \
-         acceptance: batch_4query_over_costliest_standalone < 2.0\",\n\
-         {},\n  \"standalone_sum_ns\": {},\n  \"batch_1query_ns\": {},\n  \"batch_4query_ns\": {},\n  \
-         \"amortisation_sum_over_batch\": {:.2},\n  \"batch_4query_over_costliest_standalone\": {:.2},\n  \
-         \"batch_1query_over_standalone_pagerank\": {:.2},\n  \
-         \"sampling_bound_mix\": {{\n    \"queries\": [\"clustering\", \"degree_histogram\", \"edge_frequencies\", \"knn\"],\n    \
-         \"standalone_sum_ns\": {},\n    \"batch_4query_ns\": {},\n    \"amortisation_sum_over_batch\": {:.2}\n  }}\n}}\n",
-        standalone_fields.join(",\n"),
-        m.standalone_sum.as_nanos(),
-        m.batch_one.as_nanos(),
-        m.batch_four.as_nanos(),
-        ratio(m.standalone_sum, m.batch_four),
-        ratio(m.batch_four, costliest),
-        ratio(m.batch_one, m.standalone[0].1),
-        m.cheap_standalone_sum.as_nanos(),
-        m.cheap_batch_four.as_nanos(),
-        ratio(m.cheap_standalone_sum, m.cheap_batch_four),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write BENCH_batch.json: {e}");
-    } else {
-        println!("wrote {path}");
+    let names = |names: [&str; 4]| Value::Arr(names.map(Value::from).to_vec());
+    let mut fields = ObjBuilder::new()
+        .field(
+            "graph",
+            format!("erdos_renyi(400 vertices, 5% density, p = {MEAN_P})"),
+        )
+        .field("worlds", WORLDS)
+        .field(
+            "unit",
+            format!("ns per full {WORLDS}-world query evaluation"),
+        )
+        .field("runs", RUNS)
+        .field("queries", names(standalone.map(|(name, _)| name)))
+        .field(
+            "notes",
+            "4-query batch vs standalone runs at the paper's Flickr regime (p ~ 0.09), each \
+             time the fastest of `runs` runs; bar: batch_4query_over_costliest_standalone < 2.0",
+        );
+    for (name, d) in standalone {
+        fields = fields.field(&format!("standalone_{name}_ns"), ns(d));
     }
+    let sampling_bound_mix = ObjBuilder::new()
+        .field(
+            "queries",
+            names(["clustering", "degree_histogram", "edge_frequencies", "knn"]),
+        )
+        .field("standalone_sum_ns", ns(cheap_standalone_sum))
+        .field("batch_4query_ns", ns(cheap_batch_four))
+        .field(
+            "amortisation_sum_over_batch",
+            ratio(cheap_standalone_sum, cheap_batch_four),
+        )
+        .build();
+    let fields = fields
+        .field("standalone_sum_ns", ns(standalone_sum))
+        .field("batch_1query_ns", ns(batch_one))
+        .field("batch_4query_ns", ns(batch_four))
+        .field(
+            "amortisation_sum_over_batch",
+            ratio(standalone_sum, batch_four),
+        )
+        .field(
+            "batch_4query_over_costliest_standalone",
+            ratio(batch_four, costliest),
+        )
+        .field(
+            "batch_1query_over_standalone_pagerank",
+            ratio(batch_one, pagerank),
+        )
+        .field("sampling_bound_mix", sampling_bound_mix)
+        .build();
+    write_bench_json("batch", fields);
 }
-
-criterion_group!(benches, batch_queries);
-criterion_main!(benches);

@@ -13,21 +13,21 @@
 //! * **loopback wall** — one full `DistCoordinator::execute`, every worker
 //!   on this host at once;
 //! * **per-worker critical path** — each worker's `world_block` job timed
-//!   alone over the wire (submit, run, page out its partials), the slowest
-//!   one taken: the wall-clock of a fleet with one host per worker.
+//!   alone over the wire (connect, submit, run, page out its partials), the
+//!   slowest one taken: the wall-clock of a fleet with one host per worker.
 //!
 //! Answers are asserted bit-identical to the in-process run before any
-//! time is reported; every time is the fastest of three runs.
+//! time is reported; every time is the fastest of [`RUNS`] runs.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use minijson::Value;
+use minijson::{ObjBuilder, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uncertain_graph::UncertainGraph;
 
+use ugs_bench::harness::{fastest, write_bench_json};
 use ugs_datasets::{preferential_attachment, ProbabilityModel};
 use ugs_dist::{CoordinatorConfig, DistCoordinator};
 use ugs_queries::BlockPlan;
@@ -38,6 +38,9 @@ const VERTICES: usize = 60_000;
 const EDGES_PER_VERTEX: usize = 4;
 const MEAN_P: f64 = 0.09;
 const FLEETS: [usize; 2] = [2, 4];
+/// Timed runs per measurement; the fastest is kept (the host's other load
+/// only ever adds time).
+const RUNS: usize = 3;
 
 /// One benchmarked plan: its name, world budget, seed and query list.
 struct BenchPlan {
@@ -98,14 +101,9 @@ fn spawn_fleet(graph: &Arc<UncertainGraph>, workers: usize) -> (Vec<ServerHandle
     (handles, addrs)
 }
 
-/// One worker's block job driven over the wire on its own: returns the
-/// time from submit to the last page, and the bytes of every response.
-fn isolated_block_job(
-    addr: &str,
-    plan: &QueryPlan,
-    slot: usize,
-    slots: usize,
-) -> (Duration, usize) {
+/// One worker's block job driven over the wire on its own, from connect
+/// to the last page: returns the bytes of every response.
+fn isolated_block_job(addr: &str, plan: &QueryPlan, slot: usize, slots: usize) -> usize {
     let mut client = LineClient::connect(addr).expect("connect worker");
     client
         .set_read_timeout(Some(Duration::from_secs(300)))
@@ -113,7 +111,6 @@ fn isolated_block_job(
     let blocks = BlockPlan::fixed(plan.worlds, plan.threads);
     let seed = SmallRng::seed_from_u64(plan.seed).gen::<u64>();
     let queries = Value::Arr(plan.queries.iter().map(|spec| spec.to_json()).collect()).render();
-    let started = Instant::now();
     let submitted = client
         .request(&format!(
             "{{\"op\": \"world_block\", \"queries\": {queries}, \"mode\": \"{}\", \
@@ -143,32 +140,12 @@ fn isolated_block_job(
         let text = page.get_str("values").expect("values");
         received += ugs_queries::partial::decode_values(text).count();
         if received == page.get_usize("total").expect("total") {
-            return (started.elapsed(), bytes);
+            return bytes;
         }
     }
 }
 
-/// Repetitions per timing; the fastest is kept (the host's other load
-/// only ever adds time).
-const REPS: usize = 3;
-
-/// The fastest of [`REPS`] runs of `run`, each returning its own time.
-fn fastest(run: impl FnMut() -> Duration) -> Duration {
-    std::iter::repeat_with(run)
-        .take(REPS)
-        .min()
-        .expect("at least one repetition")
-}
-
-/// The wall-clock of one call.
-fn timed(run: impl FnOnce()) -> Duration {
-    let started = Instant::now();
-    run();
-    started.elapsed()
-}
-
 struct FleetMeasurement {
-    plan: &'static str,
     workers: usize,
     in_process: Duration,
     loopback: Duration,
@@ -198,24 +175,14 @@ fn measure(graph: &Arc<UncertainGraph>, bench: &BenchPlan, workers: usize) -> Fl
         "{} parity at {workers} workers",
         bench.name
     );
-    let in_process = fastest(|| {
-        timed(|| {
-            black_box(plan.execute_detailed(graph.clone()));
-        })
-    });
-    let loopback = fastest(|| {
-        timed(|| {
-            black_box(coordinator.execute(&plan));
-        })
-    });
+    let in_process = fastest(RUNS, || plan.execute_detailed(graph.clone()));
+    let loopback = fastest(RUNS, || coordinator.execute(&plan));
     coordinator.shutdown();
     let (mut per_worker, mut wire_bytes) = (Vec::new(), 0);
     for (slot, addr) in addrs.iter().enumerate() {
         let mut bytes = 0;
-        per_worker.push(fastest(|| {
-            let (time, sent) = isolated_block_job(addr, &plan, slot, workers);
-            bytes = sent;
-            time
+        per_worker.push(fastest(RUNS, || {
+            bytes = isolated_block_job(addr, &plan, slot, workers);
         }));
         wire_bytes += bytes;
     }
@@ -223,7 +190,6 @@ fn measure(graph: &Arc<UncertainGraph>, bench: &BenchPlan, workers: usize) -> Fl
         handle.shutdown();
     }
     FleetMeasurement {
-        plan: bench.name,
         workers,
         in_process,
         loopback,
@@ -232,141 +198,98 @@ fn measure(graph: &Arc<UncertainGraph>, bench: &BenchPlan, workers: usize) -> Fl
     }
 }
 
-fn dist_bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dist");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_millis(400))
-        .warm_up_time(Duration::from_millis(100));
-
+fn main() {
     let graph = powerlaw_graph();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut sequential = Vec::new();
-    let mut fleets = Vec::new();
-    for bench in &PLANS {
-        // The one-thread in-process run: what a single host does alone.
-        let plan = bench.with_threads(1);
-        sequential.push((
-            bench.name,
-            fastest(|| {
-                timed(|| {
-                    black_box(plan.execute_detailed(graph.clone()));
-                })
-            }),
-        ));
-        for workers in FLEETS {
-            fleets.push(measure(&graph, bench, workers));
-        }
-    }
-
-    for fleet in &fleets {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{}/critical_path", fleet.plan), fleet.workers),
-            &fleet.critical_path(),
-            |b, &d| b.iter(|| black_box(d)),
-        );
-    }
-    group.finish();
-
     println!(
-        "p̄ = {MEAN_P}  |V| = {VERTICES}  |E| = {}  cores = {cores}",
+        "p̄ = {MEAN_P}  |V| = {VERTICES}  |E| = {}",
         graph.num_edges()
     );
-    for (name, time) in &sequential {
-        println!("  {name}: in-process, 1 thread {time:.2?}");
-    }
-    for fleet in &fleets {
-        let (_, one_thread) = sequential
-            .iter()
-            .find(|(name, _)| *name == fleet.plan)
-            .expect("sequential baseline");
-        println!(
-            "  {} @ {} workers: loopback {:.2?} (in-process, same threads, {:.2?}); \
-             per-worker critical path {:.2?} = {:.2}x the 1-thread in-process run",
-            fleet.plan,
-            fleet.workers,
-            fleet.loopback,
-            fleet.in_process,
-            fleet.critical_path(),
-            fleet.critical_path().as_secs_f64() / one_thread.as_secs_f64(),
-        );
-    }
-    write_trajectory(graph.num_edges(), cores, &sequential, &fleets);
-}
-
-/// Persists the measurements as `BENCH_dist.json` at the repo root.
-fn write_trajectory(
-    edges: usize,
-    cores: usize,
-    sequential: &[(&str, Duration)],
-    fleets: &[FleetMeasurement],
-) {
-    let mut plans = String::new();
-    for (i, (bench, (name, one_thread))) in PLANS.iter().zip(sequential).enumerate() {
-        if i > 0 {
-            plans.push_str(",\n");
-        }
-        let mut entries = String::new();
-        for fleet in fleets.iter().filter(|fleet| fleet.plan == *name) {
-            if !entries.is_empty() {
-                entries.push_str(",\n");
-            }
-            let per_worker: Vec<String> = fleet
+    let mut plans = Vec::new();
+    for bench in &PLANS {
+        let fleets = FLEETS.map(|workers| measure(&graph, bench, workers));
+        // The one-thread in-process run: what a single host does alone.
+        let plan = bench.with_threads(1);
+        let one_thread = fastest(RUNS, || plan.execute_detailed(graph.clone()));
+        println!("  {}: in-process, 1 thread {one_thread:.2?}", bench.name);
+        let fleets = fleets.map(|fleet| {
+            let over_one_thread = fleet.critical_path().as_secs_f64() / one_thread.as_secs_f64();
+            println!(
+                "  {} @ {} workers: loopback {:.2?} (in-process, same threads, {:.2?}); \
+                 per-worker critical path {:.2?} = {over_one_thread:.2}x the 1-thread \
+                 in-process run",
+                bench.name,
+                fleet.workers,
+                fleet.loopback,
+                fleet.in_process,
+                fleet.critical_path(),
+            );
+            let per_worker = fleet
                 .per_worker
                 .iter()
-                .map(|time| time.as_nanos().to_string())
-                .collect();
-            entries.push_str(&format!(
-                "        {{\"workers\": {}, \"loopback_wall_ns\": {}, \
-                 \"in_process_same_threads_ns\": {}, \"critical_path_ns\": {}, \
-                 \"critical_path_over_one_thread\": {:.3}, \"per_worker_ns\": [{}], \
-                 \"wire_bytes_per_world\": {:.0}}}",
-                fleet.workers,
-                fleet.loopback.as_nanos(),
-                fleet.in_process.as_nanos(),
-                fleet.critical_path().as_nanos(),
-                fleet.critical_path().as_secs_f64() / one_thread.as_secs_f64(),
-                per_worker.join(", "),
-                fleet.wire_bytes as f64 / bench.worlds as f64,
-            ));
-        }
-        let queries: Vec<String> = bench
-            .with_threads(1)
+                .map(|time| Value::from(time.as_nanos() as f64))
+                .collect::<Vec<_>>();
+            ObjBuilder::new()
+                .field("workers", fleet.workers)
+                .field("loopback_wall_ns", fleet.loopback.as_nanos() as f64)
+                .field(
+                    "in_process_same_threads_ns",
+                    fleet.in_process.as_nanos() as f64,
+                )
+                .field("critical_path_ns", fleet.critical_path().as_nanos() as f64)
+                .field(
+                    "critical_path_over_one_thread",
+                    (over_one_thread * 1000.0).round() / 1000.0,
+                )
+                .field("per_worker_ns", per_worker)
+                .field(
+                    "wire_bytes_per_world",
+                    (fleet.wire_bytes as f64 / bench.worlds as f64).round(),
+                )
+                .build()
+        });
+        let queries = plan
             .queries
             .iter()
-            .map(|spec| spec.to_json().render())
-            .collect();
-        plans.push_str(&format!(
-            "    {{\"plan\": \"{name}\", \"worlds\": {}, \"queries\": [{}], \
-             \"in_process_one_thread_ns\": {},\n      \"fleets\": [\n{entries}\n      ]}}",
-            bench.worlds,
-            queries.join(", "),
-            one_thread.as_nanos(),
-        ));
+            .map(|spec| spec.to_json())
+            .collect::<Vec<_>>();
+        plans.push(
+            ObjBuilder::new()
+                .field("plan", bench.name)
+                .field("worlds", bench.worlds)
+                .field("queries", queries)
+                .field("in_process_one_thread_ns", one_thread.as_nanos() as f64)
+                .field("fleets", fleets.to_vec())
+                .build(),
+        );
     }
-    let json = format!(
-        "{{\n  \"benchmark\": \"dist\",\n  \
-         \"graph\": \"preferential_attachment({VERTICES} vertices, m = {EDGES_PER_VERTEX}, \
-         p = {MEAN_P})\",\n  \"edges\": {edges},\n  \"cores\": {cores},\n  \
-         \"notes\": \"world-block fleets: each plan runs with threads = workers, so every \
-         loopback worker holds one world block (world_block op: replay to the block, observe \
-         it, page out the exact partials; the coordinator folds them in block order). Answers \
-         are asserted bit-identical to the in-process run before timing. loopback_wall_ns is \
-         one DistCoordinator::execute with every worker sharing this host's cores; \
-         critical_path_ns is the slowest worker's block job timed alone over the wire (submit \
-         to last page), the wall-clock of a one-host-per-worker fleet; \
-         critical_path_over_one_thread compares it with the 1-thread in-process run. Every \
-         time is the fastest of 3 runs. \
-         wire_bytes_per_world sums every worker's response bytes of the isolated jobs per \
-         world\",\n  \"plans\": [\n{plans}\n  ]\n}}\n"
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dist.json");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("could not write BENCH_dist.json: {e}");
-    } else {
-        println!("wrote {path}");
-    }
-}
 
-criterion_group!(benches, dist_bench);
-criterion_main!(benches);
+    write_bench_json(
+        "dist",
+        ObjBuilder::new()
+            .field(
+                "graph",
+                format!(
+                    "preferential_attachment({VERTICES} vertices, m = {EDGES_PER_VERTEX}, \
+                     p = {MEAN_P})"
+                ),
+            )
+            .field("edges", graph.num_edges())
+            .field("runs", RUNS)
+            .field(
+                "notes",
+                "world-block fleets: each plan runs with threads = workers, so every loopback \
+                 worker holds one world block (world_block op: replay to the block, observe it, \
+                 page out the exact partials; the coordinator folds them in block order). \
+                 Answers are asserted bit-identical to the in-process run before timing. \
+                 loopback_wall_ns is one DistCoordinator::execute with every worker sharing \
+                 this host's cores; critical_path_ns is the slowest worker's block job timed \
+                 alone over the wire (connect to last page), the wall-clock of a \
+                 one-host-per-worker fleet; critical_path_over_one_thread compares it with the \
+                 1-thread in-process run. Every time is the fastest of `runs` runs. \
+                 wire_bytes_per_world sums every worker's response bytes of the isolated jobs \
+                 per world",
+            )
+            .field("plans", plans)
+            .build(),
+    );
+}

@@ -1,16 +1,18 @@
 //! # ugs-bench
 //!
 //! Experiment harness regenerating **every table and figure** of the paper's
-//! evaluation (Section 6), plus criterion micro-benchmarks for the runtime
-//! claims.
+//! evaluation (Section 6), plus five benchmarks for the runtime claims.
 //!
 //! * The accuracy/entropy/variance experiments live in [`experiments`]; each
 //!   `run_*` function corresponds to one table or figure and returns
 //!   [`ugs_metrics::ExperimentReport`]s whose rows/series match what the
 //!   paper plots.  The thin binaries in `src/bin/exp_*.rs` print them.
-//! * The criterion benches under `benches/` time the individual components
-//!   (sparsifiers, Monte-Carlo queries, metrics, generators, ablations) at a
-//!   small scale so `cargo bench` terminates quickly.
+//! * The benches under `benches/` are plain `main` programs
+//!   (`harness = false`): `mc_engine`, `batch_queries`, `sparsify`,
+//!   `adaptive` and `dist`.  Each asserts its parity checks before timing
+//!   anything, then times with [`harness::fastest`] and records the result
+//!   with [`harness::write_bench_json`] as `BENCH_{mc,batch,sparsify,
+//!   adaptive,dist}.json` at the repository root.
 //!
 //! The real Flickr/Twitter datasets are replaced by the statistical
 //! look-alikes from `ugs-datasets` (its crate docs give the substitution
@@ -23,6 +25,46 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+
+/// Timing and recording shared by the benches under `benches/`.
+pub mod harness {
+    use std::time::{Duration, Instant};
+
+    use minijson::Value;
+
+    /// The fastest of `runs` calls of `f`.  Load on the host only ever adds
+    /// time, so the minimum is the least disturbed measurement, and it
+    /// discards a first, cold call by itself.
+    pub fn fastest<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
+        (0..runs.max(1))
+            .map(|_| {
+                let started = Instant::now();
+                std::hint::black_box(f());
+                started.elapsed()
+            })
+            .min()
+            .expect("at least one run")
+    }
+
+    /// Writes `fields` (a JSON object) as `BENCH_<name>.json` at the
+    /// repository root, pretty-printed, after a `"benchmark"` and a
+    /// `"cores"` field, and prints the path.
+    pub fn write_bench_json(name: &str, fields: Value) {
+        let Value::Obj(fields) = fields else {
+            panic!("BENCH_{name}.json: the fields must form a JSON object");
+        };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut entries = vec![
+            ("benchmark".to_string(), Value::from(name)),
+            ("cores".to_string(), Value::from(cores)),
+        ];
+        entries.extend(fields);
+        let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let text = Value::Obj(entries).pretty() + "\n";
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+        println!("wrote {path}");
+    }
+}
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

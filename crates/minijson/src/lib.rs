@@ -12,6 +12,12 @@
 
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts.  The
+/// parser recurses once per level, so without a bound one line of `[`s
+/// overflows the thread's stack and aborts the process; 128 is far above
+/// any document this workspace reads or writes.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -52,6 +58,7 @@ impl Value {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.parse_value()?;
@@ -282,6 +289,8 @@ fn write_seq(
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -313,8 +322,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
@@ -322,6 +331,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, JsonError> {
@@ -524,6 +547,24 @@ mod tests {
             "[1,]",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&arrays(MAX_DEPTH)).is_ok());
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(Value::parse(&objects(MAX_DEPTH)).is_ok());
+        for depth in [MAX_DEPTH + 1, 1_000_000] {
+            for bad in [arrays(depth), objects(depth), "[".repeat(depth)] {
+                let error = Value::parse(&bad).unwrap_err();
+                assert_eq!(
+                    error.message,
+                    format!("nesting deeper than {MAX_DEPTH} levels"),
+                    "depth {depth}"
+                );
+            }
         }
     }
 

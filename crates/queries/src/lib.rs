@@ -84,7 +84,6 @@
 
 pub mod batch;
 pub mod components;
-pub mod cv;
 pub mod engine;
 pub mod knn;
 pub mod mc;
@@ -107,7 +106,6 @@ pub mod prelude {
         connectivity_query, expected_degree_histogram, ConnectivityEstimate, ConnectivityObserver,
         DegreeHistogramObserver,
     };
-    pub use crate::cv::{ControlVariate, CvConfig, CvError, CvEstimate};
     pub use crate::engine::{SampleMethod, WorldEngine, WorldScratch};
     pub use crate::knn::{k_nearest_neighbors, knn_overlap, KnnObserver, Neighbor};
     pub use crate::mc::MonteCarlo;

@@ -277,8 +277,9 @@ impl AccumulatorStats {
     ///
     /// where `V̂` is the sample variance and `R = hi − lo`.  The variance
     /// term dominates for concentrated statistics — this is what lets a
-    /// low-variance estimator (e.g. the control-variate residual) stop far
-    /// earlier than the range-only Hoeffding bound would allow.  Returns
+    /// low-variance estimator (e.g. the isolated-vertex fraction of a large
+    /// sparse graph) stop far earlier than the range-only Hoeffding bound
+    /// would allow.  Returns
     /// [`f64::INFINITY`] while empty.
     pub fn half_width(&self, delta: f64) -> f64 {
         let n = self.welford.count();

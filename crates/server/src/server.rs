@@ -32,13 +32,15 @@
 //!
 //! ## Graceful shutdown
 //!
-//! [`ServerHandle::shutdown`] (or a client's `shutdown` op) sets the stop
-//! flag, wakes the listener with a loopback connect, closes every client
-//! socket (blocked readers see EOF — never a hang), joins the connection
-//! threads, then drops the queue senders so the executors drain: queued
-//! jobs whose clients are gone are discarded, the running job finishes.
-//! In-flight tickets are thereby either drained or cancelled, never
-//! stranded.
+//! [`ServerHandle::shutdown`] (or a client's `shutdown` op) first refuses
+//! new work — a `shutdown` op does so before its acknowledgement is
+//! written, so a `submit` or `world_block` that arrives after it is
+//! answered `shutting_down` — then sets the stop flag, wakes the listener
+//! with a loopback connect, closes every client socket (blocked readers
+//! see EOF — never a hang), joins the connection threads, then drops the
+//! queue senders so the executors drain: queued jobs whose clients are
+//! gone are discarded, the running job finishes.  In-flight tickets are
+//! thereby either drained or cancelled, never stranded.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -130,6 +132,9 @@ struct Shared {
     addr: SocketAddr,
     config: ServerConfig,
     cache: Mutex<ResultCache>,
+    /// Raised first on shutdown: admission refuses new work from here on.
+    refusing: AtomicBool,
+    /// Raised after `refusing`: the listener stops and closes every socket.
     stop: AtomicBool,
     jobs_submitted: AtomicU64,
     jobs_delivered: AtomicU64,
@@ -147,15 +152,25 @@ struct Shared {
 }
 
 impl Shared {
-    /// Flips the stop flag (idempotent) and wakes the blocked `accept`.
+    /// Refuses new work from now on, without touching the listener, so a
+    /// `shutdown` acknowledgement can still be written on its socket.
+    fn refuse_work(&self) {
+        self.refusing.store(true, Ordering::SeqCst);
+    }
+
+    /// Refuses new work, flips the stop flag (idempotent) and wakes the
+    /// blocked `accept`.
     fn begin_shutdown(&self) {
+        self.refuse_work();
         if !self.stop.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect(self.addr);
         }
     }
 
+    /// Whether new work is refused: true from the moment a shutdown is
+    /// requested, before it is acknowledged.
     fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.refusing.load(Ordering::SeqCst)
     }
 
     fn graph_label(&self) -> String {
@@ -331,6 +346,7 @@ pub fn serve(
         addr,
         cache: Mutex::new(ResultCache::new(config.cache_bytes)),
         config,
+        refusing: AtomicBool::new(false),
         stop: AtomicBool::new(false),
         jobs_submitted: AtomicU64::new(0),
         jobs_delivered: AtomicU64::new(0),
@@ -367,7 +383,7 @@ pub fn serve(
 fn listener_loop(listener: TcpListener, shared: &Arc<Shared>, job_tx: &SyncSender<Work>) {
     let mut connections: Vec<(Option<TcpStream>, JoinHandle<()>)> = Vec::new();
     for incoming in listener.incoming() {
-        if shared.stopping() {
+        if shared.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = incoming else { continue };
@@ -591,10 +607,15 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, job_tx: &SyncSende
         if garble {
             response = format!("#!garbled<{response}");
         }
+        if stop_after {
+            // Refuse new work *before* the acknowledgement goes out, so no
+            // client that has seen it can still be admitted.
+            shared.refuse_work();
+        }
         let written = writeln!(writer, "{response}").and_then(|_| writer.flush());
         if stop_after {
-            // Flip the flag only *after* the acknowledgement is on the wire,
-            // so the listener cannot close this socket under the response.
+            // Stop the listener only *after* the acknowledgement is on the
+            // wire, so it cannot close this socket under the response.
             shared.begin_shutdown();
             break;
         }

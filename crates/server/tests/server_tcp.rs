@@ -112,6 +112,10 @@ fn cancel_frees_the_job_and_its_id() {
 fn malformed_requests_get_typed_errors_and_the_connection_survives() {
     let server = start(ServerConfig::default());
     let mut c = client(&server);
+    // Far under the line cap, far over the parser's nesting bound: without
+    // that bound the recursive parser overflows the connection thread's
+    // stack and aborts the whole process.
+    let deep = "[".repeat(10_000);
     let cases = [
         ("{not json", "bad_request"),
         ("[1, 2, 3]", "bad_request"),
@@ -132,14 +136,17 @@ fn malformed_requests_get_typed_errors_and_the_connection_survives() {
             r#"{"op": "submit", "plan": {"queries": [{"type": "psychic"}]}}"#,
             "plan",
         ),
+        (&deep, "bad_request"),
     ];
     for (line, code) in cases {
         let response = c.request(line).unwrap();
-        assert_eq!(response.get_str("status"), Some("error"), "{line}");
-        assert_eq!(response.get_str("code"), Some(code), "{line}");
-        assert!(response.get_str("message").is_some(), "{line}");
+        assert_eq!(response.get_str("status"), Some("error"), "{line:.80}");
+        assert_eq!(response.get_str("code"), Some(code), "{line:.80}");
+        assert!(response.get_str("message").is_some(), "{line:.80}");
     }
-    // After ten abusive lines the connection still answers real work.
+    let pong = c.request(r#"{"op": "ping"}"#).unwrap();
+    assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+    // After eleven abusive lines the connection still answers real work.
     let (job, _) = submit_job(
         &mut c,
         r#"{"worlds": 40, "seed": 9, "queries": [{"type": "connectivity"}]}"#,
@@ -402,6 +409,27 @@ fn submits_after_shutdown_are_refused_typed() {
         if let Ok(Some(line)) =
             late.request_raw(r#"{"op": "submit", "plan": {"queries": [{"type": "connectivity"}]}}"#)
         {
+            let value = Value::parse(&line).unwrap();
+            assert_eq!(value.get_str("code"), Some("shutting_down"), "{line}");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn world_blocks_after_shutdown_are_refused_typed() {
+    let server = start(ServerConfig::default());
+    let mut c = client(&server);
+    c.request(r#"{"op": "shutdown"}"#).unwrap();
+    // As for submits: a connect that still succeeds must be answered typed
+    // or closed, never hung, and never admitted.
+    if let Ok(mut late) = LineClient::connect(server.addr()) {
+        late.set_read_timeout(Some(SAFETY)).unwrap();
+        let line = r#"{"op": "world_block", "queries": [{"type": "connectivity"}],
+            "mode": "skip", "seed": "7", "worlds": 8, "epoch": 8, "blocks": 1,
+            "slot": 0, "slots": 1, "epochs": 1, "finish": true}"#
+            .replace('\n', " ");
+        if let Ok(Some(line)) = late.request_raw(&line) {
             let value = Value::parse(&line).unwrap();
             assert_eq!(value.get_str("code"), Some("shutting_down"), "{line}");
         }
