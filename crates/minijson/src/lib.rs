@@ -227,12 +227,14 @@ impl ObjBuilder {
 }
 
 fn write_number(out: &mut String, x: f64) {
+    use std::fmt::Write as _;
+    // Formatting into a `String` cannot fail.
     if x.is_finite() {
         if x.fract() == 0.0 && x.abs() < 1e15 {
             // Integral values print without a trailing `.0`, like serde_json.
-            out.push_str(&format!("{}", x as i64));
+            let _ = write!(out, "{}", x as i64);
         } else {
-            out.push_str(&format!("{x}"));
+            let _ = write!(out, "{x}");
         }
     } else {
         out.push_str("null");

@@ -127,6 +127,7 @@
 //! ```
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -429,7 +430,7 @@ static BATCH_IDS: AtomicU64 = AtomicU64::new(0);
 /// thread count, sampling method); see the [module docs](self) for the
 /// determinism contract and a worked example.
 pub struct QueryBatch<'g> {
-    engine: WorldEngine<'g>,
+    engine: Cow<'g, WorldEngine<'g>>,
     num_worlds: usize,
     threads: usize,
     id: u64,
@@ -453,9 +454,19 @@ impl<'g> QueryBatch<'g> {
         }
     }
 
-    /// Creates a batch from a pre-built engine (lets callers reuse the
-    /// engine's `O(|E| log |E|)` construction across batches).
+    /// Creates a batch that owns a pre-built engine.
     pub fn from_engine(engine: WorldEngine<'g>, num_worlds: usize, threads: usize) -> Self {
+        Self::with_engine(Cow::Owned(engine), num_worlds, threads)
+    }
+
+    /// Creates a batch that borrows a pre-built engine, so many batches —
+    /// one after another or at once on several threads — share one
+    /// engine's `O(|E| log |E|)` construction.
+    pub fn on_engine(engine: &'g WorldEngine<'g>, num_worlds: usize, threads: usize) -> Self {
+        Self::with_engine(Cow::Borrowed(engine), num_worlds, threads)
+    }
+
+    fn with_engine(engine: Cow<'g, WorldEngine<'g>>, num_worlds: usize, threads: usize) -> Self {
         QueryBatch {
             engine,
             num_worlds,

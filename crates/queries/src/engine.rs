@@ -57,19 +57,36 @@ impl SampleMethod {
     /// than paying a logarithm per (almost always present) edge.
     pub const AUTO_SKIP_THRESHOLD: f64 = 0.5;
 
-    /// Resolves [`SampleMethod::Auto`] against a graph's [`SkipSampler`]
-    /// (mean edge probability vs [`SampleMethod::AUTO_SKIP_THRESHOLD`]);
-    /// concrete methods pass through.  **The single resolution rule**: every
-    /// engine built for the same graph and method takes the same sampling
-    /// path, so plans, server jobs and fleet blocks replay one world stream.
-    pub(crate) fn resolve(self, sampler: &SkipSampler) -> SampleMethod {
+    /// The method an engine built for `g` with this method samples with
+    /// ([`WorldEngine::effective_method`]), worked out from the graph
+    /// alone in `O(|E|)`: it lets a caller that keeps one engine per
+    /// method find the engine an [`SampleMethod::Auto`] request resolves
+    /// to without building one.
+    pub fn resolve_for(self, g: &UncertainGraph) -> SampleMethod {
+        // Summed in edge order, exactly as `SkipSampler::new` sums
+        // `expected_present`.
+        self.resolve_mean(g.probabilities().iter().sum(), g.num_edges())
+    }
+
+    /// Resolves [`SampleMethod::Auto`] against a graph's [`SkipSampler`];
+    /// concrete methods pass through.
+    fn resolve(self, sampler: &SkipSampler) -> SampleMethod {
+        self.resolve_mean(sampler.expected_present(), sampler.num_edges())
+    }
+
+    /// **The single resolution rule**: [`SampleMethod::Auto`] becomes
+    /// skip-sampling when the mean edge probability (`expected_present`
+    /// over `m` edges) is at most [`SampleMethod::AUTO_SKIP_THRESHOLD`],
+    /// per-edge otherwise.  Every engine built for the same graph and
+    /// method takes the same sampling path, so plans, server jobs and fleet
+    /// blocks replay one world stream.
+    fn resolve_mean(self, expected_present: f64, m: usize) -> SampleMethod {
         match self {
             SampleMethod::Auto => {
-                let m = sampler.num_edges();
                 let mean = if m == 0 {
                     0.0
                 } else {
-                    sampler.expected_present() / m as f64
+                    expected_present / m as f64
                 };
                 if mean <= SampleMethod::AUTO_SKIP_THRESHOLD {
                     SampleMethod::Skip
@@ -253,6 +270,27 @@ mod tests {
         );
         let forced = WorldEngine::new(&dense).with_method(SampleMethod::Skip);
         assert_eq!(forced.effective_method(), SampleMethod::Skip);
+    }
+
+    #[test]
+    fn resolving_from_the_graph_matches_the_engine() {
+        // Mean 0.5 sits on the threshold (skip); the empty graph resolves
+        // like an engine over it.
+        for g in [
+            toy(0.2),
+            toy(0.5),
+            toy(0.9),
+            UncertainGraph::from_edges(3, []).unwrap(),
+        ] {
+            for method in [
+                SampleMethod::Auto,
+                SampleMethod::Skip,
+                SampleMethod::PerEdge,
+            ] {
+                let engine = WorldEngine::new(&g).with_method(method);
+                assert_eq!(method.resolve_for(&g), engine.effective_method());
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! The deterministic result cache: answers keyed by the exact replay
-//! identity, evicted LRU under a byte budget.
+//! The deterministic result cache: rendered answers keyed by the exact
+//! replay identity, evicted LRU under a byte budget.
+//!
+//! An entry is a [`RenderedAnswer`]: the answer's result rendered once, on
+//! the executor that computed it, as the compact JSON fragment every report
+//! splices in.  A hit is therefore a copy of those bytes (taken outside the
+//! cache lock — the fragment is shared, so a lookup only clones a handle),
+//! never a second render.
 //!
 //! ## Cache-key definition
 //!
 //! Replay determinism (one seed draw per plan, thread-count-invariant world
-//! streams) means a query's [`QueryAnswer`] is a pure function of:
+//! streams) means a query's answer is a pure function of:
 //!
 //! * the **graph fingerprint**
 //!   ([`UncertainGraph::fingerprint`](uncertain_graph::UncertainGraph::fingerprint)): vertex
@@ -28,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use ugs_service::{QueryAnswer, QueryPlan};
+use ugs_service::{QueryPlan, RenderedAnswer};
 
 /// FNV-1a over a byte string (the same construction as
 /// [`UncertainGraph::fingerprint`](uncertain_graph::UncertainGraph::fingerprint),
@@ -92,7 +98,7 @@ pub struct CacheStats {
 }
 
 struct Entry {
-    answer: QueryAnswer,
+    answer: RenderedAnswer,
     bytes: usize,
     last_used: u64,
 }
@@ -127,9 +133,9 @@ impl ResultCache {
     }
 
     /// Looks up a key, bumping its recency on a hit.  The answer comes back
-    /// cloned — cached [`QueryAnswer`]s are immutable once inserted, so the
-    /// clone is bit-identical to what the original execution produced.
-    pub fn lookup(&mut self, key: &str) -> Option<QueryAnswer> {
+    /// cloned — a handle to the immutable rendered fragment, so the clone is
+    /// O(1) and bit-identical to what the original execution produced.
+    pub fn lookup(&mut self, key: &str) -> Option<RenderedAnswer> {
         self.tick += 1;
         match self.entries.get_mut(key) {
             Some(entry) => {
@@ -144,26 +150,18 @@ impl ResultCache {
         }
     }
 
-    /// The bytes an entry is charged: key, rendered answer and a fixed
-    /// per-entry overhead.  Rendering a large answer takes milliseconds,
-    /// so callers that share the cache behind a lock size entries with
-    /// this *before* locking and insert with [`ResultCache::insert_sized`].
-    pub fn entry_bytes(key: &str, answer: &QueryAnswer) -> usize {
-        key.len() + answer.result.to_json().render().len() + 64
+    /// The bytes an entry is charged: key, rendered result and a fixed
+    /// per-entry overhead.
+    pub fn entry_bytes(key: &str, answer: &RenderedAnswer) -> usize {
+        key.len() + answer.result().len() + 64
     }
 
     /// Inserts an answer, evicting least-recently-used entries until the
     /// byte budget holds.  An answer larger than the whole budget is
     /// silently skipped (typed stats still count the insertion attempt as
     /// an eviction of itself, keeping `bytes <= capacity` an invariant).
-    pub fn insert(&mut self, key: String, answer: QueryAnswer) {
+    pub fn insert(&mut self, key: String, answer: RenderedAnswer) {
         let bytes = Self::entry_bytes(&key, &answer);
-        self.insert_sized(key, answer, bytes);
-    }
-
-    /// [`ResultCache::insert`] with the entry's size already computed by
-    /// [`ResultCache::entry_bytes`].
-    pub fn insert_sized(&mut self, key: String, answer: QueryAnswer, bytes: usize) {
         if bytes > self.capacity {
             self.evictions += 1;
             return;
@@ -215,14 +213,15 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugs_service::QueryResult;
+    use ugs_service::{QueryAnswer, QueryResult};
 
-    fn answer(tag: f64) -> QueryAnswer {
+    fn answer(tag: f64) -> RenderedAnswer {
         QueryAnswer {
             result: QueryResult::EdgeFrequency(vec![tag]),
             worlds_used: 10,
             half_width: None,
         }
+        .render()
     }
 
     #[test]
@@ -254,21 +253,13 @@ mod tests {
     #[test]
     fn entries_are_charged_key_plus_rendered_answer_plus_overhead() {
         let entry = answer(0.25);
-        let rendered = entry.result.to_json().render();
+        let rendered = QueryResult::EdgeFrequency(vec![0.25]).to_json().render();
         assert_eq!(
             ResultCache::entry_bytes("key", &entry),
             3 + rendered.len() + 64
         );
-        // `insert` and a pre-sized `insert_sized` charge the same bytes.
         let mut cache = ResultCache::new(4096);
         cache.insert("key".to_string(), entry.clone());
-        let mut sized = ResultCache::new(4096);
-        sized.insert_sized(
-            "key".to_string(),
-            entry.clone(),
-            ResultCache::entry_bytes("key", &entry),
-        );
-        assert_eq!(cache.stats(), sized.stats());
         assert_eq!(cache.stats().bytes, 3 + rendered.len() + 64);
     }
 

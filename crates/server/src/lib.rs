@@ -19,7 +19,7 @@
 //! | `{"op": "submit", "plan": {…}}` | `{"status": "ok", "job": N, "cached": bool}` |
 //! | `{"op": "poll", "job": N}` | `{"status": "ok", "job": N, "done": false}` or `{"status": "ok", "job": N, "done": true, "report": {…}}` |
 //! | `{"op": "cancel", "job": N}` | `{"status": "ok", "job": N, "cancelled": true}` |
-//! | `{"op": "stats"}` | `{"status": "ok", "graph": …, "jobs": {…}, "cache": {…}, "queue": {…}, "executors": […], "connections": N}` (plus `"shard": {"shard": K, "shards": W}` on a fleet worker) |
+//! | `{"op": "stats"}` | `{"status": "ok", "graph": …, "jobs": {…}, "cache": {…}, "queue": {…}, "executors": […], "connections": N, "engines": E}` (plus `"shard": {"shard": K, "shards": W}` on a fleet worker) |
 //! | `{"op": "ping"}` | `{"status": "ok", "pong": true}` |
 //! | `{"op": "shutdown"}` | `{"status": "ok", "stopping": true}`, then sockets close |
 //! | `{"op": "world_block", "queries": […], "mode": "skip", "seed": "S", "worlds": C, "epoch": E, "blocks": T, "slot": K, "slots": W, "epochs": N, "finish": F}` | `{"status": "ok", "job": J}` |
@@ -96,15 +96,21 @@
 //! never buffered whole — answered with `bad_request`, and the connection
 //! stays alive.
 //!
+//! `engines` counts the sampling engines the server has built: one per
+//! resolved sampling method it has run, built on the first job that needs
+//! it and shared by every job after.
+//!
 //! ## Result cache
 //!
 //! Answers are cached under their exact replay identity — graph
 //! fingerprint, seed, worlds/threads/shards/mode, precision block and the
 //! canonical query spec (adaptive plans additionally hash the whole query
-//! mix) — under an LRU byte budget.  A cache hit is **bit-identical** to a
-//! fresh run; see the [`cache`] module docs for the full key definition and
-//! why fixed-budget answers may be reused across plans while adaptive
-//! answers may not.
+//! mix) — under an LRU byte budget.  An entry is the answer's rendered
+//! result fragment, rendered once by the executor that computed it, so a
+//! hit copies bytes into the report instead of rendering again.  A cache
+//! hit is **bit-identical** to a fresh run; see the [`cache`] module docs
+//! for the full key definition and why fixed-budget answers may be reused
+//! across plans while adaptive answers may not.
 //!
 //! # Example
 //!

@@ -10,16 +10,21 @@
 //!   parks on a ticket, so a slow job cannot wedge its client's other
 //!   requests;
 //! * a fixed pool of **executor** threads draining one bounded submission
-//!   queue; each job runs its plan as one
-//!   [`QueryBatch`](ugs_queries::QueryBatch) pass
-//!   ([`QueryPlan::execute_detailed_with_cancel`], the deterministic-replay
-//!   path) under `catch_unwind`, so a kernel panic answers `internal`
-//!   instead of killing the executor, then inserts the answers into the
-//!   shared cache — each entry sized before the cache lock is taken — and
-//!   hands them back over a per-job channel.  A `world_block` job runs its
-//!   fleet slot's blocks ([`SlotRun`]) on one executor the same way; an
-//!   adaptive job keeps that executor (and its registries) between epochs,
-//!   parked on its connection's advance channel.
+//!   queue, run scoped on one thread that owns the server's sampling
+//!   engines.  The executors share **one [`WorldEngine`] per resolved
+//!   sampling method** (`auto` shares the engine of the method it resolves
+//!   to), built by the first job that needs it — a server serves one
+//!   graph, so no job rebuilds it.  Each plan job runs as one
+//!   [`QueryBatch`](ugs_queries::QueryBatch) pass on that engine
+//!   ([`QueryPlan::execute_on`], the deterministic-replay path) under
+//!   `catch_unwind`, so a kernel panic answers `internal` instead of
+//!   killing the executor.  The executor then renders each answer once
+//!   ([`RenderedAnswer`]), inserts the renderings into the shared cache and
+//!   hands them back over a per-job channel; a poll writes the report
+//!   around them.  A `world_block` job runs its fleet slot's blocks
+//!   ([`SlotRun`]) on one executor and the same shared engine; an adaptive
+//!   job keeps that executor (and its registries) between epochs, parked
+//!   on its connection's advance channel.
 //!
 //! ## Admission control
 //!
@@ -48,14 +53,14 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use minijson::{ObjBuilder, Value};
 use ugs_queries::batch::BoxedObserver;
 use ugs_queries::partial::encode_value;
-use ugs_queries::{BlockPlan, BlockWatch, SlotRun, WorldEngine};
-use ugs_service::{QueryAnswer, QueryPlan, ServiceError};
+use ugs_queries::{BlockPlan, BlockWatch, SampleMethod, SlotRun, WorldEngine};
+use ugs_service::{QueryAnswer, QueryPlan, RenderedAnswer, ServiceError};
 use uncertain_graph::UncertainGraph;
 
 use crate::cache::{query_key, CacheStats, ResultCache};
@@ -146,6 +151,9 @@ struct Shared {
     /// Live client connections (the `stats` gauge behind the
     /// shutdown-closes-every-connection guarantee).
     connections: AtomicUsize,
+    /// Sampling engines built so far ([`Engines`]; the `stats` op's
+    /// `engines`).
+    engines_built: AtomicUsize,
     /// Armed fault schedule ([`ServerConfig::fault_plan`]); server-global
     /// so reconnecting clients cannot rewind the op counter.
     faults: Option<FaultClock>,
@@ -178,6 +186,52 @@ impl Shared {
     }
 }
 
+/// The server's sampling engines: at most one per resolved sampling method,
+/// built by the first job that needs it and shared by every executor and
+/// job after it.  A server serves one graph, so an engine never goes stale.
+struct Engines<'g> {
+    graph: &'g UncertainGraph,
+    /// What `auto` resolves to on the graph, worked out once.
+    auto: OnceLock<SampleMethod>,
+    skip: OnceLock<WorldEngine<'g>>,
+    per_edge: OnceLock<WorldEngine<'g>>,
+    built: &'g AtomicUsize,
+}
+
+impl<'g> Engines<'g> {
+    fn new(shared: &'g Shared) -> Self {
+        Engines {
+            graph: &shared.graph,
+            auto: OnceLock::new(),
+            skip: OnceLock::new(),
+            per_edge: OnceLock::new(),
+            built: &shared.engines_built,
+        }
+    }
+
+    /// The engine that samples the way `mode` resolves on the graph; the
+    /// first caller for a method builds it while later ones wait.
+    fn get(&self, mode: SampleMethod) -> &WorldEngine<'g> {
+        let method = match mode {
+            SampleMethod::Auto => *self.auto.get_or_init(|| mode.resolve_for(self.graph)),
+            method => method,
+        };
+        let slot = match method {
+            SampleMethod::Skip => &self.skip,
+            SampleMethod::PerEdge => &self.per_edge,
+            SampleMethod::Auto => unreachable!("auto is resolved above"),
+        };
+        slot.get_or_init(|| {
+            self.built.fetch_add(1, Ordering::SeqCst);
+            WorldEngine::new(self.graph).with_method(method)
+        })
+    }
+}
+
+/// A query's outcome as the server keeps it: the rendered answer, or why
+/// there is none.
+type Answer = Result<RenderedAnswer, ServiceError>;
+
 /// One unit of executor work.
 enum Work {
     /// A submitted (sub-)plan.
@@ -192,7 +246,7 @@ struct PlanJob {
     plan: QueryPlan,
     keys: Vec<String>,
     cancelled: Arc<AtomicBool>,
-    done_tx: Sender<Vec<Result<QueryAnswer, ServiceError>>>,
+    done_tx: Sender<Vec<Answer>>,
 }
 
 /// A world-block job as the executor runs it: the request, its validated
@@ -227,16 +281,19 @@ struct BlockState {
 
 /// A connection-local job record.
 enum Job {
-    /// Every query answered from the cache (or already collected): the
-    /// rendered report waits for the next poll.
-    Ready(Value),
+    /// Every query answered from the cache: the next poll writes the
+    /// report around the cached fragments.
+    Ready {
+        plan: QueryPlan,
+        answers: Vec<Answer>,
+    },
     /// The executor owes the answers of `misses` (indices into the plan's
     /// query list); everything else was a cache hit.
     Running {
         plan: QueryPlan,
-        hits: Vec<Option<Result<QueryAnswer, ServiceError>>>,
+        hits: Vec<Option<Answer>>,
         misses: Vec<usize>,
-        done_rx: Receiver<Vec<Result<QueryAnswer, ServiceError>>>,
+        done_rx: Receiver<Vec<Answer>>,
         cancelled: Arc<AtomicBool>,
     },
     /// A world-block job (running, paused or finished).
@@ -249,7 +306,7 @@ impl Job {
     /// closed advance channel once the job record is dropped.
     fn abandon(&self) {
         match self {
-            Job::Ready(_) => {}
+            Job::Ready { .. } => {}
             Job::Running { cancelled, .. } => cancelled.store(true, Ordering::SeqCst),
             Job::Blocks(state) => state.watch.cancel(),
         }
@@ -260,7 +317,8 @@ impl Job {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     listener: Option<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
+    /// The thread that owns the engines and runs the executors.
+    executors: Option<JoinHandle<()>>,
     job_tx: Option<SyncSender<Work>>,
 }
 
@@ -309,8 +367,8 @@ impl Drop for ServerHandle {
         // them), so the last queue senders are this handle's and the
         // executors drain to disconnect.
         self.job_tx.take();
-        for executor in self.executors.drain(..) {
-            let _ = executor.join();
+        if let Some(executors) = self.executors.take() {
+            let _ = executors.join();
         }
     }
 }
@@ -354,17 +412,25 @@ pub fn serve(
         queue_depth: AtomicUsize::new(0),
         executor_busy,
         connections: AtomicUsize::new(0),
+        engines_built: AtomicUsize::new(0),
         faults,
     });
     let (job_tx, job_rx) = mpsc::sync_channel(shared.config.queue_capacity.max(1));
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let executors = (0..shared.config.executors.max(1))
-        .map(|slot| {
-            let shared = Arc::clone(&shared);
-            let job_rx = Arc::clone(&job_rx);
-            std::thread::spawn(move || executor_loop(&shared, &job_rx, slot))
+    // The executors run scoped on one thread that owns the engines, so they
+    // borrow the graph and each engine is built once, on first use.
+    let executors = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || {
+            let job_rx = Mutex::new(job_rx);
+            let engines = Engines::new(&shared);
+            std::thread::scope(|scope| {
+                for slot in 0..shared.config.executors.max(1) {
+                    let (shared, job_rx, engines) = (&shared, &job_rx, &engines);
+                    scope.spawn(move || executor_loop(shared, job_rx, engines, slot));
+                }
+            });
         })
-        .collect();
+    };
     let listener_handle = {
         let shared = Arc::clone(&shared);
         let job_tx = job_tx.clone();
@@ -373,7 +439,7 @@ pub fn serve(
     Ok(ServerHandle {
         shared,
         listener: Some(listener_handle),
-        executors,
+        executors: Some(executors),
         job_tx: Some(job_tx),
     })
 }
@@ -421,7 +487,12 @@ fn listener_loop(listener: TcpListener, shared: &Arc<Shared>, job_tx: &SyncSende
 }
 
 /// Drains the submission queue; exits when every sender is gone.
-fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<Work>>, slot: usize) {
+fn executor_loop(
+    shared: &Shared,
+    job_rx: &Mutex<Receiver<Work>>,
+    engines: &Engines<'_>,
+    slot: usize,
+) {
     loop {
         // Holding the lock across `recv` is the queue hand-off: exactly one
         // idle executor waits at a time, and it releases the lock before
@@ -445,10 +516,11 @@ fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<Work>>, slot: usi
         }
         shared.executor_busy[slot].store(true, Ordering::SeqCst);
         match work {
-            Work::Plan(job) => run_plan(shared, job),
+            Work::Plan(job) => run_plan(shared, engines, job),
             Work::Blocks(job) => {
                 let out_tx = job.out_tx.clone();
-                if catch_unwind(AssertUnwindSafe(|| run_blocks(&shared.graph, job))).is_err() {
+                let run = || run_blocks(engines.get(job.request.mode), job);
+                if catch_unwind(AssertUnwindSafe(run)).is_err() {
                     let _ = out_tx.send(Err("the query kernel panicked".to_string()));
                 }
             }
@@ -457,35 +529,28 @@ fn executor_loop(shared: &Arc<Shared>, job_rx: &Mutex<Receiver<Work>>, slot: usi
     }
 }
 
-/// Runs one submitted plan, caches its answers and sends them back.
-fn run_plan(shared: &Shared, job: PlanJob) {
+/// Runs one submitted plan on the shared engine of its mode, renders each
+/// answer once, caches the renderings and sends them back.
+fn run_plan(shared: &Shared, engines: &Engines<'_>, job: PlanJob) {
     // The cancel flag reaches the adaptive driver's epoch checkpoints:
     // cancelling a running adaptive plan aborts it between epochs instead
     // of burning the full world budget.
-    let answers = run_isolated(&job.plan, || {
-        job.plan.execute_detailed_with_cancel(
-            Arc::clone(&shared.graph),
-            Some(Arc::clone(&job.cancelled)),
-        )
-    });
+    let answers: Vec<Answer> = run_isolated(&job.plan, || {
+        let engine = engines.get(job.plan.mode);
+        job.plan
+            .execute_on(engine, Some(Arc::clone(&job.cancelled)))
+    })
+    .into_iter()
+    .map(|outcome| outcome.map(|answer| answer.render()))
+    .collect();
     if !job.cancelled.load(Ordering::SeqCst) {
         // A cancelled adaptive run stopped early: its answers reflect a
-        // truncated world stream and must not be cached.  Entries are
-        // sized (which renders each answer) before the lock is taken, so
-        // lookups on other connections never wait on a render.
-        let sized: Vec<(String, QueryAnswer, usize)> = job
-            .keys
-            .iter()
-            .zip(&answers)
-            .filter_map(|(key, outcome)| {
-                let answer = outcome.as_ref().ok()?;
-                let bytes = ResultCache::entry_bytes(key, answer);
-                Some((key.clone(), answer.clone(), bytes))
-            })
-            .collect();
+        // truncated world stream and must not be cached.
         let mut cache = shared.cache.lock().expect("cache poisoned");
-        for (key, answer, bytes) in sized {
-            cache.insert_sized(key, answer, bytes);
+        for (key, outcome) in job.keys.iter().zip(&answers) {
+            if let Ok(answer) = outcome {
+                cache.insert(key.clone(), answer.clone());
+            }
         }
     }
     let _ = job.done_tx.send(answers);
@@ -495,11 +560,10 @@ fn run_plan(shared: &Shared, job: PlanJob) {
 /// last epoch's tracked statistics until the connection advances it, then
 /// exporting every block's partials.  A cancelled watch or a closed
 /// channel (the connection is gone) ends the job silently.
-fn run_blocks(graph: &UncertainGraph, job: BlockJob) {
+fn run_blocks(engine: &WorldEngine<'_>, job: BlockJob) {
     let request = &job.request;
-    let engine = WorldEngine::new(graph).with_method(request.mode);
     let mut run = SlotRun::new(
-        &engine,
+        engine,
         request.seed,
         request.plan,
         request.slot,
@@ -737,7 +801,8 @@ fn stats(shared: &Arc<Shared>) -> String {
         .field("cache", cache_obj)
         .field("queue", queue_obj)
         .field("executors", executors)
-        .field("connections", shared.connections.load(Ordering::SeqCst));
+        .field("connections", shared.connections.load(Ordering::SeqCst))
+        .field("engines", shared.engines_built.load(Ordering::SeqCst));
     if let Some((slot, slots)) = shared.config.shard {
         let shard_obj = ObjBuilder::new()
             .field("shard", slot)
@@ -808,7 +873,7 @@ fn submit(
     let keys: Vec<String> = (0..plan.queries.len())
         .map(|index| query_key(shared.fingerprint, &plan, index))
         .collect();
-    let mut hits: Vec<Option<Result<QueryAnswer, ServiceError>>> = {
+    let mut hits: Vec<Option<Answer>> = {
         let mut cache = shared.cache.lock().expect("cache poisoned");
         keys.iter().map(|key| cache.lookup(key).map(Ok)).collect()
     };
@@ -827,12 +892,11 @@ fn submit(
     *next_job += 1;
     let cached = misses.is_empty();
     if cached {
-        let answers: Vec<Result<QueryAnswer, ServiceError>> = hits
+        let answers = hits
             .into_iter()
             .map(|hit| hit.expect("all queries hit"))
             .collect();
-        let report = plan.report_for(&shared.graph_label(), &answers);
-        jobs.insert(id, Job::Ready(report));
+        jobs.insert(id, Job::Ready { plan, answers });
     } else {
         let exec_plan = QueryPlan {
             queries: misses
@@ -990,11 +1054,11 @@ fn poll(
 ) -> String {
     match jobs.get_mut(&id) {
         None => unknown_job(id),
-        Some(Job::Ready(_)) => {
-            let Some(Job::Ready(report)) = jobs.remove(&id) else {
+        Some(Job::Ready { .. }) => {
+            let Some(Job::Ready { plan, answers }) = jobs.remove(&id) else {
                 unreachable!("entry checked above");
             };
-            deliver(id, report, shared)
+            deliver(id, &plan, &answers, shared)
         }
         Some(Job::Blocks(state)) => {
             let (response, settled) = poll_blocks(id, from, max, state, shared);
@@ -1024,7 +1088,7 @@ fn poll(
                 for (index, answer) in misses.into_iter().zip(sub_answers) {
                     hits[index] = Some(answer);
                 }
-                let answers: Vec<Result<QueryAnswer, ServiceError>> = hits
+                let answers: Vec<Answer> = hits
                     .into_iter()
                     .map(|hit| {
                         hit.unwrap_or_else(|| {
@@ -1034,8 +1098,7 @@ fn poll(
                         })
                     })
                     .collect();
-                let report = plan.report_for(&shared.graph_label(), &answers);
-                deliver(id, report, shared)
+                deliver(id, &plan, &answers, shared)
             }
         },
     }
@@ -1119,16 +1182,19 @@ fn render_page(values: &[f64], from: usize, max: usize, budget: usize, out: &mut
     end
 }
 
-/// Renders a done-poll response; delivery is exactly-once, freeing the
-/// job's in-flight slot.
-fn deliver(id: u64, report: Value, shared: &Arc<Shared>) -> String {
+/// Renders a done-poll response, writing the report around the answers'
+/// rendered results; delivery is exactly-once, freeing the job's in-flight
+/// slot.
+fn deliver(id: u64, plan: &QueryPlan, answers: &[Answer], shared: &Shared) -> String {
     shared.jobs_delivered.fetch_add(1, Ordering::SeqCst);
-    finish_ok(
-        ok_builder()
-            .field("job", id as usize)
-            .field("done", true)
-            .field("report", report),
-    )
+    // `report` is the response's last field: render the rest, then write
+    // the report in before the closing brace.
+    let mut response = finish_ok(ok_builder().field("job", id as usize).field("done", true));
+    response.pop();
+    response.push_str(",\"report\":");
+    plan.write_report(&shared.graph_label(), answers, &mut response);
+    response.push('}');
+    response
 }
 
 #[cfg(test)]

@@ -3,15 +3,16 @@
 //! pressure observed end-to-end through a live server's `stats` op.
 
 use ugs_server::{serve, LineClient, ResultCache, ServerConfig};
-use ugs_service::{QueryAnswer, QueryResult};
+use ugs_service::{QueryAnswer, QueryResult, RenderedAnswer};
 use uncertain_graph::UncertainGraph;
 
-fn answer(tag: f64) -> QueryAnswer {
+fn answer(tag: f64) -> RenderedAnswer {
     QueryAnswer {
         result: QueryResult::EdgeFrequency(vec![tag]),
         worlds_used: 10,
         half_width: None,
     }
+    .render()
 }
 
 /// Measures the charged bytes of one entry under `key` (identically shaped

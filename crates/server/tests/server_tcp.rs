@@ -8,7 +8,9 @@
 use std::time::{Duration, Instant};
 
 use minijson::Value;
+use ugs_queries::SampleMethod;
 use ugs_server::{serve, FaultEvent, FaultKind, FaultPlan, LineClient, ServerConfig, ServerHandle};
+use ugs_service::QueryPlan;
 use uncertain_graph::UncertainGraph;
 
 /// Every client arms a generous read timeout: a regression that hangs a
@@ -456,6 +458,158 @@ fn stats_report_cache_and_job_counters_over_the_wire() {
     assert_eq!(cache.get_usize("hits"), Some(1));
     assert_eq!(cache.get_usize("insertions"), Some(1));
     assert!(stats.get_str("graph").unwrap().starts_with("fingerprint:"));
+    server.shutdown();
+}
+
+/// A server builds one sampling engine per resolved method, on first use,
+/// and shares it across executors, thread counts, fixed and adaptive plans
+/// and world-block jobs: `auto` shares the engine of the method it
+/// resolves to.
+#[test]
+fn stats_count_one_engine_per_resolved_sampling_method() {
+    assert_eq!(
+        SampleMethod::Auto.resolve_for(&toy_graph()),
+        SampleMethod::PerEdge,
+        "the toy graph's mean edge probability is 0.6"
+    );
+    let server = start(ServerConfig::default());
+    let mut c = client(&server);
+    let engines = |c: &mut LineClient| {
+        let stats = c.request(r#"{"op": "stats"}"#).unwrap();
+        stats.get_usize("engines").unwrap()
+    };
+    assert_eq!(
+        engines(&mut c),
+        0,
+        "no engine is built before the first job"
+    );
+    let plan = |seed: u64, threads: usize, mode: &str, adaptive: bool| {
+        let precision = if adaptive {
+            r#", "precision": {"epsilon": 0.05}"#
+        } else {
+            ""
+        };
+        format!(
+            r#"{{"worlds": 200, "seed": {seed}, "threads": {threads}, "mode": "{mode}"{precision},
+                "queries": [{{"type": "connectivity"}}]}}"#
+        )
+        .replace('\n', " ")
+    };
+    // Everything is in flight at once, so both executors race for the
+    // first build.
+    let mut jobs = Vec::new();
+    for (seed, (threads, mode, adaptive)) in [
+        (1, "auto", false),
+        (2, "per-edge", false),
+        (1, "per-edge", true),
+        (2, "auto", true),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (job, cached) = submit_job(&mut c, &plan(seed as u64, threads, mode, adaptive));
+        assert!(!cached);
+        jobs.push(job);
+    }
+    let block = c
+        .request(
+            &r#"{"op": "world_block", "queries": [{"type": "connectivity"}],
+                "mode": "auto", "seed": "9", "worlds": 40, "epoch": 40, "blocks": 2,
+                "slot": 0, "slots": 1, "epochs": 1, "finish": true}"#
+                .replace('\n', " "),
+        )
+        .unwrap();
+    let block = block.get_usize("job").unwrap();
+    for job in jobs {
+        c.wait_for_report(job).unwrap();
+    }
+    loop {
+        let page = c
+            .request(&format!(r#"{{"op": "poll", "job": {block}}}"#))
+            .unwrap();
+        assert_eq!(page.get_str("status"), Some("ok"), "{}", page.render());
+        if page.get("done").and_then(Value::as_bool) == Some(true) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(engines(&mut c), 1, "auto and per-edge share one engine");
+
+    let (job, _) = submit_job(&mut c, &plan(5, 1, "skip", false));
+    c.wait_for_report(job).unwrap();
+    assert_eq!(engines(&mut c), 2, "skip-sampling needs its own engine");
+
+    for (seed, mode) in [(6, "skip"), (7, "auto"), (8, "per-edge")] {
+        let (job, cached) = submit_job(&mut c, &plan(seed, 2, mode, seed == 7));
+        assert!(!cached);
+        c.wait_for_report(job).unwrap();
+    }
+    assert_eq!(engines(&mut c), 2, "later plans reuse the engines");
+    server.shutdown();
+}
+
+/// The `report` a poll serves, read off the raw line rather than parsed
+/// and re-rendered, is byte for byte the in-process report — on a miss,
+/// on a full cache hit and on a partial one, for every query kind, an
+/// invalid spec, and fixed and adaptive plans.
+#[test]
+fn served_reports_are_the_in_process_bytes() {
+    let server = start(ServerConfig::default());
+    let mut c = client(&server);
+    let label = format!("fingerprint:{:016x}", server.fingerprint());
+    let served = |c: &mut LineClient, plan: &str, want_cached: bool| {
+        let (job, cached) = submit_job(c, plan);
+        assert_eq!(cached, want_cached, "{plan}");
+        let poll = format!(r#"{{"op": "poll", "job": {job}}}"#);
+        loop {
+            let line = c.request_raw(&poll).unwrap().unwrap();
+            let response = Value::parse(&line).unwrap();
+            assert_eq!(response.get_str("status"), Some("ok"), "{line}");
+            if response.get("done").and_then(Value::as_bool) == Some(true) {
+                let head = format!(r#"{{"status":"ok","job":{job},"done":true,"report":"#);
+                let report = line.strip_prefix(&head).and_then(|l| l.strip_suffix('}'));
+                return report
+                    .expect("a done poll is the envelope around the report")
+                    .to_string();
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    let valid = r#"{"type": "pagerank"}, {"type": "clustering"},
+        {"type": "pair_queries", "pairs": [[0, 3], [1, 4]]}, {"type": "connectivity"},
+        {"type": "degree_histogram"}, {"type": "knn", "source": 0, "k": 3},
+        {"type": "edge_frequency"}"#;
+    let invalid = r#"{"type": "knn", "source": 6, "k": 3}"#;
+    for precision in ["", r#", "precision": {"epsilon": 0.05, "delta": 0.1}"#] {
+        let plan = |queries: &str| {
+            format!(
+                r#"{{"worlds": 300, "threads": 2, "seed": 4{precision}, "queries": [{queries}]}}"#
+            )
+            .replace('\n', " ")
+        };
+        let expected = |plan: &str| {
+            let plan = QueryPlan::parse_str(plan).unwrap();
+            plan.report_for(&label, &plan.execute_detailed(toy_graph()))
+                .render()
+        };
+        let all = plan(valid);
+        let want = expected(&all);
+        assert_eq!(served(&mut c, &all, false), want, "miss{precision}");
+        assert_eq!(served(&mut c, &all, true), want, "hit{precision}");
+        // A fixed plan reuses the seven cached answers around the invalid
+        // spec's error; an adaptive one runs again.
+        let mixed = plan(&format!("{valid}, {invalid}"));
+        let want = expected(&mixed);
+        assert!(want.contains("out of range"), "{want}");
+        assert_eq!(
+            served(&mut c, &mixed, false),
+            want,
+            "partial hit{precision}"
+        );
+        if !precision.is_empty() {
+            assert!(want.contains("\"half_width\":"), "{want}");
+        }
+    }
     server.shutdown();
 }
 

@@ -61,5 +61,7 @@
 pub mod plan;
 pub mod spec;
 
-pub use plan::{mode_name, parse_mode, QueryAnswer, QueryPlan, ServiceError, SEED_LIMIT};
+pub use plan::{
+    mode_name, parse_mode, QueryAnswer, QueryPlan, RenderedAnswer, ServiceError, SEED_LIMIT,
+};
 pub use spec::{parse_precision, precision_to_json, QueryResult, QuerySpec, SpecError};

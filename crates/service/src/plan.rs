@@ -136,6 +136,38 @@ pub struct QueryAnswer {
     pub half_width: Option<f64>,
 }
 
+/// A [`QueryAnswer`] whose result is rendered once: the compact JSON of
+/// [`QueryResult::to_json`], shared by every report that carries it, plus
+/// the sampling effort.  [`QueryPlan::write_report`] splices it into a
+/// report as is, so a result cache that holds these answers a hit by
+/// copying bytes instead of rendering the result again.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RenderedAnswer {
+    /// Private so it always holds a result's rendering: reports splice it
+    /// in unchecked.
+    result: Arc<str>,
+    worlds_used: usize,
+    half_width: Option<f64>,
+}
+
+impl RenderedAnswer {
+    /// The compact JSON of the answer's result.
+    pub fn result(&self) -> &str {
+        &self.result
+    }
+}
+
+impl QueryAnswer {
+    /// Renders the result, keeping the effort metadata.
+    pub fn render(&self) -> RenderedAnswer {
+        RenderedAnswer {
+            result: self.result.to_json().render().into(),
+            worlds_used: self.worlds_used,
+            half_width: self.half_width,
+        }
+    }
+}
+
 /// A parsed query-plan document; see the [module docs](self) for the JSON
 /// shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -348,11 +380,31 @@ impl QueryPlan {
         cancel: Option<Arc<AtomicBool>>,
     ) -> Vec<Result<QueryAnswer, ServiceError>> {
         let graph = graph.into();
-        if let Some(refusal) = self.shard_refusal(&graph) {
+        self.execute_on(&WorldEngine::new(&graph).with_method(self.mode), cancel)
+    }
+
+    /// Executes the plan on a prebuilt engine over the engine's graph, with
+    /// an optional cancellation flag as for
+    /// [`QueryPlan::execute_detailed_with_cancel`] — the one path every plan
+    /// execution takes.  The engine must sample the way the plan's
+    /// [`QueryPlan::mode`] resolves on that graph
+    /// ([`SampleMethod::resolve_for`]); a caller that runs many plans keeps
+    /// one engine per resolved method and pays each construction once.
+    pub fn execute_on(
+        &self,
+        engine: &WorldEngine<'_>,
+        cancel: Option<Arc<AtomicBool>>,
+    ) -> Vec<Result<QueryAnswer, ServiceError>> {
+        let graph = engine.graph();
+        if let Some(refusal) = self.shard_refusal(graph) {
             return self.refuse(refusal);
         }
-        let engine = WorldEngine::new(&graph).with_method(self.mode);
-        let mut batch = QueryBatch::from_engine(engine, self.worlds, self.threads);
+        debug_assert_eq!(
+            engine.effective_method(),
+            self.mode.resolve_for(graph),
+            "the engine must sample with the plan's mode"
+        );
+        let mut batch = QueryBatch::on_engine(engine, self.worlds, self.threads);
         if let Some(precision) = self.precision {
             batch = batch.with_precision(precision);
         }
@@ -362,7 +414,7 @@ impl QueryPlan {
         // An invalid query answers its own typed error without stopping the
         // others.
         let handles: Vec<Result<DynHandle, ServiceError>> = self
-            .observers(&graph)
+            .observers(graph)
             .into_iter()
             .map(|observer| Ok(batch.register_boxed(observer?)))
             .collect();
@@ -454,28 +506,66 @@ impl QueryPlan {
             .queries
             .iter()
             .zip(results)
-            .map(|(spec, outcome)| {
-                let entry = ObjBuilder::new().field("query", spec.to_json());
-                match outcome {
-                    Ok(answer) => {
-                        let mut entry = entry
-                            .field("status", "ok")
-                            .field("result", answer.result.to_json())
-                            .field("worlds_used", answer.worlds_used);
-                        // Infinite means "nothing was tracked": omit rather
-                        // than render minijson's `null`.
-                        if let Some(half_width) = answer.half_width.filter(|hw| hw.is_finite()) {
-                            entry = entry.field("half_width", half_width);
-                        }
-                        entry.build()
+            .map(|(spec, outcome)| match outcome {
+                Ok(answer) => {
+                    let mut entry = ObjBuilder::new()
+                        .field("query", spec.to_json())
+                        .field("status", "ok")
+                        .field("result", answer.result.to_json())
+                        .field("worlds_used", answer.worlds_used);
+                    if let Some(half_width) = reported_half_width(answer.half_width) {
+                        entry = entry.field("half_width", half_width);
                     }
-                    Err(error) => entry
-                        .field("status", "error")
-                        .field("error", error.to_string())
-                        .build(),
+                    entry.build()
                 }
+                Err(error) => error_entry(spec, error),
             })
             .collect();
+        self.report_head(graph_label)
+            .field("results", Value::Arr(entries))
+            .build()
+    }
+
+    /// Appends the compact report for answers whose results are already
+    /// rendered: byte for byte `report_for(..).render()` of the same
+    /// answers, with each result spliced in instead of rendered again.
+    pub fn write_report(
+        &self,
+        graph_label: &str,
+        results: &[Result<RenderedAnswer, ServiceError>],
+        out: &mut String,
+    ) {
+        // The envelope is `report_for`'s, rendered without its closing
+        // brace; `results` is its last field.
+        let head = self.report_head(graph_label).build().render();
+        out.push_str(head.strip_suffix('}').expect("the envelope is an object"));
+        out.push_str(",\"results\":[");
+        for (index, (spec, outcome)) in self.queries.iter().zip(results).enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            match outcome {
+                Ok(answer) => {
+                    out.push_str("{\"query\":");
+                    out.push_str(&spec.to_json().render());
+                    out.push_str(",\"status\":\"ok\",\"result\":");
+                    out.push_str(&answer.result);
+                    out.push_str(",\"worlds_used\":");
+                    out.push_str(&Value::from(answer.worlds_used).render());
+                    if let Some(half_width) = reported_half_width(answer.half_width) {
+                        out.push_str(",\"half_width\":");
+                        out.push_str(&Value::from(half_width).render());
+                    }
+                    out.push('}');
+                }
+                Err(error) => out.push_str(&error_entry(spec, error).render()),
+            }
+        }
+        out.push_str("]}");
+    }
+
+    /// The report's configuration fields, every field but `results`.
+    fn report_head(&self, graph_label: &str) -> ObjBuilder {
         let mut report = ObjBuilder::new()
             .field("graph", graph_label)
             .field("worlds", self.worlds)
@@ -486,8 +576,23 @@ impl QueryPlan {
         if let Some(precision) = &self.precision {
             report = report.field("precision", precision_to_json(precision));
         }
-        report.field("results", Value::Arr(entries)).build()
+        report
     }
+}
+
+/// The half-width a report entry carries: infinite means "nothing was
+/// tracked", omitted rather than rendered as minijson's `null`.
+fn reported_half_width(half_width: Option<f64>) -> Option<f64> {
+    half_width.filter(|hw| hw.is_finite())
+}
+
+/// The report entry of a query without an answer.
+fn error_entry(spec: &QuerySpec, error: &ServiceError) -> Value {
+    ObjBuilder::new()
+        .field("query", spec.to_json())
+        .field("status", "error")
+        .field("error", error.to_string())
+        .build()
 }
 
 #[cfg(test)]
@@ -656,6 +761,46 @@ mod tests {
             .get_str("error")
             .unwrap()
             .contains("out of range"));
+    }
+
+    #[test]
+    fn written_reports_equal_rendered_reports_byte_for_byte() {
+        let g = toy();
+        let queries = r#"[{"type": "pagerank"}, {"type": "clustering"},
+            {"type": "pair_queries", "pairs": [[0, 3], [1, 2]]}, {"type": "connectivity"},
+            {"type": "degree_histogram"}, {"type": "knn", "source": 0, "k": 2},
+            {"type": "edge_frequency"}, {"type": "knn", "source": 99, "k": 2}]"#;
+        for (seed, precision) in [(7, ""), (8, r#", "precision": {"epsilon": 0.05}"#)] {
+            let plan = QueryPlan::parse_str(&format!(
+                r#"{{"worlds": 300, "threads": 2, "seed": {seed}{precision},
+                    "queries": {queries}}}"#
+            ))
+            .unwrap();
+            let answers = plan.execute_detailed(g.clone());
+            assert!(answers[..7].iter().all(Result::is_ok));
+            assert!(matches!(answers[7], Err(ServiceError::Spec(_))));
+            assert_eq!(
+                answers[0].as_ref().unwrap().half_width.is_some(),
+                !precision.is_empty(),
+                "only an adaptive plan reports a half-width"
+            );
+            let rendered: Vec<Result<RenderedAnswer, ServiceError>> = answers
+                .iter()
+                .map(|outcome| {
+                    outcome
+                        .as_ref()
+                        .map(QueryAnswer::render)
+                        .map_err(Clone::clone)
+                })
+                .collect();
+            let mut written = String::from("prefix:");
+            plan.write_report("toy", &rendered, &mut written);
+            assert_eq!(
+                written.strip_prefix("prefix:").unwrap(),
+                plan.report_for("toy", &answers).render(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
