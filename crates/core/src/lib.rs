@@ -74,7 +74,6 @@ pub mod error;
 pub mod gdb;
 pub mod kcut;
 pub mod lp_assign;
-pub mod representative;
 pub mod scratch;
 pub mod spec;
 

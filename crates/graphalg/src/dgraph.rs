@@ -7,8 +7,6 @@
 
 use uncertain_graph::{PossibleWorld, UncertainGraph};
 
-use crate::template::WorldTemplate;
-
 /// An undirected, unweighted graph in compressed-sparse-row form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterministicGraph {
@@ -63,39 +61,40 @@ impl DeterministicGraph {
         Self::from_edges(g.num_vertices(), &edges)
     }
 
-    /// Creates an empty graph whose internal buffers are pre-sized for
-    /// worlds of `template`, so that subsequent
-    /// [`DeterministicGraph::materialize_from_template`] /
-    /// [`DeterministicGraph::materialize_masked`] calls never allocate.
-    pub fn with_capacity_for(template: &WorldTemplate) -> Self {
+    /// Creates an empty graph whose internal buffers are pre-sized for any
+    /// world of `g` (`|V| + 1` offsets, `2|E|` adjacency entries), so that
+    /// later [`DeterministicGraph::materialize_from_endpoints`] calls with
+    /// `g`'s vertex count never allocate.
+    pub fn with_capacity_for(g: &UncertainGraph) -> Self {
         DeterministicGraph {
             num_vertices: 0,
             num_edges: 0,
-            offsets: Vec::with_capacity(template.num_vertices() + 1),
-            neighbors: Vec::with_capacity(2 * template.num_edges()),
+            offsets: Vec::with_capacity(g.num_vertices() + 1),
+            neighbors: Vec::with_capacity(2 * g.num_edges()),
         }
     }
 
-    /// Rebuilds `self` in place as the world of `template` whose present
-    /// edges are `present` (edge ids into the template).
+    /// Rebuilds `self` in place as the world over `num_vertices` vertices
+    /// whose present edges have the endpoints `pairs` (`pairs[i]` are the
+    /// endpoints of the `i`-th present edge).
     ///
-    /// Cost is `O(|V| + |present|)`; the CSR is compacted into `self`'s
-    /// existing buffers, so steady-state materialisation performs **zero**
-    /// heap allocations.  The adjacency of every vertex lists neighbours in
-    /// the order the present edges are given — callers that need the exact
-    /// layout of [`DeterministicGraph::from_world`] must pass ascending edge
-    /// ids.
-    pub fn materialize_from_template(&mut self, template: &WorldTemplate, present: &[u32]) {
-        let n = template.num_vertices();
-        let k = present.len();
+    /// Cost is `O(|V| + |pairs|)`: a degree-count pass, prefix sums and a
+    /// fill pass, all scanning `pairs` sequentially.  The CSR is compacted
+    /// into `self`'s existing buffers, so steady-state materialisation
+    /// performs **zero** heap allocations.  The adjacency of every vertex
+    /// lists neighbours in the order the pairs are given — pairs in
+    /// ascending edge-id order reproduce the exact layout of
+    /// [`DeterministicGraph::from_world`].
+    pub fn materialize_from_endpoints(&mut self, num_vertices: usize, pairs: &[(u32, u32)]) {
+        let n = num_vertices;
+        let k = pairs.len();
         self.num_vertices = n;
         self.num_edges = k;
         // Degree-count pass into offsets[1..], then prefix sums: offsets[u]
         // becomes the start of u's range (and doubles as the fill cursor).
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
-        for &e in present {
-            let (u, v) = template.endpoints(e as usize);
+        for &(u, v) in pairs {
             self.offsets[u as usize + 1] += 1;
             self.offsets[v as usize + 1] += 1;
         }
@@ -106,8 +105,7 @@ impl DeterministicGraph {
         self.offsets[0] = 0;
         // offsets[1..=n] now hold the range starts; use them as cursors.
         self.neighbors.resize(2 * k, 0);
-        for &e in present {
-            let (u, v) = template.endpoints(e as usize);
+        for &(u, v) in pairs {
             let cu = self.offsets[u as usize + 1];
             self.neighbors[cu] = v;
             self.offsets[u as usize + 1] = cu + 1;
@@ -117,76 +115,6 @@ impl DeterministicGraph {
         }
         // After the fill, offsets[u + 1] has advanced to the end of u's
         // range — exactly the CSR offset array.
-    }
-
-    /// Like [`DeterministicGraph::materialize_from_template`], but from a
-    /// pre-resolved endpoint list (`pairs[i]` are the endpoints of the
-    /// `i`-th present edge).
-    ///
-    /// Hot-path variant used by the world engine: the engine resolves edge
-    /// ids to endpoints once while collecting the world, so both
-    /// materialisation passes here scan `pairs` sequentially instead of
-    /// gathering from the (much larger) edge table — measurably fewer cache
-    /// misses per world.  Zero heap allocations in steady state.
-    pub fn materialize_from_endpoints(&mut self, num_vertices: usize, pairs: &[(u32, u32)]) {
-        let n = num_vertices;
-        let k = pairs.len();
-        self.num_vertices = n;
-        self.num_edges = k;
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        for &(u, v) in pairs {
-            self.offsets[u as usize + 1] += 1;
-            self.offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        self.offsets.copy_within(0..n, 1);
-        self.offsets[0] = 0;
-        self.neighbors.resize(2 * k, 0);
-        for &(u, v) in pairs {
-            let cu = self.offsets[u as usize + 1];
-            self.neighbors[cu] = v;
-            self.offsets[u as usize + 1] = cu + 1;
-            let cv = self.offsets[v as usize + 1];
-            self.neighbors[cv] = u;
-            self.offsets[v as usize + 1] = cv + 1;
-        }
-    }
-
-    /// Rebuilds `self` in place as the world of `template` selected by an
-    /// edge inclusion `mask` (indexed by edge id), by compacting the support
-    /// CSR.  Cost is `O(|V| + 2|E|)` independent of how many edges are
-    /// present; zero heap allocations in steady state.
-    ///
-    /// Unlike [`DeterministicGraph::materialize_from_template`] this keeps
-    /// every adjacency list in support order, which matches
-    /// [`DeterministicGraph::from_world`] exactly.
-    pub fn materialize_masked(&mut self, template: &WorldTemplate, mask: &[bool]) {
-        let n = template.num_vertices();
-        assert_eq!(
-            mask.len(),
-            template.num_edges(),
-            "mask does not match template"
-        );
-        self.num_vertices = n;
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        self.neighbors.resize(2 * template.num_edges(), 0);
-        let mut cursor = 0usize;
-        for u in 0..n {
-            let (neighbors, edge_ids) = template.support_adjacency(u);
-            for (&v, &e) in neighbors.iter().zip(edge_ids) {
-                if mask[e as usize] {
-                    self.neighbors[cursor] = v;
-                    cursor += 1;
-                }
-            }
-            self.offsets[u + 1] = cursor;
-        }
-        self.neighbors.truncate(cursor);
-        self.num_edges = cursor / 2;
     }
 
     /// Number of vertices.
@@ -271,8 +199,8 @@ mod tests {
         assert_eq!(g.neighbors(1).count(), 0);
     }
 
-    /// Exhaustively checks that every in-place materialisation path agrees
-    /// with `from_world` on all 2^|E| worlds of a small graph.
+    /// Exhaustively checks that in-place materialisation agrees with
+    /// `from_world` on all 2^|E| worlds of a small graph.
     #[test]
     fn all_materialisation_paths_agree_with_from_world() {
         let ug = UncertainGraph::from_edges(
@@ -287,30 +215,20 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = WorldTemplate::new(&ug);
         let m = ug.num_edges();
-        let mut from_template = DeterministicGraph::with_capacity_for(&template);
-        let mut from_endpoints = DeterministicGraph::with_capacity_for(&template);
-        let mut masked = DeterministicGraph::with_capacity_for(&template);
+        let mut from_endpoints = DeterministicGraph::with_capacity_for(&ug);
         for bits in 0..(1u32 << m) {
             let mask: Vec<bool> = (0..m).map(|e| (bits >> e) & 1 == 1).collect();
-            let present: Vec<u32> = (0..m as u32).filter(|&e| mask[e as usize]).collect();
-            let pairs: Vec<(u32, u32)> = present
-                .iter()
-                .map(|&e| template.endpoints(e as usize))
+            let pairs: Vec<(u32, u32)> = (0..m)
+                .filter(|&e| mask[e])
+                .map(|e| ug.endpoints()[e])
                 .collect();
-            let reference = DeterministicGraph::from_world(
-                &ug,
-                &uncertain_graph::PossibleWorld::new(mask.clone()),
-            );
-            from_template.materialize_from_template(&template, &present);
-            from_endpoints.materialize_from_endpoints(template.num_vertices(), &pairs);
-            masked.materialize_masked(&template, &mask);
-            // Ascending present order ⇒ all paths match from_world exactly,
-            // adjacency layout included.
-            assert_eq!(from_template, reference, "template path, world {bits:#b}");
-            assert_eq!(from_endpoints, reference, "endpoint path, world {bits:#b}");
-            assert_eq!(masked, reference, "masked path, world {bits:#b}");
+            let reference =
+                DeterministicGraph::from_world(&ug, &uncertain_graph::PossibleWorld::new(mask));
+            from_endpoints.materialize_from_endpoints(ug.num_vertices(), &pairs);
+            // Ascending present order ⇒ the layout matches from_world
+            // exactly, adjacency order included.
+            assert_eq!(from_endpoints, reference, "world {bits:#b}");
         }
     }
 
@@ -321,16 +239,17 @@ mod tests {
         let ug =
             UncertainGraph::from_edges(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.5)])
                 .unwrap();
-        let template = WorldTemplate::new(&ug);
-        let mut world = DeterministicGraph::with_capacity_for(&template);
-        world.materialize_from_template(&template, &[0, 1, 2, 3]);
+        let n = ug.num_vertices();
+        let pairs = ug.endpoints();
+        let mut world = DeterministicGraph::with_capacity_for(&ug);
+        world.materialize_from_endpoints(n, pairs);
         assert_eq!(world.num_edges(), 4);
         assert_eq!(world.degree(0), 2);
-        world.materialize_from_template(&template, &[1]);
+        world.materialize_from_endpoints(n, &pairs[1..2]);
         assert_eq!(world.num_edges(), 1);
         assert_eq!(world.degree(0), 0);
         assert_eq!(world.neighbors(1).collect::<Vec<_>>(), vec![2]);
-        world.materialize_masked(&template, &[false, false, false, true]);
+        world.materialize_from_endpoints(n, &pairs[3..]);
         assert_eq!(world.num_edges(), 1);
         assert_eq!(world.neighbors(0).collect::<Vec<_>>(), vec![3]);
     }

@@ -31,14 +31,12 @@ pub mod heap;
 pub mod pagerank;
 pub mod shortest_path;
 pub mod spanning;
-pub mod template;
 pub mod traversal;
 pub mod wgraph;
 
 pub use dgraph::DeterministicGraph;
 pub use dsu::UnionFind;
 pub use heap::{FlatMaxHeap, IndexedMaxHeap};
-pub use template::WorldTemplate;
 pub use wgraph::WeightedGraph;
 
 /// Commonly used items, suitable for a glob import.
@@ -50,7 +48,6 @@ pub mod prelude {
     pub use crate::pagerank::{pagerank, PageRankConfig};
     pub use crate::shortest_path::{bfs_hop_distances, dijkstra};
     pub use crate::spanning::{maximum_spanning_forest, maximum_spanning_tree_weight};
-    pub use crate::template::WorldTemplate;
     pub use crate::traversal::{connected_components, is_connected};
     pub use crate::wgraph::WeightedGraph;
 }

@@ -4,14 +4,18 @@
 //!
 //! The engine splits per-graph from per-world state:
 //!
-//! * [`WorldEngine`] — immutable, built once per graph: a
-//!   [`SkipSampler`] (edges sorted by descending probability, geometric
-//!   skips — `O(Σ pₑ)` expected draws per world) and a
-//!   [`WorldTemplate`] (edge endpoint table + support CSR).  Shareable
+//! * [`WorldEngine`] — immutable, built once per graph: the borrowed
+//!   [`UncertainGraph`] (whose endpoint table resolves each present edge)
+//!   and a [`SkipSampler`] (edges sorted by descending probability,
+//!   geometric skips — `O(Σ pₑ)` expected draws per world).  Shareable
 //!   across threads.
-//! * [`WorldScratch`] — mutable, one per thread: the present-edge buffer and
-//!   a [`DeterministicGraph`] whose CSR buffers are recycled world after
-//!   world.
+//! * [`WorldScratch`] — mutable, one per thread: the present-edge and
+//!   endpoint buffers and a [`DeterministicGraph`] whose CSR buffers are
+//!   recycled world after world.
+//!
+//! A world has one representation on this path: the list of its present
+//! edge ids, resolved to endpoints and compacted into a CSR by
+//! [`DeterministicGraph::materialize_from_endpoints`].
 //!
 //! ```
 //! use rand::rngs::SmallRng;
@@ -32,7 +36,7 @@
 use rand::Rng;
 use uncertain_graph::{SkipSampler, UncertainGraph, WorldSampler};
 
-use graph_algos::{DeterministicGraph, WorldTemplate};
+use graph_algos::DeterministicGraph;
 
 /// How the engine draws the Bernoulli edge outcomes of a world.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,15 +133,14 @@ impl WorldScratch {
 
 /// Immutable world-sampling engine for one uncertain graph.
 ///
-/// Construction costs one `O(|E| log |E|)` sort (for the skip order) and one
-/// `O(|V| + |E|)` pass (for the support template); afterwards
+/// Construction costs one `O(|E| log |E|)` sort (for the skip order, 24 B
+/// per edge); the graph itself is borrowed, not copied.  Afterwards
 /// [`WorldEngine::sample_world`] runs in `O(|V| + Σ pₑ)` expected time per
 /// world with zero heap allocations.
 #[derive(Debug, Clone)]
 pub struct WorldEngine<'g> {
     graph: &'g UncertainGraph,
     sampler: SkipSampler,
-    template: WorldTemplate,
     method: SampleMethod,
 }
 
@@ -146,7 +149,6 @@ impl<'g> WorldEngine<'g> {
     pub fn new(g: &'g UncertainGraph) -> Self {
         WorldEngine {
             sampler: SkipSampler::new(g),
-            template: WorldTemplate::new(g),
             method: SampleMethod::Auto,
             graph: g,
         }
@@ -163,11 +165,6 @@ impl<'g> WorldEngine<'g> {
         self.graph
     }
 
-    /// The support template shared by every materialised world.
-    pub fn template(&self) -> &WorldTemplate {
-        &self.template
-    }
-
     /// The method the engine will actually use (resolves
     /// [`SampleMethod::Auto`] from the mean edge probability, in O(1)).
     pub fn effective_method(&self) -> SampleMethod {
@@ -176,10 +173,11 @@ impl<'g> WorldEngine<'g> {
 
     /// Creates a pre-sized per-thread scratch.
     pub fn make_scratch(&self) -> WorldScratch {
+        let m = self.graph.num_edges();
         WorldScratch {
-            present: Vec::with_capacity(self.template.num_edges()),
-            endpoints: Vec::with_capacity(self.template.num_edges()),
-            world: DeterministicGraph::with_capacity_for(&self.template),
+            present: Vec::with_capacity(m),
+            endpoints: Vec::with_capacity(m),
+            world: DeterministicGraph::with_capacity_for(self.graph),
         }
     }
 
@@ -220,16 +218,14 @@ impl<'g> WorldEngine<'g> {
         self.sample_present(rng, &mut scratch.present);
         // Resolve endpoints once; the two materialisation passes then run
         // over this compact sequential buffer.
+        let endpoints = self.graph.endpoints();
         scratch.endpoints.clear();
-        scratch.endpoints.extend(
-            scratch
-                .present
-                .iter()
-                .map(|&e| self.template.endpoints(e as usize)),
-        );
+        scratch
+            .endpoints
+            .extend(scratch.present.iter().map(|&e| endpoints[e as usize]));
         scratch
             .world
-            .materialize_from_endpoints(self.template.num_vertices(), &scratch.endpoints);
+            .materialize_from_endpoints(self.graph.num_vertices(), &scratch.endpoints);
         &scratch.world
     }
 }

@@ -14,8 +14,8 @@
 //! * [`engine::WorldEngine`] is built once per graph: it sorts the edges by
 //!   descending probability for **skip-sampling** (geometric jumps directly
 //!   between present edges — `O(Σ pₑ)` expected RNG work per world instead
-//!   of one Bernoulli draw per edge) and precomputes a CSR *support
-//!   template* (endpoint table + offsets/neighbour/edge-id arrays).
+//!   of one Bernoulli draw per edge) and borrows the graph, whose endpoint
+//!   table resolves each world's present edges.
 //! * [`engine::WorldScratch`] is the per-thread state: each world is
 //!   compacted into its reusable buffers, so steady-state sampling and
 //!   materialisation perform **zero heap allocations**.

@@ -1,8 +1,18 @@
-//! Ground truth for the count queries: on graphs of at most 12 edges,
-//! [`enumerate_worlds`] walks all `2^|E|` weighted worlds and gives the
-//! exact expectation of every count answer a plan reports — edge
+//! Ground truth for the count and distance queries: on graphs of at most 12
+//! edges, [`enumerate_worlds`] walks all `2^|E|` weighted worlds and gives
+//! the exact expectation of every count answer a plan reports — edge
 //! frequencies, the degree histogram, every [`ConnectivityEstimate`] field
-//! and the pair reliabilities (the paper's `RL` query).
+//! and the pair reliabilities (the paper's `RL` query) — and of the hop
+//! distances behind the pair (`SP`) and k-NN answers.  Distances come from
+//! a BFS over each world's present edges written here, not from the
+//! kernels under test.
+//!
+//! A k-NN query with `k = |V| − 1` cannot cut any reached vertex, so its
+//! answer carries every vertex's reachability and, through
+//! `expected_distance × reachability`, its distance mass
+//! `E[d · 1{reachable}]`; a pair's `mean_distance × reliability` is the same
+//! mass for that pair.  A vertex missing from the answer, or a pair never
+//! connected, reads as 0.
 //!
 //! Each per-world value lies in a known range `[lo, hi]`, so by Hoeffding's
 //! inequality a mean over `N` independent worlds misses its expectation by
@@ -14,6 +24,7 @@
 use uncertain_graph::worlds::enumerate_worlds;
 use uncertain_graph::UncertainGraph;
 
+use ugs_queries::knn::Neighbor;
 use ugs_queries::{ConnectivityEstimate, PairQueryResult, SampleMethod};
 use ugs_service::{QueryPlan, QueryResult, QuerySpec};
 
@@ -36,9 +47,33 @@ struct Exact {
     probability_connected: f64,
     isolated_fraction: f64,
     reliability: Vec<f64>,
+    /// `E[d(u, v) · 1{u ~ v}]` per pair.
+    pair_distance_mass: Vec<f64>,
+    /// Probability that each vertex is reachable from the k-NN source.
+    reachability: Vec<f64>,
+    /// `E[d(source, v) · 1{source ~ v}]` per vertex.
+    distance_mass: Vec<f64>,
 }
 
-fn exact(g: &UncertainGraph, pairs: &[(usize, usize)]) -> Exact {
+/// Hop distances from `source` over an adjacency list, `None` where
+/// unreachable.
+fn hops(adjacency: &[Vec<usize>], source: usize) -> Vec<Option<usize>> {
+    let mut distance = vec![None; adjacency.len()];
+    distance[source] = Some(0);
+    let mut queue = std::collections::VecDeque::from([source]);
+    while let Some(u) = queue.pop_front() {
+        let next = distance[u].map(|d| d + 1);
+        for &v in &adjacency[u] {
+            if distance[v].is_none() {
+                distance[v] = next;
+                queue.push_back(v);
+            }
+        }
+    }
+    distance
+}
+
+fn exact(g: &UncertainGraph, pairs: &[(usize, usize)], source: usize) -> Exact {
     let n = g.num_vertices();
     let max_degree = (0..n).map(|u| g.degree(u)).max().unwrap_or(0);
     let mut truth = Exact {
@@ -49,16 +84,22 @@ fn exact(g: &UncertainGraph, pairs: &[(usize, usize)]) -> Exact {
         probability_connected: 0.0,
         isolated_fraction: 0.0,
         reliability: vec![0.0; pairs.len()],
+        pair_distance_mass: vec![0.0; pairs.len()],
+        reachability: vec![0.0; n],
+        distance_mass: vec![0.0; n],
     };
     let mut total = 0.0;
     enumerate_worlds(g, |world, pr| {
         total += pr;
         let mut degree = vec![0usize; n];
+        let mut adjacency = vec![Vec::new(); n];
         for e in world.present_edges() {
             truth.edge_frequency[e] += pr;
             let (u, v) = g.edge_endpoints(e);
             degree[u] += 1;
             degree[v] += 1;
+            adjacency[u].push(v);
+            adjacency[v].push(u);
         }
         for &d in &degree {
             truth.degree_histogram[d] += pr;
@@ -76,6 +117,20 @@ fn exact(g: &UncertainGraph, pairs: &[(usize, usize)]) -> Exact {
         for (r, &(u, v)) in truth.reliability.iter_mut().zip(pairs) {
             if labels[u] == labels[v] {
                 *r += pr;
+            }
+        }
+        for (mass, &(u, v)) in truth.pair_distance_mass.iter_mut().zip(pairs) {
+            if let Some(d) = hops(&adjacency, u)[v] {
+                *mass += pr * d as f64;
+            }
+        }
+        for (v, d) in hops(&adjacency, source).into_iter().enumerate() {
+            match d {
+                Some(d) if v != source => {
+                    truth.reachability[v] += pr;
+                    truth.distance_mass[v] += pr * d as f64;
+                }
+                _ => {}
             }
         }
     })
@@ -97,11 +152,12 @@ fn assert_within(estimate: f64, exact: f64, range: f64, what: &str) {
     );
 }
 
-/// Runs the four count queries over every mode, thread count and seed and
-/// checks each answer against the enumerated truth.
-fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)]) {
+/// Runs the four count queries and a k-NN query from `source` over every
+/// mode, thread count and seed and checks each answer against the
+/// enumerated truth.
+fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)], source: usize) {
     assert!(g.num_edges() <= 12, "{name}: the oracle graphs stay small");
-    let truth = exact(g, pairs);
+    let truth = exact(g, pairs, source);
     let n = g.num_vertices() as f64;
     for mode in MODES {
         for threads in [1, 2] {
@@ -121,6 +177,10 @@ fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)]) {
                         QuerySpec::PairQueries {
                             pairs: pairs.to_vec(),
                         },
+                        QuerySpec::Knn {
+                            source,
+                            k: g.num_vertices() - 1,
+                        },
                     ],
                 };
                 let run = format!("{name} {mode:?} threads {threads} seed {seed}");
@@ -133,7 +193,7 @@ fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)]) {
                         answer.result
                     })
                     .collect();
-                let [QueryResult::EdgeFrequency(frequency), QueryResult::DegreeHistogram(histogram), QueryResult::Connectivity(connectivity), QueryResult::PairQueries(reliability)] =
+                let [QueryResult::EdgeFrequency(frequency), QueryResult::DegreeHistogram(histogram), QueryResult::Connectivity(connectivity), QueryResult::PairQueries(pair_answers), QueryResult::Knn(neighbors)] =
                     &answers[..]
                 else {
                     panic!("{run}: answers out of plan order");
@@ -141,7 +201,8 @@ fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)]) {
                 check_frequencies(frequency, &truth, &run);
                 check_histogram(histogram, &truth, n, &run);
                 check_connectivity(connectivity, &truth, n, &run);
-                check_reliability(reliability, &truth, &run);
+                check_pairs(pair_answers, &truth, n, &run);
+                check_knn(neighbors, &truth, source, n, &run);
             }
         }
     }
@@ -196,16 +257,52 @@ fn check_connectivity(estimate: &ConnectivityEstimate, truth: &Exact, n: f64, ru
     );
 }
 
-fn check_reliability(result: &PairQueryResult, truth: &Exact, run: &str) {
+fn check_pairs(result: &PairQueryResult, truth: &Exact, n: f64, run: &str) {
     assert_eq!(result.num_worlds, WORLDS, "{run}");
-    for (i, (&r, &exact)) in result
-        .reliability
-        .iter()
-        .zip(&truth.reliability)
-        .enumerate()
-    {
-        let (u, v) = result.pairs[i];
-        assert_within(r, exact, 1.0, &format!("{run}: reliability of ({u}, {v})"));
+    for (i, &(u, v)) in result.pairs.iter().enumerate() {
+        let reliability = result.reliability[i];
+        assert_within(
+            reliability,
+            truth.reliability[i],
+            1.0,
+            &format!("{run}: reliability of ({u}, {v})"),
+        );
+        // A never-connected pair has a NaN mean distance and zero mass.
+        let mass = if result.connected_worlds[i] == 0 {
+            0.0
+        } else {
+            result.mean_distance[i] * reliability
+        };
+        assert_within(
+            mass,
+            truth.pair_distance_mass[i],
+            n - 1.0,
+            &format!("{run}: distance mass of ({u}, {v})"),
+        );
+    }
+}
+
+fn check_knn(neighbors: &[Neighbor], truth: &Exact, source: usize, n: f64, run: &str) {
+    let mut reachability = vec![0.0; truth.reachability.len()];
+    let mut distance_mass = vec![0.0; truth.distance_mass.len()];
+    for neighbor in neighbors {
+        assert_ne!(neighbor.vertex, source, "{run}: the source is no neighbour");
+        reachability[neighbor.vertex] = neighbor.reachability;
+        distance_mass[neighbor.vertex] = neighbor.expected_distance * neighbor.reachability;
+    }
+    for v in (0..reachability.len()).filter(|&v| v != source) {
+        assert_within(
+            reachability[v],
+            truth.reachability[v],
+            1.0,
+            &format!("{run}: reachability of {v} from {source}"),
+        );
+        assert_within(
+            distance_mass[v],
+            truth.distance_mass[v],
+            n - 1.0,
+            &format!("{run}: distance mass of {v} from {source}"),
+        );
     }
 }
 
@@ -232,7 +329,7 @@ fn count_queries_match_the_enumerated_expectations_on_a_mixed_graph() {
     )
     .unwrap();
     let pairs = [(0, 5), (2, 3), (6, 1), (0, 7), (4, 4), (5, 0)];
-    check("mixed", &g, &pairs);
+    check("mixed", &g, &pairs, 0);
 }
 
 #[test]
@@ -246,5 +343,5 @@ fn count_queries_match_the_enumerated_expectations_on_figure_1a() {
         }
     }
     let g = UncertainGraph::from_edges(4, edges).unwrap();
-    check("figure 1(a)", &g, &[(0, 1), (0, 3), (2, 1)]);
+    check("figure 1(a)", &g, &[(0, 1), (0, 3), (2, 1)], 0);
 }

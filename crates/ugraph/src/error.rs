@@ -59,6 +59,14 @@ pub enum GraphError {
     },
     /// An I/O error occurred while reading or writing a graph.
     Io(String),
+    /// A vertex count exceeded [`crate::graph::MAX_VERTICES`], so some
+    /// vertex ids would not fit the graph's `u32` endpoint table.
+    TooManyVertices {
+        /// The rejected vertex count.
+        num_vertices: usize,
+        /// The largest vertex count a graph may have.
+        max_vertices: u64,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -94,6 +102,13 @@ impl fmt::Display for GraphError {
                 write!(f, "parse error at line {line}: {message}")
             }
             GraphError::Io(msg) => write!(f, "I/O error: {msg}"),
+            GraphError::TooManyVertices {
+                num_vertices,
+                max_vertices,
+            } => write!(
+                f,
+                "{num_vertices} vertices exceed the limit of {max_vertices}"
+            ),
         }
     }
 }
@@ -182,6 +197,13 @@ mod tests {
                 "line 12",
             ),
             (GraphError::Io("disk on fire".into()), "disk on fire"),
+            (
+                GraphError::TooManyVertices {
+                    num_vertices: 5,
+                    max_vertices: 4,
+                },
+                "exceed the limit of 4",
+            ),
         ];
         for (err, needle) in cases {
             let shown = err.to_string();

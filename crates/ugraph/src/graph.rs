@@ -10,6 +10,10 @@ pub type VertexId = usize;
 /// order; the identity of an edge is stable for the lifetime of the graph.
 pub type EdgeId = usize;
 
+/// Largest vertex count a graph may have: vertex ids are stored as `u32`,
+/// so every id of a graph with at most `2^32` vertices fits.
+pub const MAX_VERTICES: u64 = 1 << 32;
+
 /// A borrowed view of a single uncertain edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeRef {
@@ -68,11 +72,18 @@ impl UncertainGraph {
     ///
     /// This is a convenience wrapper around [`crate::UncertainGraphBuilder`];
     /// it performs the same validation (vertex range, probability range, no
-    /// self loops, no duplicates).
+    /// self loops, no duplicates), and refuses a vertex count above
+    /// [`MAX_VERTICES`] before allocating anything.
     pub fn from_edges<I>(num_vertices: usize, edges: I) -> Result<Self, GraphError>
     where
         I: IntoIterator<Item = (VertexId, VertexId, f64)>,
     {
+        if num_vertices as u64 > MAX_VERTICES {
+            return Err(GraphError::TooManyVertices {
+                num_vertices,
+                max_vertices: MAX_VERTICES,
+            });
+        }
         let mut builder = crate::builder::UncertainGraphBuilder::new(num_vertices);
         for (u, v, p) in edges {
             builder.add_edge(u, v, p)?;
@@ -151,6 +162,13 @@ impl UncertainGraph {
                 v: v as usize,
                 p,
             })
+    }
+
+    /// Endpoints of every edge, indexed by [`EdgeId`]: `endpoints()[e]` is
+    /// the `(u, v)` pair of edge `e`, as stored.
+    #[inline]
+    pub fn endpoints(&self) -> &[(u32, u32)] {
+        &self.endpoints
     }
 
     /// Endpoints `(u, v)` of edge `e`.
@@ -447,6 +465,18 @@ mod tests {
         assert!(!g.is_empty());
         assert_eq!(g.vertices().count(), 4);
         assert_eq!(g.edges().count(), 6);
+    }
+
+    #[test]
+    fn vertex_counts_beyond_u32_ids_are_refused_before_allocating() {
+        let too_many = (MAX_VERTICES + 1) as usize;
+        assert_eq!(
+            UncertainGraph::from_edges(too_many, []),
+            Err(GraphError::TooManyVertices {
+                num_vertices: too_many,
+                max_vertices: MAX_VERTICES,
+            })
+        );
     }
 
     #[test]

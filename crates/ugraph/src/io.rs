@@ -174,8 +174,13 @@ pub fn read_text<R: BufRead>(reader: R) -> Result<UncertainGraph, GraphError> {
         max_vertex = max_vertex.max(u).max(v);
         edges.push((u, v, p));
     }
-    let num_vertices =
-        declared_vertices.unwrap_or(if edges.is_empty() { 0 } else { max_vertex + 1 });
+    // Saturating: an id of `usize::MAX` must not wrap the inferred count
+    // to 0; `from_edges` refuses the saturated count instead.
+    let num_vertices = declared_vertices.unwrap_or(if edges.is_empty() {
+        0
+    } else {
+        max_vertex.saturating_add(1)
+    });
     UncertainGraph::from_edges(num_vertices, edges)
 }
 
@@ -355,6 +360,32 @@ mod tests {
         let g = sample();
         let bytes = to_bytes(&g);
         assert!(from_bytes(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    /// A vertex count or id whose ids would not fit `u32` is a typed error
+    /// from every reader, never a panic, an abort or a renumbered vertex.
+    #[test]
+    fn readers_refuse_vertex_counts_beyond_u32_ids() {
+        let too_many = |result: Result<UncertainGraph, GraphError>| {
+            assert!(
+                matches!(result, Err(GraphError::TooManyVertices { .. })),
+                "{result:?}"
+            );
+        };
+        for text in [
+            "# vertices 18446744073709551615\n0 1 0.5\n",
+            "# vertices 4294967298\n4294967296 1 0.5\n",
+            "4294967296 1 0.5\n",
+            "18446744073709551615 1 0.5\n",
+        ] {
+            too_many(read_text(std::io::Cursor::new(text)));
+        }
+        too_many(from_json(
+            r#"{"num_vertices": 18446744073709551615, "edges": [[0, 1, 0.5]]}"#,
+        ));
+        let mut bytes = to_bytes(&sample());
+        bytes[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+        too_many(from_bytes(&bytes));
     }
 
     #[test]

@@ -9,11 +9,17 @@
 //! Pr(G) = Π_{e ∈ E_G} p_e · Π_{e ∈ E \ E_G} (1 - p_e)
 //! ```
 //!
-//! [`enumerate_worlds`] iterates all worlds exactly (only feasible for small
-//! `|E|`); [`WorldSampler`] draws independent Monte-Carlo worlds for graphs of
-//! any size.  Both represent a world as a [`PossibleWorld`] edge mask over the
-//! parent graph, which downstream algorithms (connected components, shortest
-//! paths, PageRank, …) can interpret without copying the topology.
+//! Two world representations serve two purposes:
+//!
+//! * **Present-edge lists** — the Monte-Carlo path.  [`SkipSampler`] and
+//!   [`WorldSampler::sample_present_into`] append the ids of a world's
+//!   present edges into a caller-owned buffer, allocation-free; the world
+//!   engine (`ugs_queries::engine`) resolves them to endpoints and compacts
+//!   them into a CSR.
+//! * **[`PossibleWorld`] masks** — the reference path.  [`enumerate_worlds`]
+//!   iterates all worlds exactly (only feasible for small `|E|`) and
+//!   [`WorldSampler::sample`] draws one owned world; tests compare the
+//!   engine against both.
 
 use rand::Rng;
 
@@ -283,20 +289,6 @@ impl WorldSampler {
         PossibleWorld::new(present)
     }
 
-    /// Draws one world into a caller-owned mask, resizing it to
-    /// `g.num_edges()`.  Consumes the RNG exactly like
-    /// [`WorldSampler::sample`] (one `f64` draw per edge in edge-id order)
-    /// and performs no allocation once `mask` has sufficient capacity.
-    pub fn sample_into<R: Rng + ?Sized>(
-        &self,
-        g: &UncertainGraph,
-        rng: &mut R,
-        mask: &mut Vec<bool>,
-    ) {
-        mask.clear();
-        mask.extend(g.probabilities().iter().map(|&p| rng.gen::<f64>() < p));
-    }
-
     /// Draws one world as a list of present edge ids (ascending), appended
     /// into a caller-owned buffer.  Consumes the RNG exactly like
     /// [`WorldSampler::sample`]; allocation-free once `out` has capacity
@@ -313,16 +305,6 @@ impl WorldSampler {
                 out.push(e as u32);
             }
         }
-    }
-
-    /// Draws `count` independent worlds.
-    pub fn sample_many<R: Rng + ?Sized>(
-        &self,
-        g: &UncertainGraph,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<PossibleWorld> {
-        (0..count).map(|_| self.sample(g, rng)).collect()
     }
 }
 
@@ -514,32 +496,6 @@ impl SkipSampler {
             i = j + 1;
         }
     }
-
-    /// Draws one world into a caller-owned mask (cleared and resized to
-    /// `num_edges`), using the same skip process as
-    /// [`SkipSampler::sample_present_into`].
-    pub fn sample_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        mask: &mut Vec<bool>,
-        scratch: &mut Vec<u32>,
-    ) {
-        self.sample_present_into(rng, scratch);
-        mask.clear();
-        mask.resize(self.num_edges, false);
-        for &e in scratch.iter() {
-            mask[e as usize] = true;
-        }
-    }
-
-    /// Draws one world as an owned [`PossibleWorld`] (allocating; prefer the
-    /// `*_into` variants on hot paths).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> PossibleWorld {
-        let mut mask = Vec::new();
-        let mut scratch = Vec::new();
-        self.sample_into(rng, &mut mask, &mut scratch);
-        PossibleWorld::new(mask)
-    }
 }
 
 /// Exactly enumerates all `2^|E|` worlds of `g`, calling `visit(world, pr)`
@@ -593,32 +549,6 @@ where
 /// For Figure 1(a) of the paper this returns ≈ 0.219.
 pub fn exact_connected_probability(g: &UncertainGraph) -> Result<f64, GraphError> {
     exact_query_probability(g, |world| world.is_connected(g))
-}
-
-/// Monte-Carlo estimate of the probability that `predicate` holds, using
-/// `samples` sampled worlds.
-pub fn estimate_query_probability<Q, R>(
-    g: &UncertainGraph,
-    samples: usize,
-    rng: &mut R,
-    mut predicate: Q,
-) -> f64
-where
-    Q: FnMut(&PossibleWorld) -> bool,
-    R: Rng + ?Sized,
-{
-    if samples == 0 {
-        return 0.0;
-    }
-    let sampler = WorldSampler::new();
-    let mut hits = 0usize;
-    for _ in 0..samples {
-        let world = sampler.sample(g, rng);
-        if predicate(&world) {
-            hits += 1;
-        }
-    }
-    hits as f64 / samples as f64
 }
 
 #[cfg(test)]
@@ -775,45 +705,16 @@ mod tests {
     }
 
     #[test]
-    fn skip_sampler_mask_api_agrees_with_present_list() {
-        let g = UncertainGraph::from_edges(4, [(0, 1, 0.4), (1, 2, 0.8), (2, 3, 0.1)]).unwrap();
-        let sampler = SkipSampler::new(&g);
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut mask = Vec::new();
-        let mut scratch = Vec::new();
-        for _ in 0..200 {
-            sampler.sample_into(&mut rng, &mut mask, &mut scratch);
-            assert_eq!(mask.len(), 3);
-            for (e, &present) in mask.iter().enumerate() {
-                assert_eq!(present, scratch.contains(&(e as u32)));
-            }
-        }
-        // owned variant
-        let world = sampler.sample(&mut rng);
-        assert_eq!(world.len(), 3);
-    }
-
-    #[test]
     fn sampler_matches_expected_edge_frequency() {
         let g = UncertainGraph::from_edges(2, [(0, 1, 0.25)]).unwrap();
         let mut rng = SmallRng::seed_from_u64(7);
         let sampler = WorldSampler::new();
-        let worlds = sampler.sample_many(&g, 20_000, &mut rng);
-        let freq = worlds.iter().filter(|w| w.contains(0)).count() as f64 / worlds.len() as f64;
+        let worlds = 20_000;
+        let hits = (0..worlds)
+            .filter(|_| sampler.sample(&g, &mut rng).contains(0))
+            .count();
+        let freq = hits as f64 / worlds as f64;
         assert!((freq - 0.25).abs() < 0.02, "frequency {freq}");
-    }
-
-    #[test]
-    fn monte_carlo_estimate_approaches_exact_value() {
-        let g = figure1a();
-        let exact = exact_connected_probability(&g).unwrap();
-        let mut rng = SmallRng::seed_from_u64(42);
-        let estimate = estimate_query_probability(&g, 30_000, &mut rng, |w| w.is_connected(&g));
-        assert!(
-            (estimate - exact).abs() < 0.02,
-            "estimate {estimate} vs exact {exact}"
-        );
-        assert_eq!(estimate_query_probability(&g, 0, &mut rng, |_| true), 0.0);
     }
 
     #[test]
