@@ -297,7 +297,7 @@ fn decode_poll(response: &Value, asked: &Asked) -> Result<Polled, ServiceError> 
 fn import_partials(registry: &mut [BoxedObserver], offset: usize, values: &[f64]) {
     let slots = registry
         .iter_mut()
-        .flat_map(|observer| observer.partial_mut().into_iter().flatten())
+        .flat_map(BoxedObserver::partial_mut)
         .skip(offset);
     for (slot, &value) in slots.zip(values) {
         *slot = value;
@@ -559,9 +559,9 @@ impl DistCoordinator {
     /// adaptive checkpoint, every block's statistics in block order into
     /// the stopping rule; once finished, each block's partial in block
     /// order into the result (block 0's partial becomes the result, later
-    /// blocks merge through the observers' own merge).  A lane fetches one
-    /// block at a time, so at most one unfolded partial per worker is
-    /// held.
+    /// blocks `+=` into it through [`BoxedObserver::merge`], as in process).
+    /// A lane fetches one block at a time, so at most one unfolded partial
+    /// per worker is held.
     fn run_blocks(
         &mut self,
         job: &JobSpec,
@@ -578,8 +578,7 @@ impl DistCoordinator {
             .collect();
         let partial_len: usize = pristine
             .iter()
-            .filter_map(BoxedObserver::partial)
-            .map(<[f64]>::len)
+            .map(|observer| observer.partial().len())
             .sum();
         let tracked = adaptive.as_ref().map_or(0, |a| a.rule.num_tracked());
         let mut step = Step {
@@ -1110,11 +1109,8 @@ mod tests {
             spec(r#"{"type": "degree_histogram"}"#),
         ];
         import_partials(&mut registry, 1, &[-0.0, 4.0, 5.0]);
-        assert_eq!(registry[0].partial().unwrap()[0].to_bits(), 0);
-        assert_eq!(
-            registry[0].partial().unwrap()[1].to_bits(),
-            (-0.0f64).to_bits()
-        );
-        assert_eq!(registry[1].partial().unwrap(), [4.0, 5.0, 0.0]);
+        assert_eq!(registry[0].partial()[0].to_bits(), 0);
+        assert_eq!(registry[0].partial()[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(registry[1].partial(), [4.0, 5.0, 0.0]);
     }
 }

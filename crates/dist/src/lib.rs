@@ -40,8 +40,8 @@
 //!    thread `b` sees, and feeds them to the same observers in the same
 //!    order: each block's accumulated state is bitwise the in-process
 //!    thread's.
-//! 2. **Exact partials.**  Every built-in observer accumulates one
-//!    `Vec<f64>` that merges by element-wise `+=`
+//! 2. **Exact partials.**  An observer's whole accumulated state is one
+//!    `Vec<f64>` of sums, its partial
 //!    ([`WorldObserver::partial`](ugs_queries::WorldObserver::partial)).
 //!    The vector crosses the wire in [`ugs_queries::partial`]'s exact text
 //!    codec — decimal integers for counts, IEEE-754 bits for everything
@@ -49,15 +49,16 @@
 //!    into a pristine copy of the coordinator's own observer, whose length
 //!    it must match.
 //! 3. **Same fold.**  Block 0's partial becomes the result; blocks 1, 2, …
-//!    merge into it in block order through the observer's own `merge` —
-//!    the fold the in-process driver performs after its threads join.
+//!    merge into it in block order by element-wise `+=` of the partials
+//!    ([`BoxedObserver::merge`](ugs_queries::BoxedObserver::merge)) —
+//!    the fold the in-process epoch loop performs after its last epoch.
 //!    Adaptive plans keep each block job's registry across epochs (summing
 //!    per-epoch float partials afterwards would not be bit-identical); at
 //!    every epoch checkpoint the jobs pause and return their worlds'
 //!    tracked statistics, which the coordinator records in block order
 //!    into the same [`StoppingRule`](ugs_queries::StoppingRule), with the
-//!    same verdict order, as the in-process barrier leader — so the run
-//!    stops after the same epoch with the same half-width.
+//!    same verdict order, as the in-process epoch loop — so the run stops
+//!    after the same epoch with the same half-width.
 //!
 //! A plan's `shards` field never changes an answer: the fleet echoes it
 //! and, like the in-process run, refuses a shard count the graph cannot

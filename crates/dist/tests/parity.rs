@@ -86,6 +86,16 @@ fn without_pairs(mut plan: QueryPlan) -> QueryPlan {
     plan
 }
 
+/// A plan whose only query is a pair query with no pairs: every block's
+/// partial has length zero.
+fn no_pairs_plan() -> QueryPlan {
+    QueryPlan::parse_str(
+        r#"{"worlds": 40, "threads": 3, "seed": 12,
+            "queries": [{"type": "pair_queries", "pairs": []}]}"#,
+    )
+    .unwrap()
+}
+
 fn answers(outcomes: Vec<Result<QueryAnswer, ServiceError>>) -> Vec<QueryAnswer> {
     outcomes.into_iter().map(|o| o.unwrap()).collect()
 }
@@ -156,6 +166,13 @@ fn edge_cases_match_in_process() {
         QueryPlan {
             precision: Some(Precision::new(0.3).with_epoch(1)),
             ..mixed_plan(50, 3, "auto", 8)
+        },
+        // Every partial is empty (the one query has no pairs), fixed and
+        // adaptive; the adaptive plan tracks nothing, so it runs to its cap.
+        no_pairs_plan(),
+        QueryPlan {
+            precision: Some(Precision::new(0.08).with_epoch(10)),
+            ..no_pairs_plan()
         },
     ];
     for plan in &plans {

@@ -12,10 +12,13 @@
 //! ## Observers
 //!
 //! A [`WorldObserver`] is the per-query accumulator: it sees every sampled
-//! world through [`WorldObserver::observe`], partial observers from parallel
-//! workers are combined with [`WorldObserver::merge`], and
-//! [`WorldObserver::finalize`] turns the accumulated state into the query's
-//! result.  Each query surface of this crate ships its observer:
+//! world through [`WorldObserver::observe`] and adds what it measures into
+//! one flat vector of sums, its **partial** ([`WorldObserver::partial`]),
+//! from which [`WorldObserver::finalize`] produces the query's result.  The
+//! partial is the observer's whole accumulated state, so two observers of
+//! one query over disjoint worlds combine by element-wise `+=` of their
+//! partials — the one merge every fold uses ([`BoxedObserver::merge`]).
+//! Each query surface of this crate ships its observer:
 //!
 //! | Observer | Output | Standalone wrapper |
 //! |---|---|---|
@@ -43,42 +46,46 @@
 //! * order-insensitive accumulators (counts, and statistics derived from
 //!   counts such as reliability) are exactly invariant to the thread count;
 //!   floating-point sums may differ across thread counts only in their
-//!   round-off (partial sums are merged in worker order).
+//!   round-off (partial sums are merged in block order).
 //!
 //! The replay makes parallel sampling cost `O(threads)` × the sequential
 //! sampling cost in total, which is a good trade: per-world kernels (BFS,
 //! PageRank, components) dominate sampling, and sampling itself is cheap in
 //! the paper's sparsified regime (`O(Σ pₑ)` skip-sampling).
 //!
-//! ## World blocks
+//! ## World blocks and the epoch loop
 //!
 //! The split itself is a [`BlockPlan`]: epochs of worlds (one epoch for a
 //! fixed budget), each cut into `threads` contiguous **world blocks**, and
 //! block `b` of every epoch belongs to worker `b`.  A worker's body is a
 //! [`SlotRun`]: one replay cursor that advances to each of its blocks in
-//! turn and observes it into that block's registry.  Every driver runs
-//! this one body — an in-process thread is a slot with one block, and a
-//! fleet worker (the `world_block` op of `ugs-server`) is a slot holding
-//! blocks `w, w + workers, …` of the same plan.  Because every built-in
-//! observer accumulates one `Vec<f64>` that merges by element-wise `+=`
-//! ([`WorldObserver::partial`]), a block's state crosses a process
-//! boundary as that vector ([`crate::partial`] is its exact text codec),
-//! and folding the blocks in block order — block 0's partial *is* the
-//! result, later blocks merge into it — reproduces the in-process answer
-//! bit for bit, for every thread count and every fleet size.
+//! turn and observes it into that block's registry.  In process, a slot
+//! holds one block; a fleet worker (the `world_block` op of `ugs-server`)
+//! is a slot holding blocks `w, w + workers, …` of the same plan.
 //!
-//! ## The `DynObserver` layer
+//! One loop runs every in-process batch.  Every slot runs on its own
+//! scoped thread for the whole batch (a lone slot runs on the caller),
+//! which builds the slot's run, steps it one epoch at a time and tears it
+//! down.  Slot 0 leads: after each epoch it records every slot's tracked
+//! statistics in block order and asks the [`StoppingRule`] whether to
+//! stop.  A fixed budget is the one-epoch case with no rule, so no slot
+//! waits on another: each tears its run down as soon as its block is done.
 //!
-//! [`WorldObserver`] is a statically-typed trait: [`QueryBatch::register`]
-//! needs the concrete observer type and [`BatchResults::take`] needs it
-//! again to give back a typed `Output`.  That works when the caller names
-//! every query at compile time, but a *dynamic* front end — a query plan
-//! parsed from JSON, a long-lived service accepting arbitrary submissions —
-//! only knows its query mix at run time.  The object-safe [`DynObserver`]
-//! trait (blanket-implemented for every `WorldObserver`, never implemented
-//! by hand) erases the observer type behind the same
-//! observe / merge / finalize lifecycle, and [`BoxedObserver`] is the owned
-//! handle that heterogeneous registries store:
+//! A block's state crosses a process boundary as its partial
+//! ([`crate::partial`] is the exact text codec), and folding the blocks in
+//! block order — block 0's partial *is* the result, later blocks `+=` into
+//! it — reproduces the in-process answer bit for bit, for every thread
+//! count and every fleet size.
+//!
+//! ## Type-erased observers
+//!
+//! [`QueryBatch::register`] needs the concrete observer type and
+//! [`BatchResults::take`] needs it again to give back a typed `Output`.
+//! That works when the caller names every query at compile time, but a
+//! *dynamic* front end — a query plan parsed from JSON, a long-lived
+//! service accepting arbitrary submissions — only knows its query mix at
+//! run time.  [`BoxedObserver`] erases the observer type behind the same
+//! observe / partial / finalize lifecycle:
 //!
 //! * [`BoxedObserver::new`] erases any [`WorldObserver`];
 //! * [`QueryBatch::register_boxed`] registers it and returns an untyped
@@ -88,13 +95,17 @@
 //!   of which query it submitted (`ugs-service` keeps that knowledge in its
 //!   `QuerySpec`).
 //!
+//! A batch stores every observer erased: the typed [`ObserverHandle`] is a
+//! [`DynHandle`] that remembers the observer type.
+//!
 //! ## Fallible redemption
 //!
 //! [`BatchResults::take`] panics on a foreign or already-redeemed handle —
 //! fine for straight-line query code, wrong for a long-lived service.
 //! [`BatchResults::try_take`] / [`BatchResults::try_take_boxed`] return a
 //! [`BatchError`] instead ([`BatchError::WrongBatch`] and
-//! [`BatchError::AlreadyTaken`]); `take` is a thin `unwrap` over `try_take`.
+//! [`BatchError::AlreadyTaken`]); `take` is a thin `unwrap` over
+//! `try_take`, which is `try_take_boxed` plus a downcast of the output.
 //!
 //! ## Worked example
 //!
@@ -131,7 +142,7 @@ use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -144,11 +155,13 @@ use crate::variance::{Precision, StopReason, StoppingRule};
 
 /// A per-query accumulator fed by the batch driver.
 ///
-/// The driver clones the registered observer once per worker (clones are
+/// The observer's accumulated state is its partial
+/// ([`WorldObserver::partial`]): [`WorldObserver::observe`] adds each world
+/// into it and [`WorldObserver::finalize`] reads the result from it.  The
+/// driver clones the registered observer once per world block (clones are
 /// taken *before* any observation, so `Clone` must reproduce the pristine
-/// state), calls [`WorldObserver::observe`] for every world of the worker's
-/// block, combines the partial observers with [`WorldObserver::merge`] in
-/// worker order, and [`WorldObserver::finalize`] produces the result.
+/// state), feeds every world of the block to its clone, and folds the
+/// blocks' partials by element-wise `+=` in block order.
 ///
 /// To keep the whole batch allocation-free per world in steady state,
 /// `observe` must not allocate: pre-size every buffer in the constructor.
@@ -165,9 +178,9 @@ use crate::variance::{Precision, StopReason, StoppingRule};
 pub trait WorldObserver: Send + Clone + 'static {
     /// The finalised query result.
     ///
-    /// `Send + 'static` so the type-erased [`DynObserver`] layer can box the
-    /// output as `Box<dyn Any + Send>` and ship it across service channels;
-    /// every output in this crate is a plain owned value anyway.
+    /// `Send + 'static` so [`BoxedObserver::finalize`] can box the output
+    /// as `Box<dyn Any + Send>` and ship it across service channels; every
+    /// output in this crate is a plain owned value anyway.
     type Output: Send + 'static;
 
     /// Observes one sampled world (the scratch exposes both the present
@@ -191,26 +204,19 @@ pub trait WorldObserver: Send + Clone + 'static {
         f64::NAN
     }
 
-    /// The accumulated state as one flat vector — the **partial** a fleet
-    /// worker ships back for a world block (see
-    /// [world blocks](self#world-blocks)).  An observer returning `Some`
-    /// promises that its [`WorldObserver::merge`] is element-wise `+=` over
-    /// exactly this vector and that the vector is all it finalises from,
-    /// so overwriting a pristine observer's vector with another observer's
-    /// reproduces that observer bit for bit.  `None` (the default) marks
-    /// an observer that cannot cross a process boundary.
-    fn partial(&self) -> Option<&[f64]> {
-        None
-    }
+    /// The accumulated state as one flat vector of sums — everything
+    /// [`WorldObserver::finalize`] reads besides the observer's fixed
+    /// configuration, and the partial a fleet worker ships back for a world
+    /// block (see [world blocks](self#world-blocks-and-the-epoch-loop)).
+    /// Two observers of one query merge by element-wise `+=` of their
+    /// partials, and writing an observer's partial into a pristine clone
+    /// reproduces that observer bit for bit.
+    fn partial(&self) -> &[f64];
 
-    /// Mutable access to the vector behind [`WorldObserver::partial`], so a
-    /// decoded partial can be written straight into a pristine observer.
-    fn partial_mut(&mut self) -> Option<&mut [f64]> {
-        None
-    }
-
-    /// Folds another partial observer (from a parallel worker) into `self`.
-    fn merge(&mut self, other: Self);
+    /// Mutable access to the vector behind [`WorldObserver::partial`]: the
+    /// fold adds into it, and a decoded partial is written straight into
+    /// a pristine observer.
+    fn partial_mut(&mut self) -> &mut [f64];
 
     /// Consumes the accumulated state and produces the query result;
     /// `num_worlds` is the total number of sampled worlds across all
@@ -218,38 +224,15 @@ pub trait WorldObserver: Send + Clone + 'static {
     fn finalize(self, num_worlds: usize) -> Self::Output;
 }
 
-/// Object-safe adapter over [`WorldObserver`] so one batch (or registry) can
-/// drive a heterogeneous observer set; see the
-/// [module docs](self#the-dynobserver-layer).
-///
-/// Blanket-implemented for every [`WorldObserver`] — do not implement this
-/// trait by hand; implement `WorldObserver` and erase it with
-/// [`BoxedObserver::new`].
-pub trait DynObserver: Send {
-    /// Type-erased [`WorldObserver::observe`].
+/// Object-safe adapter over [`WorldObserver`], blanket-implemented for
+/// every observer; [`BoxedObserver`] is the one type that holds it.
+trait DynObserver: Send {
     fn observe_dyn(&mut self, world: &WorldScratch);
-    /// Type-erased [`WorldObserver::tracked_range`].
     fn tracked_range_dyn(&self) -> Option<(f64, f64)>;
-    /// Type-erased [`WorldObserver::tracked_statistic`].
     fn tracked_statistic_dyn(&self) -> f64;
-    /// Type-erased [`WorldObserver::partial`] (partial export).
-    fn partial_dyn(&self) -> Option<&[f64]>;
-    /// Type-erased [`WorldObserver::partial_mut`] (partial import).
-    fn partial_mut_dyn(&mut self) -> Option<&mut [f64]>;
-    /// Type-erased [`WorldObserver::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is not the same concrete observer type.
-    fn merge_dyn(&mut self, other: Box<dyn DynObserver>);
-    /// Clones the observer behind the erasure (used to hand each parallel
-    /// worker its own pristine copy).
+    fn partial_dyn(&self) -> &[f64];
+    fn partial_mut_dyn(&mut self) -> &mut [f64];
     fn clone_dyn(&self) -> Box<dyn DynObserver>;
-    /// Recovers the concrete observer for a typed downcast.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-    /// Type-erased [`WorldObserver::finalize`]: the boxed
-    /// [`WorldObserver::Output`], downcastable by whoever knows which query
-    /// was registered.
     fn finalize_dyn(self: Box<Self>, num_worlds: usize) -> Box<dyn Any + Send>;
 }
 
@@ -266,28 +249,16 @@ impl<O: WorldObserver> DynObserver for O {
         self.tracked_statistic()
     }
 
-    fn partial_dyn(&self) -> Option<&[f64]> {
+    fn partial_dyn(&self) -> &[f64] {
         self.partial()
     }
 
-    fn partial_mut_dyn(&mut self) -> Option<&mut [f64]> {
+    fn partial_mut_dyn(&mut self) -> &mut [f64] {
         self.partial_mut()
-    }
-
-    fn merge_dyn(&mut self, other: Box<dyn DynObserver>) {
-        let other = other
-            .into_any()
-            .downcast::<O>()
-            .expect("merged observers must have the same concrete type");
-        self.merge(*other);
     }
 
     fn clone_dyn(&self) -> Box<dyn DynObserver> {
         Box::new(self.clone())
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 
     fn finalize_dyn(self: Box<Self>, num_worlds: usize) -> Box<dyn Any + Send> {
@@ -295,8 +266,8 @@ impl<O: WorldObserver> DynObserver for O {
     }
 }
 
-/// An owned, type-erased observer — the unit a heterogeneous registry
-/// stores.  Create with [`BoxedObserver::new`] and register it with
+/// An owned, type-erased observer — the unit every registry stores.
+/// Create with [`BoxedObserver::new`] and register it with
 /// [`QueryBatch::register_boxed`].
 pub struct BoxedObserver(Box<dyn DynObserver>);
 
@@ -312,25 +283,31 @@ impl BoxedObserver {
         self.0.tracked_range_dyn()
     }
 
-    /// The exported partial (see [`WorldObserver::partial`]).
-    pub fn partial(&self) -> Option<&[f64]> {
+    /// The observer's partial (see [`WorldObserver::partial`]).
+    pub fn partial(&self) -> &[f64] {
         self.0.partial_dyn()
     }
 
     /// The partial's vector, for importing a decoded partial (see
     /// [`WorldObserver::partial_mut`]).
-    pub fn partial_mut(&mut self) -> Option<&mut [f64]> {
+    pub fn partial_mut(&mut self) -> &mut [f64] {
         self.0.partial_mut_dyn()
     }
 
-    /// Folds another observer of the same concrete type into this one
-    /// through its own [`WorldObserver::merge`].
+    /// Folds another block's observer of the same query into this one:
+    /// element-wise `+=` of the partials.  Both the in-process block fold
+    /// and the fleet coordinator's fold merge through this one method.
     ///
     /// # Panics
     ///
-    /// Panics if `other` erases a different concrete observer type.
+    /// Panics if the two partials differ in length (observers of different
+    /// queries).
     pub fn merge(&mut self, other: BoxedObserver) {
-        self.0.merge_dyn(other.0);
+        let (into, from) = (self.partial_mut(), other.partial());
+        assert_eq!(into.len(), from.len(), "merged partials differ in length");
+        for (t, o) in into.iter_mut().zip(from) {
+            *t += o;
+        }
     }
 
     /// Finalises to the boxed [`WorldObserver::Output`]; the caller
@@ -355,8 +332,7 @@ impl std::fmt::Debug for BoxedObserver {
 /// Typed handle returned by [`QueryBatch::register`]; redeem it against the
 /// [`BatchResults`] of the *same* batch with [`BatchResults::take`].
 pub struct ObserverHandle<O> {
-    batch: u64,
-    index: usize,
+    handle: DynHandle,
     _marker: PhantomData<fn() -> O>,
 }
 
@@ -371,8 +347,8 @@ impl<O> Copy for ObserverHandle<O> {}
 impl<O> std::fmt::Debug for ObserverHandle<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObserverHandle")
-            .field("batch", &self.batch)
-            .field("index", &self.index)
+            .field("batch", &self.handle.batch)
+            .field("index", &self.handle.index)
             .finish()
     }
 }
@@ -434,7 +410,7 @@ pub struct QueryBatch<'g> {
     num_worlds: usize,
     threads: usize,
     id: u64,
-    observers: Vec<Box<dyn DynObserver>>,
+    observers: Vec<BoxedObserver>,
     precision: Option<Precision>,
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -520,22 +496,19 @@ impl<'g> QueryBatch<'g> {
     /// Registers an observer; the returned typed handle redeems its result
     /// from [`BatchResults::take`] after [`QueryBatch::run`].
     pub fn register<O: WorldObserver>(&mut self, observer: O) -> ObserverHandle<O> {
-        let index = self.observers.len();
-        self.observers.push(Box::new(observer));
         ObserverHandle {
-            batch: self.id,
-            index,
+            handle: self.register_boxed(BoxedObserver::new(observer)),
             _marker: PhantomData,
         }
     }
 
     /// Registers a type-erased observer (a dynamic registry entry — see the
-    /// [module docs](self#the-dynobserver-layer)); the returned untyped
+    /// [module docs](self#type-erased-observers)); the returned untyped
     /// handle redeems the boxed output from [`BatchResults::try_take_boxed`]
     /// after [`QueryBatch::run`].
     pub fn register_boxed(&mut self, observer: BoxedObserver) -> DynHandle {
         let index = self.observers.len();
-        self.observers.push(observer.0);
+        self.observers.push(observer);
         DynHandle {
             batch: self.id,
             index,
@@ -558,25 +531,21 @@ impl<'g> QueryBatch<'g> {
             precision,
             cancel,
         } = self;
+        let results = |num_worlds, observers: Vec<BoxedObserver>, adaptive| BatchResults {
+            id,
+            num_worlds,
+            slots: observers.into_iter().map(Some).collect(),
+            adaptive,
+        };
         if num_worlds == 0 || observers.is_empty() {
-            return BatchResults {
-                id,
-                num_worlds,
-                slots: observers.into_iter().map(Some).collect(),
-                adaptive: None,
-            };
+            return results(num_worlds, observers, None);
         }
         let seed = rng.gen::<u64>();
         match precision {
             None => {
                 let plan = BlockPlan::fixed(num_worlds, threads);
-                let merged = drive(&engine, plan, observers, seed);
-                BatchResults {
-                    id,
-                    num_worlds,
-                    slots: merged.into_iter().map(Some).collect(),
-                    adaptive: None,
-                }
+                let (merged, _) = run_epochs(&engine, seed, plan, observers, None);
+                results(num_worlds, merged, None)
             }
             Some(precision) => {
                 let cap = precision.cap(num_worlds);
@@ -589,12 +558,7 @@ impl<'g> QueryBatch<'g> {
                     &precision,
                     cancel.as_deref(),
                 );
-                BatchResults {
-                    id,
-                    num_worlds: report.worlds_used,
-                    slots: merged.into_iter().map(Some).collect(),
-                    adaptive: Some(report),
-                }
+                results(report.worlds_used, merged, Some(report))
             }
         }
     }
@@ -605,7 +569,7 @@ impl<'g> QueryBatch<'g> {
 /// (the first `len % blocks` blocks one world longer).  A fixed-budget
 /// batch is one epoch holding every world.  Block `b` of every epoch
 /// belongs to worker `b`, so a worker's blocks ascend through the stream;
-/// see the [module docs](self#world-blocks).
+/// see the [module docs](self#world-blocks-and-the-epoch-loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockPlan {
     cap: usize,
@@ -715,11 +679,11 @@ impl BlockWatch {
 /// observer registry, observed in order on the calling thread by one
 /// replay cursor over the shared world stream.
 ///
-/// The in-process drivers run one `SlotRun` per thread (`slots` = thread
-/// count, one block each); a fleet worker's `world_block` job runs one per
-/// fleet slot.  Either way each registry sees exactly its block's worlds
-/// in stream order, so block partials merged in block order reproduce the
-/// in-process fold bit for bit.
+/// The in-process epoch loop runs one `SlotRun` per thread (`slots` =
+/// thread count, one block each); a fleet worker's `world_block` job runs
+/// one per fleet slot.  Either way each registry sees exactly its block's
+/// worlds in stream order, so block partials merged in block order
+/// reproduce the in-process fold bit for bit.
 pub struct SlotRun<'s> {
     engine: &'s WorldEngine<'s>,
     plan: BlockPlan,
@@ -730,7 +694,7 @@ pub struct SlotRun<'s> {
     /// Position of `rng` in the shared stream.
     pos: usize,
     /// One registry per block of the slot, in block order.
-    registries: Vec<Vec<Box<dyn DynObserver>>>,
+    registries: Vec<Vec<BoxedObserver>>,
     /// Indices of the observers that feed an adaptive stopping rule.
     tracked: Vec<usize>,
     epochs: usize,
@@ -751,30 +715,17 @@ impl<'s> SlotRun<'s> {
         slots: usize,
         observers: Vec<BoxedObserver>,
     ) -> Self {
-        let registry = observers.into_iter().map(|o| o.0).collect();
-        Self::from_registry(engine, seed, plan, slot, slots, registry)
-    }
-
-    fn from_registry(
-        engine: &'s WorldEngine<'s>,
-        seed: u64,
-        plan: BlockPlan,
-        slot: usize,
-        slots: usize,
-        observers: Vec<Box<dyn DynObserver>>,
-    ) -> Self {
         assert!(slots > 0, "a slot run needs at least one slot");
         let tracked = observers
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| o.tracked_range_dyn().map(|_| i))
+            .filter_map(|(i, o)| o.tracked_range().map(|_| i))
             .collect();
         let blocks = plan.slot_blocks(slot, slots);
         // Clones are taken before any observation, so every block starts
         // pristine.
-        let mut registries: Vec<Vec<Box<dyn DynObserver>>> = (1..blocks)
-            .map(|_| observers.iter().map(|o| o.clone_dyn()).collect())
-            .collect();
+        let mut registries: Vec<Vec<BoxedObserver>> =
+            (1..blocks).map(|_| observers.clone()).collect();
         if blocks > 0 {
             registries.insert(0, observers);
         }
@@ -820,12 +771,14 @@ impl<'s> SlotRun<'s> {
             }
             for _ in range {
                 self.engine.sample_world(&mut self.rng, &mut self.scratch);
-                observe_all(registry, &self.scratch);
+                for observer in registry.iter_mut() {
+                    observer.0.observe_dyn(&self.scratch);
+                }
                 if let Some(stats) = stats.as_deref_mut() {
                     stats.extend(
                         self.tracked
                             .iter()
-                            .map(|&t| registry[t].tracked_statistic_dyn()),
+                            .map(|&t| registry[t].0.tracked_statistic_dyn()),
                     );
                 }
                 self.pos += 1;
@@ -839,20 +792,15 @@ impl<'s> SlotRun<'s> {
     }
 
     /// Appends every block's partials to `out` — block order, then
-    /// observer order ([`WorldObserver::partial`]).  Returns `false` if an
-    /// observer has no partial.
-    pub fn export_partials(&self, out: &mut Vec<f64>) -> bool {
+    /// observer order ([`WorldObserver::partial`]).
+    pub fn export_partials(&self, out: &mut Vec<f64>) {
         for observer in self.registries.iter().flatten() {
-            match observer.partial_dyn() {
-                Some(partial) => out.extend_from_slice(partial),
-                None => return false,
-            }
+            out.extend_from_slice(observer.partial());
         }
-        true
     }
 
-    /// The registry of a one-block slot (the in-process drivers' case).
-    fn into_registry(mut self) -> Vec<Box<dyn DynObserver>> {
+    /// The registry of a one-block slot (the in-process loop's case).
+    fn into_registry(mut self) -> Vec<BoxedObserver> {
         debug_assert_eq!(self.registries.len(), 1, "one block per thread");
         self.registries
             .pop()
@@ -860,68 +808,137 @@ impl<'s> SlotRun<'s> {
     }
 }
 
-/// The fixed-budget driver: one [`SlotRun`] per thread, thread `w` holding
-/// block `w`; partials merge in block order.  The sampled world sequence is
-/// independent of the thread count.
-fn drive(
-    engine: &WorldEngine<'_>,
-    plan: BlockPlan,
-    observers: Vec<Box<dyn DynObserver>>,
+/// The stopping side of an adaptive run, consulted after every epoch.
+struct Checkpoints<'a> {
+    rule: &'a mut StoppingRule,
+    started: Instant,
+    cancel: Option<&'a AtomicBool>,
+}
+
+/// A follower slot's channels, as its leader holds them: after each epoch
+/// the slot's tracked statistics arrive on `done`, and the buffer sent
+/// back on `next` starts the slot's next epoch.  Hanging up stops it.
+struct Follower {
+    next: mpsc::Sender<Vec<f64>>,
+    done: mpsc::Receiver<Vec<f64>>,
+}
+
+/// The one in-process batch loop, fixed and adaptive alike: one
+/// [`SlotRun`] per block of `plan`, each on its own scoped thread (a lone
+/// slot runs on the caller), which builds the run, steps it one epoch at a
+/// time and tears it down, so its scratch lives and dies on that thread.
+/// Slot 0 leads the epochs ([`lead`]).  Returns the registries folded in
+/// block order — block 0's registry is the result, later blocks merge into
+/// it — and the rule's verdict.
+fn run_epochs<'s>(
+    engine: &'s WorldEngine<'s>,
     seed: u64,
-) -> Vec<Box<dyn DynObserver>> {
-    let threads = plan.blocks();
-    if threads == 1 {
-        let mut run = SlotRun::from_registry(engine, seed, plan, 0, 1, observers);
-        run.run_epoch(None, None);
-        return run.into_registry();
+    plan: BlockPlan,
+    observers: Vec<BoxedObserver>,
+    checkpoints: Option<Checkpoints<'_>>,
+) -> (Vec<BoxedObserver>, Option<StopReason>) {
+    let slots = plan.blocks();
+    let adaptive = checkpoints.is_some();
+    let new_run = move |slot, registry| SlotRun::new(engine, seed, plan, slot, slots, registry);
+    // Earlier slots get pristine clones and the last takes `observers`
+    // itself, so a run holds `slots` registries, not `slots + 1`.
+    let mut registries: Vec<Vec<BoxedObserver>> = (1..slots).map(|_| observers.clone()).collect();
+    registries.push(observers);
+    let mut registries = registries.into_iter();
+    let first = registries.next().expect("a plan has at least one block");
+    if slots == 1 {
+        return lead(new_run(0, first), Vec::new(), checkpoints);
     }
-    let partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = worker_registries(observers, threads)
-            .into_iter()
+    std::thread::scope(|scope| {
+        let (followers, ends): (Vec<_>, Vec<_>) = (1..slots)
+            .map(|_| {
+                let (next, nexts) = mpsc::channel();
+                let (finish, done) = mpsc::channel();
+                (Follower { next, done }, (nexts, finish))
+            })
+            .unzip();
+        // Spawn in slot order, leader first: spawning the followers first
+        // raised perfbench's `fleet` peak RSS by about 0.8 MiB.
+        let leader = scope.spawn(move || lead(new_run(0, first), followers, checkpoints));
+        let threads: Vec<_> = registries
+            .zip(ends)
             .enumerate()
-            .map(|(slot, registry)| {
+            .map(|(i, (registry, (nexts, finish)))| {
                 scope.spawn(move || {
-                    let mut run =
-                        SlotRun::from_registry(engine, seed, plan, slot, threads, registry);
-                    run.run_epoch(None, None);
+                    let mut run = new_run(i + 1, registry);
+                    // The first epoch needs no word from the leader, and a
+                    // hang-up before or after the statistics go back ends
+                    // the slot: a fixed budget's follower never waits.
+                    let mut stats = Vec::new();
+                    loop {
+                        run.run_epoch(adaptive.then_some(&mut stats), None);
+                        let Ok(()) = finish.send(stats) else { break };
+                        let Ok(buffer) = nexts.recv() else { break };
+                        stats = buffer;
+                    }
                     run.into_registry()
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("worker thread panicked"))
-            .collect()
-    });
-    merge_in_block_order(partials)
-}
-
-/// Folds block partials in block order: block 0's registry becomes the
-/// result, every later block merges into it through the observers' own
-/// [`WorldObserver::merge`].
-fn merge_in_block_order(partials: Vec<Vec<Box<dyn DynObserver>>>) -> Vec<Box<dyn DynObserver>> {
-    let mut partials = partials.into_iter();
-    let mut merged = partials.next().expect("at least one block");
-    for partial in partials {
-        for (into, other) in merged.iter_mut().zip(partial) {
-            into.merge_dyn(other);
+        let (mut merged, stopped) = leader.join().expect("worker thread panicked");
+        for thread in threads {
+            let registry = thread.join().expect("worker thread panicked");
+            for (into, other) in merged.iter_mut().zip(registry) {
+                into.merge(other);
+            }
         }
-    }
-    merged
+        (merged, stopped)
+    })
 }
 
-/// One observer registry per worker: the earlier workers get pristine clones
-/// and the last takes `observers` itself, so a parallel run holds `threads`
-/// registries, not `threads + 1`.
-fn worker_registries(
-    observers: Vec<Box<dyn DynObserver>>,
-    threads: usize,
-) -> Vec<Vec<Box<dyn DynObserver>>> {
-    let mut registries: Vec<Vec<Box<dyn DynObserver>>> = (1..threads)
-        .map(|_| observers.iter().map(|o| o.clone_dyn()).collect())
-        .collect();
-    registries.push(observers);
-    registries
+/// Slot 0's side of [`run_epochs`]: each epoch, steps its own `run` (every
+/// follower steps its block meanwhile), then, with `checkpoints`, takes
+/// every follower's tracked statistics, records all of them in block
+/// order — which is world order — and asks the rule for a verdict; to go
+/// on, it sends each follower its buffer back.  Without a rule the run is
+/// one epoch (a fixed budget), so it hangs up on the followers before
+/// stepping.  Hanging up stops them.  Returns its own registry and the
+/// verdict.
+fn lead(
+    mut run: SlotRun<'_>,
+    mut followers: Vec<Follower>,
+    mut checkpoints: Option<Checkpoints<'_>>,
+) -> (Vec<BoxedObserver>, Option<StopReason>) {
+    if checkpoints.is_none() {
+        followers.clear();
+    }
+    let adaptive = checkpoints.is_some();
+    let plan = run.plan;
+    // Each slot's tracked statistics of the current epoch.
+    let mut stats: Vec<Vec<f64>> = vec![Vec::new(); followers.len() + 1];
+    let stopped = loop {
+        run.run_epoch(adaptive.then_some(&mut stats[0]), None);
+        let Some(stop) = checkpoints.as_mut() else {
+            break None;
+        };
+        for (follower, stats) in followers.iter().zip(&mut stats[1..]) {
+            *stats = follower.done.recv().expect("worker thread panicked");
+        }
+        for stats in &mut stats {
+            stop.rule.record_worlds(stats);
+            stats.clear();
+        }
+        let worlds = plan.worlds_through(run.epochs_run());
+        let verdict = stop
+            .rule
+            .checkpoint(worlds, plan.cap(), stop.started, stop.cancel);
+        if verdict.is_some() {
+            break verdict;
+        }
+        for (follower, stats) in followers.iter().zip(&mut stats[1..]) {
+            follower
+                .next
+                .send(std::mem::take(stats))
+                .expect("worker thread panicked");
+        }
+    };
+    drop(followers);
+    (run.into_registry(), stopped)
 }
 
 /// Summary of an adaptive ([`Precision`]-driven) batch run, attached to its
@@ -942,28 +959,28 @@ pub struct AdaptiveReport {
     pub stopped: StopReason,
 }
 
-/// The adaptive counterpart of [`drive`]: the same replay-partitioned world
-/// stream, consumed in epochs of [`Precision::epoch`] worlds with the pooled
-/// [`StoppingRule`] consulted at every epoch barrier.
+/// An adaptive batch: [`run_epochs`] over epochs of [`Precision::epoch`]
+/// worlds, with the pooled [`StoppingRule`] of the tracked observers
+/// consulted at every epoch checkpoint.
 ///
-/// Thread-count invariance is *bitwise*, by construction: workers do not
-/// merge statistic partials — they record each world's raw tracked scalars,
-/// and the barrier leader replays them into the rule's accumulators in world
-/// order (worker blocks are contiguous, so worker 0's block followed by
-/// worker 1's *is* the sequential order).  Every thread count therefore
-/// executes the identical sequence of `record`/`check` calls and consumes
-/// the same number of worlds.
+/// Thread-count invariance is *bitwise*, by construction: slots do not
+/// merge statistic partials — they record each world's raw tracked
+/// scalars, and slot 0 replays them into the rule's accumulators in world
+/// order (blocks are contiguous, so block 0's worlds followed by block 1's
+/// *is* the sequential order).  Every thread count therefore executes the
+/// identical sequence of `record`/`check` calls and consumes the same
+/// number of worlds.
 fn drive_adaptive(
     engine: &WorldEngine<'_>,
     cap: usize,
     threads: usize,
-    observers: Vec<Box<dyn DynObserver>>,
+    observers: Vec<BoxedObserver>,
     seed: u64,
     precision: &Precision,
     cancel: Option<&AtomicBool>,
-) -> (Vec<Box<dyn DynObserver>>, AdaptiveReport) {
+) -> (Vec<BoxedObserver>, AdaptiveReport) {
     let mut rule = StoppingRule::new(*precision);
-    for (lo, hi) in observers.iter().filter_map(|o| o.tracked_range_dyn()) {
+    for (lo, hi) in observers.iter().filter_map(BoxedObserver::tracked_range) {
         rule.register(lo, hi);
     }
     let tracked = rule.num_tracked();
@@ -989,102 +1006,21 @@ fn drive_adaptive(
         return (observers, report);
     }
     let plan = BlockPlan::adaptive(cap, precision.epoch, threads);
-    let threads = plan.blocks();
-
-    let (merged, stopped) = if threads == 1 {
-        let mut run = SlotRun::from_registry(engine, seed, plan, 0, 1, observers);
-        let mut stats = Vec::new();
-        let stopped = loop {
-            stats.clear();
-            run.run_epoch(Some(&mut stats), None);
-            rule.record_worlds(&stats);
-            let worlds = plan.worlds_through(run.epochs_run());
-            if let Some(stopped) = rule.checkpoint(worlds, cap, started, cancel) {
-                break stopped;
-            }
-        };
-        (run.into_registry(), stopped)
-    } else {
-        let barrier = Barrier::new(threads);
-        let rule_mx = Mutex::new(&mut rule);
-        // One buffer per worker: this epoch's raw per-world statistics, in
-        // the worker's block order.  Swapped (not copied) across the barrier.
-        let stat_slots: Vec<Mutex<Vec<f64>>> =
-            (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-        // Set by the barrier leader between the two waits of each epoch,
-        // read by every worker after the second wait — never concurrently.
-        let decision: Mutex<Option<StopReason>> = Mutex::new(None);
-        let partials: Vec<Vec<Box<dyn DynObserver>>> = std::thread::scope(|scope| {
-            let (barrier, rule_mx, stat_slots, decision) =
-                (&barrier, &rule_mx, &stat_slots, &decision);
-            let handles: Vec<_> = worker_registries(observers, threads)
-                .into_iter()
-                .enumerate()
-                .map(|(slot, registry)| {
-                    scope.spawn(move || {
-                        let mut run =
-                            SlotRun::from_registry(engine, seed, plan, slot, threads, registry);
-                        let mut my_stats = Vec::new();
-                        loop {
-                            my_stats.clear();
-                            run.run_epoch(Some(&mut my_stats), None);
-                            {
-                                let mut slot = stat_slots[slot].lock().expect("stat slot poisoned");
-                                std::mem::swap(&mut *slot, &mut my_stats);
-                            }
-                            if barrier.wait().is_leader() {
-                                let mut rule = rule_mx.lock().expect("stopping rule poisoned");
-                                // Replay in world order: contiguous worker
-                                // blocks, so worker-by-worker IS the
-                                // sequential order.
-                                for stats in stat_slots {
-                                    rule.record_worlds(&stats.lock().expect("stat slot poisoned"));
-                                }
-                                let worlds = plan.worlds_through(run.epochs_run());
-                                *decision.lock().expect("decision poisoned") =
-                                    rule.checkpoint(worlds, cap, started, cancel);
-                            }
-                            barrier.wait();
-                            {
-                                // Reclaim the still-allocated buffer.
-                                let mut slot = stat_slots[slot].lock().expect("stat slot poisoned");
-                                std::mem::swap(&mut *slot, &mut my_stats);
-                            }
-                            if decision.lock().expect("decision poisoned").is_some() {
-                                break;
-                            }
-                        }
-                        run.into_registry()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let stopped = decision
-            .into_inner()
-            .expect("decision poisoned")
-            .expect("adaptive run finished without a verdict");
-        (merge_in_block_order(partials), stopped)
+    let checkpoints = Checkpoints {
+        rule: &mut rule,
+        started,
+        cancel,
     };
+    let (merged, stopped) = run_epochs(engine, seed, plan, observers, Some(checkpoints));
     let epochs = rule.checks() as usize;
     let report = AdaptiveReport {
         worlds_used: plan.worlds_through(epochs),
         epochs,
         half_width: rule.half_width(),
         tracked,
-        stopped,
+        stopped: stopped.expect("an adaptive run stops at a checkpoint"),
     };
     (merged, report)
-}
-
-/// Feeds one sampled world to every observer.
-fn observe_all(observers: &mut [Box<dyn DynObserver>], world: &WorldScratch) {
-    for observer in observers.iter_mut() {
-        observer.observe_dyn(world);
-    }
 }
 
 impl std::fmt::Debug for QueryBatch<'_> {
@@ -1102,7 +1038,7 @@ impl std::fmt::Debug for QueryBatch<'_> {
 pub struct BatchResults {
     id: u64,
     num_worlds: usize,
-    slots: Vec<Option<Box<dyn DynObserver>>>,
+    slots: Vec<Option<BoxedObserver>>,
     adaptive: Option<AdaptiveReport>,
 }
 
@@ -1136,12 +1072,10 @@ impl BatchResults {
         &mut self,
         handle: ObserverHandle<O>,
     ) -> Result<O::Output, BatchError> {
-        let observer = self.take_slot(handle.batch, handle.index)?;
-        let observer = observer
-            .into_any()
-            .downcast::<O>()
-            .expect("observer handle type mismatch");
-        Ok(observer.finalize(self.num_worlds))
+        let output = self.try_take_boxed(handle.handle)?;
+        Ok(*output
+            .downcast::<O::Output>()
+            .expect("observer handle type mismatch"))
     }
 
     /// Finalises one type-erased observer to its boxed output, or a
@@ -1149,21 +1083,20 @@ impl BatchResults {
     /// already redeemed.  The caller downcasts the `Box<dyn Any + Send>`
     /// with its knowledge of the registered query.
     pub fn try_take_boxed(&mut self, handle: DynHandle) -> Result<Box<dyn Any + Send>, BatchError> {
-        let observer = self.take_slot(handle.batch, handle.index)?;
-        Ok(observer.finalize_dyn(self.num_worlds))
-    }
-
-    fn take_slot(&mut self, batch: u64, index: usize) -> Result<Box<dyn DynObserver>, BatchError> {
-        if batch != self.id {
+        if handle.batch != self.id {
             return Err(BatchError::WrongBatch {
                 results: self.id,
-                handle: batch,
+                handle: handle.batch,
             });
         }
-        self.slots
-            .get_mut(index)
+        let observer = self
+            .slots
+            .get_mut(handle.index)
             .and_then(Option::take)
-            .ok_or(BatchError::AlreadyTaken { index })
+            .ok_or(BatchError::AlreadyTaken {
+                index: handle.index,
+            })?;
+        Ok(observer.finalize(self.num_worlds))
     }
 }
 
@@ -1220,18 +1153,12 @@ impl WorldObserver for EdgeFrequencyObserver {
         self.last_fraction
     }
 
-    fn partial(&self) -> Option<&[f64]> {
-        Some(&self.counts)
+    fn partial(&self) -> &[f64] {
+        &self.counts
     }
 
-    fn partial_mut(&mut self) -> Option<&mut [f64]> {
-        Some(&mut self.counts)
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (t, o) in self.counts.iter_mut().zip(other.counts) {
-            *t += o;
-        }
+    fn partial_mut(&mut self) -> &mut [f64] {
+        &mut self.counts
     }
 
     fn finalize(self, num_worlds: usize) -> Vec<f64> {

@@ -85,7 +85,10 @@ impl WorldObserver for ConnectivityObserver {
         self.totals[0] += count as f64;
         self.totals[1] += largest as f64;
         self.totals[2] += f64::from(count == 1);
-        self.totals[3] += isolated as f64 / self.n as f64;
+        // A graph with no vertices has no isolated fraction to add (0 / 0).
+        if self.n > 0 {
+            self.totals[3] += isolated as f64 / self.n as f64;
+        }
         self.last_connected = f64::from(count == 1);
     }
 
@@ -100,18 +103,12 @@ impl WorldObserver for ConnectivityObserver {
         self.last_connected
     }
 
-    fn partial(&self) -> Option<&[f64]> {
-        Some(&self.totals)
+    fn partial(&self) -> &[f64] {
+        &self.totals
     }
 
-    fn partial_mut(&mut self) -> Option<&mut [f64]> {
-        Some(&mut self.totals)
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (t, o) in self.totals.iter_mut().zip(other.totals) {
-            *t += o;
-        }
+    fn partial_mut(&mut self) -> &mut [f64] {
+        &mut self.totals
     }
 
     fn finalize(self, num_worlds: usize) -> ConnectivityEstimate {
@@ -165,18 +162,12 @@ impl WorldObserver for DegreeHistogramObserver {
         }
     }
 
-    fn partial(&self) -> Option<&[f64]> {
-        Some(&self.totals)
+    fn partial(&self) -> &[f64] {
+        &self.totals
     }
 
-    fn partial_mut(&mut self) -> Option<&mut [f64]> {
-        Some(&mut self.totals)
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (t, o) in self.totals.iter_mut().zip(other.totals) {
-            *t += o;
-        }
+    fn partial_mut(&mut self) -> &mut [f64] {
+        &mut self.totals
     }
 
     fn finalize(self, num_worlds: usize) -> Vec<f64> {
@@ -309,5 +300,15 @@ mod tests {
         let estimate = connectivity_query(&g, &MonteCarlo::worlds(0), &mut rng);
         assert_eq!(estimate.probability_connected, 0.0);
         assert!(expected_degree_histogram(&g, &MonteCarlo::worlds(0), &mut rng).is_empty());
+        // A graph with no vertices, through the batch (no early return):
+        // every world is empty and no fraction is 0 / 0.
+        let empty = UncertainGraph::from_edges(0, []).unwrap();
+        for threads in [1, 2] {
+            let mut batch = QueryBatch::new(&empty, &MonteCarlo::worlds(10).with_threads(threads));
+            let handle = batch.register(ConnectivityObserver::new(&empty));
+            let estimate = batch.run(&mut rng).take(handle);
+            assert_eq!(estimate.expected_isolated_fraction, 0.0);
+            assert_eq!(estimate.expected_components, 0.0);
+        }
     }
 }

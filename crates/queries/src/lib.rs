@@ -100,7 +100,7 @@ pub use prelude::*;
 pub mod prelude {
     pub use crate::batch::{
         AdaptiveReport, BatchError, BatchResults, BlockPlan, BlockWatch, BoxedObserver, DynHandle,
-        DynObserver, EdgeFrequencyObserver, ObserverHandle, QueryBatch, SlotRun, WorldObserver,
+        EdgeFrequencyObserver, ObserverHandle, QueryBatch, SlotRun, WorldObserver,
     };
     pub use crate::components::{
         connectivity_query, expected_degree_histogram, ConnectivityEstimate, ConnectivityObserver,

@@ -57,18 +57,12 @@ impl WorldObserver for PageRankObserver {
         add_scores(&mut self.totals, pr);
     }
 
-    fn partial(&self) -> Option<&[f64]> {
-        Some(&self.totals)
+    fn partial(&self) -> &[f64] {
+        &self.totals
     }
 
-    fn partial_mut(&mut self) -> Option<&mut [f64]> {
-        Some(&mut self.totals)
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (t, o) in self.totals.iter_mut().zip(other.totals) {
-            *t += o;
-        }
+    fn partial_mut(&mut self) -> &mut [f64] {
+        &mut self.totals
     }
 
     fn finalize(self, num_worlds: usize) -> Vec<f64> {
@@ -120,18 +114,12 @@ impl WorldObserver for ClusteringObserver {
         self.record_coefficients(&cc);
     }
 
-    fn partial(&self) -> Option<&[f64]> {
-        Some(&self.totals)
+    fn partial(&self) -> &[f64] {
+        &self.totals
     }
 
-    fn partial_mut(&mut self) -> Option<&mut [f64]> {
-        Some(&mut self.totals)
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (t, o) in self.totals.iter_mut().zip(other.totals) {
-            *t += o;
-        }
+    fn partial_mut(&mut self) -> &mut [f64] {
+        &mut self.totals
     }
 
     fn finalize(self, num_worlds: usize) -> Vec<f64> {

@@ -2,11 +2,11 @@
 //!
 //! The tentpole invariant: the number of worlds an adaptive run consumes is
 //! a deterministic function of `(seed, ε, δ, epoch size)` — **independent of
-//! the thread count** — because workers sample fixed world-blocks and the
-//! epoch barrier replays the raw per-world statistics into the pooled
-//! accumulators in world order.  Count-valued observer state is then
-//! bit-identical across thread counts too, exactly like the fixed-budget
-//! driver.
+//! the thread count** — because workers sample fixed world-blocks and, at
+//! every epoch checkpoint, the leading slot replays the raw per-world
+//! statistics into the pooled accumulators in world order.  Count-valued
+//! observer state is then bit-identical across thread counts too, exactly
+//! like the fixed-budget driver.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -215,7 +215,7 @@ fn adaptive_runs_share_the_fixed_driver_world_stream() {
 
 #[test]
 fn a_raised_cancel_flag_aborts_at_the_first_epoch_checkpoint() {
-    // Cooperative cancellation: the flag is consulted at epoch barriers
+    // Cooperative cancellation: the flag is consulted at epoch checkpoints
     // only (after convergence, budget and deadline), so a pre-raised flag
     // still pays exactly one epoch — deterministically, on every thread
     // count — and the observers reflect that epoch's worlds.

@@ -938,7 +938,7 @@ fn submit(
 
 /// Starts a world-block job: admission as for `submit`, then the job's own
 /// bounds — at most `max_plan_threads` block registries, every query valid
-/// on this graph and exportable as a partial — then the executor queue.
+/// on this graph — then the executor queue.
 fn world_block(
     request: BlockRequest,
     shared: &Arc<Shared>,
@@ -964,16 +964,7 @@ fn world_block(
     let mut observers = Vec::with_capacity(request.queries.len());
     for (index, spec) in request.queries.iter().enumerate() {
         match spec.make_observer(&shared.graph) {
-            Ok(observer) if observer.partial().is_some() => observers.push(observer),
-            Ok(_) => {
-                return error_line(
-                    ErrorCode::Plan,
-                    &format!(
-                        "queries[{index}] ({}) has no world-block partial",
-                        spec.kind()
-                    ),
-                )
-            }
+            Ok(observer) => observers.push(observer),
             Err(error) => {
                 return error_line(ErrorCode::Plan, &format!("queries[{index}]: {error}"))
             }

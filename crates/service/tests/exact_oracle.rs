@@ -1,11 +1,14 @@
-//! Ground truth for the count and distance queries: on graphs of at most 12
-//! edges, [`enumerate_worlds`] walks all `2^|E|` weighted worlds and gives
-//! the exact expectation of every count answer a plan reports — edge
+//! Ground truth for every query kind: on graphs of at most 12 edges,
+//! [`enumerate_worlds`] walks all `2^|E|` weighted worlds and gives the
+//! exact expectation of every count answer a plan reports — edge
 //! frequencies, the degree histogram, every [`ConnectivityEstimate`] field
-//! and the pair reliabilities (the paper's `RL` query) — and of the hop
-//! distances behind the pair (`SP`) and k-NN answers.  Distances come from
-//! a BFS over each world's present edges written here, not from the
-//! kernels under test.
+//! and the pair reliabilities (the paper's `RL` query) — of the hop
+//! distances behind the pair (`SP`) and k-NN answers, and of every
+//! vertex's PageRank (`PR`) and local clustering coefficient (`CC`).  The
+//! per-world truth is computed here, not by the kernels under test:
+//! distances by a BFS over the world's present edges, PageRank as the
+//! exact fixed point of a dense linear solve, clustering from triangle
+//! counts.
 //!
 //! A k-NN query with `k = |V| − 1` cannot cut any reached vertex, so its
 //! answer carries every vertex's reachability and, through
@@ -13,6 +16,12 @@
 //! `E[d · 1{reachable}]`; a pair's `mean_distance × reliability` is the same
 //! mass for that pair.  A vertex missing from the answer, or a pair never
 //! connected, reads as 0.
+//!
+//! PageRank's truth is the fixed point of the kernel's own definition —
+//! teleport `(1 − d)/n`, the dangling (degree-0) vertices' mass spread
+//! uniformly, and one share `d · r(u)/deg(u)` per arc `u → v` — solved
+//! exactly rather than iterated, so the kernel's stopping error counts
+//! against it.
 //!
 //! Each per-world value lies in a known range `[lo, hi]`, so by Hoeffding's
 //! inequality a mean over `N` independent worlds misses its expectation by
@@ -24,6 +33,7 @@
 use uncertain_graph::worlds::enumerate_worlds;
 use uncertain_graph::UncertainGraph;
 
+use graph_algos::pagerank::PageRankConfig;
 use ugs_queries::knn::Neighbor;
 use ugs_queries::{ConnectivityEstimate, PairQueryResult, SampleMethod};
 use ugs_service::{QueryPlan, QueryResult, QuerySpec};
@@ -53,6 +63,10 @@ struct Exact {
     reachability: Vec<f64>,
     /// `E[d(source, v) · 1{source ~ v}]` per vertex.
     distance_mass: Vec<f64>,
+    /// Expected PageRank per vertex, at the default damping.
+    pagerank: Vec<f64>,
+    /// Expected local clustering coefficient per vertex.
+    clustering: Vec<f64>,
 }
 
 /// Hop distances from `source` over an adjacency list, `None` where
@@ -73,6 +87,69 @@ fn hops(adjacency: &[Vec<usize>], source: usize) -> Vec<Option<usize>> {
     distance
 }
 
+/// The exact PageRank of one world: the solution of
+/// `r(v) = (1 − d)/n + d · Σ_{deg u = 0} r(u)/n + d · Σ_{u → v} r(u)/deg(u)`
+/// by Gaussian elimination with partial pivoting on the dense `n × n`
+/// system `(I − d·M) r = (1 − d)/n`.
+fn exact_pagerank(adjacency: &[Vec<usize>], damping: f64) -> Vec<f64> {
+    let n = adjacency.len();
+    let mut a: Vec<Vec<f64>> = (0..n)
+        .map(|v| (0..n).map(|u| f64::from(u8::from(u == v))).collect())
+        .collect();
+    for (u, neighbours) in adjacency.iter().enumerate() {
+        if neighbours.is_empty() {
+            for row in &mut a {
+                row[u] -= damping / n as f64;
+            }
+        }
+        for &v in neighbours {
+            a[v][u] -= damping / neighbours.len() as f64;
+        }
+    }
+    let mut b = vec![(1.0 - damping) / n as f64; n];
+    for col in 0..n {
+        let pivot = (col..n)
+            .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
+            .expect("a non-empty column");
+        a.swap(col, pivot);
+        b.swap(col, pivot);
+        let pivot_row = a[col].clone();
+        for row in col + 1..n {
+            let factor = a[row][col] / pivot_row[col];
+            for (x, p) in a[row].iter_mut().zip(&pivot_row).skip(col) {
+                *x -= factor * p;
+            }
+            b[row] -= factor * b[col];
+        }
+    }
+    let mut rank = vec![0.0; n];
+    for row in (0..n).rev() {
+        let known: f64 = (row + 1..n).map(|k| a[row][k] * rank[k]).sum();
+        rank[row] = (b[row] - known) / a[row][row];
+    }
+    rank
+}
+
+/// The local clustering coefficient of every vertex of one world: the
+/// share of its neighbour pairs that are adjacent themselves (each such
+/// pair closes one triangle), 0 below degree 2.
+fn exact_clustering(adjacency: &[Vec<usize>]) -> Vec<f64> {
+    adjacency
+        .iter()
+        .map(|neighbours| {
+            let k = neighbours.len();
+            if k < 2 {
+                return 0.0;
+            }
+            let triangles = (0..k)
+                .flat_map(|i| (i + 1..k).map(move |j| (neighbours[i], neighbours[j])))
+                .filter(|&(v, w)| adjacency[v].contains(&w))
+                .count();
+            triangles as f64 / (k * (k - 1) / 2) as f64
+        })
+        .collect()
+}
+
 fn exact(g: &UncertainGraph, pairs: &[(usize, usize)], source: usize) -> Exact {
     let n = g.num_vertices();
     let max_degree = (0..n).map(|u| g.degree(u)).max().unwrap_or(0);
@@ -87,7 +164,10 @@ fn exact(g: &UncertainGraph, pairs: &[(usize, usize)], source: usize) -> Exact {
         pair_distance_mass: vec![0.0; pairs.len()],
         reachability: vec![0.0; n],
         distance_mass: vec![0.0; n],
+        pagerank: vec![0.0; n],
+        clustering: vec![0.0; n],
     };
+    let damping = PageRankConfig::default().damping;
     let mut total = 0.0;
     enumerate_worlds(g, |world, pr| {
         total += pr;
@@ -133,6 +213,20 @@ fn exact(g: &UncertainGraph, pairs: &[(usize, usize)], source: usize) -> Exact {
                 _ => {}
             }
         }
+        for (mean, rank) in truth
+            .pagerank
+            .iter_mut()
+            .zip(exact_pagerank(&adjacency, damping))
+        {
+            *mean += pr * rank;
+        }
+        for (mean, cc) in truth
+            .clustering
+            .iter_mut()
+            .zip(exact_clustering(&adjacency))
+        {
+            *mean += pr * cc;
+        }
     })
     .expect("small enough to enumerate");
     assert!(
@@ -152,9 +246,9 @@ fn assert_within(estimate: f64, exact: f64, range: f64, what: &str) {
     );
 }
 
-/// Runs the four count queries and a k-NN query from `source` over every
-/// mode, thread count and seed and checks each answer against the
-/// enumerated truth.
+/// Runs the four count queries, a k-NN query from `source`, PageRank and
+/// clustering over every mode, thread count and seed and checks each
+/// answer against the enumerated truth.
 fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)], source: usize) {
     assert!(g.num_edges() <= 12, "{name}: the oracle graphs stay small");
     let truth = exact(g, pairs, source);
@@ -181,6 +275,8 @@ fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)], source: usize
                             source,
                             k: g.num_vertices() - 1,
                         },
+                        QuerySpec::pagerank(),
+                        QuerySpec::Clustering,
                     ],
                 };
                 let run = format!("{name} {mode:?} threads {threads} seed {seed}");
@@ -193,7 +289,7 @@ fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)], source: usize
                         answer.result
                     })
                     .collect();
-                let [QueryResult::EdgeFrequency(frequency), QueryResult::DegreeHistogram(histogram), QueryResult::Connectivity(connectivity), QueryResult::PairQueries(pair_answers), QueryResult::Knn(neighbors)] =
+                let [QueryResult::EdgeFrequency(frequency), QueryResult::DegreeHistogram(histogram), QueryResult::Connectivity(connectivity), QueryResult::PairQueries(pair_answers), QueryResult::Knn(neighbors), QueryResult::PageRank(ranks), QueryResult::Clustering(clustering)] =
                     &answers[..]
                 else {
                     panic!("{run}: answers out of plan order");
@@ -203,6 +299,8 @@ fn check(name: &str, g: &UncertainGraph, pairs: &[(usize, usize)], source: usize
                 check_connectivity(connectivity, &truth, n, &run);
                 check_pairs(pair_answers, &truth, n, &run);
                 check_knn(neighbors, &truth, source, n, &run);
+                check_per_vertex(ranks, &truth.pagerank, "PageRank", &run);
+                check_per_vertex(clustering, &truth.clustering, "clustering", &run);
             }
         }
     }
@@ -303,6 +401,15 @@ fn check_knn(neighbors: &[Neighbor], truth: &Exact, source: usize, n: f64, run: 
             n - 1.0,
             &format!("{run}: distance mass of {v} from {source}"),
         );
+    }
+}
+
+/// Checks a per-vertex answer with values in `[0, 1]` (PageRank,
+/// clustering) against its truth.
+fn check_per_vertex(estimate: &[f64], truth: &[f64], what: &str, run: &str) {
+    assert_eq!(estimate.len(), truth.len(), "{run}: {what}");
+    for (v, (&estimate, &exact)) in estimate.iter().zip(truth).enumerate() {
+        assert_within(estimate, exact, 1.0, &format!("{run}: {what} of {v}"));
     }
 }
 
