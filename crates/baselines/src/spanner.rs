@@ -170,15 +170,16 @@ fn baswana_sen_spanner<R: Rng + ?Sized>(
 
     // ---------------- Phase 1: t − 1 clustering iterations ----------------
     for _ in 1..t {
-        // Sample the surviving clusters.
-        let cluster_ids: std::collections::HashSet<usize> =
-            cluster.iter().flatten().copied().collect();
+        // Sample the surviving clusters, one draw each in ascending id order
+        // (a hash set's iteration order changes from call to call).
+        let mut cluster_ids: Vec<usize> = cluster.iter().flatten().copied().collect();
         if cluster_ids.is_empty() {
             break;
         }
+        cluster_ids.sort_unstable();
+        cluster_ids.dedup();
         let sampled: std::collections::HashSet<usize> = cluster_ids
-            .iter()
-            .copied()
+            .into_iter()
             .filter(|_| rng.gen::<f64>() < sample_probability)
             .collect();
 
@@ -352,6 +353,23 @@ mod tests {
                 let original = g.edge_probability(g.find_edge(e.u, e.v).unwrap());
                 assert!((e.p - original).abs() < 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn a_fixed_seed_gives_the_same_spanner_on_every_call() {
+        let g = random_graph(6, 60, 400);
+        let run = || {
+            let mut rng = SmallRng::seed_from_u64(5);
+            let out = SpannerSparsifier::new(0.3).sparsify(&g, &mut rng).unwrap();
+            out.graph
+                .edges()
+                .map(|e| (e.u, e.v, e.p.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let first = run();
+        for call in 1..5 {
+            assert_eq!(run(), first, "call {call}");
         }
     }
 

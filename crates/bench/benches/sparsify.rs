@@ -1,8 +1,9 @@
-//! Sparsifier engine benchmark: reference (full-sweep) vs indexed
-//! (worklist/heap) `GDB` and `EMD` across the paper's sparsification ratios
-//! α ∈ {0.3, 0.5, 0.7} on synthetic power-law and forest-fire-sampled
-//! topologies, plus the acceptance row — `EMD` at α = 0.5 on a 60k-vertex
-//! power-law graph, where the indexed engine must be ≥ 2× the reference.
+//! Sparsifier engine benchmark: reference vs indexed (heap-driven) `EMD`
+//! across the paper's sparsification ratios α ∈ {0.3, 0.5, 0.7} on
+//! synthetic power-law and forest-fire-sampled topologies, plus the
+//! acceptance row — `EMD` at α = 0.5 on a 60k-vertex power-law graph, where
+//! the indexed engine must be ≥ 2× the reference.  `GDB` has one sweep loop,
+//! which both engines run, so it has no row here.
 //!
 //! Both engines are bit-identical (the warm-up runs re-verify it here, in
 //! release mode, at benchmark scale); the speedup comes from work the
@@ -58,13 +59,11 @@ fn forest_fire_graph() -> UncertainGraph {
     forest_fire_sample(&source, 3_000, 0.7, &mut rng).0
 }
 
-fn spec_for(method: Method, alpha: f64, engine: Engine) -> SparsifierSpec {
-    let base = match method {
-        Method::Gdb => SparsifierSpec::gdb(),
-        Method::Emd => SparsifierSpec::emd(),
-        Method::Lp => unreachable!("LP has no engine dimension"),
-    };
-    base.alpha(alpha).max_iterations(8).engine(engine)
+fn spec_for(alpha: f64, engine: Engine) -> SparsifierSpec {
+    SparsifierSpec::emd()
+        .alpha(alpha)
+        .max_iterations(8)
+        .engine(engine)
 }
 
 /// Runs `spec` once with a fixed seed and warm scratch, returning the output.
@@ -79,7 +78,6 @@ fn run_once(
 
 struct Measurement {
     graph: &'static str,
-    method: &'static str,
     alpha: f64,
     reference: Duration,
     indexed: Duration,
@@ -98,12 +96,10 @@ fn measure(
     scratch: &mut CoreScratch,
     graph_name: &'static str,
     g: &UncertainGraph,
-    method_name: &'static str,
-    method: Method,
     alpha: f64,
 ) {
-    let reference_spec = spec_for(method, alpha, Engine::Reference);
-    let indexed_spec = spec_for(method, alpha, Engine::Indexed);
+    let reference_spec = spec_for(alpha, Engine::Reference);
+    let indexed_spec = spec_for(alpha, Engine::Indexed);
 
     // Release-mode parity re-check at benchmark scale: the two engines must
     // produce bit-identical sparsified graphs.
@@ -111,11 +107,11 @@ fn measure(
     let b = run_once(&indexed_spec, g, scratch);
     assert_eq!(a.graph.num_edges(), b.graph.num_edges());
     for (ea, eb) in a.graph.edges().zip(b.graph.edges()) {
-        assert_eq!((ea.u, ea.v), (eb.u, eb.v), "{graph_name} {method_name}");
+        assert_eq!((ea.u, ea.v), (eb.u, eb.v), "{graph_name}");
         assert_eq!(
             ea.p.to_bits(),
             eb.p.to_bits(),
-            "{graph_name} {method_name} alpha={alpha}: engines diverged"
+            "{graph_name} alpha={alpha}: engines diverged"
         );
     }
 
@@ -123,13 +119,12 @@ fn measure(
     let indexed = fastest(RUNS, || run_once(&indexed_spec, g, scratch));
     let measurement = Measurement {
         graph: graph_name,
-        method: method_name,
         alpha,
         reference,
         indexed,
     };
     println!(
-        "{graph_name:<20} {method_name:<4} α={alpha:<4} reference {reference:>10.2?}  \
+        "{graph_name:<20} EMD  α={alpha:<4} reference {reference:>10.2?}  \
          indexed {indexed:>10.2?}  ({:.2}x)",
         measurement.speedup()
     );
@@ -147,18 +142,8 @@ fn main() {
         ("forest_fire_3k", forest_fire_graph()),
     ];
     for (graph_name, g) in &graphs {
-        for (method_name, method) in [("GDB", Method::Gdb), ("EMD", Method::Emd)] {
-            for alpha in [0.3, 0.5, 0.7] {
-                measure(
-                    &mut results,
-                    &mut scratch,
-                    graph_name,
-                    g,
-                    method_name,
-                    method,
-                    alpha,
-                );
-            }
+        for alpha in [0.3, 0.5, 0.7] {
+            measure(&mut results, &mut scratch, graph_name, g, alpha);
         }
     }
 
@@ -170,8 +155,6 @@ fn main() {
         &mut scratch,
         "powerlaw_uniform_60k",
         &big,
-        "EMD",
-        Method::Emd,
         0.5,
     );
 
@@ -191,7 +174,7 @@ fn main() {
         .map(|m| {
             ObjBuilder::new()
                 .field("graph", m.graph)
-                .field("method", m.method)
+                .field("method", "EMD")
                 .field("alpha", m.alpha)
                 .field("reference_ns", m.reference.as_nanos() as f64)
                 .field("indexed_ns", m.indexed.as_nanos() as f64)
@@ -217,11 +200,11 @@ fn main() {
             .field("runs", RUNS)
             .field(
                 "notes",
-                "reference = paper-faithful full sweeps + per-iteration heap rebuild + \
-                 O(alpha*E) scan per backbone swap; indexed = worklist GDB (clamp sign-guard + \
-                 version stamps, adaptively probed), O(1) swap position map, cache-aware 8-ary \
-                 vertex heap with in-place Floyd rebuilds, log-free E-phase candidate \
-                 evaluation, CoreScratch reuse. Outputs verified bit-identical before timing; \
+                "EMD only: GDB has one sweep loop, which both engines run (also as EMD's \
+                 M-phase). reference = per-iteration heap rebuild + O(alpha*E) scan per \
+                 backbone swap; indexed = O(1) swap position map, cache-aware 8-ary vertex \
+                 heap with in-place Floyd rebuilds, log-free E-phase candidate evaluation, \
+                 CoreScratch reuse. Outputs verified bit-identical before timing; \
                  each time is the fastest of `runs` runs. The reference swap scan is quadratic \
                  overall, so the gap widens with graph size; in the low-probability crawling \
                  regime (FlickrLike) the engines are closer. Acceptance: indexed EMD >= 2x \

@@ -209,7 +209,6 @@ fn gdb_steady_state_sweeps_are_zero_allocation() {
     let config_with = |max_iterations: usize| GdbConfig {
         tolerance: 0.0,
         max_iterations,
-        engine: Engine::Indexed,
         ..Default::default()
     };
     let (short_cap, long_cap) = (2usize, 22usize);

@@ -192,9 +192,10 @@ const COMMANDS: &[CommandHelp] = &[
                [--h H] [--k K] [--seed N] [--output FILE]
                [--engine reference|indexed] [--time]
                Sparsify the graph to A·|E| edges and report diagnostics.
-               --engine selects the optimisation implementation for gdb/emd
-               (worklist-indexed by default; both are bit-identical) and
-               --time appends a JSON field with per-phase wall-clock times.",
+               --engine selects the emd implementation (heap-indexed by
+               default; both are bit-identical; gdb has one sweep loop and
+               only echoes the flag) and --time appends a JSON field with
+               per-phase wall-clock times.",
     },
     CommandHelp {
         name: "query",
@@ -493,8 +494,8 @@ pub fn sparsify(args: &ParsedArgs) -> Result<String, CliError> {
     let sparsifier = build_sparsifier(args, alpha, engine)?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let output = sparsifier.sparsify_dyn(&graph, &mut rng)?;
-    // The engine line is only meaningful for the spec-based methods; the
-    // NI/SS/LP paths have no reference/indexed dimension.
+    // The engine line is printed for the spec-based methods (only EMD's
+    // bookkeeping depends on it); the NI/SS/LP paths have no engine.
     let engine_line = match args.option_or("method", "gdb").as_str() {
         "gdb" | "emd" => format!("engine          : {}\n", engine.name()),
         _ => String::new(),

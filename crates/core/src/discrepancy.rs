@@ -8,10 +8,10 @@
 //! degree, so minimising `Δ1` preserves expected degrees.
 //!
 //! [`DegreeTracker`] maintains, for a candidate sparsified assignment, the
-//! per-vertex absolute discrepancies `δA(u)` and the objective
-//! `D1 = Σ_u δ(u)²` (with `δ` either absolute or relative), updating both in
-//! `O(1)` per edge-probability change.  This is the inner loop of both
-//! proposed sparsifiers.
+//! per-vertex absolute discrepancies `δA(u)`, updating them in `O(1)` per
+//! edge-probability change, and evaluates the objective `D1 = Σ_u δ(u)²`
+//! (with `δ` either absolute or relative) from them in `O(|V|)`.  This is the
+//! inner loop of both proposed sparsifiers.
 
 use uncertain_graph::{UncertainGraph, VertexId};
 
@@ -48,13 +48,6 @@ impl DiscrepancyKind {
 /// `δA(u) = d_G(u)` for every vertex, and is updated through
 /// [`DegreeTracker::apply_edge_change`] as edges are added, removed or have
 /// their probability tuned.
-///
-/// Besides the discrepancies themselves the tracker maintains *change
-/// versions*: a per-vertex counter bumped whenever `δ(u)` moves and a global
-/// counter bumped on every effective change.  These are the seed of the
-/// worklist-driven `GDB` engine (see `ugs_core::scratch`): an edge whose last
-/// re-solve was a no-op needs no revisit while its endpoint versions (and,
-/// for the global cut rules, the global version) are unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct DegreeTracker {
     /// Expected degrees in the original graph (`d` in the paper).
@@ -62,10 +55,6 @@ pub struct DegreeTracker {
     /// Current absolute discrepancies `δA(u) = d_G(u) − d_G'(u)`.
     delta: Vec<f64>,
     kind: DiscrepancyKind,
-    /// Bumped whenever `delta[u]` changes (the worklist invalidation hook).
-    vertex_version: Vec<u64>,
-    /// Bumped on every effective [`DegreeTracker::apply_edge_change`].
-    change_version: u64,
 }
 
 impl DegreeTracker {
@@ -91,9 +80,6 @@ impl DegreeTracker {
         self.delta.clear();
         self.delta.extend_from_slice(&self.original);
         self.kind = kind;
-        self.vertex_version.clear();
-        self.vertex_version.resize(n, 0);
-        self.change_version = 0;
     }
 
     /// The discrepancy kind this tracker scores.
@@ -143,39 +129,15 @@ impl DegreeTracker {
 
     /// Records that the probability of an edge `(u, v)` changed from
     /// `old_p` to `new_p` in the candidate assignment (use `old_p = 0` for a
-    /// newly added edge and `new_p = 0` for a removed edge).
-    ///
-    /// An effective change (`old_p ≠ new_p`) bumps the change versions of
-    /// both endpoints and the global change version; a zero shift leaves the
-    /// discrepancies and versions untouched.
+    /// newly added edge and `new_p = 0` for a removed edge).  A zero shift
+    /// leaves the discrepancies untouched.
     #[inline]
     pub fn apply_edge_change(&mut self, u: VertexId, v: VertexId, old_p: f64, new_p: f64) {
         let shift = old_p - new_p;
         if shift != 0.0 {
             self.delta[u] += shift;
             self.delta[v] += shift;
-            self.vertex_version[u] += 1;
-            self.vertex_version[v] += 1;
-            self.change_version += 1;
         }
-    }
-
-    /// Change version of vertex `u`: bumped every time `δ(u)` moves.
-    ///
-    /// The worklist `GDB` engine stamps each backbone edge with the versions
-    /// of its endpoints after re-solving it; the edge needs no further visits
-    /// while the stamps are current and the last re-solve was a no-op.
-    #[inline]
-    pub fn vertex_version(&self, u: VertexId) -> u64 {
-        self.vertex_version[u]
-    }
-
-    /// Global change version: bumped on every effective edge change.  The
-    /// `Cuts(k)`/`AllCuts` update rules read the *total* deficit, so their
-    /// worklist stamps must also track this global counter.
-    #[inline]
-    pub fn change_version(&self) -> u64 {
-        self.change_version
     }
 
     /// The objective `D1 = Σ_u δ(u)²` (Section 4.2), using the tracker's
@@ -346,29 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn change_versions_track_effective_changes_only() {
-        let g = toy();
-        let mut t = DegreeTracker::new(&g, DiscrepancyKind::Absolute);
-        assert_eq!(t.vertex_version(0), 0);
-        assert_eq!(t.change_version(), 0);
-        // A zero shift moves nothing.
-        t.apply_edge_change(0, 1, 0.4, 0.4);
-        assert_eq!(t.vertex_version(0), 0);
-        assert_eq!(t.vertex_version(1), 0);
-        assert_eq!(t.change_version(), 0);
-        // An effective change bumps both endpoints and the global counter.
-        t.apply_edge_change(0, 1, 0.0, 0.4);
-        assert_eq!(t.vertex_version(0), 1);
-        assert_eq!(t.vertex_version(1), 1);
-        assert_eq!(t.vertex_version(2), 0);
-        assert_eq!(t.change_version(), 1);
-        t.apply_edge_change(1, 2, 0.4, 0.1);
-        assert_eq!(t.vertex_version(1), 2);
-        assert_eq!(t.vertex_version(2), 1);
-        assert_eq!(t.change_version(), 2);
-    }
-
-    #[test]
     fn reset_matches_fresh_tracker_bit_for_bit() {
         let g = toy();
         let fresh = DegreeTracker::new(&g, DiscrepancyKind::Relative);
@@ -376,14 +315,12 @@ mod tests {
         reused.apply_edge_change(0, 1, 0.0, 0.9);
         reused.reset(&g, DiscrepancyKind::Relative);
         assert_eq!(reused.kind(), DiscrepancyKind::Relative);
-        assert_eq!(reused.change_version(), 0);
         for u in g.vertices() {
             assert_eq!(fresh.delta_abs(u).to_bits(), reused.delta_abs(u).to_bits());
             assert_eq!(
                 fresh.original_degree(u).to_bits(),
                 reused.original_degree(u).to_bits()
             );
-            assert_eq!(reused.vertex_version(u), 0);
         }
         assert_eq!(fresh.objective().to_bits(), reused.objective().to_bits());
     }

@@ -20,11 +20,11 @@
 //! bit-identical to each other (see [`crate::scratch`] for the argument and
 //! the `sparsify_parity` suite for the proof-by-test): the paper-faithful
 //! [`Engine::Reference`] loop pushes the vertex heap together from scratch
-//! every iteration, scans the backbone linearly on every swap and runs
-//! full-sweep `GDB` M-phases, while [`Engine::Indexed`] re-heapifies a
-//! cache-aware 8-ary heap in place, maintains an O(1) edge → slot map,
-//! evaluates E-phase candidates without a single `log2`, reuses every
-//! buffer via [`CoreScratch`] and runs worklist M-phases.
+//! every iteration and scans the backbone linearly on every swap, while
+//! [`Engine::Indexed`] re-heapifies a cache-aware 8-ary heap in place,
+//! maintains an O(1) edge → slot map, evaluates E-phase candidates without a
+//! single `log2` and reuses every buffer via [`CoreScratch`].  Both run
+//! their M-phases through `GDB`'s one sweep loop.
 
 use uncertain_graph::{EdgeId, UncertainGraph, VertexId};
 
@@ -51,8 +51,9 @@ pub struct EmdConfig {
     pub max_iterations: usize,
     /// Which implementation to run; both are bit-identical.
     pub engine: Engine,
-    /// Configuration of the embedded `GDB` M-phase (its `discrepancy`,
-    /// `entropy_h` and `engine` fields are overridden by the ones above).
+    /// Configuration of the embedded `GDB` M-phase.  Only its `tolerance`
+    /// and `max_iterations` are read: `discrepancy` and `entropy_h` come from
+    /// the fields above, and the M-phase always runs the degree rule.
     pub gdb: GdbConfig,
 }
 
@@ -97,7 +98,6 @@ impl EmdConfig {
             discrepancy: self.discrepancy,
             entropy_h: self.entropy_h,
             cut_rule: CutRule::Degree,
-            engine: self.engine,
             ..self.gdb
         }
     }
@@ -131,7 +131,9 @@ impl EmdResult {
 /// use [`expectation_maximization_sparsify_with`] to amortise it.
 ///
 /// The number of kept edges always equals the backbone size: every E-phase
-/// swap removes one edge and inserts exactly one.
+/// swap removes one edge and inserts exactly one.  The backbone edge ids must
+/// be distinct and valid for `g`; an empty backbone, an id out of range or a
+/// repeated id is refused with an error.
 pub fn expectation_maximization_sparsify(
     g: &UncertainGraph,
     backbone: &[EdgeId],
@@ -157,7 +159,10 @@ pub fn expectation_maximization_sparsify_with(
     // otherwise only hit the check inside its first M-phase, and the indexed
     // engine not at all).
     config.mphase_gdb().validate()?;
-    validate_backbone(g, backbone)?;
+    // The indexed engine resets these membership flags before reading them
+    // (the reference keeps its own state), so they double as the validation
+    // buffer.
+    validate_backbone(g, backbone, &mut scratch.emd.state.in_set)?;
     match config.engine {
         Engine::Reference => emd_reference(g, backbone, config),
         Engine::Indexed => Ok(emd_indexed(g, backbone, config, scratch)),
@@ -261,10 +266,9 @@ fn emd_reference(
 /// * The E-phase snapshot and the backbone bookkeeping reuse scratch
 ///   buffers; swap positions come from an O(1) edge → slot map instead of a
 ///   linear scan per swap.
-/// * The M-phase runs the worklist `GDB` sweeps (clamp sign-guard + version
-///   stamps) in the reusable M-phase workspace and applies the tuned
-///   probabilities directly, without materialising an intermediate
-///   `GdbResult`.
+/// * The M-phase runs the `GDB` sweeps in the reusable M-phase workspace and
+///   applies the tuned probabilities directly, without materialising an
+///   intermediate `GdbResult`.
 fn emd_indexed(
     g: &UncertainGraph,
     backbone: &[EdgeId],

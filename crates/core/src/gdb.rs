@@ -16,27 +16,26 @@ use crate::error::SparsifyError;
 use crate::kcut::CutRuleCoefficients;
 use crate::scratch::{CoreScratch, GdbScratch};
 
-/// Which implementation of the optimisation hot loops to run.
+/// Which implementation of `EMD`'s hot loops to run.
 ///
 /// Both engines produce **bit-identical** results (proven by the
-/// `sparsify_parity` suite); they differ only in how much work they skip:
+/// `sparsify_parity` suite).  `GDB` has one sweep loop, which both run (on
+/// its own and as `EMD`'s M-phase); the engines differ only in how `EMD`
+/// keeps its books:
 ///
-/// * [`Engine::Reference`] is the paper-faithful formulation — every sweep of
-///   `GDB` re-solves every backbone edge, every `EMD` E-phase rebuilds the
-///   vertex heap and re-snapshots the backbone.  Retained as the parity
-///   oracle and for `--engine reference` experiments.
-/// * [`Engine::Indexed`] is the worklist/heap-indexed engine of
-///   [`crate::scratch`]: `GDB` sweeps skip provably-no-op re-solves (clamp
-///   sign-guard + change-version stamps, adaptively probed so the tests
-///   never cost more than a few percent), `EMD` swaps backbone slots through
-///   an O(1) position map, drives its vertex heap as a cache-aware 8-ary
-///   structure with in-place Floyd rebuilds, evaluates E-phase candidates
-///   log-free, and every buffer lives in a reusable [`CoreScratch`].
+/// * [`Engine::Reference`] is the paper-faithful formulation — every `EMD`
+///   E-phase pushes the vertex heap together afresh and scans the backbone
+///   linearly for each swap.  Retained as the parity oracle and for
+///   `--engine reference` experiments.
+/// * [`Engine::Indexed`] swaps backbone slots through an O(1) position map,
+///   drives its vertex heap as a cache-aware 8-ary structure with in-place
+///   Floyd rebuilds, evaluates E-phase candidates log-free, and keeps every
+///   buffer in a reusable [`CoreScratch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Full-sweep reference implementation (the bit-parity oracle).
+    /// Paper-faithful reference `EMD` (the bit-parity oracle).
     Reference,
-    /// Worklist-driven incremental engine (bit-identical, faster).
+    /// Heap-indexed `EMD` with O(1) swap bookkeeping (bit-identical, faster).
     #[default]
     Indexed,
 }
@@ -92,8 +91,6 @@ pub struct GdbConfig {
     pub tolerance: f64,
     /// Hard cap on the number of sweeps.
     pub max_iterations: usize,
-    /// Which implementation to run; both are bit-identical.
-    pub engine: Engine,
 }
 
 impl Default for GdbConfig {
@@ -104,7 +101,6 @@ impl Default for GdbConfig {
             entropy_h: 0.05,
             tolerance: 1e-9,
             max_iterations: 200,
-            engine: Engine::default(),
         }
     }
 }
@@ -230,19 +226,12 @@ impl AssignmentState {
 
     /// Changes the probability of a kept edge.
     pub(crate) fn set_probability(&mut self, g: &UncertainGraph, e: EdgeId, new_p: f64) {
-        let (u, v) = g.edge_endpoints(e);
-        self.set_probability_at(e, u, v, new_p);
-    }
-
-    /// [`AssignmentState::set_probability`] with the endpoints already looked
-    /// up (shared lookups in the indexed sweep; identical float effects).
-    #[inline]
-    pub(crate) fn set_probability_at(&mut self, e: EdgeId, u: usize, v: usize, new_p: f64) {
         debug_assert!(self.in_set[e], "edge {e} not in the sparsified set");
         let old = self.prob[e];
         if (old - new_p).abs() == 0.0 {
             return;
         }
+        let (u, v) = g.edge_endpoints(e);
         self.tracker.apply_edge_change(u, v, old, new_p);
         self.kept_deficit += old - new_p;
         self.prob[e] = new_p;
@@ -280,21 +269,6 @@ pub(crate) fn optimal_step(
     e: EdgeId,
 ) -> f64 {
     let (u, v) = g.edge_endpoints(e);
-    optimal_step_at(g, state, coefficients, cut_rule, e, u, v)
-}
-
-/// [`optimal_step`] with the endpoints already looked up (the indexed sweep
-/// loads them once per visit; passing integers cannot change any float op).
-#[inline]
-pub(crate) fn optimal_step_at(
-    g: &UncertainGraph,
-    state: &AssignmentState,
-    coefficients: Option<&CutRuleCoefficients>,
-    cut_rule: CutRule,
-    e: EdgeId,
-    u: usize,
-    v: usize,
-) -> f64 {
     match cut_rule {
         CutRule::Degree => {
             let pi_u = state.tracker.pi(u);
@@ -343,25 +317,8 @@ pub(crate) fn damped_update(
     entropy_h: f64,
     e: EdgeId,
 ) -> f64 {
-    let (u, v) = g.edge_endpoints(e);
-    damped_update_at(g, state, coefficients, cut_rule, entropy_h, e, u, v)
-}
-
-/// [`damped_update`] with the endpoints already looked up.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn damped_update_at(
-    g: &UncertainGraph,
-    state: &AssignmentState,
-    coefficients: Option<&CutRuleCoefficients>,
-    cut_rule: CutRule,
-    entropy_h: f64,
-    e: EdgeId,
-    u: usize,
-    v: usize,
-) -> f64 {
     let old = state.prob[e];
-    let step = optimal_step_at(g, state, coefficients, cut_rule, e, u, v);
+    let step = optimal_step(g, state, coefficients, cut_rule, e);
     let candidate = old + step;
     if candidate < 0.0 {
         0.0
@@ -420,14 +377,20 @@ pub(crate) fn damped_update_from_zero(
     }
 }
 
-/// Validates the backbone edge ids against the graph.
+/// Validates the backbone edge ids against the graph: the backbone must be
+/// non-empty, and every id in range and listed once.  `seen` is a reusable
+/// buffer of per-edge flags (its contents are overwritten), so a warm caller
+/// validates without allocating.
 pub(crate) fn validate_backbone(
     g: &UncertainGraph,
     backbone: &[EdgeId],
+    seen: &mut Vec<bool>,
 ) -> Result<(), SparsifyError> {
     if backbone.is_empty() {
         return Err(SparsifyError::EmptyGraph);
     }
+    seen.clear();
+    seen.resize(g.num_edges(), false);
     for &e in backbone {
         if e >= g.num_edges() {
             return Err(SparsifyError::Graph(
@@ -436,6 +399,12 @@ pub(crate) fn validate_backbone(
                     num_edges: g.num_edges(),
                 },
             ));
+        }
+        if std::mem::replace(&mut seen[e], true) {
+            return Err(SparsifyError::InvalidParameter {
+                name: "backbone",
+                message: format!("edge {e} is listed more than once"),
+            });
         }
     }
     Ok(())
@@ -452,10 +421,11 @@ pub(crate) fn prepare_coefficients(
     }
 }
 
-/// The paper-faithful sweep loop: every sweep re-solves **every** backbone
-/// edge.  `trace` receives the objective before the first sweep and after
-/// each sweep; the return value is the number of sweeps executed.
-pub(crate) fn reference_sweeps(
+/// The `GDB` sweep loop (Algorithm 2): every sweep re-solves **every**
+/// backbone edge in backbone order.  `trace` receives the objective before
+/// the first sweep and after each sweep; the return value is the number of
+/// sweeps executed.
+pub(crate) fn sweeps(
     g: &UncertainGraph,
     state: &mut AssignmentState,
     backbone: &[EdgeId],
@@ -482,182 +452,12 @@ pub(crate) fn reference_sweeps(
     iterations
 }
 
-/// Per-backbone-edge worklist stamps of the indexed engine (see
-/// [`crate::scratch`] for the machinery overview).
-///
-/// A backbone slot is *clean* — provably a no-op to revisit — iff its last
-/// re-solve left the probability unchanged (its `noop` bit is set) **and**
-/// none of the inputs of [`damped_update`] moved since: the endpoint
-/// discrepancies (tracked by the per-vertex change versions) and, for the
-/// `Cuts`/`AllCuts` rules, the global deficit (tracked by the global change
-/// version).  `damped_update` is a pure function of those inputs, so
-/// revisiting a clean slot would recompute the same no-op the reference
-/// sweep performs — which is exactly why skipping it is bit-identical.
-///
-/// The hot `noop` bits live in their own dense array (one byte per slot, so
-/// a sweep over a mostly-active backbone touches almost no extra memory);
-/// the version triples are only read or written for slots whose last visit
-/// was a no-op.
-#[derive(Debug, Default)]
-pub(crate) struct WorklistStamps {
-    /// Whether each slot's last visit changed nothing.  All `false`
-    /// initially, so the first sweep visits everything — just like the
-    /// reference.
-    noop: Vec<bool>,
-    /// `(endpoint u, endpoint v, global)` change versions recorded after
-    /// each slot's last no-op visit.
-    versions: Vec<(u64, u64, u64)>,
-}
-
-impl WorklistStamps {
-    /// Marks every slot dirty for a backbone of `len` slots.
-    fn reset(&mut self, len: usize) {
-        self.noop.clear();
-        self.noop.resize(len, false);
-        self.versions.clear();
-        self.versions.resize(len, (0, 0, 0));
-    }
-}
-
-/// The worklist sweep loop: bit-identical to [`reference_sweeps`] (same visit
-/// order for every edge that is revisited; skipped visits are provable
-/// no-ops), but each sweep only re-solves dirty slots.  Two complementary
-/// skip tests run before a re-solve:
-///
-/// * **Clamp sign-guard** (`Degree` rule only): an edge pinned at
-///   probability 1 whose endpoint discrepancies are both ≥ 0 re-solves to
-///   exactly 1 — the Equation-8 step is a quotient of products/sums of
-///   non-negative floats, which IEEE keeps sign-exact, so the candidate
-///   stays ≥ 1 and clamps back to 1 (and symmetrically at probability 0
-///   with non-positive discrepancies).  This is the workhorse in the
-///   saturating regimes the paper highlights (Section 6.3), where most kept
-///   edges are driven to 1 early and stay there while their neighbourhoods
-///   keep adjusting.
-/// * **Version stamps**: a slot whose last re-solve was a no-op needs no
-///   revisit while the endpoint change versions (and, for the global cut
-///   rules, the global version) recorded in its [`WorklistStamps`] are
-///   current — the update is a pure function of the stamped inputs.
-pub(crate) fn indexed_sweeps(
-    g: &UncertainGraph,
-    state: &mut AssignmentState,
-    backbone: &[EdgeId],
-    config: &GdbConfig,
-    coefficients: Option<&CutRuleCoefficients>,
-    stamps: &mut WorklistStamps,
-    trace: &mut Vec<f64>,
-) -> usize {
-    stamps.reset(backbone.len());
-    trace.clear();
-    trace.push(state.tracker.objective());
-    let degree_rule = matches!(config.cut_rule, CutRule::Degree);
-    // Adaptive probing: the skip tests cost a few nanoseconds per visit and
-    // the skippable solves are the *cheap* ones (a clamped edge's update
-    // early-returns before any `log2`), so guarded sweeps only pay off when
-    // nearly everything is skippable.  When a guarded probe sweep skips less
-    // than 90% of the backbone, the next `PLAIN_STREAK` sweeps run the
-    // unguarded body — float-for-float the reference loop — before probing
-    // again, capping the worst-case overhead at a couple of percent.  Stamps
-    // may go stale during plain sweeps; that is sound, because the version
-    // comparison against the monotone change counters still detects every
-    // interim change.
-    const PLAIN_STREAK: usize = 15;
-    let mut plain_remaining = 0usize;
-    let mut iterations = 0usize;
-    for _ in 0..config.max_iterations {
-        let before = state.tracker.objective();
-        if plain_remaining > 0 {
-            plain_remaining -= 1;
-            for &e in backbone {
-                let (u, v) = g.edge_endpoints(e);
-                let new_p = damped_update_at(
-                    g,
-                    state,
-                    coefficients,
-                    config.cut_rule,
-                    config.entropy_h,
-                    e,
-                    u,
-                    v,
-                );
-                state.set_probability_at(e, u, v, new_p);
-            }
-        } else {
-            let mut skipped = 0usize;
-            for (slot, &e) in backbone.iter().enumerate() {
-                let (u, v) = g.edge_endpoints(e);
-                if degree_rule {
-                    // Clamp sign-guard: provably a no-op, whatever the exact
-                    // discrepancy values (NaN-safe: comparisons are false).
-                    let p = state.prob[e];
-                    if p == 1.0 {
-                        if state.tracker.delta_abs(u) >= 0.0 && state.tracker.delta_abs(v) >= 0.0 {
-                            skipped += 1;
-                            continue;
-                        }
-                    } else if p == 0.0
-                        && state.tracker.delta_abs(u) <= 0.0
-                        && state.tracker.delta_abs(v) <= 0.0
-                    {
-                        skipped += 1;
-                        continue;
-                    }
-                }
-                if stamps.noop[slot] {
-                    let (last_u, last_v, last_global) = stamps.versions[slot];
-                    if state.tracker.vertex_version(u) == last_u
-                        && state.tracker.vertex_version(v) == last_v
-                        && (degree_rule || state.tracker.change_version() == last_global)
-                    {
-                        skipped += 1;
-                        continue;
-                    }
-                }
-                let old = state.prob[e];
-                let new_p = damped_update_at(
-                    g,
-                    state,
-                    coefficients,
-                    config.cut_rule,
-                    config.entropy_h,
-                    e,
-                    u,
-                    v,
-                );
-                state.set_probability_at(e, u, v, new_p);
-                // The same no-op condition `set_probability` uses; versions
-                // are only recorded for no-ops (a changed slot stays dirty
-                // anyway).
-                if (old - new_p).abs() == 0.0 {
-                    stamps.noop[slot] = true;
-                    stamps.versions[slot] = (
-                        state.tracker.vertex_version(u),
-                        state.tracker.vertex_version(v),
-                        state.tracker.change_version(),
-                    );
-                } else {
-                    stamps.noop[slot] = false;
-                }
-            }
-            if skipped * 10 < backbone.len() * 9 {
-                plain_remaining = PLAIN_STREAK;
-            }
-        }
-        let after = state.tracker.objective();
-        trace.push(after);
-        iterations += 1;
-        if (before - after).abs() <= config.tolerance {
-            break;
-        }
-    }
-    iterations
-}
-
 /// Runs `GDB` (Algorithm 2) on a fixed backbone, returning the tuned
-/// probabilities.  Dispatches on [`GdbConfig::engine`]; the indexed engine
-/// allocates a transient scratch — use [`gradient_descent_assign_with`] to
-/// amortise it across runs.
+/// probabilities.  Allocates a transient scratch — use
+/// [`gradient_descent_assign_with`] to amortise it across runs.
 ///
-/// The backbone edge ids must be distinct and valid for `g`.
+/// The backbone edge ids must be distinct and valid for `g`; an empty
+/// backbone, an id out of range or a repeated id is refused with an error.
 pub fn gradient_descent_assign(
     g: &UncertainGraph,
     backbone: &[EdgeId],
@@ -677,13 +477,15 @@ pub fn gradient_descent_assign_with(
     scratch: &mut CoreScratch,
 ) -> Result<GdbResult, SparsifyError> {
     config.validate()?;
-    validate_backbone(g, backbone)?;
+    // The run's reset rebuilds the membership flags, so they double as the
+    // validation buffer.
+    validate_backbone(g, backbone, &mut scratch.gdb.state.in_set)?;
     let coefficients = prepare_coefficients(g, config);
     Ok(run_gdb(g, backbone, config, coefficients.as_ref(), &mut scratch.gdb).to_result(backbone))
 }
 
 /// Shared core of the public `GDB` entry points and the `EMD` M-phase: reset
-/// the scratch state, run the configured sweep loop, and leave the tuned
+/// the scratch state, run the sweep loop, and leave the tuned
 /// assignment in `scratch.state` (callers decide whether to materialise a
 /// [`GdbResult`], avoiding per-M-phase allocations in `EMD`).
 pub(crate) fn run_gdb<'s>(
@@ -694,32 +496,24 @@ pub(crate) fn run_gdb<'s>(
     scratch: &'s mut GdbScratch,
 ) -> &'s mut GdbScratch {
     scratch.state.reset(g, backbone, config.discrepancy);
-    scratch.iterations = match config.engine {
-        Engine::Reference => reference_sweeps(
-            g,
-            &mut scratch.state,
-            backbone,
-            config,
-            coefficients,
-            &mut scratch.trace,
-        ),
-        Engine::Indexed => indexed_sweeps(
-            g,
-            &mut scratch.state,
-            backbone,
-            config,
-            coefficients,
-            &mut scratch.stamps,
-            &mut scratch.trace,
-        ),
-    };
+    scratch.iterations = sweeps(
+        g,
+        &mut scratch.state,
+        backbone,
+        config,
+        coefficients,
+        &mut scratch.trace,
+    );
     scratch
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use uncertain_graph::entropy::assignment_entropy;
+    use uncertain_graph::UncertainGraphBuilder;
 
     /// The running example of Figures 2–3 of the paper: the uncertain graph
     /// whose backbone (bold edges) is {(u1,u4), (u2,u4), (u3,u4)}.
@@ -1020,6 +814,125 @@ mod tests {
     }
 
     #[test]
+    fn repeated_backbone_ids_are_refused_by_every_optimiser() {
+        let g = UncertainGraph::from_edges(
+            4,
+            [
+                (0, 1, 0.5),
+                (1, 2, 0.6),
+                (2, 3, 0.7),
+                (3, 0, 0.4),
+                (0, 2, 0.3),
+            ],
+        )
+        .unwrap();
+        let backbone = [0, 1, 1, 2];
+        let refused = |result: Result<(), SparsifyError>| {
+            matches!(
+                result,
+                Err(SparsifyError::InvalidParameter { name: "backbone", message })
+                    if message.contains("edge 1")
+            )
+        };
+        let gdb = gradient_descent_assign(&g, &backbone, &GdbConfig::default());
+        assert!(refused(gdb.map(drop)));
+        for engine in [Engine::Reference, Engine::Indexed] {
+            let config = crate::emd::EmdConfig {
+                engine,
+                ..Default::default()
+            };
+            let emd = crate::emd::expectation_maximization_sparsify(&g, &backbone, &config);
+            assert!(refused(emd.map(drop)), "{engine:?}");
+        }
+        assert!(refused(
+            crate::lp_assign::lp_assign(&g, &backbone).map(drop)
+        ));
+        assert!(gradient_descent_assign(&g, &[0, 1, 2], &GdbConfig::default()).is_ok());
+    }
+
+    /// `D1` of the assignment `kept`, evaluated by a fresh tracker.
+    fn objective_of(g: &UncertainGraph, kept: &[(EdgeId, f64)], kind: DiscrepancyKind) -> f64 {
+        let mut tracker = DegreeTracker::new(g, kind);
+        for &(e, p) in kept {
+            let (u, v) = g.edge_endpoints(e);
+            tracker.apply_edge_change(u, v, 0.0, p);
+        }
+        tracker.objective()
+    }
+
+    /// Ground truth for one `GDB` step (degree rule, `h = 1`, absolute
+    /// discrepancy): with every other probability fixed, `D1` is a quadratic
+    /// in the edge's probability, and one update must land on its exact
+    /// minimiser over `[0, 1]`.  The quadratic is fitted to the tracker's own
+    /// `objective()` at `p ∈ {0, ½, 1}`, so the check shares nothing with the
+    /// Equation-8 step.  Cases are random 3–8-vertex graphs, each walked
+    /// edge by edge through three sweeps of a random multi-edge backbone.
+    ///
+    /// The relative discrepancy is left out on purpose: its step weights the
+    /// endpoints by `π(u) = C_G(u)`, which minimises `Σ δA(u)² / C_G(u)`
+    /// rather than the `Σ (δA(u) / C_G(u))²` the tracker reports, and misses
+    /// this check by up to 0.27 on these cases (ROADMAP, open item "`GDB^R`'s
+    /// step minimises another objective than the one it reports").
+    #[test]
+    fn one_degree_step_lands_on_the_exact_minimiser() {
+        let kind = DiscrepancyKind::Absolute;
+        let mut rng = SmallRng::seed_from_u64(2024);
+        let (mut cases, mut unclamped) = (0usize, 0usize);
+        while cases < 400 {
+            let n = rng.gen_range(3..9);
+            let mut builder = UncertainGraphBuilder::new(n);
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.gen::<f64>() < 0.6 {
+                        builder.add_edge(u, v, rng.gen_range(0.05..0.95)).unwrap();
+                    }
+                }
+            }
+            let g = builder.build();
+            if g.num_edges() < 2 {
+                continue;
+            }
+            let mut backbone: Vec<EdgeId> = (0..g.num_edges())
+                .filter(|_| rng.gen::<f64>() < 0.6)
+                .collect();
+            if backbone.is_empty() {
+                backbone.push(rng.gen_range(0..g.num_edges()));
+            }
+            let mut state = AssignmentState::new(&g, &backbone, kind);
+            for _ in 0..3 {
+                for &e in &backbone {
+                    let at = |p: f64| {
+                        let kept: Vec<(EdgeId, f64)> = backbone
+                            .iter()
+                            .map(|&b| (b, if b == e { p } else { state.prob[b] }))
+                            .collect();
+                        objective_of(&g, &kept, kind)
+                    };
+                    let (f0, f_half, f1) = (at(0.0), at(0.5), at(1.0));
+                    let curvature = 2.0 * (f1 - 2.0 * f_half + f0);
+                    let slope = f1 - f0 - curvature;
+                    let vertex = -slope / (2.0 * curvature);
+                    let minimiser = vertex.clamp(0.0, 1.0);
+                    let updated = damped_update(&g, &state, None, CutRule::Degree, 1.0, e);
+                    assert!(
+                        (updated - minimiser).abs() < 1e-9,
+                        "case {cases}, edge {e}: step to {updated}, minimiser {minimiser}"
+                    );
+                    cases += 1;
+                    if vertex > 0.0 && vertex < 1.0 {
+                        unclamped += 1;
+                    }
+                    state.set_probability(&g, e, updated);
+                }
+            }
+        }
+        assert!(
+            unclamped * 4 >= cases,
+            "only {unclamped} of {cases} cases are unclamped"
+        );
+    }
+
+    #[test]
     fn iteration_cap_is_respected() {
         let (g, backbone) = figure2_graph();
         let config = GdbConfig {
@@ -1082,41 +995,5 @@ mod tests {
         assert_eq!(Engine::Reference.name(), "reference");
         assert_eq!(Engine::Indexed.name(), "indexed");
         assert_eq!(Engine::default(), Engine::Indexed);
-    }
-
-    #[test]
-    fn both_engines_agree_bitwise_on_the_paper_example() {
-        let (g, backbone) = figure2_graph();
-        for h in [0.0, 0.05, 1.0] {
-            let reference = gradient_descent_assign(
-                &g,
-                &backbone,
-                &GdbConfig {
-                    entropy_h: h,
-                    engine: Engine::Reference,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let indexed = gradient_descent_assign(
-                &g,
-                &backbone,
-                &GdbConfig {
-                    entropy_h: h,
-                    engine: Engine::Indexed,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(reference.iterations, indexed.iterations, "h={h}");
-            for (r, i) in reference
-                .probabilities
-                .iter()
-                .zip(indexed.probabilities.iter())
-            {
-                assert_eq!(r.0, i.0);
-                assert_eq!(r.1.to_bits(), i.1.to_bits(), "h={h}");
-            }
-        }
     }
 }

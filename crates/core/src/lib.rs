@@ -33,11 +33,10 @@
 //! * [`kcut`] — the closed-form coefficients of the general cut-preserving
 //!   rule (the `(n choose k)_Σ` enumeration function), evaluated in log space
 //!   so arbitrarily large `n`/`k` never overflow.
-//! * [`scratch`] — the reusable [`CoreScratch`] workspace behind the
-//!   worklist-indexed engine ([`gdb::Engine`]): incremental dirty-edge
-//!   stamps for `GDB`, a persistent vertex heap for `EMD`, and
-//!   zero-allocation steady-state loops, all bit-identical to the reference
-//!   sweeps.
+//! * [`scratch`] — the reusable [`CoreScratch`] workspace: zero-allocation
+//!   steady-state `GDB` sweeps and `EMD` iterations, and the persistent
+//!   vertex heap and swap-position map of the indexed `EMD`
+//!   ([`gdb::Engine`]), bit-identical to the reference.
 //! * [`spec`] — a builder-style front end ([`SparsifierSpec`]) plus the
 //!   [`Sparsifier`] trait implemented by every method (including the
 //!   baselines in `ugs-baselines`), so benchmarks and applications can treat

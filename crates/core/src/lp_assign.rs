@@ -18,6 +18,7 @@
 use uncertain_graph::{EdgeId, UncertainGraph};
 
 use crate::error::SparsifyError;
+use crate::gdb::validate_backbone;
 use lp_solver::{LpProblem, LpStatus};
 
 /// Output of the LP probability assignment.
@@ -34,21 +35,10 @@ pub struct LpAssignResult {
 }
 
 /// Computes the `Δ1`-optimal probability assignment for the backbone
-/// (Theorem 1).
+/// (Theorem 1).  The backbone edge ids must be distinct and valid for `g`,
+/// as for `GDB`.
 pub fn lp_assign(g: &UncertainGraph, backbone: &[EdgeId]) -> Result<LpAssignResult, SparsifyError> {
-    if backbone.is_empty() {
-        return Err(SparsifyError::EmptyGraph);
-    }
-    for &e in backbone {
-        if e >= g.num_edges() {
-            return Err(SparsifyError::Graph(
-                uncertain_graph::GraphError::EdgeOutOfRange {
-                    edge: e,
-                    num_edges: g.num_edges(),
-                },
-            ));
-        }
-    }
+    validate_backbone(g, backbone, &mut Vec::new())?;
 
     let degrees = g.expected_degrees();
     let mut problem = LpProblem::new(backbone.len());

@@ -1,4 +1,4 @@
-//! Reusable workspace for the indexed sparsification engine.
+//! Reusable workspace for the sparsifiers' hot loops.
 //!
 //! The hot loops of this crate — backbone construction, the `GDB` sweep loop
 //! and the `EMD` E/M-phases — all need graph-sized buffers.  The reference
@@ -13,50 +13,29 @@
 //! iterations perform **zero** heap allocations (proven by the counting
 //! `#[global_allocator]` suite in `crates/bench/tests/zero_alloc.rs`).
 //!
-//! # The worklist machinery
+//! # The indexed `EMD`
 //!
-//! Two incremental indexes make [`Engine::Indexed`](crate::gdb::Engine) fast
-//! while staying bit-identical to the reference sweeps:
-//!
-//! * **Worklist `GDB`** — a sweep walks the backbone in the reference visit
-//!   order but skips slots it can *prove* are no-ops, two ways.  The clamp
-//!   **sign-guard**: an edge pinned at probability 1 whose endpoint
-//!   discrepancies are both non-negative re-solves to exactly 1 (the
-//!   Equation-8 step is a quotient of products and sums of non-negative
-//!   floats, which IEEE arithmetic keeps sign-exact), and symmetrically at
-//!   probability 0 — the workhorse in the saturating regimes of Section 6.3
-//!   where most kept edges hit 1 early and stay.  The **version stamps**:
-//!   [`DegreeTracker`](crate::discrepancy::DegreeTracker) bumps a per-vertex
-//!   *change version* in `apply_edge_change` whenever a discrepancy moves
-//!   (plus one global version for the `Cuts`/`AllCuts` rules, whose
-//!   closed-form step reads the total deficit), and every backbone slot
-//!   carries an `EdgeStamp` recording the versions seen after its last
-//!   no-op re-solve; while the stamps are current the update — a pure
-//!   function of the stamped inputs — would recompute the same no-op.
-//!   Bit-identity follows by construction; the `sparsify_parity` suite
-//!   checks it across the full configuration grid.
-//! * **Heap-driven `EMD`** — the reference rebuilds the max-heap over
-//!   `|δ(u)|` with `O(|V| log |V|)` pushes into a freshly allocated heap at
-//!   the start of every E-phase and re-clones the backbone snapshot.  The
-//!   indexed engine re-heapifies in place (`O(|V|)` Floyd build into reused
-//!   buffers), reuses the snapshot buffer, and maintains an edge →
-//!   backbone-position map so swap bookkeeping is `O(1)` instead of a
-//!   linear scan per swap.  The heap's ordering is total (priority, then
-//!   smaller vertex id), so its maximum is unique and independent of the
-//!   internal layout — peeks agree with the reference heap bit for bit.
+//! `GDB` has one sweep loop, so [`Engine::Indexed`](crate::gdb::Engine)
+//! differs from the reference only in `EMD`, and stays bit-identical to it.
+//! The reference pushes the max-heap over `|δ(u)|` together with
+//! `O(|V| log |V|)` pushes into a freshly allocated heap at the start of
+//! every E-phase and scans the backbone linearly for every swap.  The
+//! indexed engine re-heapifies in place (`O(|V|)` Floyd build into reused
+//! buffers) and maintains an edge → backbone-position map, so swap
+//! bookkeeping is `O(1)`.  The heap's ordering is total (priority, then
+//! smaller vertex id), so its maximum is unique and independent of the
+//! internal layout — peeks agree with the reference heap bit for bit.
 
 use graph_algos::FlatMaxHeap;
 use uncertain_graph::EdgeId;
 
-use crate::gdb::{AssignmentState, WorklistStamps};
+use crate::gdb::AssignmentState;
 
 /// Scratch space for one `GDB` run (also the `EMD` M-phase workspace).
 #[derive(Debug, Default)]
 pub(crate) struct GdbScratch {
     /// The probability assignment under optimisation.
     pub(crate) state: AssignmentState,
-    /// Worklist stamps, one per backbone slot.
-    pub(crate) stamps: WorklistStamps,
     /// Objective trace of the current run.
     pub(crate) trace: Vec<f64>,
     /// Sweeps executed by the current run.
@@ -131,14 +110,14 @@ pub(crate) struct BackboneScratch {
     pub(crate) incident: Vec<(f64, EdgeId)>,
 }
 
-/// The shared workspace of the indexed sparsification engine.
+/// The shared workspace of the sparsifiers' hot loops.
 ///
 /// Create one with [`CoreScratch::new`] and pass it to the `*_with` /
 /// `*_into` entry points; every buffer is sized on first use and reused
 /// afterwards.  A single scratch can serve graphs of different sizes and any
 /// mix of `GDB`/`EMD`/backbone calls — each run fully re-initialises the
 /// slices it reads.  The scratch is deliberately opaque: its layout is an
-/// implementation detail of the engine.
+/// implementation detail of the sparsifiers.
 #[derive(Debug, Default)]
 pub struct CoreScratch {
     pub(crate) gdb: GdbScratch,

@@ -219,9 +219,10 @@ impl SparsifierSpec {
         self
     }
 
-    /// Selects the optimisation engine (the worklist-indexed engine by
-    /// default; [`Engine::Reference`] runs the paper-faithful full sweeps).
-    /// Both engines are bit-identical; only meaningful for `GDB` and `EMD`.
+    /// Selects the `EMD` engine (the heap-indexed engine by default;
+    /// [`Engine::Reference`] runs the paper-faithful bookkeeping).  Both
+    /// engines are bit-identical; only meaningful for `EMD`, since `GDB` has
+    /// one sweep loop.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -308,7 +309,6 @@ impl SparsifierSpec {
             entropy_h: self.entropy_h,
             tolerance: self.tolerance,
             max_iterations: self.max_iterations,
-            engine: self.engine,
         };
 
         // (assignment, iterations, swaps, objective trace)
