@@ -17,7 +17,7 @@ use uncertain_graph::{UncertainGraph, WorldSampler};
 use graph_algos::DeterministicGraph;
 use ugs_core::prelude::*;
 use ugs_queries::batch::{EdgeFrequencyObserver, QueryBatch};
-use ugs_queries::components::DegreeHistogramObserver;
+use ugs_queries::components::{ConnectivityObserver, DegreeHistogramObserver};
 use ugs_queries::engine::{SampleMethod, WorldEngine};
 use ugs_queries::node_queries::PageRankObserver;
 use ugs_queries::MonteCarlo;
@@ -113,14 +113,15 @@ fn engine_steady_state_performs_zero_allocations_per_world() {
     }
 }
 
-/// Runs a three-observer batch (degree histogram, edge frequencies and
-/// PageRank — all fully allocation-free per world, observer buffers *and*
-/// kernels; PageRank's kernel reuses a scratch the observer sizes on its
-/// first world) over `worlds` worlds and returns the number of heap
-/// allocations the whole run performed.  Observers whose kernels allocate
-/// in `graph-algos` (e.g. `connected_components`' labels vector) are
-/// deliberately excluded: that is a kernel cost shared with the standalone
-/// path, not driver overhead.
+/// Runs a four-observer batch (degree histogram, edge frequencies,
+/// PageRank and connectivity — all fully allocation-free per world,
+/// observer buffers *and* kernels; PageRank's kernel reuses a scratch the
+/// observer sizes on its first world, and connectivity's union-find is
+/// sized in its constructor) over `worlds` worlds and returns the number
+/// of heap allocations the whole run performed.  Observers whose kernels
+/// allocate in `graph-algos` (e.g. `connected_components`' labels vector,
+/// which pair queries still use) are deliberately excluded: that is a
+/// kernel cost shared with the standalone path, not driver overhead.
 fn batch_allocations(
     g: &UncertainGraph,
     method: SampleMethod,
@@ -134,6 +135,7 @@ fn batch_allocations(
     let h_hist = batch.register(DegreeHistogramObserver::new(g));
     let h_freq = batch.register(EdgeFrequencyObserver::new(g));
     let h_rank = batch.register(PageRankObserver::new(g));
+    let h_conn = batch.register(ConnectivityObserver::new(g));
     let mut rng = SmallRng::seed_from_u64(7);
     let before = allocations();
     let mut results = batch.run(&mut rng);
@@ -141,13 +143,15 @@ fn batch_allocations(
     let histogram = results.take(h_hist);
     let frequencies = results.take(h_freq);
     let ranks = results.take(h_rank);
+    let connectivity = results.take(h_conn);
     assert!(histogram.iter().sum::<f64>() > 0.0);
     assert!(frequencies.iter().sum::<f64>() > 0.0);
     assert!(ranks.iter().sum::<f64>() > 0.0);
+    assert!(connectivity.expected_components >= 1.0);
     after - before
 }
 
-fn batch_driver_steady_state_is_zero_allocation_with_three_observers() {
+fn batch_driver_steady_state_is_zero_allocation_with_four_observers() {
     // The batch driver's per-run setup (engine, scratch, observer clones,
     // worker spawns) allocates a fixed amount independent of the world
     // count; the steady-state world loop — sample, materialise, dispatch to
@@ -319,7 +323,7 @@ fn zero_allocation_contract() {
     // counting windows (libtest runs `#[test]` functions concurrently and
     // the counter is process-global).
     engine_steady_state_performs_zero_allocations_per_world();
-    batch_driver_steady_state_is_zero_allocation_with_three_observers();
+    batch_driver_steady_state_is_zero_allocation_with_four_observers();
     gdb_steady_state_sweeps_are_zero_allocation();
     emd_steady_state_iterations_are_zero_allocation();
     legacy_driver_allocates_every_world();

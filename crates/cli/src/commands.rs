@@ -192,6 +192,8 @@ const COMMANDS: &[CommandHelp] = &[
                [--h H] [--k K] [--seed N] [--output FILE]
                [--engine reference|indexed] [--time]
                Sparsify the graph to A·|E| edges and report diagnostics.
+               --k K > 1 makes gdb preserve cuts of up to K vertices
+               (emd and lp run the degree rule only and refuse it).
                --engine selects the emd implementation (heap-indexed by
                default; both are bit-identical; gdb has one sweep loop and
                only echoes the flag) and --time appends a JSON field with

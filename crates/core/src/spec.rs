@@ -195,7 +195,9 @@ impl SparsifierSpec {
     }
 
     /// Selects the cut-preserving rule (`k = 1` degrees by default).
-    /// Only meaningful for `GDB`.
+    /// Only `GDB` runs a cut rule: `EMD`'s M-phase and the LP run the
+    /// degree rule, so [`SparsifierSpec::sparsify_with`] refuses any other
+    /// rule for them.
     pub fn cut_rule(mut self, rule: CutRule) -> Self {
         self.cut_rule = rule;
         self
@@ -282,12 +284,25 @@ impl SparsifierSpec {
     /// backbone builder, the optimisation loops and all their graph-sized
     /// buffers are reused across calls.  Results are identical to
     /// [`SparsifierSpec::sparsify`] for the same graph, spec and RNG state.
+    ///
+    /// Fails with [`SparsifyError::InvalidParameter`] (`cut_rule`) for an
+    /// `EMD` or LP spec whose cut rule is not the degree rule, which
+    /// neither runs.
     pub fn sparsify_with<R: RngCore + ?Sized>(
         &self,
         g: &UncertainGraph,
         rng: &mut R,
         scratch: &mut CoreScratch,
     ) -> Result<SparsifyOutput, SparsifyError> {
+        if self.method != Method::Gdb && self.cut_rule != CutRule::Degree {
+            return Err(SparsifyError::InvalidParameter {
+                name: "cut_rule",
+                message: format!(
+                    "{} runs the degree rule only; k-cut rules are a GDB option",
+                    self.method.name()
+                ),
+            });
+        }
         let start = Instant::now();
         let target = target_edge_count(g, self.alpha)?;
         // The backbone buffer is taken out of the scratch so the optimisation
@@ -549,6 +564,37 @@ mod tests {
             "GDB^A_n"
         );
         assert_eq!(SparsifierSpec::lp().display_name(), "LP^A-t");
+    }
+
+    /// `spec` refuses both non-degree cut rules with a typed error naming
+    /// `method`, runs the degree rule, and `GDB` runs the same cut rules.
+    fn assert_refuses_cut_rules(spec: SparsifierSpec, method: &str) {
+        let g = test_graph(3, 30, 120);
+        let run = |spec: SparsifierSpec| {
+            spec.alpha(0.5)
+                .sparsify(&g, &mut SmallRng::seed_from_u64(1))
+        };
+        for rule in [CutRule::Cuts(2), CutRule::AllCuts] {
+            match run(spec.cut_rule(rule)) {
+                Err(SparsifyError::InvalidParameter { name, message }) => {
+                    assert_eq!(name, "cut_rule");
+                    assert!(message.starts_with(method), "{message}");
+                }
+                other => panic!("{method} with {rule:?}: {other:?}"),
+            }
+            assert!(run(SparsifierSpec::gdb().cut_rule(rule)).is_ok());
+        }
+        assert!(run(spec.cut_rule(CutRule::Degree)).is_ok());
+    }
+
+    #[test]
+    fn emd_refuses_a_cut_rule_it_does_not_run() {
+        assert_refuses_cut_rules(SparsifierSpec::emd(), "EMD");
+    }
+
+    #[test]
+    fn lp_refuses_a_cut_rule_it_does_not_run() {
+        assert_refuses_cut_rules(SparsifierSpec::lp(), "LP");
     }
 
     #[test]

@@ -100,12 +100,13 @@
 //!
 //! ## Fallible redemption
 //!
-//! [`BatchResults::take`] panics on a foreign or already-redeemed handle —
-//! fine for straight-line query code, wrong for a long-lived service.
-//! [`BatchResults::try_take`] / [`BatchResults::try_take_boxed`] return a
-//! [`BatchError`] instead ([`BatchError::WrongBatch`] and
-//! [`BatchError::AlreadyTaken`]); `take` is a thin `unwrap` over
-//! `try_take`, which is `try_take_boxed` plus a downcast of the output.
+//! [`BatchResults::take`] panics on a foreign or already-redeemed handle,
+//! or on a cancelled fixed-budget run — fine for straight-line query code,
+//! wrong for a long-lived service.  [`BatchResults::try_take`] /
+//! [`BatchResults::try_take_boxed`] return a [`BatchError`] instead
+//! ([`BatchError::WrongBatch`], [`BatchError::AlreadyTaken`] and
+//! [`BatchError::Cancelled`]); `take` is a thin `unwrap` over `try_take`,
+//! which is `try_take_boxed` plus a downcast of the output.
 //!
 //! ## Worked example
 //!
@@ -377,6 +378,9 @@ pub enum BatchError {
         /// The handle's slot index.
         index: usize,
     },
+    /// The run was a fixed budget stopped by its cancel flag before its
+    /// last world (see [`QueryBatch::with_cancel`]), so it has no answer.
+    Cancelled,
 }
 
 impl std::fmt::Display for BatchError {
@@ -389,6 +393,9 @@ impl std::fmt::Display for BatchError {
             ),
             BatchError::AlreadyTaken { index } => {
                 write!(f, "observer result already taken (slot {index})")
+            }
+            BatchError::Cancelled => {
+                write!(f, "the run was cancelled before its last world")
             }
         }
     }
@@ -471,7 +478,10 @@ impl<'g> QueryBatch<'g> {
     /// cancellation can only shorten a run, never change a converged
     /// answer.  The observers still reflect every world consumed before the
     /// stop and [`AdaptiveReport::stopped`] reads
-    /// [`StopReason::Cancelled`].  Fixed-budget runs ignore the flag.
+    /// [`StopReason::Cancelled`].  A **fixed-budget** run has no checkpoint
+    /// before its last world, so each of its slots checks the flag after
+    /// every world; a run it stops has no answer, and every redemption
+    /// returns [`BatchError::Cancelled`].
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.cancel = Some(cancel);
         self
@@ -531,21 +541,24 @@ impl<'g> QueryBatch<'g> {
             precision,
             cancel,
         } = self;
-        let results = |num_worlds, observers: Vec<BoxedObserver>, adaptive| BatchResults {
-            id,
-            num_worlds,
-            slots: observers.into_iter().map(Some).collect(),
-            adaptive,
-        };
+        let results =
+            |num_worlds, observers: Vec<BoxedObserver>, adaptive, cancelled| BatchResults {
+                id,
+                num_worlds,
+                slots: observers.into_iter().map(Some).collect(),
+                adaptive,
+                cancelled,
+            };
         if num_worlds == 0 || observers.is_empty() {
-            return results(num_worlds, observers, None);
+            return results(num_worlds, observers, None, false);
         }
         let seed = rng.gen::<u64>();
         match precision {
             None => {
                 let plan = BlockPlan::fixed(num_worlds, threads);
-                let (merged, _) = run_epochs(&engine, seed, plan, observers, None);
-                results(num_worlds, merged, None)
+                let (merged, stopped) =
+                    run_epochs(&engine, seed, plan, observers, None, cancel.as_ref());
+                results(num_worlds, merged, None, stopped.is_some())
             }
             Some(precision) => {
                 let cap = precision.cap(num_worlds);
@@ -556,9 +569,9 @@ impl<'g> QueryBatch<'g> {
                     observers,
                     seed,
                     &precision,
-                    cancel.as_deref(),
+                    cancel.as_ref(),
                 );
-                results(report.worlds_used, merged, Some(report))
+                results(report.worlds_used, merged, Some(report), false)
             }
         }
     }
@@ -646,10 +659,19 @@ impl BlockPlan {
 #[derive(Debug, Default)]
 pub struct BlockWatch {
     position: AtomicUsize,
-    cancelled: AtomicBool,
+    cancelled: Arc<AtomicBool>,
 }
 
 impl BlockWatch {
+    /// A watch whose cancel flag is `flag`: raising the flag cancels the
+    /// run, as [`BlockWatch::cancel`] does.
+    fn on(flag: &Arc<AtomicBool>) -> Self {
+        BlockWatch {
+            position: AtomicUsize::new(0),
+            cancelled: Arc::clone(flag),
+        }
+    }
+
     /// Worlds sampled or replayed past so far.
     pub fn position(&self) -> usize {
         self.position.load(Ordering::Relaxed)
@@ -812,7 +834,6 @@ impl<'s> SlotRun<'s> {
 struct Checkpoints<'a> {
     rule: &'a mut StoppingRule,
     started: Instant,
-    cancel: Option<&'a AtomicBool>,
 }
 
 /// A follower slot's channels, as its leader holds them: after each epoch
@@ -827,19 +848,24 @@ struct Follower {
 /// [`SlotRun`] per block of `plan`, each on its own scoped thread (a lone
 /// slot runs on the caller), which builds the run, steps it one epoch at a
 /// time and tears it down, so its scratch lives and dies on that thread.
-/// Slot 0 leads the epochs ([`lead`]).  Returns the registries folded in
-/// block order — block 0's registry is the result, later blocks merge into
-/// it — and the rule's verdict.
+/// Slot 0 leads the epochs ([`lead`]).  An adaptive run consults `cancel`
+/// at its checkpoints; a fixed budget has none, so each of its slots
+/// watches `cancel` after every world instead.  Returns the registries
+/// folded in block order — block 0's registry is the result, later blocks
+/// merge into it — and the rule's verdict, or [`StopReason::Cancelled`]
+/// when a fixed budget's slot stopped short.
 fn run_epochs<'s>(
     engine: &'s WorldEngine<'s>,
     seed: u64,
     plan: BlockPlan,
     observers: Vec<BoxedObserver>,
     checkpoints: Option<Checkpoints<'_>>,
+    cancel: Option<&Arc<AtomicBool>>,
 ) -> (Vec<BoxedObserver>, Option<StopReason>) {
     let slots = plan.blocks();
     let adaptive = checkpoints.is_some();
     let new_run = move |slot, registry| SlotRun::new(engine, seed, plan, slot, slots, registry);
+    let watch = move || cancel.filter(|_| !adaptive).map(BlockWatch::on);
     // Earlier slots get pristine clones and the last takes `observers`
     // itself, so a run holds `slots` registries, not `slots + 1`.
     let mut registries: Vec<Vec<BoxedObserver>> = (1..slots).map(|_| observers.clone()).collect();
@@ -847,7 +873,7 @@ fn run_epochs<'s>(
     let mut registries = registries.into_iter();
     let first = registries.next().expect("a plan has at least one block");
     if slots == 1 {
-        return lead(new_run(0, first), Vec::new(), checkpoints);
+        return lead(new_run(0, first), Vec::new(), checkpoints, cancel);
     }
     std::thread::scope(|scope| {
         let (followers, ends): (Vec<_>, Vec<_>) = (1..slots)
@@ -859,30 +885,38 @@ fn run_epochs<'s>(
             .unzip();
         // Spawn in slot order, leader first: spawning the followers first
         // raised perfbench's `fleet` peak RSS by about 0.8 MiB.
-        let leader = scope.spawn(move || lead(new_run(0, first), followers, checkpoints));
+        let leader = scope.spawn(move || lead(new_run(0, first), followers, checkpoints, cancel));
         let threads: Vec<_> = registries
             .zip(ends)
             .enumerate()
             .map(|(i, (registry, (nexts, finish)))| {
                 scope.spawn(move || {
                     let mut run = new_run(i + 1, registry);
+                    let watch = watch();
                     // The first epoch needs no word from the leader, and a
                     // hang-up before or after the statistics go back ends
                     // the slot: a fixed budget's follower never waits.
                     let mut stats = Vec::new();
-                    loop {
-                        run.run_epoch(adaptive.then_some(&mut stats), None);
-                        let Ok(()) = finish.send(stats) else { break };
-                        let Ok(buffer) = nexts.recv() else { break };
+                    let finished = loop {
+                        if !run.run_epoch(adaptive.then_some(&mut stats), watch.as_ref()) {
+                            break false;
+                        }
+                        let Ok(()) = finish.send(stats) else {
+                            break true;
+                        };
+                        let Ok(buffer) = nexts.recv() else { break true };
                         stats = buffer;
-                    }
-                    run.into_registry()
+                    };
+                    (run.into_registry(), finished)
                 })
             })
             .collect();
-        let (mut merged, stopped) = leader.join().expect("worker thread panicked");
+        let (mut merged, mut stopped) = leader.join().expect("worker thread panicked");
         for thread in threads {
-            let registry = thread.join().expect("worker thread panicked");
+            let (registry, finished) = thread.join().expect("worker thread panicked");
+            if !finished {
+                stopped = Some(StopReason::Cancelled);
+            }
             for (into, other) in merged.iter_mut().zip(registry) {
                 into.merge(other);
             }
@@ -897,22 +931,26 @@ fn run_epochs<'s>(
 /// order — which is world order — and asks the rule for a verdict; to go
 /// on, it sends each follower its buffer back.  Without a rule the run is
 /// one epoch (a fixed budget), so it hangs up on the followers before
-/// stepping.  Hanging up stops them.  Returns its own registry and the
-/// verdict.
+/// stepping, and steps watching `cancel`.  Hanging up stops them.  Returns
+/// its own registry and the verdict.
 fn lead(
     mut run: SlotRun<'_>,
     mut followers: Vec<Follower>,
     mut checkpoints: Option<Checkpoints<'_>>,
+    cancel: Option<&Arc<AtomicBool>>,
 ) -> (Vec<BoxedObserver>, Option<StopReason>) {
     if checkpoints.is_none() {
         followers.clear();
     }
     let adaptive = checkpoints.is_some();
+    let watch = cancel.filter(|_| !adaptive).map(BlockWatch::on);
     let plan = run.plan;
     // Each slot's tracked statistics of the current epoch.
     let mut stats: Vec<Vec<f64>> = vec![Vec::new(); followers.len() + 1];
     let stopped = loop {
-        run.run_epoch(adaptive.then_some(&mut stats[0]), None);
+        if !run.run_epoch(adaptive.then_some(&mut stats[0]), watch.as_ref()) {
+            break Some(StopReason::Cancelled);
+        }
         let Some(stop) = checkpoints.as_mut() else {
             break None;
         };
@@ -924,9 +962,9 @@ fn lead(
             stats.clear();
         }
         let worlds = plan.worlds_through(run.epochs_run());
-        let verdict = stop
-            .rule
-            .checkpoint(worlds, plan.cap(), stop.started, stop.cancel);
+        let verdict =
+            stop.rule
+                .checkpoint(worlds, plan.cap(), stop.started, cancel.map(Arc::as_ref));
         if verdict.is_some() {
             break verdict;
         }
@@ -977,7 +1015,7 @@ fn drive_adaptive(
     observers: Vec<BoxedObserver>,
     seed: u64,
     precision: &Precision,
-    cancel: Option<&AtomicBool>,
+    cancel: Option<&Arc<AtomicBool>>,
 ) -> (Vec<BoxedObserver>, AdaptiveReport) {
     let mut rule = StoppingRule::new(*precision);
     for (lo, hi) in observers.iter().filter_map(BoxedObserver::tracked_range) {
@@ -1009,9 +1047,8 @@ fn drive_adaptive(
     let checkpoints = Checkpoints {
         rule: &mut rule,
         started,
-        cancel,
     };
-    let (merged, stopped) = run_epochs(engine, seed, plan, observers, Some(checkpoints));
+    let (merged, stopped) = run_epochs(engine, seed, plan, observers, Some(checkpoints), cancel);
     let epochs = rule.checks() as usize;
     let report = AdaptiveReport {
         worlds_used: plan.worlds_through(epochs),
@@ -1040,6 +1077,9 @@ pub struct BatchResults {
     num_worlds: usize,
     slots: Vec<Option<BoxedObserver>>,
     adaptive: Option<AdaptiveReport>,
+    /// A fixed-budget run stopped short by its cancel flag: the partials
+    /// hold fewer worlds than `num_worlds`, so nothing finalises them.
+    cancelled: bool,
 }
 
 impl BatchResults {
@@ -1058,16 +1098,16 @@ impl BatchResults {
     ///
     /// # Panics
     ///
-    /// Panics if the handle came from a different batch or the result was
-    /// already taken; [`BatchResults::try_take`] is the non-panicking
-    /// equivalent.
+    /// Panics if the handle came from a different batch, the result was
+    /// already taken or the run was cancelled; [`BatchResults::try_take`]
+    /// is the non-panicking equivalent.
     pub fn take<O: WorldObserver>(&mut self, handle: ObserverHandle<O>) -> O::Output {
         self.try_take(handle).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Finalises and returns one observer's result, or a [`BatchError`]
     /// when the handle belongs to a different batch or was already
-    /// redeemed.
+    /// redeemed, or the run was cancelled.
     pub fn try_take<O: WorldObserver>(
         &mut self,
         handle: ObserverHandle<O>,
@@ -1080,14 +1120,18 @@ impl BatchResults {
 
     /// Finalises one type-erased observer to its boxed output, or a
     /// [`BatchError`] when the handle belongs to a different batch or was
-    /// already redeemed.  The caller downcasts the `Box<dyn Any + Send>`
-    /// with its knowledge of the registered query.
+    /// already redeemed, or the run was cancelled.  The caller downcasts
+    /// the `Box<dyn Any + Send>` with its knowledge of the registered
+    /// query.
     pub fn try_take_boxed(&mut self, handle: DynHandle) -> Result<Box<dyn Any + Send>, BatchError> {
         if handle.batch != self.id {
             return Err(BatchError::WrongBatch {
                 results: self.id,
                 handle: handle.batch,
             });
+        }
+        if self.cancelled {
+            return Err(BatchError::Cancelled);
         }
         let observer = self
             .slots

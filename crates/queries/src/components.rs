@@ -21,7 +21,6 @@ use uncertain_graph::UncertainGraph;
 use crate::batch::{QueryBatch, WorldObserver};
 use crate::engine::WorldScratch;
 use crate::mc::MonteCarlo;
-use graph_algos::traversal::connected_components;
 
 /// Monte-Carlo estimates of the connectivity structure of an uncertain graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,14 +40,25 @@ pub struct ConnectivityEstimate {
 
 /// Observer accumulating connectivity structure over sampled worlds;
 /// finalises to a [`ConnectivityEstimate`].
+///
+/// Each world is labelled by a union-find over its present edges'
+/// endpoints ([`WorldScratch::present_endpoints`]), so a world costs
+/// O(present edges), not O(|V|): the world has `n − merges` components,
+/// and its isolated vertices are the `n` minus those the merges cover (an
+/// uncertain graph has no self loops).  The four per-world values are
+/// integer counts (and `isolated / n`), independent of how the vertices
+/// are labelled.
 #[derive(Debug, Clone)]
 pub struct ConnectivityObserver {
     n: usize,
     /// Layout: [components, largest, connected, isolated]
     totals: Vec<f64>,
-    /// Component-size tally, pre-sized to `n` (a world has at most `n`
-    /// components) so `observe` never allocates.
-    sizes: Vec<usize>,
+    /// Per vertex, its union-find link: a root holds its component's
+    /// negated size, any other vertex its parent (`i64`, since vertex ids
+    /// reach `2^32 − 1`).  Every vertex is a singleton root (`-1`) between
+    /// worlds: a world touches only its present endpoints, and resets them
+    /// through the same list.
+    links: Vec<i64>,
     /// Connectedness indicator of the last observed world, the statistic
     /// fed to the adaptive stopping rule.
     last_connected: f64,
@@ -61,27 +71,53 @@ impl ConnectivityObserver {
         ConnectivityObserver {
             n,
             totals: vec![0.0; 4],
-            sizes: vec![0; n],
+            links: vec![-1; n],
             last_connected: f64::NAN,
         }
     }
+}
+
+/// The root of `u`'s tree in `links`, halving the path on the way.
+fn find_root(links: &mut [i64], mut u: usize) -> usize {
+    while links[u] >= 0 {
+        let parent = links[u] as usize;
+        if links[parent] < 0 {
+            return parent;
+        }
+        links[u] = links[parent];
+        u = links[parent] as usize;
+    }
+    u
 }
 
 impl WorldObserver for ConnectivityObserver {
     type Output = ConnectivityEstimate;
 
     fn observe(&mut self, scratch: &WorldScratch) {
-        let world = scratch.world();
-        let (labels, count) = connected_components(world);
-        let sizes = &mut self.sizes[..count];
-        sizes.fill(0);
-        for &label in &labels {
-            sizes[label] += 1;
+        let links = &mut self.links;
+        let edges = scratch.present_endpoints();
+        let (mut merges, mut covered) = (0, 0);
+        let mut largest = usize::from(self.n > 0);
+        for &(u, v) in edges {
+            let (a, b) = (find_root(links, u as usize), find_root(links, v as usize));
+            if a == b {
+                continue;
+            }
+            let (size_a, size_b) = (-links[a], -links[b]);
+            // Union by size: the smaller tree hangs under the larger root.
+            let (root, child) = if size_a >= size_b { (a, b) } else { (b, a) };
+            links[child] = root as i64;
+            links[root] = -(size_a + size_b);
+            merges += 1;
+            covered += usize::from(size_a == 1) + usize::from(size_b == 1);
+            largest = largest.max((size_a + size_b) as usize);
         }
-        let largest = sizes.iter().copied().max().unwrap_or(0);
-        let isolated = (0..world.num_vertices())
-            .filter(|&u| world.degree(u) == 0)
-            .count();
+        for &(u, v) in edges {
+            links[u as usize] = -1;
+            links[v as usize] = -1;
+        }
+        let count = self.n - merges;
+        let isolated = self.n - covered;
         self.totals[0] += count as f64;
         self.totals[1] += largest as f64;
         self.totals[2] += f64::from(count == 1);
@@ -228,6 +264,8 @@ pub fn expected_degree_histogram<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::WorldEngine;
+    use graph_algos::traversal::connected_components;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -278,6 +316,76 @@ mod tests {
         // E[isolated vertices] = 3(1-p) + P(no spoke at all) for the centre.
         let expected = (3.0 * (1.0 - p) + (1.0f64 - p).powi(3)) / 4.0;
         assert!((estimate.expected_isolated_fraction - expected).abs() < 0.01);
+    }
+
+    /// A random simple graph: each vertex pair an edge with probability
+    /// `density`, of probability `p` (or uniform in `(0, 1]` when `None`).
+    fn random_graph(rng: &mut SmallRng, n: usize, density: f64, p: Option<f64>) -> UncertainGraph {
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.gen_bool(density) {
+                    let p = p.unwrap_or_else(|| 1.0 - rng.gen::<f64>());
+                    edges.push((u, v, p));
+                }
+            }
+        }
+        UncertainGraph::from_edges(n, edges).unwrap()
+    }
+
+    #[test]
+    fn union_find_counts_equal_the_dfs_labelling_world_by_world() {
+        let mut rng = SmallRng::seed_from_u64(0xC0);
+        let path: Vec<_> = (0..9).map(|u| (u, u + 1, 1.0)).collect();
+        let mut graphs = vec![
+            UncertainGraph::from_edges(0, []).unwrap(),
+            UncertainGraph::from_edges(1, []).unwrap(),
+            UncertainGraph::from_edges(12, []).unwrap(),
+            // Connected in every world.
+            UncertainGraph::from_edges(10, path).unwrap(),
+            random_graph(&mut rng, 30, 0.3, Some(1.0)),
+        ];
+        for density in [0.02, 0.05, 0.1, 0.3] {
+            for _ in 0..8 {
+                let n = rng.gen_range(2..80usize);
+                graphs.push(random_graph(&mut rng, n, density, None));
+            }
+        }
+        let mut connected_worlds = 0;
+        for g in &graphs {
+            let engine = WorldEngine::new(g);
+            let mut scratch = engine.make_scratch();
+            let mut observer = ConnectivityObserver::new(g);
+            let mut want = [0.0; 4];
+            for _ in 0..40 {
+                engine.sample_world(&mut rng, &mut scratch);
+                observer.observe(&scratch);
+                let world = scratch.world();
+                let n = world.num_vertices();
+                let (labels, count) = connected_components(world);
+                let mut sizes = vec![0usize; count];
+                for &label in &labels {
+                    sizes[label] += 1;
+                }
+                let largest = sizes.iter().copied().max().unwrap_or(0);
+                let isolated = (0..n).filter(|&u| world.degree(u) == 0).count();
+                want[0] += count as f64;
+                want[1] += largest as f64;
+                want[2] += f64::from(count == 1);
+                if n > 0 {
+                    want[3] += isolated as f64 / n as f64;
+                }
+                connected_worlds += usize::from(count == 1 && n > 1);
+                let context = format!("n {n}, {} present edges", world.num_edges());
+                assert_eq!(observer.partial(), &want[..], "{context}");
+                assert_eq!(
+                    observer.tracked_statistic(),
+                    f64::from(count == 1),
+                    "{context}"
+                );
+            }
+        }
+        assert!(connected_worlds > 40, "{connected_worlds} connected worlds");
     }
 
     #[test]

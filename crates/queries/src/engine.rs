@@ -11,7 +11,8 @@
 //!   across threads.
 //! * [`WorldScratch`] — mutable, one per thread: the present-edge and
 //!   endpoint buffers and a [`DeterministicGraph`] whose CSR buffers are
-//!   recycled world after world.
+//!   recycled world after world.  Observers read the world as its CSR or
+//!   as its present endpoints.
 //!
 //! A world has one representation on this path: the list of its present
 //! edge ids, resolved to endpoints and compacted into a CSR by
@@ -123,6 +124,14 @@ impl WorldScratch {
     /// Present edge ids of the most recently sampled world.
     pub fn present_edges(&self) -> &[u32] {
         &self.present
+    }
+
+    /// Endpoints of the most recently materialised world's present edges,
+    /// in [`WorldScratch::present_edges`] order: the world's edge list, for
+    /// kernels that only need its edges (like [`WorldScratch::world`], stale
+    /// after [`WorldEngine::advance_world`]).
+    pub fn present_endpoints(&self) -> &[(u32, u32)] {
+        &self.endpoints
     }
 
     /// The most recently materialised world.

@@ -91,7 +91,9 @@ pub enum Request {
         max: usize,
     },
     /// `{"op": "cancel", "job": N}` — abandon a job (queued jobs are never
-    /// executed; a running job's answer is discarded at delivery).
+    /// executed; a running job stops after its current world, or an
+    /// adaptive plan at its next epoch checkpoint, and its answer is
+    /// neither delivered nor cached).
     Cancel(u64),
     /// `{"op": "stats"}` — server and cache counters.
     Stats,

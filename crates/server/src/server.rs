@@ -532,9 +532,9 @@ fn executor_loop(
 /// Runs one submitted plan on the shared engine of its mode, renders each
 /// answer once, caches the renderings and sends them back.
 fn run_plan(shared: &Shared, engines: &Engines<'_>, job: PlanJob) {
-    // The cancel flag reaches the adaptive driver's epoch checkpoints:
-    // cancelling a running adaptive plan aborts it between epochs instead
-    // of burning the full world budget.
+    // The cancel flag reaches the adaptive driver's epoch checkpoints and
+    // every world of a fixed budget: cancelling a running plan frees the
+    // executor instead of burning the full world budget.
     let answers: Vec<Answer> = run_isolated(&job.plan, || {
         let engine = engines.get(job.plan.mode);
         job.plan
@@ -545,7 +545,8 @@ fn run_plan(shared: &Shared, engines: &Engines<'_>, job: PlanJob) {
     .collect();
     if !job.cancelled.load(Ordering::SeqCst) {
         // A cancelled adaptive run stopped early: its answers reflect a
-        // truncated world stream and must not be cached.
+        // truncated world stream and must not be cached.  (A cancelled
+        // fixed run answers `ServiceError::Cancelled`, never cached.)
         let mut cache = shared.cache.lock().expect("cache poisoned");
         for (key, outcome) in job.keys.iter().zip(&answers) {
             if let Ok(answer) = outcome {

@@ -110,6 +110,65 @@ fn cancel_frees_the_job_and_its_id() {
     server.shutdown();
 }
 
+fn executor_busy(client: &mut LineClient) -> bool {
+    let stats = client.request(r#"{"op": "stats"}"#).unwrap();
+    let flags = stats.get("executors").and_then(Value::as_array).unwrap();
+    flags.iter().any(|flag| flag.as_bool() == Some(true))
+}
+
+#[test]
+fn cancelling_a_running_fixed_plan_frees_the_executor() {
+    let server = start(ServerConfig {
+        executors: 1,
+        ..ServerConfig::default()
+    });
+    let mut c = client(&server);
+    // A fixed budget has no epoch checkpoint before its last world, and a
+    // billion worlds hold the only executor for far longer than this test
+    // may take.
+    let (huge, _) = submit_job(
+        &mut c,
+        r#"{"worlds": 1000000000, "seed": 5, "queries": [{"type": "connectivity"}]}"#,
+    );
+    // Cancel it running, not queued (a queued job is simply skipped).
+    let started = Instant::now();
+    while !executor_busy(&mut c) {
+        assert!(started.elapsed() < SAFETY, "the plan never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let cancelled = c.cancel(huge).unwrap();
+    assert_eq!(
+        cancelled.get("cancelled").and_then(Value::as_bool),
+        Some(true)
+    );
+    // A second plan gets the executor back and is answered.
+    let (job, cached) = submit_job(
+        &mut c,
+        r#"{"worlds": 40, "seed": 6, "queries": [{"type": "connectivity"}]}"#,
+    );
+    assert!(!cached);
+    let report = loop {
+        let response = c.poll(job).unwrap();
+        assert_eq!(response.get_str("status"), Some("ok"));
+        if response.get("done").and_then(Value::as_bool) == Some(true) {
+            break response.get("report").cloned().unwrap();
+        }
+        assert!(
+            started.elapsed() < SAFETY,
+            "the cancelled plan still holds the executor"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    let results = report.get("results").unwrap().as_array().unwrap();
+    assert_eq!(results[0].get_str("status"), Some("ok"));
+    assert_eq!(results[0].get_usize("worlds_used"), Some(40));
+    // Only the second plan's answer was cached.
+    let stats = c.request(r#"{"op": "stats"}"#).unwrap();
+    let cache = stats.get("cache").unwrap();
+    assert_eq!(cache.get_usize("insertions"), Some(1));
+    server.shutdown();
+}
+
 #[test]
 fn malformed_requests_get_typed_errors_and_the_connection_survives() {
     let server = start(ServerConfig::default());

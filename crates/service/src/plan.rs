@@ -59,7 +59,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use uncertain_graph::UncertainGraph;
 
-use ugs_queries::batch::{BoxedObserver, DynHandle, QueryBatch};
+use ugs_queries::batch::{BatchError, BoxedObserver, DynHandle, QueryBatch};
 use ugs_queries::engine::{SampleMethod, WorldEngine};
 use ugs_queries::variance::Precision;
 
@@ -86,6 +86,10 @@ pub enum ServiceError {
     /// An internal driver invariant broke (a kernel panic, a redemption
     /// error).
     Internal(String),
+    /// The caller's cancel flag stopped a fixed-budget plan before its last
+    /// world, so the plan has no answer (see
+    /// [`QueryPlan::execute_detailed_with_cancel`]).
+    Cancelled,
 }
 
 impl ServiceError {
@@ -94,9 +98,10 @@ impl ServiceError {
     /// [`ServiceError::WorkerLost`] names a **transient fleet condition**:
     /// the worker may be respawned by a supervisor or its shard failed over
     /// to a standby, so a caller (or an outer retry loop) may usefully
-    /// resubmit.  Every other variant is deterministic — the same spec,
-    /// plan or invariant would fail identically again — and must surface
-    /// to the caller as fatal.
+    /// resubmit.  [`ServiceError::Cancelled`] is the caller's own decision,
+    /// and every other variant is deterministic — the same spec, plan or
+    /// invariant would fail identically again — so they surface to the
+    /// caller as fatal.
     pub fn retryable(&self) -> bool {
         matches!(self, ServiceError::WorkerLost(_))
     }
@@ -109,6 +114,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Policy(m) => write!(f, "batch policy rejected: {m}"),
             ServiceError::WorkerLost(m) => write!(f, "worker_lost: {m}"),
             ServiceError::Internal(m) => write!(f, "internal query service error: {m}"),
+            ServiceError::Cancelled => write!(f, "cancelled before the plan's last world"),
         }
     }
 }
@@ -372,8 +378,9 @@ impl QueryPlan {
     /// cancellation flag (see [`QueryBatch::with_cancel`]).  Raising the
     /// flag aborts an **adaptive** plan at its next epoch checkpoint: the
     /// answers still arrive (reflecting the worlds consumed up to the
-    /// abort) instead of running to the full budget.  Fixed-budget plans
-    /// ignore the flag.
+    /// abort) instead of running to the full budget.  A **fixed-budget**
+    /// plan stops after the world each thread is on, and every query
+    /// answers [`ServiceError::Cancelled`].
     pub fn execute_detailed_with_cancel(
         &self,
         graph: impl Into<Arc<UncertainGraph>>,
@@ -426,7 +433,10 @@ impl QueryPlan {
             .map(|handle| {
                 results
                     .try_take_boxed(handle?)
-                    .map_err(|error| ServiceError::Internal(error.to_string()))
+                    .map_err(|error| match error {
+                        BatchError::Cancelled => ServiceError::Cancelled,
+                        other => ServiceError::Internal(other.to_string()),
+                    })
             })
             .collect();
         self.answers(outputs, worlds_used, half_width)
@@ -861,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn a_raised_cancel_flag_stops_an_adaptive_plan_at_its_first_checkpoint() {
+    fn a_raised_cancel_flag_stops_adaptive_and_fixed_plans() {
         let fixed = QueryPlan::parse_str(
             r#"{"worlds": 100000, "threads": 2, "seed": 3,
                 "queries": [{"type": "connectivity"}]}"#,
@@ -878,12 +888,22 @@ mod tests {
             .unwrap();
         assert_eq!(answer.worlds_used, 64, "one epoch, then the checkpoint");
         assert!(cancel.load(Ordering::SeqCst), "the flag stays caller-owned");
-        // Fixed-budget plans ignore the flag.
-        let answer = fixed
+        // A fixed-budget plan stops after a world and has no answer.
+        let outcome = fixed
             .execute_detailed_with_cancel(toy(), Some(cancel))
+            .remove(0);
+        assert!(
+            matches!(outcome, Err(ServiceError::Cancelled)),
+            "{outcome:?}"
+        );
+        // An unraised flag changes nothing.
+        let plain = fixed.execute_detailed(toy()).remove(0).unwrap();
+        let flagged = fixed
+            .execute_detailed_with_cancel(toy(), Some(Arc::new(AtomicBool::new(false))))
             .remove(0)
             .unwrap();
-        assert_eq!(answer.worlds_used, 100_000);
+        assert_eq!(plain.worlds_used, 100_000);
+        assert_eq!(flagged.result, plain.result);
     }
 
     #[test]
