@@ -94,8 +94,8 @@ pub struct ExperimentConfig {
     pub variance_repetitions: usize,
     /// Worlds per estimator run inside the variance experiment.
     pub variance_worlds: usize,
-    /// Number of vertices of the Forest-Fire-reduced graph used by the
-    /// LP-feasible experiments (Table 2, Figures 4–5).
+    /// Number of vertices of the Forest-Fire-reduced graph, the paper's
+    /// reduction for Table 2 and Figures 4–5.
     pub reduced_vertices: usize,
     /// Number of vertices of the base graph for the density sweep.
     pub density_base_vertices: usize,
@@ -215,8 +215,8 @@ impl Workload {
         }
     }
 
-    /// The Forest-Fire-reduced Flickr instance used by the LP-feasible
-    /// experiments.
+    /// The Forest-Fire-reduced Flickr instance (the paper's reduction for
+    /// Table 2 and Figures 4–5).
     pub fn flickr_reduced(&self, config: &ExperimentConfig) -> UncertainGraph {
         let mut rng = config.rng("flickr-reduced");
         let (reduced, _) = forest_fire_sample(&self.flickr, config.reduced_vertices, 0.7, &mut rng);

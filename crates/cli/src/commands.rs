@@ -194,6 +194,8 @@ const COMMANDS: &[CommandHelp] = &[
                Sparsify the graph to A·|E| edges and report diagnostics.
                --k K > 1 makes gdb preserve cuts of up to K vertices
                (emd and lp run the degree rule only and refuse it).
+               lp solves the absolute degree discrepancy Δ1 only and
+               refuses --discrepancy relative.
                --engine selects the emd implementation (heap-indexed by
                default; both are bit-identical; gdb has one sweep loop and
                only echoes the flag) and --time appends a JSON field with

@@ -28,8 +28,6 @@ pub enum SparsifyError {
         /// Human-readable description of the problem.
         message: String,
     },
-    /// The linear-programming solver failed.
-    Lp(String),
     /// An underlying graph operation failed (should not happen for valid
     /// inputs; indicates a bug).
     Graph(GraphError),
@@ -49,7 +47,6 @@ impl fmt::Display for SparsifyError {
             SparsifyError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter {name}: {message}")
             }
-            SparsifyError::Lp(msg) => write!(f, "LP solver failure: {msg}"),
             SparsifyError::Graph(err) => write!(f, "graph error: {err}"),
         }
     }
@@ -89,7 +86,6 @@ mod tests {
                 },
                 "invalid parameter h",
             ),
-            (SparsifyError::Lp("iteration limit".into()), "LP solver"),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");

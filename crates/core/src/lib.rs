@@ -26,8 +26,8 @@
 //!   towards the vertex with the worst discrepancy (kept in an indexed
 //!   max-heap) and whose M-phase re-runs `GDB` on the new backbone.
 //! * [`lp_assign`] — the optimal `Δ1` probability assignment of Theorem 1,
-//!   solved with the workspace simplex solver (`lp-solver`); the accuracy
-//!   reference of Table 2.
+//!   solved exactly as a maximum flow on the backbone's bipartite double
+//!   cover; the accuracy reference of Table 2.
 //! * [`discrepancy`] — absolute (`δA`) and relative (`δR`) degree
 //!   discrepancies and the shared incremental tracker.
 //! * [`kcut`] — the closed-form coefficients of the general cut-preserving

@@ -35,7 +35,7 @@ pub enum Method {
     Gdb,
     /// Expectation-Maximization Degree (Algorithm 3).
     Emd,
-    /// The LP reference of Theorem 1 (optimal `Δ1`, slow).
+    /// The LP reference of Theorem 1 (optimal absolute `Δ1`).
     Lp,
 }
 
@@ -71,7 +71,7 @@ pub struct Diagnostics {
     /// Number of edges in the sparsified graph (`round(α|E|)`).
     pub target_edges: usize,
     /// Iterations of the main optimisation loop (sweeps for `GDB`, EM rounds
-    /// for `EMD`, simplex pivots for `LP`, calibration rounds for the
+    /// for `EMD`, max-flow phases for `LP`, calibration rounds for the
     /// baselines).
     pub iterations: usize,
     /// Backbone swaps (only non-zero for `EMD`).
@@ -287,7 +287,8 @@ impl SparsifierSpec {
     ///
     /// Fails with [`SparsifyError::InvalidParameter`] (`cut_rule`) for an
     /// `EMD` or LP spec whose cut rule is not the degree rule, which
-    /// neither runs.
+    /// neither runs, and (`discrepancy`) for an LP spec with the relative
+    /// discrepancy: Theorem 1's LP is the absolute `Δ1` program.
     pub fn sparsify_with<R: RngCore + ?Sized>(
         &self,
         g: &UncertainGraph,
@@ -301,6 +302,12 @@ impl SparsifierSpec {
                     "{} runs the degree rule only; k-cut rules are a GDB option",
                     self.method.name()
                 ),
+            });
+        }
+        if self.method == Method::Lp && self.discrepancy != DiscrepancyKind::Absolute {
+            return Err(SparsifyError::InvalidParameter {
+                name: "discrepancy",
+                message: "LP solves the absolute discrepancy Δ1 only".to_string(),
             });
         }
         let start = Instant::now();
@@ -361,7 +368,7 @@ impl SparsifierSpec {
                 )
             }
             Method::Lp => lp_assign(g, &backbone)
-                .map(|result| (result.probabilities, result.pivots, 0, Vec::new())),
+                .map(|result| (result.probabilities, result.phases, 0, Vec::new())),
         };
         let optimize_elapsed = phase_started.elapsed();
         scratch.spec_backbone = backbone;
@@ -595,6 +602,23 @@ mod tests {
     #[test]
     fn lp_refuses_a_cut_rule_it_does_not_run() {
         assert_refuses_cut_rules(SparsifierSpec::lp(), "LP");
+        // Theorem 1's LP is the absolute Δ1 program: a relative spec would
+        // be labelled `LP^R` yet write the absolute optimum.
+        let g = test_graph(3, 30, 120);
+        let run = |kind: DiscrepancyKind| {
+            SparsifierSpec::lp()
+                .alpha(0.5)
+                .discrepancy(kind)
+                .sparsify(&g, &mut SmallRng::seed_from_u64(1))
+        };
+        match run(DiscrepancyKind::Relative) {
+            Err(SparsifyError::InvalidParameter { name, message }) => {
+                assert_eq!(name, "discrepancy");
+                assert!(message.starts_with("LP"), "{message}");
+            }
+            other => panic!("LP with the relative discrepancy: {other:?}"),
+        }
+        assert!(run(DiscrepancyKind::Absolute).is_ok());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! |-----------|-------|----------|
 //! | [`graph`] | `uncertain-graph` | the `UncertainGraph` type, possible worlds, entropy, I/O |
 //! | [`algo`] | `graph-algos` | union-find, spanning forests, BFS/Dijkstra, PageRank, clustering, indexed heap |
-//! | [`lp`] | `lp-solver` | dense simplex used by the LP reference method |
-//! | [`sparsify`] | `ugs-core` | backbone initialisation, `GDB`, `EMD`, LP assignment, `SparsifierSpec` |
+//! | [`sparsify`] | `ugs-core` | backbone initialisation, `GDB`, `EMD`, the LP assignment (solved as a max-flow), `SparsifierSpec` |
 //! | [`baselines`] | `ugs-baselines` | the `NI` and `SS` baselines adapted from deterministic sparsification |
 //! | [`queries`] | `ugs-queries` | zero-allocation Monte-Carlo world engine, queries, estimator variance |
 //! | [`service`] | `ugs-service` | `QuerySpec`/`QueryResult` data API, JSON query plans run as one shared-world batch |
@@ -83,7 +82,6 @@
 #![warn(missing_docs)]
 
 pub use graph_algos as algo;
-pub use lp_solver as lp;
 pub use ugs_baselines as baselines;
 pub use ugs_core as sparsify;
 pub use ugs_datasets as datasets;
