@@ -46,6 +46,16 @@ pub enum ArgsError {
         /// The options the command does accept.
         allowed: Vec<String>,
     },
+    /// An option the command accepts but the chosen mode never reads (the
+    /// CLI used to drop these silently).
+    UnusedOption {
+        /// The option name (without the `--`).
+        option: String,
+        /// The command that refused it.
+        command: String,
+        /// The mode that leaves it unread, e.g. `--method ni`.
+        mode: String,
+    },
 }
 
 impl std::fmt::Display for ArgsError {
@@ -84,6 +94,15 @@ impl std::fmt::Display for ArgsError {
                     )
                 }
             }
+            ArgsError::UnusedOption {
+                option,
+                command,
+                mode,
+            } => write!(
+                f,
+                "option --{option} does not apply to `ugs {command} {mode}`, which never \
+                 reads it (see `ugs help {command}`)"
+            ),
         }
     }
 }

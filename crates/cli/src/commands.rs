@@ -195,7 +195,9 @@ const COMMANDS: &[CommandHelp] = &[
                --k K > 1 makes gdb preserve cuts of up to K vertices
                (emd and lp run the degree rule only and refuse it).
                lp solves the absolute degree discrepancy Δ1 only and
-               refuses --discrepancy relative.
+               refuses --discrepancy relative, --h and --engine; the ni
+               and ss baselines read only --alpha and --seed (with
+               --output and --time) and refuse the other options.
                --engine selects the emd implementation (heap-indexed by
                default; both are bit-identical; gdb has one sweep loop and
                only echoes the flag) and --time appends a JSON field with
@@ -437,6 +439,22 @@ fn build_sparsifier(
     engine: Engine,
 ) -> Result<Box<dyn Sparsifier>, CliError> {
     let method = args.option_or("method", "gdb");
+    // Options the method never reads are refused, not dropped: the NI and
+    // SS baselines take only `--alpha` and `--seed`, and LP's Δ1 program
+    // has no entropy term and no engine.
+    let unread: &[&str] = match method.as_str() {
+        "ni" | "ss" => &["discrepancy", "backbone", "h", "k", "engine"],
+        "lp" => &["h", "engine"],
+        _ => &[],
+    };
+    if let Some(option) = unread.iter().find(|option| args.flag(option)) {
+        return Err(ArgsError::UnusedOption {
+            option: option.to_string(),
+            command: args.command.clone(),
+            mode: format!("--method {method}"),
+        }
+        .into());
+    }
     let discrepancy = match args.option_or("discrepancy", "absolute").as_str() {
         "absolute" | "abs" => DiscrepancyKind::Absolute,
         "relative" | "rel" => DiscrepancyKind::Relative,
@@ -1362,18 +1380,11 @@ mod tests {
     fn sparsify_supports_every_method_name() {
         let input = write_toy_graph("methods.txt");
         for method in ["gdb", "emd", "lp", "ni", "ss"] {
-            let args = ParsedArgs::parse([
-                "sparsify",
-                &input,
-                "--alpha",
-                "0.5",
-                "--method",
-                method,
-                "--backbone",
-                "random",
-            ])
-            .unwrap();
-            let report = run(&args).unwrap();
+            let mut argv = vec!["sparsify", &input, "--alpha", "0.5", "--method", method];
+            if !matches!(method, "ni" | "ss") {
+                argv.extend(["--backbone", "random"]);
+            }
+            let report = run(&ParsedArgs::parse(argv).unwrap()).unwrap();
             assert!(report.contains("edges"), "{method}: {report}");
         }
         let bad = ParsedArgs::parse(["sparsify", &input, "--method", "magic"]).unwrap();
@@ -1426,19 +1437,14 @@ mod tests {
                 assert!(value >= 0.0, "{method}: {field} = {value}");
             }
         }
-        // Baseline methods have no engine dimension, so no engine line.
-        let baseline = run(&ParsedArgs::parse([
-            "sparsify",
-            &input,
-            "--alpha",
-            "0.5",
-            "--method",
-            "ni",
-            "--engine",
-            "reference",
-        ])
-        .unwrap())
-        .unwrap();
+        // Baseline methods have no engine dimension, so no engine line
+        // (and `--engine` is refused for them).
+        let baseline =
+            run(
+                &ParsedArgs::parse(["sparsify", &input, "--alpha", "0.5", "--method", "ni"])
+                    .unwrap(),
+            )
+            .unwrap();
         assert!(!baseline.contains("engine"), "{baseline}");
         // Short engine spellings echo the canonical name.
         let short =
@@ -1454,6 +1460,69 @@ mod tests {
         assert!(!plain.contains("timings"), "{plain}");
         let bad = ParsedArgs::parse(["sparsify", &input, "--engine", "psychic"]).unwrap();
         assert!(run(&bad).is_err());
+        std::fs::remove_file(&input).ok();
+    }
+
+    #[test]
+    fn sparsify_refuses_options_its_method_never_reads() {
+        let input = write_toy_graph("unread-options.txt");
+        let sparsify = |method: &str, extra: &[&str]| {
+            let mut argv = vec!["sparsify", &input, "--alpha", "0.5", "--method", method];
+            argv.extend(extra);
+            run(&ParsedArgs::parse(argv).unwrap())
+        };
+        let refusals = [
+            ("ni", "discrepancy", "absolute"),
+            ("ni", "backbone", "random"),
+            ("ni", "h", "0.7"),
+            ("ni", "k", "1"),
+            ("ni", "engine", "indexed"),
+            ("ss", "discrepancy", "relative"),
+            ("ss", "backbone", "spanning"),
+            ("ss", "h", "0.05"),
+            ("ss", "k", "4"),
+            ("ss", "engine", "reference"),
+            ("lp", "h", "1"),
+            ("lp", "engine", "reference"),
+        ];
+        for (method, option, value) in refusals {
+            let flag = format!("--{option}");
+            match sparsify(method, &[&flag, value]) {
+                Err(CliError::Args(ArgsError::UnusedOption {
+                    option: refused,
+                    mode,
+                    ..
+                })) => {
+                    assert_eq!(
+                        (refused.as_str(), mode),
+                        (option, format!("--method {method}"))
+                    );
+                }
+                other => panic!("{method} {flag} {value}: expected a refusal, got {other:?}"),
+            }
+            let message = sparsify(method, &[&flag, value]).unwrap_err().to_string();
+            assert!(message.contains(&flag), "{message}");
+        }
+        // The options each method does read stay accepted.
+        let kept: [(&str, &[&str]); 3] = [
+            ("ni", &["--seed", "3", "--time"]),
+            ("ss", &["--seed", "3"]),
+            (
+                "lp",
+                &[
+                    "--backbone",
+                    "random",
+                    "--discrepancy",
+                    "absolute",
+                    "--k",
+                    "1",
+                ],
+            ),
+        ];
+        for (method, extra) in kept {
+            let report = sparsify(method, extra).unwrap();
+            assert!(report.contains("edges"), "{method}: {report}");
+        }
         std::fs::remove_file(&input).ok();
     }
 

@@ -6,6 +6,38 @@
 //! reports — so this hand-rolled implementation covers exactly that: objects,
 //! arrays, strings (with escape handling), finite numbers, booleans and
 //! null.  Non-finite numbers serialise as `null`, matching `serde_json`.
+//!
+//! # Numbers
+//!
+//! A number is an `f64`.  [`Value::parse`] reads a number token as
+//! `str::parse::<f64>` does, and the writers print a finite `x` as
+//! `write!("{x}")` does — the shortest decimal that reads back as `x`,
+//! never in exponent form — except that an integral `|x| < 10^15` prints
+//! as the integer `x as i64` (no `.0`, like serde_json; `-0.0` prints `0`).
+//! Query reports are mostly counts and frequencies `k/2^j`, so each
+//! direction has an exact fast path for them, with the same bits or bytes
+//! as those standard-library calls:
+//!
+//! - **Parsing** (Clinger, "How to Read Floating Point Numbers
+//!   Accurately", PLDI 1990).  A token of digits with at most one `.`
+//!   (after an optional `-`), whose digits read as an integer `m ≤ 2^53`
+//!   with `k ≤ 22` of them after the point, is `m / 10^k`, negated for
+//!   the `-`.  Both operands are exact `f64`s (every integer up to 2^53
+//!   is, and so is `10^k = 2^k·5^k` while `5^k < 2^53`), and IEEE division
+//!   rounds their exact quotient — the token's value — correctly, as
+//!   `str::parse` does.  Any other token (an exponent, a longer mantissa,
+//!   more fraction digits) is scanned on from where that pass stopped and
+//!   handed to `str::parse` whole, so token boundaries, accepted inputs,
+//!   values and error offsets are those of a plain `str::parse` of it.
+//! - **Writing.**  An integral `|x| < 10^15` prints its digits.  A
+//!   non-integral `x = ±m·2^-j` with `m` odd, `j ≤ 19` and `m·5^j < 10^15`
+//!   *is* the decimal `m·5^j / 10^j`, which has at most 15 significant
+//!   digits and no trailing zero (`m·5^j` is odd).  With
+//!   `10^e ≤ |x| < 10^(e+1)`, every other decimal of at most 15
+//!   significant digits lies at least `10^(e−14)` from `x`, more than half
+//!   an ulp of `x` (at most `2^-53·|x| < 10^(e−14)`), so none of them reads
+//!   back as `x`: the expansion is the unique shortest round-trip string,
+//!   which is what `{x}` prints.  Every other finite `x` goes to `{x}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -226,19 +258,87 @@ impl ObjBuilder {
     }
 }
 
+/// The largest `j` of the writer's dyadic fast path.
+const MAX_J: usize = 19;
+
+/// `5^j` for `j ≤ MAX_J`.
+const POW5: [u64; MAX_J + 1] = {
+    let mut table = [1u64; MAX_J + 1];
+    let mut j = 1;
+    while j <= MAX_J {
+        table[j] = table[j - 1] * 5;
+        j += 1;
+    }
+    table
+};
+
+/// `10^15`: both writer fast paths print fewer significant digits.
+const DIGITS_LIMIT: u64 = 1_000_000_000_000_000;
+
 fn write_number(out: &mut String, x: f64) {
     use std::fmt::Write as _;
-    // Formatting into a `String` cannot fail.
-    if x.is_finite() {
-        if x.fract() == 0.0 && x.abs() < 1e15 {
-            // Integral values print without a trailing `.0`, like serde_json.
-            let _ = write!(out, "{}", x as i64);
-        } else {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let mut buf = [0u8; 24];
+    match fast_number(x, &mut buf) {
+        Some(at) => out.extend(buf[at..].iter().map(|&b| char::from(b))),
+        None => {
+            // Formatting into a `String` cannot fail.
             let _ = write!(out, "{x}");
         }
-    } else {
-        out.push_str("null");
     }
+}
+
+/// Writes the text `write!("{x}")` prints for a finite `x` into the tail of
+/// `buf` and returns where it starts, when one of the writer's fast paths
+/// in the [crate docs](crate) covers `x`: an integral `|x| < 10^15` (the
+/// text of `x as i64`, so `-0.0` prints `0`), or `x = ±m·2^-j` with `m`
+/// odd, `1 ≤ j ≤ 19` and `m·5^j < 10^15` (the exact decimal `m·5^j / 10^j`).
+fn fast_number(x: f64, buf: &mut [u8; 24]) -> Option<usize> {
+    // A normal x is `mantissa · 2^(exponent − 1075)`; dropping the
+    // mantissa's trailing zeros leaves `x = ±m · 2^e` with m odd.
+    // Subnormals (exponent 0) have e ≤ −1023 and fall back.
+    let bits = x.to_bits();
+    let exponent = ((bits >> 52) & 0x7ff) as i32;
+    let mantissa = (bits & ((1 << 52) - 1)) | (1 << 52);
+    let zeros = mantissa.trailing_zeros();
+    let e = exponent + zeros as i32 - 1075;
+    let (mut digits, point) = if x == 0.0 || e >= 0 {
+        (x.abs() as u64, 0)
+    } else if e < -(MAX_J as i32) {
+        return None;
+    } else {
+        let j = e.unsigned_abs() as usize;
+        ((mantissa >> zeros).checked_mul(POW5[j])?, j)
+    };
+    if digits >= DIGITS_LIMIT {
+        return None;
+    }
+    // Digits from the right, with a `.` after the `point` fractional ones
+    // and a leading `0` before it when |x| < 1 (`m·5^j` is odd times a
+    // power of 5, so it never ends in `0`).
+    let mut at = buf.len();
+    let mut written = 0;
+    loop {
+        if point > 0 && written == point {
+            at -= 1;
+            buf[at] = b'.';
+        }
+        at -= 1;
+        buf[at] = b'0' + (digits % 10) as u8;
+        digits /= 10;
+        written += 1;
+        if digits == 0 && written > point {
+            break;
+        }
+    }
+    if x < 0.0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    Some(at)
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -286,6 +386,21 @@ fn write_seq(
         out.push_str(&" ".repeat(width * depth));
     }
     out.push(close);
+}
+
+/// The parser's fast path takes mantissas up to 2^53: each is an exact
+/// `f64`.
+const FAST_MANTISSA_MAX: u64 = 1 << 53;
+
+/// `10^k` for `k ≤ 22`, each an exact `f64` (`5^22 < 2^53`).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Whether `c` continues a number token.
+fn is_number_byte(c: u8) -> bool {
+    c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
 }
 
 struct Parser<'a> {
@@ -358,13 +473,42 @@ impl Parser<'_> {
         }
     }
 
+    /// A number token is an optional `-`, then every following digit, `.`,
+    /// `e`, `E`, `+` and `-`; `str::parse` decides whether it is a number.
+    /// The fast path of the [crate docs](crate) reads the leading digits
+    /// and `.` first; unless they are the whole token and exact, the scan
+    /// resumes where it stopped.
     fn parse_number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
+        // Once the mantissa passes 2^53 the fast path cannot apply, so the
+        // pass stops there (leading zeros leave it 0 and cost nothing); a
+        // mantissa of at most 2^53 · 10 + 9 fits a u64.
+        let (mut mantissa, mut digits, mut point) = (0u64, 0usize, None);
+        loop {
+            match self.peek() {
+                Some(c @ b'0'..=b'9') if mantissa <= FAST_MANTISSA_MAX => {
+                    mantissa = mantissa * 10 + u64::from(c - b'0');
+                    digits += 1;
+                }
+                Some(b'.') if point.is_none() => point = Some(digits),
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let fraction = digits - point.unwrap_or(digits);
+        if digits > 0
+            && !self.peek().is_some_and(is_number_byte)
+            && mantissa <= FAST_MANTISSA_MAX
+            && fraction < POW10.len()
         {
+            let x = mantissa as f64 / POW10[fraction];
+            return Ok(Value::Num(if negative { -x } else { x }));
+        }
+        while self.peek().is_some_and(is_number_byte) {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
