@@ -10,10 +10,10 @@
 //! indexed engine provably avoids or restructures: the O(1) backbone
 //! position map (the reference pays an O(α|E|) scan per swap — quadratic in
 //! graph size overall), the cache-aware 8-ary vertex heap with in-place
-//! Floyd rebuilds, the log-free E-phase candidate evaluation, and the
-//! scratch reuse.  The measured trajectory is written to
-//! `BENCH_sparsify.json` at the repository root so successive PRs can track
-//! it.
+//! Floyd rebuilds, and the scratch reuse.  Both engines evaluate E-phase
+//! candidates and run M-phases through `GDB`'s one update rule.  The
+//! measured trajectory is written to `BENCH_sparsify.json` at the repository
+//! root so successive changes can track it.
 
 use std::time::Duration;
 
@@ -203,8 +203,8 @@ fn main() {
                 "EMD only: GDB has one sweep loop, which both engines run (also as EMD's \
                  M-phase). reference = per-iteration heap rebuild + O(alpha*E) scan per \
                  backbone swap; indexed = O(1) swap position map, cache-aware 8-ary vertex \
-                 heap with in-place Floyd rebuilds, log-free E-phase candidate evaluation, \
-                 CoreScratch reuse. Outputs verified bit-identical before timing; \
+                 heap with in-place Floyd rebuilds, CoreScratch reuse; both evaluate E-phase \
+                 candidates with GDB's update rule. Outputs verified bit-identical before timing; \
                  each time is the fastest of `runs` runs. The reference swap scan is quadratic \
                  overall, so the gap widens with graph size; in the low-probability crawling \
                  regime (FlickrLike) the engines are closer. Acceptance: indexed EMD >= 2x \

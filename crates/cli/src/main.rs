@@ -11,13 +11,15 @@
 //!
 //! Run `ugs help` for the full option list.
 
+use std::io::{self, Write};
+
 use ugs_cli::args::ParsedArgs;
 use ugs_cli::commands;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() {
-        println!("{}", commands::usage());
+        print_line(&commands::usage());
         return;
     }
     let parsed = match ParsedArgs::parse(raw) {
@@ -28,9 +30,24 @@ fn main() {
         }
     };
     match commands::run(&parsed) {
-        Ok(report) => println!("{report}"),
+        Ok(report) => print_line(&report),
         Err(err) => {
             eprintln!("error: {err}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Writes `text` and a newline to stdout.  A reader that stops early
+/// (`ugs help | head -5`) closes the pipe, which is no error: the command
+/// exits quietly with status 0.  Any other write error exits with status 1.
+fn print_line(text: &str) {
+    let mut stdout = io::stdout().lock();
+    match writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) => {
+            eprintln!("error: cannot write to stdout: {err}");
             std::process::exit(1);
         }
     }

@@ -22,17 +22,17 @@
 //! [`Engine::Reference`] loop pushes the vertex heap together from scratch
 //! every iteration and scans the backbone linearly on every swap, while
 //! [`Engine::Indexed`] re-heapifies a cache-aware 8-ary heap in place,
-//! maintains an O(1) edge → slot map, evaluates E-phase candidates without a
-//! single `log2` and reuses every buffer via [`CoreScratch`].  Both run
-//! their M-phases through `GDB`'s one sweep loop.
+//! maintains an O(1) edge → slot map and reuses every buffer via
+//! [`CoreScratch`].  Both evaluate E-phase candidates with `GDB`'s update
+//! rule and run their M-phases through `GDB`'s one sweep loop.
 
 use uncertain_graph::{EdgeId, UncertainGraph, VertexId};
 
 use crate::discrepancy::DiscrepancyKind;
 use crate::error::SparsifyError;
 use crate::gdb::{
-    damped_update, damped_update_from_zero, gradient_descent_assign, run_gdb, validate_backbone,
-    AssignmentState, CutRule, Engine, GdbConfig,
+    damped_update, gradient_descent_assign, run_gdb, validate_backbone, AssignmentState, CutRule,
+    Engine, GdbConfig,
 };
 use crate::scratch::CoreScratch;
 use graph_algos::IndexedMaxHeap;
@@ -211,7 +211,7 @@ fn emd_reference(
             // The vertex that currently hurts the objective the most.
             let (v_h, _) = heap.peek().expect("heap holds every vertex");
 
-            let (chosen, prob) = best_candidate(g, &state, config.entropy_h, v_h, e, false);
+            let (chosen, prob) = best_candidate(g, &state, config.entropy_h, v_h, e);
             state.insert_edge(g, chosen, prob);
             let (cu, cv) = g.edge_endpoints(chosen);
             heap.update(cu, state.tracker.delta(cu).abs());
@@ -322,7 +322,7 @@ fn emd_indexed(
 
             let (v_h, _) = heap.peek().expect("heap holds every vertex");
 
-            let (chosen, prob) = best_candidate(g, state, config.entropy_h, v_h, e, true);
+            let (chosen, prob) = best_candidate(g, state, config.entropy_h, v_h, e);
             state.insert_edge(g, chosen, prob);
             let (cu, cv) = g.edge_endpoints(chosen);
             heap.update(cu, state.tracker.delta(cu).abs());
@@ -369,29 +369,21 @@ fn emd_indexed(
 /// non-backbone edges incident to the worst vertex `v_h` (plus `removed`
 /// itself), the edge with the highest insertion gain, ties broken towards
 /// the smaller edge id.  Shared by both engines so the selection logic
-/// cannot drift apart; the only difference is the candidate evaluator —
-/// every candidate is a non-kept edge with probability exactly 0, so the
-/// indexed engine (`fast = true`) uses the bit-identical log-free
-/// [`damped_update_from_zero`] while the reference keeps the general
-/// entropy-evaluating path.
+/// cannot drift apart.  Every candidate is a non-kept edge with probability
+/// exactly 0, which `damped_update` decides without a `log2` call.
 fn best_candidate(
     g: &UncertainGraph,
     state: &AssignmentState,
     entropy_h: f64,
     v_h: VertexId,
     removed: EdgeId,
-    fast: bool,
 ) -> (EdgeId, f64) {
     let mut best: Option<(EdgeId, f64, f64)> = None; // (edge, prob, gain)
     let mut consider = |candidate: EdgeId| {
         if state.in_set[candidate] {
             return;
         }
-        let p = if fast {
-            damped_update_from_zero(g, state, entropy_h, candidate)
-        } else {
-            damped_update(g, state, None, CutRule::Degree, entropy_h, candidate)
-        };
+        let p = damped_update(g, state, None, CutRule::Degree, entropy_h, candidate);
         let gain = insertion_gain(g, state, candidate, p);
         let better = match best {
             None => true,

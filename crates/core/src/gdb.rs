@@ -29,8 +29,10 @@ use crate::scratch::{CoreScratch, GdbScratch};
 ///   `--engine reference` experiments.
 /// * [`Engine::Indexed`] swaps backbone slots through an O(1) position map,
 ///   drives its vertex heap as a cache-aware 8-ary structure with in-place
-///   Floyd rebuilds, evaluates E-phase candidates log-free, and keeps every
-///   buffer in a reusable [`CoreScratch`].
+///   Floyd rebuilds, and keeps every buffer in a reusable [`CoreScratch`].
+///
+/// Both evaluate E-phase candidates through the same `damped_update` as the
+/// sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Paper-faithful reference `EMD` (the bit-parity oracle).
@@ -324,57 +326,81 @@ pub(crate) fn damped_update(
         0.0
     } else if candidate > 1.0 {
         1.0
-    } else if edge_entropy(candidate) > edge_entropy(old) {
+    } else if entropy_rises(candidate, old) {
         (old + entropy_h * step).clamp(0.0, 1.0)
     } else {
         candidate
     }
 }
 
-/// [`damped_update`] specialised — **bit-identically** — to an edge whose
-/// current probability is exactly `0.0`, avoiding every `log2` call.
-///
-/// Justification, branch by branch (`old = 0`, so `candidate = 0 + step =
-/// step` exactly — adding to `+0.0` is exact in IEEE arithmetic):
-///
-/// * `candidate < 0` and `candidate > 1` clamp before any entropy is
-///   computed, exactly as in the general path.
-/// * Otherwise the general path compares `edge_entropy(candidate)` with
-///   `edge_entropy(0.0)`.  `edge_entropy(0.0)` is exactly `0.0` (both terms
-///   vanish; `log2(1.0)` is `+0.0` by IEEE).  For `candidate` strictly
-///   inside `(0, 1)` the computed `edge_entropy(candidate)` is strictly
-///   positive: writing `q = max(candidate, 1 - candidate) ∈ [0.5, 1)`, the
-///   term for the *other* operand `r = 1 - q ∈ (0, 0.5]` is
-///   `-r·log2(r)` with true `log2(r) ≤ -1`, so any faithfully rounded
-///   `log2` yields a factor `≤ -1 + ulp < 0` and the term rounds to a value
-///   `> 0`; the remaining term is `≥ 0` and the sum of non-negative floats
-///   with one strictly positive is strictly positive.  Hence the comparison
-///   is `true` and the damped step `(0 + h·step).clamp(0, 1)` is taken.
-/// * For `candidate` exactly `0.0` or `1.0`, `edge_entropy(candidate)` is
-///   exactly `0.0`, the comparison is `false`, and `candidate` itself is
-///   returned — again with no entropy evaluation needed.
-///
-/// This is the hot path of the `EMD` E-phase candidate scan (every
-/// candidate is a non-kept edge, whose probability is 0 by invariant); the
-/// reference engine keeps calling the general, log-evaluating path.
-pub(crate) fn damped_update_from_zero(
-    g: &UncertainGraph,
-    state: &AssignmentState,
-    entropy_h: f64,
-    e: EdgeId,
-) -> f64 {
-    debug_assert_eq!(state.prob[e], 0.0, "fast path requires probability 0");
-    let step = optimal_step(g, state, None, CutRule::Degree, e);
-    let candidate = step; // 0.0 + step, exactly
-    if candidate < 0.0 {
-        0.0
-    } else if candidate > 1.0 {
-        1.0
-    } else if candidate == 0.0 || candidate == 1.0 {
-        candidate
+/// The margin of [`entropy_rises`]' two bound rules, `2^-36`.
+const ENTROPY_MARGIN: f64 = 1.0 / (1u64 << 36) as f64;
+
+/// Rules 1–4 of [`entropy_rises`]: `Some(rises)` when one of them decides,
+/// `None` when rule 5 has to evaluate the entropies.
+#[inline]
+fn entropy_bound(candidate: f64, old: f64) -> Option<bool> {
+    let distance_to_certain = |p: f64| if p <= 0.5 { p } else { 1.0 - p };
+    let (a, b) = (distance_to_certain(old), distance_to_certain(candidate));
+    if b == 0.0 {
+        Some(false)
+    } else if (a == 0.0 && b > 0.0) || (b - a) * (1.0 - 2.0 * b) > ENTROPY_MARGIN {
+        Some(true)
+    } else if (a - b) * (1.0 - 2.0 * a) > ENTROPY_MARGIN {
+        Some(false)
     } else {
-        (entropy_h * step).clamp(0.0, 1.0)
+        None
     }
+}
+
+/// Exactly `edge_entropy(candidate) > edge_entropy(old)` for probabilities
+/// in `[0, 1]`, but calling `log2` only when a certified bound cannot
+/// decide: a floating-point filter (Shewchuk, "Adaptive Precision
+/// Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997).
+///
+/// Let `m(p) = p` for `p ≤ ½` and `1 − p` otherwise (exact, by Sterbenz's
+/// lemma), `a = m(old)` and `b = m(candidate)`.  The binary entropy `H` is
+/// symmetric about ½, so `H(old) = H(a)` and `H(candidate) = H(b)`.  The
+/// rules, in order:
+///
+/// 1. `b = 0` (`candidate ∈ {0, 1}`): `false`.  The computed
+///    `edge_entropy(candidate)` is exactly `+0.0` (`log2(1.0)` is `+0.0` by
+///    IEEE) and no computed entropy is negative.
+/// 2. `a = 0 < b`: `true`.  The computed `edge_entropy(old)` is exactly
+///    `+0.0`, and the computed `edge_entropy(candidate)` is strictly
+///    positive: the term of `r = b ∈ (0, ½]` (the candidate itself, or
+///    `1 − candidate`, computed exactly) is `−r·log2(r)` with true
+///    `log2(r) ≤ −1`, so any faithfully rounded `log2` gives a factor
+///    `≤ −1 + ulp < 0` and the term rounds to a value `> 0`; the other term
+///    is `≥ 0`.
+/// 3. `(b − a)(1 − 2b) > 2^-36`: `true`.
+/// 4. `(a − b)(1 − 2a) > 2^-36`: `false`.
+/// 5. Otherwise evaluate both entropies and compare them.
+///
+/// Rules 3 and 4 are sound for two reasons.
+///
+/// * `H` is concave, so for `a < b ≤ ½`, `H(b) − H(a) ≥ H′(b)(b − a)`, and
+///   `H′(b) = log2((1 − b)/b) ≥ ln((1 − b)/b) ≥ 1 − b/(1 − b) ≥ 1 − 2b` by
+///   `ln y ≥ 1 − 1/y`: the true entropies differ by at least
+///   `(1 − 2b)(b − a)` (rule 4 swaps the roles of `a` and `b`).  The three
+///   roundings in the bound's own evaluation move it by a relative error
+///   below `2^-51`, so a computed bound above `2^-36` leaves a true gap
+///   above `2^-37`.
+/// * Each computed entropy is within `2^-39` of the truth whenever
+///   `f64::log2(x)` is within `2^-40·|log2 x| + 2^-50` of the true value:
+///   `x·|log2 x| ≤ 1/(e·ln 2) < 0.54` on `[0, 1]` bounds each of the two
+///   terms' logarithm error by `0.54·2^-40 + 2^-50`, and rounding `1 − p`,
+///   the two products and the sum adds less than `2^-51`.  So the computed
+///   entropies differ by more than `2^-37 − 2·2^-39 > 0`, in the direction
+///   the bound says.  This assumption on `log2` is much weaker than the
+///   faithful rounding that rule 2 relies on.
+///
+/// At `old = 0`, which is every `EMD` E-phase candidate, rules 1 and 2
+/// decide, so the candidate scan never calls `log2`.  A NaN fails every
+/// test and falls through to rule 5.
+#[inline]
+fn entropy_rises(candidate: f64, old: f64) -> bool {
+    entropy_bound(candidate, old).unwrap_or_else(|| edge_entropy(candidate) > edge_entropy(old))
 }
 
 /// Validates the backbone edge ids against the graph: the backbone must be
@@ -995,5 +1021,188 @@ mod tests {
         assert_eq!(Engine::Reference.name(), "reference");
         assert_eq!(Engine::Indexed.name(), "indexed");
         assert_eq!(Engine::default(), Engine::Indexed);
+    }
+
+    /// The rules of `entropy_rises`, in its order.
+    const RULES: [&str; 5] = [
+        "1: candidate certain",
+        "2: old certain",
+        "3: bound rises",
+        "4: bound falls",
+        "5: logs",
+    ];
+
+    /// Checks one pair against the two `edge_entropy` calls and counts the
+    /// rule that decided it.
+    fn check_pair(candidate: f64, old: f64, taken: &mut [usize; 5]) {
+        let certain = |p: f64| p == 0.0 || p == 1.0;
+        let rule = match entropy_bound(candidate, old) {
+            Some(_) if certain(candidate) => 0,
+            Some(_) if certain(old) => 1,
+            Some(true) => 2,
+            Some(false) => 3,
+            None => 4,
+        };
+        taken[rule] += 1;
+        assert_eq!(
+            entropy_rises(candidate, old),
+            edge_entropy(candidate) > edge_entropy(old),
+            "candidate {candidate:e}, old {old:e}, decided by rule {}",
+            RULES[rule]
+        );
+    }
+
+    /// Checks `(c, o)` with its roles swapped and each side mirrored about ½
+    /// (`1 − x` is rounded, which only adds pairs), keeping pairs in `[0, 1]`.
+    fn check_variants(c: f64, o: f64, taken: &mut [usize; 5]) {
+        for (candidate, old) in [(c, o), (o, c), (1.0 - c, o), (c, 1.0 - o)] {
+            if (0.0..=1.0).contains(&candidate) && (0.0..=1.0).contains(&old) {
+                check_pair(candidate, old, taken);
+            }
+        }
+    }
+
+    /// `entropy_rises` is the two-`edge_entropy` comparison on every seeded
+    /// pair of each class the filter has to get right, and every rule
+    /// decides some of them.
+    #[test]
+    fn entropy_rises_is_the_log_comparison() {
+        const PAIRS: usize = 40_000;
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut taken = [0usize; 5];
+        let log_uniform = |rng: &mut SmallRng| 10f64.powf(-300.0 * rng.gen::<f64>());
+        let subnormal = |rng: &mut SmallRng| f64::from_bits(rng.gen_range(1..1u64 << 52));
+        let near_half = |rng: &mut SmallRng| 0.5 + (rng.gen::<f64>() - 0.5) * 2e-6;
+        let ulps_away = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+        for _ in 0..PAIRS {
+            // Uniform, log-uniform down to 1e-300, subnormal, near ½.
+            check_variants(rng.gen(), rng.gen(), &mut taken);
+            check_variants(log_uniform(&mut rng), log_uniform(&mut rng), &mut taken);
+            check_variants(subnormal(&mut rng), log_uniform(&mut rng), &mut taken);
+            check_variants(subnormal(&mut rng), subnormal(&mut rng), &mut taken);
+            check_variants(near_half(&mut rng), near_half(&mut rng), &mut taken);
+            // c = 1 − o.
+            let o: f64 = rng.gen();
+            check_variants(1.0 - o, o, &mut taken);
+            // c = o ± k ulps, k ≤ 4, from a uniform, a near-½ and a tiny o.
+            let k = rng.gen_range(1..5i64);
+            for o in [rng.gen(), near_half(&mut rng), log_uniform(&mut rng)] {
+                if o > 0.0 {
+                    check_variants(ulps_away(o, k), o, &mut taken);
+                    check_variants(ulps_away(o, -k), o, &mut taken);
+                }
+            }
+            // Gaps that put the bound just below or just above the margin.
+            let a = rng.gen_range(0.0..0.49);
+            let gap = ENTROPY_MARGIN * rng.gen_range(0.98..1.02) / (1.0 - 2.0 * a);
+            check_variants(a + gap, a, &mut taken);
+        }
+        // Exact 0, ½ and 1, against each other and against seeded values.
+        let exact = [0.0, 0.5, 1.0];
+        for _ in 0..PAIRS / 10 {
+            let others = [
+                rng.gen(),
+                near_half(&mut rng),
+                log_uniform(&mut rng),
+                subnormal(&mut rng),
+            ];
+            for x in exact {
+                for y in others.into_iter().chain(exact) {
+                    check_variants(x, y, &mut taken);
+                }
+            }
+        }
+        for (rule, count) in RULES.iter().zip(taken) {
+            assert!(count > 0, "rule {rule} never decided: {taken:?}");
+        }
+    }
+
+    /// `damped_update` before `entropy_rises`, verbatim: both entropies are
+    /// evaluated on every update that reaches the comparison.
+    fn damped_update_with_logs(
+        g: &UncertainGraph,
+        state: &AssignmentState,
+        coefficients: Option<&CutRuleCoefficients>,
+        cut_rule: CutRule,
+        entropy_h: f64,
+        e: EdgeId,
+    ) -> f64 {
+        let old = state.prob[e];
+        let step = optimal_step(g, state, coefficients, cut_rule, e);
+        let candidate = old + step;
+        if candidate < 0.0 {
+            0.0
+        } else if candidate > 1.0 {
+            1.0
+        } else if edge_entropy(candidate) > edge_entropy(old) {
+            (old + entropy_h * step).clamp(0.0, 1.0)
+        } else {
+            candidate
+        }
+    }
+
+    /// The filtered `damped_update` steps whole `GDB^A` and `GDB^R` sweeps
+    /// bit for bit like the log-evaluating one, on seeded 30-vertex graphs
+    /// with uniform and with low (Flickr-like) probabilities, and agrees at
+    /// `old = 0` on every non-backbone edge, which is what the `EMD` E-phase
+    /// feeds it.
+    #[test]
+    fn damped_update_matches_the_log_evaluating_update_bit_for_bit() {
+        use crate::backbone::{build_backbone, BackboneConfig};
+        let n = 30;
+        let mut damped = 0usize;
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let low = seed % 2 == 1;
+            let mut builder = UncertainGraphBuilder::new(n);
+            for u in 0..n {
+                for v in u + 1..n {
+                    if v == u + 1 || rng.gen::<f64>() < 0.15 {
+                        let p = if low {
+                            10f64.powf(-2.0 * rng.gen::<f64>())
+                        } else {
+                            rng.gen_range(0.05..0.95)
+                        };
+                        builder.add_edge(u, v, p).unwrap();
+                    }
+                }
+            }
+            let g = builder.build();
+            let backbone = build_backbone(&g, 0.4, &BackboneConfig::spanning(), &mut rng).unwrap();
+            for kind in [DiscrepancyKind::Absolute, DiscrepancyKind::Relative] {
+                for h in [0.0, 0.05, 1.0] {
+                    let context = format!("seed {seed}, {kind:?}, h = {h}");
+                    let mut state = AssignmentState::new(&g, &backbone, kind);
+                    for sweep in 0..30 {
+                        for &e in &backbone {
+                            let filtered = damped_update(&g, &state, None, CutRule::Degree, h, e);
+                            let logs =
+                                damped_update_with_logs(&g, &state, None, CutRule::Degree, h, e);
+                            assert_eq!(
+                                filtered.to_bits(),
+                                logs.to_bits(),
+                                "{context}, sweep {sweep}, edge {e}: {filtered} vs {logs}"
+                            );
+                            let old = state.prob[e];
+                            let step = optimal_step(&g, &state, None, CutRule::Degree, e);
+                            damped += usize::from(filtered != (old + step).clamp(0.0, 1.0));
+                            state.set_probability(&g, e, filtered);
+                        }
+                        for e in (0..g.num_edges()).filter(|&e| !state.in_set[e]) {
+                            assert_eq!(state.prob[e], 0.0);
+                            let filtered = damped_update(&g, &state, None, CutRule::Degree, h, e);
+                            let logs =
+                                damped_update_with_logs(&g, &state, None, CutRule::Degree, h, e);
+                            assert_eq!(
+                                filtered.to_bits(),
+                                logs.to_bits(),
+                                "{context}, after sweep {sweep}, non-backbone edge {e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(damped > 0, "no sweep update took the damped branch");
     }
 }

@@ -24,7 +24,9 @@
 //! buffers) and maintains an edge → backbone-position map, so swap
 //! bookkeeping is `O(1)`.  The heap's ordering is total (priority, then
 //! smaller vertex id), so its maximum is unique and independent of the
-//! internal layout — peeks agree with the reference heap bit for bit.
+//! internal layout — peeks agree with the reference heap bit for bit.  Both
+//! engines evaluate E-phase candidates and run M-phases through `GDB`'s own
+//! update, so those agree by construction.
 
 use graph_algos::FlatMaxHeap;
 use uncertain_graph::EdgeId;
