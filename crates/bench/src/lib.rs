@@ -9,9 +9,10 @@
 //!   paper plots.  The thin binaries in `src/bin/exp_*.rs` print them.
 //! * The benches under `benches/` are plain `main` programs
 //!   (`harness = false`): `mc_engine`, `batch_queries`, `sparsify`,
-//!   `adaptive` and `dist`.  Each asserts its parity checks before timing
-//!   anything, then times with [`harness::fastest`] and records the result
-//!   with [`harness::write_bench_json`] as `BENCH_{mc,batch,sparsify,
+//!   `adaptive` and `dist`.  Each bench with a second path to compare
+//!   asserts its parity checks before timing anything; every bench times
+//!   with [`harness::fastest`] and records the result with
+//!   [`harness::write_bench_json`] as `BENCH_{mc,batch,sparsify,
 //!   adaptive,dist}.json` at the repository root.
 //!
 //! The real Flickr/Twitter datasets are replaced by the statistical

@@ -252,7 +252,6 @@ fn emd_steady_state_iterations_are_zero_allocation() {
     let config_with = |max_iterations: usize| EmdConfig {
         tolerance: 0.0,
         max_iterations,
-        engine: Engine::Indexed,
         gdb: GdbConfig {
             tolerance: 0.0,
             max_iterations: 10,

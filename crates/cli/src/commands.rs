@@ -84,7 +84,6 @@ const SPARSIFY_OPTIONS: &[&str] = &[
     "k",
     "seed",
     "output",
-    "engine",
     "time",
 ];
 const QUERY_OPTIONS: &[&str] = &[
@@ -189,19 +188,15 @@ const COMMANDS: &[CommandHelp] = &[
         name: "sparsify",
         usage: "sparsify   <graph.txt> --alpha A [--method gdb|emd|lp|ni|ss]
                [--discrepancy absolute|relative] [--backbone random|spanning|local-degree]
-               [--h H] [--k K] [--seed N] [--output FILE]
-               [--engine reference|indexed] [--time]
+               [--h H] [--k K] [--seed N] [--output FILE] [--time]
                Sparsify the graph to A·|E| edges and report diagnostics.
                --k K > 1 makes gdb preserve cuts of up to K vertices
                (emd and lp run the degree rule only and refuse it).
                lp solves the absolute degree discrepancy Δ1 only and
-               refuses --discrepancy relative, --h and --engine; the ni
-               and ss baselines read only --alpha and --seed (with
-               --output and --time) and refuse the other options.
-               --engine selects the emd implementation (heap-indexed by
-               default; both are bit-identical; gdb has one sweep loop and
-               only echoes the flag) and --time appends a JSON field with
-               per-phase wall-clock times.",
+               refuses --discrepancy relative and --h; the ni and ss
+               baselines read only --alpha and --seed (with --output and
+               --time) and refuse the other options.  --time appends a
+               JSON field with per-phase wall-clock times.",
     },
     CommandHelp {
         name: "query",
@@ -423,28 +418,14 @@ pub fn stats(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses `--engine`, defaulting to the indexed engine.
-fn parse_engine(args: &ParsedArgs) -> Result<Engine, CliError> {
-    let engine_name = args.option_or("engine", "indexed");
-    Engine::parse(&engine_name).ok_or_else(|| {
-        CliError::Message(format!(
-            "unknown engine {engine_name:?}; expected reference|indexed"
-        ))
-    })
-}
-
-fn build_sparsifier(
-    args: &ParsedArgs,
-    alpha: f64,
-    engine: Engine,
-) -> Result<Box<dyn Sparsifier>, CliError> {
+fn build_sparsifier(args: &ParsedArgs, alpha: f64) -> Result<Box<dyn Sparsifier>, CliError> {
     let method = args.option_or("method", "gdb");
     // Options the method never reads are refused, not dropped: the NI and
     // SS baselines take only `--alpha` and `--seed`, and LP's Δ1 program
-    // has no entropy term and no engine.
+    // has no entropy term.
     let unread: &[&str] = match method.as_str() {
-        "ni" | "ss" => &["discrepancy", "backbone", "h", "k", "engine"],
-        "lp" => &["h", "engine"],
+        "ni" | "ss" => &["discrepancy", "backbone", "h", "k"],
+        "lp" => &["h"],
         _ => &[],
     };
     if let Some(option) = unread.iter().find(|option| args.flag(option)) {
@@ -487,7 +468,6 @@ fn build_sparsifier(
             .backbone(backbone)
             .entropy_h(h)
             .cut_rule(cut_rule)
-            .engine(engine)
     };
     Ok(match method.as_str() {
         "gdb" => Box::new(spec(SparsifierSpec::gdb())),
@@ -512,18 +492,11 @@ pub fn sparsify(args: &ParsedArgs) -> Result<String, CliError> {
     let alpha = args.f64_or("alpha", 0.16)?;
     let seed = args.u64_or("seed", 42)?;
     let graph = load(path)?;
-    let engine = parse_engine(args)?;
-    let sparsifier = build_sparsifier(args, alpha, engine)?;
+    let sparsifier = build_sparsifier(args, alpha)?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let output = sparsifier.sparsify_dyn(&graph, &mut rng)?;
-    // The engine line is printed for the spec-based methods (only EMD's
-    // bookkeeping depends on it); the NI/SS/LP paths have no engine.
-    let engine_line = match args.option_or("method", "gdb").as_str() {
-        "gdb" | "emd" => format!("engine          : {}\n", engine.name()),
-        _ => String::new(),
-    };
     let mut report = format!(
-        "method          : {}\n{engine_line}edges           : {} -> {}\nrelative entropy: {:.4}\ndegree MAE      : {:.6}\niterations      : {}\ntime            : {:?}\n",
+        "method          : {}\nedges           : {} -> {}\nrelative entropy: {:.4}\ndegree MAE      : {:.6}\niterations      : {}\ntime            : {:?}\n",
         output.diagnostics.method,
         graph.num_edges(),
         output.graph.num_edges(),
@@ -1393,40 +1366,30 @@ mod tests {
     }
 
     #[test]
-    fn sparsify_engines_agree_and_report_timings() {
-        let input = write_toy_graph("engines.txt");
-        let run_engine = |engine: &str, method: &str| {
+    fn sparsify_reports_are_stable_and_report_timings() {
+        let input = write_toy_graph("stable-reports.txt");
+        let timed = |method: &str| {
             let args = ParsedArgs::parse([
-                "sparsify", &input, "--alpha", "0.5", "--method", method, "--engine", engine,
-                "--time",
+                "sparsify", &input, "--alpha", "0.5", "--method", method, "--time",
             ])
             .unwrap();
             run(&args).unwrap()
         };
+        // Everything except the wall-clock lines is a deterministic
+        // snapshot.
+        let stable = |report: &str| -> Vec<String> {
+            report
+                .lines()
+                .filter(|line| !line.starts_with("time") && !line.starts_with("timings"))
+                .map(str::to_string)
+                .collect()
+        };
         for method in ["gdb", "emd"] {
-            let reference = run_engine("reference", method);
-            let indexed = run_engine("indexed", method);
-            assert!(
-                reference.contains("engine          : reference"),
-                "{reference}"
-            );
-            assert!(indexed.contains("engine          : indexed"), "{indexed}");
-            // Everything except the engine label and the wall-clock lines
-            // must be byte-identical between the two engines.
-            let stable = |report: &str| -> Vec<String> {
-                report
-                    .lines()
-                    .filter(|line| {
-                        !line.starts_with("time")
-                            && !line.starts_with("timings")
-                            && !line.starts_with("engine")
-                    })
-                    .map(str::to_string)
-                    .collect()
-            };
-            assert_eq!(stable(&reference), stable(&indexed), "{method}");
+            let report = timed(method);
+            assert_eq!(stable(&report), stable(&timed(method)), "{method}");
+            assert!(!report.contains("engine"), "{report}");
             // --time emits a parseable JSON object with the per-phase fields.
-            let timings_line = indexed
+            let timings_line = report
                 .lines()
                 .find(|line| line.starts_with("timings"))
                 .expect("timings line present");
@@ -1437,29 +1400,28 @@ mod tests {
                 assert!(value >= 0.0, "{method}: {field} = {value}");
             }
         }
-        // Baseline methods have no engine dimension, so no engine line
-        // (and `--engine` is refused for them).
-        let baseline =
-            run(
-                &ParsedArgs::parse(["sparsify", &input, "--alpha", "0.5", "--method", "ni"])
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!(!baseline.contains("engine"), "{baseline}");
-        // Short engine spellings echo the canonical name.
-        let short =
-            run(
-                &ParsedArgs::parse(["sparsify", &input, "--alpha", "0.5", "--engine", "ref"])
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!(short.contains("engine          : reference"), "{short}");
         // Without --time no timings line appears.
         let plain =
             run(&ParsedArgs::parse(["sparsify", &input, "--alpha", "0.5"]).unwrap()).unwrap();
         assert!(!plain.contains("timings"), "{plain}");
-        let bad = ParsedArgs::parse(["sparsify", &input, "--engine", "psychic"]).unwrap();
-        assert!(run(&bad).is_err());
+        std::fs::remove_file(&input).ok();
+    }
+
+    #[test]
+    fn sparsify_refuses_the_engine_option_as_unknown() {
+        let input = write_toy_graph("no-engine.txt");
+        for method in ["gdb", "emd"] {
+            let args = ParsedArgs::parse([
+                "sparsify", &input, "--method", method, "--engine", "indexed",
+            ])
+            .unwrap();
+            match run(&args) {
+                Err(CliError::Args(ArgsError::UnknownOption {
+                    option, command, ..
+                })) => assert_eq!((option.as_str(), command.as_str()), ("engine", "sparsify")),
+                other => panic!("{method}: expected an unknown-option refusal, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&input).ok();
     }
 
@@ -1476,14 +1438,11 @@ mod tests {
             ("ni", "backbone", "random"),
             ("ni", "h", "0.7"),
             ("ni", "k", "1"),
-            ("ni", "engine", "indexed"),
             ("ss", "discrepancy", "relative"),
             ("ss", "backbone", "spanning"),
             ("ss", "h", "0.05"),
             ("ss", "k", "4"),
-            ("ss", "engine", "reference"),
             ("lp", "h", "1"),
-            ("lp", "engine", "reference"),
         ];
         for (method, option, value) in refusals {
             let flag = format!("--{option}");

@@ -6,8 +6,8 @@
 //! * **E-phase** — for each backbone edge `e = (u, v)`: temporarily remove it
 //!   (returning its probability mass to the discrepancies of `u` and `v`),
 //!   look at the vertex `v_H` with the *largest* current discrepancy (kept in
-//!   an indexed max-heap), and among the non-backbone edges incident to `v_H`
-//!   (plus `e` itself) re-insert the edge with the highest *gain*
+//!   an addressable max-heap), and among the non-backbone edges incident to
+//!   `v_H` (plus `e` itself) re-insert the edge with the highest *gain*
 //!   (Equation 10) at its optimal probability (Equation 9).
 //! * **M-phase** — run `GDB` on the restructured backbone.
 //!
@@ -16,26 +16,21 @@
 //! `O(α|E| log|V|)` heap work instead of the `O(α(1-α)|E|² log|V| / |V|)` of
 //! the naive edge-heap formulation (Section 4.3).
 //!
-//! Two implementations are provided, selected by [`EmdConfig::engine`] and
-//! bit-identical to each other (see [`crate::scratch`] for the argument and
-//! the `sparsify_parity` suite for the proof-by-test): the paper-faithful
-//! [`Engine::Reference`] loop pushes the vertex heap together from scratch
-//! every iteration and scans the backbone linearly on every swap, while
-//! [`Engine::Indexed`] re-heapifies a cache-aware 8-ary heap in place,
-//! maintains an O(1) edge → slot map and reuses every buffer via
-//! [`CoreScratch`].  Both evaluate E-phase candidates with `GDB`'s update
-//! rule and run their M-phases through `GDB`'s one sweep loop.
+//! The loop keeps its books in a reusable [`CoreScratch`] (see
+//! [`crate::scratch`]): the vertex heap is re-heapified in place at each
+//! E-phase start, an edge → slot map makes every swap `O(1)`, and the
+//! M-phase runs `GDB`'s one sweep loop in a reused workspace.  E-phase
+//! candidates are evaluated with `GDB`'s update rule.  The unit tests hold
+//! a heap-free transcription of Algorithm 3 (an argmax scan for `v_H`, a
+//! linear search for each swapped slot, a fresh `GDB` per M-phase) and
+//! check this loop against it bit for bit.
 
 use uncertain_graph::{EdgeId, UncertainGraph, VertexId};
 
 use crate::discrepancy::DiscrepancyKind;
 use crate::error::SparsifyError;
-use crate::gdb::{
-    damped_update, gradient_descent_assign, run_gdb, validate_backbone, AssignmentState, CutRule,
-    Engine, GdbConfig,
-};
+use crate::gdb::{damped_update, run_gdb, validate_backbone, AssignmentState, CutRule, GdbConfig};
 use crate::scratch::CoreScratch;
-use graph_algos::IndexedMaxHeap;
 
 /// Configuration of the `EMD` sparsifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,8 +44,6 @@ pub struct EmdConfig {
     pub tolerance: f64,
     /// Hard cap on the number of EM iterations.
     pub max_iterations: usize,
-    /// Which implementation to run; both are bit-identical.
-    pub engine: Engine,
     /// Configuration of the embedded `GDB` M-phase.  Only its `tolerance`
     /// and `max_iterations` are read: `discrepancy` and `entropy_h` come from
     /// the fields above, and the M-phase always runs the degree rule.
@@ -64,7 +57,6 @@ impl Default for EmdConfig {
             entropy_h: 0.05,
             tolerance: 1e-9,
             max_iterations: 20,
-            engine: Engine::default(),
             gdb: GdbConfig::default(),
         }
     }
@@ -126,9 +118,9 @@ impl EmdResult {
     }
 }
 
-/// Runs `EMD` (Algorithm 3) starting from the given backbone.  Dispatches on
-/// [`EmdConfig::engine`]; the indexed engine allocates a transient scratch —
-/// use [`expectation_maximization_sparsify_with`] to amortise it.
+/// Runs `EMD` (Algorithm 3) starting from the given backbone.  Allocates a
+/// transient scratch — use [`expectation_maximization_sparsify_with`] to
+/// amortise it.
 ///
 /// The number of kept edges always equals the backbone size: every E-phase
 /// swap removes one edge and inserts exactly one.  The backbone edge ids must
@@ -144,9 +136,18 @@ pub fn expectation_maximization_sparsify(
 }
 
 /// [`expectation_maximization_sparsify`] with caller-provided scratch space:
-/// with [`Engine::Indexed`] repeated runs reuse the outer state, the vertex
-/// heap, the snapshot buffer and the M-phase workspace, so warm E-phase
-/// iterations perform zero heap allocations.
+/// repeated runs reuse the outer state, the vertex heap, the snapshot buffer
+/// and the M-phase workspace, so warm E-phase iterations perform zero heap
+/// allocations.
+///
+/// * The vertex heap is re-heapified in place (`O(|V|)` Floyd build into
+///   reused buffers) at each E-phase start and updated at the two endpoints
+///   of every removed and every inserted edge, the only vertices whose
+///   discrepancy changes during the phase.
+/// * Swap positions come from an `O(1)` edge → slot map.
+/// * The M-phase runs the `GDB` sweeps in the reusable M-phase workspace and
+///   applies the tuned probabilities directly, without materialising an
+///   intermediate `GdbResult`.
 pub fn expectation_maximization_sparsify_with(
     g: &UncertainGraph,
     backbone: &[EdgeId],
@@ -154,127 +155,13 @@ pub fn expectation_maximization_sparsify_with(
     scratch: &mut CoreScratch,
 ) -> Result<EmdResult, SparsifyError> {
     config.validate()?;
-    // The embedded M-phase configuration is validated up front so both
-    // engines reject invalid nested configs identically (the reference would
-    // otherwise only hit the check inside its first M-phase, and the indexed
-    // engine not at all).
+    // The embedded M-phase configuration is validated up front, so an
+    // invalid nested config is refused before any work.
     config.mphase_gdb().validate()?;
-    // The indexed engine resets these membership flags before reading them
-    // (the reference keeps its own state), so they double as the validation
-    // buffer.
+    // The run resets these membership flags before reading them, so they
+    // double as the validation buffer.
     validate_backbone(g, backbone, &mut scratch.emd.state.in_set)?;
-    match config.engine {
-        Engine::Reference => emd_reference(g, backbone, config),
-        Engine::Indexed => Ok(emd_indexed(g, backbone, config, scratch)),
-    }
-}
 
-/// The paper-faithful `EMD` loop (the bit-parity oracle): the vertex heap is
-/// rebuilt at the start of every E-phase and the M-phase runs through the
-/// public [`gradient_descent_assign`] on a fresh assignment state.
-fn emd_reference(
-    g: &UncertainGraph,
-    backbone: &[EdgeId],
-    config: &EmdConfig,
-) -> Result<EmdResult, SparsifyError> {
-    // Lines 1–5 of Algorithm 3: the initial assignment keeps the backbone
-    // with its original probabilities.
-    let mut state = AssignmentState::new(g, backbone, config.discrepancy);
-    let mut current_backbone: Vec<EdgeId> = backbone.to_vec();
-    let mut trace = vec![state.tracker.objective()];
-    let mut swaps = 0usize;
-    let mut iterations = 0usize;
-    // One snapshot buffer for all E-phases (each round used to clone the
-    // backbone anew; the contents are still rewritten every iteration).
-    let mut snapshot: Vec<EdgeId> = Vec::with_capacity(current_backbone.len());
-
-    for _ in 0..config.max_iterations {
-        let before = state.tracker.objective();
-
-        // ---------------- E-phase: restructure the backbone ----------------
-        let mut heap = IndexedMaxHeap::new(g.num_vertices());
-        for u in g.vertices() {
-            heap.push_or_update(u, state.tracker.delta(u).abs());
-        }
-        snapshot.clear();
-        snapshot.extend_from_slice(&current_backbone);
-        for &e in &snapshot {
-            if !state.in_set[e] {
-                continue; // already replaced earlier in this phase
-            }
-            let (u, v) = g.edge_endpoints(e);
-            // Remove e: its probability mass flows back into δ(u), δ(v).
-            state.remove_edge(g, e);
-            heap.update(u, state.tracker.delta(u).abs());
-            heap.update(v, state.tracker.delta(v).abs());
-
-            // The vertex that currently hurts the objective the most.
-            let (v_h, _) = heap.peek().expect("heap holds every vertex");
-
-            let (chosen, prob) = best_candidate(g, &state, config.entropy_h, v_h, e);
-            state.insert_edge(g, chosen, prob);
-            let (cu, cv) = g.edge_endpoints(chosen);
-            heap.update(cu, state.tracker.delta(cu).abs());
-            heap.update(cv, state.tracker.delta(cv).abs());
-            if chosen != e {
-                swaps += 1;
-                let position = current_backbone
-                    .iter()
-                    .position(|&x| x == e)
-                    .expect("edge came from the current backbone");
-                current_backbone[position] = chosen;
-            }
-        }
-
-        // ---------------- M-phase: retune probabilities with GDB -----------
-        let gdb_result = gradient_descent_assign(g, &current_backbone, &config.mphase_gdb())?;
-        for &(e, p) in &gdb_result.probabilities {
-            state.set_probability(g, e, p);
-        }
-
-        let after = state.tracker.objective();
-        trace.push(after);
-        iterations += 1;
-        if (before - after).abs() <= config.tolerance {
-            break;
-        }
-    }
-
-    let probabilities = current_backbone
-        .iter()
-        .map(|&e| (e, state.prob[e]))
-        .collect();
-    Ok(EmdResult {
-        probabilities,
-        iterations,
-        objective_trace: trace,
-        swaps,
-        entropy: state.entropy(),
-    })
-}
-
-/// The indexed `EMD` loop: bit-identical to [`emd_reference`] (checked by
-/// the `sparsify_parity` suite) but with the heavy per-iteration work
-/// replaced by incremental indexes — see [`crate::scratch`] for why each
-/// replacement preserves bit-parity.
-///
-/// * The vertex heap is re-heapified in place (`O(|V|)` Floyd build into
-///   reused buffers) at each E-phase start, instead of the reference's
-///   `O(|V| log |V|)` pushes into a freshly allocated heap, and is updated
-///   incrementally at the same points the reference instruments during the
-///   phase.
-/// * The E-phase snapshot and the backbone bookkeeping reuse scratch
-///   buffers; swap positions come from an O(1) edge → slot map instead of a
-///   linear scan per swap.
-/// * The M-phase runs the `GDB` sweeps in the reusable M-phase workspace and
-///   applies the tuned probabilities directly, without materialising an
-///   intermediate `GdbResult`.
-fn emd_indexed(
-    g: &UncertainGraph,
-    backbone: &[EdgeId],
-    config: &EmdConfig,
-    scratch: &mut CoreScratch,
-) -> EmdResult {
     let crate::scratch::EmdScratch {
         state,
         heap,
@@ -285,6 +172,8 @@ fn emd_indexed(
         mphase,
     } = &mut scratch.emd;
 
+    // Lines 1–5 of Algorithm 3: the initial assignment keeps the backbone
+    // with its original probabilities.
     state.reset(g, backbone, config.discrepancy);
     current.clear();
     current.extend_from_slice(backbone);
@@ -301,13 +190,12 @@ fn emd_indexed(
     let mut iterations = 0usize;
 
     for _ in 0..config.max_iterations {
-        let before = state.tracker.objective();
+        // The state has not changed since the trace's last entry.
+        let before = *trace.last().expect("trace holds the initial objective");
 
         // ---------------- E-phase: restructure the backbone ----------------
-        // In-place O(|V|) Floyd heapify into the reused buffers, instead of
-        // the reference's |V| pushes into a freshly allocated heap.  Peeks
-        // agree bit for bit: the ordering is total, so the maximum is unique
-        // whatever the internal layout.
+        // The ordering is total (priority, then the smaller vertex), so the
+        // maximum is unique whatever the heap's internal layout.
         heap.rebuild(g.num_vertices(), |u| state.tracker.delta(u).abs());
         snapshot.clear();
         snapshot.extend_from_slice(current);
@@ -316,10 +204,12 @@ fn emd_indexed(
                 continue; // already replaced earlier in this phase
             }
             let (u, v) = g.edge_endpoints(e);
+            // Remove e: its probability mass flows back into δ(u), δ(v).
             state.remove_edge(g, e);
             heap.update(u, state.tracker.delta(u).abs());
             heap.update(v, state.tracker.delta(v).abs());
 
+            // The vertex that currently hurts the objective the most.
             let (v_h, _) = heap.peek().expect("heap holds every vertex");
 
             let (chosen, prob) = best_candidate(g, state, config.entropy_h, v_h, e);
@@ -337,11 +227,11 @@ fn emd_indexed(
         }
 
         // ---------------- M-phase: retune probabilities with GDB -----------
-        // Same semantics as the reference: GDB restarts from the original
-        // probabilities of the restructured backbone (`run_gdb` resets the
-        // M-phase state exactly like a fresh construction).  The heap is not
-        // maintained here — the next E-phase re-heapifies in O(|V|), which
-        // is far cheaper than 2α|E| logarithmic updates.
+        // GDB restarts from the original probabilities of the restructured
+        // backbone (`run_gdb` resets the M-phase state exactly like a fresh
+        // construction).  The heap is not maintained here — the next E-phase
+        // re-heapifies in O(|V|), which is far cheaper than 2α|E|
+        // logarithmic updates.
         let inner = run_gdb(g, current, &mphase_config, None, mphase);
         for &e in current.iter() {
             state.set_probability(g, e, inner.state.prob[e]);
@@ -356,19 +246,19 @@ fn emd_indexed(
     }
 
     let probabilities = current.iter().map(|&e| (e, state.prob[e])).collect();
-    EmdResult {
+    Ok(EmdResult {
         probabilities,
         iterations,
         objective_trace: trace.clone(),
         swaps,
         entropy: state.entropy(),
-    }
+    })
 }
 
 /// Picks the E-phase replacement for the removed edge `removed`: among the
 /// non-backbone edges incident to the worst vertex `v_h` (plus `removed`
 /// itself), the edge with the highest insertion gain, ties broken towards
-/// the smaller edge id.  Shared by both engines so the selection logic
+/// the smaller edge id.  Shared with the test oracle, so the selection logic
 /// cannot drift apart.  Every candidate is a non-kept edge with probability
 /// exactly 0, which `damped_update` decides without a `log2` call.
 fn best_candidate(
@@ -421,6 +311,7 @@ fn insertion_gain(g: &UncertainGraph, state: &AssignmentState, candidate: EdgeId
 mod tests {
     use super::*;
     use crate::backbone::{build_backbone, BackboneConfig};
+    use crate::gdb::gradient_descent_assign;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_graph::UncertainGraphBuilder;
@@ -629,29 +520,21 @@ mod tests {
                 ..
             })
         ));
-        // Invalid *nested* M-phase configs are rejected by both engines
-        // (the indexed engine must not silently accept what the reference
-        // rejects).
-        for engine in [Engine::Reference, Engine::Indexed] {
-            let bad_nested = EmdConfig {
-                engine,
-                gdb: GdbConfig {
-                    max_iterations: 0,
-                    ..Default::default()
-                },
+        // An invalid *nested* M-phase config is refused before any work.
+        let bad_nested = EmdConfig {
+            gdb: GdbConfig {
+                max_iterations: 0,
                 ..Default::default()
-            };
-            assert!(
-                matches!(
-                    expectation_maximization_sparsify(&g, &backbone, &bad_nested),
-                    Err(SparsifyError::InvalidParameter {
-                        name: "max_iterations",
-                        ..
-                    })
-                ),
-                "{engine:?}"
-            );
-        }
+            },
+            ..Default::default()
+        };
+        assert!(matches!(
+            expectation_maximization_sparsify(&g, &backbone, &bad_nested),
+            Err(SparsifyError::InvalidParameter {
+                name: "max_iterations",
+                ..
+            })
+        ));
         assert!(matches!(
             expectation_maximization_sparsify(&g, &[], &EmdConfig::default()),
             Err(SparsifyError::EmptyGraph)
@@ -679,5 +562,154 @@ mod tests {
             "gain {gain} vs {}",
             before - after
         );
+    }
+
+    /// The vertex `v_H` with the largest `|δ|`, in `FlatMaxHeap`'s order:
+    /// NaN ranks as −∞ and ties go to the smaller vertex.
+    fn worst_vertex(g: &UncertainGraph, state: &AssignmentState) -> VertexId {
+        let key = |u: VertexId| {
+            let d = state.tracker.delta(u).abs();
+            if d.is_nan() {
+                f64::NEG_INFINITY
+            } else {
+                d
+            }
+        };
+        let mut worst = 0;
+        for u in 1..g.num_vertices() {
+            if key(u) > key(worst) {
+                worst = u;
+            }
+        }
+        worst
+    }
+
+    /// Algorithm 3 as the paper states it, keeping nothing between steps:
+    /// `v_H` is an argmax scan, a swapped edge's slot is found by linear
+    /// search, every M-phase runs the public `GDB` on the current backbone,
+    /// and the objective is evaluated before and after every iteration.
+    /// It shares only `AssignmentState`, `best_candidate` and the `GDB`
+    /// sweeps with the production loop.
+    fn paper_emd(g: &UncertainGraph, backbone: &[EdgeId], config: &EmdConfig) -> EmdResult {
+        let mut state = AssignmentState::new(g, backbone, config.discrepancy);
+        let mut current = backbone.to_vec();
+        let mut trace = vec![state.tracker.objective()];
+        let (mut swaps, mut iterations) = (0, 0);
+        for _ in 0..config.max_iterations {
+            let before = state.tracker.objective();
+            for e in current.clone() {
+                if !state.in_set[e] {
+                    continue;
+                }
+                state.remove_edge(g, e);
+                let v_h = worst_vertex(g, &state);
+                let (chosen, prob) = best_candidate(g, &state, config.entropy_h, v_h, e);
+                state.insert_edge(g, chosen, prob);
+                if chosen != e {
+                    swaps += 1;
+                    let slot = current.iter().position(|&x| x == e).unwrap();
+                    current[slot] = chosen;
+                }
+            }
+            let mphase = gradient_descent_assign(g, &current, &config.mphase_gdb()).unwrap();
+            for (e, p) in mphase.probabilities {
+                state.set_probability(g, e, p);
+            }
+            let after = state.tracker.objective();
+            trace.push(after);
+            iterations += 1;
+            if (before - after).abs() <= config.tolerance {
+                break;
+            }
+        }
+        EmdResult {
+            probabilities: current.iter().map(|&e| (e, state.prob[e])).collect(),
+            iterations,
+            objective_trace: trace,
+            swaps,
+            entropy: state.entropy(),
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Probabilities, objective trace, iterations, swaps and entropy agree
+    /// bit for bit.
+    fn assert_identical(oracle: &EmdResult, run: &EmdResult, context: &str) {
+        assert_eq!(oracle.iterations, run.iterations, "{context}: iterations");
+        assert_eq!(oracle.swaps, run.swaps, "{context}: swaps");
+        let edges = |r: &EmdResult| r.probabilities.iter().map(|&(e, _)| e).collect::<Vec<_>>();
+        let probs =
+            |r: &EmdResult| bits(&r.probabilities.iter().map(|&(_, p)| p).collect::<Vec<_>>());
+        assert_eq!(edges(oracle), edges(run), "{context}: backbone slots");
+        assert_eq!(probs(oracle), probs(run), "{context}: probabilities");
+        assert_eq!(
+            bits(&oracle.objective_trace),
+            bits(&run.objective_trace),
+            "{context}: objective trace"
+        );
+        assert_eq!(
+            oracle.entropy.to_bits(),
+            run.entropy.to_bits(),
+            "{context}: entropy"
+        );
+    }
+
+    /// Runs the oracle and `expectation_maximization_sparsify_with` on one
+    /// warm scratch over {absolute, relative} × h ∈ {0, 0.05, 1}.
+    fn check_against_the_oracle(
+        g: &UncertainGraph,
+        backbone: &[EdgeId],
+        scratch: &mut CoreScratch,
+        label: &str,
+    ) {
+        for kind in [DiscrepancyKind::Absolute, DiscrepancyKind::Relative] {
+            for h in [0.0, 0.05, 1.0] {
+                let config = EmdConfig {
+                    discrepancy: kind,
+                    entropy_h: h,
+                    ..Default::default()
+                };
+                let run =
+                    expectation_maximization_sparsify_with(g, backbone, &config, scratch).unwrap();
+                let oracle = paper_emd(g, backbone, &config);
+                assert_identical(&oracle, &run, &format!("{label}, {kind:?}, h = {h}"));
+            }
+        }
+    }
+
+    fn spanning_backbone(g: &UncertainGraph, seed: u64, alpha: f64) -> Vec<EdgeId> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        build_backbone(g, alpha, &BackboneConfig::spanning(), &mut rng).unwrap()
+    }
+
+    /// The loop matches the paper-faithful oracle over the configuration
+    /// grid of the paper: seeds × {absolute, relative} × h.
+    #[test]
+    fn emd_matches_the_paper_oracle_across_the_grid() {
+        let mut scratch = CoreScratch::new();
+        for seed in [1, 7, 23] {
+            let g = random_graph(seed + 100, 35, 140);
+            let backbone = spanning_backbone(&g, seed, 0.3);
+            check_against_the_oracle(&g, &backbone, &mut scratch, &format!("seed {seed}"));
+        }
+    }
+
+    /// The same check on one larger graph: thousands of swaps per run, so
+    /// heap order, slot bookkeeping and scratch reuse are exercised at
+    /// scale.  Release builds run at least 2 000 vertices and 8 000 edges.
+    #[test]
+    fn emd_matches_the_paper_oracle_on_a_larger_graph() {
+        let (n, m) = if cfg!(debug_assertions) {
+            (600, 2_400)
+        } else {
+            (2_000, 8_000)
+        };
+        let g = random_graph(0xE3D, n, m);
+        let backbone = spanning_backbone(&g, 5, 0.3);
+        let label = format!("{n} vertices, {m} edges");
+        check_against_the_oracle(&g, &backbone, &mut CoreScratch::new(), &label);
     }
 }

@@ -16,51 +16,6 @@ use crate::error::SparsifyError;
 use crate::kcut::CutRuleCoefficients;
 use crate::scratch::{CoreScratch, GdbScratch};
 
-/// Which implementation of `EMD`'s hot loops to run.
-///
-/// Both engines produce **bit-identical** results (proven by the
-/// `sparsify_parity` suite).  `GDB` has one sweep loop, which both run (on
-/// its own and as `EMD`'s M-phase); the engines differ only in how `EMD`
-/// keeps its books:
-///
-/// * [`Engine::Reference`] is the paper-faithful formulation — every `EMD`
-///   E-phase pushes the vertex heap together afresh and scans the backbone
-///   linearly for each swap.  Retained as the parity oracle and for
-///   `--engine reference` experiments.
-/// * [`Engine::Indexed`] swaps backbone slots through an O(1) position map,
-///   drives its vertex heap as a cache-aware 8-ary structure with in-place
-///   Floyd rebuilds, and keeps every buffer in a reusable [`CoreScratch`].
-///
-/// Both evaluate E-phase candidates through the same `damped_update` as the
-/// sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Paper-faithful reference `EMD` (the bit-parity oracle).
-    Reference,
-    /// Heap-indexed `EMD` with O(1) swap bookkeeping (bit-identical, faster).
-    #[default]
-    Indexed,
-}
-
-impl Engine {
-    /// Parses the CLI spelling (`"reference"` / `"indexed"`).
-    pub fn parse(name: &str) -> Option<Engine> {
-        match name {
-            "reference" | "ref" => Some(Engine::Reference),
-            "indexed" | "idx" => Some(Engine::Indexed),
-            _ => None,
-        }
-    }
-
-    /// Canonical display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Reference => "reference",
-            Engine::Indexed => "indexed",
-        }
-    }
-}
-
 /// Which objective the gradient descent minimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CutRule {
@@ -180,17 +135,11 @@ pub(crate) struct AssignmentState {
 }
 
 impl AssignmentState {
-    /// Builds the state for `backbone` with the original probabilities.
-    pub(crate) fn new(g: &UncertainGraph, backbone: &[EdgeId], kind: DiscrepancyKind) -> Self {
-        let mut state = AssignmentState::default();
-        state.reset(g, backbone, kind);
-        state
-    }
-
-    /// Re-initialises the state for a new run, reusing the buffers.  The
-    /// result is bit-identical to [`AssignmentState::new`]: the tracker reset
-    /// reproduces the same expected degrees and the backbone edges are
-    /// inserted in the same order with the same floating-point effects.
+    /// Initialises the state for `backbone` with the original probabilities,
+    /// reusing the buffers.  Whatever the state held before, the tracker
+    /// reset reproduces the same expected degrees and the backbone edges are
+    /// inserted in the same order with the same floating-point effects, so a
+    /// reused state matches a fresh one bit for bit.
     pub(crate) fn reset(&mut self, g: &UncertainGraph, backbone: &[EdgeId], kind: DiscrepancyKind) {
         let m = g.num_edges();
         self.prob.clear();
@@ -237,17 +186,6 @@ impl AssignmentState {
         self.tracker.apply_edge_change(u, v, old, new_p);
         self.kept_deficit += old - new_p;
         self.prob[e] = new_p;
-    }
-
-    /// Current edge set with probabilities, in ascending edge-id order.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn kept_edges(&self) -> Vec<(EdgeId, f64)> {
-        self.in_set
-            .iter()
-            .enumerate()
-            .filter(|(_, &kept)| kept)
-            .map(|(e, _)| (e, self.prob[e]))
-            .collect()
     }
 
     /// Entropy of the current assignment (kept edges only).
@@ -450,7 +388,9 @@ pub(crate) fn prepare_coefficients(
 /// The `GDB` sweep loop (Algorithm 2): every sweep re-solves **every**
 /// backbone edge in backbone order.  `trace` receives the objective before
 /// the first sweep and after each sweep; the return value is the number of
-/// sweeps executed.
+/// sweeps executed.  A sweep's `before` is the trace's last entry: the
+/// objective is a pure fold of the state, which has not changed since that
+/// entry was evaluated.
 pub(crate) fn sweeps(
     g: &UncertainGraph,
     state: &mut AssignmentState,
@@ -463,7 +403,7 @@ pub(crate) fn sweeps(
     trace.push(state.tracker.objective());
     let mut iterations = 0usize;
     for _ in 0..config.max_iterations {
-        let before = state.tracker.objective();
+        let before = *trace.last().expect("trace holds the initial objective");
         for &e in backbone {
             let new_p = damped_update(g, state, coefficients, config.cut_rule, config.entropy_h, e);
             state.set_probability(g, e, new_p);
@@ -563,6 +503,23 @@ mod tests {
         .unwrap();
         let backbone = vec![2, 3, 4]; // the three edges incident to u4
         (g, backbone)
+    }
+
+    impl AssignmentState {
+        /// A fresh state for `backbone` with the original probabilities.
+        pub(crate) fn new(g: &UncertainGraph, backbone: &[EdgeId], kind: DiscrepancyKind) -> Self {
+            let mut state = AssignmentState::default();
+            state.reset(g, backbone, kind);
+            state
+        }
+    }
+
+    /// The state's edge set with probabilities, in ascending edge-id order.
+    fn kept_edges(state: &AssignmentState) -> Vec<(EdgeId, f64)> {
+        (0..state.in_set.len())
+            .filter(|&e| state.in_set[e])
+            .map(|e| (e, state.prob[e]))
+            .collect()
     }
 
     #[test]
@@ -862,14 +819,12 @@ mod tests {
         };
         let gdb = gradient_descent_assign(&g, &backbone, &GdbConfig::default());
         assert!(refused(gdb.map(drop)));
-        for engine in [Engine::Reference, Engine::Indexed] {
-            let config = crate::emd::EmdConfig {
-                engine,
-                ..Default::default()
-            };
-            let emd = crate::emd::expectation_maximization_sparsify(&g, &backbone, &config);
-            assert!(refused(emd.map(drop)), "{engine:?}");
-        }
+        let emd = crate::emd::expectation_maximization_sparsify(
+            &g,
+            &backbone,
+            &crate::emd::EmdConfig::default(),
+        );
+        assert!(refused(emd.map(drop)));
         assert!(refused(
             crate::lp_assign::lp_assign(&g, &backbone).map(drop)
         ));
@@ -958,6 +913,63 @@ mod tests {
         );
     }
 
+    /// `sweeps` takes each sweep's `before` from the trace.  A loop that
+    /// evaluates the objective there instead records the same trace, bit for
+    /// bit, so it stops after the same sweep: for every rule, kind and `h`.
+    #[test]
+    fn sweeps_take_before_from_the_trace_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        let n = 30;
+        let mut builder = UncertainGraphBuilder::new(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                if v == u + 1 || rng.gen::<f64>() < 0.15 {
+                    builder.add_edge(u, v, rng.gen_range(0.05..0.95)).unwrap();
+                }
+            }
+        }
+        let g = builder.build();
+        let backbone: Vec<EdgeId> = (0..g.num_edges())
+            .filter(|_| rng.gen::<f64>() < 0.4)
+            .collect();
+        let bits = |trace: &[f64]| trace.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in [DiscrepancyKind::Absolute, DiscrepancyKind::Relative] {
+            for cut_rule in [CutRule::Degree, CutRule::Cuts(2), CutRule::AllCuts] {
+                for h in [0.0, 0.05, 1.0] {
+                    let config = GdbConfig {
+                        discrepancy: kind,
+                        cut_rule,
+                        entropy_h: h,
+                        tolerance: 1e-6,
+                        ..Default::default()
+                    };
+                    let run = gradient_descent_assign(&g, &backbone, &config).unwrap();
+                    let coefficients = prepare_coefficients(&g, &config);
+                    let mut state = AssignmentState::new(&g, &backbone, kind);
+                    let mut trace = vec![state.tracker.objective()];
+                    for _ in 0..config.max_iterations {
+                        let before = state.tracker.objective();
+                        for &e in &backbone {
+                            let p =
+                                damped_update(&g, &state, coefficients.as_ref(), cut_rule, h, e);
+                            state.set_probability(&g, e, p);
+                        }
+                        let after = state.tracker.objective();
+                        trace.push(after);
+                        if (before - after).abs() <= config.tolerance {
+                            break;
+                        }
+                    }
+                    assert_eq!(
+                        bits(&trace),
+                        bits(&run.objective_trace),
+                        "{kind:?}, {cut_rule:?}, h = {h}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn iteration_cap_is_respected() {
         let (g, backbone) = figure2_graph();
@@ -984,7 +996,7 @@ mod tests {
         assert!(state.kept_deficit.abs() < 1e-12);
         state.insert_edge(&g, 2, 0.7);
         assert!((state.kept_deficit - (0.2 - 0.7)).abs() < 1e-12);
-        assert_eq!(state.kept_edges().len(), 3);
+        assert_eq!(kept_edges(&state), [(2, 0.7), (3, 0.2), (4, 0.1)]);
         // tracker total deficit counts dropped edges (0, 1) too
         let dropped_mass = 0.4 + 0.2;
         let expected_total = dropped_mass + (0.2 - 0.7);
@@ -1009,18 +1021,6 @@ mod tests {
             reused.tracker.objective().to_bits()
         );
         assert_eq!(fresh.kept_deficit.to_bits(), reused.kept_deficit.to_bits());
-    }
-
-    #[test]
-    fn engine_parse_and_names() {
-        assert_eq!(Engine::parse("reference"), Some(Engine::Reference));
-        assert_eq!(Engine::parse("ref"), Some(Engine::Reference));
-        assert_eq!(Engine::parse("indexed"), Some(Engine::Indexed));
-        assert_eq!(Engine::parse("idx"), Some(Engine::Indexed));
-        assert_eq!(Engine::parse("magic"), None);
-        assert_eq!(Engine::Reference.name(), "reference");
-        assert_eq!(Engine::Indexed.name(), "indexed");
-        assert_eq!(Engine::default(), Engine::Indexed);
     }
 
     /// The rules of `entropy_rises`, in its order.

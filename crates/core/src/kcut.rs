@@ -108,22 +108,6 @@ fn log_binomial_prefix_sum(n: i64, k: i64) -> Option<f64> {
     Some(max + scaled_sum.ln())
 }
 
-/// `ln C(n, k)` via log-factorials (`Σ ln i`), exact enough for ratio work.
-/// Kept as a reference implementation for the prefix-sum tests.
-#[cfg_attr(not(test), allow(dead_code))]
-fn ln_binomial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    let k = k.min(n - k);
-    // ln C(n,k) = Σ_{i=1}^{k} ln((n - k + i) / i)
-    let mut acc = 0.0;
-    for i in 1..=k {
-        acc += ((n - k + i) as f64).ln() - (i as f64).ln();
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +128,21 @@ mod tests {
             return 0.0;
         }
         (0..=k.min(n)).map(|i| binomial(n as u64, i as u64)).sum()
+    }
+
+    /// `ln C(n, k)` via log-factorials (`Σ ln i`), exact enough for ratio
+    /// work: a reference for the prefix-sum tests.
+    fn ln_binomial(n: u64, k: u64) -> f64 {
+        if k > n {
+            return f64::NEG_INFINITY;
+        }
+        let k = k.min(n - k);
+        // ln C(n,k) = Σ_{i=1}^{k} ln((n - k + i) / i)
+        let mut acc = 0.0;
+        for i in 1..=k {
+            acc += ((n - k + i) as f64).ln() - (i as f64).ln();
+        }
+        acc
     }
 
     #[test]

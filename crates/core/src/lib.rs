@@ -23,7 +23,7 @@
 //!   for any `k ≥ 1` (Equations 13–16).
 //! * [`emd`] — Expectation-Maximization Degree (`EMD`, Algorithm 3): an
 //!   EM-style loop whose E-phase restructures the backbone by swapping edges
-//!   towards the vertex with the worst discrepancy (kept in an indexed
+//!   towards the vertex with the worst discrepancy (kept in an addressable
 //!   max-heap) and whose M-phase re-runs `GDB` on the new backbone.
 //! * [`lp_assign`] — the optimal `Δ1` probability assignment of Theorem 1,
 //!   solved exactly as a maximum flow on the backbone's bipartite double
@@ -34,9 +34,8 @@
 //!   rule (the `(n choose k)_Σ` enumeration function), evaluated in log space
 //!   so arbitrarily large `n`/`k` never overflow.
 //! * [`scratch`] — the reusable [`CoreScratch`] workspace: zero-allocation
-//!   steady-state `GDB` sweeps and `EMD` iterations, and the persistent
-//!   vertex heap and swap-position map of the indexed `EMD`
-//!   ([`gdb::Engine`]), bit-identical to the reference.
+//!   steady-state `GDB` sweeps and `EMD` iterations, and `EMD`'s persistent
+//!   vertex heap and swap-position map.
 //! * [`spec`] — a builder-style front end ([`SparsifierSpec`]) plus the
 //!   [`Sparsifier`] trait implemented by every method (including the
 //!   baselines in `ugs-baselines`), so benchmarks and applications can treat
@@ -83,7 +82,7 @@ pub use emd::{
 };
 pub use error::SparsifyError;
 pub use gdb::{
-    gradient_descent_assign, gradient_descent_assign_with, CutRule, Engine, GdbConfig, GdbResult,
+    gradient_descent_assign, gradient_descent_assign_with, CutRule, GdbConfig, GdbResult,
 };
 pub use scratch::CoreScratch;
 pub use spec::{Diagnostics, Method, PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput};
@@ -94,7 +93,7 @@ pub mod prelude {
     pub use crate::discrepancy::{DegreeTracker, DiscrepancyKind};
     pub use crate::emd::EmdConfig;
     pub use crate::error::SparsifyError;
-    pub use crate::gdb::{CutRule, Engine, GdbConfig};
+    pub use crate::gdb::{CutRule, GdbConfig};
     pub use crate::scratch::CoreScratch;
     pub use crate::spec::{
         Diagnostics, Method, PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput,

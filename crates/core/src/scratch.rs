@@ -1,10 +1,10 @@
 //! Reusable workspace for the sparsifiers' hot loops.
 //!
 //! The hot loops of this crate — backbone construction, the `GDB` sweep loop
-//! and the `EMD` E/M-phases — all need graph-sized buffers.  The reference
-//! implementations allocate them per call, which is fine for a one-shot
-//! sparsification but wasteful for parameter sweeps and other repeated
-//! runs.  [`CoreScratch`] owns every buffer once and is threaded through
+//! and the `EMD` E/M-phases — all need graph-sized buffers.  Allocating
+//! them per call is fine for a one-shot sparsification but wasteful for
+//! parameter sweeps and other repeated runs.  [`CoreScratch`] owns every
+//! buffer once and is threaded through
 //! [`build_backbone_into`](crate::backbone::build_backbone_into),
 //! [`gradient_descent_assign_with`](crate::gdb::gradient_descent_assign_with),
 //! [`expectation_maximization_sparsify_with`](crate::emd::expectation_maximization_sparsify_with)
@@ -13,20 +13,18 @@
 //! iterations perform **zero** heap allocations (proven by the counting
 //! `#[global_allocator]` suite in `crates/bench/tests/zero_alloc.rs`).
 //!
-//! # The indexed `EMD`
+//! # `EMD`'s books
 //!
-//! `GDB` has one sweep loop, so [`Engine::Indexed`](crate::gdb::Engine)
-//! differs from the reference only in `EMD`, and stays bit-identical to it.
-//! The reference pushes the max-heap over `|δ(u)|` together with
-//! `O(|V| log |V|)` pushes into a freshly allocated heap at the start of
-//! every E-phase and scans the backbone linearly for every swap.  The
-//! indexed engine re-heapifies in place (`O(|V|)` Floyd build into reused
-//! buffers) and maintains an edge → backbone-position map, so swap
-//! bookkeeping is `O(1)`.  The heap's ordering is total (priority, then
-//! smaller vertex id), so its maximum is unique and independent of the
-//! internal layout — peeks agree with the reference heap bit for bit.  Both
-//! engines evaluate E-phase candidates and run M-phases through `GDB`'s own
-//! update, so those agree by construction.
+//! Algorithm 3 reads the vertex with the largest `|δ(u)|` once per backbone
+//! edge and replaces a swapped edge in its backbone slot.  `EMD` keeps a
+//! cache-aware max-heap over `|δ(u)|`, re-heapified in place at the start
+//! of every E-phase (`O(|V|)` Floyd build into reused buffers), and an
+//! edge → backbone-position map, so swap bookkeeping is `O(1)`.  The heap's
+//! ordering is total (priority, then the smaller vertex id), so its maximum
+//! is unique and independent of the internal layout: a peek returns what
+//! an argmax scan over `|δ(u)|` returns.  The `emd` unit tests check the
+//! loop bit for bit against such a scan-and-search transcription of the
+//! paper, which runs every M-phase through the public `GDB`.
 
 use graph_algos::FlatMaxHeap;
 use uncertain_graph::EdgeId;
@@ -58,13 +56,12 @@ impl GdbScratch {
 }
 
 /// Scratch space for one `EMD` run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct EmdScratch {
     /// The outer probability assignment evolved across EM iterations.
     pub(crate) state: AssignmentState,
     /// Reusable cache-aware max-heap over the vertex discrepancies
-    /// `|δ(u)|` (same total order as the reference's binary heap, so peeks
-    /// agree bit for bit).
+    /// `|δ(u)|` (a total order, so a peek is the unique argmax).
     pub(crate) heap: FlatMaxHeap,
     /// Reusable E-phase snapshot of the backbone.
     pub(crate) snapshot: Vec<EdgeId>,
@@ -77,20 +74,6 @@ pub(crate) struct EmdScratch {
     pub(crate) trace: Vec<f64>,
     /// M-phase workspace.
     pub(crate) mphase: GdbScratch,
-}
-
-impl Default for EmdScratch {
-    fn default() -> Self {
-        EmdScratch {
-            state: AssignmentState::default(),
-            heap: FlatMaxHeap::new(),
-            snapshot: Vec::new(),
-            backbone: Vec::new(),
-            position_of: Vec::new(),
-            trace: Vec::new(),
-            mphase: GdbScratch::default(),
-        }
-    }
 }
 
 /// Scratch space for backbone construction.

@@ -18,7 +18,7 @@ use crate::backbone::{build_backbone_into, target_edge_count, BackboneConfig, Ba
 use crate::discrepancy::DiscrepancyKind;
 use crate::emd::{expectation_maximization_sparsify_with, EmdConfig};
 use crate::error::SparsifyError;
-use crate::gdb::{gradient_descent_assign_with, CutRule, Engine, GdbConfig};
+use crate::gdb::{gradient_descent_assign_with, CutRule, GdbConfig};
 use crate::lp_assign::lp_assign;
 use crate::scratch::CoreScratch;
 
@@ -136,7 +136,6 @@ pub struct SparsifierSpec {
     entropy_h: f64,
     tolerance: f64,
     max_iterations: usize,
-    engine: Engine,
 }
 
 impl SparsifierSpec {
@@ -150,7 +149,6 @@ impl SparsifierSpec {
             entropy_h: 0.05,
             tolerance: 1e-9,
             max_iterations: 50,
-            engine: Engine::default(),
         }
     }
 
@@ -221,23 +219,9 @@ impl SparsifierSpec {
         self
     }
 
-    /// Selects the `EMD` engine (the heap-indexed engine by default;
-    /// [`Engine::Reference`] runs the paper-faithful bookkeeping).  Both
-    /// engines are bit-identical; only meaningful for `EMD`, since `GDB` has
-    /// one sweep loop.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The configured method.
     pub fn method(&self) -> Method {
         self.method
-    }
-
-    /// The configured engine.
-    pub fn configured_engine(&self) -> Engine {
-        self.engine
     }
 
     /// The configured ratio.
@@ -353,7 +337,6 @@ impl SparsifierSpec {
                     entropy_h: self.entropy_h,
                     tolerance: self.tolerance,
                     max_iterations: self.max_iterations,
-                    engine: self.engine,
                     gdb: gdb_config,
                 };
                 expectation_maximization_sparsify_with(g, &backbone, &config, scratch).map(

@@ -1,10 +1,10 @@
-//! Bit-parity suite: the indexed (heap-driven) `EMD` engine must reproduce
-//! the retained reference implementation **bit for bit** — probabilities,
-//! objective traces, iteration counts, swap counts and entropies — across
-//! the configuration grid of the paper: seeds × {Absolute, Relative} ×
-//! h ∈ {0.0, 0.05, 1.0}.  `GDB` has one sweep loop; its runs on a warm
-//! scratch must match runs on a fresh one across seeds × kinds ×
-//! {Degree, Cuts(2), AllCuts} × h.
+//! Scratch-reuse parity suite: a `GDB` run on a warm [`CoreScratch`] must
+//! match a run on a fresh one **bit for bit** — probabilities, objective
+//! traces, iteration counts and entropies — across seeds × kinds ×
+//! {Degree, Cuts(2), AllCuts} × h ∈ {0.0, 0.05, 1.0}; spec-level runs and
+//! the backbone builder must agree between `sparsify` and a warm
+//! `sparsify_with`.  (`EMD` is checked against a paper-faithful oracle by
+//! the unit tests in `src/emd.rs`.)
 //!
 //! The suite also proves that scratch reuse cannot leak state between runs:
 //! a single [`CoreScratch`] driven across many different graphs and configs
@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ugs_core::backbone::{build_backbone, build_backbone_into, BackboneConfig};
 use ugs_core::emd::{expectation_maximization_sparsify_with, EmdConfig, EmdResult};
-use ugs_core::gdb::{gradient_descent_assign_with, CutRule, Engine, GdbConfig, GdbResult};
+use ugs_core::gdb::{gradient_descent_assign_with, CutRule, GdbConfig, GdbResult};
 use ugs_core::prelude::*;
 use uncertain_graph::{EdgeId, UncertainGraph, UncertainGraphBuilder};
 
@@ -53,69 +53,61 @@ fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
     values.into_iter().map(f64::to_bits).collect()
 }
 
-fn assert_gdb_identical(reference: &GdbResult, indexed: &GdbResult, context: &str) {
-    assert_eq!(reference.iterations, indexed.iterations, "{context}");
+fn assert_gdb_identical(expected: &GdbResult, got: &GdbResult, context: &str) {
+    assert_eq!(expected.iterations, got.iterations, "{context}");
     assert_eq!(
-        reference.probabilities.len(),
-        indexed.probabilities.len(),
+        expected.probabilities.len(),
+        got.probabilities.len(),
         "{context}"
     );
-    for (r, i) in reference
-        .probabilities
-        .iter()
-        .zip(indexed.probabilities.iter())
-    {
-        assert_eq!(r.0, i.0, "{context}: edge order");
+    for (e, g) in expected.probabilities.iter().zip(got.probabilities.iter()) {
+        assert_eq!(e.0, g.0, "{context}: edge order");
         assert_eq!(
-            r.1.to_bits(),
-            i.1.to_bits(),
+            e.1.to_bits(),
+            g.1.to_bits(),
             "{context}: edge {} probability {} vs {}",
-            r.0,
-            r.1,
-            i.1
+            e.0,
+            e.1,
+            g.1
         );
     }
     assert_eq!(
-        bits(reference.objective_trace.iter().copied()),
-        bits(indexed.objective_trace.iter().copied()),
+        bits(expected.objective_trace.iter().copied()),
+        bits(got.objective_trace.iter().copied()),
         "{context}: objective trace"
     );
     assert_eq!(
-        reference.entropy.to_bits(),
-        indexed.entropy.to_bits(),
+        expected.entropy.to_bits(),
+        got.entropy.to_bits(),
         "{context}: entropy"
     );
 }
 
-fn assert_emd_identical(reference: &EmdResult, indexed: &EmdResult, context: &str) {
-    assert_eq!(reference.iterations, indexed.iterations, "{context}");
-    assert_eq!(reference.swaps, indexed.swaps, "{context}: swaps");
+fn assert_emd_identical(expected: &EmdResult, got: &EmdResult, context: &str) {
+    assert_eq!(expected.iterations, got.iterations, "{context}");
+    assert_eq!(expected.swaps, got.swaps, "{context}: swaps");
     assert_eq!(
-        reference.probabilities.len(),
-        indexed.probabilities.len(),
+        expected.probabilities.len(),
+        got.probabilities.len(),
         "{context}"
     );
-    for (r, i) in reference
-        .probabilities
-        .iter()
-        .zip(indexed.probabilities.iter())
-    {
-        assert_eq!(r.0, i.0, "{context}: edge order (swap bookkeeping)");
+    for (e, g) in expected.probabilities.iter().zip(got.probabilities.iter()) {
+        assert_eq!(e.0, g.0, "{context}: edge order (swap bookkeeping)");
         assert_eq!(
-            r.1.to_bits(),
-            i.1.to_bits(),
+            e.1.to_bits(),
+            g.1.to_bits(),
             "{context}: edge {} probability",
-            r.0
+            e.0
         );
     }
     assert_eq!(
-        bits(reference.objective_trace.iter().copied()),
-        bits(indexed.objective_trace.iter().copied()),
+        bits(expected.objective_trace.iter().copied()),
+        bits(got.objective_trace.iter().copied()),
         "{context}: objective trace"
     );
     assert_eq!(
-        reference.entropy.to_bits(),
-        indexed.entropy.to_bits(),
+        expected.entropy.to_bits(),
+        got.entropy.to_bits(),
         "{context}: entropy"
     );
 }
@@ -153,44 +145,10 @@ fn gdb_warm_scratch_matches_a_fresh_one_across_the_grid() {
 }
 
 #[test]
-fn emd_engines_are_bit_identical_across_the_grid() {
-    let mut scratch = CoreScratch::new();
-    for seed in SEEDS {
-        let g = random_graph(seed + 100, 35, 140);
-        let backbone = backbone_for(&g, seed, 0.3);
-        for kind in KINDS {
-            for h in HS {
-                let context = format!("seed {seed}, {kind:?}, h={h}");
-                let config = EmdConfig {
-                    discrepancy: kind,
-                    entropy_h: h,
-                    engine: Engine::Reference,
-                    ..Default::default()
-                };
-                let reference =
-                    expectation_maximization_sparsify_with(&g, &backbone, &config, &mut scratch)
-                        .unwrap();
-                let indexed = expectation_maximization_sparsify_with(
-                    &g,
-                    &backbone,
-                    &EmdConfig {
-                        engine: Engine::Indexed,
-                        ..config
-                    },
-                    &mut scratch,
-                )
-                .unwrap();
-                assert_emd_identical(&reference, &indexed, &context);
-            }
-        }
-    }
-}
-
-#[test]
-fn spec_level_runs_agree_between_engines_and_scratch_modes() {
-    // End-to-end through SparsifierSpec: reference vs indexed, fresh scratch
-    // vs sparsify(), must produce identical graphs and diagnostics for the
-    // same RNG seed.
+fn spec_level_runs_agree_between_fresh_and_warm_scratch() {
+    // End-to-end through SparsifierSpec: `sparsify` (a fresh scratch per
+    // call) and `sparsify_with` on one warm scratch must produce identical
+    // graphs and diagnostics for the same RNG seed.
     let mut warm = CoreScratch::new();
     for seed in SEEDS {
         let g = random_graph(seed + 200, 50, 200);
@@ -206,36 +164,24 @@ fn spec_level_runs_agree_between_engines_and_scratch_modes() {
                 .discrepancy(DiscrepancyKind::Relative)
                 .entropy_h(1.0),
         ] {
-            let reference = spec
-                .engine(Engine::Reference)
+            let fresh = spec
                 .sparsify(&g, &mut SmallRng::seed_from_u64(seed))
                 .unwrap();
-            let indexed = spec
-                .engine(Engine::Indexed)
-                .sparsify(&g, &mut SmallRng::seed_from_u64(seed))
-                .unwrap();
-            let warm_indexed = spec
-                .engine(Engine::Indexed)
+            let reused = spec
                 .sparsify_with(&g, &mut SmallRng::seed_from_u64(seed), &mut warm)
                 .unwrap();
-            for run in [&indexed, &warm_indexed] {
-                assert_eq!(
-                    reference.graph.num_edges(),
-                    run.graph.num_edges(),
-                    "{}",
-                    spec.display_name()
-                );
-                for (a, b) in reference.graph.edges().zip(run.graph.edges()) {
-                    assert_eq!((a.u, a.v), (b.u, b.v), "{}", spec.display_name());
-                    assert_eq!(a.p.to_bits(), b.p.to_bits(), "{}", spec.display_name());
-                }
-                assert_eq!(reference.diagnostics.iterations, run.diagnostics.iterations);
-                assert_eq!(reference.diagnostics.swaps, run.diagnostics.swaps);
-                assert_eq!(
-                    bits(reference.diagnostics.objective_trace.iter().copied()),
-                    bits(run.diagnostics.objective_trace.iter().copied())
-                );
+            let name = spec.display_name();
+            assert_eq!(fresh.graph.num_edges(), reused.graph.num_edges(), "{name}");
+            for (a, b) in fresh.graph.edges().zip(reused.graph.edges()) {
+                assert_eq!((a.u, a.v), (b.u, b.v), "{name}");
+                assert_eq!(a.p.to_bits(), b.p.to_bits(), "{name}");
             }
+            assert_eq!(fresh.diagnostics.iterations, reused.diagnostics.iterations);
+            assert_eq!(fresh.diagnostics.swaps, reused.diagnostics.swaps);
+            assert_eq!(
+                bits(fresh.diagnostics.objective_trace.iter().copied()),
+                bits(reused.diagnostics.objective_trace.iter().copied())
+            );
         }
     }
 }
@@ -303,7 +249,6 @@ fn scratch_reuse_cannot_leak_state_between_runs() {
         let emd_config = EmdConfig {
             discrepancy: KINDS[(index + 1) % 2],
             entropy_h: HS[(index + 1) % 3],
-            engine: Engine::Indexed,
             ..Default::default()
         };
         let warm_emd =

@@ -1,4 +1,4 @@
-//! Addressable (indexed) binary max-heap with `f64` priorities.
+//! Addressable max-heap with `f64` priorities.
 //!
 //! The `EMD` sparsifier (Algorithm 3 of the paper) maintains a max-heap `H_v`
 //! over the *vertices* keyed by their current degree discrepancy `|δ(u)|`.
@@ -7,222 +7,18 @@
 //! what makes the vertex-heap formulation of EMD cheap compared to the naive
 //! edge-heap (`O(α|E| log|V|)` vs `O(α(1-α)|E|²log|V|/|V|)` per E-phase).
 
-/// Binary max-heap over the dense key range `0..capacity`, addressable by
-/// key: priorities of keys already in the heap can be updated in `O(log n)`.
-///
-/// Ties are broken by key order (smaller key first) so that the structure is
-/// fully deterministic, which keeps experiment runs reproducible.
-#[derive(Debug, Clone)]
-pub struct IndexedMaxHeap {
-    /// `heap[i]` is the key stored at heap slot `i`.
-    heap: Vec<usize>,
-    /// `pos[key]` is the slot of `key` in `heap`, or `usize::MAX` if absent.
-    pos: Vec<usize>,
-    /// `priority[key]` is the current priority of `key` (valid only when in
-    /// the heap).
-    priority: Vec<f64>,
-}
-
-const ABSENT: usize = usize::MAX;
-
-impl IndexedMaxHeap {
-    /// Creates an empty heap able to hold keys `0..capacity`.
-    pub fn new(capacity: usize) -> Self {
-        IndexedMaxHeap {
-            heap: Vec::with_capacity(capacity),
-            pos: vec![ABSENT; capacity],
-            priority: vec![0.0; capacity],
-        }
-    }
-
-    /// Builds a heap containing every key `0..priorities.len()` with the given
-    /// priorities (Floyd's O(n) heapify).
-    pub fn from_priorities(priorities: &[f64]) -> Self {
-        let n = priorities.len();
-        let mut h = IndexedMaxHeap {
-            heap: (0..n).collect(),
-            pos: (0..n).collect(),
-            priority: priorities.to_vec(),
-        };
-        if n > 1 {
-            for i in (0..n / 2).rev() {
-                h.sift_down(i);
-            }
-        }
-        h
-    }
-
-    /// Number of keys currently in the heap.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if the heap contains no keys.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Returns `true` if `key` is currently in the heap.
-    pub fn contains(&self, key: usize) -> bool {
-        key < self.pos.len() && self.pos[key] != ABSENT
-    }
-
-    /// Current priority of `key`, if it is in the heap.
-    pub fn priority(&self, key: usize) -> Option<f64> {
-        if self.contains(key) {
-            Some(self.priority[key])
-        } else {
-            None
-        }
-    }
-
-    /// The key with the maximum priority, without removing it.
-    pub fn peek(&self) -> Option<(usize, f64)> {
-        self.heap.first().map(|&k| (k, self.priority[k]))
-    }
-
-    /// Removes and returns the key with maximum priority.
-    pub fn pop(&mut self) -> Option<(usize, f64)> {
-        let top = *self.heap.first()?;
-        let pr = self.priority[top];
-        let last = self.heap.len() - 1;
-        self.swap_slots(0, last);
-        self.heap.pop();
-        self.pos[top] = ABSENT;
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        Some((top, pr))
-    }
-
-    /// Inserts `key` with `priority`, or updates its priority if already
-    /// present.
-    ///
-    /// # Panics
-    /// Panics if `key` is outside the capacity the heap was built with.
-    pub fn push_or_update(&mut self, key: usize, priority: f64) {
-        assert!(
-            key < self.pos.len(),
-            "key {key} exceeds heap capacity {}",
-            self.pos.len()
-        );
-        if self.contains(key) {
-            self.update(key, priority);
-        } else {
-            self.priority[key] = priority;
-            self.pos[key] = self.heap.len();
-            self.heap.push(key);
-            self.sift_up(self.heap.len() - 1);
-        }
-    }
-
-    /// Changes the priority of a key already in the heap.
-    ///
-    /// # Panics
-    /// Panics if the key is not in the heap.
-    pub fn update(&mut self, key: usize, priority: f64) {
-        assert!(self.contains(key), "key {key} is not in the heap");
-        let old = self.priority[key];
-        self.priority[key] = priority;
-        let slot = self.pos[key];
-        if Self::ordering(priority, key, old, key) == std::cmp::Ordering::Greater {
-            self.sift_up(slot);
-        } else {
-            self.sift_down(slot);
-        }
-    }
-
-    /// Removes `key` from the heap if present.  Returns its priority.
-    pub fn remove(&mut self, key: usize) -> Option<f64> {
-        if !self.contains(key) {
-            return None;
-        }
-        let pr = self.priority[key];
-        let slot = self.pos[key];
-        let last = self.heap.len() - 1;
-        self.swap_slots(slot, last);
-        self.heap.pop();
-        self.pos[key] = ABSENT;
-        if slot < self.heap.len() {
-            self.sift_down(slot);
-            self.sift_up(slot);
-        }
-        Some(pr)
-    }
-
-    /// Drains the heap in descending priority order.
-    pub fn into_sorted_vec(mut self) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(item) = self.pop() {
-            out.push(item);
-        }
-        out
-    }
-
-    fn ordering(pa: f64, ka: usize, pb: f64, kb: usize) -> std::cmp::Ordering {
-        // Total order: by priority, NaN treated as -inf, ties broken by
-        // *smaller* key winning so results are deterministic.
-        let pa = if pa.is_nan() { f64::NEG_INFINITY } else { pa };
-        let pb = if pb.is_nan() { f64::NEG_INFINITY } else { pb };
-        pa.partial_cmp(&pb)
-            .expect("NaN handled above")
-            .then(kb.cmp(&ka))
-    }
-
-    fn greater(&self, slot_a: usize, slot_b: usize) -> bool {
-        let (ka, kb) = (self.heap[slot_a], self.heap[slot_b]);
-        Self::ordering(self.priority[ka], ka, self.priority[kb], kb) == std::cmp::Ordering::Greater
-    }
-
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a]] = a;
-        self.pos[self.heap[b]] = b;
-    }
-
-    fn sift_up(&mut self, mut slot: usize) {
-        while slot > 0 {
-            let parent = (slot - 1) / 2;
-            if self.greater(slot, parent) {
-                self.swap_slots(slot, parent);
-                slot = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut slot: usize) {
-        loop {
-            let left = 2 * slot + 1;
-            let right = 2 * slot + 2;
-            let mut largest = slot;
-            if left < self.heap.len() && self.greater(left, largest) {
-                largest = left;
-            }
-            if right < self.heap.len() && self.greater(right, largest) {
-                largest = right;
-            }
-            if largest == slot {
-                break;
-            }
-            self.swap_slots(slot, largest);
-            slot = largest;
-        }
-    }
-}
-
 /// Cache-aware addressable 8-ary max-heap over the dense key range
 /// `0..capacity`, with priorities stored **inline** next to the keys.
 ///
-/// Functionally a drop-in subset of [`IndexedMaxHeap`] (same total order:
-/// priority first, NaN as `-inf`, ties broken by the smaller key), built for
-/// update-heavy workloads like the `EMD` E-phase: the 8-way branching cuts
-/// the sift depth to `log₈ n` and each level's children share one or two
-/// cache lines, while the inline priorities avoid one random indirection per
-/// comparison.  Because the order is total, [`FlatMaxHeap::peek`] returns
-/// the same unique maximum an [`IndexedMaxHeap`] holding the same priorities
-/// would — internal layout never leaks into results.
+/// The order is total: priority first, NaN as `-inf`, ties broken by the
+/// smaller key, so the structure is fully deterministic and experiment runs
+/// are reproducible.  It is built for update-heavy workloads like the `EMD`
+/// E-phase: the 8-way branching cuts the sift depth to `log₈ n` and each
+/// level's children share one or two cache lines, while the inline
+/// priorities avoid one random indirection per comparison.  Because the
+/// order is total, [`FlatMaxHeap::peek`] returns the unique maximum, the
+/// key an argmax scan over the same priorities returns — internal layout
+/// never leaks into results.
 #[derive(Debug, Clone, Default)]
 pub struct FlatMaxHeap {
     /// `(priority, key)` entries in heap order.
@@ -294,8 +90,8 @@ impl FlatMaxHeap {
     }
 
     fn ordering(pa: f64, ka: usize, pb: f64, kb: usize) -> std::cmp::Ordering {
-        // Same total order as `IndexedMaxHeap`: by priority, NaN treated as
-        // -inf, ties broken by the *smaller* key winning.
+        // Total order: by priority, NaN treated as -inf, ties broken by the
+        // *smaller* key winning so results are deterministic.
         let pa = if pa.is_nan() { f64::NEG_INFINITY } else { pa };
         let pb = if pb.is_nan() { f64::NEG_INFINITY } else { pb };
         pa.partial_cmp(&pb)
@@ -353,110 +149,48 @@ impl FlatMaxHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn push_pop_returns_descending_priorities() {
-        let mut h = IndexedMaxHeap::new(5);
-        h.push_or_update(0, 1.0);
-        h.push_or_update(1, 5.0);
-        h.push_or_update(2, 3.0);
-        h.push_or_update(3, 4.0);
-        h.push_or_update(4, 2.0);
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop().map(|(k, _)| k)).collect();
-        assert_eq!(order, vec![1, 3, 2, 4, 0]);
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn from_priorities_heapifies() {
-        let h = IndexedMaxHeap::from_priorities(&[0.5, 2.5, 1.5]);
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.peek(), Some((1, 2.5)));
-        let sorted = h.into_sorted_vec();
-        assert_eq!(
-            sorted.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
-            vec![1, 2, 0]
-        );
-    }
-
-    #[test]
-    fn update_moves_keys_in_both_directions() {
-        let mut h = IndexedMaxHeap::from_priorities(&[1.0, 2.0, 3.0, 4.0]);
-        h.update(0, 10.0); // up
-        assert_eq!(h.peek(), Some((0, 10.0)));
-        h.update(0, -1.0); // down
-        assert_eq!(h.peek(), Some((3, 4.0)));
-        assert_eq!(h.priority(0), Some(-1.0));
-    }
-
-    #[test]
-    fn push_or_update_is_idempotent_on_membership() {
-        let mut h = IndexedMaxHeap::new(3);
-        h.push_or_update(1, 1.0);
-        h.push_or_update(1, 9.0);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.peek(), Some((1, 9.0)));
-    }
-
-    #[test]
-    fn remove_arbitrary_key() {
-        let mut h = IndexedMaxHeap::from_priorities(&[5.0, 1.0, 4.0, 2.0, 3.0]);
-        assert_eq!(h.remove(2), Some(4.0));
-        assert_eq!(h.remove(2), None);
-        assert!(!h.contains(2));
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop().map(|(k, _)| k)).collect();
-        assert_eq!(order, vec![0, 4, 3, 1]);
-    }
-
-    #[test]
-    fn ties_break_by_smaller_key() {
-        let mut h = IndexedMaxHeap::new(4);
-        for k in [3, 1, 2, 0] {
-            h.push_or_update(k, 7.0);
+    /// The key a linear scan picks: the largest priority, NaN as `-inf`,
+    /// the smaller key on ties.
+    fn argmax(priorities: &[f64]) -> Option<(usize, f64)> {
+        let key = |p: f64| if p.is_nan() { f64::NEG_INFINITY } else { p };
+        let mut best: Option<(usize, f64)> = None;
+        for (k, &p) in priorities.iter().enumerate() {
+            if best.is_none_or(|(_, b)| key(p) > key(b)) {
+                best = Some((k, p));
+            }
         }
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop().map(|(k, _)| k)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        best
+    }
+
+    /// Compares `peek` with the scan bitwise, so NaN priorities compare too.
+    fn assert_peek_is_argmax(heap: &FlatMaxHeap, priorities: &[f64]) {
+        let bits = |top: Option<(usize, f64)>| top.map(|(k, p)| (k, p.to_bits()));
+        assert_eq!(bits(heap.peek()), bits(argmax(priorities)));
     }
 
     #[test]
-    fn nan_priorities_sink_to_the_bottom() {
-        let mut h = IndexedMaxHeap::new(3);
-        h.push_or_update(0, f64::NAN);
-        h.push_or_update(1, 0.0);
-        h.push_or_update(2, -1.0);
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop().map(|(k, _)| k)).collect();
-        assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn priority_and_contains_track_membership() {
-        let mut h = IndexedMaxHeap::new(2);
-        assert!(!h.contains(0));
-        assert_eq!(h.priority(0), None);
-        h.push_or_update(0, 3.5);
-        assert!(h.contains(0));
-        assert_eq!(h.priority(0), Some(3.5));
-        h.pop();
-        assert!(!h.contains(0));
-    }
-
-    #[test]
-    fn flat_heap_agrees_with_indexed_heap_under_random_updates() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+    fn flat_heap_peek_is_the_argmax_under_random_updates() {
         let mut rng = SmallRng::seed_from_u64(17);
         let n = 300usize;
-        let priorities: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let mut priorities: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let mut flat = FlatMaxHeap::new();
         flat.rebuild(n, |k| priorities[k]);
-        let mut reference = IndexedMaxHeap::from_priorities(&priorities);
-        assert_eq!(flat.peek(), reference.peek());
-        for _ in 0..5_000 {
+        assert_peek_is_argmax(&flat, &priorities);
+        for round in 0..5_000 {
             let key = rng.gen_range(0..n);
-            let p = rng.gen_range(-5.0..5.0);
+            // Every tenth update repeats another key's priority, so ties
+            // between keys are decided too.
+            let p = if round % 10 == 0 {
+                priorities[rng.gen_range(0..n)]
+            } else {
+                rng.gen_range(-5.0..5.0)
+            };
             flat.update(key, p);
-            reference.update(key, p);
-            assert_eq!(flat.peek(), reference.peek());
+            priorities[key] = p;
+            assert_peek_is_argmax(&flat, &priorities);
             assert_eq!(flat.priority(key), p);
         }
         assert_eq!(flat.len(), n);
@@ -464,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_heap_ties_and_nan_match_the_indexed_order() {
+    fn flat_heap_ties_and_nan_follow_the_total_order() {
         let mut flat = FlatMaxHeap::new();
         flat.rebuild(4, |_| 7.0);
         assert_eq!(flat.peek(), Some((0, 7.0)));
@@ -472,31 +206,25 @@ mod tests {
         assert_eq!(flat.peek(), Some((1, 7.0)));
         flat.update(2, 9.0);
         assert_eq!(flat.peek(), Some((2, 9.0)));
-        // Rebuild shrinks and grows cleanly.
+        // A NaN ranks as -inf: below every finite number, and tied with
+        // -inf, so the smaller key wins.
+        let priorities = [f64::NEG_INFINITY, f64::NAN, -1.0];
+        let mut sinking = FlatMaxHeap::new();
+        sinking.rebuild(3, |k| priorities[k]);
+        assert_eq!(sinking.peek(), Some((2, -1.0)));
+        sinking.update(2, f64::NAN);
+        assert_eq!(sinking.peek(), Some((0, f64::NEG_INFINITY)));
+        sinking.update(0, f64::NAN);
+        assert_eq!(
+            sinking.peek().map(|(k, p)| (k, p.is_nan())),
+            Some((0, true))
+        );
+        // Rebuild resizes cleanly, down to an empty heap.
         flat.rebuild(2, |k| k as f64);
         assert_eq!(flat.len(), 2);
         assert_eq!(flat.peek(), Some((1, 1.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds heap capacity")]
-    fn push_beyond_capacity_panics() {
-        let mut h = IndexedMaxHeap::new(1);
-        h.push_or_update(5, 1.0);
-    }
-
-    #[test]
-    fn heap_matches_reference_sort_on_random_input() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(3);
-        let priorities: Vec<f64> = (0..200).map(|_| rng.gen_range(-100.0..100.0)).collect();
-        let heap = IndexedMaxHeap::from_priorities(&priorities);
-        let drained: Vec<f64> = heap.into_sorted_vec().into_iter().map(|(_, p)| p).collect();
-        let mut expected = priorities.clone();
-        expected.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        for (a, b) in drained.iter().zip(expected.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        flat.rebuild(0, |_| unreachable!());
+        assert!(flat.is_empty());
+        assert_eq!(flat.peek(), None);
     }
 }

@@ -7,8 +7,8 @@
 //! Monte-Carlo query engine all need classical graph machinery:
 //!
 //! * [`UnionFind`] — disjoint sets with union by rank and path compression,
-//! * [`IndexedMaxHeap`] — an addressable binary max-heap keyed by vertex,
-//!   the data structure that makes the E-phase of `EMD` run in
+//! * [`FlatMaxHeap`] — an addressable 8-ary max-heap keyed by vertex, the
+//!   data structure that makes the E-phase of `EMD` run in
 //!   `O(α|E| log|V|)` instead of `O(α(1-α)|E|² log|V| / |V|)` (Section 4.3),
 //! * [`spanning`] — maximum spanning trees / forests (Kruskal) for the
 //!   backbone initialisation of Algorithm 1 and the Nagamochi–Ibaraki index,
@@ -36,7 +36,7 @@ pub mod wgraph;
 
 pub use dgraph::DeterministicGraph;
 pub use dsu::UnionFind;
-pub use heap::{FlatMaxHeap, IndexedMaxHeap};
+pub use heap::FlatMaxHeap;
 pub use wgraph::WeightedGraph;
 
 /// Commonly used items, suitable for a glob import.
@@ -44,7 +44,7 @@ pub mod prelude {
     pub use crate::clustering::local_clustering_coefficients;
     pub use crate::dgraph::DeterministicGraph;
     pub use crate::dsu::UnionFind;
-    pub use crate::heap::{FlatMaxHeap, IndexedMaxHeap};
+    pub use crate::heap::FlatMaxHeap;
     pub use crate::pagerank::{pagerank, PageRankConfig};
     pub use crate::shortest_path::{bfs_hop_distances, dijkstra};
     pub use crate::spanning::{maximum_spanning_forest, maximum_spanning_tree_weight};

@@ -9,11 +9,14 @@
 //!
 //! # Numbers
 //!
-//! A number is an `f64`.  [`Value::parse`] reads a number token as
-//! `str::parse::<f64>` does, and the writers print a finite `x` as
-//! `write!("{x}")` does — the shortest decimal that reads back as `x`,
-//! never in exponent form — except that an integral `|x| < 10^15` prints
-//! as the integer `x as i64` (no `.0`, like serde_json; `-0.0` prints `0`).
+//! A number is a finite `f64`.  [`Value::parse`] reads a number token as
+//! `str::parse::<f64>` does, except that it refuses a token whose value
+//! overflows to ±∞ (`1e400`), which the writers could only print back as
+//! `null` (RFC 8259 lets a parser limit the range of numbers it accepts).
+//! The writers print a finite `x` as `write!("{x}")` does — the shortest
+//! decimal that reads back as `x`, never in exponent form — except that an
+//! integral `|x| < 10^15` prints as the integer `x as i64` (no `.0`, like
+//! serde_json; `-0.0` prints `0`).
 //! Query reports are mostly counts and frequencies `k/2^j`, so each
 //! direction has an exact fast path for them, with the same bits or bytes
 //! as those standard-library calls:
@@ -28,7 +31,8 @@
 //!   `str::parse` does.  Any other token (an exponent, a longer mantissa,
 //!   more fraction digits) is scanned on from where that pass stopped and
 //!   handed to `str::parse` whole, so token boundaries, accepted inputs,
-//!   values and error offsets are those of a plain `str::parse` of it.
+//!   values and error offsets are those of a plain `str::parse` of it
+//!   (less the overflows above).
 //! - **Writing.**  An integral `|x| < 10^15` prints its digits.  A
 //!   non-integral `x = ±m·2^-j` with `m` odd, `j ≤ 19` and `m·5^j < 10^15`
 //!   *is* the decimal `m·5^j / 10^j`, which has at most 15 significant
@@ -474,10 +478,11 @@ impl Parser<'_> {
     }
 
     /// A number token is an optional `-`, then every following digit, `.`,
-    /// `e`, `E`, `+` and `-`; `str::parse` decides whether it is a number.
-    /// The fast path of the [crate docs](crate) reads the leading digits
-    /// and `.` first; unless they are the whole token and exact, the scan
-    /// resumes where it stopped.
+    /// `e`, `E`, `+` and `-`; `str::parse` decides whether it is a number,
+    /// and a number that overflows to ±∞ is refused.  The fast path of the
+    /// [crate docs](crate) reads the leading digits and `.` first; unless
+    /// they are the whole token and exact, the scan resumes where it
+    /// stopped.
     fn parse_number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
@@ -513,9 +518,14 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.error("invalid utf-8 in number"))?;
-        text.parse::<f64>().map(Value::Num).map_err(|_| JsonError {
+        let message = match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => return Ok(Value::Num(x)),
+            Ok(_) => format!("number {text:?} is out of range"),
+            Err(_) => format!("invalid number {text:?}"),
+        };
+        Err(JsonError {
             offset: start,
-            message: format!("invalid number {text:?}"),
+            message,
         })
     }
 

@@ -41,7 +41,9 @@
 //! count*.  Consequences:
 //!
 //! * with one thread, a single-observer batch is **bit-identical** to the
-//!   legacy standalone driver ([`MonteCarlo::accumulate`] with one worker);
+//!   pre-batch standalone loop (a `SmallRng` seeded from one caller draw,
+//!   each world's kernel output zeroed, filled and added to the totals),
+//!   which the `batch_parity` suite keeps as its oracle;
 //! * results are invariant to the observer registration order;
 //! * order-insensitive accumulators (counts, and statistics derived from
 //!   counts such as reliability) are exactly invariant to the thread count;
@@ -167,15 +169,15 @@ use crate::variance::{Precision, StopReason, StoppingRule};
 /// To keep the whole batch allocation-free per world in steady state,
 /// `observe` must not allocate: pre-size every buffer in the constructor.
 ///
-/// Implementations that mirror a legacy `MonteCarlo::accumulate` kernel can
-/// accumulate straight into their running totals and stay bit-identical to
-/// the legacy driver (which summed each world's kernel output into the
-/// totals) as long as each slot receives at most one floating-point addend
-/// per world or only exactly-representable integer counts — true of every
-/// observer in this crate, and guarded by the `batch_parity` suite.  A
-/// kernel that adds several non-integral contributions to one slot per
-/// world must keep the legacy zero-a-local-buffer-then-add pattern to
-/// preserve the association order.
+/// Implementations that mirror a pre-batch kernel can accumulate straight
+/// into their running totals and stay bit-identical to the pre-batch loop
+/// (which summed each world's kernel output into the totals) as long as
+/// each slot receives at most one floating-point addend per world or only
+/// exactly-representable integer counts — true of every observer in this
+/// crate, and guarded by the `batch_parity` suite.  A kernel that adds
+/// several non-integral contributions to one slot per world must keep the
+/// pre-batch zero-a-local-buffer-then-add pattern to preserve the
+/// association order.
 pub trait WorldObserver: Send + Clone + 'static {
     /// The finalised query result.
     ///

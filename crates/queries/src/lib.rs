@@ -19,12 +19,14 @@
 //! * [`engine::WorldScratch`] is the per-thread state: each world is
 //!   compacted into its reusable buffers, so steady-state sampling and
 //!   materialisation perform **zero heap allocations**.
-//! * [`MonteCarlo`] drives the loop: sequentially, or across
-//!   `std::thread::scope` workers that return their partial accumulators by
-//!   value on join (no locks).  Seeds are derived per worker from the
-//!   caller's RNG, so results are reproducible for a fixed seed and thread
-//!   count; the per-edge sampling mode is additionally bit-identical to the
-//!   pre-engine driver (guarded by [`mc::accumulate_reference`]).
+//! * [`QueryBatch`] drives every run, sequentially or across
+//!   `std::thread::scope` workers, and [`MonteCarlo`] is its configuration:
+//!   world budget, thread count, sampling method and an optional precision
+//!   target.  A run draws one seed from the caller's RNG and every worker
+//!   replays the same world stream, so results are reproducible for a fixed
+//!   seed and thread count; the per-edge sampling mode draws, world by
+//!   world, the edges
+//!   [`WorldSampler::sample`](uncertain_graph::WorldSampler::sample) draws.
 //!
 //! The speedup compounds with the paper's headline result: a sparsified
 //! graph `G'` has fewer edges *and* lower entropy, so each world is cheaper

@@ -1,8 +1,11 @@
-//! Monte-Carlo driver built on the zero-allocation world engine.
+//! The Monte-Carlo configuration every query runs from.
 //!
 //! Every query samples `N` possible worlds and folds a per-world kernel over
-//! them.  The driver owes its throughput to two properties of
-//! [`crate::engine::WorldEngine`]:
+//! them.  [`crate::QueryBatch`] drives every such run — a standalone query
+//! is a batch with one observer — and [`MonteCarlo`] is its configuration:
+//! the world budget, the thread count, the sampling method and an optional
+//! adaptive-precision target.  The batch owes its throughput to two
+//! properties of [`crate::engine::WorldEngine`]:
 //!
 //! * **skip-sampling** — drawing a world costs `O(Σ pₑ)` expected RNG work
 //!   instead of one Bernoulli draw per edge, a large win on the low-entropy
@@ -11,29 +14,11 @@
 //!   per-thread scratch buffers, so the sample–materialise cycle performs
 //!   zero heap allocations in steady state.
 //!
-//! Multi-threaded runs use `std::thread::scope`: the worlds are split
-//! deterministically across workers, every worker owns its scratch and RNG
-//! stream, and partial accumulators are returned from the joined threads
-//! (no shared mutable state, no locks).
-//!
-//! ## Reproducibility
-//!
-//! `accumulate` draws exactly `min(threads, num_worlds).max(1)` seeds from
-//! the caller's RNG with `rng.gen::<u64>()` — one per worker — and nothing
-//! else, so the caller RNG advances by that many draws regardless of what
-//! the workers do.  For a fixed seed, fixed thread count and fixed sampling
-//! method the result is bit-for-bit deterministic.  With
-//! [`SampleMethod::PerEdge`] the sequential path is additionally
-//! bit-identical to the pre-engine driver (one Bernoulli draw per edge; see
-//! [`accumulate_reference`], kept as the regression oracle).
+//! See the [`batch`](crate::batch) module docs for how a run splits its
+//! worlds across threads and what it draws from the caller's RNG.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use uncertain_graph::{UncertainGraph, WorldSampler};
-
-use crate::engine::{SampleMethod, WorldEngine};
+use crate::engine::SampleMethod;
 use crate::variance::Precision;
-use graph_algos::DeterministicGraph;
 
 /// Configuration of a Monte-Carlo run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +35,7 @@ pub struct MonteCarlo {
     /// configuration ([`crate::QueryBatch::new`]) stop at the first epoch
     /// where every tracked statistic meets the `(ε, δ)` bound, with
     /// `num_worlds` as the hard budget.  `None` (the default) keeps the
-    /// fixed-budget behaviour bit-for-bit.  The legacy
-    /// [`MonteCarlo::accumulate`] driver ignores it.
+    /// fixed-budget behaviour bit-for-bit.
     pub precision: Option<Precision>,
 }
 
@@ -116,198 +100,11 @@ impl MonteCarlo {
         self.precision = Some(precision);
         self
     }
-
-    /// Samples `num_worlds` worlds through the world engine, materialises
-    /// each as a [`DeterministicGraph`] and folds `per_world` over them,
-    /// summing the per-world accumulator vectors element-wise.
-    ///
-    /// `per_world` must return its observations through a vector of fixed
-    /// length `accumulator_len` (one slot per vertex, per pair, …).  The
-    /// return value is the element-wise **sum** over worlds — callers divide
-    /// by [`MonteCarlo::num_worlds`] (or by per-slot counters they track
-    /// themselves) to obtain averages.
-    ///
-    /// The caller RNG advances by exactly `min(threads, num_worlds).max(1)`
-    /// `u64` draws — one seed per worker — or zero draws when
-    /// `num_worlds == 0`.
-    pub fn accumulate<R, F>(
-        &self,
-        g: &UncertainGraph,
-        accumulator_len: usize,
-        rng: &mut R,
-        per_world: F,
-    ) -> Vec<f64>
-    where
-        R: Rng + ?Sized,
-        F: Fn(&DeterministicGraph, &mut [f64]) + Sync,
-    {
-        if self.num_worlds == 0 {
-            return vec![0.0; accumulator_len];
-        }
-        let engine = WorldEngine::new(g).with_method(self.method);
-        let threads = self.threads.clamp(1, self.num_worlds);
-        let seeds: Vec<u64> = (0..threads).map(|_| rng.gen::<u64>()).collect();
-        if threads == 1 {
-            return run_worlds(
-                &engine,
-                accumulator_len,
-                self.num_worlds,
-                seeds[0],
-                &per_world,
-            );
-        }
-        // Deterministic split: worker `idx` evaluates `base + (idx < extra)`
-        // worlds with its own RNG stream, and hands its partial accumulator
-        // back through `join` — no shared mutable state.
-        let base = self.num_worlds / threads;
-        let extra = self.num_worlds % threads;
-        let partials: Vec<Vec<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .iter()
-                .enumerate()
-                .map(|(idx, &seed)| {
-                    let engine = &engine;
-                    let per_world = &per_world;
-                    let worlds = base + usize::from(idx < extra);
-                    scope
-                        .spawn(move || run_worlds(engine, accumulator_len, worlds, seed, per_world))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let mut total = vec![0.0; accumulator_len];
-        for partial in partials {
-            for (t, p) in total.iter_mut().zip(partial.iter()) {
-                *t += p;
-            }
-        }
-        total
-    }
-}
-
-/// One worker's share: its own RNG stream, its own scratch, a local
-/// accumulator pair — returned to the caller when the worker joins.
-fn run_worlds<F>(
-    engine: &WorldEngine<'_>,
-    accumulator_len: usize,
-    num_worlds: usize,
-    seed: u64,
-    per_world: &F,
-) -> Vec<f64>
-where
-    F: Fn(&DeterministicGraph, &mut [f64]),
-{
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut scratch = engine.make_scratch();
-    let mut total = vec![0.0; accumulator_len];
-    let mut local = vec![0.0; accumulator_len];
-    for _ in 0..num_worlds {
-        let world = engine.sample_world(&mut rng, &mut scratch);
-        local.iter_mut().for_each(|x| *x = 0.0);
-        per_world(world, &mut local);
-        for (t, s) in total.iter_mut().zip(local.iter()) {
-            *t += s;
-        }
-    }
-    total
-}
-
-/// The pre-engine sequential driver: allocates a fresh world mask and a
-/// fresh CSR per world (`WorldSampler::sample` +
-/// [`DeterministicGraph::from_world`]).
-///
-/// Kept as the regression oracle and benchmark baseline: for the same seed
-/// it must produce bit-identical accumulators to
-/// `MonteCarlo::worlds(n).with_method(SampleMethod::PerEdge)`.
-pub fn accumulate_reference<R, F>(
-    g: &UncertainGraph,
-    accumulator_len: usize,
-    num_worlds: usize,
-    rng: &mut R,
-    per_world: F,
-) -> Vec<f64>
-where
-    R: Rng + ?Sized,
-    F: Fn(&DeterministicGraph, &mut [f64]),
-{
-    if num_worlds == 0 {
-        return vec![0.0; accumulator_len];
-    }
-    let mut rng = SmallRng::seed_from_u64(rng.gen::<u64>());
-    let sampler = WorldSampler::new();
-    let mut total = vec![0.0; accumulator_len];
-    let mut local = vec![0.0; accumulator_len];
-    for _ in 0..num_worlds {
-        let world = sampler.sample(g, &mut rng);
-        let dg = DeterministicGraph::from_world(g, &world);
-        local.iter_mut().for_each(|x| *x = 0.0);
-        per_world(&dg, &mut local);
-        for (t, s) in total.iter_mut().zip(local.iter()) {
-            *t += s;
-        }
-    }
-    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    fn toy() -> UncertainGraph {
-        UncertainGraph::from_edges(4, [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 1.0)]).unwrap()
-    }
-
-    #[test]
-    fn accumulate_counts_edge_frequencies() {
-        let g = toy();
-        let mc = MonteCarlo::worlds(20_000);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let totals = mc.accumulate(&g, 3, &mut rng, |world, acc| {
-            // count presence of each original edge through vertex degrees
-            acc[0] += f64::from(world.degree(0) == 1);
-            acc[1] += f64::from(world.degree(3) == 1);
-            acc[2] += world.num_edges() as f64;
-        });
-        let freq0 = totals[0] / 20_000.0;
-        let freq1 = totals[1] / 20_000.0;
-        let mean_edges = totals[2] / 20_000.0;
-        assert!((freq0 - 0.5).abs() < 0.02);
-        assert!((freq1 - 1.0).abs() < 1e-12);
-        assert!((mean_edges - 1.75).abs() < 0.03);
-    }
-
-    #[test]
-    fn zero_worlds_returns_zero_vector_without_consuming_rng() {
-        let g = toy();
-        let mc = MonteCarlo::worlds(0);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let totals = mc.accumulate(&g, 5, &mut rng, |_, _| panic!("must not be called"));
-        assert_eq!(totals, vec![0.0; 5]);
-        let mut untouched = SmallRng::seed_from_u64(1);
-        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>());
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree_statistically() {
-        let g = toy();
-        let sequential = MonteCarlo::worlds(8_000);
-        let parallel = MonteCarlo::worlds(8_000).with_threads(4);
-        let mut rng = SmallRng::seed_from_u64(42);
-        let s = sequential.accumulate(&g, 1, &mut rng, |world, acc| {
-            acc[0] += world.num_edges() as f64;
-        });
-        let p = parallel.accumulate(&g, 1, &mut rng, |world, acc| {
-            acc[0] += world.num_edges() as f64;
-        });
-        let mean_s = s[0] / 8_000.0;
-        let mean_p = p[0] / 8_000.0;
-        assert!((mean_s - mean_p).abs() < 0.05, "{mean_s} vs {mean_p}");
-    }
 
     #[test]
     fn with_threads_clamps_to_at_least_one() {
@@ -316,103 +113,5 @@ mod tests {
         assert_eq!(MonteCarlo::default().num_worlds, 500);
         assert!(MonteCarlo::default().threads >= 1);
         assert!(MonteCarlo::parallel(10).threads >= 1);
-    }
-
-    #[test]
-    fn same_seed_gives_identical_results_sequentially() {
-        let g = toy();
-        for method in [
-            SampleMethod::Auto,
-            SampleMethod::PerEdge,
-            SampleMethod::Skip,
-        ] {
-            let mc = MonteCarlo::worlds(100).with_method(method);
-            let run = |seed: u64| {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                mc.accumulate(&g, 1, &mut rng, |world, acc| {
-                    acc[0] += world.num_edges() as f64
-                })
-            };
-            assert_eq!(run(7), run(7), "{method:?}");
-            assert_ne!(run(7), run(8), "{method:?}");
-        }
-    }
-
-    #[test]
-    fn same_seed_and_thread_count_is_deterministic_in_parallel() {
-        let g = toy();
-        let mc = MonteCarlo::worlds(1_000).with_threads(3);
-        let run = |seed: u64| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            mc.accumulate(&g, 4, &mut rng, |world, acc| {
-                for (u, slot) in acc.iter_mut().enumerate() {
-                    *slot += world.degree(u) as f64;
-                }
-            })
-        };
-        assert_eq!(run(21), run(21));
-    }
-
-    #[test]
-    fn per_edge_mode_is_bit_identical_to_the_reference_driver() {
-        // The regression contract of the engine refactor: same seed ⇒ the
-        // sequential per-edge path reproduces the pre-engine driver exactly,
-        // bit for bit.
-        let g = toy();
-        let kernel = |world: &DeterministicGraph, acc: &mut [f64]| {
-            acc[0] += world.num_edges() as f64;
-            for u in 0..world.num_vertices() {
-                acc[1] += (world.degree(u) * world.degree(u)) as f64;
-            }
-        };
-        let mut rng_new = SmallRng::seed_from_u64(1234);
-        let mc = MonteCarlo::worlds(500).with_method(SampleMethod::PerEdge);
-        let new = mc.accumulate(&g, 2, &mut rng_new, kernel);
-        let mut rng_old = SmallRng::seed_from_u64(1234);
-        let old = accumulate_reference(&g, 2, 500, &mut rng_old, kernel);
-        assert_eq!(new, old);
-        // Both consumed exactly one seed draw from the caller RNG.
-        assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
-    }
-
-    #[test]
-    fn caller_rng_advances_by_exactly_the_worker_count() {
-        let g = toy();
-        for (threads, num_worlds, expected_draws) in [(1, 50, 1), (4, 50, 4), (8, 3, 3)] {
-            let mc = MonteCarlo::worlds(num_worlds).with_threads(threads);
-            let mut rng = SmallRng::seed_from_u64(5);
-            mc.accumulate(&g, 1, &mut rng, |_, acc| acc[0] += 1.0);
-            let mut expected = SmallRng::seed_from_u64(5);
-            for _ in 0..expected_draws {
-                expected.gen::<u64>();
-            }
-            assert_eq!(
-                rng.gen::<u64>(),
-                expected.gen::<u64>(),
-                "threads={threads} worlds={num_worlds}"
-            );
-        }
-    }
-
-    #[test]
-    fn skip_and_per_edge_agree_statistically() {
-        let g = toy();
-        let kernel = |world: &DeterministicGraph, acc: &mut [f64]| {
-            acc[0] += world.num_edges() as f64;
-        };
-        let mut rng = SmallRng::seed_from_u64(9);
-        let skip = MonteCarlo::worlds(30_000)
-            .with_method(SampleMethod::Skip)
-            .accumulate(&g, 1, &mut rng, kernel);
-        let per_edge = MonteCarlo::worlds(30_000)
-            .with_method(SampleMethod::PerEdge)
-            .accumulate(&g, 1, &mut rng, kernel);
-        let mean_skip = skip[0] / 30_000.0;
-        let mean_per_edge = per_edge[0] / 30_000.0;
-        assert!((mean_skip - 1.75).abs() < 0.02, "skip {mean_skip}");
-        assert!(
-            (mean_skip - mean_per_edge).abs() < 0.03,
-            "{mean_skip} vs {mean_per_edge}"
-        );
     }
 }

@@ -2,11 +2,11 @@
 //! **bit-identical** to the legacy standalone path for sequential runs on
 //! the same seed, in both Skip and PerEdge sampling modes.
 //!
-//! The legacy path is reconstructed here on top of [`MonteCarlo::accumulate`]
-//! with the exact pre-batch kernels and post-processing (this is what the
-//! query functions compiled to before the port), so any drift in the batch
-//! driver's RNG consumption, accumulation order or finalisation arithmetic
-//! fails these tests exactly.
+//! The legacy path is reconstructed here on the sequential pre-batch loop
+//! ([`accumulate`]) with the exact pre-batch kernels and post-processing
+//! (this is what the query functions compiled to before the port), so any
+//! drift in the batch driver's RNG consumption, accumulation order or
+//! finalisation arithmetic fails these tests exactly.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -15,6 +15,7 @@ use uncertain_graph::UncertainGraph;
 use graph_algos::clustering::local_clustering_coefficients;
 use graph_algos::pagerank::{pagerank, PageRankConfig};
 use graph_algos::traversal::{bfs_distances, connected_components};
+use graph_algos::DeterministicGraph;
 use ugs_queries::prelude::*;
 
 const SEEDS: [u64; 3] = [1, 0xDEAD_BEEF, 9_999_999_999];
@@ -49,6 +50,40 @@ fn fixture() -> UncertainGraph {
 // Legacy reconstructions (the exact pre-batch implementations).
 // ---------------------------------------------------------------------------
 
+/// The pre-batch world loop, sequential: one caller draw seeds a
+/// `SmallRng`, and each world's kernel output is zeroed, filled and added
+/// to the totals.
+fn accumulate<R, F>(
+    g: &UncertainGraph,
+    mc: &MonteCarlo,
+    len: usize,
+    rng: &mut R,
+    per_world: F,
+) -> Vec<f64>
+where
+    R: Rng + ?Sized,
+    F: Fn(&DeterministicGraph, &mut [f64]),
+{
+    assert_eq!(mc.threads, 1, "the pre-batch loop is sequential");
+    let mut total = vec![0.0; len];
+    if mc.num_worlds == 0 {
+        return total;
+    }
+    let engine = WorldEngine::new(g).with_method(mc.method);
+    let mut scratch = engine.make_scratch();
+    let mut rng = SmallRng::seed_from_u64(rng.gen::<u64>());
+    let mut local = vec![0.0; len];
+    for _ in 0..mc.num_worlds {
+        let world = engine.sample_world(&mut rng, &mut scratch);
+        local.fill(0.0);
+        per_world(world, &mut local);
+        for (t, x) in total.iter_mut().zip(&local) {
+            *t += x;
+        }
+    }
+    total
+}
+
 fn legacy_expected_pagerank<R: Rng + ?Sized>(
     g: &UncertainGraph,
     mc: &MonteCarlo,
@@ -59,7 +94,7 @@ fn legacy_expected_pagerank<R: Rng + ?Sized>(
         return vec![0.0; n];
     }
     let config = PageRankConfig::default();
-    let totals = mc.accumulate(g, n, rng, |world, acc| {
+    let totals = accumulate(g, mc, n, rng, |world, acc| {
         let pr = pagerank(world, &config);
         for (a, p) in acc.iter_mut().zip(pr.iter()) {
             *a += p;
@@ -77,7 +112,7 @@ fn legacy_expected_clustering<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<f64> {
     let n = g.num_vertices();
-    let totals = mc.accumulate(g, n, rng, |world, acc| {
+    let totals = accumulate(g, mc, n, rng, |world, acc| {
         let cc = local_clustering_coefficients(world);
         for (a, c) in acc.iter_mut().zip(cc.iter()) {
             *a += c;
@@ -106,7 +141,7 @@ fn legacy_pair_queries<R: Rng + ?Sized>(
         s.sort_by_key(|&(src, _)| src);
         s
     };
-    let totals = mc.accumulate(g, 2 * num_pairs, rng, |world, acc| {
+    let totals = accumulate(g, mc, 2 * num_pairs, rng, |world, acc| {
         let (labels, _) = connected_components(world);
         let (distance_acc, connected_acc) = acc.split_at_mut(num_pairs);
         for (source, pair_indices) in &sources {
@@ -154,7 +189,7 @@ fn legacy_connectivity<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> ConnectivityEstimate {
     let n = g.num_vertices();
-    let totals = mc.accumulate(g, 4, rng, |world, acc| {
+    let totals = accumulate(g, mc, 4, rng, |world, acc| {
         let (labels, count) = connected_components(world);
         let mut sizes = vec![0usize; count];
         for &label in &labels {
@@ -186,7 +221,7 @@ fn legacy_degree_histogram<R: Rng + ?Sized>(
 ) -> Vec<f64> {
     let n = g.num_vertices();
     let max_degree = (0..n).map(|u| g.degree(u)).max().unwrap_or(0);
-    let totals = mc.accumulate(g, max_degree + 1, rng, |world, acc| {
+    let totals = accumulate(g, mc, max_degree + 1, rng, |world, acc| {
         for u in 0..world.num_vertices() {
             acc[world.degree(u)] += 1.0;
         }
@@ -209,7 +244,7 @@ fn legacy_knn<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<Neighbor> {
     let n = g.num_vertices();
-    let totals = mc.accumulate(g, 2 * n, rng, |world, acc| {
+    let totals = accumulate(g, mc, 2 * n, rng, |world, acc| {
         let dist = bfs_distances(world, source);
         let (distance_acc, reach_acc) = acc.split_at_mut(n);
         for (v, &d) in dist.iter().enumerate() {

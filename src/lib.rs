@@ -17,7 +17,7 @@
 //! | Re-export | Crate | Contents |
 //! |-----------|-------|----------|
 //! | [`graph`] | `uncertain-graph` | the `UncertainGraph` type, possible worlds, entropy, I/O |
-//! | [`algo`] | `graph-algos` | union-find, spanning forests, BFS/Dijkstra, PageRank, clustering, indexed heap |
+//! | [`algo`] | `graph-algos` | union-find, spanning forests, BFS/Dijkstra, PageRank, clustering, addressable vertex heap |
 //! | [`sparsify`] | `ugs-core` | backbone initialisation, `GDB`, `EMD`, the LP assignment (solved as a max-flow), `SparsifierSpec` |
 //! | [`baselines`] | `ugs-baselines` | the `NI` and `SS` baselines adapted from deterministic sparsification |
 //! | [`queries`] | `ugs-queries` | zero-allocation Monte-Carlo world engine, queries, estimator variance |

@@ -195,34 +195,39 @@ fn union_find_component_count() {
     });
 }
 
-/// The indexed max-heap drains keys in priority order regardless of the
-/// interleaving of pushes and updates.
+/// The addressable max-heap's `peek` is the argmax of its priorities (ties
+/// to the smaller key) after every update, whatever the interleaving of
+/// updates.
 #[test]
-fn indexed_heap_drains_sorted() {
-    for_each_case("indexed_heap_drains_sorted", |rng| {
+fn flat_heap_peek_is_the_argmax() {
+    for_each_case("flat_heap_peek_is_the_argmax", |rng| {
         let len = rng.gen_range(1usize..120);
-        let priorities: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e6f64..1e6)).collect();
-        let num_updates = rng.gen_range(0usize..60);
-        let updates: Vec<(usize, f64)> = (0..num_updates)
-            .map(|_| (rng.gen_range(0usize..120), rng.gen_range(-1e6f64..1e6)))
-            .collect();
-        let mut heap = IndexedMaxHeap::from_priorities(&priorities);
-        let mut expected = priorities.clone();
-        for &(key, value) in updates.iter().filter(|(k, _)| *k < priorities.len()) {
-            heap.update(key, value);
-            expected[key] = value;
-        }
-        let drained = heap.into_sorted_vec();
-        assert_eq!(drained.len(), expected.len());
-        for window in drained.windows(2) {
-            assert!(window[0].1 >= window[1].1);
-        }
-        // multiset equality of priorities
-        let mut got: Vec<f64> = drained.iter().map(|&(_, p)| p).collect();
-        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for (a, b) in got.iter().zip(expected.iter()) {
-            assert!((a - b).abs() < 1e-12);
+        // Small integers make ties between keys common.
+        let value = |rng: &mut SmallRng| -> f64 {
+            if rng.gen::<f64>() < 0.3 {
+                f64::from(rng.gen_range(-3i32..3))
+            } else {
+                rng.gen_range(-1e6f64..1e6)
+            }
+        };
+        let argmax = |priorities: &[f64]| {
+            let mut best = 0;
+            for (key, &p) in priorities.iter().enumerate() {
+                if p > priorities[best] {
+                    best = key;
+                }
+            }
+            Some((best, priorities[best]))
+        };
+        let mut priorities: Vec<f64> = (0..len).map(|_| value(rng)).collect();
+        let mut heap = FlatMaxHeap::new();
+        heap.rebuild(len, |key| priorities[key]);
+        assert_eq!(heap.peek(), argmax(&priorities));
+        for _ in 0..rng.gen_range(0usize..60) {
+            let key = rng.gen_range(0..len);
+            priorities[key] = value(rng);
+            heap.update(key, priorities[key]);
+            assert_eq!(heap.peek(), argmax(&priorities));
         }
     });
 }
@@ -284,31 +289,35 @@ fn skip_sampling_matches_per_edge_frequencies() {
     });
 }
 
-/// The engine's sequential per-edge path produces bit-identical accumulators
-/// to the legacy allocate-per-world driver for the same seed, on arbitrary
-/// graphs and a non-trivial kernel.
+/// The engine's per-edge path draws, world by world, the present edges the
+/// plain per-edge sampler draws from the same seed, on arbitrary graphs.
 #[test]
-fn engine_per_edge_path_is_bit_identical_to_legacy_driver() {
-    for_each_case(
-        "engine_per_edge_path_is_bit_identical_to_legacy_driver",
-        |rng| {
-            let g = random_graph(rng);
-            let n = g.num_vertices();
-            let kernel = |world: &ugs::algo::DeterministicGraph, acc: &mut [f64]| {
-                acc[0] += world.num_edges() as f64;
-                for u in 0..world.num_vertices() {
-                    acc[1 + u] += world.degree(u) as f64;
-                }
-            };
-            let seed = rng.gen::<u64>();
-            let mc = MonteCarlo::worlds(64).with_method(SampleMethod::PerEdge);
-            let mut rng_new = SmallRng::seed_from_u64(seed);
-            let new = mc.accumulate(&g, 1 + n, &mut rng_new, kernel);
-            let mut rng_old = SmallRng::seed_from_u64(seed);
-            let old = ugs::queries::mc::accumulate_reference(&g, 1 + n, 64, &mut rng_old, kernel);
-            assert_eq!(new, old);
-        },
-    );
+fn engine_per_edge_worlds_match_the_world_sampler() {
+    for_each_case("engine_per_edge_worlds_match_the_world_sampler", |rng| {
+        let g = random_graph(rng);
+        let seed = rng.gen::<u64>();
+        let engine = WorldEngine::new(&g).with_method(SampleMethod::PerEdge);
+        let mut scratch = engine.make_scratch();
+        let mut engine_rng = SmallRng::seed_from_u64(seed);
+        let mut sampler_rng = SmallRng::seed_from_u64(seed);
+        for world in 0..64 {
+            let edges = engine
+                .sample_world(&mut engine_rng, &mut scratch)
+                .num_edges();
+            let expected = WorldSampler::new().sample(&g, &mut sampler_rng);
+            let present: Vec<usize> = scratch
+                .present_edges()
+                .iter()
+                .map(|&e| e as usize)
+                .collect();
+            assert_eq!(
+                present,
+                expected.present_edges().collect::<Vec<_>>(),
+                "world {world}"
+            );
+            assert_eq!(edges, expected.num_present(), "world {world}");
+        }
+    });
 }
 
 /// Expected degrees equal the per-vertex sum of incident probabilities and
