@@ -2,7 +2,7 @@
 //! α ∈ {0.3, 0.5, 0.7} on synthetic power-law and forest-fire-sampled
 //! topologies, plus `EMD` at α = 0.5 on a 60k-vertex power-law graph.
 //! `GDB` runs inside every row as `EMD`'s M-phase, so it has no row of its
-//! own.  This bench only times; `EMD`'s release-scale correctness check is
+//! own; each row also writes the summed E-phase and M-phase times.  This bench only times; `EMD`'s release-scale correctness check is
 //! the paper-faithful oracle in `ugs-core`'s `emd` unit tests (a 2 000-vertex,
 //! 8 000-edge case in release builds).  The measured trajectory is written
 //! to `BENCH_sparsify.json` at the repository root so successive changes can
@@ -70,9 +70,12 @@ struct Measurement {
     graph: &'static str,
     alpha: f64,
     emd: Duration,
+    e_phase: Duration,
+    m_phase: Duration,
 }
 
-/// Times `EMD` on `g` at `alpha` and records the measurement.
+/// Times `EMD` on `g` at `alpha` and records the measurement: the fastest
+/// full run, and the fastest of the runs' summed E-phases and M-phases.
 fn measure(
     results: &mut Vec<Measurement>,
     scratch: &mut CoreScratch,
@@ -81,12 +84,26 @@ fn measure(
     alpha: f64,
 ) {
     let spec = spec_for(alpha);
-    let emd = fastest(RUNS, || run_once(&spec, g, scratch));
-    println!("{graph_name:<20} EMD  α={alpha:<4} {emd:>10.2?}");
+    let mut phases = Vec::new();
+    let emd = fastest(RUNS, || {
+        let output = run_once(&spec, g, scratch);
+        phases.push(output.diagnostics.phases);
+        output
+    });
+    let fastest_phase = |phase: fn(&PhaseTimings) -> Duration| {
+        phases.iter().map(phase).min().expect("at least one run")
+    };
+    let e_phase = fastest_phase(|p| p.e_phase);
+    let m_phase = fastest_phase(|p| p.m_phase);
+    println!(
+        "{graph_name:<20} EMD  α={alpha:<4} {emd:>10.2?}  (E {e_phase:>9.2?}, M {m_phase:>9.2?})"
+    );
     results.push(Measurement {
         graph: graph_name,
         alpha,
         emd,
+        e_phase,
+        m_phase,
     });
 }
 
@@ -124,6 +141,8 @@ fn main() {
                 .field("method", "EMD")
                 .field("alpha", m.alpha)
                 .field("emd_ns", m.emd.as_nanos() as f64)
+                .field("e_phase_ns", m.e_phase.as_nanos() as f64)
+                .field("m_phase_ns", m.m_phase.as_nanos() as f64)
                 .build()
         })
         .collect();
@@ -146,10 +165,14 @@ fn main() {
             .field(
                 "notes",
                 "EMD only: GDB runs inside every row as EMD's M-phase. One EMD \
-                 implementation: an in-place 8-ary vertex heap, an O(1) swap position map \
-                 and CoreScratch reuse across runs. No parity check runs here; the release \
-                 oracle check is ugs-core's emd unit tests (2000 vertices, 8000 edges). \
-                 Each time is the fastest of `runs` runs on one warm scratch",
+                 implementation: an in-place 8-ary vertex heap updated once per touched \
+                 vertex per step, slot-ordered E-phase and GDB sweeps, and CoreScratch reuse \
+                 across runs. No parity check runs here; the release oracle check is \
+                 ugs-core's emd unit tests (2000 vertices, 8000 edges). emd_ns is the fastest \
+                 of `runs` runs on one warm scratch; e_phase_ns and m_phase_ns are the \
+                 fastest of the same runs' summed E-phases and M-phases. Times from separate \
+                 runs of this bench are not comparable on a drifting host: compare rows \
+                 measured in alternation",
             )
             .field("results", Value::Arr(rows))
             .build(),

@@ -507,12 +507,18 @@ pub fn sparsify(args: &ParsedArgs) -> Result<String, CliError> {
     );
     if args.flag("time") {
         let phases = output.diagnostics.phases;
-        let timings = ObjBuilder::new()
-            .field("backbone_ms", phases.backbone.as_secs_f64() * 1e3)
-            .field("optimize_ms", phases.optimize.as_secs_f64() * 1e3)
-            .field("materialize_ms", phases.materialize.as_secs_f64() * 1e3)
-            .field("total_ms", output.diagnostics.elapsed.as_secs_f64() * 1e3)
-            .build();
+        let ms = |phase: std::time::Duration| phase.as_secs_f64() * 1e3;
+        let mut timings = ObjBuilder::new()
+            .field("backbone_ms", ms(phases.backbone))
+            .field("optimize_ms", ms(phases.optimize))
+            .field("materialize_ms", ms(phases.materialize))
+            .field("total_ms", ms(output.diagnostics.elapsed));
+        if args.option_or("method", "gdb") == "emd" {
+            timings = timings
+                .field("e_phase_ms", ms(phases.e_phase))
+                .field("m_phase_ms", ms(phases.m_phase));
+        }
+        let timings = timings.build();
         report.push_str(&format!("timings         : {}\n", timings.render()));
     }
     if let Some(out_path) = args.options.get("output") {
@@ -1398,6 +1404,16 @@ mod tests {
             for field in ["backbone_ms", "optimize_ms", "materialize_ms", "total_ms"] {
                 let value = doc.get_f64(field).unwrap_or(-1.0);
                 assert!(value >= 0.0, "{method}: {field} = {value}");
+            }
+            // EMD also splits its optimisation time into its two phases.
+            let phases = ["e_phase_ms", "m_phase_ms"].map(|field| doc.get_f64(field));
+            if method == "emd" {
+                let [e_phase, m_phase] = phases.map(|ms| ms.expect("an EMD phase time"));
+                let optimize = doc.get_f64("optimize_ms").unwrap();
+                assert!(e_phase >= 0.0 && m_phase >= 0.0, "{report}");
+                assert!(e_phase + m_phase <= optimize, "{report}");
+            } else {
+                assert_eq!(phases, [None, None], "{report}");
             }
         }
         // Without --time no timings line appears.

@@ -82,6 +82,16 @@ impl DegreeTracker {
         self.kind = kind;
     }
 
+    /// Re-initialises the tracker to the empty assignment of `other`'s graph
+    /// and kind, copying its original degrees instead of folding the graph
+    /// again: bit for bit what [`DegreeTracker::reset`] gives for that graph
+    /// and kind, without allocating once the capacity fits.
+    pub(crate) fn reset_from(&mut self, other: &DegreeTracker) {
+        self.original.clone_from(&other.original);
+        self.delta.clone_from(&other.original);
+        self.kind = other.kind;
+    }
+
     /// The discrepancy kind this tracker scores.
     pub fn kind(&self) -> DiscrepancyKind {
         self.kind

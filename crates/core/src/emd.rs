@@ -17,19 +17,40 @@
 //! the naive edge-heap formulation (Section 4.3).
 //!
 //! The loop keeps its books in a reusable [`CoreScratch`] (see
-//! [`crate::scratch`]): the vertex heap is re-heapified in place at each
-//! E-phase start, an edge → slot map makes every swap `O(1)`, and the
-//! M-phase runs `GDB`'s one sweep loop in a reused workspace.  E-phase
-//! candidates are evaluated with `GDB`'s update rule.  The unit tests hold
-//! a heap-free transcription of Algorithm 3 (an argmax scan for `v_H`, a
-//! linear search for each swapped slot, a fresh `GDB` per M-phase) and
-//! check this loop against it bit for bit.
+//! [`crate::scratch`]) and reads its data in the order the algorithm visits
+//! it, not by edge id:
+//!
+//! * Every backbone slot has a record: endpoints, current and original
+//!   probability.  The E-phase walks the slots in order and reads the
+//!   removed edge from its record; a swap rewrites the visited slot.
+//! * A candidate is scored straight from `v_H`'s adjacency entry `(w, c)`:
+//!   only `in_set[c]` and `w`'s discrepancy are loaded.
+//! * The vertex heap is re-heapified in place at each E-phase start, and
+//!   each step updates every vertex it touched once, with its final value.
+//!   `v_H` is the best of the removed edge's endpoints, read fresh, and the
+//!   best heap entry that is neither of them.
+//! * The M-phase runs `GDB`'s one sweep loop over a copy of the records,
+//!   from the original degrees the run already folded.
+//!
+//! No floating-point operation differs from Algorithm 3 as the paper states
+//! it: a candidate's probability and gain are symmetric in its endpoints,
+//! bit for bit, so reading it as `(v_H, w)` changes nothing.  The unit
+//! tests hold a heap-free transcription of Algorithm 3 (an argmax scan for
+//! `v_H`, candidates and removed edges read by edge id, a linear search for
+//! each swapped slot, a fresh `GDB` per M-phase) and check this loop against
+//! it bit for bit.
 
+use std::time::{Duration, Instant};
+
+use graph_algos::FlatMaxHeap;
 use uncertain_graph::{EdgeId, UncertainGraph, VertexId};
 
-use crate::discrepancy::DiscrepancyKind;
+use crate::discrepancy::{DegreeTracker, DiscrepancyKind};
 use crate::error::SparsifyError;
-use crate::gdb::{damped_update, run_gdb, validate_backbone, AssignmentState, CutRule, GdbConfig};
+use crate::gdb::{
+    damped_update, degree_step, run_gdb_on_slots, validate_backbone, AssignmentState, CutRule,
+    GdbConfig, SlotRecord,
+};
 use crate::scratch::CoreScratch;
 
 /// Configuration of the `EMD` sparsifier.
@@ -109,6 +130,11 @@ pub struct EmdResult {
     pub swaps: usize,
     /// Entropy (bits) of the final assignment.
     pub entropy: f64,
+    /// Wall-clock time of every E-phase, summed.
+    pub e_phase: Duration,
+    /// Wall-clock time of every M-phase (the `GDB` sweeps and the copy of
+    /// their probabilities into the outer assignment), summed.
+    pub m_phase: Duration,
 }
 
 impl EmdResult {
@@ -136,18 +162,22 @@ pub fn expectation_maximization_sparsify(
 }
 
 /// [`expectation_maximization_sparsify`] with caller-provided scratch space:
-/// repeated runs reuse the outer state, the vertex heap, the snapshot buffer
+/// repeated runs reuse the outer state, the slot records, the vertex heap
 /// and the M-phase workspace, so warm E-phase iterations perform zero heap
 /// allocations.
 ///
 /// * The vertex heap is re-heapified in place (`O(|V|)` Floyd build into
-///   reused buffers) at each E-phase start and updated at the two endpoints
-///   of every removed and every inserted edge, the only vertices whose
-///   discrepancy changes during the phase.
-/// * Swap positions come from an `O(1)` edge → slot map.
-/// * The M-phase runs the `GDB` sweeps in the reusable M-phase workspace and
-///   applies the tuned probabilities directly, without materialising an
-///   intermediate `GdbResult`.
+///   reused buffers) at each E-phase start.  After each step it is updated
+///   once per touched vertex, with that vertex's final discrepancy: the
+///   removed edge's endpoints, and on a swap also `v_H` and the inserted
+///   edge's other endpoint, the only vertices whose discrepancy changed.
+/// * A swap rewrites only the slot being visited, so the E-phase walks the
+///   backbone by slot index, with no edge → slot map and no snapshot.
+/// * The M-phase runs the `GDB` sweeps on a copy of the slot records in the
+///   reusable M-phase workspace and retunes the outer assignment slot by
+///   slot, without materialising an intermediate `GdbResult`.
+/// * [`EmdResult::e_phase`] and [`EmdResult::m_phase`] report the summed
+///   wall time of each phase.
 pub fn expectation_maximization_sparsify_with(
     g: &UncertainGraph,
     backbone: &[EdgeId],
@@ -165,77 +195,78 @@ pub fn expectation_maximization_sparsify_with(
     let crate::scratch::EmdScratch {
         state,
         heap,
-        snapshot,
         backbone: current,
-        position_of,
+        slots,
         trace,
         mphase,
     } = &mut scratch.emd;
 
     // Lines 1–5 of Algorithm 3: the initial assignment keeps the backbone
     // with its original probabilities.
-    state.reset(g, backbone, config.discrepancy);
+    state.reset(g, backbone, config.discrepancy, slots);
     current.clear();
     current.extend_from_slice(backbone);
-    position_of.clear();
-    position_of.resize(g.num_edges(), usize::MAX);
-    for (slot, &e) in current.iter().enumerate() {
-        position_of[e] = slot;
-    }
     trace.clear();
     trace.push(state.tracker.objective());
 
     let mphase_config = config.mphase_gdb();
     let mut swaps = 0usize;
     let mut iterations = 0usize;
+    let (mut e_phase, mut m_phase) = (Duration::ZERO, Duration::ZERO);
 
     for _ in 0..config.max_iterations {
         // The state has not changed since the trace's last entry.
         let before = *trace.last().expect("trace holds the initial objective");
 
         // ---------------- E-phase: restructure the backbone ----------------
-        // The ordering is total (priority, then the smaller vertex), so the
-        // maximum is unique whatever the heap's internal layout.
+        // Each slot is visited once and a swap rewrites only the slot being
+        // visited, so every edge met here is still kept when its turn comes.
+        let phase_started = Instant::now();
         heap.rebuild(g.num_vertices(), |u| state.tracker.delta(u).abs());
-        snapshot.clear();
-        snapshot.extend_from_slice(current);
-        for &e in snapshot.iter() {
-            if !state.in_set[e] {
-                continue; // already replaced earlier in this phase
+        for (edge, slot) in current.iter_mut().zip(slots.iter_mut()) {
+            let e = *edge;
+            let (u, v) = (slot.u as usize, slot.v as usize);
+            state.remove(e, slot);
+            let v_h = worst_vertex(heap, &state.tracker, u, v);
+            let (chosen, w, prob) = best_candidate(g, state, config.entropy_h, v_h, (e, u, v));
+            if chosen == e {
+                slot.p = prob;
+            } else {
+                swaps += 1;
+                *edge = chosen;
+                *slot = SlotRecord {
+                    u: v_h as u32,
+                    v: w as u32,
+                    p: prob,
+                    p_hat: g.edge_probability(chosen),
+                };
             }
-            let (u, v) = g.edge_endpoints(e);
-            // Remove e: its probability mass flows back into δ(u), δ(v).
-            state.remove_edge(g, e);
+            state.insert(chosen, slot);
+            // Every touched vertex gets one update, with its final value.
             heap.update(u, state.tracker.delta(u).abs());
             heap.update(v, state.tracker.delta(v).abs());
-
-            // The vertex that currently hurts the objective the most.
-            let (v_h, _) = heap.peek().expect("heap holds every vertex");
-
-            let (chosen, prob) = best_candidate(g, state, config.entropy_h, v_h, e);
-            state.insert_edge(g, chosen, prob);
-            let (cu, cv) = g.edge_endpoints(chosen);
-            heap.update(cu, state.tracker.delta(cu).abs());
-            heap.update(cv, state.tracker.delta(cv).abs());
             if chosen != e {
-                swaps += 1;
-                let slot = position_of[e];
-                debug_assert_eq!(current[slot], e, "stale backbone position");
-                current[slot] = chosen;
-                position_of[chosen] = slot;
+                for x in [v_h, w] {
+                    if x != u && x != v {
+                        heap.update(x, state.tracker.delta(x).abs());
+                    }
+                }
             }
         }
+        e_phase += phase_started.elapsed();
 
         // ---------------- M-phase: retune probabilities with GDB -----------
         // GDB restarts from the original probabilities of the restructured
-        // backbone (`run_gdb` resets the M-phase state exactly like a fresh
-        // construction).  The heap is not maintained here — the next E-phase
-        // re-heapifies in O(|V|), which is far cheaper than 2α|E|
-        // logarithmic updates.
-        let inner = run_gdb(g, current, &mphase_config, None, mphase);
-        for &e in current.iter() {
-            state.set_probability(g, e, inner.state.prob[e]);
+        // backbone, bit for bit a fresh `GDB` run on it, and its tuned
+        // probabilities move the outer assignment slot by slot.  The heap is
+        // not maintained here — the next E-phase re-heapifies in O(|V|),
+        // which is far cheaper than 2α|E| logarithmic updates.
+        let phase_started = Instant::now();
+        let tuned = run_gdb_on_slots(&state.tracker, slots, &mphase_config, None, mphase);
+        for (slot, tuned) in slots.iter_mut().zip(tuned) {
+            slot.set_probability(&mut state.tracker, tuned.p);
         }
+        m_phase += phase_started.elapsed();
 
         let after = state.tracker.objective();
         trace.push(after);
@@ -245,66 +276,136 @@ pub fn expectation_maximization_sparsify_with(
         }
     }
 
-    let probabilities = current.iter().map(|&e| (e, state.prob[e])).collect();
+    state.write_back(current, slots);
     Ok(EmdResult {
-        probabilities,
+        probabilities: current
+            .iter()
+            .zip(slots.iter())
+            .map(|(&e, slot)| (e, slot.p))
+            .collect(),
         iterations,
         objective_trace: trace.clone(),
         swaps,
         entropy: state.entropy(),
+        e_phase,
+        m_phase,
     })
 }
 
-/// Picks the E-phase replacement for the removed edge `removed`: among the
-/// non-backbone edges incident to the worst vertex `v_h` (plus `removed`
-/// itself), the edge with the highest insertion gain, ties broken towards
-/// the smaller edge id.  Shared with the test oracle, so the selection logic
-/// cannot drift apart.  Every candidate is a non-kept edge with probability
-/// exactly 0, which `damped_update` decides without a `log2` call.
+/// The vertex `v_H` with the largest `|δ|` right after an edge `(u, v)` was
+/// removed, in the heap's total order.  Only `u` and `v` changed since the
+/// heap was last brought up to date, so `v_H` is the best of their fresh
+/// entries and the best heap entry that is neither of them.
+fn worst_vertex(heap: &FlatMaxHeap, tracker: &DegreeTracker, u: VertexId, v: VertexId) -> VertexId {
+    let at_u = (u, tracker.delta(u).abs());
+    let at_v = (v, tracker.delta(v).abs());
+    let mut best = if FlatMaxHeap::ranks_above(at_v, at_u) {
+        at_v
+    } else {
+        at_u
+    };
+    if let Some(rest) = heap.peek_excluding(u, v) {
+        if FlatMaxHeap::ranks_above(rest, best) {
+            best = rest;
+        }
+    }
+    best.0
+}
+
+/// What scoring a candidate edge reads of one of its endpoints.
+#[derive(Clone, Copy)]
+struct Endpoint {
+    /// The weight `π` of Equation 7.
+    pi: f64,
+    /// The absolute discrepancy `δA`.
+    delta_abs: f64,
+    /// The discrepancy in the run's kind (`δA` or `δR`).
+    delta: f64,
+}
+
+impl Endpoint {
+    fn of(tracker: &DegreeTracker, x: VertexId) -> Self {
+        Endpoint {
+            pi: tracker.pi(x),
+            delta_abs: tracker.delta_abs(x),
+            delta: tracker.delta(x),
+        }
+    }
+
+    /// This endpoint's share of the gain of inserting an edge with
+    /// probability `p` (Equation 10): inserting it lowers the *absolute*
+    /// discrepancy by `p`; in relative mode the change is scaled by the
+    /// original degree.
+    fn gain(self, p: f64) -> f64 {
+        let after = if self.pi > 0.0 {
+            self.delta - p / self.pi
+        } else {
+            self.delta
+        };
+        self.delta * self.delta - after * after
+    }
+}
+
+/// The probability (Equation 9 on a non-kept edge, whose probability is 0)
+/// and the insertion gain (Equation 10) of a candidate edge `(a, b)`.  Both
+/// are symmetric in the endpoints, bit for bit.
+fn score(a: Endpoint, b: Endpoint, entropy_h: f64) -> (f64, f64) {
+    let step = degree_step(a.pi, a.delta_abs, b.pi, b.delta_abs);
+    let p = damped_update(0.0, step, entropy_h);
+    (p, a.gain(p) + b.gain(p))
+}
+
+/// Picks the E-phase replacement for the removed edge `(e, u, v)`: among the
+/// non-kept edges incident to the worst vertex `v_h` (plus `e` itself), the
+/// edge with the highest insertion gain, ties broken towards the smaller
+/// edge id.  Returns the edge, its endpoint other than `v_h` (meaningful
+/// when it is not `e`) and its probability.
+///
+/// Candidates are scored in adjacency order, then `e`: the tie rule is not
+/// transitive, so the order is part of the answer.  Each candidate is read
+/// straight from `v_h`'s adjacency entry `(w, c)`: a non-kept edge's
+/// probability is 0, so only `in_set[c]` and `w`'s discrepancy are loaded,
+/// and `v_h`'s own values once per scan.  A probability-0 candidate is
+/// decided without a `log2` call by `damped_update`'s entropy filter.
 fn best_candidate(
     g: &UncertainGraph,
     state: &AssignmentState,
     entropy_h: f64,
     v_h: VertexId,
-    removed: EdgeId,
-) -> (EdgeId, f64) {
-    let mut best: Option<(EdgeId, f64, f64)> = None; // (edge, prob, gain)
-    let mut consider = |candidate: EdgeId| {
-        if state.in_set[candidate] {
-            return;
-        }
-        let p = damped_update(g, state, None, CutRule::Degree, entropy_h, candidate);
-        let gain = insertion_gain(g, state, candidate, p);
+    (e, u, v): (EdgeId, VertexId, VertexId),
+) -> (EdgeId, VertexId, f64) {
+    let tracker = &state.tracker;
+    let mut best: Option<(EdgeId, VertexId, f64, f64)> = None; // (edge, w, prob, gain)
+    let mut consider = |candidate: EdgeId, w: VertexId, (p, gain): (f64, f64)| {
         let better = match best {
             None => true,
-            Some((be, _, bg)) => gain > bg + 1e-15 || (gain >= bg - 1e-15 && candidate < be),
+            Some((be, _, _, bg)) => gain > bg + 1e-15 || (gain >= bg - 1e-15 && candidate < be),
         };
         if better {
-            best = Some((candidate, p, gain));
+            best = Some((candidate, w, p, gain));
         }
     };
-    for (_, candidate, _) in g.neighbors(v_h) {
-        consider(candidate);
+    let worst = Endpoint::of(tracker, v_h);
+    for (w, candidate, _) in g.neighbors(v_h) {
+        if !state.in_set[candidate] {
+            consider(
+                candidate,
+                w,
+                score(worst, Endpoint::of(tracker, w), entropy_h),
+            );
+        }
     }
-    consider(removed);
-    let (chosen, prob, _) = best.expect("at least the removed edge itself is a candidate");
-    (chosen, prob)
-}
-
-/// The gain of inserting `candidate` with probability `p` (Equation 10):
-/// reduction of the squared discrepancies of its two endpoints.
-fn insertion_gain(g: &UncertainGraph, state: &AssignmentState, candidate: EdgeId, p: f64) -> f64 {
-    let (u, v) = g.edge_endpoints(candidate);
-    let du = state.tracker.delta(u);
-    let dv = state.tracker.delta(v);
-    // Inserting the edge with probability p lowers the *absolute*
-    // discrepancies of u and v by p; in relative mode the change is scaled by
-    // the original degree.
-    let pi_u = state.tracker.pi(u);
-    let pi_v = state.tracker.pi(v);
-    let du_after = if pi_u > 0.0 { du - p / pi_u } else { du };
-    let dv_after = if pi_v > 0.0 { dv - p / pi_v } else { dv };
-    (du * du - du_after * du_after) + (dv * dv - dv_after * dv_after)
+    consider(
+        e,
+        v,
+        score(
+            Endpoint::of(tracker, u),
+            Endpoint::of(tracker, v),
+            entropy_h,
+        ),
+    );
+    let (chosen, w, prob, _) = best.expect("at least the removed edge itself is a candidate");
+    (chosen, w, prob)
 }
 
 #[cfg(test)]
@@ -550,9 +651,13 @@ mod tests {
         let (g, backbone) = figure2_graph();
         let state = AssignmentState::new(&g, &backbone, DiscrepancyKind::Absolute);
         // Inserting edge 0 (u1-u2) with probability p must change the
-        // objective by exactly -gain.
+        // objective by exactly -gain, in either orientation.
         let p = 0.35;
-        let gain = insertion_gain(&g, &state, 0, p);
+        let at = |x: VertexId| Endpoint::of(&state.tracker, x);
+        let (u, v) = g.edge_endpoints(0);
+        let gain = at(u).gain(p) + at(v).gain(p);
+        assert_eq!(gain.to_bits(), (at(v).gain(p) + at(u).gain(p)).to_bits());
+        assert_eq!(gain.to_bits(), insertion_gain(&g, &state, 0, p).to_bits());
         let before = state.tracker.objective();
         let mut after_state = AssignmentState::new(&g, &backbone, DiscrepancyKind::Absolute);
         after_state.insert_edge(&g, 0, p);
@@ -564,9 +669,62 @@ mod tests {
         );
     }
 
+    /// The E-phase replacement for the removed edge `removed`, scanned by
+    /// edge id: among the non-kept edges incident to `v_h` (plus `removed`
+    /// itself), the edge with the highest insertion gain, ties broken
+    /// towards the smaller edge id.  Each candidate's endpoints and
+    /// probability are read from the graph and the state.
+    fn candidate_by_edge_id(
+        g: &UncertainGraph,
+        state: &AssignmentState,
+        entropy_h: f64,
+        v_h: VertexId,
+        removed: EdgeId,
+    ) -> (EdgeId, f64) {
+        let mut best: Option<(EdgeId, f64, f64)> = None; // (edge, prob, gain)
+        let mut consider = |candidate: EdgeId| {
+            if state.in_set[candidate] {
+                return;
+            }
+            let p = state.damped_update(g, None, CutRule::Degree, entropy_h, candidate);
+            let gain = insertion_gain(g, state, candidate, p);
+            let better = match best {
+                None => true,
+                Some((be, _, bg)) => gain > bg + 1e-15 || (gain >= bg - 1e-15 && candidate < be),
+            };
+            if better {
+                best = Some((candidate, p, gain));
+            }
+        };
+        for (_, candidate, _) in g.neighbors(v_h) {
+            consider(candidate);
+        }
+        consider(removed);
+        let (chosen, prob, _) = best.expect("at least the removed edge itself is a candidate");
+        (chosen, prob)
+    }
+
+    /// The gain of inserting `candidate` with probability `p` (Equation
+    /// 10), with the endpoints read by edge id.
+    fn insertion_gain(
+        g: &UncertainGraph,
+        state: &AssignmentState,
+        candidate: EdgeId,
+        p: f64,
+    ) -> f64 {
+        let (u, v) = g.edge_endpoints(candidate);
+        let du = state.tracker.delta(u);
+        let dv = state.tracker.delta(v);
+        let pi_u = state.tracker.pi(u);
+        let pi_v = state.tracker.pi(v);
+        let du_after = if pi_u > 0.0 { du - p / pi_u } else { du };
+        let dv_after = if pi_v > 0.0 { dv - p / pi_v } else { dv };
+        (du * du - du_after * du_after) + (dv * dv - dv_after * dv_after)
+    }
+
     /// The vertex `v_H` with the largest `|δ|`, in `FlatMaxHeap`'s order:
     /// NaN ranks as −∞ and ties go to the smaller vertex.
-    fn worst_vertex(g: &UncertainGraph, state: &AssignmentState) -> VertexId {
+    fn worst_vertex_by_scan(g: &UncertainGraph, state: &AssignmentState) -> VertexId {
         let key = |u: VertexId| {
             let d = state.tracker.delta(u).abs();
             if d.is_nan() {
@@ -585,11 +743,12 @@ mod tests {
     }
 
     /// Algorithm 3 as the paper states it, keeping nothing between steps:
-    /// `v_H` is an argmax scan, a swapped edge's slot is found by linear
-    /// search, every M-phase runs the public `GDB` on the current backbone,
-    /// and the objective is evaluated before and after every iteration.
-    /// It shares only `AssignmentState`, `best_candidate` and the `GDB`
-    /// sweeps with the production loop.
+    /// `v_H` is an argmax scan, candidates are scanned by edge id, a swapped
+    /// edge's slot is found by linear search, every M-phase runs the public
+    /// `GDB` on the current backbone, and the objective is evaluated before
+    /// and after every iteration.  It shares only `AssignmentState`, the
+    /// clamp-and-damp of `damped_update` and the `GDB` sweeps with the
+    /// production loop.
     fn paper_emd(g: &UncertainGraph, backbone: &[EdgeId], config: &EmdConfig) -> EmdResult {
         let mut state = AssignmentState::new(g, backbone, config.discrepancy);
         let mut current = backbone.to_vec();
@@ -602,8 +761,8 @@ mod tests {
                     continue;
                 }
                 state.remove_edge(g, e);
-                let v_h = worst_vertex(g, &state);
-                let (chosen, prob) = best_candidate(g, &state, config.entropy_h, v_h, e);
+                let v_h = worst_vertex_by_scan(g, &state);
+                let (chosen, prob) = candidate_by_edge_id(g, &state, config.entropy_h, v_h, e);
                 state.insert_edge(g, chosen, prob);
                 if chosen != e {
                     swaps += 1;
@@ -628,6 +787,8 @@ mod tests {
             objective_trace: trace,
             swaps,
             entropy: state.entropy(),
+            e_phase: Duration::ZERO,
+            m_phase: Duration::ZERO,
         }
     }
 

@@ -117,75 +117,80 @@ impl GdbResult {
     }
 }
 
-/// Internal mutable state shared by `GDB` and `EMD`.
+/// Internal mutable state shared by `GDB` and `EMD`: which edges are kept,
+/// their degree discrepancies, and the probability of every edge as of the
+/// last reset or write-back.
 ///
-/// The state does not borrow the graph (every method takes it explicitly),
-/// so it can live inside a long-lived [`CoreScratch`] and be
+/// A run keeps its backbone's current probabilities in slot records, one
+/// per backbone slot and in backbone order, and writes them back into
+/// `prob` once, at its end.  The state does not borrow the graph, so it can
+/// live inside a long-lived [`CoreScratch`] and be
 /// [`reset`](AssignmentState::reset) for each run without reallocating.
 #[derive(Debug, Default)]
 pub(crate) struct AssignmentState {
-    /// Current probability of every edge of the original graph (0 for edges
-    /// outside the sparsified set).
+    /// Probability of every edge of the original graph as of the last reset
+    /// or write-back (0 for edges outside the set at the last reset).
     pub(crate) prob: Vec<f64>,
     /// Whether each edge is currently part of the sparsified edge set.
     pub(crate) in_set: Vec<bool>,
     pub(crate) tracker: DegreeTracker,
-    /// `Σ_{e ∈ E'} (p_e − p̂_e)` over the *kept* edges only (Equation 16).
-    pub(crate) kept_deficit: f64,
 }
 
 impl AssignmentState {
     /// Initialises the state for `backbone` with the original probabilities,
-    /// reusing the buffers.  Whatever the state held before, the tracker
+    /// reusing the buffers, and fills `slots` with one record per backbone
+    /// edge, in backbone order.  Whatever the state held before, the tracker
     /// reset reproduces the same expected degrees and the backbone edges are
     /// inserted in the same order with the same floating-point effects, so a
     /// reused state matches a fresh one bit for bit.
-    pub(crate) fn reset(&mut self, g: &UncertainGraph, backbone: &[EdgeId], kind: DiscrepancyKind) {
+    pub(crate) fn reset(
+        &mut self,
+        g: &UncertainGraph,
+        backbone: &[EdgeId],
+        kind: DiscrepancyKind,
+        slots: &mut Vec<SlotRecord>,
+    ) {
         let m = g.num_edges();
         self.prob.clear();
         self.prob.resize(m, 0.0);
         self.in_set.clear();
         self.in_set.resize(m, false);
         self.tracker.reset(g, kind);
-        self.kept_deficit = 0.0;
+        slots.clear();
         for &e in backbone {
+            let (u, v) = g.endpoints()[e];
             let p = g.edge_probability(e);
-            self.insert_edge(g, e, p);
+            let slot = SlotRecord { u, v, p, p_hat: p };
+            self.prob[e] = p;
+            self.insert(e, &slot);
+            slots.push(slot);
         }
     }
 
-    /// Adds edge `e` to the sparsified set with probability `p`.
-    pub(crate) fn insert_edge(&mut self, g: &UncertainGraph, e: EdgeId, p: f64) {
+    /// Adds edge `e`, whose record is `slot`, to the sparsified set: its
+    /// probability lowers its endpoints' discrepancies.
+    pub(crate) fn insert(&mut self, e: EdgeId, slot: &SlotRecord) {
         debug_assert!(!self.in_set[e], "edge {e} inserted twice");
-        let (u, v) = g.edge_endpoints(e);
         self.in_set[e] = true;
-        self.prob[e] = p;
-        self.tracker.apply_edge_change(u, v, 0.0, p);
-        self.kept_deficit += g.edge_probability(e) - p;
+        self.tracker
+            .apply_edge_change(slot.u as usize, slot.v as usize, 0.0, slot.p);
     }
 
-    /// Removes edge `e` from the sparsified set (its probability becomes 0).
-    pub(crate) fn remove_edge(&mut self, g: &UncertainGraph, e: EdgeId) {
+    /// Removes edge `e`, whose record is `slot`, from the sparsified set:
+    /// its probability mass flows back into its endpoints' discrepancies.
+    pub(crate) fn remove(&mut self, e: EdgeId, slot: &SlotRecord) {
         debug_assert!(self.in_set[e], "edge {e} removed but not present");
-        let (u, v) = g.edge_endpoints(e);
-        let old = self.prob[e];
         self.in_set[e] = false;
-        self.prob[e] = 0.0;
-        self.tracker.apply_edge_change(u, v, old, 0.0);
-        self.kept_deficit -= g.edge_probability(e) - old;
+        self.tracker
+            .apply_edge_change(slot.u as usize, slot.v as usize, slot.p, 0.0);
     }
 
-    /// Changes the probability of a kept edge.
-    pub(crate) fn set_probability(&mut self, g: &UncertainGraph, e: EdgeId, new_p: f64) {
-        debug_assert!(self.in_set[e], "edge {e} not in the sparsified set");
-        let old = self.prob[e];
-        if (old - new_p).abs() == 0.0 {
-            return;
+    /// Writes the probabilities of `slots`, the records of `backbone`'s
+    /// edges, back into `prob`.
+    pub(crate) fn write_back(&mut self, backbone: &[EdgeId], slots: &[SlotRecord]) {
+        for (&e, slot) in backbone.iter().zip(slots) {
+            self.prob[e] = slot.p;
         }
-        let (u, v) = g.edge_endpoints(e);
-        self.tracker.apply_edge_change(u, v, old, new_p);
-        self.kept_deficit += old - new_p;
-        self.prob[e] = new_p;
     }
 
     /// Entropy of the current assignment (kept edges only).
@@ -199,37 +204,72 @@ impl AssignmentState {
     }
 }
 
-/// The optimal probability step for edge `e` under the configured rule, given
-/// the current state (Equations 8, 13 and 16).
-pub(crate) fn optimal_step(
-    g: &UncertainGraph,
-    state: &AssignmentState,
+/// One backbone edge as the sweeps and the `EMD` E-phase read it: endpoints
+/// `(u, v)` (in either orientation), the current probability `p` and the
+/// original probability `p̂`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotRecord {
+    pub(crate) u: u32,
+    pub(crate) v: u32,
+    pub(crate) p: f64,
+    pub(crate) p_hat: f64,
+}
+
+impl SlotRecord {
+    /// Moves the edge to probability `new_p` and its endpoints'
+    /// discrepancies with it.  An update with `|p − new_p| = 0` writes
+    /// nothing, so a probability keeps the sign of its zero.
+    #[inline]
+    pub(crate) fn set_probability(&mut self, tracker: &mut DegreeTracker, new_p: f64) {
+        if (self.p - new_p).abs() != 0.0 {
+            tracker.apply_edge_change(self.u as usize, self.v as usize, self.p, new_p);
+            self.p = new_p;
+        }
+    }
+}
+
+/// Equation 8's step for an edge `(u, v)`, from each endpoint's weight
+/// `π` and absolute discrepancy `δA`.  It is symmetric in its endpoints bit
+/// for bit (IEEE `+` and `×` commute), so either orientation of an edge
+/// gives the same step.
+#[inline]
+pub(crate) fn degree_step(pi_u: f64, delta_u: f64, pi_v: f64, delta_v: f64) -> f64 {
+    let denom = pi_u + pi_v;
+    if denom <= 0.0 {
+        0.0
+    } else {
+        (pi_v * delta_u + pi_u * delta_v) / denom
+    }
+}
+
+/// The optimal probability step for the backbone edge of `slot` under the
+/// configured rule, given the current discrepancies (Equations 8, 13 and
+/// 16).
+#[inline]
+fn optimal_step(
+    tracker: &DegreeTracker,
     coefficients: Option<&CutRuleCoefficients>,
     cut_rule: CutRule,
-    e: EdgeId,
+    slot: &SlotRecord,
 ) -> f64 {
-    let (u, v) = g.edge_endpoints(e);
+    let (u, v) = (slot.u as usize, slot.v as usize);
     match cut_rule {
-        CutRule::Degree => {
-            let pi_u = state.tracker.pi(u);
-            let pi_v = state.tracker.pi(v);
-            let denom = pi_u + pi_v;
-            if denom <= 0.0 {
-                0.0
-            } else {
-                (pi_v * state.tracker.delta_abs(u) + pi_u * state.tracker.delta_abs(v)) / denom
-            }
-        }
+        CutRule::Degree => degree_step(
+            tracker.pi(u),
+            tracker.delta_abs(u),
+            tracker.pi(v),
+            tracker.delta_abs(v),
+        ),
         CutRule::Cuts(_) => {
             let coefficients = coefficients.expect("coefficients prepared for CutRule::Cuts");
-            let delta_u = state.tracker.delta_abs(u);
-            let delta_v = state.tracker.delta_abs(v);
+            let delta_u = tracker.delta_abs(u);
+            let delta_v = tracker.delta_abs(v);
             // Δ̂(e): deficit of the edges not incident to u or v.  The total
             // deficit counts every edge once; subtracting the two endpoint
             // discrepancies removes incident edges twice for e itself, so it
             // is added back.
-            let own_deficit = g.edge_probability(e) - state.prob[e];
-            let non_incident = state.tracker.total_deficit() - delta_u - delta_v + own_deficit;
+            let own_deficit = slot.p_hat - slot.p;
+            let non_incident = tracker.total_deficit() - delta_u - delta_v + own_deficit;
             coefficients.step(delta_u, delta_v, non_incident)
         }
         CutRule::AllCuts => {
@@ -241,24 +281,16 @@ pub(crate) fn optimal_step(
             // would never move; the described behaviour — every edge driven
             // towards probability 1 when much mass is missing — corresponds
             // to summing the deficit over all edges of E.)
-            state.tracker.total_deficit() - (g.edge_probability(e) - state.prob[e])
+            tracker.total_deficit() - (slot.p_hat - slot.p)
         }
     }
 }
 
-/// Applies one Equation-9-style update to edge `e`: take the optimal step,
-/// clamp into `[0, 1]`, and damp by `h` when the step would increase the
-/// edge's entropy.  Returns the new probability (the state is not modified).
-pub(crate) fn damped_update(
-    g: &UncertainGraph,
-    state: &AssignmentState,
-    coefficients: Option<&CutRuleCoefficients>,
-    cut_rule: CutRule,
-    entropy_h: f64,
-    e: EdgeId,
-) -> f64 {
-    let old = state.prob[e];
-    let step = optimal_step(g, state, coefficients, cut_rule, e);
+/// One Equation-9-style update of an edge with probability `old`: take the
+/// optimal `step`, clamp into `[0, 1]`, and damp by `h` when the step would
+/// increase the edge's entropy.  Returns the new probability.
+#[inline]
+pub(crate) fn damped_update(old: f64, step: f64, entropy_h: f64) -> f64 {
     let candidate = old + step;
     if candidate < 0.0 {
         0.0
@@ -386,29 +418,33 @@ pub(crate) fn prepare_coefficients(
 }
 
 /// The `GDB` sweep loop (Algorithm 2): every sweep re-solves **every**
-/// backbone edge in backbone order.  `trace` receives the objective before
-/// the first sweep and after each sweep; the return value is the number of
-/// sweeps executed.  A sweep's `before` is the trace's last entry: the
-/// objective is a pure fold of the state, which has not changed since that
-/// entry was evaluated.
+/// backbone edge, in backbone order, for every cut rule.
+///
+/// The loop reads each edge from its slot record — endpoints, current
+/// probability `p` and original probability `p̂` — so a sweep streams
+/// through `slots` and touches the graph's edge tables not at all; the
+/// `Cuts(k)` and `AllCuts` rules read `p̂ − p` from the record.  `trace`
+/// receives the objective before the first sweep and after each sweep; the
+/// return value is the number of sweeps executed.  A sweep's `before` is the
+/// trace's last entry: the objective is a pure fold of the discrepancies,
+/// which have not changed since that entry was evaluated.
 pub(crate) fn sweeps(
-    g: &UncertainGraph,
-    state: &mut AssignmentState,
-    backbone: &[EdgeId],
+    tracker: &mut DegreeTracker,
+    slots: &mut [SlotRecord],
     config: &GdbConfig,
     coefficients: Option<&CutRuleCoefficients>,
     trace: &mut Vec<f64>,
 ) -> usize {
     trace.clear();
-    trace.push(state.tracker.objective());
+    trace.push(tracker.objective());
     let mut iterations = 0usize;
     for _ in 0..config.max_iterations {
         let before = *trace.last().expect("trace holds the initial objective");
-        for &e in backbone {
-            let new_p = damped_update(g, state, coefficients, config.cut_rule, config.entropy_h, e);
-            state.set_probability(g, e, new_p);
+        for slot in slots.iter_mut() {
+            let step = optimal_step(tracker, coefficients, config.cut_rule, slot);
+            slot.set_probability(tracker, damped_update(slot.p, step, config.entropy_h));
         }
-        let after = state.tracker.objective();
+        let after = tracker.objective();
         trace.push(after);
         iterations += 1;
         if (before - after).abs() <= config.tolerance {
@@ -447,30 +483,56 @@ pub fn gradient_descent_assign_with(
     // validation buffer.
     validate_backbone(g, backbone, &mut scratch.gdb.state.in_set)?;
     let coefficients = prepare_coefficients(g, config);
-    Ok(run_gdb(g, backbone, config, coefficients.as_ref(), &mut scratch.gdb).to_result(backbone))
+    let GdbScratch {
+        state,
+        slots,
+        trace,
+    } = &mut scratch.gdb;
+    state.reset(g, backbone, config.discrepancy, slots);
+    let iterations = sweeps(
+        &mut state.tracker,
+        slots,
+        config,
+        coefficients.as_ref(),
+        trace,
+    );
+    state.write_back(backbone, slots);
+    Ok(scratch.gdb.to_result(backbone, iterations))
 }
 
-/// Shared core of the public `GDB` entry points and the `EMD` M-phase: reset
-/// the scratch state, run the sweep loop, and leave the tuned
-/// assignment in `scratch.state` (callers decide whether to materialise a
-/// [`GdbResult`], avoiding per-M-phase allocations in `EMD`).
-pub(crate) fn run_gdb<'s>(
-    g: &UncertainGraph,
-    backbone: &[EdgeId],
+/// `GDB` on the backbone whose records are `slots`, in the reusable
+/// `scratch`, as the `EMD` M-phase runs it.  The records restart from their
+/// original probabilities, inserted in slot order, and the discrepancies
+/// from the original degrees held by `template` (any tracker of the same
+/// graph and kind), copied rather than folded again: bit for bit the sweeps
+/// of a fresh `GDB` run on that backbone.  Returns the tuned records, in
+/// slot order.
+pub(crate) fn run_gdb_on_slots<'s>(
+    template: &DegreeTracker,
+    slots: &[SlotRecord],
     config: &GdbConfig,
     coefficients: Option<&CutRuleCoefficients>,
     scratch: &'s mut GdbScratch,
-) -> &'s mut GdbScratch {
-    scratch.state.reset(g, backbone, config.discrepancy);
-    scratch.iterations = sweeps(
-        g,
-        &mut scratch.state,
-        backbone,
+) -> &'s [SlotRecord] {
+    let tracker = &mut scratch.state.tracker;
+    tracker.reset_from(template);
+    scratch.slots.clear();
+    for slot in slots {
+        let fresh = SlotRecord {
+            p: slot.p_hat,
+            ..*slot
+        };
+        tracker.apply_edge_change(fresh.u as usize, fresh.v as usize, 0.0, fresh.p);
+        scratch.slots.push(fresh);
+    }
+    sweeps(
+        tracker,
+        &mut scratch.slots,
         config,
         coefficients,
         &mut scratch.trace,
     );
-    scratch
+    &scratch.slots
 }
 
 #[cfg(test)]
@@ -505,12 +567,102 @@ mod tests {
         (g, backbone)
     }
 
+    /// Edge-id forms of the state's updates: each reads the edge's
+    /// endpoints and probability by edge id and keeps `prob` current.
     impl AssignmentState {
         /// A fresh state for `backbone` with the original probabilities.
         pub(crate) fn new(g: &UncertainGraph, backbone: &[EdgeId], kind: DiscrepancyKind) -> Self {
             let mut state = AssignmentState::default();
-            state.reset(g, backbone, kind);
+            state.reset(g, backbone, kind, &mut Vec::new());
             state
+        }
+
+        /// Edge `e`'s record, with its current probability.
+        fn record(&self, g: &UncertainGraph, e: EdgeId) -> SlotRecord {
+            let (u, v) = g.endpoints()[e];
+            SlotRecord {
+                u,
+                v,
+                p: self.prob[e],
+                p_hat: g.edge_probability(e),
+            }
+        }
+
+        /// Adds edge `e` to the sparsified set with probability `p`.
+        pub(crate) fn insert_edge(&mut self, g: &UncertainGraph, e: EdgeId, p: f64) {
+            let slot = SlotRecord {
+                p,
+                ..self.record(g, e)
+            };
+            self.insert(e, &slot);
+            self.prob[e] = p;
+        }
+
+        /// Removes edge `e` from the sparsified set (its probability
+        /// becomes 0).
+        pub(crate) fn remove_edge(&mut self, g: &UncertainGraph, e: EdgeId) {
+            self.remove(e, &self.record(g, e));
+            self.prob[e] = 0.0;
+        }
+
+        /// Changes the probability of a kept edge.
+        pub(crate) fn set_probability(&mut self, g: &UncertainGraph, e: EdgeId, new_p: f64) {
+            assert!(self.in_set[e], "edge {e} not in the sparsified set");
+            let mut slot = self.record(g, e);
+            slot.set_probability(&mut self.tracker, new_p);
+            self.prob[e] = slot.p;
+        }
+
+        /// The optimal step for edge `e` under `cut_rule`, read by edge id
+        /// from the graph and the state (the sweeps' step before slot
+        /// records, verbatim).
+        pub(crate) fn optimal_step(
+            &self,
+            g: &UncertainGraph,
+            coefficients: Option<&CutRuleCoefficients>,
+            cut_rule: CutRule,
+            e: EdgeId,
+        ) -> f64 {
+            let (u, v) = g.edge_endpoints(e);
+            match cut_rule {
+                CutRule::Degree => {
+                    let pi_u = self.tracker.pi(u);
+                    let pi_v = self.tracker.pi(v);
+                    let denom = pi_u + pi_v;
+                    if denom <= 0.0 {
+                        0.0
+                    } else {
+                        (pi_v * self.tracker.delta_abs(u) + pi_u * self.tracker.delta_abs(v))
+                            / denom
+                    }
+                }
+                CutRule::Cuts(_) => {
+                    let coefficients = coefficients.expect("coefficients for CutRule::Cuts");
+                    let delta_u = self.tracker.delta_abs(u);
+                    let delta_v = self.tracker.delta_abs(v);
+                    let own_deficit = g.edge_probability(e) - self.prob[e];
+                    let non_incident =
+                        self.tracker.total_deficit() - delta_u - delta_v + own_deficit;
+                    coefficients.step(delta_u, delta_v, non_incident)
+                }
+                CutRule::AllCuts => {
+                    self.tracker.total_deficit() - (g.edge_probability(e) - self.prob[e])
+                }
+            }
+        }
+
+        /// The damped update of edge `e`: [`damped_update`] from the edge's
+        /// probability, with the step read by edge id.
+        pub(crate) fn damped_update(
+            &self,
+            g: &UncertainGraph,
+            coefficients: Option<&CutRuleCoefficients>,
+            cut_rule: CutRule,
+            entropy_h: f64,
+            e: EdgeId,
+        ) -> f64 {
+            let step = self.optimal_step(g, coefficients, cut_rule, e);
+            damped_update(self.prob[e], step, entropy_h)
         }
     }
 
@@ -894,7 +1046,7 @@ mod tests {
                     let slope = f1 - f0 - curvature;
                     let vertex = -slope / (2.0 * curvature);
                     let minimiser = vertex.clamp(0.0, 1.0);
-                    let updated = damped_update(&g, &state, None, CutRule::Degree, 1.0, e);
+                    let updated = state.damped_update(&g, None, CutRule::Degree, 1.0, e);
                     assert!(
                         (updated - minimiser).abs() < 1e-9,
                         "case {cases}, edge {e}: step to {updated}, minimiser {minimiser}"
@@ -913,11 +1065,14 @@ mod tests {
         );
     }
 
-    /// `sweeps` takes each sweep's `before` from the trace.  A loop that
-    /// evaluates the objective there instead records the same trace, bit for
-    /// bit, so it stops after the same sweep: for every rule, kind and `h`.
+    /// `sweeps` runs over slot records and takes each sweep's `before` from
+    /// the trace.  A per-edge-id loop that reads the graph and the state by
+    /// edge id and evaluates the objective before every sweep gives the same
+    /// probabilities, trace, iteration count and entropy, bit for bit: for
+    /// every rule, kind and `h`, on a backbone in ascending, descending and
+    /// shuffled edge-id order (so a slot write-back to the wrong edge shows).
     #[test]
-    fn sweeps_take_before_from_the_trace_bit_for_bit() {
+    fn slot_sweeps_match_the_per_edge_loop_bit_for_bit() {
         let mut rng = SmallRng::seed_from_u64(31);
         let n = 30;
         let mut builder = UncertainGraphBuilder::new(n);
@@ -929,42 +1084,68 @@ mod tests {
             }
         }
         let g = builder.build();
-        let backbone: Vec<EdgeId> = (0..g.num_edges())
+        let ascending: Vec<EdgeId> = (0..g.num_edges())
             .filter(|_| rng.gen::<f64>() < 0.4)
             .collect();
-        let bits = |trace: &[f64]| trace.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for kind in [DiscrepancyKind::Absolute, DiscrepancyKind::Relative] {
-            for cut_rule in [CutRule::Degree, CutRule::Cuts(2), CutRule::AllCuts] {
-                for h in [0.0, 0.05, 1.0] {
-                    let config = GdbConfig {
-                        discrepancy: kind,
-                        cut_rule,
-                        entropy_h: h,
-                        tolerance: 1e-6,
-                        ..Default::default()
-                    };
-                    let run = gradient_descent_assign(&g, &backbone, &config).unwrap();
-                    let coefficients = prepare_coefficients(&g, &config);
-                    let mut state = AssignmentState::new(&g, &backbone, kind);
-                    let mut trace = vec![state.tracker.objective()];
-                    for _ in 0..config.max_iterations {
-                        let before = state.tracker.objective();
-                        for &e in &backbone {
-                            let p =
-                                damped_update(&g, &state, coefficients.as_ref(), cut_rule, h, e);
-                            state.set_probability(&g, e, p);
+        let descending: Vec<EdgeId> = ascending.iter().rev().copied().collect();
+        let mut shuffled = ascending.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (order, backbone) in [
+            ("ascending", &ascending),
+            ("descending", &descending),
+            ("shuffled", &shuffled),
+        ] {
+            for kind in [DiscrepancyKind::Absolute, DiscrepancyKind::Relative] {
+                for cut_rule in [CutRule::Degree, CutRule::Cuts(2), CutRule::AllCuts] {
+                    for h in [0.0, 0.05, 1.0] {
+                        let context = format!("{order}, {kind:?}, {cut_rule:?}, h = {h}");
+                        let config = GdbConfig {
+                            discrepancy: kind,
+                            cut_rule,
+                            entropy_h: h,
+                            tolerance: 1e-6,
+                            ..Default::default()
+                        };
+                        let run = gradient_descent_assign(&g, backbone, &config).unwrap();
+                        let coefficients = prepare_coefficients(&g, &config);
+                        let mut state = AssignmentState::new(&g, backbone, kind);
+                        let mut trace = vec![state.tracker.objective()];
+                        let mut iterations = 0;
+                        for _ in 0..config.max_iterations {
+                            let before = state.tracker.objective();
+                            for &e in backbone.iter() {
+                                let p =
+                                    state.damped_update(&g, coefficients.as_ref(), cut_rule, h, e);
+                                state.set_probability(&g, e, p);
+                            }
+                            let after = state.tracker.objective();
+                            trace.push(after);
+                            iterations += 1;
+                            if (before - after).abs() <= config.tolerance {
+                                break;
+                            }
                         }
-                        let after = state.tracker.objective();
-                        trace.push(after);
-                        if (before - after).abs() <= config.tolerance {
-                            break;
-                        }
+                        let probabilities: Vec<(EdgeId, u64)> = backbone
+                            .iter()
+                            .map(|&e| (e, state.prob[e].to_bits()))
+                            .collect();
+                        let got: Vec<(EdgeId, u64)> = run
+                            .probabilities
+                            .iter()
+                            .map(|&(e, p)| (e, p.to_bits()))
+                            .collect();
+                        assert_eq!(probabilities, got, "{context}: probabilities");
+                        assert_eq!(bits(&trace), bits(&run.objective_trace), "{context}: trace");
+                        assert_eq!(iterations, run.iterations, "{context}: iterations");
+                        assert_eq!(
+                            state.entropy().to_bits(),
+                            run.entropy.to_bits(),
+                            "{context}: entropy"
+                        );
                     }
-                    assert_eq!(
-                        bits(&trace),
-                        bits(&run.objective_trace),
-                        "{kind:?}, {cut_rule:?}, h = {h}"
-                    );
                 }
             }
         }
@@ -987,15 +1168,13 @@ mod tests {
     fn assignment_state_bookkeeping_is_consistent() {
         let (g, backbone) = figure2_graph();
         let mut state = AssignmentState::new(&g, &backbone, DiscrepancyKind::Absolute);
-        // kept_deficit starts at 0 because the backbone uses original
-        // probabilities.
-        assert!(state.kept_deficit.abs() < 1e-12);
+        assert_eq!(kept_edges(&state), [(2, 0.2), (3, 0.2), (4, 0.1)]);
         state.set_probability(&g, 2, 0.5);
-        assert!((state.kept_deficit - (0.2 - 0.5)).abs() < 1e-12);
+        assert_eq!(kept_edges(&state), [(2, 0.5), (3, 0.2), (4, 0.1)]);
         state.remove_edge(&g, 2);
-        assert!(state.kept_deficit.abs() < 1e-12);
+        assert_eq!(kept_edges(&state), [(3, 0.2), (4, 0.1)]);
+        assert_eq!(state.prob[2], 0.0);
         state.insert_edge(&g, 2, 0.7);
-        assert!((state.kept_deficit - (0.2 - 0.7)).abs() < 1e-12);
         assert_eq!(kept_edges(&state), [(2, 0.7), (3, 0.2), (4, 0.1)]);
         // tracker total deficit counts dropped edges (0, 1) too
         let dropped_mass = 0.4 + 0.2;
@@ -1010,7 +1189,7 @@ mod tests {
         // Pollute a state with a different run, then reset it.
         let mut reused = AssignmentState::new(&g, &[0, 1], DiscrepancyKind::Absolute);
         reused.set_probability(&g, 0, 0.9);
-        reused.reset(&g, &backbone, DiscrepancyKind::Relative);
+        reused.reset(&g, &backbone, DiscrepancyKind::Relative, &mut Vec::new());
         assert_eq!(
             fresh.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             reused.prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
@@ -1020,7 +1199,6 @@ mod tests {
             fresh.tracker.objective().to_bits(),
             reused.tracker.objective().to_bits()
         );
-        assert_eq!(fresh.kept_deficit.to_bits(), reused.kept_deficit.to_bits());
     }
 
     /// The rules of `entropy_rises`, in its order.
@@ -1128,7 +1306,7 @@ mod tests {
         e: EdgeId,
     ) -> f64 {
         let old = state.prob[e];
-        let step = optimal_step(g, state, coefficients, cut_rule, e);
+        let step = state.optimal_step(g, coefficients, cut_rule, e);
         let candidate = old + step;
         if candidate < 0.0 {
             0.0
@@ -1175,7 +1353,7 @@ mod tests {
                     let mut state = AssignmentState::new(&g, &backbone, kind);
                     for sweep in 0..30 {
                         for &e in &backbone {
-                            let filtered = damped_update(&g, &state, None, CutRule::Degree, h, e);
+                            let filtered = state.damped_update(&g, None, CutRule::Degree, h, e);
                             let logs =
                                 damped_update_with_logs(&g, &state, None, CutRule::Degree, h, e);
                             assert_eq!(
@@ -1184,13 +1362,13 @@ mod tests {
                                 "{context}, sweep {sweep}, edge {e}: {filtered} vs {logs}"
                             );
                             let old = state.prob[e];
-                            let step = optimal_step(&g, &state, None, CutRule::Degree, e);
+                            let step = state.optimal_step(&g, None, CutRule::Degree, e);
                             damped += usize::from(filtered != (old + step).clamp(0.0, 1.0));
                             state.set_probability(&g, e, filtered);
                         }
                         for e in (0..g.num_edges()).filter(|&e| !state.in_set[e]) {
                             assert_eq!(state.prob[e], 0.0);
-                            let filtered = damped_update(&g, &state, None, CutRule::Degree, h, e);
+                            let filtered = state.damped_update(&g, None, CutRule::Degree, h, e);
                             let logs =
                                 damped_update_with_logs(&g, &state, None, CutRule::Degree, h, e);
                             assert_eq!(

@@ -16,39 +16,53 @@
 //! # `EMD`'s books
 //!
 //! Algorithm 3 reads the vertex with the largest `|δ(u)|` once per backbone
-//! edge and replaces a swapped edge in its backbone slot.  `EMD` keeps a
-//! cache-aware max-heap over `|δ(u)|`, re-heapified in place at the start
-//! of every E-phase (`O(|V|)` Floyd build into reused buffers), and an
-//! edge → backbone-position map, so swap bookkeeping is `O(1)`.  The heap's
-//! ordering is total (priority, then the smaller vertex id), so its maximum
-//! is unique and independent of the internal layout: a peek returns what
-//! an argmax scan over `|δ(u)|` returns.  The `emd` unit tests check the
-//! loop bit for bit against such a scan-and-search transcription of the
-//! paper, which runs every M-phase through the public `GDB`.
+//! edge and replaces a swapped edge in its backbone slot.  `EMD` keeps one
+//! record per backbone slot (endpoints, current and original probability),
+//! so both phases walk the backbone in slot order and a swap rewrites the
+//! visited slot: there is no edge → slot map and no per-phase snapshot.  A
+//! cache-aware max-heap over `|δ(u)|` is re-heapified in place at the start
+//! of every E-phase (`O(|V|)` Floyd build into reused buffers) and updated
+//! once per touched vertex per step.  The heap's ordering is total
+//! (priority, then the smaller vertex id), so its maximum is unique and
+//! independent of the internal layout: a peek returns what an argmax scan
+//! over `|δ(u)|` returns.  The `emd` unit tests check the loop bit for bit
+//! against such a scan-and-search transcription of the paper, which reads
+//! every edge by id and runs every M-phase through the public `GDB`.
 
 use graph_algos::FlatMaxHeap;
 use uncertain_graph::EdgeId;
 
-use crate::gdb::AssignmentState;
+use crate::gdb::{AssignmentState, SlotRecord};
 
 /// Scratch space for one `GDB` run (also the `EMD` M-phase workspace).
 #[derive(Debug, Default)]
 pub(crate) struct GdbScratch {
     /// The probability assignment under optimisation.
     pub(crate) state: AssignmentState,
+    /// One record per backbone edge, in backbone order: gathered once per
+    /// run and swept; a public `GDB` run writes them back into `state.prob`
+    /// after the last sweep.
+    pub(crate) slots: Vec<SlotRecord>,
     /// Objective trace of the current run.
     pub(crate) trace: Vec<f64>,
-    /// Sweeps executed by the current run.
-    pub(crate) iterations: usize,
 }
 
 impl GdbScratch {
-    /// Materialises the run recorded in this scratch as a `GdbResult`
-    /// (allocates the output vectors; the run itself does not).
-    pub(crate) fn to_result(&self, backbone: &[EdgeId]) -> crate::gdb::GdbResult {
+    /// Materialises the run recorded in this scratch, which took
+    /// `iterations` sweeps, as a `GdbResult` (allocates the output vectors;
+    /// the run itself does not).
+    pub(crate) fn to_result(
+        &self,
+        backbone: &[EdgeId],
+        iterations: usize,
+    ) -> crate::gdb::GdbResult {
         crate::gdb::GdbResult {
-            probabilities: backbone.iter().map(|&e| (e, self.state.prob[e])).collect(),
-            iterations: self.iterations,
+            probabilities: backbone
+                .iter()
+                .zip(&self.slots)
+                .map(|(&e, slot)| (e, slot.p))
+                .collect(),
+            iterations,
             objective_trace: self.trace.clone(),
             entropy: self.state.entropy(),
         }
@@ -63,13 +77,12 @@ pub(crate) struct EmdScratch {
     /// Reusable cache-aware max-heap over the vertex discrepancies
     /// `|δ(u)|` (a total order, so a peek is the unique argmax).
     pub(crate) heap: FlatMaxHeap,
-    /// Reusable E-phase snapshot of the backbone.
-    pub(crate) snapshot: Vec<EdgeId>,
-    /// The evolving backbone edge set.
+    /// The evolving backbone edge set: a swap replaces an edge in its slot.
     pub(crate) backbone: Vec<EdgeId>,
-    /// `position_of[e]` = slot of `e` in `backbone` (valid only for kept
-    /// edges; maintained on every swap).
-    pub(crate) position_of: Vec<usize>,
+    /// The outer assignment's record of every backbone slot, in `backbone`'s
+    /// order: gathered once per run, rewritten on a swap and retuned after
+    /// every M-phase.
+    pub(crate) slots: Vec<SlotRecord>,
     /// Objective trace across EM iterations.
     pub(crate) trace: Vec<f64>,
     /// M-phase workspace.

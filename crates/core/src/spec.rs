@@ -59,6 +59,12 @@ pub struct PhaseTimings {
     pub optimize: Duration,
     /// Materialisation of the sparsified [`UncertainGraph`].
     pub materialize: Duration,
+    /// `EMD`'s E-phases, summed: part of `optimize` (zero for every other
+    /// method).
+    pub e_phase: Duration,
+    /// `EMD`'s M-phases, summed: part of `optimize` (zero for every other
+    /// method).
+    pub m_phase: Duration,
 }
 
 /// Execution statistics reported alongside every sparsified graph.
@@ -319,6 +325,7 @@ impl SparsifierSpec {
 
         // (assignment, iterations, swaps, objective trace)
         type Optimized = (Vec<(EdgeId, f64)>, usize, usize, Vec<f64>);
+        let mut emd_phases = (Duration::ZERO, Duration::ZERO);
         let phase_started = Instant::now();
         let optimized: Result<Optimized, SparsifyError> = match self.method {
             Method::Gdb => {
@@ -341,6 +348,7 @@ impl SparsifierSpec {
                 };
                 expectation_maximization_sparsify_with(g, &backbone, &config, scratch).map(
                     |result| {
+                        emd_phases = (result.e_phase, result.m_phase);
                         (
                             result.probabilities,
                             result.iterations,
@@ -374,6 +382,8 @@ impl SparsifierSpec {
                 backbone: backbone_elapsed,
                 optimize: optimize_elapsed,
                 materialize: materialize_elapsed,
+                e_phase: emd_phases.0,
+                m_phase: emd_phases.1,
             },
         };
         Ok(SparsifyOutput { graph, diagnostics })

@@ -18,7 +18,9 @@
 /// priorities avoid one random indirection per comparison.  Because the
 /// order is total, [`FlatMaxHeap::peek`] returns the unique maximum, the
 /// key an argmax scan over the same priorities returns — internal layout
-/// never leaks into results.
+/// never leaks into results.  [`FlatMaxHeap::peek_excluding`] answers the
+/// same scan with two keys left out, so a caller that has changed two
+/// priorities can read the maximum before it updates them.
 #[derive(Debug, Clone, Default)]
 pub struct FlatMaxHeap {
     /// `(priority, key)` entries in heap order.
@@ -72,6 +74,53 @@ impl FlatMaxHeap {
     /// The key with the maximum priority, without removing it.
     pub fn peek(&self) -> Option<(usize, f64)> {
         self.heap.first().map(|&(p, k)| (k as usize, p))
+    }
+
+    /// The key with the maximum priority among every key but `a` and `b`,
+    /// without removing it; `None` when no other key is left.  `a` may
+    /// equal `b`.
+    ///
+    /// Every other key's parent either outranks it or is excluded, so the
+    /// answer is the root, or else the best child of an excluded key whose
+    /// ancestors are all excluded: a child of the root, or of the other
+    /// excluded key when that one is a child of the root.  So at most
+    /// `2 × 8` entries are read, next to the root, whatever the heap's size.
+    pub fn peek_excluding(&self, a: usize, b: usize) -> Option<(usize, f64)> {
+        let excluded = |slot: usize| {
+            let key = self.heap[slot].1 as usize;
+            key == a || key == b
+        };
+        if self.heap.is_empty() || !excluded(0) {
+            return self.peek();
+        }
+        let children = |slot: usize| {
+            let first = ARITY * slot + 1;
+            first..(first + ARITY).min(self.heap.len())
+        };
+        let mut best: Option<usize> = None;
+        let mut excluded_child = None;
+        for child in children(0) {
+            if excluded(child) {
+                excluded_child = Some(child);
+            } else if best.is_none_or(|slot| self.greater(child, slot)) {
+                best = Some(child);
+            }
+        }
+        // The root and this child are `a` and `b`, so none of its children
+        // is excluded.
+        for child in excluded_child.into_iter().flat_map(children) {
+            if best.is_none_or(|slot| self.greater(child, slot)) {
+                best = Some(child);
+            }
+        }
+        best.map(|slot| (self.heap[slot].1 as usize, self.heap[slot].0))
+    }
+
+    /// Whether the entry `(key, priority)` ranks above `other` in the heap's
+    /// total order: the larger priority, NaN as `-inf`, and the smaller key
+    /// on ties.  A peek is the entry that ranks above every other.
+    pub fn ranks_above((key, priority): (usize, f64), other: (usize, f64)) -> bool {
+        Self::ordering(priority, key, other.1, other.0) == std::cmp::Ordering::Greater
     }
 
     /// Changes the priority of `key`.
@@ -152,17 +201,21 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// The key a linear scan picks: the largest priority, NaN as `-inf`,
-    /// the smaller key on ties.
-    fn argmax(priorities: &[f64]) -> Option<(usize, f64)> {
+    /// The key a linear scan picks among the keys not in `excluded`: the
+    /// largest priority, NaN as `-inf`, the smaller key on ties.
+    fn argmax_excluding(priorities: &[f64], excluded: &[usize]) -> Option<(usize, f64)> {
         let key = |p: f64| if p.is_nan() { f64::NEG_INFINITY } else { p };
         let mut best: Option<(usize, f64)> = None;
         for (k, &p) in priorities.iter().enumerate() {
-            if best.is_none_or(|(_, b)| key(p) > key(b)) {
+            if !excluded.contains(&k) && best.is_none_or(|(_, b)| key(p) > key(b)) {
                 best = Some((k, p));
             }
         }
         best
+    }
+
+    fn argmax(priorities: &[f64]) -> Option<(usize, f64)> {
+        argmax_excluding(priorities, &[])
     }
 
     /// Compares `peek` with the scan bitwise, so NaN priorities compare too.
@@ -197,6 +250,76 @@ mod tests {
         assert!(!flat.is_empty());
     }
 
+    /// A random priority: every tenth draw repeats a current priority (so
+    /// keys tie), every seventeenth is NaN and every nineteenth `-inf`.
+    fn draw(rng: &mut SmallRng, round: usize, priorities: &[f64]) -> f64 {
+        if round.is_multiple_of(10) {
+            priorities[rng.gen_range(0..priorities.len())]
+        } else if round.is_multiple_of(17) {
+            f64::NAN
+        } else if round.is_multiple_of(19) {
+            f64::NEG_INFINITY
+        } else {
+            rng.gen_range(-5.0..5.0)
+        }
+    }
+
+    /// Compares `peek_excluding(a, b)` with the scan bitwise.
+    fn assert_peek_excluding_is_argmax(heap: &FlatMaxHeap, priorities: &[f64], a: usize, b: usize) {
+        let bits = |top: Option<(usize, f64)>| top.map(|(k, p)| (k, p.to_bits()));
+        assert_eq!(
+            bits(heap.peek_excluding(a, b)),
+            bits(argmax_excluding(priorities, &[a, b])),
+            "excluding {a} and {b}"
+        );
+    }
+
+    #[test]
+    fn flat_heap_peek_excluding_is_the_two_key_excluding_argmax() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        // Heaps of one to three levels, and one deeper heap under updates.
+        for n in [1usize, 2, 3, 8, 9, 10, 73] {
+            let priorities: Vec<f64> = (0..n)
+                .map(|k| if k % 5 == 4 { f64::NAN } else { (k % 4) as f64 })
+                .collect();
+            let mut flat = FlatMaxHeap::new();
+            flat.rebuild(n, |k| priorities[k]);
+            for a in 0..n {
+                for b in 0..n {
+                    assert_peek_excluding_is_argmax(&flat, &priorities, a, b);
+                }
+            }
+        }
+        let n = 300usize;
+        let mut priorities: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let mut flat = FlatMaxHeap::new();
+        flat.rebuild(n, |k| priorities[k]);
+        for round in 0..5_000 {
+            let key = rng.gen_range(0..n);
+            let p = draw(&mut rng, round, &priorities);
+            flat.update(key, p);
+            priorities[key] = p;
+            // The root, the runner-up and random keys, in every pairing.
+            let (top, _) = flat.peek().unwrap();
+            let (second, _) = flat.peek_excluding(top, top).unwrap();
+            let random = rng.gen_range(0..n);
+            for (a, b) in [
+                (top, random),
+                (random, top),
+                (top, second),
+                (second, top),
+                (top, top),
+                (random, random),
+                (second, random),
+            ] {
+                assert_peek_excluding_is_argmax(&flat, &priorities, a, b);
+            }
+        }
+        let mut empty = FlatMaxHeap::new();
+        empty.rebuild(0, |_| unreachable!());
+        assert_eq!(empty.peek_excluding(0, 0), None);
+    }
+
     #[test]
     fn flat_heap_ties_and_nan_follow_the_total_order() {
         let mut flat = FlatMaxHeap::new();
@@ -219,6 +342,19 @@ mod tests {
             sinking.peek().map(|(k, p)| (k, p.is_nan())),
             Some((0, true))
         );
+        // `ranks_above` is the same order.
+        assert!(FlatMaxHeap::ranks_above((1, 7.0), (2, 7.0)));
+        assert!(!FlatMaxHeap::ranks_above((2, 7.0), (1, 7.0)));
+        assert!(!FlatMaxHeap::ranks_above((1, 7.0), (1, 7.0)));
+        assert!(FlatMaxHeap::ranks_above((5, -1.0), (0, f64::NAN)));
+        assert!(FlatMaxHeap::ranks_above(
+            (0, f64::NAN),
+            (5, f64::NEG_INFINITY)
+        ));
+        assert!(!FlatMaxHeap::ranks_above(
+            (5, f64::NEG_INFINITY),
+            (0, f64::NAN)
+        ));
         // Rebuild resizes cleanly, down to an empty heap.
         flat.rebuild(2, |k| k as f64);
         assert_eq!(flat.len(), 2);
