@@ -1,11 +1,14 @@
 //! Sparsifier benchmark: `EMD` across the paper's sparsification ratios
 //! α ∈ {0.3, 0.5, 0.7} on synthetic power-law and forest-fire-sampled
 //! topologies, plus `EMD` at α = 0.5 on a 60k-vertex power-law graph.
-//! `GDB` runs inside every row as `EMD`'s M-phase, so it has no row of its
-//! own; each row also writes the summed E-phase and M-phase times.  This bench only times; `EMD`'s release-scale correctness check is
-//! the paper-faithful oracle in `ugs-core`'s `emd` unit tests (a 2 000-vertex,
-//! 8 000-edge case in release builds).  The measured trajectory is written
-//! to `BENCH_sparsify.json` at the repository root so successive changes can
+//! Each row also writes `EMD`'s backbone, materialisation and summed E- and
+//! M-phase times, and a full `GDB` run at the row's α on the same graph,
+//! timed in the same run as a baseline for reading the row across a
+//! drifting host.  Each graph's generation is timed too.  This bench only
+//! times; `EMD`'s release-scale correctness check is the paper-faithful
+//! oracle in `ugs-core`'s `emd` unit tests (a 2 000-vertex, 8 000-edge case
+//! in release builds).  The measured trajectory is written to
+//! `BENCH_sparsify.json` at the repository root so successive changes can
 //! track it.
 
 use std::time::Duration;
@@ -52,8 +55,17 @@ fn forest_fire_graph() -> UncertainGraph {
     forest_fire_sample(&source, 3_000, 0.7, &mut rng).0
 }
 
-fn spec_for(alpha: f64) -> SparsifierSpec {
-    SparsifierSpec::emd().alpha(alpha).max_iterations(8)
+/// The graph named `name`, after recording the fastest of `RUNS`
+/// generations of it.
+fn generate(
+    generation: &mut Vec<(&'static str, Duration)>,
+    name: &'static str,
+    generator: impl Fn() -> UncertainGraph,
+) -> (&'static str, UncertainGraph) {
+    let generate = fastest(RUNS, &generator);
+    println!("{name:<20} generate {generate:>10.2?}");
+    generation.push((name, generate));
+    (name, generator())
 }
 
 /// Runs `spec` once with a fixed seed and warm scratch, returning the output.
@@ -70,12 +82,16 @@ struct Measurement {
     graph: &'static str,
     alpha: f64,
     emd: Duration,
+    backbone: Duration,
     e_phase: Duration,
     m_phase: Duration,
+    materialise: Duration,
+    gdb: Duration,
 }
 
 /// Times `EMD` on `g` at `alpha` and records the measurement: the fastest
-/// full run, and the fastest of the runs' summed E-phases and M-phases.
+/// full run, the fastest of the runs' backbones, summed E-phases and
+/// M-phases and materialisations, and the fastest full `GDB` run.
 fn measure(
     results: &mut Vec<Measurement>,
     scratch: &mut CoreScratch,
@@ -83,7 +99,7 @@ fn measure(
     g: &UncertainGraph,
     alpha: f64,
 ) {
-    let spec = spec_for(alpha);
+    let spec = SparsifierSpec::emd().alpha(alpha).max_iterations(8);
     let mut phases = Vec::new();
     let emd = fastest(RUNS, || {
         let output = run_once(&spec, g, scratch);
@@ -93,29 +109,41 @@ fn measure(
     let fastest_phase = |phase: fn(&PhaseTimings) -> Duration| {
         phases.iter().map(phase).min().expect("at least one run")
     };
+    let backbone = fastest_phase(|p| p.backbone);
     let e_phase = fastest_phase(|p| p.e_phase);
     let m_phase = fastest_phase(|p| p.m_phase);
+    let materialise = fastest_phase(|p| p.materialize);
+    let gdb_spec = SparsifierSpec::gdb().alpha(alpha).max_iterations(8);
+    let gdb = fastest(RUNS, || run_once(&gdb_spec, g, scratch));
     println!(
-        "{graph_name:<20} EMD  α={alpha:<4} {emd:>10.2?}  (E {e_phase:>9.2?}, M {m_phase:>9.2?})"
+        "{graph_name:<20} EMD  α={alpha:<4} {emd:>10.2?}  (backbone {backbone:>9.2?}, \
+         E {e_phase:>9.2?}, M {m_phase:>9.2?}, materialise {materialise:>9.2?})  \
+         GDB {gdb:>9.2?}"
     );
     results.push(Measurement {
         graph: graph_name,
         alpha,
         emd,
+        backbone,
         e_phase,
         m_phase,
+        materialise,
+        gdb,
     });
 }
 
 fn main() {
     let mut scratch = CoreScratch::new();
     let mut results: Vec<Measurement> = Vec::new();
+    let mut generation: Vec<(&'static str, Duration)> = Vec::new();
 
     // Full α grid on the mid-size topologies.
-    let graphs: Vec<(&'static str, UncertainGraph)> = vec![
-        ("powerlaw_uniform_12k", powerlaw_uniform(12_000)),
-        ("powerlaw_flickr_12k", powerlaw_flickr()),
-        ("forest_fire_3k", forest_fire_graph()),
+    let graphs = [
+        generate(&mut generation, "powerlaw_uniform_12k", || {
+            powerlaw_uniform(12_000)
+        }),
+        generate(&mut generation, "powerlaw_flickr_12k", powerlaw_flickr),
+        generate(&mut generation, "forest_fire_3k", forest_fire_graph),
     ];
     for (graph_name, g) in &graphs {
         for alpha in [0.3, 0.5, 0.7] {
@@ -124,14 +152,10 @@ fn main() {
     }
 
     // EMD at α = 0.5 on a 60k-vertex power-law graph.
-    let big = powerlaw_uniform(60_000);
-    measure(
-        &mut results,
-        &mut scratch,
-        "powerlaw_uniform_60k",
-        &big,
-        0.5,
-    );
+    let (big_name, big) = generate(&mut generation, "powerlaw_uniform_60k", || {
+        powerlaw_uniform(60_000)
+    });
+    measure(&mut results, &mut scratch, big_name, &big, 0.5);
 
     let rows = results
         .iter()
@@ -141,8 +165,20 @@ fn main() {
                 .field("method", "EMD")
                 .field("alpha", m.alpha)
                 .field("emd_ns", m.emd.as_nanos() as f64)
+                .field("backbone_ns", m.backbone.as_nanos() as f64)
                 .field("e_phase_ns", m.e_phase.as_nanos() as f64)
                 .field("m_phase_ns", m.m_phase.as_nanos() as f64)
+                .field("materialise_ns", m.materialise.as_nanos() as f64)
+                .field("gdb_ns", m.gdb.as_nanos() as f64)
+                .build()
+        })
+        .collect();
+    let generation = generation
+        .iter()
+        .map(|&(graph, generate)| {
+            ObjBuilder::new()
+                .field("graph", graph)
+                .field("generate_ns", generate.as_nanos() as f64)
                 .build()
         })
         .collect();
@@ -164,16 +200,20 @@ fn main() {
             .field("runs", RUNS)
             .field(
                 "notes",
-                "EMD only: GDB runs inside every row as EMD's M-phase. One EMD \
-                 implementation: an in-place 8-ary vertex heap updated once per touched \
-                 vertex per step, slot-ordered E-phase and GDB sweeps, and CoreScratch reuse \
-                 across runs. No parity check runs here; the release oracle check is \
-                 ugs-core's emd unit tests (2000 vertices, 8000 edges). emd_ns is the fastest \
-                 of `runs` runs on one warm scratch; e_phase_ns and m_phase_ns are the \
-                 fastest of the same runs' summed E-phases and M-phases. Times from separate \
-                 runs of this bench are not comparable on a drifting host: compare rows \
-                 measured in alternation",
+                "One EMD implementation: an in-place 8-ary vertex heap updated once per \
+                 touched vertex per step, slot-ordered E-phase and GDB sweeps, and \
+                 CoreScratch reuse across runs. No parity check runs here; the release \
+                 oracle check is ugs-core's emd unit tests (2000 vertices, 8000 edges). \
+                 emd_ns is the fastest of `runs` runs on one warm scratch; backbone_ns, \
+                 e_phase_ns, m_phase_ns and materialise_ns are the fastest of the same \
+                 runs' backbone builds, summed E-phases and M-phases, and \
+                 materialisations. gdb_ns is the fastest of `runs` full GDB runs \
+                 (SparsifierSpec::gdb(), same alpha, max_iterations = 8; backbone, sweeps \
+                 and materialisation) on the same graph in the same process: divide a row \
+                 by it to compare rows across runs of this bench on a drifting host. \
+                 generation[].generate_ns is the fastest of `runs` generations of each graph",
             )
+            .field("generation", Value::Arr(generation))
             .field("results", Value::Arr(rows))
             .build(),
     );

@@ -1,9 +1,9 @@
 //! Validated construction of [`UncertainGraph`] values.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use crate::error::{validate_probability, GraphError};
-use crate::graph::{UncertainGraph, VertexId};
+use crate::graph::{UncertainGraph, VertexId, MAX_VERTICES};
 
 /// Incremental, validating builder for [`UncertainGraph`].
 ///
@@ -14,6 +14,19 @@ use crate::graph::{UncertainGraph, VertexId};
 /// * no self loops,
 /// * no parallel edges (in either orientation),
 /// * probabilities are in `(0, 1]`.
+///
+/// Vertex ids must also fit the graph's `u32` endpoint table: a builder made
+/// for more than [`MAX_VERTICES`] vertices refuses an id of `MAX_VERTICES` or
+/// more with [`GraphError::TooManyVertices`].
+///
+/// Duplicate detection costs one hash probe per edge: the normalised pair
+/// `(min, max)` is packed into one `u64`, and [`add_edge`] learns from the
+/// set's `insert` whether the pair is new.  The set keeps std's keyed
+/// `RandomState` hasher on purpose: the pairs of a graph file come from
+/// outside the program, and a fixed hasher would let a crafted file make
+/// every probe collide.
+///
+/// [`add_edge`]: UncertainGraphBuilder::add_edge
 ///
 /// ```
 /// use uncertain_graph::UncertainGraphBuilder;
@@ -28,30 +41,38 @@ use crate::graph::{UncertainGraph, VertexId};
 #[derive(Debug, Clone)]
 pub struct UncertainGraphBuilder {
     num_vertices: usize,
+    /// Exclusive bound on accepted vertex ids: `num_vertices`, capped at
+    /// [`MAX_VERTICES`].
+    id_bound: usize,
     endpoints: Vec<(u32, u32)>,
     probabilities: Vec<f64>,
-    seen: HashMap<(u32, u32), usize>,
+    /// [`pair_key`] of every added edge.
+    seen: HashSet<u64>,
+}
+
+/// The duplicate-set key of the pair `{u, v}`: the smaller id in the high
+/// half, the larger in the low half.
+fn pair_key(u: u32, v: u32) -> u64 {
+    let (a, b) = if u <= v { (u, v) } else { (v, u) };
+    (u64::from(a) << 32) | u64::from(b)
 }
 
 impl UncertainGraphBuilder {
     /// Creates a builder for a graph with `num_vertices` vertices and no
     /// edges yet.
     pub fn new(num_vertices: usize) -> Self {
-        UncertainGraphBuilder {
-            num_vertices,
-            endpoints: Vec::new(),
-            probabilities: Vec::new(),
-            seen: HashMap::new(),
-        }
+        Self::with_capacity(num_vertices, 0)
     }
 
     /// Creates a builder with pre-allocated room for `num_edges` edges.
     pub fn with_capacity(num_vertices: usize, num_edges: usize) -> Self {
+        let max_vertices = usize::try_from(MAX_VERTICES).unwrap_or(usize::MAX);
         UncertainGraphBuilder {
             num_vertices,
+            id_bound: num_vertices.min(max_vertices),
             endpoints: Vec::with_capacity(num_edges),
             probabilities: Vec::with_capacity(num_edges),
-            seen: HashMap::with_capacity(num_edges),
+            seen: HashSet::with_capacity(num_edges),
         }
     }
 
@@ -65,51 +86,68 @@ impl UncertainGraphBuilder {
         self.endpoints.len()
     }
 
-    /// Normalised key used for duplicate detection.
-    fn key(u: VertexId, v: VertexId) -> (u32, u32) {
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        (a as u32, b as u32)
+    /// `vertex` as a stored id, or the error that refuses it.
+    fn checked_id(&self, vertex: VertexId) -> Result<u32, GraphError> {
+        if vertex < self.id_bound {
+            // `id_bound <= MAX_VERTICES`, so the id fits.
+            return Ok(vertex as u32);
+        }
+        Err(if vertex >= self.num_vertices {
+            GraphError::VertexOutOfRange {
+                vertex,
+                num_vertices: self.num_vertices,
+            }
+        } else {
+            GraphError::TooManyVertices {
+                num_vertices: self.num_vertices,
+                max_vertices: MAX_VERTICES,
+            }
+        })
+    }
+
+    /// The stored ids of the edge `(u, v)`, checked in the order every
+    /// insertion reports: `u`'s range, `v`'s range, then a self loop.
+    fn checked_pair(&self, u: VertexId, v: VertexId) -> Result<(u32, u32), GraphError> {
+        let (a, b) = (self.checked_id(u)?, self.checked_id(v)?);
+        if a == b {
+            return Err(GraphError::SelfLoop { vertex: u });
+        }
+        Ok((a, b))
     }
 
     /// Returns `true` if an edge between `u` and `v` has already been added.
     pub fn contains_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.seen.contains_key(&Self::key(u, v))
+        match (u32::try_from(u), u32::try_from(v)) {
+            (Ok(a), Ok(b)) => self.seen.contains(&pair_key(a, b)),
+            _ => false,
+        }
+    }
+
+    /// Appends an edge whose pair the duplicate set has just taken in.
+    fn push(&mut self, a: u32, b: u32, p: f64) -> usize {
+        self.endpoints.push((a, b));
+        self.probabilities.push(p);
+        self.endpoints.len() - 1
     }
 
     /// Adds an undirected uncertain edge `(u, v)` with probability `p`.
     ///
-    /// Returns the edge id on success.
+    /// Returns the edge id on success.  Errors are checked in this order:
+    /// `u`'s range, `v`'s range, a self loop, the probability, a duplicate.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, p: f64) -> Result<usize, GraphError> {
-        if u >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: u,
-                num_vertices: self.num_vertices,
-            });
-        }
-        if v >= self.num_vertices {
-            return Err(GraphError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.num_vertices,
-            });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
+        let (a, b) = self.checked_pair(u, v)?;
         validate_probability(p)?;
-        let key = Self::key(u, v);
-        if self.seen.contains_key(&key) {
+        if !self.seen.insert(pair_key(a, b)) {
             return Err(GraphError::DuplicateEdge { u, v });
         }
-        let id = self.endpoints.len();
-        self.seen.insert(key, id);
-        self.endpoints.push((u as u32, v as u32));
-        self.probabilities.push(p);
-        Ok(id)
+        Ok(self.push(a, b, p))
     }
 
     /// Adds the edge if it is not present yet, otherwise leaves the existing
     /// probability untouched.  Returns `true` if the edge was inserted.
     ///
+    /// A present edge answers `Ok(false)` whatever `p` is; the vertex and
+    /// self-loop checks come first, as in [`UncertainGraphBuilder::add_edge`].
     /// Useful for generators that may propose the same pair twice.
     pub fn add_edge_if_absent(
         &mut self,
@@ -117,17 +155,37 @@ impl UncertainGraphBuilder {
         v: VertexId,
         p: f64,
     ) -> Result<bool, GraphError> {
-        if self.contains_edge(u, v) {
-            Ok(false)
-        } else {
-            self.add_edge(u, v, p)?;
-            Ok(true)
+        let (a, b) = self.checked_pair(u, v)?;
+        let key = pair_key(a, b);
+        if let Err(invalid) = validate_probability(p) {
+            return if self.seen.contains(&key) {
+                Ok(false)
+            } else {
+                Err(invalid)
+            };
         }
+        if !self.seen.insert(key) {
+            return Ok(false);
+        }
+        self.push(a, b, p);
+        Ok(true)
     }
 
     /// Finalises the builder into an immutable-topology [`UncertainGraph`].
+    ///
+    /// The duplicate set is freed before the adjacency is laid out, so the
+    /// build's peak memory holds the edge table and the CSR arrays, not the
+    /// set.
     pub fn build(self) -> UncertainGraph {
-        UncertainGraph::from_validated_parts(self.num_vertices, self.endpoints, self.probabilities)
+        let UncertainGraphBuilder {
+            num_vertices,
+            endpoints,
+            probabilities,
+            seen,
+            ..
+        } = self;
+        drop(seen);
+        UncertainGraph::from_validated_parts(num_vertices, endpoints, probabilities)
     }
 }
 
@@ -211,6 +269,43 @@ mod tests {
         let g = b.build();
         assert!((g.edge_probability(1) - 0.2).abs() < 1e-12);
         assert_eq!(g.edge_endpoints(2), (2, 3));
+    }
+
+    #[test]
+    fn ids_beyond_the_u32_endpoint_table_are_refused() {
+        // Only edges are added: `build()` would allocate O(n) here.
+        let n = (MAX_VERTICES + 10) as usize;
+        let big = (MAX_VERTICES + 5) as usize;
+        let refused = GraphError::TooManyVertices {
+            num_vertices: n,
+            max_vertices: MAX_VERTICES,
+        };
+        let mut b = UncertainGraphBuilder::new(n);
+        assert_eq!(b.add_edge(big, 0, 0.5), Err(refused.clone()));
+        assert_eq!(b.add_edge(0, big, 0.5), Err(refused.clone()));
+        assert_eq!(b.add_edge_if_absent(big, 0, 0.5), Err(refused));
+        assert!(!b.contains_edge(big, 0));
+        // The pair the id would wrap to is still new, and ids that fit the
+        // table are accepted.
+        assert_eq!(b.add_edge(5, 0, 0.5), Ok(0));
+        assert!(!b.contains_edge(big, 0));
+        let top = (MAX_VERTICES - 1) as usize;
+        assert_eq!(b.add_edge(top, 0, 0.5), Ok(1));
+        assert!(b.contains_edge(0, top));
+        assert_eq!(b.num_edges(), 2);
+
+        // On an ordinary builder such ids are out of range, never aliases.
+        let mut small = UncertainGraphBuilder::new(3);
+        small.add_edge(0, 1, 0.5).unwrap();
+        let alias = (MAX_VERTICES + 1) as usize;
+        assert!(!small.contains_edge(alias, 0));
+        assert_eq!(
+            small.add_edge_if_absent(alias, 0, 0.5),
+            Err(GraphError::VertexOutOfRange {
+                vertex: alias,
+                num_vertices: 3,
+            })
+        );
     }
 
     #[test]

@@ -50,10 +50,9 @@ impl EdgeRef {
 /// Internally the graph stores a flat edge table plus a CSR adjacency
 /// structure (offsets + packed `(neighbour, edge)` pairs) so that
 /// neighbourhood iteration is cache friendly and edge-probability lookups are
-/// O(1).  Edge probabilities are the only mutable part of the structure
-/// ([`UncertainGraph::set_edge_probability`]); the sparsification algorithms
-/// rely on this to redistribute probability mass without rebuilding the
-/// adjacency.
+/// O(1).  A graph is immutable once built: every sparsifier keeps its
+/// probability assignment in its own arrays and materialises the result as
+/// a new graph ([`UncertainGraph::subgraph_with_probabilities`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct UncertainGraph {
     num_vertices: usize,
@@ -73,7 +72,9 @@ impl UncertainGraph {
     /// This is a convenience wrapper around [`crate::UncertainGraphBuilder`];
     /// it performs the same validation (vertex range, probability range, no
     /// self loops, no duplicates), and refuses a vertex count above
-    /// [`MAX_VERTICES`] before allocating anything.
+    /// [`MAX_VERTICES`] before allocating anything.  The builder is sized
+    /// from the iterator's lower size bound, capped at the edge count of a
+    /// simple graph on `num_vertices` vertices.
     pub fn from_edges<I>(num_vertices: usize, edges: I) -> Result<Self, GraphError>
     where
         I: IntoIterator<Item = (VertexId, VertexId, f64)>,
@@ -84,14 +85,21 @@ impl UncertainGraph {
                 max_vertices: MAX_VERTICES,
             });
         }
-        let mut builder = crate::builder::UncertainGraphBuilder::new(num_vertices);
+        let edges = edges.into_iter();
+        let max_edges = num_vertices.saturating_mul(num_vertices.saturating_sub(1)) / 2;
+        let mut builder = crate::builder::UncertainGraphBuilder::with_capacity(
+            num_vertices,
+            edges.size_hint().0.min(max_edges),
+        );
         for (u, v, p) in edges {
             builder.add_edge(u, v, p)?;
         }
         Ok(builder.build())
     }
 
-    /// Internal constructor used by the builder: inputs are already validated.
+    /// Internal constructor used by the builder and the subgraph paths:
+    /// inputs are already validated (every endpoint below `num_vertices`, no
+    /// self loop, no repeated pair, every probability in `(0, 1]`).
     pub(crate) fn from_validated_parts(
         num_vertices: usize,
         endpoints: Vec<(u32, u32)>,
@@ -200,22 +208,6 @@ impl UncertainGraph {
     #[inline]
     pub fn edge_probability(&self, e: EdgeId) -> f64 {
         self.probabilities[e]
-    }
-
-    /// Overwrites the probability of edge `e`.
-    ///
-    /// Returns an error if the new probability is outside `(0, 1]` or the
-    /// edge does not exist.  The adjacency structure is untouched.
-    pub fn set_edge_probability(&mut self, e: EdgeId, p: f64) -> Result<(), GraphError> {
-        if e >= self.num_edges() {
-            return Err(GraphError::EdgeOutOfRange {
-                edge: e,
-                num_edges: self.num_edges(),
-            });
-        }
-        validate_probability(p)?;
-        self.probabilities[e] = p;
-        Ok(())
     }
 
     /// Slice of all edge probabilities indexed by [`EdgeId`].
@@ -351,26 +343,46 @@ impl UncertainGraph {
     /// the listed edges (by id), each with a freshly specified probability.
     ///
     /// This is the primitive used by all sparsifiers: the sparsified graph
-    /// `G' = (V, E', p')` keeps `V` and selects `E' ⊂ E`.
+    /// `G' = (V, E', p')` keeps `V` and selects `E' ⊂ E`.  Edge `i` of the
+    /// result is the `i`-th listed edge, with this graph's stored endpoints.
     ///
     /// Returns an error if an edge id is out of range or a probability is
-    /// invalid. Duplicated edge ids are rejected as duplicate edges.
+    /// invalid. Duplicated edge ids are rejected as duplicate edges.  Each
+    /// item is checked in that order: id range, probability, repeated id.
+    ///
+    /// No pair is hashed: this graph is simple, so distinct edge ids are
+    /// distinct vertex pairs, and one flag per edge of this graph catches a
+    /// repeated id.  The errors, and their order, are those of adding the
+    /// listed edges to an [`crate::UncertainGraphBuilder`].
     pub fn subgraph_with_probabilities<I>(&self, edges: I) -> Result<UncertainGraph, GraphError>
     where
         I: IntoIterator<Item = (EdgeId, f64)>,
     {
-        let mut builder = crate::builder::UncertainGraphBuilder::new(self.num_vertices);
+        let edges = edges.into_iter();
+        let capacity = edges.size_hint().0.min(self.num_edges());
+        let mut endpoints = Vec::with_capacity(capacity);
+        let mut probabilities = Vec::with_capacity(capacity);
+        let mut listed = vec![false; self.num_edges()];
         for (e, p) in edges {
-            if e >= self.num_edges() {
+            let Some(seen) = listed.get_mut(e) else {
                 return Err(GraphError::EdgeOutOfRange {
                     edge: e,
                     num_edges: self.num_edges(),
                 });
+            };
+            validate_probability(p)?;
+            if std::mem::replace(seen, true) {
+                let (u, v) = self.edge_endpoints(e);
+                return Err(GraphError::DuplicateEdge { u, v });
             }
-            let (u, v) = self.edge_endpoints(e);
-            builder.add_edge(u, v, p)?;
+            endpoints.push(self.endpoints[e]);
+            probabilities.push(p);
         }
-        Ok(builder.build())
+        Ok(UncertainGraph::from_validated_parts(
+            self.num_vertices,
+            endpoints,
+            probabilities,
+        ))
     }
 
     /// Builds a new uncertain graph keeping the listed edges with their
@@ -409,10 +421,21 @@ impl UncertainGraph {
     /// [`UncertainGraph::induced_subgraph`] plus the **edge** mapping: the
     /// third component maps every new edge id to the id of the original edge
     /// it was copied from (`new edge id -> old edge id`, in new-id order).
+    ///
+    /// A vertex listed twice takes its last position; its earlier positions
+    /// become isolated vertices.  No pair is hashed: that relabelling is
+    /// injective, so the kept edges of this simple graph stay distinct pairs
+    /// without self loops, and only the vertex ids need checking.
     pub fn induced_subgraph_with_edges(
         &self,
         vertices: &[VertexId],
     ) -> Result<(UncertainGraph, Vec<VertexId>, Vec<EdgeId>), GraphError> {
+        if vertices.len() as u64 > MAX_VERTICES {
+            return Err(GraphError::TooManyVertices {
+                num_vertices: vertices.len(),
+                max_vertices: MAX_VERTICES,
+            });
+        }
         let mut new_id = vec![usize::MAX; self.num_vertices];
         for (i, &v) in vertices.iter().enumerate() {
             if v >= self.num_vertices {
@@ -423,16 +446,20 @@ impl UncertainGraph {
             }
             new_id[v] = i;
         }
-        let mut builder = crate::builder::UncertainGraphBuilder::new(vertices.len());
+        let mut endpoints = Vec::new();
+        let mut probabilities = Vec::new();
         let mut edge_map = Vec::new();
-        for e in self.edges() {
-            let (nu, nv) = (new_id[e.u], new_id[e.v]);
+        for (e, (&(u, v), &p)) in self.endpoints.iter().zip(&self.probabilities).enumerate() {
+            let (nu, nv) = (new_id[u as usize], new_id[v as usize]);
             if nu != usize::MAX && nv != usize::MAX {
-                builder.add_edge(nu, nv, e.p)?;
-                edge_map.push(e.id);
+                // New ids are below `vertices.len() <= MAX_VERTICES`.
+                endpoints.push((nu as u32, nv as u32));
+                probabilities.push(p);
+                edge_map.push(e);
             }
         }
-        Ok((builder.build(), vertices.to_vec(), edge_map))
+        let graph = UncertainGraph::from_validated_parts(vertices.len(), endpoints, probabilities);
+        Ok((graph, vertices.to_vec(), edge_map))
     }
 }
 
@@ -532,18 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn set_edge_probability_validates() {
-        let mut g = figure1a();
-        g.set_edge_probability(0, 0.6).unwrap();
-        assert!((g.edge_probability(0) - 0.6).abs() < 1e-12);
-        assert!(g.set_edge_probability(0, 0.0).is_err());
-        assert!(g.set_edge_probability(0, 1.5).is_err());
-        assert!(g.set_edge_probability(99, 0.5).is_err());
-        // failed updates must not corrupt the stored value
-        assert!((g.edge_probability(0) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn expected_num_edges_and_mean_probability() {
         let g = figure1a();
         assert!((g.expected_num_edges() - 1.8).abs() < 1e-12);
@@ -627,6 +642,11 @@ mod tests {
         assert!(UncertainGraph::from_edges(2, [(0, 1, 0.0)]).is_err());
         assert!(UncertainGraph::from_edges(2, [(0, 3, 0.5)]).is_err());
         assert!(UncertainGraph::from_edges(2, [(0, 1, 0.5), (1, 0, 0.6)]).is_err());
+        // An endless iterator's size hint must not size the builder.
+        assert_eq!(
+            UncertainGraph::from_edges(3, std::iter::repeat((0, 1, 0.5))),
+            Err(GraphError::DuplicateEdge { u: 0, v: 1 })
+        );
     }
 
     #[test]
