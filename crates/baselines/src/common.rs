@@ -16,7 +16,7 @@ use uncertain_graph::{EdgeId, UncertainGraph};
 ///   calibration loops normally prevent this; it is a safety net),
 /// * if it is too small, missing edges are drawn from the rest of the graph
 ///   by probability-proportional sampling without replacement.
-pub fn resize_selection<R: Rng + ?Sized>(
+pub(crate) fn resize_selection<R: Rng + ?Sized>(
     g: &UncertainGraph,
     mut selection: Vec<EdgeId>,
     target: usize,

@@ -4,13 +4,13 @@
 //! sparsification literature, exactly as Section 3.2 and the appendix of the
 //! paper adapt them to the uncertain setting:
 //!
-//! * [`ni`] — `NI`, the Nagamochi–Ibaraki cut sparsifier: edge probabilities
+//! * [`NagamochiIbaraki`] — `NI`, the Nagamochi–Ibaraki cut sparsifier: edge probabilities
 //!   are converted to integer weights (`w_e = ⌊p_e / p_min⌉`), the iterated
 //!   spanning-forest index determines a per-edge sampling probability, the
 //!   sampled weights are converted back to probabilities capped at 1, and an
 //!   `ε` calibration loop plus probability-proportional top-up force the
 //!   result to exactly `α|E|` edges.
-//! * [`spanner`] — `SS`, the Baswana–Sen `(2t−1)`-spanner run on the weights
+//! * [`SpannerSparsifier`] — `SS`, the Baswana–Sen `(2t−1)`-spanner run on the weights
 //!   `w_e = −log p_e` (preserving most-probable paths), with the stretch `t`
 //!   calibrated so the spanner has at most `α|E|` edges, original
 //!   probabilities retained, and the same top-up step.
@@ -25,15 +25,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod common;
-pub mod ni;
-pub mod spanner;
+mod common;
+mod ni;
+mod spanner;
 
-pub use ni::{NagamochiIbaraki, NiConfig};
-pub use spanner::{SpannerConfig, SpannerSparsifier};
+pub use ni::NagamochiIbaraki;
+pub use spanner::SpannerSparsifier;
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
-    pub use crate::ni::{NagamochiIbaraki, NiConfig};
-    pub use crate::spanner::{SpannerConfig, SpannerSparsifier};
+    pub use crate::ni::NagamochiIbaraki;
+    pub use crate::spanner::SpannerSparsifier;
 }

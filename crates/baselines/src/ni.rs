@@ -33,17 +33,17 @@ use ugs_core::SparsifyError;
 
 /// Configuration of the `NI` baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NiConfig {
+pub(crate) struct NiConfig {
     /// Sparsification ratio `α ∈ (0, 1)`.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Multiplicative factor applied to `ε` during calibration (the paper's
     /// "small factor θ").
-    pub epsilon_step: f64,
+    pub(crate) epsilon_step: f64,
     /// Maximum number of calibration rounds.
-    pub max_calibration_rounds: usize,
+    pub(crate) max_calibration_rounds: usize,
     /// Cap on the integer weights `⌊p_e / p_min⌉` so that graphs containing
     /// very rare edges do not explode the number of forest rounds.
-    pub max_weight: u32,
+    pub(crate) max_weight: u32,
 }
 
 impl Default for NiConfig {
@@ -75,13 +75,8 @@ impl NagamochiIbaraki {
         }
     }
 
-    /// Creates the baseline from a full configuration.
-    pub fn with_config(config: NiConfig) -> Self {
-        NagamochiIbaraki { config }
-    }
-
     /// Runs the baseline.
-    pub fn sparsify<R: Rng + ?Sized>(
+    pub(crate) fn sparsify<R: Rng + ?Sized>(
         &self,
         g: &UncertainGraph,
         rng: &mut R,
@@ -386,10 +381,12 @@ mod tests {
             NagamochiIbaraki::new(0.0).sparsify(&g, &mut rng),
             Err(SparsifyError::InvalidAlpha { .. })
         ));
-        let bad = NagamochiIbaraki::with_config(NiConfig {
-            epsilon_step: 1.0,
-            ..Default::default()
-        });
+        let bad = NagamochiIbaraki {
+            config: NiConfig {
+                epsilon_step: 1.0,
+                ..Default::default()
+            },
+        };
         assert!(matches!(
             bad.sparsify(&g, &mut rng),
             Err(SparsifyError::InvalidParameter {

@@ -23,14 +23,14 @@ use ugs_core::SparsifyError;
 
 /// Configuration of the `SS` baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpannerConfig {
+pub(crate) struct SpannerConfig {
     /// Sparsification ratio `α ∈ (0, 1)`.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Maximum number of stretch-calibration rounds (each round increases
     /// `t` by one).
-    pub max_calibration_rounds: usize,
+    pub(crate) max_calibration_rounds: usize,
     /// Upper bound on the stretch parameter `t`.
-    pub max_t: usize,
+    pub(crate) max_t: usize,
 }
 
 impl Default for SpannerConfig {
@@ -59,11 +59,6 @@ impl SpannerSparsifier {
                 ..Default::default()
             },
         }
-    }
-
-    /// Creates the baseline from a full configuration.
-    pub fn with_config(config: SpannerConfig) -> Self {
-        SpannerSparsifier { config }
     }
 
     /// Runs the baseline.

@@ -82,31 +82,31 @@ pub struct ExperimentConfig {
     /// Dataset scale.
     pub scale: Scale,
     /// Sparsification ratios, in percent (the paper sweeps 8–64 %).
-    pub alphas_percent: Vec<f64>,
+    pub(crate) alphas_percent: Vec<f64>,
     /// Worlds per Monte-Carlo query evaluation (the paper uses 500).
-    pub num_worlds: usize,
+    pub(crate) num_worlds: usize,
     /// Vertex pairs for SP / RL queries (the paper uses 1 000).
-    pub num_pairs: usize,
+    pub(crate) num_pairs: usize,
     /// Random cuts for the cut-discrepancy MAE (the paper uses 1 000 per
     /// cardinality; we sample this many cuts with random cardinalities).
-    pub num_cuts: usize,
+    pub(crate) num_cuts: usize,
     /// Repetitions of each estimator for the variance experiment
     /// (the paper uses 100).
-    pub variance_repetitions: usize,
+    pub(crate) variance_repetitions: usize,
     /// Worlds per estimator run inside the variance experiment.
-    pub variance_worlds: usize,
+    pub(crate) variance_worlds: usize,
     /// Number of vertices of the Forest-Fire-reduced graph, the paper's
     /// reduction for Table 2 and Figures 4–5.
-    pub reduced_vertices: usize,
+    pub(crate) reduced_vertices: usize,
     /// Number of vertices of the base graph for the density sweep.
-    pub density_base_vertices: usize,
+    pub(crate) density_base_vertices: usize,
     /// Base RNG seed; every experiment derives its own stream from it.
     pub seed: u64,
 }
 
 impl ExperimentConfig {
     /// Configuration for a given scale.
-    pub fn for_scale(scale: Scale) -> Self {
+    pub(crate) fn for_scale(scale: Scale) -> Self {
         match scale {
             Scale::Tiny => ExperimentConfig {
                 scale,
@@ -181,13 +181,13 @@ impl ExperimentConfig {
     }
 
     /// Sparsification ratios as fractions.
-    pub fn alphas(&self) -> Vec<f64> {
+    pub(crate) fn alphas(&self) -> Vec<f64> {
         self.alphas_percent.iter().map(|a| a / 100.0).collect()
     }
 
     /// A fresh RNG stream for the experiment `label` (deterministic per
     /// label so experiments are independent of each other's ordering).
-    pub fn rng(&self, label: &str) -> SmallRng {
+    pub(crate) fn rng(&self, label: &str) -> SmallRng {
         let mut hash = 0xcbf29ce484222325u64;
         for byte in label.bytes() {
             hash ^= byte as u64;
@@ -199,16 +199,16 @@ impl ExperimentConfig {
 
 /// The datasets every experiment draws from, generated once per run.
 #[derive(Debug, Clone)]
-pub struct Workload {
+pub(crate) struct Workload {
     /// Flickr-shaped graph (dense, low probabilities).
-    pub flickr: UncertainGraph,
+    pub(crate) flickr: UncertainGraph,
     /// Twitter-shaped graph (sparser, higher probabilities).
-    pub twitter: UncertainGraph,
+    pub(crate) twitter: UncertainGraph,
 }
 
 impl Workload {
     /// Generates the two social-network-shaped datasets for `config`.
-    pub fn generate(config: &ExperimentConfig) -> Self {
+    pub(crate) fn generate(config: &ExperimentConfig) -> Self {
         let mut rng = config.rng("workload");
         Workload {
             flickr: flickr_like(config.scale, &mut rng),
@@ -218,7 +218,7 @@ impl Workload {
 
     /// The Forest-Fire-reduced Flickr instance (the paper's reduction for
     /// Table 2 and Figures 4–5).
-    pub fn flickr_reduced(&self, config: &ExperimentConfig) -> UncertainGraph {
+    pub(crate) fn flickr_reduced(&self, config: &ExperimentConfig) -> UncertainGraph {
         let mut rng = config.rng("flickr-reduced");
         let (reduced, _) = forest_fire_sample(&self.flickr, config.reduced_vertices, 0.7, &mut rng);
         reduced
@@ -226,7 +226,7 @@ impl Workload {
 
     /// The density-sweep synthetics (15/30/50/90 % of the complete graph)
     /// built from an induced Flickr-like base, as in Table 1 (bottom).
-    pub fn density_sweep(&self, config: &ExperimentConfig) -> Vec<(f64, UncertainGraph)> {
+    pub(crate) fn density_sweep(&self, config: &ExperimentConfig) -> Vec<(f64, UncertainGraph)> {
         let mut rng = config.rng("density-sweep");
         let (base, _) =
             forest_fire_sample(&self.flickr, config.density_base_vertices, 0.7, &mut rng);
@@ -238,7 +238,7 @@ impl Workload {
 /// representative variants: `GDB` = `GDB^A` on a random backbone, `EMD` =
 /// `EMD^R-t` (relative discrepancy, spanning backbone), plus the `NI` and
 /// `SS` baselines.
-pub fn representative_methods(alpha: f64) -> Vec<(String, Box<dyn Sparsifier>)> {
+pub(crate) fn representative_methods(alpha: f64) -> Vec<(String, Box<dyn Sparsifier>)> {
     vec![
         (
             "NI".to_string(),
@@ -267,7 +267,7 @@ pub fn representative_methods(alpha: f64) -> Vec<(String, Box<dyn Sparsifier>)> 
 /// The proposed-method variants evaluated in Table 2 and Figure 4
 /// (superscript = discrepancy, subscript = cut rule, `-t` = spanning
 /// backbone).
-pub fn proposed_variants(alpha: f64) -> Vec<(String, Box<dyn Sparsifier>)> {
+pub(crate) fn proposed_variants(alpha: f64) -> Vec<(String, Box<dyn Sparsifier>)> {
     let random = BackboneKind::Random;
     let spanning = BackboneKind::SpanningForests;
     vec![

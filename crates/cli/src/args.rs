@@ -11,11 +11,11 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ParsedArgs {
     /// The subcommand (first non-flag argument).
-    pub command: String,
+    pub(crate) command: String,
     /// Positional arguments following the subcommand.
-    pub positionals: Vec<String>,
+    pub(crate) positionals: Vec<String>,
     /// `--key value` pairs; a flag without a value maps to an empty string.
-    pub options: HashMap<String, String>,
+    pub(crate) options: HashMap<String, String>,
 }
 
 /// Errors produced while parsing or interpreting arguments.
@@ -137,7 +137,7 @@ impl ParsedArgs {
     }
 
     /// The `index`-th positional argument, or an error naming it.
-    pub fn positional(&self, index: usize, name: &str) -> Result<&str, ArgsError> {
+    pub(crate) fn positional(&self, index: usize, name: &str) -> Result<&str, ArgsError> {
         self.positionals
             .get(index)
             .map(String::as_str)
@@ -145,7 +145,7 @@ impl ParsedArgs {
     }
 
     /// A string option with a default.
-    pub fn option_or(&self, key: &str, default: &str) -> String {
+    pub(crate) fn option_or(&self, key: &str, default: &str) -> String {
         self.options
             .get(key)
             .cloned()
@@ -153,7 +153,7 @@ impl ParsedArgs {
     }
 
     /// A required string option.
-    pub fn required(&self, key: &str) -> Result<&str, ArgsError> {
+    pub(crate) fn required(&self, key: &str) -> Result<&str, ArgsError> {
         self.options
             .get(key)
             .map(String::as_str)
@@ -161,7 +161,7 @@ impl ParsedArgs {
     }
 
     /// A floating-point option with a default.
-    pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, ArgsError> {
+    pub(crate) fn f64_or(&self, key: &str, default: f64) -> Result<f64, ArgsError> {
         match self.options.get(key) {
             None => Ok(default),
             Some(value) => value.parse().map_err(|_| ArgsError::InvalidValue {
@@ -173,7 +173,7 @@ impl ParsedArgs {
     }
 
     /// An integer option with a default.
-    pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, ArgsError> {
+    pub(crate) fn usize_or(&self, key: &str, default: usize) -> Result<usize, ArgsError> {
         match self.options.get(key) {
             None => Ok(default),
             Some(value) => value.parse().map_err(|_| ArgsError::InvalidValue {
@@ -185,7 +185,7 @@ impl ParsedArgs {
     }
 
     /// A u64 option with a default (used for seeds).
-    pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, ArgsError> {
+    pub(crate) fn u64_or(&self, key: &str, default: u64) -> Result<u64, ArgsError> {
         match self.options.get(key) {
             None => Ok(default),
             Some(value) => value.parse().map_err(|_| ArgsError::InvalidValue {
@@ -197,7 +197,7 @@ impl ParsedArgs {
     }
 
     /// Whether a bare flag (e.g. `--json`) is present.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.options.contains_key(key)
     }
 
@@ -205,7 +205,7 @@ impl ParsedArgs {
     /// subcommand calls this before interpreting its options, so a typo
     /// like `--world` fails loudly instead of silently falling back to the
     /// default.  The offending options are reported in sorted order.
-    pub fn expect_options(&self, allowed: &[&str]) -> Result<(), ArgsError> {
+    pub(crate) fn expect_options(&self, allowed: &[&str]) -> Result<(), ArgsError> {
         let mut unknown: Vec<&String> = self
             .options
             .keys()

@@ -27,6 +27,13 @@ pub enum CliError {
     Sparsify(SparsifyError),
     /// Any other user-facing problem.
     Message(String),
+    /// The command ran to the end but failed; `report` still goes to stdout.
+    Failed {
+        /// The command's report.
+        report: String,
+        /// Why the command failed.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for CliError {
@@ -35,7 +42,7 @@ impl std::fmt::Display for CliError {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::Graph(e) => write!(f, "{e}"),
             CliError::Sparsify(e) => write!(f, "{e}"),
-            CliError::Message(m) => write!(f, "{m}"),
+            CliError::Message(m) | CliError::Failed { message: m, .. } => write!(f, "{m}"),
         }
     }
 }
@@ -315,7 +322,8 @@ const COMMANDS: &[CommandHelp] = &[
                {\"op\": \"shutdown\"}) is done and never respawned.
                --announce FILE is rewritten atomically with one
                `name addr pid` line per running worker on every membership
-               change.  Prints a JSON report once every worker is terminal.",
+               change.  Prints a JSON report once every worker is terminal,
+               and exits 1 unless every worker ended gracefully.",
     },
     CommandHelp {
         name: "request",
@@ -354,7 +362,7 @@ COMMANDS:
 }
 
 /// The usage text of one subcommand (`ugs help <command>`).
-pub fn usage_for(name: &str) -> Option<String> {
+pub(crate) fn usage_for(name: &str) -> Option<String> {
     COMMANDS
         .iter()
         .find(|command| command.name == name)
@@ -366,7 +374,7 @@ fn load(path: &str) -> Result<UncertainGraph, CliError> {
 }
 
 /// `ugs generate`.
-pub fn generate(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn generate(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_options(GENERATE_OPTIONS)?;
     let dataset = args.option_or("dataset", "flickr");
     let scale_name = args.option_or("scale", "tiny");
@@ -401,7 +409,7 @@ pub fn generate(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// `ugs stats`.
-pub fn stats(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn stats(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_options(STATS_OPTIONS)?;
     let path = args.positional(0, "graph.txt")?;
     let graph = load(path)?;
@@ -484,7 +492,7 @@ fn build_sparsifier(args: &ParsedArgs, alpha: f64) -> Result<Box<dyn Sparsifier>
 }
 
 /// `ugs sparsify`.
-pub fn sparsify(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn sparsify(args: &ParsedArgs) -> Result<String, CliError> {
     use minijson::ObjBuilder;
 
     args.expect_options(SPARSIFY_OPTIONS)?;
@@ -593,7 +601,7 @@ fn precision_from_args(args: &ParsedArgs) -> Result<Option<Precision>, CliError>
 }
 
 /// `ugs query`.
-pub fn query(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn query(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_options(QUERY_OPTIONS)?;
     let path = args.positional(0, "graph.txt")?;
     let graph = load(path)?;
@@ -671,7 +679,7 @@ pub fn query(args: &ParsedArgs) -> Result<String, CliError> {
 /// [`QuerySpec`]s, run as one [`QueryPlan`] (a single shared-world
 /// `QueryBatch` pass), and the typed [`QueryResult`]s are rendered in the
 /// classic `batch` report shape.
-pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn batch(args: &ParsedArgs) -> Result<String, CliError> {
     use minijson::{ObjBuilder, Value};
 
     args.expect_options(BATCH_OPTIONS)?;
@@ -855,7 +863,7 @@ pub fn batch(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `ugs plan`: execute a JSON query-plan file end-to-end as one shared-world
 /// batch and print the full report as JSON.
-pub fn plan(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn plan(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_options(PLAN_OPTIONS)?;
     let plan_path = args.positional(0, "plan.json")?;
     let text = std::fs::read_to_string(plan_path)
@@ -904,7 +912,7 @@ fn format_top(label: &str, scores: &[f64], top: usize) -> String {
 }
 
 /// `ugs compare`.
-pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn compare(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_options(COMPARE_OPTIONS)?;
     let original = load(args.positional(0, "original.txt")?)?;
     let sparsified = load(args.positional(1, "sparsified.txt")?)?;
@@ -984,7 +992,7 @@ fn addr_list(args: &ParsedArgs, option: &str) -> Vec<String> {
 
 /// `ugs serve`: run the TCP query front-end over a graph until a client
 /// sends `{"op": "shutdown"}`.
-pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_options(SERVE_OPTIONS)?;
     let path = args.positional(0, "graph.txt")?;
     let graph = load(path)?;
@@ -1026,7 +1034,7 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `ugs coordinate`: execute a query plan over a fleet of world-block
 /// workers and print the report — bit-identical to the in-process run.
-pub fn coordinate(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn coordinate(args: &ParsedArgs) -> Result<String, CliError> {
     use std::time::Duration;
 
     args.expect_options(COORDINATE_OPTIONS)?;
@@ -1073,7 +1081,7 @@ pub fn coordinate(args: &ParsedArgs) -> Result<String, CliError> {
 /// `ugs supervise`: launch one `ugs serve --shard` worker per port and
 /// babysit the fleet — respawn crashes with backoff, detect crash loops,
 /// kill and respawn workers that stop answering pings.
-pub fn supervise(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn supervise(args: &ParsedArgs) -> Result<String, CliError> {
     use std::time::Duration;
 
     args.expect_options(SUPERVISE_OPTIONS)?;
@@ -1162,16 +1170,24 @@ pub fn supervise(args: &ParsedArgs) -> Result<String, CliError> {
     })
     .map_err(|e| CliError::Message(format!("supervisor failed: {e}")))?;
     let rendered = report.render();
-    Ok(if args.flag("compact") {
+    let rendered = if args.flag("compact") {
         rendered.render()
     } else {
         rendered.pretty()
-    })
+    };
+    if report.all_done() {
+        Ok(rendered)
+    } else {
+        Err(CliError::Failed {
+            report: rendered,
+            message: "not every worker ended gracefully".to_string(),
+        })
+    }
 }
 
 /// `ugs request`: one round-trip against a running `ugs serve` instance —
 /// either a control op or a plan submission polled to completion.
-pub fn request(args: &ParsedArgs) -> Result<String, CliError> {
+pub(crate) fn request(args: &ParsedArgs) -> Result<String, CliError> {
     use std::time::Duration;
 
     args.expect_options(REQUEST_OPTIONS)?;

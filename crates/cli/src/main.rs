@@ -14,7 +14,7 @@
 use std::io::{self, Write};
 
 use ugs_cli::args::ParsedArgs;
-use ugs_cli::commands;
+use ugs_cli::commands::{self, CliError};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -31,6 +31,11 @@ fn main() {
     };
     match commands::run(&parsed) {
         Ok(report) => print_line(&report),
+        Err(CliError::Failed { report, message }) => {
+            print_line(&report);
+            eprintln!("error: {message}");
+            std::process::exit(1);
+        }
         Err(err) => {
             eprintln!("error: {err}");
             std::process::exit(1);
@@ -40,12 +45,12 @@ fn main() {
 
 /// Writes `text` and a newline to stdout.  A reader that stops early
 /// (`ugs help | head -5`) closes the pipe, which is no error: the command
-/// exits quietly with status 0.  Any other write error exits with status 1.
+/// goes on quietly.  Any other write error exits with status 1.
 fn print_line(text: &str) {
     let mut stdout = io::stdout().lock();
     match writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
         Ok(()) => {}
-        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => {}
         Err(err) => {
             eprintln!("error: cannot write to stdout: {err}");
             std::process::exit(1);

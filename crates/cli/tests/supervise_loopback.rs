@@ -282,3 +282,46 @@ fn a_sigkilled_worker_is_respawned_and_the_plan_completes_bit_identically() {
     std::fs::remove_file(&plan_path).ok();
     std::fs::remove_file(&announce).ok();
 }
+
+/// A worker that can never bind its port crash-loops; the supervisor still
+/// prints its report, and its exit status says the fleet did not end well.
+#[test]
+fn a_crash_looping_fleet_exits_nonzero_after_its_report() {
+    let graph = write_graph("held-port.txt");
+    // Hold the port for the whole run, so every spawned worker fails to bind.
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = held.local_addr().unwrap().port().to_string();
+    let output = run_ugs(&[
+        "supervise",
+        &graph,
+        "--ports",
+        &port,
+        "--crash-loop",
+        "2",
+        "--backoff-ms",
+        "1",
+        "--max-backoff-ms",
+        "5",
+        "--ping-ms",
+        "0",
+        "--compact",
+    ]);
+    drop(held);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report =
+        minijson::Value::parse(std::str::from_utf8(&output.stdout).unwrap().trim()).unwrap();
+    let workers = report.get("workers").unwrap().as_array().unwrap();
+    assert_eq!(workers.len(), 1);
+    assert_eq!(
+        workers[0].get_str("outcome"),
+        Some("crash_looping"),
+        "{}",
+        report.render()
+    );
+    std::fs::remove_file(&graph).ok();
+}

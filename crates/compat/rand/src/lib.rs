@@ -273,12 +273,6 @@ pub mod rngs {
     }
 }
 
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::rngs::SmallRng;
-    pub use crate::{Rng, RngCore, SeedableRng};
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;

@@ -33,7 +33,7 @@ pub enum DiscrepancyKind {
 impl DiscrepancyKind {
     /// The weight `π(u)` of Equation 7: 1 for the absolute discrepancy and
     /// the original expected degree `C_G(u)` for the relative one.
-    pub fn pi(&self, original_expected_degree: f64) -> f64 {
+    pub(crate) fn pi(&self, original_expected_degree: f64) -> f64 {
         match self {
             DiscrepancyKind::Absolute => 1.0,
             DiscrepancyKind::Relative => original_expected_degree,
@@ -69,7 +69,7 @@ impl DegreeTracker {
     /// Re-initialises the tracker for graph `g` with the empty assignment,
     /// reusing the existing buffers (no allocation once the capacity fits).
     /// The resulting state is bit-identical to [`DegreeTracker::new`].
-    pub fn reset(&mut self, g: &UncertainGraph, kind: DiscrepancyKind) {
+    pub(crate) fn reset(&mut self, g: &UncertainGraph, kind: DiscrepancyKind) {
         let n = g.num_vertices();
         self.original.clear();
         self.original.resize(n, 0.0);
@@ -92,25 +92,9 @@ impl DegreeTracker {
         self.kind = other.kind;
     }
 
-    /// The discrepancy kind this tracker scores.
-    pub fn kind(&self) -> DiscrepancyKind {
-        self.kind
-    }
-
-    /// Number of vertices tracked.
-    pub fn num_vertices(&self) -> usize {
-        self.original.len()
-    }
-
-    /// Original expected degree `d_G(u)`.
-    #[inline]
-    pub fn original_degree(&self, u: VertexId) -> f64 {
-        self.original[u]
-    }
-
     /// Current absolute discrepancy `δA(u)`.
     #[inline]
-    pub fn delta_abs(&self, u: VertexId) -> f64 {
+    pub(crate) fn delta_abs(&self, u: VertexId) -> f64 {
         self.delta[u]
     }
 
@@ -118,7 +102,7 @@ impl DegreeTracker {
     /// [`DiscrepancyKind::Absolute`], `δA(u)/d_G(u)` for
     /// [`DiscrepancyKind::Relative`] (0 when `d_G(u) = 0`).
     #[inline]
-    pub fn delta(&self, u: VertexId) -> f64 {
+    pub(crate) fn delta(&self, u: VertexId) -> f64 {
         match self.kind {
             DiscrepancyKind::Absolute => self.delta[u],
             DiscrepancyKind::Relative => {
@@ -133,7 +117,7 @@ impl DegreeTracker {
 
     /// The weight `π(u)` of Equation 7 for this tracker's discrepancy kind.
     #[inline]
-    pub fn pi(&self, u: VertexId) -> f64 {
+    pub(crate) fn pi(&self, u: VertexId) -> f64 {
         self.kind.pi(self.original[u])
     }
 
@@ -152,7 +136,7 @@ impl DegreeTracker {
 
     /// The objective `D1 = Σ_u δ(u)²` (Section 4.2), using the tracker's
     /// discrepancy kind.
-    pub fn objective(&self) -> f64 {
+    pub(crate) fn objective(&self) -> f64 {
         (0..self.original.len())
             .map(|u| self.delta(u).powi(2))
             .sum()
@@ -164,43 +148,12 @@ impl DegreeTracker {
         (0..self.original.len()).map(|u| self.delta(u).abs()).sum()
     }
 
-    /// Mean absolute error of the degree discrepancy over all vertices —
-    /// the quantity reported in Table 2 and Figures 6–7 of the paper.
-    pub fn mean_absolute_error(&self) -> f64 {
-        if self.original.is_empty() {
-            0.0
-        } else {
-            self.delta1() / self.original.len() as f64
-        }
-    }
-
     /// Total probability mass still missing from the candidate assignment,
     /// `Σ_e (p_e − p̂_e) = ½ Σ_u δA(u)`.  Used by the cut-preserving update
     /// rules (term `Δ̂(e)` of Equation 13).
-    pub fn total_deficit(&self) -> f64 {
+    pub(crate) fn total_deficit(&self) -> f64 {
         self.delta.iter().sum::<f64>() / 2.0
     }
-
-    /// Per-vertex absolute discrepancies.
-    pub fn deltas_abs(&self) -> &[f64] {
-        &self.delta
-    }
-}
-
-/// Computes the vector of absolute degree discrepancies between an original
-/// graph and a sparsified graph over the same vertex set.
-///
-/// # Panics
-/// Panics if the graphs have different vertex counts.
-pub fn degree_discrepancies(original: &UncertainGraph, sparsified: &UncertainGraph) -> Vec<f64> {
-    assert_eq!(
-        original.num_vertices(),
-        sparsified.num_vertices(),
-        "graphs must share a vertex set"
-    );
-    let d0 = original.expected_degrees();
-    let d1 = sparsified.expected_degrees();
-    d0.iter().zip(d1.iter()).map(|(a, b)| a - b).collect()
 }
 
 #[cfg(test)]
@@ -231,8 +184,8 @@ mod tests {
             assert!((t.delta(u) - g.expected_degree(u)).abs() < 1e-12);
         }
         assert!((t.total_deficit() - g.expected_num_edges()).abs() < 1e-12);
-        assert_eq!(t.num_vertices(), 4);
-        assert_eq!(t.kind(), DiscrepancyKind::Absolute);
+        assert_eq!(t.original.len(), 4);
+        assert_eq!(t.kind, DiscrepancyKind::Absolute);
     }
 
     #[test]
@@ -245,7 +198,6 @@ mod tests {
         assert!(t.objective() < 1e-20);
         assert!(t.delta1() < 1e-10);
         assert!(t.total_deficit().abs() < 1e-12);
-        assert_eq!(t.mean_absolute_error(), t.delta1() / 4.0);
     }
 
     #[test]
@@ -272,7 +224,7 @@ mod tests {
         t.apply_edge_change(0, 1, 0.0, 0.4);
         let d0 = g.expected_degree(0);
         assert!((t.delta(0) - (d0 - 0.4) / d0).abs() < 1e-12);
-        assert_eq!(t.kind(), DiscrepancyKind::Relative);
+        assert_eq!(t.kind, DiscrepancyKind::Relative);
         assert!((t.pi(0) - d0).abs() < 1e-12);
         // absolute π is 1
         let ta = DegreeTracker::new(&g, DiscrepancyKind::Absolute);
@@ -297,49 +249,17 @@ mod tests {
     }
 
     #[test]
-    fn degree_discrepancies_between_graphs() {
-        let g = toy();
-        let kept: Vec<(usize, f64)> = vec![(0, 0.8), (2, 0.8)];
-        let s = g.subgraph_with_probabilities(kept).unwrap();
-        let d = degree_discrepancies(&g, &s);
-        let d0 = g.expected_degrees();
-        let d1 = s.expected_degrees();
-        for u in 0..4 {
-            assert!((d[u] - (d0[u] - d1[u])).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "share a vertex set")]
-    fn degree_discrepancies_panics_on_mismatched_graphs() {
-        let a = UncertainGraph::from_edges(2, [(0, 1, 0.5)]).unwrap();
-        let b = UncertainGraph::from_edges(3, [(0, 1, 0.5)]).unwrap();
-        degree_discrepancies(&a, &b);
-    }
-
-    #[test]
     fn reset_matches_fresh_tracker_bit_for_bit() {
         let g = toy();
         let fresh = DegreeTracker::new(&g, DiscrepancyKind::Relative);
         let mut reused = DegreeTracker::new(&g, DiscrepancyKind::Absolute);
         reused.apply_edge_change(0, 1, 0.0, 0.9);
         reused.reset(&g, DiscrepancyKind::Relative);
-        assert_eq!(reused.kind(), DiscrepancyKind::Relative);
+        assert_eq!(reused.kind, DiscrepancyKind::Relative);
         for u in g.vertices() {
             assert_eq!(fresh.delta_abs(u).to_bits(), reused.delta_abs(u).to_bits());
-            assert_eq!(
-                fresh.original_degree(u).to_bits(),
-                reused.original_degree(u).to_bits()
-            );
+            assert_eq!(fresh.original[u].to_bits(), reused.original[u].to_bits());
         }
         assert_eq!(fresh.objective().to_bits(), reused.objective().to_bits());
-    }
-
-    #[test]
-    fn deltas_abs_exposes_internal_state() {
-        let g = toy();
-        let t = DegreeTracker::new(&g, DiscrepancyKind::Absolute);
-        assert_eq!(t.deltas_abs().len(), 4);
-        assert!((t.original_degree(0) - g.expected_degree(0)).abs() < 1e-12);
     }
 }

@@ -16,9 +16,8 @@
 //! `O(α|E| log|V|)` heap work instead of the `O(α(1-α)|E|² log|V| / |V|)` of
 //! the naive edge-heap formulation (Section 4.3).
 //!
-//! The loop keeps its books in a reusable [`CoreScratch`] (see
-//! [`crate::scratch`]) and reads its data in the order the algorithm visits
-//! it, not by edge id:
+//! The loop keeps its books in a reusable [`CoreScratch`] and reads its
+//! data in the order the algorithm visits it, not by edge id:
 //!
 //! * Every backbone slot has a record: endpoints, current and original
 //!   probability.  The E-phase walks the slots in order and reads the
@@ -131,17 +130,10 @@ pub struct EmdResult {
     /// Entropy (bits) of the final assignment.
     pub entropy: f64,
     /// Wall-clock time of every E-phase, summed.
-    pub e_phase: Duration,
+    pub(crate) e_phase: Duration,
     /// Wall-clock time of every M-phase (the `GDB` sweeps and the copy of
     /// their probabilities into the outer assignment), summed.
-    pub m_phase: Duration,
-}
-
-impl EmdResult {
-    /// Final objective value.
-    pub fn final_objective(&self) -> f64 {
-        *self.objective_trace.last().expect("trace is never empty")
-    }
+    pub(crate) m_phase: Duration,
 }
 
 /// Runs `EMD` (Algorithm 3) starting from the given backbone.  Allocates a
@@ -176,8 +168,8 @@ pub fn expectation_maximization_sparsify(
 /// * The M-phase runs the `GDB` sweeps on a copy of the slot records in the
 ///   reusable M-phase workspace and retunes the outer assignment slot by
 ///   slot, without materialising an intermediate `GdbResult`.
-/// * [`EmdResult::e_phase`] and [`EmdResult::m_phase`] report the summed
-///   wall time of each phase.
+/// * The result records the summed wall time of each phase, which the
+///   spec's [`PhaseTimings`](crate::PhaseTimings) report.
 pub fn expectation_maximization_sparsify_with(
     g: &UncertainGraph,
     backbone: &[EdgeId],
@@ -416,6 +408,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_graph::UncertainGraphBuilder;
+
+    impl EmdResult {
+        /// Final objective value.
+        fn final_objective(&self) -> f64 {
+            *self.objective_trace.last().expect("trace is never empty")
+        }
+    }
 
     /// Figure 2/3 running example (see `gdb::tests::figure2_graph`).
     fn figure2_graph() -> (UncertainGraph, Vec<EdgeId>) {

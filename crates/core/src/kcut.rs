@@ -31,13 +31,13 @@
 /// Normalised coefficients of the general `k`-cut update rule for a graph
 /// with `n` vertices.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CutRuleCoefficients {
+pub(crate) struct CutRuleCoefficients {
     /// `(n-3 choose k-1)_Σ / (n-2 choose k-1)_Σ` — weight of the endpoint
     /// degree discrepancies.
-    pub vertex_coefficient: f64,
+    pub(crate) vertex_coefficient: f64,
     /// `(n-4 choose k-2)_Σ / (n-2 choose k-1)_Σ` — weight of the
     /// non-incident-edge deficit `Δ̂(e)`.
-    pub edge_coefficient: f64,
+    pub(crate) edge_coefficient: f64,
 }
 
 impl CutRuleCoefficients {
@@ -47,7 +47,7 @@ impl CutRuleCoefficients {
     /// # Panics
     /// Panics if `k == 0` (the rule is defined for `k ≥ 1`) or if the graph
     /// has fewer than 2 vertices.
-    pub fn new(num_vertices: usize, k: usize) -> Self {
+    pub(crate) fn new(num_vertices: usize, k: usize) -> Self {
         assert!(k >= 1, "the cut-preserving rule requires k >= 1");
         assert!(num_vertices >= 2, "need at least two vertices");
         let n = num_vertices as i64;
@@ -72,7 +72,7 @@ impl CutRuleCoefficients {
 
     /// The optimal (unclamped) probability step of Equation 13:
     /// `[ c_v (δA(u0)+δA(v0)) + 4 c_e Δ̂(e) ] / 2`.
-    pub fn step(&self, delta_u: f64, delta_v: f64, non_incident_deficit: f64) -> f64 {
+    pub(crate) fn step(&self, delta_u: f64, delta_v: f64, non_incident_deficit: f64) -> f64 {
         (self.vertex_coefficient * (delta_u + delta_v)
             + 4.0 * self.edge_coefficient * non_incident_deficit)
             / 2.0

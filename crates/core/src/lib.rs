@@ -28,12 +28,13 @@
 //! * [`lp_assign`] — the optimal `Δ1` probability assignment of Theorem 1,
 //!   solved exactly as a maximum flow on the backbone's bipartite double
 //!   cover; the accuracy reference of Table 2.
-//! * [`discrepancy`] — absolute (`δA`) and relative (`δR`) degree
-//!   discrepancies and the shared incremental tracker.
-//! * [`kcut`] — the closed-form coefficients of the general cut-preserving
+//! * [`DiscrepancyKind`] / [`DegreeTracker`] — absolute (`δA`) and
+//!   relative (`δR`) degree discrepancies and the shared incremental
+//!   tracker.
+//! * `kcut` — the closed-form coefficients of the general cut-preserving
 //!   rule (the `(n choose k)_Σ` enumeration function), evaluated in log space
 //!   so arbitrarily large `n`/`k` never overflow.
-//! * [`scratch`] — the reusable [`CoreScratch`] workspace: zero-allocation
+//! * [`CoreScratch`] — the reusable workspace: zero-allocation
 //!   steady-state `GDB` sweeps and `EMD` iterations, and `EMD`'s persistent
 //!   vertex heap and swap-position map.
 //! * [`spec`] — a builder-style front end ([`SparsifierSpec`]) plus the
@@ -66,36 +67,30 @@
 #![warn(missing_docs)]
 
 pub mod backbone;
-pub mod discrepancy;
+mod discrepancy;
 pub mod emd;
-pub mod error;
+mod error;
 pub mod gdb;
-pub mod kcut;
+mod kcut;
 pub mod lp_assign;
-pub mod scratch;
+mod scratch;
 pub mod spec;
 
 pub use backbone::{build_backbone, build_backbone_into, BackboneConfig, BackboneKind};
 pub use discrepancy::{DegreeTracker, DiscrepancyKind};
-pub use emd::{
-    expectation_maximization_sparsify, expectation_maximization_sparsify_with, EmdConfig, EmdResult,
-};
+pub use emd::{expectation_maximization_sparsify_with, EmdConfig};
 pub use error::SparsifyError;
-pub use gdb::{
-    gradient_descent_assign, gradient_descent_assign_with, CutRule, GdbConfig, GdbResult,
-};
+pub use gdb::{gradient_descent_assign_with, CutRule, GdbConfig};
 pub use scratch::CoreScratch;
-pub use spec::{Diagnostics, Method, PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput};
+pub use spec::{PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput};
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
-    pub use crate::backbone::{build_backbone, build_backbone_into, BackboneConfig, BackboneKind};
-    pub use crate::discrepancy::{DegreeTracker, DiscrepancyKind};
+    pub use crate::backbone::{build_backbone, BackboneConfig, BackboneKind};
+    pub use crate::discrepancy::DiscrepancyKind;
     pub use crate::emd::EmdConfig;
     pub use crate::error::SparsifyError;
     pub use crate::gdb::{CutRule, GdbConfig};
     pub use crate::scratch::CoreScratch;
-    pub use crate::spec::{
-        Diagnostics, Method, PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput,
-    };
+    pub use crate::spec::{PhaseTimings, Sparsifier, SparsifierSpec, SparsifyOutput};
 }

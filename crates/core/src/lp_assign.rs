@@ -37,10 +37,8 @@ pub struct LpAssignResult {
     /// backbone).  Values may be exactly 0; callers materialising an
     /// uncertain graph floor them at a tiny positive value.
     pub probabilities: Vec<(EdgeId, f64)>,
-    /// Objective value `Σ_e p'_e` reached by the LP.
-    pub total_probability: f64,
     /// Number of max-flow phases (level graphs built by Dinic's algorithm).
-    pub phases: usize,
+    pub(crate) phases: usize,
 }
 
 /// Computes the `Δ1`-optimal probability assignment for the backbone
@@ -56,7 +54,6 @@ pub fn lp_assign(g: &UncertainGraph, backbone: &[EdgeId]) -> Result<LpAssignResu
         .map(|(i, &e)| (e, cover.edge_flow(i)))
         .collect();
     Ok(LpAssignResult {
-        total_probability: probabilities.iter().map(|&(_, p)| p).sum(),
         probabilities,
         phases,
     })
@@ -217,6 +214,11 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_graph::UncertainGraphBuilder;
+
+    /// The LP objective `Σ_e p'_e` the assignment reached.
+    fn total_probability(result: &LpAssignResult) -> f64 {
+        result.probabilities.iter().map(|&(_, p)| p).sum()
+    }
 
     fn figure2_graph() -> (UncertainGraph, Vec<EdgeId>) {
         let g = UncertainGraph::from_edges(
@@ -394,7 +396,7 @@ mod tests {
         star.extend((1..=5).map(|leaf| (leaf, leaf % 5 + 1, 0.9)));
         let star = UncertainGraph::from_edges(6, star).unwrap();
         let spokes = vec![0, 1, 2, 3, 4];
-        let total = lp_assign(&star, &spokes).unwrap().total_probability;
+        let total = total_probability(&lp_assign(&star, &spokes).unwrap());
         assert!((total - 0.5).abs() < 1e-12, "Σp' = {total}");
         cases.push((star, spokes));
         // Edges with p = 1: the complete graph K5, and a random graph with
@@ -426,7 +428,7 @@ mod tests {
         // and a,b,c ≤ their other endpoints' caps — total objective Σp = 0.5.
         let (g, backbone) = figure2_graph();
         let result = lp_assign(&g, &backbone).unwrap();
-        assert!((result.total_probability - 0.5).abs() < 1e-6);
+        assert!((total_probability(&result) - 0.5).abs() < 1e-6);
         let d1 = delta1(&g, &result.probabilities);
         // Δ1 = (0.8+0.6+0.3) - 0.5 (mass placed on u1..u3 side) - 0.5 (u4)
         assert!((d1 - 1.2).abs() < 1e-6, "Δ1 = {d1}");
@@ -440,7 +442,7 @@ mod tests {
         let g = UncertainGraph::from_edges(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.9)]).unwrap();
         let backbone = vec![0, 1, 2];
         let result = lp_assign(&g, &backbone).unwrap();
-        assert!((result.total_probability - g.expected_num_edges()).abs() < 1e-6);
+        assert!((total_probability(&result) - g.expected_num_edges()).abs() < 1e-6);
         assert!(delta1(&g, &result.probabilities) < 1e-6);
     }
 

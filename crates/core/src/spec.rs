@@ -26,11 +26,11 @@ use crate::scratch::CoreScratch;
 /// [`UncertainGraph`] is materialised, so that `|E'| = α|E|` holds while the
 /// edge stays numerically negligible (an uncertain edge must have
 /// probability in `(0, 1]`).
-pub const MIN_PROBABILITY: f64 = 1e-9;
+pub(crate) const MIN_PROBABILITY: f64 = 1e-9;
 
 /// Probability-assignment method of the proposed framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
+pub(crate) enum Method {
     /// Gradient Descent Backbone (Algorithm 2).
     Gdb,
     /// Expectation-Maximization Degree (Algorithm 3).
@@ -41,7 +41,7 @@ pub enum Method {
 
 impl Method {
     /// Canonical display name, including the paper's variant notation.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Method::Gdb => "GDB",
             Method::Emd => "EMD",
@@ -192,12 +192,6 @@ impl SparsifierSpec {
         self
     }
 
-    /// Overrides the full backbone configuration.
-    pub fn backbone_config(mut self, config: BackboneConfig) -> Self {
-        self.backbone = config;
-        self
-    }
-
     /// Selects the cut-preserving rule (`k = 1` degrees by default).
     /// Only `GDB` runs a cut rule: `EMD`'s M-phase and the LP run the
     /// degree rule, so [`SparsifierSpec::sparsify_with`] refuses any other
@@ -213,26 +207,10 @@ impl SparsifierSpec {
         self
     }
 
-    /// Sets the convergence tolerance `τ`.
-    pub fn tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
     /// Caps the number of optimisation iterations.
     pub fn max_iterations(mut self, iterations: usize) -> Self {
         self.max_iterations = iterations;
         self
-    }
-
-    /// The configured method.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
-    /// The configured ratio.
-    pub fn configured_alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Display name in the paper's notation, e.g. `"EMD^R-t"` or `"GDB^A"`
@@ -405,7 +383,7 @@ impl Sparsifier for SparsifierSpec {
 }
 
 /// Materialises a probability assignment as an [`UncertainGraph`] over the
-/// original vertex set, flooring zero probabilities at [`MIN_PROBABILITY`].
+/// original vertex set, flooring zero probabilities at `1e-9`.
 pub fn materialize(
     g: &UncertainGraph,
     assignment: &[(EdgeId, f64)],
@@ -617,8 +595,8 @@ mod tests {
     #[test]
     fn spec_accessors_and_trait_object_dispatch() {
         let spec = SparsifierSpec::emd().alpha(0.4).entropy_h(0.1);
-        assert_eq!(spec.method(), Method::Emd);
-        assert!((spec.configured_alpha() - 0.4).abs() < 1e-12);
+        assert_eq!(spec.method, Method::Emd);
+        assert!((spec.alpha - 0.4).abs() < 1e-12);
         assert_eq!(Method::Emd.name(), "EMD");
 
         let g = test_graph(4, 20, 60);

@@ -16,22 +16,22 @@
 //!
 //! * [`ProbabilityModel`] — edge-probability distributions matched to the
 //!   datasets' reported means,
-//! * [`powerlaw`] — preferential-attachment topology generator,
-//! * [`social`] — `flickr_like` / `twitter_like` at several [`Scale`]s,
-//! * [`synthetic`] — the density-sweep construction of Table 1 (bottom),
-//! * [`forest_fire`] — Forest Fire subgraph sampling \[22\], used by the paper
+//! * [`preferential_attachment`] — preferential-attachment topology generator,
+//! * [`flickr_like`] / [`twitter_like`] at several [`Scale`]s,
+//! * [`density_sweep`] — the density-sweep construction of Table 1 (bottom),
+//! * [`forest_fire_sample`] — Forest Fire subgraph sampling \[22\], used by the paper
 //!   to produce the reduced Flickr instance on which LP is feasible,
-//! * [`er`] — Erdős–Rényi graphs for tests and micro-benchmarks.
+//! * [`erdos_renyi`] — Erdős–Rényi graphs for tests and micro-benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod er;
-pub mod forest_fire;
-pub mod powerlaw;
-pub mod probability;
-pub mod social;
-pub mod synthetic;
+mod er;
+mod forest_fire;
+mod powerlaw;
+mod probability;
+mod social;
+mod synthetic;
 
 pub use er::erdos_renyi;
 pub use forest_fire::forest_fire_sample;

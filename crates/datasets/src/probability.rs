@@ -38,7 +38,7 @@ pub enum ProbabilityModel {
 
 impl ProbabilityModel {
     /// Draws one probability.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let p = match *self {
             ProbabilityModel::Fixed(p) => p,
             ProbabilityModel::Uniform { low, high } => {
@@ -69,22 +69,6 @@ impl ProbabilityModel {
         };
         p.clamp(f64::MIN_POSITIVE, 1.0)
     }
-
-    /// Draws `count` probabilities.
-    pub fn sample_many<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<f64> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Approximate mean of the distribution (analytical where easy, otherwise
-    /// the design target from Table 1 of the paper).
-    pub fn approximate_mean(&self) -> f64 {
-        match *self {
-            ProbabilityModel::Fixed(p) => p,
-            ProbabilityModel::Uniform { low, high } => (low + high) / 2.0,
-            ProbabilityModel::FlickrLike => 0.09,
-            ProbabilityModel::TwitterLike => 0.15,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,6 +76,13 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    impl ProbabilityModel {
+        /// Draws `count` probabilities.
+        fn sample_many<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<f64> {
+            (0..count).map(|_| self.sample(rng)).collect()
+        }
+    }
 
     fn empirical_mean(model: ProbabilityModel, samples: usize) -> f64 {
         let mut rng = SmallRng::seed_from_u64(99);
@@ -166,17 +157,6 @@ mod tests {
             }
             .sample(&mut rng),
             0.5
-        );
-        assert!((ProbabilityModel::Fixed(0.4).approximate_mean() - 0.4).abs() < 1e-12);
-        assert!(
-            (ProbabilityModel::Uniform {
-                low: 0.2,
-                high: 0.6
-            }
-            .approximate_mean()
-                - 0.4)
-                .abs()
-                < 1e-12
         );
     }
 

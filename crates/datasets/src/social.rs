@@ -36,7 +36,7 @@ pub enum Scale {
 impl Scale {
     /// `(num_vertices, edges_per_vertex)` for a Flickr-shaped graph
     /// (|E|/|V| ≈ 130 at paper scale, reduced proportionally below).
-    pub fn flickr_parameters(&self) -> (usize, usize) {
+    pub(crate) fn flickr_parameters(&self) -> (usize, usize) {
         match self {
             Scale::Tiny => (200, 8),
             Scale::Small => (1_000, 24),
@@ -47,7 +47,7 @@ impl Scale {
 
     /// `(num_vertices, edges_per_vertex)` for a Twitter-shaped graph
     /// (|E|/|V| ≈ 25 at paper scale).
-    pub fn twitter_parameters(&self) -> (usize, usize) {
+    pub(crate) fn twitter_parameters(&self) -> (usize, usize) {
         match self {
             Scale::Tiny => (200, 4),
             Scale::Small => (1_000, 10),

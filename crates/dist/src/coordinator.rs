@@ -53,12 +53,12 @@ pub struct CoordinatorConfig {
     /// a supervisor's respawn (or a restarting host) time to re-bind
     /// instead of burning the whole retry budget in microseconds.
     pub reconnect_backoff: Duration,
-    /// Standby worker addresses for failover; see [`crate::recovery`].
+    /// Standby worker addresses for failover; see [`crate::RecoveryReport`].
     /// Every standby must serve the same graph; its fleet slot is
     /// validated at promotion time.
     pub standbys: Vec<String>,
     /// Test/bench-only seeded fault injection over the coordinator's
-    /// request path; see [`crate::fault`].  `None` (the default) sends
+    /// request path; see [`FaultPlan`].  `None` (the default) sends
     /// every exchange faithfully.
     pub faults: Option<FaultPlan>,
 }
@@ -389,11 +389,6 @@ impl DistCoordinator {
         Ok(coordinator)
     }
 
-    /// Number of fleet workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Cumulative recovery activity — retries burned and standby
     /// promotions — across this coordinator's lifetime.
     pub fn recovery_report(&self) -> &RecoveryReport {
@@ -403,11 +398,6 @@ impl DistCoordinator {
     /// Standby addresses not yet consumed by a promotion.
     pub fn standbys_left(&self) -> usize {
         self.standbys.len()
-    }
-
-    /// The fingerprint of the coordinated graph.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// The graph label every report carries (same rendering as the server's).

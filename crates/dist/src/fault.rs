@@ -24,7 +24,8 @@
 //! paths a real dead worker exercises, deterministically, and the
 //! recovered answers must stay **bit-identical** to a fault-free run.
 
-pub use ugs_server::fault::{FaultClock, FaultEvent, FaultKind, FaultPlan};
+pub(crate) use ugs_server::fault::FaultClock;
+pub use ugs_server::fault::{FaultKind, FaultPlan};
 
 /// What the coordinator's request path must do for one clock tick.
 ///

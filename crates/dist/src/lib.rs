@@ -42,7 +42,7 @@
 //!    thread's.
 //! 2. **Exact partials.**  An observer's whole accumulated state is one
 //!    `Vec<f64>` of sums, its partial
-//!    ([`WorldObserver::partial`](ugs_queries::WorldObserver::partial)).
+//!    ([`WorldObserver::partial`](ugs_queries::batch::WorldObserver::partial)).
 //!    The vector crosses the wire in [`ugs_queries::partial`]'s exact text
 //!    codec — decimal integers for counts, IEEE-754 bits for everything
 //!    else, `-0.0`, NaN and subnormals included — and is written straight
@@ -50,13 +50,13 @@
 //!    it must match.
 //! 3. **Same fold.**  Block 0's partial becomes the result; blocks 1, 2, …
 //!    merge into it in block order by element-wise `+=` of the partials
-//!    ([`BoxedObserver::merge`](ugs_queries::BoxedObserver::merge)) —
+//!    ([`BoxedObserver::merge`](ugs_queries::batch::BoxedObserver::merge)) —
 //!    the fold the in-process epoch loop performs after its last epoch.
 //!    Adaptive plans keep each block job's registry across epochs (summing
 //!    per-epoch float partials afterwards would not be bit-identical); at
 //!    every epoch checkpoint the jobs pause and return their worlds'
 //!    tracked statistics, which the coordinator records in block order
-//!    into the same [`StoppingRule`](ugs_queries::StoppingRule), with the
+//!    into the same [`StoppingRule`](ugs_queries::variance::StoppingRule), with the
 //!    same verdict order, as the in-process epoch loop — so the run stops
 //!    after the same epoch with the same half-width.
 //!
@@ -84,14 +84,14 @@
 //!   [`CoordinatorConfig::stale_after`] is treated the same way;
 //! * when a worker's retries run out the slot **fails over**: the first
 //!   [`CoordinatorConfig::standbys`] address that validates is promoted
-//!   and re-runs the slot's blocks (see [`recovery`]);
+//!   and re-runs the slot's blocks (see [`RecoveryReport`]);
 //! * only when no standby validates does the plan degrade to
 //!   [`ServiceError::WorkerLost`](ugs_service::ServiceError::WorkerLost)
-//!   ([`retryable`](ugs_service::ServiceError::retryable), because a
-//!   supervisor may since have respawned the fleet) for every pending
+//!   (transient, because a supervisor may since have respawned the fleet)
+//!   for every pending
 //!   query; a worker that refuses a well-formed job as over its bounds
 //!   (more blocks than its `max_plan_threads`, or an adaptive epoch over
-//!   [`MAX_PAUSE_WORLDS`](ugs_server::protocol::MAX_PAUSE_WORLDS) worlds)
+//!   2^20 worlds)
 //!   answers a typed
 //!   [`ServiceError::Policy`](ugs_service::ServiceError::Policy) instead;
 //! * shutting down (or dropping) the coordinator closes every worker
@@ -101,8 +101,8 @@
 //! ([`CoordinatorConfig::faults`] coordinator-side,
 //! [`ServerConfig::fault_plan`](ugs_server::ServerConfig::fault_plan)
 //! worker-side) schedules drop/delay/disconnect/garble faults at exact
-//! operation counts — see [`fault`].  Process-level resilience is the
-//! [`supervisor`] module: it launches a worker fleet, watches liveness via
+//! operation counts — see [`FaultPlan`].  Process-level resilience is
+//! [`supervise`]: it launches a worker fleet, watches liveness via
 //! `ping`, and respawns dead workers with bounded backoff and crash-loop
 //! detection (the CLI spelling is `ugs supervise`).  See
 //! `docs/deployment.md` for the multi-host walkthrough.
@@ -146,14 +146,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coordinator;
-pub mod fault;
-pub mod recovery;
-pub mod supervisor;
+mod coordinator;
+mod fault;
+mod recovery;
+mod supervisor;
 
 pub use coordinator::{CoordinatorConfig, DistCoordinator};
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use fault::{FaultKind, FaultPlan};
 pub use recovery::{Failover, RecoveryReport};
-pub use supervisor::{
-    supervise, SupervisorConfig, SupervisorReport, WorkerOutcome, WorkerReport, WorkerSpec,
-};
+pub use supervisor::{supervise, SupervisorConfig, SupervisorReport, WorkerSpec};

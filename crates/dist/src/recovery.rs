@@ -23,7 +23,7 @@ pub struct Failover {
     /// The fleet slot whose worker was replaced.
     pub shard: usize,
     /// Address of the worker that was lost.
-    pub from: String,
+    pub(crate) from: String,
     /// Standby address that took the slot over.
     pub to: String,
 }

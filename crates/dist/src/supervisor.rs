@@ -113,7 +113,7 @@ impl Default for SupervisorConfig {
 
 /// How one supervised worker ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerOutcome {
+pub(crate) enum WorkerOutcome {
     /// Exited with status 0 — a graceful stop, never respawned.
     Done,
     /// Tripped the crash-loop detector (consecutive fast exits).
@@ -126,7 +126,7 @@ pub enum WorkerOutcome {
 
 impl WorkerOutcome {
     /// Wire/report spelling of the outcome.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             WorkerOutcome::Done => "done",
             WorkerOutcome::CrashLooping => "crash_looping",
@@ -138,22 +138,22 @@ impl WorkerOutcome {
 
 /// Final record of one supervised worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerReport {
+pub(crate) struct WorkerReport {
     /// The spec's display name.
-    pub name: String,
+    pub(crate) name: String,
     /// The spec's serve address.
-    pub addr: String,
+    pub(crate) addr: String,
     /// Respawns performed (0 for a worker that never crashed).
-    pub respawns: usize,
+    pub(crate) respawns: usize,
     /// How the worker ended.
-    pub outcome: WorkerOutcome,
+    pub(crate) outcome: WorkerOutcome,
 }
 
 /// What a [`supervise`] run did, one record per worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorReport {
     /// Per-worker records, in spec order.
-    pub workers: Vec<WorkerReport>,
+    pub(crate) workers: Vec<WorkerReport>,
 }
 
 impl SupervisorReport {
@@ -232,8 +232,11 @@ fn ping(addr: &str, timeout: Duration) -> bool {
     }
 }
 
-/// Launches and supervises `specs` until every worker is terminal; see the
-/// [module docs](self) for the full model.  `announce` (when given) is
+/// Launches and supervises `specs` until every worker is terminal: a
+/// crashed or wedged worker is respawned on its address with exponential
+/// backoff, up to [`SupervisorConfig::max_respawns`] times, and a worker
+/// whose fast exits reach [`SupervisorConfig::crash_loop_limit`] is given
+/// up as crash-looping.  `announce` (when given) is
 /// rewritten with one `name addr pid` line per running worker on every
 /// membership change; `log` receives one human-readable line per event.
 pub fn supervise(

@@ -47,16 +47,6 @@ pub fn local_clustering_coefficients(g: &DeterministicGraph) -> Vec<f64> {
     cc
 }
 
-/// Average of the local clustering coefficients over all vertices (the
-/// scalar usually reported for a network).
-pub fn average_clustering_coefficient(g: &DeterministicGraph) -> f64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    local_clustering_coefficients(g).iter().sum::<f64>() / n as f64
-}
-
 fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
     let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -82,7 +72,6 @@ mod tests {
         let g = DeterministicGraph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let cc = local_clustering_coefficients(&g);
         assert_eq!(cc, vec![1.0, 1.0, 1.0]);
-        assert!((average_clustering_coefficient(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -111,10 +100,6 @@ mod tests {
         let g = DeterministicGraph::from_edges(4, &[(0, 1)]);
         let cc = local_clustering_coefficients(&g);
         assert_eq!(cc, vec![0.0; 4]);
-        assert_eq!(
-            average_clustering_coefficient(&DeterministicGraph::from_edges(0, &[])),
-            0.0
-        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 /// Disjoint-set forest over the dense element range `0..len`.
 ///
 /// Used by Kruskal's maximum-spanning-forest construction (backbone
-/// initialisation, Algorithm 1), by the Nagamochi–Ibaraki spanning-forest
-/// decomposition (baseline `NI`) and by world-level connectivity checks.
+/// initialisation, Algorithm 1) and by the `NI` and `SS` baselines.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
@@ -22,23 +21,13 @@ impl UnionFind {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Returns `true` if the structure has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Number of disjoint sets currently present.
     pub fn num_sets(&self) -> usize {
         self.num_sets
     }
 
     /// Representative of the set containing `x`, with path compression.
-    pub fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         let mut root = x;
         while self.parent[root] != root {
             root = self.parent[root];
@@ -51,11 +40,6 @@ impl UnionFind {
             cur = next;
         }
         root
-    }
-
-    /// Returns `true` if `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
     }
 
     /// Merges the sets containing `a` and `b`.  Returns `true` if a merge
@@ -77,15 +61,6 @@ impl UnionFind {
         }
         true
     }
-
-    /// Resets the structure back to singletons without reallocating.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i;
-        }
-        self.rank.fill(0);
-        self.num_sets = self.parent.len();
-    }
 }
 
 #[cfg(test)]
@@ -95,13 +70,11 @@ mod tests {
     #[test]
     fn starts_as_singletons() {
         let mut uf = UnionFind::new(4);
-        assert_eq!(uf.len(), 4);
-        assert!(!uf.is_empty());
         assert_eq!(uf.num_sets(), 4);
         for i in 0..4 {
             assert_eq!(uf.find(i), i);
         }
-        assert!(!uf.connected(0, 1));
+        assert_ne!(uf.find(0), uf.find(1));
     }
 
     #[test]
@@ -111,8 +84,8 @@ mod tests {
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2)); // already together
         assert_eq!(uf.num_sets(), 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 3));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
         assert!(uf.union(3, 4));
         assert_eq!(uf.num_sets(), 2);
     }
@@ -132,19 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_singletons() {
-        let mut uf = UnionFind::new(3);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.reset();
-        assert_eq!(uf.num_sets(), 3);
-        assert!(!uf.connected(0, 1));
-    }
-
-    #[test]
     fn empty_structure_is_valid() {
         let uf = UnionFind::new(0);
-        assert!(uf.is_empty());
         assert_eq!(uf.num_sets(), 0);
     }
 }

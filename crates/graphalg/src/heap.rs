@@ -37,16 +37,6 @@ impl FlatMaxHeap {
         FlatMaxHeap::default()
     }
 
-    /// Number of keys in the heap.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if the heap contains no keys.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Rebuilds the heap in place to contain every key `0..capacity` with
     /// the given priorities (Floyd's `O(n)` heapify, buffers reused).
     pub fn rebuild<F: FnMut(usize) -> f64>(&mut self, capacity: usize, mut priority: F) {
@@ -61,14 +51,6 @@ impl FlatMaxHeap {
                 self.sift_down(slot);
             }
         }
-    }
-
-    /// Current priority of `key`.
-    ///
-    /// # Panics
-    /// Panics if `key` was not part of the last [`FlatMaxHeap::rebuild`].
-    pub fn priority(&self, key: usize) -> f64 {
-        self.heap[self.pos[key] as usize].0
     }
 
     /// The key with the maximum priority, without removing it.
@@ -244,10 +226,9 @@ mod tests {
             flat.update(key, p);
             priorities[key] = p;
             assert_peek_is_argmax(&flat, &priorities);
-            assert_eq!(flat.priority(key), p);
+            assert_eq!(flat.heap[flat.pos[key] as usize].0, p);
         }
-        assert_eq!(flat.len(), n);
-        assert!(!flat.is_empty());
+        assert_eq!(flat.heap.len(), n);
     }
 
     /// A random priority: every tenth draw repeats a current priority (so
@@ -357,10 +338,10 @@ mod tests {
         ));
         // Rebuild resizes cleanly, down to an empty heap.
         flat.rebuild(2, |k| k as f64);
-        assert_eq!(flat.len(), 2);
+        assert_eq!(flat.heap.len(), 2);
         assert_eq!(flat.peek(), Some((1, 1.0)));
         flat.rebuild(0, |_| unreachable!());
-        assert!(flat.is_empty());
+        assert!(flat.heap.is_empty());
         assert_eq!(flat.peek(), None);
     }
 }

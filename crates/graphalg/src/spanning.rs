@@ -1,11 +1,10 @@
-//! Maximum spanning trees and forests (Kruskal).
+//! Maximum spanning forests (Kruskal).
 //!
 //! Algorithm 1 of the paper (Backbone Graph Initialization) repeatedly
 //! extracts *maximum* spanning forests of the uncertain graph, using the edge
-//! probabilities as weights, until the backbone holds `α'|E|` edges.  The
-//! Nagamochi–Ibaraki baseline also relies on iterated spanning forests.
-//! This module implements both primitives over plain edge lists so that the
-//! callers can work with whichever graph representation they hold.
+//! probabilities as weights, until the backbone holds `α'|E|` edges.
+//! [`maximum_spanning_forest`] works over a plain edge list, so the caller
+//! can hold whichever graph representation it likes.
 
 use crate::dsu::UnionFind;
 
@@ -45,56 +44,18 @@ pub fn maximum_spanning_forest(
     forest
 }
 
-/// Convenience wrapper: maximum spanning forest over *all* edges.
-pub fn maximum_spanning_forest_all(
-    num_vertices: usize,
-    edges: &[(usize, usize, f64)],
-) -> Vec<usize> {
-    let all: Vec<usize> = (0..edges.len()).collect();
-    maximum_spanning_forest(num_vertices, edges, &all)
-}
-
-/// Total weight of a maximum spanning forest over all edges (useful for
-/// testing and for sanity checks in the backbone construction).
-pub fn maximum_spanning_tree_weight(num_vertices: usize, edges: &[(usize, usize, f64)]) -> f64 {
-    maximum_spanning_forest_all(num_vertices, edges)
-        .iter()
-        .map(|&e| edges[e].2)
-        .sum()
-}
-
-/// Decomposes the candidate edges into successive maximum spanning forests
-/// `F_1, F_2, …` (each `F_i` is a maximum spanning forest of the edges not
-/// used by `F_1..F_{i-1}`).  Stops when `max_forests` forests have been
-/// produced or no candidate edges remain.
-///
-/// This is the iterated-forest primitive used both by backbone initialisation
-/// (Algorithm 1) and by the Nagamochi–Ibaraki edge-connectivity index.
-pub fn iterated_spanning_forests(
-    num_vertices: usize,
-    edges: &[(usize, usize, f64)],
-    max_forests: usize,
-) -> Vec<Vec<usize>> {
-    let mut remaining: Vec<usize> = (0..edges.len()).collect();
-    let mut forests = Vec::new();
-    for _ in 0..max_forests {
-        if remaining.is_empty() {
-            break;
-        }
-        let forest = maximum_spanning_forest(num_vertices, edges, &remaining);
-        if forest.is_empty() {
-            break;
-        }
-        let in_forest: std::collections::HashSet<usize> = forest.iter().copied().collect();
-        remaining.retain(|e| !in_forest.contains(e));
-        forests.push(forest);
-    }
-    forests
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Maximum spanning forest over *all* edges.
+    fn maximum_spanning_forest_all(
+        num_vertices: usize,
+        edges: &[(usize, usize, f64)],
+    ) -> Vec<usize> {
+        let all: Vec<usize> = (0..edges.len()).collect();
+        maximum_spanning_forest(num_vertices, edges, &all)
+    }
 
     fn toy_edges() -> Vec<(usize, usize, f64)> {
         // A square with one heavy diagonal.
@@ -116,7 +77,8 @@ mod tests {
         let mut got = tree.clone();
         got.sort_unstable();
         assert_eq!(got, vec![0, 2, 4]);
-        assert!((maximum_spanning_tree_weight(4, &edges) - (0.95 + 0.9 + 0.7)).abs() < 1e-12);
+        let weight: f64 = tree.iter().map(|&e| edges[e].2).sum();
+        assert!((weight - (0.95 + 0.9 + 0.7)).abs() < 1e-12);
     }
 
     #[test]
@@ -139,34 +101,9 @@ mod tests {
     }
 
     #[test]
-    fn iterated_forests_partition_edges() {
-        let edges = toy_edges();
-        let forests = iterated_spanning_forests(4, &edges, 10);
-        let total: usize = forests.iter().map(Vec::len).sum();
-        assert_eq!(total, edges.len());
-        // No edge appears twice.
-        let mut seen = std::collections::HashSet::new();
-        for f in &forests {
-            for &e in f {
-                assert!(seen.insert(e));
-            }
-        }
-        // First forest is a spanning tree of the connected graph.
-        assert_eq!(forests[0].len(), 3);
-    }
-
-    #[test]
-    fn iterated_forests_respect_limit() {
-        let edges = toy_edges();
-        let forests = iterated_spanning_forests(4, &edges, 1);
-        assert_eq!(forests.len(), 1);
-    }
-
-    #[test]
     fn empty_input_yields_empty_forest() {
         let forest = maximum_spanning_forest_all(3, &[]);
         assert!(forest.is_empty());
-        assert!(iterated_spanning_forests(3, &[], 5).is_empty());
     }
 
     #[test]

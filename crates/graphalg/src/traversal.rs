@@ -31,16 +31,6 @@ pub fn connected_components(g: &DeterministicGraph) -> (Vec<usize>, usize) {
     (labels, next)
 }
 
-/// Returns `true` if `g` consists of a single connected component (graphs
-/// with at most one vertex are connected by convention).
-pub fn is_connected(g: &DeterministicGraph) -> bool {
-    if g.num_vertices() <= 1 {
-        return true;
-    }
-    let (_, count) = connected_components(g);
-    count == 1
-}
-
 /// Hop distances from `source` to every vertex by BFS.  Unreachable vertices
 /// get `usize::MAX`.
 pub fn bfs_distances(g: &DeterministicGraph, source: usize) -> Vec<usize> {
@@ -61,32 +51,6 @@ pub fn bfs_distances(g: &DeterministicGraph, source: usize) -> Vec<usize> {
     dist
 }
 
-/// Hop distance between a single pair of vertices (early-exit BFS), or
-/// `None` if `target` is unreachable from `source`.
-pub fn bfs_pair_distance(g: &DeterministicGraph, source: usize, target: usize) -> Option<usize> {
-    if source == target {
-        return Some(0);
-    }
-    let n = g.num_vertices();
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[source] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u];
-        for v in g.neighbors(u) {
-            if dist[v] == usize::MAX {
-                if v == target {
-                    return Some(du + 1);
-                }
-                dist[v] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +66,6 @@ mod tests {
         let (labels, count) = connected_components(&g);
         assert_eq!(count, 1);
         assert!(labels.iter().all(|&l| l == 0));
-        assert!(is_connected(&g));
 
         let g = DeterministicGraph::from_edges(5, &[(0, 1), (2, 3)]);
         let (labels, count) = connected_components(&g);
@@ -111,14 +74,6 @@ mod tests {
         assert_eq!(labels[2], labels[3]);
         assert_ne!(labels[0], labels[2]);
         assert_ne!(labels[4], labels[0]);
-        assert!(!is_connected(&g));
-    }
-
-    #[test]
-    fn single_vertex_and_empty_graphs_are_connected() {
-        assert!(is_connected(&DeterministicGraph::from_edges(1, &[])));
-        assert!(is_connected(&DeterministicGraph::from_edges(0, &[])));
-        assert!(!is_connected(&DeterministicGraph::from_edges(2, &[])));
     }
 
     #[test]
@@ -137,27 +92,5 @@ mod tests {
         assert_eq!(dist[1], 1);
         assert_eq!(dist[2], usize::MAX);
         assert_eq!(dist[3], usize::MAX);
-    }
-
-    #[test]
-    fn pair_distance_matches_full_bfs() {
-        let g = DeterministicGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 3)]);
-        for s in 0..6 {
-            let full = bfs_distances(&g, s);
-            for (t, &expected) in full.iter().enumerate() {
-                let pair = bfs_pair_distance(&g, s, t);
-                if expected == usize::MAX {
-                    assert_eq!(pair, None);
-                } else {
-                    assert_eq!(pair, Some(expected));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pair_distance_same_vertex_is_zero() {
-        let g = path_graph(3);
-        assert_eq!(bfs_pair_distance(&g, 1, 1), Some(0));
     }
 }

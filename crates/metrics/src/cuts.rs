@@ -30,7 +30,7 @@ impl Default for CutSamplingConfig {
 }
 
 /// Expected size of the cut induced by the vertex set `members` in `g`.
-pub fn expected_cut_size(g: &UncertainGraph, in_set: &[bool]) -> f64 {
+pub(crate) fn expected_cut_size(g: &UncertainGraph, in_set: &[bool]) -> f64 {
     g.edges()
         .filter(|e| in_set[e.u] != in_set[e.v])
         .map(|e| e.p)
@@ -81,63 +81,63 @@ pub fn cut_discrepancy_mae<R: Rng + ?Sized>(
     total / config.num_cuts as f64
 }
 
-/// Exact mean absolute cut discrepancy over *all* non-empty subsets of
-/// cardinality at most `max_cardinality`, weighting every cardinality
-/// equally (mean over subsets within each cardinality, then mean over
-/// cardinalities) — the same weighting the sampled metric and the paper use
-/// ("1000 random k-cuts for each value of k").  Exponential — only for tests
-/// and toy graphs.
-pub fn exact_cut_discrepancy_mae(
-    original: &UncertainGraph,
-    sparsified: &UncertainGraph,
-    max_cardinality: usize,
-) -> f64 {
-    assert_eq!(original.num_vertices(), sparsified.num_vertices());
-    let n = original.num_vertices();
-    assert!(
-        n <= 20,
-        "exact enumeration is exponential; use the sampled metric"
-    );
-    if n < 2 {
-        return 0.0;
-    }
-    let max_k = max_cardinality.min(n - 1);
-    let mut total_per_k = vec![0.0f64; max_k + 1];
-    let mut count_per_k = vec![0usize; max_k + 1];
-    let mut in_set = vec![false; n];
-    for mask in 1u32..(1u32 << n) {
-        let k = mask.count_ones() as usize;
-        if k == 0 || k > max_k {
-            continue;
-        }
-        for (v, flag) in in_set.iter_mut().enumerate() {
-            *flag = (mask >> v) & 1 == 1;
-        }
-        let c0 = expected_cut_size(original, &in_set);
-        let c1 = expected_cut_size(sparsified, &in_set);
-        total_per_k[k] += (c0 - c1).abs();
-        count_per_k[k] += 1;
-    }
-    let mut mean_of_means = 0.0;
-    let mut cardinalities = 0usize;
-    for k in 1..=max_k {
-        if count_per_k[k] > 0 {
-            mean_of_means += total_per_k[k] / count_per_k[k] as f64;
-            cardinalities += 1;
-        }
-    }
-    if cardinalities == 0 {
-        0.0
-    } else {
-        mean_of_means / cardinalities as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Exact mean absolute cut discrepancy over *all* non-empty subsets of
+    /// cardinality at most `max_cardinality`, weighting every cardinality
+    /// equally (mean over subsets within each cardinality, then mean over
+    /// cardinalities) — the same weighting the sampled metric and the paper use
+    /// ("1000 random k-cuts for each value of k").  Exponential: the oracle
+    /// for the sampled metric on toy graphs.
+    fn exact_cut_discrepancy_mae(
+        original: &UncertainGraph,
+        sparsified: &UncertainGraph,
+        max_cardinality: usize,
+    ) -> f64 {
+        assert_eq!(original.num_vertices(), sparsified.num_vertices());
+        let n = original.num_vertices();
+        assert!(
+            n <= 20,
+            "exact enumeration is exponential; use the sampled metric"
+        );
+        if n < 2 {
+            return 0.0;
+        }
+        let max_k = max_cardinality.min(n - 1);
+        let mut total_per_k = vec![0.0f64; max_k + 1];
+        let mut count_per_k = vec![0usize; max_k + 1];
+        let mut in_set = vec![false; n];
+        for mask in 1u32..(1u32 << n) {
+            let k = mask.count_ones() as usize;
+            if k == 0 || k > max_k {
+                continue;
+            }
+            for (v, flag) in in_set.iter_mut().enumerate() {
+                *flag = (mask >> v) & 1 == 1;
+            }
+            let c0 = expected_cut_size(original, &in_set);
+            let c1 = expected_cut_size(sparsified, &in_set);
+            total_per_k[k] += (c0 - c1).abs();
+            count_per_k[k] += 1;
+        }
+        let mut mean_of_means = 0.0;
+        let mut cardinalities = 0usize;
+        for k in 1..=max_k {
+            if count_per_k[k] > 0 {
+                mean_of_means += total_per_k[k] / count_per_k[k] as f64;
+                cardinalities += 1;
+            }
+        }
+        if cardinalities == 0 {
+            0.0
+        } else {
+            mean_of_means / cardinalities as f64
+        }
+    }
 
     fn original() -> UncertainGraph {
         UncertainGraph::from_edges(

@@ -55,19 +55,6 @@ pub fn degree_discrepancy_mae(
     }
 }
 
-/// Maximum absolute degree discrepancy over all vertices (a useful worst-case
-/// companion to the MAE).
-pub fn degree_discrepancy_max(
-    original: &UncertainGraph,
-    sparsified: &UncertainGraph,
-    kind: MetricDiscrepancy,
-) -> f64 {
-    per_vertex_discrepancies(original, sparsified, kind)
-        .iter()
-        .map(|d| d.abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,10 +84,6 @@ mod tests {
             degree_discrepancy_mae(&g, &g, MetricDiscrepancy::Relative),
             0.0
         );
-        assert_eq!(
-            degree_discrepancy_max(&g, &g, MetricDiscrepancy::Absolute),
-            0.0
-        );
     }
 
     #[test]
@@ -120,7 +103,6 @@ mod tests {
             (degree_discrepancy_mae(&g, &s, MetricDiscrepancy::Relative) - expected_rel).abs()
                 < 1e-12
         );
-        assert!((degree_discrepancy_max(&g, &s, MetricDiscrepancy::Absolute) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -9,22 +9,6 @@ pub fn relative_entropy(original: &UncertainGraph, sparsified: &UncertainGraph) 
     uncertain_graph::entropy::relative_entropy(original, sparsified)
 }
 
-/// Fraction of edges of `g` that are (numerically) deterministic, i.e. have
-/// probability at least `1 − 1e-9`.  The paper uses this to explain the
-/// variance reductions of `GDB`/`EMD` at small `α` ("75% of the edges of GDB
-/// have probability 1" on Twitter at `α = 8%`).
-pub fn fraction_deterministic_edges(g: &UncertainGraph) -> f64 {
-    if g.num_edges() == 0 {
-        return 0.0;
-    }
-    let deterministic = g
-        .probabilities()
-        .iter()
-        .filter(|&&p| p >= 1.0 - 1e-9)
-        .count();
-    deterministic as f64 / g.num_edges() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -34,13 +18,5 @@ mod tests {
         let g = UncertainGraph::from_edges(3, [(0, 1, 0.5), (1, 2, 0.5)]).unwrap();
         let s = UncertainGraph::from_edges(3, [(0, 1, 0.5)]).unwrap();
         assert!((relative_entropy(&g, &s) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deterministic_fraction_counts_probability_one_edges() {
-        let g = UncertainGraph::from_edges(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.0)]).unwrap();
-        assert!((fraction_deterministic_edges(&g) - 2.0 / 3.0).abs() < 1e-12);
-        let empty = UncertainGraph::from_edges(2, []).unwrap();
-        assert_eq!(fraction_deterministic_edges(&empty), 0.0);
     }
 }

@@ -6,25 +6,25 @@
 //!   (Table 2, Figures 6–7),
 //! * [`cuts`] — mean absolute error of the expected-cut-size discrepancy
 //!   `δ(S)` over randomly sampled vertex sets (Figures 4, 6, 7),
-//! * [`entropy`] — relative entropy `H(G')/H(G)` (Figures 5, 8),
-//! * [`emd`] — the earth mover's distance between two empirical result
+//! * [`relative_entropy`] — `H(G')/H(G)` (Figures 5, 8),
+//! * [`earth_movers_distance`] — the earth mover's distance between two empirical result
 //!   distributions (Equation 17, Figures 10–11),
-//! * [`report`] — small table/series containers the experiment binaries use
-//!   to print paper-style rows and to serialise results to JSON.
+//! * [`ExperimentReport`] / [`TextTable`] — small table/series containers
+//!   the experiment binaries use to print paper-style rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cuts;
 pub mod degree;
-pub mod emd;
-pub mod entropy;
-pub mod report;
+mod emd;
+mod entropy;
+mod report;
 
-pub use cuts::{cut_discrepancy_mae, exact_cut_discrepancy_mae, CutSamplingConfig};
-pub use degree::{degree_discrepancy_mae, degree_discrepancy_max};
+pub use cuts::cut_discrepancy_mae;
+pub use degree::degree_discrepancy_mae;
 pub use emd::earth_movers_distance;
-pub use entropy::{fraction_deterministic_edges, relative_entropy};
+pub use entropy::relative_entropy;
 pub use report::{ExperimentReport, SeriesPoint, TextTable};
 
 /// Commonly used items, suitable for a glob import.
@@ -33,9 +33,6 @@ pub use report::{ExperimentReport, SeriesPoint, TextTable};
 /// `uncertain-graph` prelude already provides a function of the same name;
 /// use `ugs_metrics::relative_entropy` explicitly when needed.)
 pub mod prelude {
-    pub use crate::cuts::{cut_discrepancy_mae, CutSamplingConfig};
     pub use crate::degree::degree_discrepancy_mae;
     pub use crate::emd::earth_movers_distance;
-    pub use crate::entropy::fraction_deterministic_edges;
-    pub use crate::report::{ExperimentReport, SeriesPoint, TextTable};
 }

@@ -1,24 +1,21 @@
 //! Small containers the experiment binaries use to print paper-style tables
-//! and figure series, and to persist results as JSON
-//! ([`ExperimentReport::to_json`] / [`ExperimentReport::from_json`]).
-
-use minijson::{ObjBuilder, Value};
+//! and figure series.
 
 /// One point of a figure series: a method evaluated at an x-coordinate
 /// (sparsification ratio, density, …).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesPoint {
     /// Method name (`"GDB"`, `"EMD"`, `"NI"`, `"SS"`, …).
-    pub method: String,
+    pub(crate) method: String,
     /// X coordinate (e.g. `α` in percent, or graph density in percent).
-    pub x: f64,
+    pub(crate) x: f64,
     /// Measured value (MAE, relative entropy, `D_em`, seconds, …).
     pub value: f64,
 }
 
 impl SeriesPoint {
     /// Creates a point.
-    pub fn new(method: impl Into<String>, x: f64, value: f64) -> Self {
+    pub(crate) fn new(method: impl Into<String>, x: f64, value: f64) -> Self {
         SeriesPoint {
             method: method.into(),
             x,
@@ -113,64 +110,6 @@ impl ExperimentReport {
         }
         table
     }
-
-    /// Serialises the report as pretty JSON.
-    pub fn to_json(&self) -> String {
-        let points: Vec<Value> = self
-            .points
-            .iter()
-            .map(|p| {
-                ObjBuilder::new()
-                    .field("method", p.method.as_str())
-                    .field("x", p.x)
-                    .field("value", p.value)
-                    .build()
-            })
-            .collect();
-        ObjBuilder::new()
-            .field("id", self.id.as_str())
-            .field("description", self.description.as_str())
-            .field("x_label", self.x_label.as_str())
-            .field("y_label", self.y_label.as_str())
-            .field("points", Value::Arr(points))
-            .build()
-            .pretty()
-    }
-
-    /// Parses a JSON document produced by [`ExperimentReport::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        let value = Value::parse(json).map_err(|e| e.to_string())?;
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .get_str(key)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or invalid `{key}`"))
-        };
-        let mut report = ExperimentReport::new(
-            str_field("id")?,
-            str_field("description")?,
-            str_field("x_label")?,
-            str_field("y_label")?,
-        );
-        let points = value
-            .get("points")
-            .and_then(Value::as_array)
-            .ok_or("missing or invalid `points`")?;
-        for (i, point) in points.iter().enumerate() {
-            let parsed = (|| {
-                Some((
-                    point.get_str("method")?,
-                    point.get_f64("x")?,
-                    point.get_f64("value")?,
-                ))
-            })();
-            match parsed {
-                Some((method, x, v)) => report.push(method, x, v),
-                None => return Err(format!("point {i} is not a {{method, x, value}} object")),
-            }
-        }
-        Ok(report)
-    }
 }
 
 fn format_value(v: f64) -> String {
@@ -192,7 +131,7 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with the given header cells.
-    pub fn new(header: Vec<String>) -> Self {
+    pub(crate) fn new(header: Vec<String>) -> Self {
         TextTable {
             header,
             rows: Vec::new(),
@@ -200,14 +139,9 @@ impl TextTable {
     }
 
     /// Appends a row (padded or truncated to the header width).
-    pub fn add_row(&mut self, mut row: Vec<String>) {
+    pub(crate) fn add_row(&mut self, mut row: Vec<String>) {
         row.resize(self.header.len(), String::new());
         self.rows.push(row);
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Renders the table with aligned columns.
@@ -264,23 +198,11 @@ mod tests {
         assert_eq!(report.value("GDB", 8.0), Some(0.00125));
         assert_eq!(report.value("GDB", 99.0), None);
         let table = report.to_table();
-        assert_eq!(table.num_rows(), 2);
+        assert_eq!(table.rows.len(), 2);
         let rendered = table.render();
         assert!(rendered.contains("GDB"));
         assert!(rendered.contains("NI"));
         assert!(rendered.contains("16"));
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let mut report = ExperimentReport::new("t", "d", "x", "y");
-        report.push("A", 1.0, 2.0);
-        report.push("B", 0.5, -3.25);
-        let json = report.to_json();
-        let back = ExperimentReport::from_json(&json).unwrap();
-        assert_eq!(report, back);
-        assert!(ExperimentReport::from_json("{}").is_err());
-        assert!(ExperimentReport::from_json("[oops").is_err());
     }
 
     #[test]

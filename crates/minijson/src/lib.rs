@@ -52,7 +52,7 @@ use std::fmt;
 /// parser recurses once per level, so without a bound one line of `[`s
 /// overflows the thread's stack and aborts the process; 128 is far above
 /// any document this workspace reads or writes.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,7 +77,7 @@ pub struct JsonError {
     /// Byte offset at which parsing failed.
     pub offset: usize,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for JsonError {

@@ -104,11 +104,11 @@
 //!
 //! [`BatchResults::take`] panics on a foreign or already-redeemed handle,
 //! or on a cancelled fixed-budget run — fine for straight-line query code,
-//! wrong for a long-lived service.  [`BatchResults::try_take`] /
-//! [`BatchResults::try_take_boxed`] return a [`BatchError`] instead
-//! ([`BatchError::WrongBatch`], [`BatchError::AlreadyTaken`] and
-//! [`BatchError::Cancelled`]); `take` is a thin `unwrap` over `try_take`,
-//! which is `try_take_boxed` plus a downcast of the output.
+//! wrong for a long-lived service.  [`BatchResults::try_take_boxed`]
+//! returns a [`BatchError`] instead ([`BatchError::WrongBatch`],
+//! [`BatchError::AlreadyTaken`] and [`BatchError::Cancelled`]); `take` is
+//! a thin `unwrap` over the crate's `try_take`, which is `try_take_boxed`
+//! plus a downcast of the output.
 //!
 //! ## Worked example
 //!
@@ -365,7 +365,7 @@ pub struct DynHandle {
 }
 
 /// Why a [`BatchResults`] redemption failed; returned by the fallible
-/// [`BatchResults::try_take`] / [`BatchResults::try_take_boxed`] paths.
+/// [`BatchResults::try_take_boxed`] path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchError {
     /// The handle was issued by a different batch run.
@@ -487,22 +487,6 @@ impl<'g> QueryBatch<'g> {
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.cancel = Some(cancel);
         self
-    }
-
-    /// The adaptive target, when one was set.
-    pub fn precision(&self) -> Option<&Precision> {
-        self.precision.as_ref()
-    }
-
-    /// The number of worlds the batch will sample (the hard budget, for an
-    /// adaptive batch).
-    pub fn num_worlds(&self) -> usize {
-        self.num_worlds
-    }
-
-    /// The number of registered observers.
-    pub fn num_observers(&self) -> usize {
-        self.observers.len()
     }
 
     /// Registers an observer; the returned typed handle redeems its result
@@ -1101,8 +1085,8 @@ impl BatchResults {
     /// # Panics
     ///
     /// Panics if the handle came from a different batch, the result was
-    /// already taken or the run was cancelled; [`BatchResults::try_take`]
-    /// is the non-panicking equivalent.
+    /// already taken or the run was cancelled;
+    /// [`BatchResults::try_take_boxed`] is the non-panicking equivalent.
     pub fn take<O: WorldObserver>(&mut self, handle: ObserverHandle<O>) -> O::Output {
         self.try_take(handle).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -1110,7 +1094,7 @@ impl BatchResults {
     /// Finalises and returns one observer's result, or a [`BatchError`]
     /// when the handle belongs to a different batch or was already
     /// redeemed, or the run was cancelled.
-    pub fn try_take<O: WorldObserver>(
+    pub(crate) fn try_take<O: WorldObserver>(
         &mut self,
         handle: ObserverHandle<O>,
     ) -> Result<O::Output, BatchError> {

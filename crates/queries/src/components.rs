@@ -42,7 +42,7 @@ pub struct ConnectivityEstimate {
 /// finalises to a [`ConnectivityEstimate`].
 ///
 /// Each world is labelled by a union-find over its present edges'
-/// endpoints ([`WorldScratch::present_endpoints`]), so a world costs
+/// endpoints, so a world costs
 /// O(present edges), not O(|V|): the world has `n − merges` components,
 /// and its isolated vertices are the `n` minus those the merges cover (an
 /// uncertain graph has no self loops).  The four per-world values are

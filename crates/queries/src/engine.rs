@@ -43,7 +43,7 @@ use graph_algos::DeterministicGraph;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SampleMethod {
     /// Pick automatically: skip-sampling when the mean edge probability is
-    /// at most [`SampleMethod::AUTO_SKIP_THRESHOLD`] (the sparsified-graph
+    /// at most 0.5 (the sparsified-graph
     /// regime the paper targets), per-edge otherwise.
     #[default]
     Auto,
@@ -60,7 +60,7 @@ impl SampleMethod {
     /// Mean edge probability at or below which [`SampleMethod::Auto`]
     /// selects skip-sampling.  Above it, a plain per-edge sweep is cheaper
     /// than paying a logarithm per (almost always present) edge.
-    pub const AUTO_SKIP_THRESHOLD: f64 = 0.5;
+    pub(crate) const AUTO_SKIP_THRESHOLD: f64 = 0.5;
 
     /// The method an engine built for `g` with this method samples with
     /// ([`WorldEngine::effective_method`]), worked out from the graph
@@ -130,12 +130,12 @@ impl WorldScratch {
     /// in [`WorldScratch::present_edges`] order: the world's edge list, for
     /// kernels that only need its edges (like [`WorldScratch::world`], stale
     /// after [`WorldEngine::advance_world`]).
-    pub fn present_endpoints(&self) -> &[(u32, u32)] {
+    pub(crate) fn present_endpoints(&self) -> &[(u32, u32)] {
         &self.endpoints
     }
 
     /// The most recently materialised world.
-    pub fn world(&self) -> &DeterministicGraph {
+    pub(crate) fn world(&self) -> &DeterministicGraph {
         &self.world
     }
 }

@@ -61,11 +61,6 @@ impl KnnObserver {
             totals: vec![0.0; 2 * n],
         }
     }
-
-    /// The query source vertex.
-    pub fn source(&self) -> usize {
-        self.source
-    }
 }
 
 impl WorldObserver for KnnObserver {
@@ -142,17 +137,6 @@ pub fn k_nearest_neighbors<R: Rng + ?Sized>(
     batch.run(rng).take(handle)
 }
 
-/// The fraction of the top-`k` sets that two k-NN answers share — used to
-/// compare k-NN answers on an original and a sparsified graph.
-pub fn knn_overlap(a: &[Neighbor], b: &[Neighbor]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let set_a: std::collections::HashSet<usize> = a.iter().map(|n| n.vertex).collect();
-    let common = b.iter().filter(|n| set_a.contains(&n.vertex)).count();
-    common as f64 / a.len().max(b.len()) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,37 +190,6 @@ mod tests {
         let knn = k_nearest_neighbors(&g, 0, 2, &mc, &mut rng);
         assert_eq!(knn[0].vertex, 1);
         assert_eq!(knn[1].vertex, 2);
-    }
-
-    #[test]
-    fn overlap_measures_agreement() {
-        let a = vec![
-            Neighbor {
-                vertex: 1,
-                expected_distance: 1.0,
-                reachability: 1.0,
-            },
-            Neighbor {
-                vertex: 2,
-                expected_distance: 2.0,
-                reachability: 1.0,
-            },
-        ];
-        let b = vec![
-            Neighbor {
-                vertex: 2,
-                expected_distance: 1.5,
-                reachability: 0.9,
-            },
-            Neighbor {
-                vertex: 3,
-                expected_distance: 2.5,
-                reachability: 0.8,
-            },
-        ];
-        assert!((knn_overlap(&a, &b) - 0.5).abs() < 1e-12);
-        assert_eq!(knn_overlap(&a, &a), 1.0);
-        assert_eq!(knn_overlap(&a, &[]), 0.0);
     }
 
     #[test]

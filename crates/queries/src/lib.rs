@@ -91,7 +91,7 @@ pub mod knn;
 pub mod mc;
 pub mod node_queries;
 pub mod pair_queries;
-pub mod pairs;
+mod pairs;
 pub mod partial;
 pub mod variance;
 
@@ -101,23 +101,20 @@ pub use prelude::*;
 /// export list: the crate root re-exports all of it.
 pub mod prelude {
     pub use crate::batch::{
-        AdaptiveReport, BatchError, BatchResults, BlockPlan, BlockWatch, BoxedObserver, DynHandle,
-        EdgeFrequencyObserver, ObserverHandle, QueryBatch, SlotRun, WorldObserver,
+        AdaptiveReport, BlockPlan, BlockWatch, DynHandle, EdgeFrequencyObserver, QueryBatch,
+        SlotRun,
     };
     pub use crate::components::{
         connectivity_query, expected_degree_histogram, ConnectivityEstimate, ConnectivityObserver,
         DegreeHistogramObserver,
     };
-    pub use crate::engine::{SampleMethod, WorldEngine, WorldScratch};
-    pub use crate::knn::{k_nearest_neighbors, knn_overlap, KnnObserver, Neighbor};
+    pub use crate::engine::{SampleMethod, WorldEngine};
+    pub use crate::knn::{k_nearest_neighbors, KnnObserver, Neighbor};
     pub use crate::mc::MonteCarlo;
     pub use crate::node_queries::{
         expected_clustering_coefficients, expected_pagerank, ClusteringObserver, PageRankObserver,
     };
     pub use crate::pair_queries::{pair_queries, PairQueriesObserver, PairQueryResult};
     pub use crate::pairs::random_pairs;
-    pub use crate::variance::{
-        estimator_variance, AccumulatorStats, Precision, StopReason, StoppingRule,
-        VarianceEstimate, Welford,
-    };
+    pub use crate::variance::{estimator_variance, Precision, StopReason, VarianceEstimate};
 }

@@ -42,11 +42,6 @@ impl PageRankObserver {
             scratch: PageRankScratch::default(),
         }
     }
-
-    /// The PageRank configuration this observer runs.
-    pub fn config(&self) -> PageRankConfig {
-        self.config
-    }
 }
 
 impl WorldObserver for PageRankObserver {
@@ -99,7 +94,7 @@ impl ClusteringObserver {
     }
 
     /// Accumulates one world's per-vertex coefficients.
-    pub fn record_coefficients(&mut self, coefficients: &[f64]) {
+    pub(crate) fn record_coefficients(&mut self, coefficients: &[f64]) {
         for (t, c) in self.totals.iter_mut().zip(coefficients.iter()) {
             *t += c;
         }
@@ -144,7 +139,7 @@ pub fn expected_pagerank<R: Rng + ?Sized>(
 }
 
 /// [`expected_pagerank`] with an explicit PageRank configuration.
-pub fn expected_pagerank_with<R: Rng + ?Sized>(
+pub(crate) fn expected_pagerank_with<R: Rng + ?Sized>(
     g: &UncertainGraph,
     mc: &MonteCarlo,
     config: &PageRankConfig,

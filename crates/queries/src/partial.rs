@@ -22,11 +22,16 @@
 //! allocates nothing.
 //!
 //! ```
-//! use ugs_queries::partial::{decode_values, encode_values};
+//! use ugs_queries::partial::{decode_values, encode_value};
 //!
 //! let values = [3.0, 0.25, -0.0, f64::INFINITY, 5e-324];
 //! let mut text = String::new();
-//! encode_values(&values, &mut text);
+//! for (i, &x) in values.iter().enumerate() {
+//!     if i > 0 {
+//!         text.push(',');
+//!     }
+//!     encode_value(x, &mut text);
+//! }
 //! assert_eq!(text.split(',').next(), Some("3"));
 //! let back: Vec<f64> = decode_values(&text).collect::<Result<_, _>>().unwrap();
 //! assert!(back.iter().zip(&values).all(|(a, b)| a.to_bits() == b.to_bits()));
@@ -82,16 +87,6 @@ pub fn encode_value(x: f64, out: &mut String) {
     out.push_str(std::str::from_utf8(&buf[start..]).expect("entries are ASCII"));
 }
 
-/// Appends `values` as comma-separated entries.
-pub fn encode_values(values: &[f64], out: &mut String) {
-    for (i, &x) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_value(x, out);
-    }
-}
-
 /// Decodes one entry: a canonical decimal integer below 2⁵³, or `x` and
 /// exactly 16 hex digits.
 fn decode_value(entry: &[u8]) -> Result<f64, PartialError> {
@@ -145,6 +140,16 @@ pub fn decode_values(text: &str) -> impl Iterator<Item = Result<f64, PartialErro
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Appends `values` as comma-separated entries.
+    fn encode_values(values: &[f64], out: &mut String) {
+        for (i, &x) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            encode_value(x, out);
+        }
+    }
 
     fn round_trip(values: &[f64]) -> Vec<f64> {
         let mut text = String::new();

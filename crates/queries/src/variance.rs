@@ -14,9 +14,8 @@
 //! the scalar used in the figures.
 //!
 //! The second half of this module turns that offline analysis into an online
-//! control loop: a streaming [`Welford`] accumulator (single-pass mean and
-//! variance, with Chan-style merge for worker partials), an
-//! [`AccumulatorStats`] wrapper that knows the a-priori range of its
+//! control loop: a streaming Welford accumulator (single-pass mean and
+//! variance) per statistic, which knows the a-priori range of its
 //! statistic, and a [`StoppingRule`] that pools registered accumulators into
 //! an empirical-Bernstein confidence half-width and decides — at epoch
 //! checkpoints only, so the decision is a deterministic function of
@@ -29,17 +28,17 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarianceEstimate {
     /// Unbiased per-item variance across repetitions.
-    pub per_item: Vec<f64>,
+    pub(crate) per_item: Vec<f64>,
     /// Per-item mean across repetitions.
-    pub mean: Vec<f64>,
+    pub(crate) mean: Vec<f64>,
     /// Number of repetitions.
-    pub repetitions: usize,
+    pub(crate) repetitions: usize,
 }
 
 impl VarianceEstimate {
     /// Mean of the per-item variances — the scalar summary used when
     /// comparing graphs.
-    pub fn mean_variance(&self) -> f64 {
+    pub(crate) fn mean_variance(&self) -> f64 {
         if self.per_item.is_empty() {
             0.0
         } else {
@@ -123,26 +122,9 @@ where
 
 /// Streaming mean/variance accumulator (Welford's online algorithm).
 ///
-/// One pass, O(1) state, numerically stable; [`Welford::merge`] combines two
-/// accumulators with Chan's parallel update so worker partials can be folded
-/// together.  Merging is exact arithmetic-wise only up to floating-point
-/// rounding, but it is a pure function of the two operands: folding the same
-/// partials in the same order always reproduces the same bits, which is what
-/// the deterministic batch driver relies on.
-///
-/// ```
-/// use ugs_queries::Welford;
-///
-/// let mut acc = Welford::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     acc.push(x);
-/// }
-/// assert_eq!(acc.count(), 4);
-/// assert!((acc.mean() - 2.5).abs() < 1e-12);
-/// assert!((acc.variance() - 5.0 / 3.0).abs() < 1e-12); // unbiased
-/// ```
+/// One pass, O(1) state, numerically stable.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Welford {
+pub(crate) struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
@@ -150,23 +132,18 @@ pub struct Welford {
 
 impl Welford {
     /// An empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of observations pushed (or merged) so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Mean of the observations; `0.0` while empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
     }
 
     /// Unbiased sample variance (`M2 / (n - 1)`); `0.0` with fewer than two
     /// observations, matching [`estimator_variance`]'s convention.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -175,53 +152,19 @@ impl Welford {
     }
 
     /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
     }
-
-    /// Folds another accumulator into this one (Chan et al.'s parallel
-    /// combination).  Deterministic: the result is a pure function of the
-    /// two operands, so merging worker partials in a fixed order yields
-    /// bitwise-reproducible state.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let n = n1 + n2;
-        let delta = other.mean - self.mean;
-        self.mean += delta * (n2 / n);
-        self.m2 += other.m2 + delta * delta * (n1 * n2 / n);
-        self.count += other.count;
-    }
 }
 
 /// A [`Welford`] accumulator plus the a-priori closed range of its
 /// statistic — everything the empirical-Bernstein bound needs.
-///
-/// ```
-/// use ugs_queries::AccumulatorStats;
-///
-/// let mut stats = AccumulatorStats::new(0.0, 1.0);
-/// for i in 0..400 {
-///     stats.record(f64::from(i % 2));
-/// }
-/// // Empirical-Bernstein half-width at 95% confidence: a few percent after
-/// // 400 Bernoulli observations.
-/// let hw = stats.half_width(0.05);
-/// assert!(hw > 0.0 && hw < 0.2, "half-width {hw}");
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccumulatorStats {
+pub(crate) struct AccumulatorStats {
     welford: Welford,
     lo: f64,
     hi: f64,
@@ -232,7 +175,7 @@ impl AccumulatorStats {
     ///
     /// # Panics
     /// Panics unless `lo <= hi` and both are finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
+    pub(crate) fn new(lo: f64, hi: f64) -> Self {
         assert!(
             lo.is_finite() && hi.is_finite() && lo <= hi,
             "invalid statistic range [{lo}, {hi}]"
@@ -244,28 +187,8 @@ impl AccumulatorStats {
         }
     }
 
-    /// The declared range of the statistic.
-    pub fn range(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.welford.count()
-    }
-
-    /// Running mean of the statistic.
-    pub fn mean(&self) -> f64 {
-        self.welford.mean()
-    }
-
-    /// Unbiased sample variance of the statistic.
-    pub fn variance(&self) -> f64 {
-        self.welford.variance()
-    }
-
     /// Adds one per-world observation.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         self.welford.push(value);
     }
 
@@ -281,7 +204,7 @@ impl AccumulatorStats {
     /// sparse graph) stop far earlier than the range-only Hoeffding bound
     /// would allow.  Returns
     /// [`f64::INFINITY`] while empty.
-    pub fn half_width(&self, delta: f64) -> f64 {
+    pub(crate) fn half_width(&self, delta: f64) -> f64 {
         let n = self.welford.count();
         if n == 0 {
             return f64::INFINITY;
@@ -336,9 +259,9 @@ pub struct Precision {
 
 impl Precision {
     /// Default failure probability (95% confidence).
-    pub const DEFAULT_DELTA: f64 = 0.05;
+    pub(crate) const DEFAULT_DELTA: f64 = 0.05;
     /// Default worlds per epoch.
-    pub const DEFAULT_EPOCH: usize = 64;
+    pub(crate) const DEFAULT_EPOCH: usize = 64;
 
     /// A target half-width at the default `delta` and epoch size.
     ///
@@ -403,15 +326,16 @@ impl Precision {
 /// least `1 − δ` no matter how many checkpoints the run needed.
 ///
 /// ```
-/// use ugs_queries::{Precision, StoppingRule};
+/// use std::time::Instant;
+/// use ugs_queries::variance::{Precision, StopReason, StoppingRule};
 ///
 /// let mut rule = StoppingRule::new(Precision::new(0.2));
-/// let slot = rule.register(0.0, 1.0);
-/// for i in 0..256 {
-///     rule.record(slot, f64::from(i % 2));
-/// }
+/// rule.register(0.0, 1.0);
+/// let worlds: Vec<f64> = (0..256).map(|i| f64::from(i % 2)).collect();
+/// rule.record_worlds(&worlds);
 /// // One checkpoint after 256 Bernoulli worlds: comfortably within ε=0.2.
-/// assert!(rule.check());
+/// let verdict = rule.checkpoint(worlds.len(), 1_000, Instant::now(), None);
+/// assert_eq!(verdict, Some(StopReason::Converged));
 /// assert!(rule.half_width() <= 0.2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -434,13 +358,9 @@ impl StoppingRule {
         }
     }
 
-    /// The target this rule enforces.
-    pub fn precision(&self) -> &Precision {
-        &self.precision
-    }
-
     /// Registers a statistic with values in `[lo, hi]`; returns its slot
-    /// index for [`StoppingRule::record`].
+    /// index, the position of its value in every world's run of values
+    /// that [`StoppingRule::record_worlds`] reads.
     pub fn register(&mut self, lo: f64, hi: f64) -> usize {
         self.stats.push(AccumulatorStats::new(lo, hi));
         self.stats.len() - 1
@@ -451,20 +371,9 @@ impl StoppingRule {
         self.stats.len()
     }
 
-    /// The registered accumulators, in registration order.
-    pub fn stats(&self) -> &[AccumulatorStats] {
-        &self.stats
-    }
-
-    /// Records one per-world observation of slot `slot`.
-    pub fn record(&mut self, slot: usize, value: f64) {
-        self.stats[slot].record(value);
-    }
-
     /// Records a run of worlds laid out world-major: for each world, one
     /// value per tracked slot in slot order (the layout a world block
-    /// reports its statistics in).  Equivalent to calling
-    /// [`StoppingRule::record`] world by world, slot by slot.
+    /// reports its statistics in).
     pub fn record_worlds(&mut self, stats: &[f64]) {
         let tracked = self.stats.len();
         if tracked == 0 {
@@ -482,7 +391,7 @@ impl StoppingRule {
     /// split confidence `δ_k / num_tracked` — and returns whether it meets
     /// `ε`.  With no tracked statistics the rule never converges (the run
     /// falls back to its world budget).
-    pub fn check(&mut self) -> bool {
+    pub(crate) fn check(&mut self) -> bool {
         self.checks += 1;
         if self.stats.is_empty() {
             self.half_width = f64::INFINITY;
@@ -503,14 +412,15 @@ impl StoppingRule {
         self.checks
     }
 
-    /// Pooled half-width from the most recent [`StoppingRule::check`];
-    /// [`f64::INFINITY`] before the first checkpoint.
+    /// Pooled half-width from the most recent checkpoint;
+    /// [`f64::INFINITY`] before the first one.
     pub fn half_width(&self) -> f64 {
         self.half_width
     }
 
     /// The epoch checkpoint after `worlds` of `cap` worlds: convergence
-    /// ([`StoppingRule::check`]), then the budget, then the deadline, then
+    /// (the pooled half-width at the split `δ_k` meets `ε`), then the
+    /// budget, then the deadline, then
     /// the cooperative `cancel` flag — the one verdict order every adaptive
     /// driver (in process or across a fleet) uses, so a deadline or a
     /// cancel can only shorten a run, never change a converged answer.
@@ -536,7 +446,7 @@ impl StoppingRule {
     }
 
     /// Whether the rule's optional wall-clock deadline has expired relative
-    /// to `started`.  Intentionally *not* part of [`StoppingRule::check`]:
+    /// to `started`.  Intentionally *not* part of the convergence test:
     /// the bound must stay a deterministic function of the recorded values,
     /// with the (inherently timing-dependent) deadline consulted separately
     /// and last.
@@ -648,7 +558,7 @@ mod tests {
                 at += 1;
                 v
             });
-            assert!((acc.mean() - oracle.mean[0]).abs() < 1e-12, "seed {seed}");
+            assert!((acc.mean - oracle.mean[0]).abs() < 1e-12, "seed {seed}");
             assert!(
                 (acc.variance() - oracle.per_item[0]).abs() < 1e-12,
                 "seed {seed}: {} vs {}",
@@ -659,52 +569,26 @@ mod tests {
     }
 
     #[test]
-    fn welford_merge_is_bitwise_stable_and_accurate() {
-        let mut rng = SmallRng::seed_from_u64(99);
-        let values: Vec<f64> = (0..1000).map(|_| rng.gen_range(0.0..1.0)).collect();
-        // Split into uneven partials, as the batch driver's replay
-        // partitioning does.
-        let splits = [0, 137, 137 + 401, 1000];
-        let partials: Vec<Welford> = splits
-            .windows(2)
-            .map(|w| {
-                let mut acc = Welford::new();
-                for &x in &values[w[0]..w[1]] {
-                    acc.push(x);
-                }
-                acc
-            })
-            .collect();
-        // Merging the same partials in the same order twice is bitwise
-        // identical — merge is a pure function of its operands.
-        let fold = |parts: &[Welford]| {
-            let mut total = Welford::new();
-            for p in parts {
-                total.merge(p);
-            }
-            total
-        };
-        let a = fold(&partials);
-        let b = fold(&partials);
-        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
-        assert_eq!(a.variance().to_bits(), b.variance().to_bits());
-        assert_eq!(a.count(), b.count());
-        // And the merged result agrees with one sequential pass to 1e-12
-        // (not bitwise: Chan's update rounds differently than push-by-push).
-        let mut seq = Welford::new();
-        for &x in &values {
-            seq.push(x);
+    fn welford_of_one_to_four() {
+        let mut acc = Welford::new();
+        for x in [1.0, 2.0, 3.0, 4.0] {
+            acc.push(x);
         }
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-12);
-        assert!((a.variance() - seq.variance()).abs() < 1e-12);
-        // Merging an empty accumulator in either direction is the identity.
-        let mut left = a;
-        left.merge(&Welford::new());
-        assert_eq!(left, a);
-        let mut empty = Welford::new();
-        empty.merge(&a);
-        assert_eq!(empty, a);
+        assert_eq!(acc.count(), 4);
+        assert!((acc.mean - 2.5).abs() < 1e-12);
+        assert!((acc.variance() - 5.0 / 3.0).abs() < 1e-12); // unbiased
+    }
+
+    #[test]
+    fn bernstein_half_width_after_400_bernoulli_worlds() {
+        let mut stats = AccumulatorStats::new(0.0, 1.0);
+        for i in 0..400 {
+            stats.record(f64::from(i % 2));
+        }
+        // Empirical-Bernstein half-width at 95% confidence: a few percent
+        // after 400 Bernoulli observations.
+        let hw = stats.half_width(0.05);
+        assert!(hw > 0.0 && hw < 0.2, "half-width {hw}");
     }
 
     #[test]
@@ -738,7 +622,7 @@ mod tests {
         let slot = rule.register(0.0, 1.0);
         // First checkpoint after a small epoch: not converged.
         for i in 0..16 {
-            rule.record(slot, f64::from(i % 2));
+            rule.stats[slot].record(f64::from(i % 2));
         }
         assert!(!rule.check());
         let first = rule.half_width();
@@ -748,7 +632,7 @@ mod tests {
         let mut converged = false;
         for round in 0..64 {
             for i in 0..64 {
-                rule.record(slot, f64::from(i % 2));
+                rule.stats[slot].record(f64::from(i % 2));
             }
             if rule.check() {
                 converged = true;

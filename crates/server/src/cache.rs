@@ -51,7 +51,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Builds the cache key of query `index` of `plan` against the graph with
 /// the given fingerprint; see the [module docs](self) for why each
 /// component is present.
-pub fn query_key(fingerprint: u64, plan: &QueryPlan, index: usize) -> String {
+pub(crate) fn query_key(fingerprint: u64, plan: &QueryPlan, index: usize) -> String {
     let precision = plan
         .precision
         .as_ref()
@@ -152,7 +152,7 @@ impl ResultCache {
 
     /// The bytes an entry is charged: key, rendered result and a fixed
     /// per-entry overhead.
-    pub fn entry_bytes(key: &str, answer: &RenderedAnswer) -> usize {
+    pub(crate) fn entry_bytes(key: &str, answer: &RenderedAnswer) -> usize {
         key.len() + answer.result().len() + 64
     }
 

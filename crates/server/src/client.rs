@@ -13,13 +13,12 @@ use crate::line::{read_limited_line, LineRead};
 /// Byte cap on one response line a [`LineClient`] will buffer.  Far larger
 /// than the server's request cap: a report carrying a frequency array over
 /// hundreds of thousands of edges is legitimately megabytes.
-pub const MAX_RESPONSE_BYTES: usize = 64 << 20;
+pub(crate) const MAX_RESPONSE_BYTES: usize = 64 << 20;
 
 /// A blocking line-delimited JSON client over one TCP connection.
 pub struct LineClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    max_line_bytes: usize,
 }
 
 impl LineClient {
@@ -50,17 +49,7 @@ impl LineClient {
         // tens of milliseconds per round-trip.
         writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
-        Ok(LineClient {
-            reader,
-            writer,
-            max_line_bytes: MAX_RESPONSE_BYTES,
-        })
-    }
-
-    /// Lowers (or raises) the response-line byte cap; an over-long response
-    /// surfaces as an `InvalidData` error instead of unbounded buffering.
-    pub fn set_max_line_bytes(&mut self, cap: usize) {
-        self.max_line_bytes = cap.max(1);
+        Ok(LineClient { reader, writer })
     }
 
     /// Arms a read timeout, so a test can assert "the server answered (or
@@ -114,12 +103,12 @@ impl LineClient {
     /// graceful shutdown delivers).  `Ok(None)` is EOF; a response beyond
     /// the byte cap is an `InvalidData` error.
     pub fn read_line(&mut self) -> io::Result<Option<String>> {
-        match read_limited_line(&mut self.reader, self.max_line_bytes)? {
+        match read_limited_line(&mut self.reader, MAX_RESPONSE_BYTES)? {
             LineRead::Eof => Ok(None),
             LineRead::Line(line) => Ok(Some(line.trim_end().to_string())),
             LineRead::Overflow => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("response line exceeds {} bytes", self.max_line_bytes),
+                format!("response line exceeds {MAX_RESPONSE_BYTES} bytes"),
             )),
         }
     }

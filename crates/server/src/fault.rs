@@ -42,16 +42,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// The spelling used by [`FaultPlan::parse`] spec strings.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Delay => "delay",
-            FaultKind::Disconnect => "disconnect",
-            FaultKind::Garble => "garble",
-        }
-    }
-
     fn parse(text: &str) -> Option<FaultKind> {
         match text {
             "drop" => Some(FaultKind::Drop),
@@ -285,7 +275,7 @@ impl FaultClock {
     }
 
     /// How many faults have fired so far (the `faults` stats gauge).
-    pub fn fired(&self) -> usize {
+    pub(crate) fn fired(&self) -> usize {
         self.state
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())

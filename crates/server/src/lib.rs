@@ -47,7 +47,7 @@
 //! adaptive checkpoint) or exports every block's observer partials
 //! (`finish` true).  Polls page the output as [`ugs_queries::partial`]
 //! entries, at most `M` values and one response line
-//! ([`client::MAX_RESPONSE_BYTES`]) per page; the last page of the
+//! (64 MiB) per page; the last page of the
 //! partials delivers the job.  The `world_block` form with a `job` field
 //! resumes a paused job: run on to `N` epochs, then pause again or
 //! export.
@@ -56,7 +56,7 @@
 //! [`ServerConfig::max_inflight`] budget, the bounded queue, the executor
 //! pool and its panic isolation.  One job holds at most
 //! [`ServerConfig::max_plan_threads`] block registries, and a job that may
-//! pause at most [`protocol::MAX_PAUSE_WORLDS`] worlds of statistics; a
+//! pause at most 2^20 worlds of statistics; a
 //! request over either bound answers `plan`.  A job lives and
 //! dies with its connection; cancelling it (or closing the connection)
 //! stops it after the current world.  [`ServerConfig::shard`] declares the
@@ -82,12 +82,10 @@
 //! "message": "…"}` with `code` one
 //! of `bad_request`, `unknown_op`, `plan`, `over_budget` (the connection's
 //! [`ServerConfig::max_inflight`] budget), `overloaded` (the bounded
-//! server-wide queue is full), `unknown_job`, `shutting_down`,
-//! `worker_lost` (a distributed worker died mid-plan and bounded retries
-//! ran out), `internal` — see [`protocol::ErrorCode`].  The `retryable`
-//! flag ([`ErrorCode::retryable`]) marks the transient codes
-//! (`worker_lost`, `overloaded`, `over_budget`) a client may usefully
-//! retry after a backoff.  Job ids are
+//! server-wide queue is full), `unknown_job`, `shutting_down` or
+//! `internal`.  The `retryable` flag marks the transient codes
+//! (`overloaded`, `over_budget`) a client may usefully retry after a
+//! backoff.  Job ids are
 //! per-connection; a delivered or cancelled job's id answers
 //! `unknown_job` afterwards.
 //!
@@ -108,9 +106,9 @@
 //! mix) — under an LRU byte budget.  An entry is the answer's rendered
 //! result fragment, rendered once by the executor that computed it, so a
 //! hit copies bytes into the report instead of rendering again.  A cache
-//! hit is **bit-identical** to a fresh run; see the [`cache`] module docs
-//! for the full key definition and why fixed-budget answers may be reused
-//! across plans while adaptive answers may not.
+//! hit is **bit-identical** to a fresh run; see [`ResultCache`] for the
+//! full key definition and why fixed-budget answers may be reused across
+//! plans while adaptive answers may not.
 //!
 //! # Example
 //!
@@ -138,15 +136,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod client;
+mod cache;
+mod client;
 pub mod fault;
 mod line;
 pub mod protocol;
-pub mod server;
+mod server;
 
-pub use cache::{query_key, CacheStats, ResultCache};
+pub use cache::{CacheStats, ResultCache};
 pub use client::LineClient;
-pub use fault::{FaultClock, FaultEvent, FaultKind, FaultPlan};
-pub use protocol::{BlockRequest, ErrorCode, Request};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -2,7 +2,7 @@
 //! unknown fields) and response rendering; see the [crate docs](crate) for
 //! the full grammar.
 //!
-//! Every parse failure maps to an [`ErrorCode`] plus a human-readable
+//! Every parse failure maps to an error code plus a human-readable
 //! message — a malformed line is answered, never dropped, and never kills
 //! the connection.
 
@@ -11,13 +11,13 @@ use ugs_queries::{BlockPlan, SampleMethod};
 use ugs_service::{parse_mode, QueryPlan, QuerySpec};
 
 /// Hard cap on one request line; longer lines are answered with
-/// [`ErrorCode::BadRequest`] so a runaway client cannot balloon the
+/// `bad_request` so a runaway client cannot balloon the
 /// connection thread's buffer.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Machine-readable error class of a `{"status": "error"}` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
+pub(crate) enum ErrorCode {
     /// The line was not valid JSON, not an object, missing a required
     /// field, carried an unknown field, or exceeded [`MAX_LINE_BYTES`].
     BadRequest,
@@ -34,17 +34,13 @@ pub enum ErrorCode {
     UnknownJob,
     /// The server is shutting down and accepts no new work.
     ShuttingDown,
-    /// A distributed worker process was lost mid-plan (connection died,
-    /// request timed out, or bounded retries ran out); the coordinator
-    /// degrades to this typed error instead of hanging.
-    WorkerLost,
     /// An internal invariant broke (a typed answer, never a panic).
     Internal,
 }
 
 impl ErrorCode {
     /// The wire spelling of the code.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::UnknownOp => "unknown_op",
@@ -53,29 +49,24 @@ impl ErrorCode {
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::UnknownJob => "unknown_job",
             ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::WorkerLost => "worker_lost",
             ErrorCode::Internal => "internal",
         }
     }
 
     /// Whether a client may usefully retry the failed request as-is.
     ///
-    /// `worker_lost` names a transient fleet condition (a worker died and
-    /// may be respawned or failed over), `overloaded` and `over_budget`
-    /// clear as jobs drain — all three are worth retrying after a backoff.
-    /// Everything else (malformed requests, plan errors, unknown jobs,
-    /// shutdown, internal invariants) would fail identically again.
-    pub fn retryable(self) -> bool {
-        matches!(
-            self,
-            ErrorCode::WorkerLost | ErrorCode::Overloaded | ErrorCode::OverBudget
-        )
+    /// `overloaded` and `over_budget` clear as jobs drain, so both are worth
+    /// retrying after a backoff.  Everything else (malformed requests, plan
+    /// errors, unknown jobs, shutdown, internal invariants) would fail
+    /// identically again.
+    pub(crate) fn retryable(self) -> bool {
+        matches!(self, ErrorCode::Overloaded | ErrorCode::OverBudget)
     }
 }
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub(crate) enum Request {
     /// `{"op": "submit", "plan": {...}}` — enqueue a plan, get a job id.
     Submit(QueryPlan),
     /// `{"op": "poll", "job": N}` — probe a job; a finished report is
@@ -127,30 +118,30 @@ pub enum Request {
 /// adaptive plan's checkpoint) or exports every block's partials
 /// (`finish` true).  A fixed-budget plan is one epoch of `worlds` worlds.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BlockRequest {
+pub(crate) struct BlockRequest {
     /// The plan's valid queries, in plan order.
-    pub queries: Vec<QuerySpec>,
+    pub(crate) queries: Vec<QuerySpec>,
     /// Sampling method; `auto` resolves on the worker through the one
     /// shared rule, so every worker samples the same stream.
-    pub mode: SampleMethod,
+    pub(crate) mode: SampleMethod,
     /// Batch seed of the shared replay stream.  Carried as a **decimal
     /// string** on the wire: JSON numbers are f64 here, which cannot hold
     /// every u64 seed bit-exactly.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The block geometry.
-    pub plan: BlockPlan,
+    pub(crate) plan: BlockPlan,
     /// This job's fleet slot.
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// Fleet size (the stride between this job's blocks).
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// Epochs to run before answering.
-    pub epochs: usize,
+    pub(crate) epochs: usize,
     /// Export the partials after the last epoch instead of pausing.
-    pub finish: bool,
+    pub(crate) finish: bool,
 }
 
 /// A typed protocol error: the code plus the message the client sees.
-pub type RequestError = (ErrorCode, String);
+pub(crate) type RequestError = (ErrorCode, String);
 
 /// Plan-document fields the server accepts.  `graph` is deliberately
 /// absent: the server owns its graph, a client cannot point it elsewhere.
@@ -244,7 +235,7 @@ fn wire_mode(value: &Value) -> Result<SampleMethod, RequestError> {
 /// Longest epoch a world-block job may pause after: a paused job holds the
 /// epoch's tracked statistics until they are paged out, so this bounds that
 /// buffer (2²⁰ worlds × one `f64` per tracked query).
-pub const MAX_PAUSE_WORLDS: usize = 1 << 20;
+pub(crate) const MAX_PAUSE_WORLDS: usize = 1 << 20;
 
 /// Fields of a `world_block` request that starts a job.
 const BLOCK_FIELDS: &[&str] = &[
@@ -335,7 +326,7 @@ fn world_block(value: &Value) -> Result<Request, RequestError> {
 }
 
 /// Parses one request line; every failure is a typed [`RequestError`].
-pub fn parse_request(line: &str) -> Result<Request, RequestError> {
+pub(crate) fn parse_request(line: &str) -> Result<Request, RequestError> {
     if line.len() > MAX_LINE_BYTES {
         return Err((
             ErrorCode::BadRequest,
@@ -423,7 +414,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 /// Renders the `{"status": "error", ...}` envelope for one line.  The
 /// `retryable` field mirrors [`ErrorCode::retryable`] so clients can route
 /// transient failures to a retry loop without a code table of their own.
-pub fn error_line(code: ErrorCode, message: &str) -> String {
+pub(crate) fn error_line(code: ErrorCode, message: &str) -> String {
     ObjBuilder::new()
         .field("status", "error")
         .field("code", code.as_str())
@@ -435,18 +426,21 @@ pub fn error_line(code: ErrorCode, message: &str) -> String {
 
 /// Starts an `{"status": "ok"}` response; callers add their fields and
 /// render with [`finish_ok`].
-pub fn ok_builder() -> ObjBuilder {
+pub(crate) fn ok_builder() -> ObjBuilder {
     ObjBuilder::new().field("status", "ok")
 }
 
 /// Renders an ok-response builder to its wire line.
-pub fn finish_ok(builder: ObjBuilder) -> String {
+pub(crate) fn finish_ok(builder: ObjBuilder) -> String {
     builder.build().render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn well_formed_requests_parse() {
@@ -659,11 +653,7 @@ mod tests {
 
     #[test]
     fn retryable_codes_name_transient_conditions_only() {
-        for code in [
-            ErrorCode::WorkerLost,
-            ErrorCode::Overloaded,
-            ErrorCode::OverBudget,
-        ] {
+        for code in [ErrorCode::Overloaded, ErrorCode::OverBudget] {
             assert!(code.retryable(), "{} is transient", code.as_str());
         }
         for code in [
@@ -675,6 +665,164 @@ mod tests {
             ErrorCode::Internal,
         ] {
             assert!(!code.retryable(), "{} is fatal", code.as_str());
+        }
+    }
+
+    /// Mutated lines (and fault specs) per base.
+    const ROUNDS: usize = if cfg!(debug_assertions) {
+        1_500
+    } else {
+        15_000
+    };
+
+    /// JSON tokens a line mutation inserts or writes over a byte.
+    const LINE_TOKENS: &[&str] = &[
+        "0",
+        "1",
+        "7",
+        "-",
+        ".",
+        "e",
+        "-1",
+        "1e400",
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "\"",
+        " ",
+        "null",
+        "true",
+        "false",
+        "\"op\"",
+        "\"job\"",
+        "\"plan\"",
+        "\"seed\"",
+        "\"queries\"",
+        "\"finish\"",
+        "\"18446744073709551616\"",
+        "{\"type\": \"knn\"}",
+    ];
+
+    /// Fault-spec tokens: keys, kinds and single digits, so no mutation can
+    /// ask for a schedule too large to draw quickly.
+    const SPEC_TOKENS: &[&str] = &[
+        "0",
+        "1",
+        "9",
+        "=",
+        ",",
+        " ",
+        "-",
+        "seed",
+        "count",
+        "horizon",
+        "kind",
+        "wedge",
+        "at",
+        "delay-ms",
+        "drop",
+        "delay",
+        "disconnect",
+        "garble",
+    ];
+
+    /// One to four token inserts, byte deletes or byte replacements (bases
+    /// and tokens are ASCII, so every cut is a char boundary).
+    fn mutate(rng: &mut SmallRng, text: &mut String, tokens: &[&str]) {
+        for _ in 0..rng.gen_range(1..5) {
+            let at = rng.gen_range(0..text.len() + 1);
+            let token = tokens[rng.gen_range(0..tokens.len())];
+            match rng.gen_range(0..3) {
+                0 => text.insert_str(at, token),
+                1 if at < text.len() => {
+                    text.remove(at);
+                }
+                _ if at < text.len() => text.replace_range(at..at + 1, token),
+                _ => text.push_str(token),
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_request_lines_answer_typed_errors_or_parse() {
+        let bases = [
+            r#"{"op": "submit", "plan": {"worlds": 64, "threads": 2, "shards": 1, "mode": "skip", "seed": 7, "precision": {"epsilon": 0.05, "delta": 0.1, "deadline_ms": 500, "max_worlds": 48}, "queries": [{"type": "pagerank"}, {"type": "clustering"}, {"type": "pair_queries", "pairs": [[0, 1]]}, {"type": "connectivity"}, {"type": "degree_histogram"}, {"type": "knn", "source": 1, "k": 3}, {"type": "edge_frequency"}]}}"#.to_string(),
+            r#"{"op": "cancel", "job": 7}"#.to_string(),
+            r#"{"op": "stats"}"#.to_string(),
+            r#"{"op": "poll", "job": 3, "from": 0, "max": 100}"#.to_string(),
+            block_line("", ""),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x11_4e5);
+        for base in &bases {
+            assert!(parse_request(base).is_ok(), "{base}");
+            let (mut refused, mut parsed) = (0usize, 0usize);
+            for _ in 0..ROUNDS {
+                let mut line = base.clone();
+                mutate(&mut rng, &mut line, LINE_TOKENS);
+                let outcome = std::panic::catch_unwind(|| parse_request(&line));
+                match outcome {
+                    Ok(Ok(Request::Submit(plan))) => {
+                        assert_eq!(
+                            QueryPlan::parse(&plan.to_json()).as_ref(),
+                            Ok(&plan),
+                            "{line}"
+                        );
+                        parsed += 1;
+                    }
+                    Ok(Ok(_)) => parsed += 1,
+                    Ok(Err((code, message))) => {
+                        assert!(
+                            matches!(
+                                code,
+                                ErrorCode::BadRequest | ErrorCode::UnknownOp | ErrorCode::Plan
+                            ),
+                            "{line}: {code:?}"
+                        );
+                        assert!(!message.is_empty(), "{line}");
+                        refused += 1;
+                    }
+                    Err(_) => panic!("parse_request panicked on {line}"),
+                }
+            }
+            assert!(
+                refused > 0 && parsed > 0,
+                "{base}: {refused} refused, {parsed} parsed"
+            );
+        }
+    }
+
+    #[test]
+    fn mutated_fault_specs_are_refused_or_schedule_something() {
+        let mut rng = SmallRng::seed_from_u64(0xFA_17);
+        for base in [
+            "seed=3,count=2,horizon=40,kind=drop,delay-ms=5",
+            "wedge=8,kind=garble",
+            "at=12,kind=delay",
+        ] {
+            assert!(FaultPlan::parse(base).is_ok(), "{base}");
+            let (mut refused, mut parsed) = (0usize, 0usize);
+            for _ in 0..ROUNDS {
+                let mut spec = base.to_string();
+                mutate(&mut rng, &mut spec, SPEC_TOKENS);
+                match std::panic::catch_unwind(|| FaultPlan::parse(&spec)) {
+                    Ok(Ok(plan)) => {
+                        assert!(!plan.is_empty(), "{spec}");
+                        parsed += 1;
+                    }
+                    Ok(Err(message)) => {
+                        assert!(!message.is_empty(), "{spec}");
+                        refused += 1;
+                    }
+                    Err(_) => panic!("FaultPlan::parse panicked on {spec:?}"),
+                }
+            }
+            assert!(
+                refused > 0 && parsed > 0,
+                "{base}: {refused} refused, {parsed} parsed"
+            );
         }
     }
 }

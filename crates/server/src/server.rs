@@ -338,8 +338,12 @@ impl ServerHandle {
         self.shared.cache.lock().expect("cache poisoned").stats()
     }
 
-    /// Stops the server gracefully and joins every thread; see the
-    /// [module docs](self) for the teardown order.  Equivalent to dropping
+    /// Stops the server gracefully and joins every thread.  It first
+    /// refuses new work, then sets the stop flag, wakes the listener,
+    /// closes every client socket (blocked readers see EOF, never a hang),
+    /// joins the connection threads and lets the executors drain: queued
+    /// jobs whose clients are gone are discarded, the running job
+    /// finishes.  Equivalent to dropping
     /// the handle, spelled out for call sites that want the intent visible.
     pub fn shutdown(self) {
         drop(self);

@@ -12,7 +12,7 @@
 //! 1. **Specs: [`QuerySpec`] / [`QueryResult`]** — every query surface as an
 //!    enum variant carrying its parameters, JSON-(de)serialisable via
 //!    `minijson`.  A spec validates itself against a graph, builds its
-//!    type-erased observer (the [`ugs_queries::BoxedObserver`] registry
+//!    type-erased observer (the [`ugs_queries::batch::BoxedObserver`] registry
 //!    entry) and recovers its typed result from the erased output.
 //! 2. **Plans: [`QueryPlan`]** — a JSON plan document (graph + Monte-Carlo
 //!    configuration + query list) that executes as **one**
@@ -58,8 +58,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod plan;
-pub mod spec;
+mod plan;
+mod spec;
 
 pub use plan::{
     mode_name, parse_mode, QueryAnswer, QueryPlan, RenderedAnswer, ServiceError, SEED_LIMIT,

@@ -1,54 +1,6 @@
 //! JSON query plans: a [`QueryPlan`] bundles a list of [`QuerySpec`]s with
 //! the Monte-Carlo configuration they share, parses from a plan document and
 //! executes end-to-end as **one [`QueryBatch`] run**.
-//!
-//! The plan document is the file format of the CLI's `ugs plan` subcommand:
-//!
-//! ```json
-//! {
-//!   "graph": "graph.txt",
-//!   "worlds": 400,
-//!   "threads": 2,
-//!   "mode": "skip",
-//!   "seed": 7,
-//!   "queries": [
-//!     {"type": "pagerank"},
-//!     {"type": "connectivity"},
-//!     {"type": "knn", "source": 0, "k": 5}
-//!   ]
-//! }
-//! ```
-//!
-//! Every field except `queries` is optional (`graph` may instead be given by
-//! the caller, and `worlds`/`threads`/`shards`/`mode`/`seed` take the
-//! defaults below).
-//!
-//! ## Execution
-//!
-//! Each valid query registers its observer with one [`QueryBatch`], so all
-//! queries share one set of sampled worlds.  The batch seed is the first
-//! `u64` drawn from `SmallRng::seed_from_u64(seed)`, and the world budget
-//! is split across `threads` workers by the batch's replay partitioning
-//! (every worker re-derives the shared world stream and observes its own
-//! contiguous block; partials merge in worker order).  Answers are
-//! therefore a pure function of the plan and the graph: count-valued
-//! answers are invariant to `threads`, and a one-query plan with seed `s`
-//! is bit-identical to the legacy free function run on a fresh
-//! `SmallRng::seed_from_u64(s)` (`tests/plan_parity.rs`).
-//!
-//! Every plan samples from one [`WorldEngine`].  The `shards` field is
-//! accepted and echoed in the report but never changes an answer; a plan
-//! whose `shards` exceeds `max(|V|, 1)` is refused: every query answers
-//! [`ServiceError::Policy`] ([`QueryPlan::shard_refusal`]).
-//!
-//! A `seed` must be an integer below 2^53 ([`SEED_LIMIT`]): the JSON codec
-//! stores numbers as `f64`, so a larger seed would be silently rounded.
-//!
-//! An optional `"precision": {"epsilon": 0.01, "delta": 0.05, "deadline_ms":
-//! 2000, "max_worlds": 50000}` block makes the batch **adaptive**: `worlds`
-//! becomes a cap and sampling stops at the first epoch whose pooled
-//! empirical-Bernstein half-width reaches `epsilon`; report entries then
-//! carry `worlds_used` and the achieved `half_width`.
 
 use std::any::Any;
 use std::sync::atomic::AtomicBool;
@@ -82,29 +34,16 @@ pub enum ServiceError {
     /// A distributed worker process was lost (connection died, timed out,
     /// or exhausted its bounded retries) and the plan could not complete.
     /// The coordinator degrades to this typed error instead of hanging.
+    /// It is the one transient variant: a supervisor may respawn the
+    /// worker, so resubmitting the plan may succeed.  Every other variant
+    /// but [`ServiceError::Cancelled`] would fail identically again.
     WorkerLost(String),
     /// An internal driver invariant broke (a kernel panic, a redemption
     /// error).
     Internal(String),
     /// The caller's cancel flag stopped a fixed-budget plan before its last
-    /// world, so the plan has no answer (see
-    /// [`QueryPlan::execute_detailed_with_cancel`]).
+    /// world, so the plan has no answer (see [`QueryPlan::execute_on`]).
     Cancelled,
-}
-
-impl ServiceError {
-    /// Whether re-running the same plan may succeed.
-    ///
-    /// [`ServiceError::WorkerLost`] names a **transient fleet condition**:
-    /// the worker may be respawned by a supervisor or its shard failed over
-    /// to a standby, so a caller (or an outer retry loop) may usefully
-    /// resubmit.  [`ServiceError::Cancelled`] is the caller's own decision,
-    /// and every other variant is deterministic — the same spec, plan or
-    /// invariant would fail identically again — so they surface to the
-    /// caller as fatal.
-    pub fn retryable(&self) -> bool {
-        matches!(self, ServiceError::WorkerLost(_))
-    }
 }
 
 impl std::fmt::Display for ServiceError {
@@ -174,8 +113,55 @@ impl QueryAnswer {
     }
 }
 
-/// A parsed query-plan document; see the [module docs](self) for the JSON
-/// shape.
+/// A parsed query-plan document.
+///
+/// The plan document is the file format of the CLI's `ugs plan` subcommand:
+///
+/// ```json
+/// {
+///   "graph": "graph.txt",
+///   "worlds": 400,
+///   "threads": 2,
+///   "mode": "skip",
+///   "seed": 7,
+///   "queries": [
+///     {"type": "pagerank"},
+///     {"type": "connectivity"},
+///     {"type": "knn", "source": 0, "k": 5}
+///   ]
+/// }
+/// ```
+///
+/// Every field except `queries` is optional: `graph` may instead be given by
+/// the caller, and `worlds`, `threads`, `shards`, `mode` and `seed` default
+/// to 500, 1, 1, `auto` and 42.
+///
+/// ## Execution
+///
+/// Each valid query registers its observer with one [`QueryBatch`], so all
+/// queries share one set of sampled worlds.  The batch seed is the first
+/// `u64` drawn from `SmallRng::seed_from_u64(seed)`, and the world budget
+/// is split across `threads` workers by the batch's replay partitioning
+/// (every worker re-derives the shared world stream and observes its own
+/// contiguous block; partials merge in worker order).  Answers are
+/// therefore a pure function of the plan and the graph: count-valued
+/// answers are invariant to `threads`, and a one-query plan with seed `s`
+/// is bit-identical to the legacy free function run on a fresh
+/// `SmallRng::seed_from_u64(s)` (`tests/plan_parity.rs`).
+///
+/// Every plan samples from one [`WorldEngine`].  The `shards` field is
+/// accepted and echoed in the report but never changes an answer; a plan
+/// whose `shards` exceeds `max(|V|, 1)` is refused: every query answers
+/// [`ServiceError::Policy`] ([`QueryPlan::shard_refusal`]).
+///
+/// A `seed` must be an integer below 2^53 ([`SEED_LIMIT`]): the JSON codec
+/// stores numbers as `f64`, so a larger seed would be silently rounded.
+///
+/// An optional `"precision": {"epsilon": 0.01, "delta": 0.05, "deadline_ms":
+/// 2000, "max_worlds": 50000}` block makes the batch **adaptive**: `worlds`
+/// becomes a cap and sampling stops at the first epoch whose pooled
+/// empirical-Bernstein half-width reaches `epsilon`; report entries then
+/// carry `worlds_used` and the achieved `half_width`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// Path of the graph to query, if the plan names one (the CLI lets a
@@ -353,18 +339,7 @@ impl QueryPlan {
 
     /// Executes the plan against `graph` as one [`QueryBatch`] run (shared
     /// sampled worlds, split across [`QueryPlan::threads`] workers).
-    /// Results come back in plan order.
-    pub fn execute(
-        &self,
-        graph: impl Into<Arc<UncertainGraph>>,
-    ) -> Vec<Result<QueryResult, ServiceError>> {
-        self.execute_detailed(graph)
-            .into_iter()
-            .map(|outcome| outcome.map(|answer| answer.result))
-            .collect()
-    }
-
-    /// Like [`QueryPlan::execute`], but keeps each answer's effort metadata
+    /// Answers come back in plan order, each with its effort metadata
     /// (worlds consumed, achieved half-width under a
     /// [`QueryPlan::precision`] target).
     pub fn execute_detailed(
@@ -381,7 +356,7 @@ impl QueryPlan {
     /// abort) instead of running to the full budget.  A **fixed-budget**
     /// plan stops after the world each thread is on, and every query
     /// answers [`ServiceError::Cancelled`].
-    pub fn execute_detailed_with_cancel(
+    pub(crate) fn execute_detailed_with_cancel(
         &self,
         graph: impl Into<Arc<UncertainGraph>>,
         cancel: Option<Arc<AtomicBool>>,
@@ -391,9 +366,9 @@ impl QueryPlan {
     }
 
     /// Executes the plan on a prebuilt engine over the engine's graph, with
-    /// an optional cancellation flag as for
-    /// [`QueryPlan::execute_detailed_with_cancel`] — the one path every plan
-    /// execution takes.  The engine must sample the way the plan's
+    /// an optional cooperative cancellation flag (see
+    /// [`QueryBatch::with_cancel`]) — the one path every plan execution
+    /// takes.  The engine must sample the way the plan's
     /// [`QueryPlan::mode`] resolves on that graph
     /// ([`SampleMethod::resolve_for`]); a caller that runs many plans keeps
     /// one engine per resolved method and pays each construction once.
@@ -609,6 +584,19 @@ fn error_entry(spec: &QuerySpec, error: &ServiceError) -> Value {
 mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
+
+    impl QueryPlan {
+        /// [`QueryPlan::execute_detailed`] without the effort metadata.
+        fn execute(
+            &self,
+            graph: impl Into<Arc<UncertainGraph>>,
+        ) -> Vec<Result<QueryResult, ServiceError>> {
+            self.execute_detailed(graph)
+                .into_iter()
+                .map(|outcome| outcome.map(|answer| answer.result))
+                .collect()
+        }
+    }
 
     fn toy() -> UncertainGraph {
         UncertainGraph::from_edges(4, [(0, 1, 0.9), (1, 2, 0.5), (2, 3, 0.7)]).unwrap()

@@ -13,11 +13,6 @@
 //!   run drives), and
 //! * recover its typed answer from the erased output
 //!   ([`QuerySpec::result_of`]).
-//!
-//! The JSON shape is `{"type": "<kind>", ...parameters}`; omitted optional
-//! parameters take the library defaults, so `{"type": "pagerank"}` is a
-//! complete spec.  `type` accepts the same aliases as the CLI (`pr`, `cc`,
-//! `sp`, `degree-hist`, `edge-freq`, …).
 
 use std::any::Any;
 use std::time::Duration;
@@ -35,8 +30,12 @@ use ugs_queries::variance::Precision;
 use ugs_queries::{ConnectivityEstimate, EdgeFrequencyObserver, Neighbor, PairQueryResult};
 
 /// A Monte-Carlo query described as data: one variant per query surface of
-/// `ugs-queries`, each carrying its parameters.  See the
-/// [module docs](self) for the JSON wire format.
+/// `ugs-queries`, each carrying its parameters.
+///
+/// The JSON shape is `{"type": "<kind>", ...parameters}`; omitted optional
+/// parameters take the library defaults, so `{"type": "pagerank"}` is a
+/// complete spec.  `type` accepts the same aliases as the CLI (`pr`, `cc`,
+/// `sp`, `degree-hist`, `edge-freq`, …).
 #[derive(Debug, Clone, PartialEq)]
 pub enum QuerySpec {
     /// Expected PageRank of every vertex
@@ -430,7 +429,7 @@ pub fn precision_to_json(precision: &Precision) -> Value {
 
 impl QueryResult {
     /// The canonical kind name, matching [`QuerySpec::kind`].
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             QueryResult::PageRank(_) => "pagerank",
             QueryResult::Clustering(_) => "clustering",

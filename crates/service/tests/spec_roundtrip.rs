@@ -1,12 +1,17 @@
 //! JSON round-trip suite for [`QuerySpec`] (and the [`QueryPlan`] document
 //! that embeds them): `parse(to_json(spec)) == spec` for every variant, the
 //! parameters survive exactly, and malformed documents fail with a
-//! [`SpecError`] instead of panicking.
+//! [`SpecError`] instead of panicking.  A seeded mutation run over a full
+//! plan document checks the same of hostile plans.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use ugs_queries::variance::Precision;
 use ugs_service::{parse_precision, precision_to_json, QueryPlan, QuerySpec, SpecError};
+use uncertain_graph::UncertainGraph;
 
 fn all_variants() -> Vec<QuerySpec> {
     vec![
@@ -159,4 +164,112 @@ fn malformed_documents_fail_with_spec_errors() {
             other => panic!("{bad:?}: expected SpecError::Json, got {other:?}"),
         }
     }
+}
+
+/// A plan document that sets every plan field and uses all seven query kinds.
+const FULL_PLAN: &str = r#"{"graph": "g.txt", "worlds": 64, "threads": 2, "shards": 1,
+  "mode": "skip", "seed": 7,
+  "precision": {"epsilon": 0.05, "delta": 0.1, "deadline_ms": 5000, "max_worlds": 48},
+  "queries": [
+    {"type": "pagerank", "damping": 0.85, "max_iterations": 20, "tolerance": 0.0001},
+    {"type": "clustering"},
+    {"type": "pair_queries", "pairs": [[0, 1], [2, 4], [3, 3]]},
+    {"type": "connectivity"},
+    {"type": "degree_histogram"},
+    {"type": "knn", "source": 1, "k": 3},
+    {"type": "edge_frequency"}]}"#;
+
+/// Mutated plan documents.
+const ROUNDS: usize = if cfg!(debug_assertions) {
+    4_000
+} else {
+    40_000
+};
+
+/// JSON tokens a mutation inserts or writes over a byte.
+const TOKENS: &[&str] = &[
+    "0",
+    "1",
+    "5",
+    "9",
+    "-",
+    ".",
+    "e",
+    "-1",
+    "1e400",
+    "0.5",
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    " ",
+    "null",
+    "true",
+    "false",
+    "\"type\"",
+    "\"knn\"",
+    "\"source\"",
+    "\"pairs\"",
+    "\"precision\"",
+    "\"shards\"",
+    "\"mode\"",
+    "\"seed\"",
+    "\"per-edge\"",
+    "[[9, 0]]",
+    "{\"type\": \"pagerank\"}",
+];
+
+/// One to four token inserts, byte deletes or byte replacements (the
+/// document and the tokens are ASCII, so every cut is a char boundary).
+fn mutate(rng: &mut SmallRng, text: &mut String) {
+    for _ in 0..rng.gen_range(1..5) {
+        let at = rng.gen_range(0..text.len() + 1);
+        let token = TOKENS[rng.gen_range(0..TOKENS.len())];
+        match rng.gen_range(0..3) {
+            0 => text.insert_str(at, token),
+            1 if at < text.len() => {
+                text.remove(at);
+            }
+            _ if at < text.len() => text.replace_range(at..at + 1, token),
+            _ => text.push_str(token),
+        }
+    }
+}
+
+#[test]
+fn mutated_plans_are_refused_typed_or_round_trip() {
+    // Five vertices: mutated pairs and k-NN sources land in and out of range.
+    let g = UncertainGraph::from_edges(5, [(0, 1, 0.5), (1, 2, 0.9), (2, 3, 0.3), (3, 4, 0.7)])
+        .unwrap();
+    let full = QueryPlan::parse_str(FULL_PLAN).unwrap();
+    assert_eq!(full.queries.len(), 7);
+    assert!(full.precision.is_some());
+    let mut rng = SmallRng::seed_from_u64(0x9_1a_4e);
+    let (mut refused, mut accepted) = (0usize, 0usize);
+    for _ in 0..ROUNDS {
+        let mut document = FULL_PLAN.to_string();
+        mutate(&mut rng, &mut document);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(plan) = QueryPlan::parse_str(&document) else {
+                return false;
+            };
+            let back = QueryPlan::parse(&plan.to_json())
+                .unwrap_or_else(|e| panic!("{document}: the plan's own JSON is refused: {e}"));
+            assert_eq!(back, plan, "{document}");
+            assert_eq!(plan.observers(&g).len(), plan.queries.len(), "{document}");
+            true
+        }));
+        match outcome {
+            Ok(true) => accepted += 1,
+            Ok(false) => refused += 1,
+            Err(_) => panic!("a mutated plan panicked: {document}"),
+        }
+    }
+    assert!(
+        refused > 0 && accepted > 0,
+        "{refused} refused, {accepted} accepted"
+    );
 }

@@ -76,11 +76,6 @@ impl UncertainGraphBuilder {
         }
     }
 
-    /// Number of vertices the final graph will have.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
     /// Number of edges added so far.
     pub fn num_edges(&self) -> usize {
         self.endpoints.len()

@@ -36,7 +36,7 @@ pub fn edge_entropy(p: f64) -> f64 {
 }
 
 /// Total entropy of the graph: the sum of the entropies of its edges.
-pub fn graph_entropy(g: &UncertainGraph) -> f64 {
+pub(crate) fn graph_entropy(g: &UncertainGraph) -> f64 {
     g.probabilities().iter().copied().map(edge_entropy).sum()
 }
 

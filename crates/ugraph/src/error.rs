@@ -125,7 +125,7 @@ impl From<std::io::Error> for GraphError {
 ///
 /// The paper defines `p : E → (0, 1]`; a probability of exactly zero means
 /// the edge does not exist and must simply be omitted from the graph.
-pub fn validate_probability(p: f64) -> Result<(), GraphError> {
+pub(crate) fn validate_probability(p: f64) -> Result<(), GraphError> {
     if p.is_finite() && p > 0.0 && p <= 1.0 {
         Ok(())
     } else {

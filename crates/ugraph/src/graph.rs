@@ -27,20 +27,6 @@ pub struct EdgeRef {
     pub p: f64,
 }
 
-impl EdgeRef {
-    /// Returns the endpoint opposite to `w`, or `None` if `w` is not an
-    /// endpoint of this edge.
-    pub fn other(&self, w: VertexId) -> Option<VertexId> {
-        if w == self.u {
-            Some(self.v)
-        } else if w == self.v {
-            Some(self.u)
-        } else {
-            None
-        }
-    }
-}
-
 /// An undirected uncertain graph `G = (V, E, p)`.
 ///
 /// * Vertices are the dense integer range `0..n`.
@@ -149,7 +135,7 @@ impl UncertainGraph {
 
     /// Returns `true` if the graph has no edges.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.endpoints.is_empty()
     }
 
@@ -187,18 +173,6 @@ impl UncertainGraph {
     pub fn edge_endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
         let (u, v) = self.endpoints[e];
         (u as usize, v as usize)
-    }
-
-    /// A full [`EdgeRef`] for edge `e`.
-    #[inline]
-    pub fn edge(&self, e: EdgeId) -> EdgeRef {
-        let (u, v) = self.edge_endpoints(e);
-        EdgeRef {
-            id: e,
-            u,
-            v,
-            p: self.probabilities[e],
-        }
     }
 
     /// Probability of edge `e`.
@@ -549,16 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_ref_other_endpoint() {
-        let g = figure1a();
-        let e = g.edge(g.find_edge(0, 1).unwrap());
-        assert_eq!(e.other(e.u), Some(e.v));
-        assert_eq!(e.other(e.v), Some(e.u));
-        // vertex 3 is not an endpoint of edge (0, 1)
-        assert_eq!(e.other(3), None);
-    }
-
-    #[test]
     fn expected_num_edges_and_mean_probability() {
         let g = figure1a();
         assert!((g.expected_num_edges() - 1.8).abs() < 1e-12);
@@ -624,11 +588,11 @@ mod tests {
         // Every mapped edge must connect the same global endpoints with the
         // same probability.
         for (local, &global) in emap.iter().enumerate() {
-            let le = sub.edge(local);
-            let ge = g.edge(global);
-            let (lu, lv) = (vmap[le.u], vmap[le.v]);
-            assert_eq!((lu.min(lv), lu.max(lv)), (ge.u.min(ge.v), ge.u.max(ge.v)));
-            assert_eq!(le.p, ge.p);
+            let (lu, lv) = sub.edge_endpoints(local);
+            let (gu, gv) = g.edge_endpoints(global);
+            let (lu, lv) = (vmap[lu], vmap[lv]);
+            assert_eq!((lu.min(lv), lu.max(lv)), (gu.min(gv), gu.max(gv)));
+            assert_eq!(sub.edge_probability(local), g.edge_probability(global));
         }
         // Edge ids are handed out in ascending global-edge order.
         let mut sorted = emap.clone();

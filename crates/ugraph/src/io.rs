@@ -7,9 +7,9 @@
 //!   vertices so isolated vertices survive a round trip.  This matches the
 //!   de-facto format used by published uncertain-graph datasets (Flickr,
 //!   Twitter, BIOMINE, …).
-//! * **JSON** — [`SerializableGraph`] is a plain mirror of
-//!   [`UncertainGraph`] written and read with the workspace's dependency-free
-//!   `minijson` crate ([`to_json`] / [`from_json`]).
+//! * **JSON** — a plain mirror of [`UncertainGraph`] (vertex count and edge
+//!   list) written and read with the workspace's dependency-free `minijson`
+//!   crate ([`to_json`] / [`from_json`]).
 //! * **Binary** — a compact little-endian encoding ([`to_bytes`] /
 //!   [`from_bytes`]) that round-trips probabilities exactly.
 
@@ -23,11 +23,11 @@ use crate::graph::UncertainGraph;
 
 /// A serialisation-friendly mirror of an [`UncertainGraph`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SerializableGraph {
+pub(crate) struct SerializableGraph {
     /// Number of vertices.
-    pub num_vertices: usize,
+    pub(crate) num_vertices: usize,
     /// Edge list `(u, v, p)`.
-    pub edges: Vec<(usize, usize, f64)>,
+    pub(crate) edges: Vec<(usize, usize, f64)>,
 }
 
 impl From<&UncertainGraph> for SerializableGraph {
@@ -49,7 +49,7 @@ impl TryFrom<SerializableGraph> for UncertainGraph {
 
 impl SerializableGraph {
     /// Renders the mirror as a compact JSON document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let edges: Vec<Value> = self
             .edges
             .iter()
@@ -63,7 +63,7 @@ impl SerializableGraph {
     }
 
     /// Parses a JSON document produced by [`SerializableGraph::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, GraphError> {
+    pub(crate) fn from_json(json: &str) -> Result<Self, GraphError> {
         let parse_err = |message: String| GraphError::Parse { line: 0, message };
         let value = Value::parse(json).map_err(|e| parse_err(e.to_string()))?;
         let num_vertices = value

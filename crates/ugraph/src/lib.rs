@@ -18,8 +18,9 @@
 //! * [`entropy`] — per-edge and whole-graph entropy `H(G) = Σ_e H(p_e)`,
 //! * [`worlds`] — exact possible-world enumeration (small graphs) and
 //!   Monte-Carlo world sampling (any size),
-//! * [`io`] — a plain-text edge-list format plus serde support,
-//! * [`stats`] — summary statistics matching Table 1 of the paper.
+//! * [`io`] — the plain-text edge-list format, JSON (through the in-tree
+//!   `minijson` crate) and the compact `UGS1` binary format,
+//! * [`GraphStatistics`] — summary statistics matching Table 1 of the paper.
 //!
 //! The crate is the substrate on which the sparsification algorithms
 //! (`ugs-core`), the adapted deterministic baselines (`ugs-baselines`) and the
@@ -42,33 +43,37 @@
 //! // Expected degree of every vertex is 3 * 0.3 = 0.9.
 //! assert!((g.expected_degree(0) - 0.9).abs() < 1e-12);
 //! // Probability that the graph is connected (Figure 1 reports ~0.219).
-//! let p_connected = uncertain_graph::worlds::exact_connected_probability(&g).unwrap();
+//! let mut p_connected = 0.0;
+//! uncertain_graph::worlds::enumerate_worlds(&g, |world, pr| {
+//!     if world.connected_components(&g).1 == 1 {
+//!         p_connected += pr;
+//!     }
+//! })
+//! .unwrap();
 //! assert!((p_connected - 0.219).abs() < 5e-3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
+mod builder;
 pub mod entropy;
-pub mod error;
+mod error;
 pub mod graph;
 pub mod io;
-pub mod stats;
+mod stats;
 pub mod worlds;
 
 pub use builder::UncertainGraphBuilder;
 pub use error::GraphError;
-pub use graph::{EdgeId, EdgeRef, UncertainGraph, VertexId};
+pub use graph::{EdgeId, UncertainGraph, VertexId};
 pub use stats::GraphStatistics;
 pub use worlds::{PossibleWorld, SkipSampler, WorldSampler};
 
 /// Commonly used items, suitable for a glob import.
 pub mod prelude {
     pub use crate::builder::UncertainGraphBuilder;
-    pub use crate::entropy::{edge_entropy, graph_entropy, relative_entropy};
-    pub use crate::error::GraphError;
-    pub use crate::graph::{EdgeId, EdgeRef, UncertainGraph, VertexId};
+    pub use crate::graph::UncertainGraph;
     pub use crate::stats::GraphStatistics;
-    pub use crate::worlds::{PossibleWorld, SkipSampler, WorldSampler};
+    pub use crate::worlds::WorldSampler;
 }

@@ -1,9 +1,6 @@
 //! Summary statistics of uncertain graphs (Table 1 of the paper).
 
-use minijson::{ObjBuilder, Value};
-
 use crate::entropy::graph_entropy;
-use crate::error::GraphError;
 use crate::graph::UncertainGraph;
 
 /// Per-dataset characteristics as reported in Table 1 of the paper:
@@ -22,9 +19,9 @@ pub struct GraphStatistics {
     /// Mean edge probability `E[p_e]`.
     pub mean_edge_probability: f64,
     /// Mean expected degree `E[d_u] = (2 Σ_e p_e) / |V|`.
-    pub mean_expected_degree: f64,
+    pub(crate) mean_expected_degree: f64,
     /// Maximum expected degree over all vertices.
-    pub max_expected_degree: f64,
+    pub(crate) max_expected_degree: f64,
     /// Total entropy `H(G)` in bits.
     pub entropy: f64,
     /// Whether the support graph (all edges present) is connected.
@@ -86,51 +83,6 @@ impl GraphStatistics {
             "dataset", "vertices", "edges", "|E|/|V|", "E[p]", "E[d]"
         )
     }
-
-    /// Renders the statistics as a compact JSON object.
-    pub fn to_json(&self) -> String {
-        ObjBuilder::new()
-            .field("num_vertices", self.num_vertices)
-            .field("num_edges", self.num_edges)
-            .field("edge_vertex_ratio", self.edge_vertex_ratio)
-            .field("density", self.density)
-            .field("mean_edge_probability", self.mean_edge_probability)
-            .field("mean_expected_degree", self.mean_expected_degree)
-            .field("max_expected_degree", self.max_expected_degree)
-            .field("entropy", self.entropy)
-            .field("support_connected", self.support_connected)
-            .build()
-            .render()
-    }
-
-    /// Parses a JSON object produced by [`GraphStatistics::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, GraphError> {
-        let parse_err = |message: String| GraphError::Parse { line: 0, message };
-        let value = Value::parse(json).map_err(|e| parse_err(e.to_string()))?;
-        let f64_field = |key: &str| {
-            value
-                .get_f64(key)
-                .ok_or_else(|| parse_err(format!("missing or invalid `{key}`")))
-        };
-        Ok(GraphStatistics {
-            num_vertices: value
-                .get_usize("num_vertices")
-                .ok_or_else(|| parse_err("missing or invalid `num_vertices`".into()))?,
-            num_edges: value
-                .get_usize("num_edges")
-                .ok_or_else(|| parse_err("missing or invalid `num_edges`".into()))?,
-            edge_vertex_ratio: f64_field("edge_vertex_ratio")?,
-            density: f64_field("density")?,
-            mean_edge_probability: f64_field("mean_edge_probability")?,
-            mean_expected_degree: f64_field("mean_expected_degree")?,
-            max_expected_degree: f64_field("max_expected_degree")?,
-            entropy: f64_field("entropy")?,
-            support_connected: value
-                .get("support_connected")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| parse_err("missing or invalid `support_connected`".into()))?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -184,16 +136,5 @@ mod tests {
         assert!(row.contains("toy"));
         assert!(row.contains('3'));
         assert!(row.contains('2'));
-    }
-
-    #[test]
-    fn statistics_serialize_round_trip() {
-        let g = UncertainGraph::from_edges(3, [(0, 1, 0.5), (1, 2, 0.25)]).unwrap();
-        let s = GraphStatistics::compute(&g);
-        let json = s.to_json();
-        let back = GraphStatistics::from_json(&json).unwrap();
-        assert_eq!(s, back);
-        assert!(GraphStatistics::from_json("{}").is_err());
-        assert!(GraphStatistics::from_json("not json").is_err());
     }
 }

@@ -24,7 +24,7 @@
 use rand::Rng;
 
 use crate::error::GraphError;
-use crate::graph::{EdgeId, UncertainGraph, VertexId};
+use crate::graph::{EdgeId, UncertainGraph};
 
 /// Ziggurat sampler for the standard exponential distribution
 /// (Marsaglia & Tsang, 2000; 256 layers).
@@ -76,7 +76,7 @@ mod exponential {
     /// resolve once per sampler, draw many times without re-touching the
     /// `OnceLock`.
     #[derive(Clone, Copy)]
-    pub struct Exp1 {
+    pub(crate) struct Exp1 {
         tables: &'static Tables,
     }
 
@@ -94,13 +94,13 @@ mod exponential {
 
     impl Exp1 {
         /// Resolves the shared tables.
-        pub fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Exp1 { tables: tables() }
         }
 
         /// Draws one standard exponential variate.
         #[inline]
-        pub fn sample<R2: Rng + ?Sized>(&self, rng: &mut R2) -> f64 {
+        pub(crate) fn sample<R2: Rng + ?Sized>(&self, rng: &mut R2) -> f64 {
             let t = self.tables;
             loop {
                 let bits = rng.gen::<u64>();
@@ -126,7 +126,7 @@ mod exponential {
 
 /// Maximum number of edges for which exact possible-world enumeration is
 /// permitted (`2^26` worlds ≈ 67 million — a few seconds of work).
-pub const MAX_ENUMERATION_EDGES: usize = 26;
+pub(crate) const MAX_ENUMERATION_EDGES: usize = 26;
 
 /// One deterministic possible world of an uncertain graph, represented as an
 /// inclusion mask over the parent graph's edges.
@@ -139,26 +139,6 @@ impl PossibleWorld {
     /// Creates a world from an explicit inclusion mask.
     pub fn new(present: Vec<bool>) -> Self {
         PossibleWorld { present }
-    }
-
-    /// Creates the world in which every edge of `g` is present.
-    pub fn full(g: &UncertainGraph) -> Self {
-        PossibleWorld {
-            present: vec![true; g.num_edges()],
-        }
-    }
-
-    /// Creates the world with no edges.
-    pub fn empty(g: &UncertainGraph) -> Self {
-        PossibleWorld {
-            present: vec![false; g.num_edges()],
-        }
-    }
-
-    /// Returns `true` if edge `e` exists in this world.
-    #[inline]
-    pub fn contains(&self, e: EdgeId) -> bool {
-        self.present[e]
     }
 
     /// Number of edges in the mask (present or not) — equals the parent
@@ -175,11 +155,6 @@ impl PossibleWorld {
     /// Number of edges present in this world.
     pub fn num_present(&self) -> usize {
         self.present.iter().filter(|&&b| b).count()
-    }
-
-    /// The raw inclusion mask.
-    pub fn mask(&self) -> &[bool] {
-        &self.present
     }
 
     /// Iterator over the ids of the edges present in this world.
@@ -207,30 +182,6 @@ impl PossibleWorld {
             pr *= if present { p } else { 1.0 - p };
         }
         pr
-    }
-
-    /// Returns `true` if all vertices of `g` belong to a single connected
-    /// component in this world.  Isolated-vertex graphs with `|V| ≤ 1` are
-    /// connected by convention.
-    pub fn is_connected(&self, g: &UncertainGraph) -> bool {
-        let n = g.num_vertices();
-        if n <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack: Vec<VertexId> = vec![0];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(u) = stack.pop() {
-            for (v, e, _) in g.neighbors(u) {
-                if self.present[e] && !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        count == n
     }
 
     /// Connected components of this world as a label vector (`labels[u]` is
@@ -499,8 +450,7 @@ impl SkipSampler {
 }
 
 /// Exactly enumerates all `2^|E|` worlds of `g`, calling `visit(world, pr)`
-/// for each.  Fails if the graph has more than [`MAX_ENUMERATION_EDGES`]
-/// edges.
+/// for each.  Fails if the graph has more than 26 edges (`2^26` worlds).
 pub fn enumerate_worlds<F>(g: &UncertainGraph, mut visit: F) -> Result<(), GraphError>
 where
     F: FnMut(&PossibleWorld, f64),
@@ -528,29 +478,6 @@ where
     Ok(())
 }
 
-/// Exact probability that a query predicate holds, by enumeration
-/// (Equation 1 of the paper).  Only feasible for small graphs.
-pub fn exact_query_probability<Q>(g: &UncertainGraph, mut predicate: Q) -> Result<f64, GraphError>
-where
-    Q: FnMut(&PossibleWorld) -> bool,
-{
-    let mut total = 0.0;
-    enumerate_worlds(g, |world, pr| {
-        if predicate(world) {
-            total += pr;
-        }
-    })?;
-    Ok(total)
-}
-
-/// Exact probability that the uncertain graph is connected (single connected
-/// component spanning all vertices), computed by enumeration.
-///
-/// For Figure 1(a) of the paper this returns ≈ 0.219.
-pub fn exact_connected_probability(g: &UncertainGraph) -> Result<f64, GraphError> {
-    exact_query_probability(g, |world| world.is_connected(g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +503,19 @@ mod tests {
         UncertainGraph::from_edges(4, [(0, 1, 0.6), (1, 2, 0.6), (2, 3, 0.6)]).unwrap()
     }
 
+    /// Exact probability that `g` is connected: the weight of the worlds
+    /// with one component (Equation 1 of the paper).
+    fn exact_connected_probability(g: &UncertainGraph) -> f64 {
+        let mut total = 0.0;
+        enumerate_worlds(g, |world, pr| {
+            if world.connected_components(g).1 == 1 {
+                total += pr;
+            }
+        })
+        .unwrap();
+        total
+    }
+
     #[test]
     fn world_probability_sums_to_one() {
         let g = figure1a();
@@ -588,9 +528,9 @@ mod tests {
     fn figure1_connected_probabilities_match_paper() {
         // The paper reports Pr[G connected] = 0.219 for Figure 1(a) and
         // 0.216 for the sparsified graph of Figure 1(b).
-        let p_a = exact_connected_probability(&figure1a()).unwrap();
+        let p_a = exact_connected_probability(&figure1a());
         assert!((p_a - 0.219).abs() < 2e-3, "got {p_a}");
-        let p_b = exact_connected_probability(&figure1b()).unwrap();
+        let p_b = exact_connected_probability(&figure1b());
         assert!((p_b - 0.216).abs() < 1e-9, "got {p_b}");
     }
 
@@ -616,13 +556,10 @@ mod tests {
     fn world_mask_and_probability() {
         let g = UncertainGraph::from_edges(3, [(0, 1, 0.25), (1, 2, 0.5)]).unwrap();
         let w = PossibleWorld::new(vec![true, false]);
-        assert!(w.contains(0));
-        assert!(!w.contains(1));
+        assert_eq!(w.present, vec![true, false]);
         assert_eq!(w.num_present(), 1);
         assert_eq!(w.present_edges().collect::<Vec<_>>(), vec![0]);
         assert!((w.probability(&g) - 0.25 * 0.5).abs() < 1e-12);
-        assert_eq!(PossibleWorld::full(&g).num_present(), 2);
-        assert_eq!(PossibleWorld::empty(&g).num_present(), 0);
         assert_eq!(w.len(), 2);
         assert!(!w.is_empty());
     }
@@ -630,14 +567,12 @@ mod tests {
     #[test]
     fn connectivity_and_components_of_worlds() {
         let g = UncertainGraph::from_edges(4, [(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)]).unwrap();
-        let all = PossibleWorld::full(&g);
-        assert!(all.is_connected(&g));
+        let all = PossibleWorld::new(vec![true; 3]);
         let (labels, k) = all.connected_components(&g);
         assert_eq!(k, 1);
         assert!(labels.iter().all(|&l| l == 0));
 
         let broken = PossibleWorld::new(vec![true, false, true]);
-        assert!(!broken.is_connected(&g));
         let (labels, k) = broken.connected_components(&g);
         assert_eq!(k, 2);
         assert_eq!(labels[0], labels[1]);
@@ -711,16 +646,9 @@ mod tests {
         let sampler = WorldSampler::new();
         let worlds = 20_000;
         let hits = (0..worlds)
-            .filter(|_| sampler.sample(&g, &mut rng).contains(0))
+            .filter(|_| sampler.sample(&g, &mut rng).present[0])
             .count();
         let freq = hits as f64 / worlds as f64;
         assert!((freq - 0.25).abs() < 0.02, "frequency {freq}");
-    }
-
-    #[test]
-    fn exact_query_probability_for_edge_presence_is_its_probability() {
-        let g = UncertainGraph::from_edges(3, [(0, 1, 0.37), (1, 2, 0.8)]).unwrap();
-        let p = exact_query_probability(&g, |w| w.contains(0)).unwrap();
-        assert!((p - 0.37).abs() < 1e-12);
     }
 }
